@@ -1,26 +1,34 @@
 #!/usr/bin/env python3
-"""Benchmark the numpy and numba backends of the hot kernels.
+"""Benchmark the hot kernels.
 
-Runs each kernel on a representative workload with both implementations and
-prints a timing table. The numba functions are called once before timing so
-compilation cost is not mixed into the numbers.
+The pattern grid and the delay scan exist as numpy and numba routines; each
+is timed with both and the table gives the speedup of numba. The rate scan
+exists once, batched over rings; it is timed at 1 and at 160 rings against
+the brute-force oracle of ``tests/oracles.py`` called once per ring. The
+numba functions are called once before timing so compilation cost is not
+mixed into the numbers.
 
 Usage::
 
-    python3 benchmarks/bench_kernels.py [--repeats N]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N]
 
-Requires numba to be importable; otherwise only the numpy column is filled.
+Without numba only the numpy column of the first table is filled.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from jpta import _kernels
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import rate_scan_py  # noqa: E402
 
 
 def _time_best(fn, args, repeats: int) -> float:
@@ -53,9 +61,12 @@ def _delay_args():
     return slopes, freqs, taus, 16
 
 
-def _rate_args():
+def _rate_args(rings: int):
+    """One 264-RB row seen at ``rings`` path gains 30 dB apart end to end,
+    as a distance sweep sees it, on the 15-level ladder."""
     rng = np.random.default_rng(3)
-    snr = np.sort(rng.uniform(0.5, 50.0, 264))[::-1].copy()
+    row = np.sort(rng.uniform(0.5, 50.0, 264))[::-1]
+    snr = row[None, :] * np.geomspace(1.0, 1e-3, rings)[:, None]
     thr_db = np.linspace(-7.5, 24.3, 15)
     thr_lin = 10.0 ** (thr_db / 10.0)
     se = np.linspace(0.1523, 7.4063, 15)
@@ -64,14 +75,17 @@ def _rate_args():
     return snr, thr_lin, se, unique_betas, beta_idx, 4
 
 
-BENCHES = [
+def _rate_scan_per_ring(snr, *args):
+    return [rate_scan_py(row, *args) for row in snr]
+
+
+BACKEND_BENCHES = [
     ("pattern_corr (721 angles x 264 freqs, 16 el)",
      _kernels.pattern_corr_numpy, _kernels.pattern_corr_jit, _pattern_args),
     ("delay_scan   (64 taus x 264 freqs, 16 el)",
      _kernels.delay_scan_numpy, _kernels.delay_scan_jit, _delay_args),
-    ("rate_scan    (264 RBs x 15 MCS)",
-     _kernels.rate_scan_numpy, _kernels.rate_scan_jit, _rate_args),
 ]
+RATE_SCAN_RINGS = (1, 160)
 
 
 def main() -> None:
@@ -84,7 +98,7 @@ def main() -> None:
     header = "%-46s %12s %12s %9s" % ("kernel", "numpy", "numba", "speedup")
     print(header)
     print("-" * len(header))
-    for name, np_fn, jit_fn, make_args in BENCHES:
+    for name, np_fn, jit_fn, make_args in BACKEND_BENCHES:
         call_args = make_args()
         t_np = _time_best(np_fn, call_args, args.repeats)
         if jit_fn is None:
@@ -94,6 +108,20 @@ def main() -> None:
         t_jit = _time_best(jit_fn, call_args, args.repeats)
         print("%-46s %10.3f ms %10.3f ms %8.1fx"
               % (name, t_np * 1e3, t_jit * 1e3, t_np / t_jit))
+
+    print()
+    header = "%-46s %12s %12s %9s" % ("rate scan (264 RBs x 15 MCS)", "batched",
+                                      "per ring", "speedup")
+    print(header)
+    print("-" * len(header))
+    for rings in RATE_SCAN_RINGS:
+        call_args = _rate_args(rings)
+        t_batch = _time_best(_kernels.rate_scan_batch, call_args,
+                             args.repeats)
+        t_loop = _time_best(_rate_scan_per_ring, call_args, args.repeats)
+        print("%-46s %10.3f ms %10.3f ms %8.1fx"
+              % ("%d ring%s" % (rings, "" if rings == 1 else "s"),
+                 t_batch * 1e3, t_loop * 1e3, t_loop / t_batch))
 
 
 if __name__ == "__main__":

@@ -60,6 +60,7 @@ from .link import (
     noise_power_dbm_per_rb,
     path_gain_db,
     select_rate,
+    select_rates,
     snr_per_rb_db,
 )
 from .sysim import (
@@ -120,6 +121,7 @@ __all__ = [
     "run_jpta",
     "run_paa",
     "select_rate",
+    "select_rates",
     "snr_per_rb_db",
     "steer_weights",
     "steering_vector",

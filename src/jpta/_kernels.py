@@ -1,10 +1,12 @@
-"""Hot numerical kernels with numba and pure-numpy implementations.
+"""Hot numerical kernels.
 
 Three loops dominate the toolkit's run time: the angle x frequency pattern
 grid, the per-antenna delay-grid scan used by the wideband beam designer, and
-the RB-count x MCS rate search with an EESM average inside. Each kernel exists
-twice, as a numba ``@njit`` routine and as a vectorized numpy routine. The
-active backend is chosen at import time:
+the RB-count x MCS rate search with an EESM average inside.
+
+The rate search exists once, as a numpy routine batched over rings. The
+pattern grid and the delay scan exist twice, as a numba ``@njit`` routine and
+as a vectorized numpy routine. Their active backend is chosen at import time:
 
 * ``JPTA_NUMBA=0`` (also ``false``/``no``/``off``) forces the numpy path.
 * Otherwise numba is used when importable, with a silent numpy fallback.
@@ -128,100 +130,128 @@ def _delay_scan_py(slopes, freqs, taus, num_elements):
 
 
 # ---------------------------------------------------------------------------
-# rate search: best (RB count, MCS) under an EESM feasibility test
+# rate search: best (RB count, MCS) under an EESM feasibility test, for many
+# rings at once
 # ---------------------------------------------------------------------------
 
-def rate_scan_numpy(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
+# np.log may differ from math.log by an ulp; a feasibility margin this small,
+# relative to the threshold, is decided again with math.log
+_NEAR_THRESHOLD_REL = 1e-9
+
+
+def rate_scan_batch(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
                     min_rbs):
-    """Scan allocation sizes and MCS levels for the best feasible rate.
+    """Best feasible (RB count, MCS) for every row of an SNR matrix.
 
-    ``snr_unsplit_desc`` holds per-RB linear SNR with the full transmit power
-    on a single RB, sorted descending; splitting power over ``n`` RBs divides
-    each entry by ``n``. For every ``n`` in ``[min_rbs, N]`` the EESM
-    effective SNR of the best ``n`` RBs is computed per distinct EESM beta,
-    the highest feasible MCS is found, and candidates are ranked by
-    throughput ``se * n``, then higher MCS, then fewer RBs.
+    Row r of ``snr_unsplit_desc`` (shape ``(rings, RBs)``) holds per-RB
+    linear SNR with the full transmit power on a single RB, sorted
+    descending; splitting power over ``n`` RBs divides each entry by ``n``.
+    For every ``n`` in ``[min_rbs, RBs]`` the EESM effective SNR of the best
+    ``n`` RBs is computed per distinct EESM beta, the highest feasible MCS is
+    found, and candidates are ranked by throughput ``se * n``, then higher
+    MCS, then fewer RBs. ``se`` must be strictly increasing, as ``McsTable``
+    ensures.
 
-    Returns ``(best_n, best_mcs, best_eff_lin, best_se_n)`` with
-    ``best_mcs = -1`` when nothing is feasible.
+    Every row is decided exactly as a one-row call would decide it: the
+    EESM means are the same 1-D ``np.mean`` reductions, and feasibility near
+    a threshold and the winner's effective SNR use ``math.log``.
+
+    Returns arrays ``(best_n, best_mcs, best_eff_lin, best_se_n)``, one entry
+    per row, with ``best_mcs = -1`` (and zeros elsewhere) where nothing is
+    feasible.
     """
-    total = snr_unsplit_desc.shape[0]
-    num_mcs = se.shape[0]
-    best_n = 0
-    best_mcs = -1
-    best_eff = 0.0
-    best_rate = -1.0
-    for n in range(min_rbs, total + 1):
-        values = snr_unsplit_desc[:n] / n
-        v_min = values[-1]
-        effs = np.empty(unique_betas.shape[0])
-        for b in range(unique_betas.shape[0]):
-            beta = unique_betas[b]
-            # shifted EESM average, stable for large SNR
-            mean = np.mean(np.exp(-(values - v_min) / beta))
-            effs[b] = v_min - beta * math.log(mean)
-        for i in range(num_mcs - 1, -1, -1):
-            eff = effs[beta_idx[i]]
-            if eff >= thr_lin[i]:
-                rate = se[i] * n
-                if rate > best_rate or (rate == best_rate and i > best_mcs):
-                    best_rate = rate
-                    best_n = n
-                    best_mcs = i
-                    best_eff = eff
-                break
-    if best_mcs < 0:
-        return 0, -1, 0.0, 0.0
+    rings, total = snr_unsplit_desc.shape
+    best_n = np.zeros(rings, dtype=np.int64)
+    best_mcs = np.full(rings, -1, dtype=np.int64)
+    best_eff = np.zeros(rings)
+    best_rate = np.zeros(rings)
+    if total < min_rbs:
+        return best_n, best_mcs, best_eff, best_rate
+    counts = np.arange(min_rbs, total + 1)
+    means = _eesm_means(snr_unsplit_desc, counts, unique_betas)
+    mcs = _highest_feasible_mcs(snr_unsplit_desc, counts, means, thr_lin,
+                                unique_betas, beta_idx)
+
+    # best n per ring by (rate, MCS, -n): as se strictly increases, of equal
+    # rates the one with fewer RBs has the higher MCS, so take the first
+    rate = se[mcs]
+    rate *= counts
+    rate[mcs < 0] = -1.0
+    top = rate == rate.max(axis=1, keepdims=True)
+    for r, k in enumerate(np.argmax(top, axis=1)):
+        i = mcs[r, k]
+        if i < 0:
+            continue
+        b = beta_idx[i]
+        best_n[r] = counts[k]
+        best_mcs[r] = i
+        best_eff[r] = _exact_eff(snr_unsplit_desc[r], counts[k],
+                                 means[r, k, b], unique_betas[b])
+        best_rate[r] = rate[r, k]
     return best_n, best_mcs, best_eff, best_rate
 
 
-def _rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
-                  min_rbs):
-    total = snr_unsplit_desc.shape[0]
-    num_mcs = se.shape[0]
-    num_betas = unique_betas.shape[0]
-    effs = np.empty(num_betas)
-    best_n = 0
-    best_mcs = -1
-    best_eff = 0.0
-    best_rate = -1.0
-    for n in range(min_rbs, total + 1):
-        v_min = snr_unsplit_desc[n - 1] / n
-        for b in range(num_betas):
-            beta = unique_betas[b]
-            acc = 0.0
-            for r in range(n):
-                acc += math.exp(-(snr_unsplit_desc[r] / n - v_min) / beta)
-            effs[b] = v_min - beta * math.log(acc / n)
-        for i in range(num_mcs - 1, -1, -1):
-            eff = effs[beta_idx[i]]
-            if eff >= thr_lin[i]:
-                rate = se[i] * n
-                if rate > best_rate or (rate == best_rate and i > best_mcs):
-                    best_rate = rate
-                    best_n = n
-                    best_mcs = i
-                    best_eff = eff
-                break
-    if best_mcs < 0:
-        return 0, -1, 0.0, 0.0
-    return best_n, best_mcs, best_eff, best_rate
+def _eesm_means(snr_unsplit_desc, counts, unique_betas):
+    """Shifted EESM mean ``mean(exp((v_min - v) / beta))`` over the best n
+    RBs ``v`` of every row, split over n, for every n in ``counts`` and
+    every beta; shape ``(rings, counts, betas)``. Each entry is the row sum
+    and division ``np.mean`` makes of that row alone."""
+    means = np.empty((snr_unsplit_desc.shape[0], counts.size,
+                      unique_betas.size))
+    for b, beta in enumerate(unique_betas):
+        for k, n in enumerate(counts):
+            # shifted EESM terms, stable for large SNR, in place; the last
+            # column is the weakest RB, v_min
+            terms = snr_unsplit_desc[:, :n] / n
+            np.subtract(terms[:, -1:].copy(), terms, out=terms)
+            terms /= beta
+            means[:, k, b] = np.add.reduce(np.exp(terms, out=terms), axis=1)
+    means /= counts[:, None]
+    return means
+
+
+def _exact_eff(snr_row, n, mean, beta):
+    """Effective SNR ``v_min - beta * log(mean)`` of the best n RBs of one
+    row, with ``math.log``."""
+    return snr_row[n - 1] / n - beta * math.log(mean)
+
+
+def _highest_feasible_mcs(snr_unsplit_desc, counts, means, thr_lin,
+                          unique_betas, beta_idx):
+    """Highest MCS whose threshold the effective SNR meets, per (ring, n),
+    -1 where none is met."""
+    # v_min - beta * log(mean), in place, v_min the weakest of the best n
+    # RBs after the split
+    effs = np.log(means)
+    effs *= unique_betas
+    np.subtract((snr_unsplit_desc[:, counts[0] - 1:] / counts)[:, :, None],
+                effs, out=effs)
+    mcs = np.full(effs.shape[:2], -1, dtype=np.int64)
+    for i, b in enumerate(beta_idx):
+        eff = effs[:, :, b]
+        thr = thr_lin[i]
+        feasible = eff >= thr
+        tol = _NEAR_THRESHOLD_REL * thr
+        near = (eff >= thr - tol) & (eff <= thr + tol)
+        # flat indices: 2-D np.nonzero costs ~40x more on this shape
+        for r, k in zip(*np.unravel_index(np.flatnonzero(near), near.shape)):
+            feasible[r, k] = _exact_eff(snr_unsplit_desc[r], counts[k],
+                                        means[r, k, b],
+                                        unique_betas[b]) >= thr
+        np.maximum(mcs, i, out=mcs, where=feasible)
+    return mcs
 
 
 if _HAVE_NUMBA:
     pattern_corr_jit = njit(cache=True)(_pattern_corr_py)
     delay_scan_jit = njit(cache=True)(_delay_scan_py)
-    rate_scan_jit = njit(cache=True)(_rate_scan_py)
 else:  # pragma: no cover
     pattern_corr_jit = None
     delay_scan_jit = None
-    rate_scan_jit = None
 
 if NUMBA_ENABLED:
     pattern_corr = pattern_corr_jit
     delay_scan = delay_scan_jit
-    rate_scan = rate_scan_jit
 else:
     pattern_corr = pattern_corr_numpy
     delay_scan = delay_scan_numpy
-    rate_scan = rate_scan_numpy

@@ -155,9 +155,12 @@ class RunConfig:
 
 def _parse_float(key, text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError("%s: expected a number, got %r" % (key, text))
+    if not math.isfinite(value):
+        raise ConfigError("%s: expected a finite number, got %r" % (key, text))
+    return value
 
 
 def _parse_int(key, text):

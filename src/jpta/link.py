@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,6 +47,9 @@ class LinkModel:
     thermal_noise_dbm_per_hz: float = THERMAL_NOISE_DBM_PER_HZ
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError("%s must be finite" % field.name)
         if not self.carrier_hz > 0.0:
             raise ValueError("carrier_hz must be positive")
         if not self.path_loss_exponent > 0.0:
@@ -220,24 +223,30 @@ class RateDecision:
     outage: bool = False
 
 
-def select_rate(lm: LinkModel, distance_m: float, beam_gain_db_per_rb,
-                available_rbs, mcs_table: McsTable, scs_hz: float,
-                slot_duty: float, eesm_betas=None) -> RateDecision:
-    """Best feasible (MCS, RB count) among the available RBs.
+def select_rates(lm: LinkModel, distances_m, gain_row, available_rbs,
+                 mcs_table: McsTable, scs_hz: float, slot_duty: float,
+                 eesm_betas=None) -> list:
+    """Best feasible (MCS, RB count) among the available RBs, per distance.
 
     Allocations use the n highest-gain RBs for n from 4 up to the available
     count, with transmit power split evenly. A pair is feasible when the
     EESM effective SNR meets the MCS threshold; candidates are ranked by
     throughput SE*n*12*scs*slot_duty, ties broken toward the higher MCS and
-    then the smaller allocation. Returns an outage decision (mcs -1, zero
-    throughput, BLER 1) when nothing with at least 4 RBs is feasible.
+    then the smaller allocation. A distance where nothing with at least 4
+    RBs is feasible gets an outage decision (mcs -1, zero throughput,
+    BLER 1). Returns one RateDecision per distance, in the given order; all
+    distances are searched in one batched scan, and each decision equals
+    the one-distance ``select_rate`` result.
     """
     if not 0.0 < slot_duty <= 1.0:
         raise ValueError("slot_duty must lie in (0, 1]")
-    gains = np.asarray(beam_gain_db_per_rb, dtype=np.float64)
+    gains = np.asarray(gain_row, dtype=np.float64)
     avail = np.asarray(available_rbs, dtype=np.int64)
     if avail.size == 0:
         raise ValueError("available_rbs must be non-empty")
+    dists = np.asarray(distances_m, dtype=np.float64)
+    if dists.ndim != 1:
+        raise ValueError("distances_m must be a 1-D sequence")
     if eesm_betas is None:
         betas = np.ones(len(mcs_table))
     else:
@@ -245,30 +254,50 @@ def select_rate(lm: LinkModel, distance_m: float, beam_gain_db_per_rb,
         if betas.size != len(mcs_table) or np.any(betas <= 0.0):
             raise ValueError("eesm_betas must be positive, one per MCS level")
 
-    # per-RB SNR with the whole budget on one RB; splitting divides by n
-    unsplit_db = (lm.ue_tx_power_dbm + lm.ue_beam_gain_db
-                  + path_gain_db(lm, distance_m) + gains[avail]
-                  - noise_power_dbm_per_rb(lm, scs_hz))
-    unsplit_lin = np.sort(np.power(10.0, unsplit_db / 10.0))[::-1].copy()
+    # per-RB SNR with the whole budget on one RB; splitting divides by n.
+    # Built in place, so one rings x RBs array is ever allocated, and sorted
+    # descending per row as the negated values sorted ascending.
+    link_db = np.array([lm.ue_tx_power_dbm + lm.ue_beam_gain_db
+                        + path_gain_db(lm, float(d)) for d in dists])
+    unsplit_lin = link_db[:, None] + gains[avail]
+    unsplit_lin -= noise_power_dbm_per_rb(lm, scs_hz)
+    unsplit_lin /= 10.0
+    np.power(10.0, unsplit_lin, out=unsplit_lin)
+    np.negative(unsplit_lin, out=unsplit_lin)
+    unsplit_lin.sort(axis=1)
+    np.negative(unsplit_lin, out=unsplit_lin)
 
     unique_betas, beta_idx = np.unique(betas, return_inverse=True)
     thr_lin = np.power(10.0, mcs_table.thresholds_db() / 10.0)
     se = mcs_table.spectral_efficiencies()
 
-    best_n, best_mcs, best_eff_lin, best_se_n = _kernels.rate_scan(
+    best_n, best_mcs, best_eff_lin, best_se_n = _kernels.rate_scan_batch(
         unsplit_lin, thr_lin, se, unique_betas,
         beta_idx.astype(np.int64), MIN_RBS_PER_GRANT)
 
-    if best_mcs < 0:
-        # diagnostic effective SNR: the most concentrated allowed allocation
-        n_diag = min(MIN_RBS_PER_GRANT, int(avail.size))
-        diag = 10.0 * np.log10(unsplit_lin[:n_diag] / n_diag)
-        eff = eesm_effective_snr_db(diag, float(betas[0]))
-        return RateDecision(mcs_index=-1, num_rbs=0, effective_snr_db=eff,
-                            bler=1.0, throughput_bps=0.0, outage=True)
+    decisions = []
+    for r in range(dists.size):
+        if best_mcs[r] < 0:
+            # diagnostic effective SNR: the most concentrated allowed
+            # allocation
+            n_diag = min(MIN_RBS_PER_GRANT, int(avail.size))
+            diag = 10.0 * np.log10(unsplit_lin[r, :n_diag] / n_diag)
+            eff = eesm_effective_snr_db(diag, float(betas[0]))
+            decisions.append(RateDecision(
+                mcs_index=-1, num_rbs=0, effective_snr_db=eff, bler=1.0,
+                throughput_bps=0.0, outage=True))
+            continue
+        throughput = best_se_n[r] * 12.0 * scs_hz * slot_duty
+        decisions.append(RateDecision(
+            mcs_index=int(best_mcs[r]), num_rbs=int(best_n[r]),
+            effective_snr_db=10.0 * math.log10(best_eff_lin[r]),
+            bler=0.0, throughput_bps=float(throughput), outage=False))
+    return decisions
 
-    throughput = best_se_n * 12.0 * scs_hz * slot_duty
-    return RateDecision(mcs_index=int(best_mcs), num_rbs=int(best_n),
-                        effective_snr_db=10.0 * math.log10(best_eff_lin),
-                        bler=0.0, throughput_bps=float(throughput),
-                        outage=False)
+
+def select_rate(lm: LinkModel, distance_m: float, beam_gain_db_per_rb,
+                available_rbs, mcs_table: McsTable, scs_hz: float,
+                slot_duty: float, eesm_betas=None) -> RateDecision:
+    """``select_rates`` at a single distance."""
+    return select_rates(lm, [distance_m], beam_gain_db_per_rb, available_rbs,
+                        mcs_table, scs_hz, slot_duty, eesm_betas)[0]

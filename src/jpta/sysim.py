@@ -31,7 +31,7 @@ from .antenna import (
     pattern_map,
 )
 from .codebook import DelayConstraint, Type1Target, design_type1, paa_codebook
-from .link import LinkModel, McsTable, RateDecision, select_rate
+from .link import LinkModel, McsTable, select_rates
 
 SCHEME_PAA = "PAA"
 SCHEME_JPTA = "JPTA"
@@ -127,13 +127,10 @@ def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
                          for beam in beams]
         serving = beams[int(np.argmax(carrier_gains))]
         gain_rows[u] = pattern_map(cfg, serving, np.array([axis]), grid)[0]
-    decisions = []
-    for dist in dep.ring_distances_m:
-        ring = [select_rate(lm, float(dist), gain_rows[u], all_rbs, mcs_table,
-                            grid.scs_hz, duty, eesm_betas)
-                for u in range(dep.num_ues)]
-        decisions.append(ring)
-    return decisions
+    per_ue = [select_rates(lm, dep.ring_distances_m, gain_rows[u], all_rbs,
+                           mcs_table, grid.scs_hz, duty, eesm_betas)
+              for u in range(dep.num_ues)]
+    return [list(ring) for ring in zip(*per_ue)]
 
 
 def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
@@ -150,13 +147,10 @@ def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
     # conservation: the disjoint shares exhaust the band exactly
     assert sum(s.size for s in shares) == grid.num_rbs
     gain_rows = _ue_gain_rows(cfg, weights, dep, grid)
-    decisions = []
-    for dist in dep.ring_distances_m:
-        ring = [select_rate(lm, float(dist), gain_rows[u], shares[u],
-                            mcs_table, grid.scs_hz, 1.0, eesm_betas)
-                for u in range(dep.num_ues)]
-        decisions.append(ring)
-    return decisions, weights
+    per_ue = [select_rates(lm, dep.ring_distances_m, gain_rows[u], shares[u],
+                           mcs_table, grid.scs_hz, 1.0, eesm_betas)
+              for u in range(dep.num_ues)]
+    return [list(ring) for ring in zip(*per_ue)], weights
 
 
 @dataclass

@@ -181,6 +181,16 @@ def test_unknown_config_key_exit_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_nan_tx_power_exit_2_names_key(tmp_path, capsys):
+    # a NaN power used to sweep to all-zero throughput and exit 0
+    cfg_path = _write_cfg(tmp_path, SMALL_CFG + "link.ue_tx_power_dbm = nan\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "link.ue_tx_power_dbm" in err
+    assert not (out / "results.csv").exists()
+
+
 def test_missing_codebook_exit_2(tmp_path, capsys):
     rc = main(["pattern", str(tmp_path / "absent.csv"),
                "--out", str(tmp_path / "p.csv")])

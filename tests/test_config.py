@@ -105,6 +105,20 @@ def test_parse_errors(text, match):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("text,key", [
+    ("link.ue_tx_power_dbm = nan", "link.ue_tx_power_dbm"),
+    ("delay.max_ns = nan", "delay.max_ns"),
+    ("array.peak_gain_db = inf", "array.peak_gain_db"),
+    ("grid.scs_hz = -inf", "grid.scs_hz"),
+    ("deploy.ue_angles_deg = 10, NaN", "deploy.ue_angles_deg"),
+    ("link.bs_noise_figure_db = 1e999", "link.bs_noise_figure_db"),
+])
+def test_non_finite_values_name_their_key(text, key):
+    with pytest.raises(ConfigError, match="^%s: expected a finite number"
+                       % key.replace(".", r"\.")):
+        parse_config_text(text)
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ConfigError, match="line 3: unknown key"):
         parse_config_text("array.num_elements = 4\n# fine\nnope = 1\n")

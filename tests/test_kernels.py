@@ -1,5 +1,7 @@
-"""Backend parity: the numba kernels must agree with the numpy kernels."""
+"""Kernel checks: numba/numpy parity of the pattern and delay kernels, and
+the batched rate scan against its brute-force oracle."""
 
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from jpta import _kernels
+from oracles import rate_scan_py
 
 NEED_JIT = pytest.mark.skipif(_kernels.pattern_corr_jit is None,
                               reason="numba unavailable")
@@ -56,39 +59,99 @@ def test_delay_scan_backends_agree():
         assert a.shape == (taus.size, num_el)
 
 
-@NEED_JIT
-def test_rate_scan_backends_agree():
-    rng = np.random.default_rng(5)
-    for trial in range(20):
-        n_rbs = int(rng.integers(4, 60))
-        unsplit = np.sort(10.0 ** rng.uniform(-1.0, 5.0, n_rbs))[::-1].copy()
-        thr_db = np.sort(rng.uniform(-10.0, 30.0, 8))
-        thr_db += np.arange(8) * 1e-6  # keep strictly increasing
-        thr_lin = 10.0 ** (thr_db / 10.0)
-        se = np.sort(rng.uniform(0.1, 8.0, 8))
-        se += np.arange(8) * 1e-9
-        if trial % 2 == 0:
-            betas = np.ones(8)
-        else:
-            betas = rng.uniform(0.5, 3.0, 8)
-        unique_betas, beta_idx = np.unique(betas, return_inverse=True)
-        beta_idx = beta_idx.astype(np.int64)
-        a = _kernels.rate_scan_numpy(unsplit, thr_lin, se, unique_betas,
-                                     beta_idx, 4)
-        b = _kernels.rate_scan_jit(unsplit, thr_lin, se, unique_betas,
-                                   beta_idx, 4)
-        assert a[0] == b[0] and a[1] == b[1]
-        assert a[2] == pytest.approx(b[2], rel=1e-12, abs=1e-300)
-        assert a[3] == pytest.approx(b[3], rel=1e-12, abs=1e-300)
+def _rate_inputs(rng, levels, distinct_betas):
+    """Random strictly increasing MCS ladder with linear thresholds."""
+    thr_db = np.sort(rng.uniform(-10.0, 30.0, levels))
+    thr_db += np.arange(levels) * 1e-6  # keep strictly increasing
+    se = np.sort(rng.uniform(0.1, 8.0, levels))
+    se += np.arange(levels) * 1e-9
+    betas = rng.uniform(0.5, 3.0, levels) if distinct_betas \
+        else np.ones(levels)
+    return 10.0 ** (thr_db / 10.0), se, betas
+
+
+def _sweep_rows(rng, rings, rbs):
+    """One random descending SNR row seen at ``rings`` path gains, as a
+    distance sweep sees it: the row scaled down ring by ring."""
+    row = np.sort(10.0 ** rng.uniform(-1.0, 5.0, rbs))[::-1]
+    return row[None, :] * np.geomspace(1.0, 1e-4, rings)[:, None]
+
+
+def _assert_matches_oracle(snr, thr_lin, se, betas):
+    """Batched scan of every row equals the one-row oracle, exactly."""
+    unique_betas, beta_idx = np.unique(betas, return_inverse=True)
+    got = _kernels.rate_scan_batch(snr, thr_lin, se, unique_betas, beta_idx,
+                                   4)
+    assert all(a.shape == (snr.shape[0],) for a in got)
+    for r in range(snr.shape[0]):
+        want = rate_scan_py(snr[r], thr_lin, se, unique_betas, beta_idx, 4)
+        assert tuple(a[r] for a in got) == want, "ring %d" % r
+    return got
+
+
+@pytest.mark.parametrize("rings", [1, 2, 160])
+@pytest.mark.parametrize("distinct_betas", [False, True])
+def test_rate_scan_batch_matches_oracle(rings, distinct_betas):
+    rng = np.random.default_rng(5 + rings + 1000 * distinct_betas)
+    decided = outages = 0
+    for rbs in (1, 3, 4, 5, 17, 33):
+        thr_lin, se, betas = _rate_inputs(rng, 8, distinct_betas)
+        for snr in (_sweep_rows(rng, rings, rbs),
+                    np.sort(10.0 ** rng.uniform(-1.0, 5.0, (rings, rbs)),
+                            axis=1)[:, ::-1]):
+            mcs = _assert_matches_oracle(snr, thr_lin, se, betas)[1]
+            decided += int(np.sum(mcs >= 0))
+            outages += int(np.sum(mcs < 0))
+    # the inputs must exercise both branches
+    assert decided > 0 and outages > 0
+
+
+def _rows_where_np_log_rounds_up(rng, count, rbs, beta):
+    """Random descending rows whose full-allocation EESM mean gets a larger
+    ``np.log`` than ``math.log``: an effective SNR computed with ``np.log``
+    then falls an ulp short of the one ``select_rate`` defines."""
+    rows = []
+    while len(rows) < count:
+        block = np.sort(10.0 ** rng.uniform(-1.0, 3.0, (4000, rbs)),
+                        axis=1)[:, ::-1]
+        values = block / rbs
+        means = np.mean(np.exp(-(values - values[:, -1:]) / beta), axis=1)
+        ups = np.log(means) > np.array([math.log(m) for m in means])
+        rows.extend(block[ups])
+    return rows[:count]
+
+
+@pytest.mark.parametrize("rings", [1, 2, 160])
+@pytest.mark.parametrize("distinct_betas", [False, True])
+def test_rate_scan_batch_meets_exact_thresholds(rings, distinct_betas):
+    # The top MCS threshold equals one ring's exactly computed effective SNR
+    # of the whole row, so that ring's best grant is the whole row at the
+    # top MCS. The rows are picked where np.log rounds up, so a decision
+    # taken on np.log alone would miss that grant.
+    rng = np.random.default_rng(11 + rings + 1000 * distinct_betas)
+    rbs = 12
+    betas = np.array([0.7, 1.9]) if distinct_betas else np.ones(2)
+    se = np.array([1.0, 2.0])
+    for pinned in _rows_where_np_log_rounds_up(rng, 4, rbs, betas[1]):
+        snr = _sweep_rows(rng, rings, rbs)
+        r = int(rng.integers(rings))
+        snr[r] = pinned
+        values = pinned / rbs
+        top = values[-1] - betas[1] * math.log(
+            np.mean(np.exp(-(values - values[-1]) / betas[1])))
+        thr_lin = np.array([top * 1e-3, top])
+        got = _assert_matches_oracle(snr, thr_lin, se, betas)
+        assert (got[0][r], got[1][r], got[2][r]) == (rbs, 1, top)
 
 
 def test_rate_scan_infeasible_returns_sentinel():
-    unsplit = np.full(10, 1e-6)
-    thr_lin = np.array([1.0])
-    se = np.array([1.0])
-    out = _kernels.rate_scan_numpy(unsplit, thr_lin, se, np.ones(1),
-                                   np.zeros(1, dtype=np.int64), 4)
-    assert out == (0, -1, 0.0, 0.0)
+    unsplit = np.full((2, 10), 1e-6)
+    for rbs in (10, 3):
+        out = _kernels.rate_scan_batch(unsplit[:, :rbs], np.array([1.0]),
+                                       np.array([1.0]), np.ones(1),
+                                       np.zeros(1, dtype=np.int64), 4)
+        assert [a.tolist() for a in out] == [[0, 0], [-1, -1], [0.0, 0.0],
+                                             [0.0, 0.0]]
 
 
 def test_numpy_backend_forced_by_env_flag():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpta.link import (
     DEFAULT_SPECTRAL_EFFICIENCIES,
@@ -18,6 +20,7 @@ from jpta.link import (
     noise_power_dbm_per_rb,
     path_gain_db,
     select_rate,
+    select_rates,
     snr_per_rb_db,
 )
 
@@ -91,6 +94,17 @@ def test_link_model_validation():
         LinkModel(carrier_hz=0.0)
     with pytest.raises(ValueError, match="path_loss_exponent"):
         LinkModel(carrier_hz=28e9, path_loss_exponent=-1.0)
+
+
+@pytest.mark.parametrize("field", ["carrier_hz", "path_loss_exponent",
+                                   "ue_tx_power_dbm", "ue_beam_gain_db",
+                                   "bs_noise_figure_db",
+                                   "thermal_noise_dbm_per_hz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_link_model_rejects_non_finite_fields(field, value):
+    kwargs = {"carrier_hz": 28e9, field: value}
+    with pytest.raises(ValueError, match="^%s must be finite" % field):
+        LinkModel(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +341,11 @@ def test_select_rate_validation(link_default, mcs_default):
     with pytest.raises(ValueError, match="eesm_betas"):
         select_rate(link_default, 100.0, FLAT28, ALL_RBS, mcs_default, SCS,
                     1.0, eesm_betas=np.zeros(15))
+    with pytest.raises(ValueError, match="distances_m"):
+        select_rates(link_default, 100.0, FLAT28, ALL_RBS, mcs_default, SCS,
+                     1.0)
+    assert select_rates(link_default, [], FLAT28, ALL_RBS, mcs_default, SCS,
+                        1.0) == []
 
 
 def _brute_force(lm, dist, gains, avail, table, scs, duty, betas):
@@ -384,3 +403,67 @@ def test_rate_decision_is_frozen():
     d = RateDecision(0, 4, 1.0, 0.0, 1e6)
     with pytest.raises(AttributeError):
         d.mcs_index = 3
+
+
+# ---------------------------------------------------------------------------
+# batched rate selection: properties
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@st.composite
+def _rate_problems(draw):
+    """One UE: a gain row (peak level minus up to ``spread`` dB per RB), its
+    available RBs, ascending distances from 3 m on (at least 2.3% apart),
+    EESM betas and a slot duty."""
+    num_rbs = draw(st.integers(1, 40))
+    peak = draw(st.floats(-10.0, 28.0))
+    spread = draw(st.floats(0.0, 30.0))
+    gains = peak - spread * np.array(draw(st.lists(
+        st.floats(0.0, 1.0), min_size=num_rbs, max_size=num_rbs)))
+    avail = draw(st.lists(st.integers(0, num_rbs - 1), min_size=1,
+                          max_size=num_rbs, unique=True))
+    log_steps = draw(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=8))
+    start = draw(st.floats(0.5, 3.5))
+    distances = 10.0 ** (start + np.cumsum(log_steps) - log_steps[0])
+    betas = draw(st.none() | st.lists(st.floats(0.5, 3.0), min_size=15,
+                                      max_size=15))
+    duty = draw(st.sampled_from([1.0, 0.5, 0.125]))
+    return distances, gains, avail, betas, duty
+
+
+def _rates(lm, mcs, problem):
+    distances, gains, avail, betas, duty = problem
+    return select_rates(lm, distances, gains, avail, mcs, SCS, duty, betas)
+
+
+@PROPERTY_SETTINGS
+@given(problem=_rate_problems())
+def test_select_rates_equals_select_rate_per_distance(problem):
+    lm, mcs = LinkModel(carrier_hz=28e9), McsTable.default()
+    distances, gains, avail, betas, duty = problem
+    assert _rates(lm, mcs, problem) == [
+        select_rate(lm, float(d), gains, avail, mcs, SCS, duty, betas)
+        for d in distances]
+
+
+@PROPERTY_SETTINGS
+@given(problem=_rate_problems())
+def test_select_rates_throughput_never_rises_with_distance(problem):
+    lm, mcs = LinkModel(carrier_hz=28e9), McsTable.default()
+    tput = [d.throughput_bps for d in _rates(lm, mcs, problem)]
+    assert all(far <= near for near, far in zip(tput, tput[1:]))
+
+
+@PROPERTY_SETTINGS
+@given(problem=_rate_problems())
+def test_select_rates_grant_sizes(problem):
+    lm, mcs = LinkModel(carrier_hz=28e9), McsTable.default()
+    available = len(problem[2])
+    for d in _rates(lm, mcs, problem):
+        if d.outage:
+            assert (d.mcs_index, d.num_rbs, d.throughput_bps) == (-1, 0, 0.0)
+        else:
+            assert MIN_RBS_PER_GRANT <= d.num_rbs <= available
+            assert 0 <= d.mcs_index < len(mcs)
