@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels.
+"""Benchmark the hot kernels against their brute-force oracles.
 
-The pattern grid and the delay scan exist as numpy and numba routines; each
-is timed with both and the table gives the speedup of numba. The rate scan
-exists once, batched over rings; it is timed at 1 and at 160 rings against
-the brute-force oracle of ``tests/oracles.py`` called once per ring. The
-numba functions are called once before timing so compilation cost is not
-mixed into the numbers.
+Each kernel of ``jpta._kernels`` exists once, in numpy. The table times it
+against the plain-loop reference of ``tests/oracles.py`` on the same
+inputs: the pattern grid at 721 and 3001 angles x 264 RBs, the delay scan,
+and the rate scan at 1 and at 160 rings (the oracle called once per ring).
+Kernels report the best of ``--repeats`` runs; the oracle loops, which take
+seconds on the pattern grid, the best of ``--oracle-repeats``.
 
 Usage::
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N]
-
-Without numba only the numpy column of the first table is filled.
+        [--oracle-repeats N]
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from jpta import _kernels
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import rate_scan_py  # noqa: E402
+from oracles import delay_scan_py, pattern_corr_py, rate_scan_py  # noqa: E402
 
 
 def _time_best(fn, args, repeats: int) -> float:
@@ -41,10 +40,10 @@ def _time_best(fn, args, repeats: int) -> float:
     return best
 
 
-def _pattern_args():
+def _pattern_args(num_angles: int):
     rng = np.random.default_rng(1)
     num_el = 16
-    cos_angles = np.cos(np.linspace(0.02, math.pi - 0.02, 721))
+    cos_angles = np.cos(np.linspace(0.02, math.pi - 0.02, num_angles))
     freqs = 28e9 + 120e3 * 12.0 * (np.arange(264) - 131.5)
     phases = rng.uniform(-math.pi, math.pi, num_el)
     delays = rng.integers(0, 64, num_el) * 2.5e-9
@@ -79,49 +78,38 @@ def _rate_scan_per_ring(snr, *args):
     return [rate_scan_py(row, *args) for row in snr]
 
 
-BACKEND_BENCHES = [
-    ("pattern_corr (721 angles x 264 freqs, 16 el)",
-     _kernels.pattern_corr_numpy, _kernels.pattern_corr_jit, _pattern_args),
-    ("delay_scan   (64 taus x 264 freqs, 16 el)",
-     _kernels.delay_scan_numpy, _kernels.delay_scan_jit, _delay_args),
+# (label, kernel, oracle, argument factory)
+BENCHES = [
+    ("pattern_corr (721 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
+     pattern_corr_py, lambda: _pattern_args(721)),
+    ("pattern_corr (3001 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
+     pattern_corr_py, lambda: _pattern_args(3001)),
+    ("delay_scan   (64 taus x 264 freqs, 16 el)", _kernels.delay_scan,
+     delay_scan_py, _delay_args),
+    ("rate_scan    (1 ring x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
+     _rate_scan_per_ring, lambda: _rate_args(1)),
+    ("rate_scan    (160 rings x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
+     _rate_scan_per_ring, lambda: _rate_args(160)),
 ]
-RATE_SCAN_RINGS = (1, 160)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7,
                         help="timing repeats per kernel (best is reported)")
+    parser.add_argument("--oracle-repeats", type=int, default=1,
+                        help="timing repeats per oracle loop")
     args = parser.parse_args()
 
-    print("active backend: %s" % _kernels.backend())
-    header = "%-46s %12s %12s %9s" % ("kernel", "numpy", "numba", "speedup")
+    header = "%-46s %12s %12s %9s" % ("kernel", "numpy", "oracle", "speedup")
     print(header)
     print("-" * len(header))
-    for name, np_fn, jit_fn, make_args in BACKEND_BENCHES:
+    for name, kernel, oracle, make_args in BENCHES:
         call_args = make_args()
-        t_np = _time_best(np_fn, call_args, args.repeats)
-        if jit_fn is None:
-            print("%-46s %10.3f ms %12s %9s" % (name, t_np * 1e3, "n/a", "n/a"))
-            continue
-        jit_fn(*call_args)  # compile outside the timed region
-        t_jit = _time_best(jit_fn, call_args, args.repeats)
+        t_kernel = _time_best(kernel, call_args, args.repeats)
+        t_oracle = _time_best(oracle, call_args, args.oracle_repeats)
         print("%-46s %10.3f ms %10.3f ms %8.1fx"
-              % (name, t_np * 1e3, t_jit * 1e3, t_np / t_jit))
-
-    print()
-    header = "%-46s %12s %12s %9s" % ("rate scan (264 RBs x 15 MCS)", "batched",
-                                      "per ring", "speedup")
-    print(header)
-    print("-" * len(header))
-    for rings in RATE_SCAN_RINGS:
-        call_args = _rate_args(rings)
-        t_batch = _time_best(_kernels.rate_scan_batch, call_args,
-                             args.repeats)
-        t_loop = _time_best(_rate_scan_per_ring, call_args, args.repeats)
-        print("%-46s %10.3f ms %10.3f ms %8.1fx"
-              % ("%d ring%s" % (rings, "" if rings == 1 else "s"),
-                 t_batch * 1e3, t_loop * 1e3, t_loop / t_batch))
+              % (name, t_kernel * 1e3, t_oracle * 1e3, t_oracle / t_kernel))
 
 
 if __name__ == "__main__":

@@ -1,94 +1,78 @@
-"""Hot numerical kernels.
+"""Hot numerical kernels, one numpy implementation each.
 
-Three loops dominate the toolkit's run time: the angle x frequency pattern
-grid, the per-antenna delay-grid scan used by the wideband beam designer, and
-the RB-count x MCS rate search with an EESM average inside.
+Three loops dominate the toolkit's run time:
 
-The rate search exists once, as a numpy routine batched over rings. The
-pattern grid and the delay scan exist twice, as a numba ``@njit`` routine and
-as a vectorized numpy routine. Their active backend is chosen at import time:
+* the angle x frequency pattern grid (``pattern_corr``), a Horner
+  evaluation of one element polynomial per frequency, chunked over angles;
+* the per-antenna delay-grid scan of the wideband beam designer
+  (``delay_scan``), one complex matrix product;
+* the RB-count x MCS rate search with an EESM average inside
+  (``rate_scan_batch``), batched over the rings of one user.
 
-* ``JPTA_NUMBA=0`` (also ``false``/``no``/``off``) forces the numpy path.
-* Otherwise numba is used when importable, with a silent numpy fallback.
-
-``backend()`` reports which path is live. Both implementations are exported
-(``*_numpy`` / ``*_jit``) so tests and the benchmark can compare them.
+``tests/oracles.py`` holds plain-loop references for all three, which the
+tests check these kernels against and ``benchmarks/bench_kernels.py`` times
+them against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("JPTA_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install dependency
-    njit = None
-    _HAVE_NUMBA = False
-
-NUMBA_ENABLED = _HAVE_NUMBA and _numba_wanted()
+# complex cells of one angle chunk of the pattern grid: the two live arrays
+# of the Horner loop take 512 KiB each and stay in cache (measured ~20%
+# faster on a 3001 x 264 grid than one 16 MB chunk)
+PATTERN_CHUNK_CELLS = 1 << 15
 
 
 def backend() -> str:
-    """Name of the active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend: always ``"numpy"``."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # pattern correlation: |<steering(angle, f), response(f)>| on a grid
 # ---------------------------------------------------------------------------
 
-def pattern_corr_numpy(cos_angles, freqs, phases, delays, slope_scale):
+def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     """Correlation magnitudes on an angle x frequency grid.
 
     Entry (a, k) is ``|(1/M) sum_m exp(j(slope_scale*f_k*cos_a*m - phi_m
     - 2*pi*f_k*tau_m))|`` where ``slope_scale = 2*pi*spacing/c``. This is the
     magnitude of the conjugated inner product between the unit-norm steering
     vector and the unit-norm phase-time response.
+
+    The sum is a polynomial in ``z[a, k] = exp(j*slope_scale*f_k*cos_a)``
+    with per-frequency coefficients ``c[k, m] = exp(-j(phi_m +
+    2*pi*f_k*tau_m))``, evaluated by Horner's rule over m: A*K + K*M complex
+    exponentials instead of A*K*M, and M - 1 in-place multiply-adds on an
+    (angle chunk x K) array. Every cell is computed by the same elementwise
+    operations whatever the chunking, so a row does not depend on the other
+    angles of the call.
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
     freqs = np.asarray(freqs, dtype=np.float64)
     num_el = phases.shape[0]
-    elem = np.arange(num_el, dtype=np.float64)
-    resp = phases[None, :] + TWO_PI * freqs[:, None] * delays[None, :]
+    coef = np.exp(-1j * (phases[None, :] + TWO_PI * freqs[:, None]
+                         * delays[None, :]))
     out = np.empty((cos_angles.size, freqs.size), dtype=np.float64)
-    # chunk the angle axis to bound the (a, k, m) temporary
-    chunk = max(1, 4_000_000 // max(1, freqs.size * num_el))
+    slope = slope_scale * freqs
+    chunk = max(1, PATTERN_CHUNK_CELLS // max(1, freqs.size))
     for a0 in range(0, cos_angles.size, chunk):
-        cos_blk = cos_angles[a0:a0 + chunk]
-        slope = slope_scale * cos_blk[:, None] * freqs[None, :]
-        phase = slope[:, :, None] * elem[None, None, :] - resp[None, :, :]
-        out[a0:a0 + chunk] = np.abs(np.exp(1j * phase).sum(axis=2)) / num_el
-    return out
-
-
-def _pattern_corr_py(cos_angles, freqs, phases, delays, slope_scale):
-    num_angles = cos_angles.shape[0]
-    num_freqs = freqs.shape[0]
-    num_el = phases.shape[0]
-    out = np.empty((num_angles, num_freqs), dtype=np.float64)
-    for a in range(num_angles):
-        for k in range(num_freqs):
-            slope = slope_scale * freqs[k] * cos_angles[a]
-            re = 0.0
-            im = 0.0
-            for m in range(num_el):
-                ph = slope * m - phases[m] - TWO_PI * freqs[k] * delays[m]
-                re += math.cos(ph)
-                im += math.sin(ph)
-            out[a, k] = math.sqrt(re * re + im * im) / num_el
+        arg = cos_angles[a0:a0 + chunk, None] * slope
+        z = np.empty(arg.shape, dtype=np.complex128)
+        np.cos(arg, out=z.real)
+        np.sin(arg, out=z.imag)
+        acc = np.empty_like(z)
+        acc[:] = coef[:, -1]
+        for m in range(num_el - 2, -1, -1):
+            acc *= z
+            acc += coef[:, m]
+        np.abs(acc, out=out[a0:a0 + chunk])
+    out /= num_el
     return out
 
 
@@ -97,7 +81,7 @@ def _pattern_corr_py(cos_angles, freqs, phases, delays, slope_scale):
 # candidate delay, summed over the evaluation frequencies
 # ---------------------------------------------------------------------------
 
-def delay_scan_numpy(slopes, freqs, taus, num_elements):
+def delay_scan(slopes, freqs, taus, num_elements):
     """Complex score ``U[t, m] = sum_k exp(j(m*slopes[k] - 2*pi*f_k*tau_t))``.
 
     ``slopes[k]`` is the per-element phase increment of the target steering
@@ -111,22 +95,6 @@ def delay_scan_numpy(slopes, freqs, taus, num_elements):
     target = np.exp(1j * slopes[:, None] * elem[None, :])
     twiddle = np.exp(-1j * TWO_PI * taus[:, None] * freqs[None, :])
     return twiddle @ target
-
-
-def _delay_scan_py(slopes, freqs, taus, num_elements):
-    num_taus = taus.shape[0]
-    num_freqs = freqs.shape[0]
-    out = np.empty((num_taus, num_elements), dtype=np.complex128)
-    for t in range(num_taus):
-        for m in range(num_elements):
-            re = 0.0
-            im = 0.0
-            for k in range(num_freqs):
-                ph = slopes[k] * m - TWO_PI * freqs[k] * taus[t]
-                re += math.cos(ph)
-                im += math.sin(ph)
-            out[t, m] = complex(re, im)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +208,3 @@ def _highest_feasible_mcs(snr_unsplit_desc, counts, means, thr_lin,
                                         unique_betas[b]) >= thr
         np.maximum(mcs, i, out=mcs, where=feasible)
     return mcs
-
-
-if _HAVE_NUMBA:
-    pattern_corr_jit = njit(cache=True)(_pattern_corr_py)
-    delay_scan_jit = njit(cache=True)(_delay_scan_py)
-else:  # pragma: no cover
-    pattern_corr_jit = None
-    delay_scan_jit = None
-
-if NUMBA_ENABLED:
-    pattern_corr = pattern_corr_jit
-    delay_scan = delay_scan_jit
-else:
-    pattern_corr = pattern_corr_numpy
-    delay_scan = delay_scan_numpy

@@ -13,7 +13,7 @@ phase-time responses have unit norm and per-entry magnitude 1/sqrt(M).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,14 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 CORRELATION_FLOOR = 1e-4
 
 _ANGLE_TOL_RAD = 1e-12
+
+
+def require_finite_fields(obj) -> None:
+    """Raise ValueError naming the first field of dataclass ``obj`` whose
+    value is not a finite number."""
+    for f in fields(obj):
+        if not math.isfinite(getattr(obj, f.name)):
+            raise ValueError("%s must be finite" % f.name)
 
 
 def axis_from_boresight_rad(boresight_rad: float):
@@ -60,6 +68,7 @@ class ArrayConfig:
     peak_gain_db: float = 28.0
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.num_elements < 1:
             raise ValueError("num_elements must be >= 1")
         if not self.spacing_m > 0.0:
@@ -89,6 +98,7 @@ class FrequencyGrid:
     num_rbs: int
 
     def __post_init__(self):
+        require_finite_fields(self)
         if not self.center_hz > 0.0:
             raise ValueError("center_hz must be positive")
         if not self.bandwidth_hz > 0.0:

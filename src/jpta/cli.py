@@ -96,12 +96,15 @@ def _cmd_pattern(args) -> int:
     # ascending axis grid, then flip rows back to ascending degrees
     axis = np.array([axis_from_boresight_deg(a) for a in bore_deg[::-1]])
     gains = pattern_map(array, weights, axis, grid)[::-1]
+    # the bytes csv.writer would write (no field needs quoting), one join
+    # per angle row
+    rbs = range(grid.num_rbs)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PATTERN_CSV_HEADER)
-        for i, deg in enumerate(bore_deg):
-            for r in range(grid.num_rbs):
-                writer.writerow(["%.6g" % deg, r, "%.6g" % gains[i, r]])
+        fh.write(",".join(PATTERN_CSV_HEADER) + "\r\n")
+        for deg, row in zip(bore_deg, gains.tolist()):
+            deg_text = "%.6g" % deg
+            fh.write("".join(["%s,%d,%.6g\r\n" % (deg_text, r, g)
+                              for r, g in zip(rbs, row)]))
     print("wrote %s (%d angles x %d resource blocks)"
           % (args.out, bore_deg.size, grid.num_rbs))
     return 0

@@ -27,6 +27,7 @@ from .antenna import (
     ArrayConfig,
     FrequencyGrid,
     PhaseTimeWeights,
+    require_finite_fields,
 )
 
 DEFAULT_DELAY_STEP_S = 2.5e-9
@@ -121,6 +122,7 @@ class DelayConstraint:
     max_delay_s: float = DEFAULT_MAX_DELAY_S
 
     def __post_init__(self):
+        require_finite_fields(self)
         if not self.step_s > 0.0:
             raise ValueError("step_s must be positive")
         if self.max_delay_s < 0.0:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .antenna import SPEED_OF_LIGHT_M_S
+from .antenna import SPEED_OF_LIGHT_M_S, require_finite_fields
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -47,9 +47,7 @@ class LinkModel:
     thermal_noise_dbm_per_hz: float = THERMAL_NOISE_DBM_PER_HZ
 
     def __post_init__(self):
-        for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise ValueError("%s must be finite" % field.name)
+        require_finite_fields(self)
         if not self.carrier_hz > 0.0:
             raise ValueError("carrier_hz must be positive")
         if not self.path_loss_exponent > 0.0:
@@ -105,6 +103,18 @@ def eesm_effective_snr_db(snr_db_values, beta: float) -> float:
     v_min = lin.min()
     eff = v_min - beta * math.log(np.mean(np.exp(-(lin - v_min) / beta)))
     return 10.0 * math.log10(eff)
+
+
+def _eesm_effective_snr_db_rows(snr_db_rows, beta: float) -> list:
+    """``eesm_effective_snr_db`` of every row of a 2-D array, one float per
+    row. The elementwise operations and the per-row min and mean are those
+    of a one-row call, and the last step uses ``math.log``, so every entry
+    equals ``eesm_effective_snr_db(row, beta)`` bit for bit."""
+    lin = np.power(10.0, snr_db_rows / 10.0)
+    v_min = lin.min(axis=1)
+    means = np.mean(np.exp(-(lin - v_min[:, None]) / beta), axis=1)
+    return [10.0 * math.log10(v - beta * math.log(m))
+            for v, m in zip(v_min, means)]
 
 
 @dataclass(frozen=True)
@@ -275,17 +285,20 @@ def select_rates(lm: LinkModel, distances_m, gain_row, available_rbs,
         unsplit_lin, thr_lin, se, unique_betas,
         beta_idx.astype(np.int64), MIN_RBS_PER_GRANT)
 
+    # diagnostic effective SNR of every outage: the most concentrated
+    # allowed allocation
+    outages = np.flatnonzero(best_mcs < 0)
+    n_diag = min(MIN_RBS_PER_GRANT, int(avail.size))
+    diag_db = iter(_eesm_effective_snr_db_rows(
+        10.0 * np.log10(unsplit_lin[outages, :n_diag] / n_diag),
+        float(betas[0])))
+
     decisions = []
     for r in range(dists.size):
         if best_mcs[r] < 0:
-            # diagnostic effective SNR: the most concentrated allowed
-            # allocation
-            n_diag = min(MIN_RBS_PER_GRANT, int(avail.size))
-            diag = 10.0 * np.log10(unsplit_lin[r, :n_diag] / n_diag)
-            eff = eesm_effective_snr_db(diag, float(betas[0]))
             decisions.append(RateDecision(
-                mcs_index=-1, num_rbs=0, effective_snr_db=eff, bler=1.0,
-                throughput_bps=0.0, outage=True))
+                mcs_index=-1, num_rbs=0, effective_snr_db=next(diag_db),
+                bler=1.0, throughput_bps=0.0, outage=True))
             continue
         throughput = best_se_n[r] * 12.0 * scs_hz * slot_duty
         decisions.append(RateDecision(

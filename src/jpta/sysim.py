@@ -54,10 +54,14 @@ class Deployment:
         rings = np.array(self.ring_distances_m, dtype=np.float64)
         if angles.ndim != 1 or angles.size == 0:
             raise ValueError("ue_angles_rad must be a non-empty 1-D array")
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("ue_angles_rad must be finite")
         if np.any(np.abs(angles) > math.pi / 2.0):
             raise ValueError("ue_angles_rad must lie in [-pi/2, pi/2]")
         if rings.ndim != 1 or rings.size == 0:
             raise ValueError("ring_distances_m must be a non-empty 1-D array")
+        if not np.all(np.isfinite(rings)):
+            raise ValueError("ring_distances_m must be finite")
         if np.any(rings <= 0.0) or np.any(np.diff(rings) <= 0.0):
             raise ValueError("ring_distances_m must be positive and strictly "
                              "increasing")

@@ -1,13 +1,55 @@
 """Brute-force references for the vectorized kernels in ``jpta._kernels``.
 
-Plain loops, one ring at a time: slow, but simple enough to read as the
-definition the fast kernels are checked against. ``benchmarks/`` imports
-them too, to time the kernels against the loops they replace.
+Plain scalar loops, one cell or one ring at a time: slow, but simple enough
+to read as the definition the fast kernels are checked against.
+``benchmarks/`` imports them too, to time the kernels against the loops they
+replace.
 """
 
 import math
 
 import numpy as np
+
+TWO_PI = 2.0 * math.pi
+
+
+def pattern_corr_py(cos_angles, freqs, phases, delays, slope_scale):
+    """Correlation magnitude of every (angle, frequency) cell, one element
+    term at a time: ``|(1/M) sum_m exp(j(slope_scale*f_k*cos_a*m - phi_m
+    - 2*pi*f_k*tau_m))|``."""
+    num_angles = cos_angles.shape[0]
+    num_freqs = freqs.shape[0]
+    num_el = phases.shape[0]
+    out = np.empty((num_angles, num_freqs), dtype=np.float64)
+    for a in range(num_angles):
+        for k in range(num_freqs):
+            slope = slope_scale * freqs[k] * cos_angles[a]
+            re = 0.0
+            im = 0.0
+            for m in range(num_el):
+                ph = slope * m - phases[m] - TWO_PI * freqs[k] * delays[m]
+                re += math.cos(ph)
+                im += math.sin(ph)
+            out[a, k] = math.sqrt(re * re + im * im) / num_el
+    return out
+
+
+def delay_scan_py(slopes, freqs, taus, num_elements):
+    """Complex delay score ``U[t, m] = sum_k exp(j(m*slopes[k]
+    - 2*pi*f_k*tau_t))``, one term at a time."""
+    num_taus = taus.shape[0]
+    num_freqs = freqs.shape[0]
+    out = np.empty((num_taus, num_elements), dtype=np.complex128)
+    for t in range(num_taus):
+        for m in range(num_elements):
+            re = 0.0
+            im = 0.0
+            for k in range(num_freqs):
+                ph = slopes[k] * m - TWO_PI * freqs[k] * taus[t]
+                re += math.cos(ph)
+                im += math.sin(ph)
+            out[t, m] = complex(re, im)
+    return out
 
 
 def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,

@@ -1,6 +1,7 @@
 """End-to-end command line checks driving jpta.cli.main in-process."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -84,6 +85,18 @@ def test_pattern_grid_layout(tmp_path, capsys):
     axis = np.array([axis_from_boresight_deg(-10.0)])
     expect = pattern_map(array, weights, axis, grid)[0, 0]
     assert float(body[0][2]) == pytest.approx(expect, abs=1e-3)
+
+    # byte for byte what csv.writer writes for the same gains
+    bore = np.array([-10.0, -5.0, 0.0, 5.0, 10.0])
+    axis = np.array([axis_from_boresight_deg(a) for a in bore[::-1]])
+    gains = pattern_map(array, weights, axis, grid)[::-1]
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(("angle_deg", "rb_index", "gain_db"))
+    for deg, row in zip(bore, gains):
+        writer.writerows(["%.6g" % deg, r, "%.6g" % g]
+                         for r, g in enumerate(row))
+    assert out.read_bytes() == want.getvalue().encode()
 
 
 @pytest.mark.parametrize("angles", ["10:20", "5:1:1", "0:10:-1", "-95:0:5",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jpta import ArrayConfig, DelayConstraint, Deployment, FrequencyGrid
 from jpta.antenna import SPEED_OF_LIGHT_M_S, axis_from_boresight_deg
 from jpta.config import ConfigError, RunConfig, load_config, parse_config_text
 from jpta.link import McsTable
@@ -117,6 +118,38 @@ def test_non_finite_values_name_their_key(text, key):
     with pytest.raises(ConfigError, match="^%s: expected a finite number"
                        % key.replace(".", r"\.")):
         parse_config_text(text)
+
+
+_VALID_FIELDS = {
+    ArrayConfig: dict(num_elements=16, spacing_m=5e-3, carrier_hz=28e9,
+                      peak_gain_db=28.0),
+    FrequencyGrid: dict(center_hz=28e9, bandwidth_hz=400e6, scs_hz=120e3,
+                        num_rbs=264),
+    DelayConstraint: dict(step_s=2.5e-9, max_delay_s=157.5e-9),
+    Deployment: dict(ue_angles_rad=[-0.5, 0.5],
+                     ring_distances_m=[30.0, 100.0]),
+}
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (ArrayConfig, "peak_gain_db", math.inf),
+    (ArrayConfig, "peak_gain_db", math.nan),
+    (ArrayConfig, "spacing_m", math.inf),
+    (ArrayConfig, "carrier_hz", math.inf),
+    (FrequencyGrid, "center_hz", math.inf),
+    (FrequencyGrid, "bandwidth_hz", math.inf),
+    (FrequencyGrid, "scs_hz", math.nan),
+    (DelayConstraint, "max_delay_s", math.nan),
+    (DelayConstraint, "max_delay_s", math.inf),
+    (DelayConstraint, "step_s", math.inf),
+    (Deployment, "ue_angles_rad", [0.1, math.nan]),
+    (Deployment, "ring_distances_m", [30.0, math.inf]),
+])
+def test_dataclasses_reject_non_finite_fields(cls, field, value):
+    # callers that bypass the config parser get the field named
+    cls(**_VALID_FIELDS[cls])
+    with pytest.raises(ValueError, match="^%s must be finite" % field):
+        cls(**{**_VALID_FIELDS[cls], field: value})
 
 
 def test_parse_error_reports_line_number():

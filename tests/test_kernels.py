@@ -1,19 +1,17 @@
-"""Kernel checks: numba/numpy parity of the pattern and delay kernels, and
-the batched rate scan against its brute-force oracle."""
+"""Kernel checks: the pattern, delay and rate kernels against the
+brute-force oracles of ``tests/oracles.py``, and the pattern kernel's
+chunking and bounds."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from jpta import _kernels
-from oracles import rate_scan_py
+from jpta import FrequencyGrid, PhaseTimeWeights, _kernels
+from jpta.antenna import pattern_map
+from oracles import delay_scan_py, pattern_corr_py, rate_scan_py
 
-NEED_JIT = pytest.mark.skipif(_kernels.pattern_corr_jit is None,
-                              reason="numba unavailable")
+SLOPE_SCALE = 2 * np.pi * 0.005353 / 299792458.0
 
 
 def _random_pattern_inputs(rng):
@@ -22,41 +20,123 @@ def _random_pattern_inputs(rng):
     freqs = rng.uniform(27e9, 29e9, int(rng.integers(1, 30)))
     phases = rng.uniform(0.0, 2 * np.pi, num_el)
     delays = rng.uniform(0.0, 40e-9, num_el)
-    slope_scale = 2 * np.pi * 0.005353 / 299792458.0
-    return cos_angles, freqs, phases, delays, slope_scale, num_el
+    return cos_angles, freqs, phases, delays, SLOPE_SCALE, num_el
 
 
 def test_backend_name_is_valid():
-    assert _kernels.backend() in ("numba", "numpy")
-    live = {"numba": _kernels.pattern_corr_jit,
-            "numpy": _kernels.pattern_corr_numpy}[_kernels.backend()]
-    assert _kernels.pattern_corr is live
+    assert _kernels.backend() == "numpy"
 
 
-@NEED_JIT
-def test_pattern_corr_backends_agree():
+def test_pattern_corr_matches_oracle():
     rng = np.random.default_rng(3)
     for _ in range(5):
         ca, fr, ph, de, ss, num_el = _random_pattern_inputs(rng)
-        a = _kernels.pattern_corr_numpy(ca, fr, ph, de, ss)
-        b = _kernels.pattern_corr_jit(ca, fr, ph, de, ss)
-        np.testing.assert_allclose(a, b, atol=1e-12)
-        assert a.shape == (ca.size, fr.size)
-        assert np.all(a <= 1.0 + 1e-12)
+        got = _kernels.pattern_corr(ca, fr, ph, de, ss)
+        np.testing.assert_allclose(got, pattern_corr_py(ca, fr, ph, de, ss),
+                                   rtol=0, atol=1e-12)
+        assert got.shape == (ca.size, fr.size)
+        assert np.all(got <= 1.0 + 1e-12)
 
 
-@NEED_JIT
-def test_delay_scan_backends_agree():
+def test_delay_scan_matches_oracle():
     rng = np.random.default_rng(4)
     for _ in range(5):
         num_el = int(rng.integers(2, 20))
         slopes = rng.uniform(-np.pi, np.pi, int(rng.integers(1, 50)))
         freqs = rng.uniform(27e9, 29e9, slopes.size)
         taus = np.arange(int(rng.integers(1, 30))) * 2.5e-9
-        a = _kernels.delay_scan_numpy(slopes, freqs, taus, num_el)
-        b = _kernels.delay_scan_jit(slopes, freqs, taus, num_el)
-        np.testing.assert_allclose(a, b, atol=1e-9)
-        assert a.shape == (taus.size, num_el)
+        got = _kernels.delay_scan(slopes, freqs, taus, num_el)
+        np.testing.assert_allclose(
+            got, delay_scan_py(slopes, freqs, taus, num_el), rtol=0,
+            atol=1e-9)
+        assert got.shape == (taus.size, num_el)
+
+
+def _rb_freqs(num_rbs, every=1):
+    return FrequencyGrid(28e9, 400e6, 120e3, num_rbs).rb_center_freqs()[::every]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_pattern_corr_quantized_delays_with_deep_nulls(reverse):
+    # A linear phase and delay ramp gives every frequency a Dirichlet-kernel
+    # beam with exact zeros; a fine angle grid lands next to them. Delays are
+    # on the 2.5 ns grid up to 157.5 ns, where the element phases
+    # 2*pi*f*tau reach 2.8e4 rad and their rounding dominates the error.
+    rng = np.random.default_rng(21 + reverse)
+    elem = np.arange(16)
+    delays = (3 + 4 * elem) * 2.5e-9
+    if reverse:
+        delays = delays[::-1]
+    phases = rng.uniform(0.0, 2 * np.pi) * elem
+    cos_angles = np.cos(np.linspace(0.01, np.pi - 0.01, 361))
+    freqs = _rb_freqs(264, 8)
+    got = _kernels.pattern_corr(cos_angles, freqs, phases, delays,
+                                SLOPE_SCALE)
+    want = pattern_corr_py(cos_angles, freqs, phases, delays, SLOPE_SCALE)
+    assert delays.max() == pytest.approx(157.5e-9)
+    assert want.min() < 1e-4
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_pattern_corr_chunks_match_one_unchunked_call(monkeypatch):
+    rng = np.random.default_rng(7)
+    freqs = _rb_freqs(24)
+    phases = rng.uniform(0.0, 2 * np.pi, 16)
+    delays = rng.integers(0, 64, 16) * 2.5e-9
+    chunk = 5
+    cos_angles = np.cos(np.linspace(0.05, np.pi - 0.05, 2 * chunk + 1))
+    for count in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        ca = cos_angles[:count]
+        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
+                            count * freqs.size)
+        whole = _kernels.pattern_corr(ca, freqs, phases, delays, SLOPE_SCALE)
+        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
+                            chunk * freqs.size)
+        chunked = _kernels.pattern_corr(ca, freqs, phases, delays,
+                                        SLOPE_SCALE)
+        assert np.array_equal(chunked, whole), count
+
+
+def test_pattern_map_row_equals_single_angle_call(array16, grid264):
+    rng = np.random.default_rng(8)
+    w = PhaseTimeWeights(delays_s=rng.integers(0, 64, 16) * 2.5e-9,
+                         phases_rad=rng.uniform(0.0, 2 * np.pi, 16))
+    angles = np.linspace(0.0, np.pi, 3001)
+    full = pattern_map(array16, w, angles, grid264)
+    for i in (1, 777, 1500, 2222, 2999):
+        row = pattern_map(array16, w, angles[i:i + 1], grid264)
+        assert np.array_equal(row[0], full[i]), i
+
+
+def test_pattern_corr_never_exceeds_one():
+    # matched beams put cells at correlation 1 up to rounding
+    rng = np.random.default_rng(9)
+    freqs = _rb_freqs(264, 4)
+    cos_angles = np.cos(np.linspace(0.0, np.pi, 721))
+    for _ in range(4):
+        cos0 = cos_angles[int(rng.integers(cos_angles.size))]
+        f0 = freqs[int(rng.integers(freqs.size))]
+        phases = SLOPE_SCALE * f0 * cos0 * np.arange(16)
+        delays = np.zeros(16)
+        corr = _kernels.pattern_corr(cos_angles, freqs, phases, delays,
+                                     SLOPE_SCALE)
+        assert corr.max() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(corr <= 1.0 + 1e-12)
+
+
+def test_pattern_corr_single_element_runs_no_horner_step():
+    rng = np.random.default_rng(10)
+    cos_angles = np.cos(np.linspace(0.1, 3.0, 7))
+    freqs = _rb_freqs(24)
+    phases = rng.uniform(0.0, 2 * np.pi, 1)
+    delays = np.array([157.5e-9])
+    got = _kernels.pattern_corr(cos_angles, freqs, phases, delays,
+                                SLOPE_SCALE)
+    assert got.shape == (7, 24)
+    np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        got, pattern_corr_py(cos_angles, freqs, phases, delays, SLOPE_SCALE),
+        rtol=0, atol=1e-15)
 
 
 def _rate_inputs(rng, levels, distinct_betas):
@@ -152,11 +232,3 @@ def test_rate_scan_infeasible_returns_sentinel():
                                        np.zeros(1, dtype=np.int64), 4)
         assert [a.tolist() for a in out] == [[0, 0], [-1, -1], [0.0, 0.0],
                                              [0.0, 0.0]]
-
-
-def test_numpy_backend_forced_by_env_flag():
-    code = "import jpta._kernels as k; print(k.backend())"
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "JPTA_NUMBA": "0"},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"

@@ -289,6 +289,37 @@ def test_select_rate_fewer_than_min_rbs_is_outage(link_default, mcs_default):
         eesm_effective_snr_db(diag, 1.0), abs=1e-9)
 
 
+def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
+                                                    mcs_default):
+    # select_rates computes the outage diagnostic for all outage rings in one
+    # pass; each must equal the one-ring eesm_effective_snr_db of the same
+    # 4-RB split bit for bit, since results.csv prints it
+    rng = np.random.default_rng(17)
+    gains = rng.uniform(-40.0, 28.0, 264)
+    dists = np.geomspace(30.0, 1e5, 240)
+    betas = rng.uniform(0.5, 3.0, len(mcs_default))
+    noise = noise_power_dbm_per_rb(link_default, SCS)
+    checked = 0
+    for avail in (ALL_RBS, np.sort(rng.choice(264, 40, replace=False)),
+                  np.array([5, 9, 200])):
+        decisions = select_rates(link_default, dists, gains, avail,
+                                 mcs_default, SCS, 1.0, betas)
+        n = min(MIN_RBS_PER_GRANT, avail.size)
+        for d, dec in zip(dists, decisions):
+            if not dec.outage:
+                continue
+            link_db = link_default.ue_tx_power_dbm \
+                + link_default.ue_beam_gain_db \
+                + path_gain_db(link_default, float(d))
+            unsplit = np.sort(10.0 ** ((link_db + gains[avail] - noise)
+                                       / 10.0))[::-1]
+            want = eesm_effective_snr_db(10.0 * np.log10(unsplit[:n] / n),
+                                         float(betas[0]))
+            assert dec.effective_snr_db == want, (avail.size, d)
+            checked += 1
+    assert checked > dists.size + 50
+
+
 def test_select_rate_four_rb_floor(link_default):
     # single-level ladder whose threshold only a 4-RB split can meet
     s_db = snr_per_rb_db(link_default, 100.0, FLAT28, [0], SCS)[0]
