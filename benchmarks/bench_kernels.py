@@ -5,13 +5,13 @@ Each kernel of ``jpta._kernels`` exists once, in numpy. The table times it
 against the plain-loop reference of ``tests/oracles.py`` on the same
 inputs: the pattern grid at 721 and 3001 angles x 264 RBs, the delay scan,
 and the rate scan at 1 and at 160 rings (the oracle called once per ring).
-Kernels report the best of ``--repeats`` runs; the oracle loops, which take
-seconds on the pattern grid, the best of ``--oracle-repeats``.
+Kernels and the delay- and rate-scan oracles report the best of
+``--repeats`` runs; the pattern-grid oracle, which takes seconds, is timed
+once.
 
 Usage::
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N]
-        [--oracle-repeats N]
 """
 
 from __future__ import annotations
@@ -78,36 +78,36 @@ def _rate_scan_per_ring(snr, *args):
     return [rate_scan_py(row, *args) for row in snr]
 
 
-# (label, kernel, oracle, argument factory)
+# (label, kernel, oracle, argument factory, oracle timed once)
 BENCHES = [
     ("pattern_corr (721 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
-     pattern_corr_py, lambda: _pattern_args(721)),
+     pattern_corr_py, lambda: _pattern_args(721), True),
     ("pattern_corr (3001 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
-     pattern_corr_py, lambda: _pattern_args(3001)),
+     pattern_corr_py, lambda: _pattern_args(3001), True),
     ("delay_scan   (64 taus x 264 freqs, 16 el)", _kernels.delay_scan,
-     delay_scan_py, _delay_args),
+     delay_scan_py, _delay_args, False),
     ("rate_scan    (1 ring x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
-     _rate_scan_per_ring, lambda: _rate_args(1)),
+     _rate_scan_per_ring, lambda: _rate_args(1), False),
     ("rate_scan    (160 rings x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
-     _rate_scan_per_ring, lambda: _rate_args(160)),
+     _rate_scan_per_ring, lambda: _rate_args(160), False),
 ]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=7,
-                        help="timing repeats per kernel (best is reported)")
-    parser.add_argument("--oracle-repeats", type=int, default=1,
-                        help="timing repeats per oracle loop")
+                        help="timing repeats per kernel and per fast oracle "
+                             "(best is reported)")
     args = parser.parse_args()
 
     header = "%-46s %12s %12s %9s" % ("kernel", "numpy", "oracle", "speedup")
     print(header)
     print("-" * len(header))
-    for name, kernel, oracle, make_args in BENCHES:
+    for name, kernel, oracle, make_args, oracle_once in BENCHES:
         call_args = make_args()
         t_kernel = _time_best(kernel, call_args, args.repeats)
-        t_oracle = _time_best(oracle, call_args, args.oracle_repeats)
+        t_oracle = _time_best(oracle, call_args,
+                              1 if oracle_once else args.repeats)
         print("%-46s %10.3f ms %10.3f ms %8.1fx"
               % (name, t_kernel * 1e3, t_oracle * 1e3, t_oracle / t_kernel))
 

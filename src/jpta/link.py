@@ -99,17 +99,14 @@ def eesm_effective_snr_db(snr_db_values, beta: float) -> float:
     snr_db = np.asarray(snr_db_values, dtype=np.float64)
     if snr_db.size == 0:
         raise ValueError("snr_db_values must be non-empty")
-    lin = np.power(10.0, snr_db / 10.0)
-    v_min = lin.min()
-    eff = v_min - beta * math.log(np.mean(np.exp(-(lin - v_min) / beta)))
-    return 10.0 * math.log10(eff)
+    return _eesm_effective_snr_db_rows(snr_db.reshape(1, -1), beta)[0]
 
 
 def _eesm_effective_snr_db_rows(snr_db_rows, beta: float) -> list:
     """``eesm_effective_snr_db`` of every row of a 2-D array, one float per
-    row. The elementwise operations and the per-row min and mean are those
-    of a one-row call, and the last step uses ``math.log``, so every entry
-    equals ``eesm_effective_snr_db(row, beta)`` bit for bit."""
+    row, without input checks. The shift by the row minimum keeps large SNRs
+    from underflowing; the last step uses ``math.log`` and ``math.log10``,
+    so a row's result does not depend on the other rows."""
     lin = np.power(10.0, snr_db_rows / 10.0)
     v_min = lin.min(axis=1)
     means = np.mean(np.exp(-(lin - v_min[:, None]) / beta), axis=1)

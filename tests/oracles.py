@@ -52,6 +52,17 @@ def delay_scan_py(slopes, freqs, taus, num_elements):
     return out
 
 
+def eesm_effective_snr_db_py(snr_db_values, beta):
+    """EESM of one RB set in dB: ``-beta * ln(mean(exp(-snr/beta)))`` in
+    the linear domain, shifted by the minimum, with a 1-D ``np.mean`` and
+    ``math.log`` on top. The outage diagnostic of ``select_rates`` prints
+    this value, so the batched form must equal it bit for bit."""
+    lin = np.power(10.0, np.asarray(snr_db_values, dtype=np.float64) / 10.0)
+    v_min = lin.min()
+    eff = v_min - beta * math.log(np.mean(np.exp(-(lin - v_min) / beta)))
+    return 10.0 * math.log10(eff)
+
+
 def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
                  min_rbs):
     """Best feasible (RB count, MCS) of one ring by exhaustive scan.

@@ -23,6 +23,7 @@ from jpta.link import (
     select_rates,
     snr_per_rb_db,
 )
+from oracles import eesm_effective_snr_db_py
 
 SCS = 120e3
 FLAT28 = np.full(264, 28.0)
@@ -115,6 +116,22 @@ def test_eesm_reference_value():
     # {0 dB, 10 dB} at beta 1: 1 - ln((1 + exp(-9)) / 2) linear
     assert eesm_effective_snr_db([0.0, 10.0], 1.0) == pytest.approx(
         2.286630577796122, abs=1e-9)
+
+
+def test_eesm_equals_oracle_bit_for_bit():
+    # eesm_effective_snr_db runs the batched one-row path; its result must
+    # not differ in any bit from the 1-D definition, from 1 to 264 RBs
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3, 4, 7, 33, 100, 264):
+        for beta in (0.5, 1.0, 2.75):
+            snrs = rng.uniform(-20.0, 40.0, n)
+            assert eesm_effective_snr_db(snrs, beta) \
+                == eesm_effective_snr_db_py(snrs, beta), (n, beta)
+    # a scalar or a 2-D input is one flat RB set, as before
+    assert eesm_effective_snr_db(7.5, 1.0) == eesm_effective_snr_db_py(7.5, 1.0)
+    grid = rng.uniform(-5.0, 25.0, (3, 8))
+    assert eesm_effective_snr_db(grid, 1.5) \
+        == eesm_effective_snr_db_py(grid.ravel(), 1.5)
 
 
 def test_eesm_fixed_point():
@@ -292,8 +309,9 @@ def test_select_rate_fewer_than_min_rbs_is_outage(link_default, mcs_default):
 def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
                                                     mcs_default):
     # select_rates computes the outage diagnostic for all outage rings in one
-    # pass; each must equal the one-ring eesm_effective_snr_db of the same
-    # 4-RB split bit for bit, since results.csv prints it
+    # pass; each must equal the one-row EESM oracle of the same 4-RB split
+    # bit for bit, since results.csv prints it, and so must the public
+    # eesm_effective_snr_db, which takes the same batched path
     rng = np.random.default_rng(17)
     gains = rng.uniform(-40.0, 28.0, 264)
     dists = np.geomspace(30.0, 1e5, 240)
@@ -313,9 +331,12 @@ def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
                 + path_gain_db(link_default, float(d))
             unsplit = np.sort(10.0 ** ((link_db + gains[avail] - noise)
                                        / 10.0))[::-1]
-            want = eesm_effective_snr_db(10.0 * np.log10(unsplit[:n] / n),
-                                         float(betas[0]))
+            split_db = 10.0 * np.log10(unsplit[:n] / n)
+            want = eesm_effective_snr_db_py(split_db, float(betas[0]))
             assert dec.effective_snr_db == want, (avail.size, d)
+            assert eesm_effective_snr_db(split_db, float(betas[0])) == want
+            assert eesm_effective_snr_db(split_db, 2.5) \
+                == eesm_effective_snr_db_py(split_db, 2.5)
             checked += 1
     assert checked > dists.size + 50
 
