@@ -96,15 +96,14 @@ def _cmd_pattern(args) -> int:
     # ascending axis grid, then flip rows back to ascending degrees
     axis = np.array([axis_from_boresight_deg(a) for a in bore_deg[::-1]])
     gains = pattern_map(array, weights, axis, grid)[::-1]
-    # the bytes csv.writer would write (no field needs quoting), one join
-    # per angle row
-    rbs = range(grid.num_rbs)
+    # the bytes csv.writer would write (no field needs quoting): one row
+    # template for the file, filled per angle by one %-format and written
+    # row by row, so no more than one row of text is held at a time
+    template = "".join("\0,%d,%%.6g\r\n" % r for r in range(grid.num_rbs))
     with open(args.out, "w", newline="") as fh:
         fh.write(",".join(PATTERN_CSV_HEADER) + "\r\n")
         for deg, row in zip(bore_deg, gains.tolist()):
-            deg_text = "%.6g" % deg
-            fh.write("".join(["%s,%d,%.6g\r\n" % (deg_text, r, g)
-                              for r, g in zip(rbs, row)]))
+            fh.write(template.replace("\0", "%.6g" % deg) % tuple(row))
     print("wrote %s (%d angles x %d resource blocks)"
           % (args.out, bore_deg.size, grid.num_rbs))
     return 0

@@ -26,8 +26,8 @@ from .codebook import (
     RainbowSpec,
     Type1Target,
 )
-from .link import LinkModel, McsTable, load_eesm_betas
-from .sysim import Deployment, log_ring_grid
+from .link import MIN_RBS_PER_GRANT, LinkModel, McsTable, load_eesm_betas
+from .sysim import Deployment, jpta_share_target, log_ring_grid
 
 
 class ConfigError(ValueError):
@@ -321,3 +321,16 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("grid.num_rbs: occupied bandwidth %.6g Hz exceeds "
                           "grid.bandwidth_hz %.6g Hz"
                           % (occupied, cfg.grid_bandwidth_hz))
+    # a JPTA share below the minimum grant could only ever be an outage
+    num_ues = len(cfg.deploy_ue_angles_deg)
+    try:
+        _, shares = jpta_share_target(np.deg2rad(cfg.deploy_ue_angles_deg),
+                                      cfg.grid_num_rbs)
+    except ValueError:  # fewer RBs than UEs: some get no share
+        shares = [()]
+    smallest = min(len(share) for share in shares)
+    if smallest < MIN_RBS_PER_GRANT:
+        raise ConfigError("grid.num_rbs: %d RBs over %d UEs leave a JPTA "
+                          "share of %d RBs, below the %d-RB minimum grant"
+                          % (cfg.grid_num_rbs, num_ues, smallest,
+                             MIN_RBS_PER_GRANT))

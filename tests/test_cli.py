@@ -204,6 +204,17 @@ def test_nan_tx_power_exit_2_names_key(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_undersized_jpta_share_exit_2_names_key(tmp_path, capsys):
+    # 8 RBs over 4 UEs used to exit 0 with JPTA at 0 bps on every ring
+    cfg_path = _write_cfg(tmp_path, "grid.num_rbs = 8\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "grid.num_rbs" in err
+    assert "minimum grant" in err
+    assert not (out / "results.csv").exists()
+
+
 def test_missing_codebook_exit_2(tmp_path, capsys):
     rc = main(["pattern", str(tmp_path / "absent.csv"),
                "--out", str(tmp_path / "p.csv")])

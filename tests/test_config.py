@@ -169,10 +169,22 @@ def test_parse_error_reports_line_number():
     ("design.type2.center_deg = 100", "outside"),
     ("design.type2.spread_deg = -2", "nonnegative"),
     ("grid.num_rbs = 278", "occupied bandwidth"),
+    ("grid.num_rbs = 15", "grid.num_rbs: 15 RBs over 4 UEs leave a JPTA "
+                          "share of 3 RBs"),
+    ("grid.num_rbs = 3", "share of 0 RBs"),
+    ("deploy.ue_angles_deg = -40, -20, 0, 20, 40\ngrid.num_rbs = 19",
+     "share of 3 RBs"),
 ])
 def test_validation_errors(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config_text(text)
+
+
+def test_smallest_jpta_share_meets_the_minimum_grant():
+    # 16 RBs over 4 UEs: four shares of exactly 4 RBs
+    assert parse_config_text("grid.num_rbs = 16").grid_num_rbs == 16
+    assert parse_config_text(
+        "deploy.ue_angles_deg = 10\ngrid.num_rbs = 4").grid_num_rbs == 4
 
 
 def test_load_config_missing_file(tmp_path):

@@ -1,11 +1,13 @@
 """Kernel checks: the pattern, delay and rate kernels against the
-brute-force oracles of ``tests/oracles.py``, and the pattern kernel's
-chunking and bounds."""
+brute-force oracles of ``tests/oracles.py``, the pattern kernel's chunking
+and bounds, and the rate kernel's bound pruning."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpta import FrequencyGrid, PhaseTimeWeights, _kernels
 from jpta.antenna import pattern_map
@@ -224,6 +226,18 @@ def test_rate_scan_batch_meets_exact_thresholds(rings, distinct_betas):
         assert (got[0][r], got[1][r], got[2][r]) == (rbs, 1, top)
 
 
+def test_rate_scan_chunks_match_oracle(monkeypatch):
+    # chunk boundaries fall inside and between runs of equal RB count
+    rng = np.random.default_rng(41)
+    for chunk in (1, 7, 40, 1000):
+        monkeypatch.setattr(_kernels, "EESM_CHUNK_TERMS", chunk)
+        for distinct_betas in (False, True):
+            thr_lin, se, betas = _rate_inputs(rng, 8, distinct_betas)
+            snr = np.sort(10.0 ** rng.uniform(-1.0, 5.0, (30, 17)),
+                          axis=1)[:, ::-1]
+            _assert_matches_oracle(snr, thr_lin, se, betas)
+
+
 def test_rate_scan_infeasible_returns_sentinel():
     unsplit = np.full((2, 10), 1e-6)
     for rbs in (10, 3):
@@ -232,3 +246,89 @@ def test_rate_scan_infeasible_returns_sentinel():
                                        np.zeros(1, dtype=np.int64), 4)
         assert [a.tolist() for a in out] == [[0, 0], [-1, -1], [0.0, 0.0],
                                              [0.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# rate scan: the EESM-bound prune drops no candidate that could win
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _scan_problems(draw):
+    """Descending SNR rows for 1-200 rings on a ladder of 1-8 MCS levels.
+    The rows are one gain row up to 60 dB deep seen at path gains falling
+    ring by ring, as a distance sweep sees it, or an independent gain row per
+    ring; the ladder has one shared EESM beta or one beta per level."""
+    rings = draw(st.integers(1, 200))
+    rbs = draw(st.integers(1, 40))
+    spread = draw(st.floats(0.0, 60.0))
+    peak_db = draw(st.floats(-20.0, 40.0))
+    if draw(st.booleans()):
+        depth = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rbs,
+                                       max_size=rbs)))[None, :]
+        path_db = np.linspace(0.0, draw(st.floats(0.0, 60.0)), rings)
+        gains_db = peak_db - spread * depth - path_db[:, None]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        gains_db = peak_db - spread * rng.uniform(0.0, 1.0, (rings, rbs))
+    snr = np.sort(10.0 ** (gains_db / 10.0), axis=1)[:, ::-1]
+    levels = draw(st.integers(1, 8))
+    thr_db = np.sort(draw(st.lists(st.floats(-10.0, 40.0), min_size=levels,
+                                   max_size=levels)))
+    thr_db += np.arange(levels) * 1e-6  # keep strictly increasing
+    se = np.cumsum(draw(st.lists(st.floats(0.05, 2.0), min_size=levels,
+                                 max_size=levels)))
+    if draw(st.booleans()):
+        betas = np.full(levels, draw(st.floats(0.5, 3.0)))
+    else:
+        betas = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=levels,
+                                       max_size=levels)))
+    return snr, 10.0 ** (thr_db / 10.0), se, betas
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(problem=_scan_problems())
+def test_pruned_rate_scan_equals_oracle(problem):
+    _assert_matches_oracle(*problem)
+
+
+def _tight_bound_rows(rng, kind, rbs, beta):
+    """Rows on which a bound is as tight as rounding allows, with the EESM
+    effective SNR of the whole row, as ``rate_scan_py`` computes it.
+
+    ``flat``: equal SNRs, whose EESM is the lowest SNR exactly while the
+    cumulative-sum mean rounds below it. ``faint``: SNRs near 1e-12 within
+    1% of each other, whose EESM exceeds their mean by far more than 1e-6
+    relative, because the rounding of ``beta * log(mean)`` is absolute.
+    """
+    for _ in range(10000):
+        if kind == "flat":
+            row = np.full(rbs, 10.0 ** rng.uniform(-1.0, 3.0))
+        else:
+            row = np.sort(10.0 ** rng.uniform(-12.5, -11.5)
+                          * (1.0 + rng.uniform(0.0, 1e-2, rbs)))[::-1]
+        values = row / rbs
+        eff = values[-1] - beta * math.log(
+            np.mean(np.exp(-(values - values[-1]) / beta)))
+        mean = np.cumsum(row)[-1] / (rbs * rbs)
+        if (kind == "flat" and eff > mean) \
+                or (kind == "faint" and eff > mean * (1.0 + 1e-5)):
+            return row, eff
+    raise AssertionError("no %s row of %d RBs found" % (kind, rbs))
+
+
+@pytest.mark.parametrize("kind", ["flat", "faint"])
+@pytest.mark.parametrize("distinct_betas", [False, True])
+def test_rate_scan_prune_keeps_winner_on_tight_bounds(kind, distinct_betas):
+    # The top threshold is the whole row's effective SNR, which lies above
+    # the row's rounded mean: only the bound margins keep that candidate. It
+    # must win: every shorter allocation meets the top MCS too but carries
+    # fewer RBs, and the whole row at the lower MCS has a tenth of the rate.
+    rng = np.random.default_rng(31 + 2 * distinct_betas + (kind == "faint"))
+    betas = np.array([0.7, 2.5]) if distinct_betas else np.full(2, 2.5)
+    se = np.array([1.0, 10.0])
+    for rbs in (9, 17, 33):
+        row, top = _tight_bound_rows(rng, kind, rbs, betas[1])
+        thr_lin = np.array([top * 1e-3, top])
+        snr = row[None, :] * np.array([4.0, 1.0, 0.5])[:, None]
+        got = _assert_matches_oracle(snr, thr_lin, se, betas)
+        assert (got[0][1], got[1][1], got[2][1]) == (rbs, 1, top), rbs

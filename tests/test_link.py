@@ -519,3 +519,16 @@ def test_select_rates_grant_sizes(problem):
         else:
             assert MIN_RBS_PER_GRANT <= d.num_rbs <= available
             assert 0 <= d.mcs_index < len(mcs)
+
+
+@PROPERTY_SETTINGS
+@given(snrs=st.lists(st.floats(-100.0, 60.0), min_size=1, max_size=64),
+       beta=st.floats(0.1, 10.0))
+def test_eesm_between_min_and_linear_mean(snrs, beta):
+    # the two bounds the rate scan prunes with: min <= EESM (every shifted
+    # term is at most 1) and EESM <= arithmetic mean of the linear SNRs
+    # (Jensen), up to rounding, which near the flat case is absolute in beta
+    lin = 10.0 ** (np.array(snrs) / 10.0)
+    eff = 10.0 ** (eesm_effective_snr_db(snrs, beta) / 10.0)
+    assert lin.min() * (1.0 - 1e-12) <= eff
+    assert eff <= lin.mean() * (1.0 + 1e-12) + 1e-12 * beta
