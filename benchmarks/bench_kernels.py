@@ -3,11 +3,12 @@
 
 Each kernel of ``jpta._kernels`` exists once, in numpy. The table times it
 against the plain-loop reference of ``tests/oracles.py`` on the same
-inputs: the pattern grid at 721 and 3001 angles x 264 RBs, the delay scan,
-and the rate scan at 1 and at 160 rings (the oracle called once per ring).
-Kernels and the delay- and rate-scan oracles report the best of
-``--repeats`` runs; the pattern-grid oracle, which takes seconds, is timed
-once.
+inputs: the pattern grid at 721 and 3001 angles x 264 RBs, the delay scan
+with a new and with a kept twiddle table, and the rate scan of one user at
+1 and at 160 rings and of 8 users at 160 rings (the oracle called once per
+user and ring). Kernels and the delay- and rate-scan oracles report the
+best of ``--repeats`` runs; the oracles that take seconds (pattern grid,
+8-user rate scan) are timed once.
 
 Usage::
 
@@ -24,10 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from jpta import _kernels
+from jpta import _kernels, codebook
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import delay_scan_py, pattern_corr_py, rate_scan_py  # noqa: E402
+from oracles import (  # noqa: E402
+    delay_scan_py,
+    pattern_corr_py,
+    rate_scan_py,
+    snr_rows,
+)
 
 
 def _time_best(fn, args, repeats: int) -> float:
@@ -60,22 +66,36 @@ def _delay_args():
     return slopes, freqs, taus, 16
 
 
-def _rate_args(rings: int):
-    """One 264-RB row seen at ``rings`` path gains 30 dB apart end to end,
-    as a distance sweep sees it, on the 15-level ladder."""
+def _delay_scan_new_table(slopes, freqs, taus, num_elements):
+    """The delay scan with its twiddle table built afresh."""
+    return _kernels.delay_scan(slopes, _kernels.delay_twiddles(taus, freqs),
+                               num_elements)
+
+
+def _delay_scan_kept_table(slopes, freqs, taus, num_elements):
+    """The designer's delay scan once it keeps the twiddle table."""
+    return _kernels.delay_scan(
+        slopes, codebook._delay_twiddles(taus, freqs, False), num_elements)
+
+
+def _rate_args(users: int, rings: int):
+    """Random 264-RB gain rows seen at ``rings`` link gains 30 dB apart end
+    to end, as a distance sweep sees them, on the 15-level ladder."""
     rng = np.random.default_rng(3)
-    row = np.sort(rng.uniform(0.5, 50.0, 264))[::-1]
-    snr = row[None, :] * np.geomspace(1.0, 1e-3, rings)[:, None]
+    gain_db = np.sort(10.0 * np.log10(rng.uniform(0.5, 50.0, (users, 264))),
+                      axis=1)[:, ::-1]
+    link_db = np.linspace(0.0, -30.0, rings)
     thr_db = np.linspace(-7.5, 24.3, 15)
     thr_lin = 10.0 ** (thr_db / 10.0)
     se = np.linspace(0.1523, 7.4063, 15)
     unique_betas = np.array([1.0])
     beta_idx = np.zeros(15, dtype=np.int64)
-    return snr, thr_lin, se, unique_betas, beta_idx, 4
+    return link_db, gain_db, 0.0, thr_lin, se, unique_betas, beta_idx, 4
 
 
-def _rate_scan_per_ring(snr, *args):
-    return [rate_scan_py(row, *args) for row in snr]
+def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
+    rows = snr_rows(link_db, gain_db, noise_db)
+    return [rate_scan_py(row, *args) for user in rows for row in user]
 
 
 # (label, kernel, oracle, argument factory, oracle timed once)
@@ -84,12 +104,16 @@ BENCHES = [
      pattern_corr_py, lambda: _pattern_args(721), True),
     ("pattern_corr (3001 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
      pattern_corr_py, lambda: _pattern_args(3001), True),
-    ("delay_scan   (64 taus x 264 freqs, 16 el)", _kernels.delay_scan,
+    ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
      delay_scan_py, _delay_args, False),
+    ("delay_scan   (64 taus x 264 freqs, kept table)",
+     _delay_scan_kept_table, delay_scan_py, _delay_args, False),
     ("rate_scan    (1 ring x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
-     _rate_scan_per_ring, lambda: _rate_args(1), False),
+     _rate_scan_per_ring, lambda: _rate_args(1, 1), False),
     ("rate_scan    (160 rings x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
-     _rate_scan_per_ring, lambda: _rate_args(160), False),
+     _rate_scan_per_ring, lambda: _rate_args(1, 160), False),
+    ("rate_scan    (8 users x 160 rings x 264 RBs)", _kernels.rate_scan_batch,
+     _rate_scan_per_ring, lambda: _rate_args(8, 160), True),
 ]
 
 

@@ -54,12 +54,12 @@ from .link import (
     McsEntry,
     McsTable,
     RateDecision,
-    bler,
     eesm_effective_snr_db,
     load_eesm_betas,
     noise_power_dbm_per_rb,
     path_gain_db,
     select_rate,
+    select_rate_grid,
     select_rates,
     snr_per_rb_db,
 )
@@ -99,7 +99,6 @@ __all__ = [
     "axis_from_boresight_deg",
     "axis_from_boresight_rad",
     "beam_gain_db",
-    "bler",
     "boresight_deg_from_axis",
     "coverage_distance",
     "design_type1",
@@ -121,6 +120,7 @@ __all__ = [
     "run_jpta",
     "run_paa",
     "select_rate",
+    "select_rate_grid",
     "select_rates",
     "snr_per_rb_db",
     "steer_weights",

@@ -5,14 +5,18 @@ Three loops dominate the toolkit's run time:
 * the angle x frequency pattern grid (``pattern_corr``), a Horner
   evaluation of one element polynomial per frequency, chunked over angles;
 * the per-antenna delay-grid scan of the wideband beam designer
-  (``delay_scan``), one complex matrix product;
+  (``delay_scan``), one complex matrix product with a twiddle table
+  (``delay_twiddles``) the designer keeps per evaluation mode;
 * the RB-count x MCS rate search with an EESM average inside
-  (``rate_scan_batch``), batched over the rings of one user. Exact bounds
-  prune it first: every EESM effective SNR lies between the weakest split
-  SNR and the mean split SNR, so a (ring, RB count) candidate whose
-  upper-bound rate falls below the rate its ring surely reaches is dropped
-  before any exponential is taken. On the criterion-4 deployment at 160
-  rings the EESM runs for 1.6% of the candidates, 1% of the terms.
+  (``rate_scan_batch``), batched over every (user, ring) pair of one share
+  width. Exact bounds prune it first: every EESM effective SNR lies between
+  the weakest split SNR and the mean split SNR, and across one user's rings
+  both bounds scale with the ring's link gain. So each (RB count, MCS) pair
+  can win only on one interval of link gain, and one binary search per
+  interval lists the live candidates before any exponential is taken, at a
+  cost that does not grow with the rings. On the criterion-4 deployment at
+  160 rings the EESM runs for 1.6% of the (user, ring, RB count)
+  candidates.
 
 ``tests/oracles.py`` holds plain-loop references for all three, which the
 tests check these kernels against and ``benchmarks/bench_kernels.py`` times
@@ -88,140 +92,245 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
 # candidate delay, summed over the evaluation frequencies
 # ---------------------------------------------------------------------------
 
-def delay_scan(slopes, freqs, taus, num_elements):
-    """Complex score ``U[t, m] = sum_k exp(j(m*slopes[k] - 2*pi*f_k*tau_t))``.
+def delay_twiddles(taus, freqs):
+    """Twiddle table ``exp(-j*2*pi*tau_t*f_k)``, shape ``(taus, freqs)``.
+    It depends only on the delay grid and the evaluation frequencies, so a
+    caller may keep it across scans."""
+    taus = np.asarray(taus, dtype=np.float64)
+    freqs = np.asarray(freqs, dtype=np.float64)
+    twiddles = -1j * TWO_PI * taus[:, None] * freqs[None, :]
+    return np.exp(twiddles, out=twiddles)
+
+
+def delay_scan(slopes, twiddles, num_elements):
+    """Complex score ``U[t, m] = sum_k exp(j(m*slopes[k] - 2*pi*f_k*tau_t))``
+    from the ``delay_twiddles`` table of the delays tau_t and frequencies
+    f_k.
 
     ``slopes[k]`` is the per-element phase increment of the target steering
-    vector at evaluation frequency ``freqs[k]``. The best delay for antenna m
+    vector at evaluation frequency ``f_k``. The best delay for antenna m
     maximizes ``|U[:, m]|`` and the matching phase is ``angle(U)``.
     """
     slopes = np.asarray(slopes, dtype=np.float64)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    taus = np.asarray(taus, dtype=np.float64)
     elem = np.arange(num_elements, dtype=np.float64)
     target = np.exp(1j * slopes[:, None] * elem[None, :])
-    twiddle = np.exp(-1j * TWO_PI * taus[:, None] * freqs[None, :])
-    return twiddle @ target
+    return twiddles @ target
 
 
 # ---------------------------------------------------------------------------
-# rate search: best (RB count, MCS) under an EESM feasibility test, for many
-# rings at once
+# rate search: best (RB count, MCS) under an EESM feasibility test, for every
+# (user, ring) pair at once
 # ---------------------------------------------------------------------------
 
 # np.log may differ from math.log by an ulp; a feasibility margin this small,
 # relative to the threshold, is decided again with math.log
 _NEAR_THRESHOLD_REL = 1e-9
 
-# slack on both EESM bounds before they are mapped to an MCS, relative (and,
-# on the upper bound, times the largest beta in absolute terms): far above
-# the near-threshold re-check and above the rounding of an effective SNR or
-# of a cumulative sum of a few hundred terms (about 1e-13 of either)
+# slack on both EESM bounds before they are compared with a threshold,
+# relative (and, on the upper bound, times the largest beta in absolute
+# terms): far above the near-threshold re-check and above the rounding of
+# an effective SNR or of a cumulative sum of a few hundred terms (about
+# 1e-13 of either)
 _BOUND_REL = 1e-6
+
+# further relative slack on both bounds for evaluating them as a ring's link
+# gain times a per-user row and comparing them in link-gain space: that
+# factorisation rounds by about 1e-14 relative
+_FACTOR_REL = 1e-10
 
 # EESM terms per chunk of live candidates: a chunk's arrays stay near cache
 # size, and memory does not grow with the ring count
-EESM_CHUNK_TERMS = 1 << 16
+EESM_CHUNK_TERMS = 1 << 15
 
 
-def rate_scan_batch(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
-                    min_rbs):
-    """Best feasible (RB count, MCS) for every row of an SNR matrix.
+def snr_unsplit(link_db, gain_db, noise_db, out=None):
+    """Per-RB linear SNR with the whole transmit power on one RB,
+    ``10 ** (((link_db + gain_db) - noise_db) / 10)`` elementwise in that
+    order of operations: every SNR term of the rate search is computed this
+    way, so a term does not depend on which candidates are evaluated.
+    ``out`` may be either input array, to compute in place."""
+    snr = np.add(link_db, gain_db, out=out)
+    snr -= noise_db
+    snr /= 10.0
+    return np.power(10.0, snr, out=snr)
 
-    Row r of ``snr_unsplit_desc`` (shape ``(rings, RBs)``) holds per-RB
-    linear SNR with the full transmit power on a single RB, sorted
-    descending; splitting power over ``n`` RBs divides each entry by ``n``.
-    For every ``n`` in ``[min_rbs, RBs]`` the EESM effective SNR of the best
-    ``n`` RBs is computed per distinct EESM beta, the highest feasible MCS is
-    found, and candidates are ranked by throughput ``se * n``, then higher
-    MCS, then fewer RBs. ``thr_lin`` and ``se`` must be strictly
-    increasing, as ``McsTable`` ensures.
 
-    Candidates that cannot win are pruned before any exponential is taken.
-    For the split SNRs ``g`` of the best n RBs, every beta's effective SNR
-    lies between ``min(g)`` (each shifted EESM term is at most 1) and
-    ``mean(g)`` (Jensen's inequality). Mapped to an MCS, the lower bound
-    gives a rate the ring surely reaches and the upper bound a rate the
-    candidate cannot beat. A candidate whose upper bound meets no threshold,
-    or whose upper-bound rate is below the best lower-bound rate of its
-    ring, can neither win nor tie, so its EESM is never evaluated. Before
-    the threshold lookup both bounds are widened by ``_BOUND_REL`` relative,
-    and the upper one also by ``_BOUND_REL`` times the largest beta. That
-    covers the rounding of the cumulative sum behind ``mean(g)`` and of the
-    effective SNR, whose error near equal SNRs is absolute in beta (the
-    rounding of ``beta * log(mean)`` with ``mean`` near 1), so the prune
-    drops no candidate the full scan could pick.
+def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
+                    unique_betas, beta_idx, min_rbs):
+    """Best feasible (RB count, MCS) for every (user, ring) pair.
 
-    Every row is decided exactly as a one-row call would decide it: the
+    Row u of ``gain_db_desc`` (shape ``(users, RBs)``) holds user u's per-RB
+    gain in dB sorted descending, and ``link_db`` (shape ``(rings,)``) each
+    ring's transmit power plus path gain in dB. Pair (u, r) sees the per-RB
+    linear SNR ``snr_unsplit(link_db[r], gain_db_desc[u], noise_db)`` with
+    the full power on one RB; splitting power over ``n`` RBs divides it by
+    ``n``. For every ``n`` in ``[min_rbs, RBs]`` the EESM effective SNR of
+    the best ``n`` RBs is computed per distinct EESM beta, the highest
+    feasible MCS is found, and candidates are ranked by throughput
+    ``se * n``, then higher MCS, then fewer RBs. ``thr_lin`` and ``se`` must
+    be strictly increasing, as ``McsTable`` ensures.
+
+    Candidates that cannot win are pruned before any exponential is taken,
+    by the bounds of ``_envelope_candidates``; the EESM runs only on the
+    live ones, a few per pair.
+
+    Every pair is decided exactly as a one-user, one-ring call would decide
+    it: each SNR term comes from ``snr_unsplit`` of the same values, the
     EESM means are the same 1-D ``np.mean`` reductions, and feasibility near
     a threshold and the winner's effective SNR use ``math.log``.
 
-    Returns arrays ``(best_n, best_mcs, best_eff_lin, best_se_n)``, one entry
-    per row, with ``best_mcs = -1`` (and zeros elsewhere) where nothing is
-    feasible.
+    Returns arrays ``(best_n, best_mcs, best_eff_lin, best_se_n)`` of shape
+    ``(users, rings)``, with ``best_mcs = -1`` (and zeros elsewhere) where
+    nothing is feasible.
     """
-    rings, total = snr_unsplit_desc.shape
-    best_n = np.zeros(rings, dtype=np.int64)
-    best_mcs = np.full(rings, -1, dtype=np.int64)
-    best_eff = np.zeros(rings)
-    best_rate = np.zeros(rings)
-    if total < min_rbs:
-        return best_n, best_mcs, best_eff, best_rate
-    counts = np.arange(min_rbs, total + 1)
-    # the weakest of the best n RBs after the split, per (ring, n)
-    v_min = snr_unsplit_desc[:, counts - 1] / counts
-    live_k, live_r = _live_candidates(snr_unsplit_desc, counts, v_min,
-                                      thr_lin, se, unique_betas.max())
-    # from here on, one entry per live candidate
-    live_n = counts[live_k]
-    v_min = v_min[live_r, live_k]
-    means = _eesm_means(snr_unsplit_desc, live_n, live_r, v_min,
-                        unique_betas)
-    mcs = _highest_feasible_mcs(v_min, means, thr_lin, unique_betas,
-                                beta_idx)
+    ues, total = gain_db_desc.shape
+    rings = link_db.size
+    best_n = np.zeros(ues * rings, dtype=np.int64)
+    best_mcs = np.full(ues * rings, -1, dtype=np.int64)
+    best_eff = np.zeros(ues * rings)
+    best_rate = np.zeros(ues * rings)
+    if total >= min_rbs and best_n.size:
+        counts = np.arange(min_rbs, total + 1)
+        live_u, live_r, live_n = _envelope_candidates(
+            link_db, gain_db_desc, noise_db, counts, thr_lin, se,
+            unique_betas.max())
+        pair = live_u * rings + live_r
+        rows, first = _live_rows(link_db, gain_db_desc, noise_db, pair,
+                                 live_n)
+        # the weakest of the best n RBs after the split
+        v_min = rows[first + live_n - 1] / live_n
+        means = _eesm_means(rows, first, live_n, v_min, unique_betas)
+        mcs = _highest_feasible_mcs(v_min, means, thr_lin, unique_betas,
+                                    beta_idx)
 
-    # best n per ring by (rate, MCS, -n): as se strictly increases, of equal
-    # rates the one with fewer RBs has the higher MCS, so sort the feasible
-    # candidates by ring, falling rate and rising n, and take each ring's
-    # first
-    fit = np.flatnonzero(mcs >= 0)
-    rate = se[mcs[fit]] * live_n[fit]
-    order = np.lexsort((live_n[fit], -rate, live_r[fit]))
-    won = order[np.flatnonzero(np.diff(live_r[fit[order]], prepend=-1))]
-    c = fit[won]
-    r = live_r[c]
-    i = mcs[c]
-    b = beta_idx[i]
-    best_n[r] = live_n[c]
-    best_mcs[r] = i
-    best_rate[r] = rate[won]
-    best_eff[r] = v_min[c] - unique_betas[b] * [
-        math.log(m) for m in means[b, c].tolist()]
-    return best_n, best_mcs, best_eff, best_rate
-
-
-def _live_candidates(snr_unsplit_desc, counts, v_min, thr_lin, se,
-                     max_beta):
-    """Candidates that may still win, by the bounds ``v_min <= eff <=
-    mean`` on every beta's effective SNR: ``(n index, ring)`` index arrays,
-    ordered by n, then ring."""
-    mean = np.cumsum(snr_unsplit_desc, axis=1)[:, counts - 1]
-    mean /= counts * counts
-    # rate of the highest MCS each bound meets, 0 where it meets none
-    se0 = np.concatenate(([0.0], se))
-    lb = np.searchsorted(thr_lin, v_min * (1.0 - _BOUND_REL), side="right")
-    lb_best = (se0[lb] * counts).max(axis=1, keepdims=True)
-    ub = np.searchsorted(thr_lin, mean * (1.0 + _BOUND_REL)
-                         + _BOUND_REL * max_beta, side="right")
-    # ties stay live, so the first-n tie rule sees every candidate it needs
-    live = (ub > 0) & (se0[ub] * counts >= lb_best)
-    return np.nonzero(live.T)
+        # best n per pair by (rate, MCS, -n): as se strictly increases, of
+        # equal rates the one with fewer RBs has the higher MCS, so sort the
+        # feasible candidates by pair, falling rate and rising n, and take
+        # each pair's first
+        fit = np.flatnonzero(mcs >= 0)
+        rate = se[mcs[fit]] * live_n[fit]
+        order = np.lexsort((live_n[fit], -rate, pair[fit]))
+        won = order[np.flatnonzero(np.diff(pair[fit[order]], prepend=-1))]
+        c = fit[won]
+        cell = pair[c]
+        i = mcs[c]
+        b = beta_idx[i]
+        best_n[cell] = live_n[c]
+        best_mcs[cell] = i
+        best_rate[cell] = rate[won]
+        best_eff[cell] = v_min[c] - unique_betas[b] * [
+            math.log(m) for m in means[b, c].tolist()]
+    shape = (ues, rings)
+    return (best_n.reshape(shape), best_mcs.reshape(shape),
+            best_eff.reshape(shape), best_rate.reshape(shape))
 
 
-def _eesm_means(snr_unsplit_desc, live_n, live_r, v_min, unique_betas):
+def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
+                         se, max_beta):
+    """Candidates ``(user, ring, n)`` that may still win or tie, as three
+    index arrays ordered by n.
+
+    For the split SNRs ``g`` of the best n RBs, every beta's effective SNR
+    lies between ``min(g)`` (each shifted EESM term is at most 1) and
+    ``mean(g)`` (Jensen's inequality). For one user the SNR rows factor, up
+    to rounding, as ``G * s``: ``G = 10**(link_db/10)`` is the ring's link
+    gain and ``s`` the user's sorted per-RB gain/noise row. So both bounds
+    scale with G, ``G * a_n`` with ``a_n = s[n-1]/n`` and ``G * b_n`` with
+    ``b_n = cumsum(s)[n-1]/n**2``, and per (n, MCS i) they meet the
+    threshold from one G on: ``reach`` for the lower bound, ``meet`` for the
+    upper one.
+
+    A ring surely reaches the rate of every (n, i) whose ``reach`` it
+    passes, so its sure rate is a step function of G; it first exceeds
+    ``se_i * n`` at ``exceed``, the smallest ``reach`` of a higher rate (one
+    sort of the rates and a running minimum). Candidate n is live at G when
+    the rate of its highest upper-bound MCS i, G in ``[meet_i, meet_i+1)``,
+    is no lower than the sure rate, G below ``exceed``: one interval of G
+    per (n, i), disjoint over i, found among the rings by one binary search.
+    Ties stay live, so the first-n tie rule sees every candidate it needs.
+
+    Both bounds are widened by ``_BOUND_REL`` relative, and the upper one
+    also by ``_BOUND_REL`` times the largest beta. That covers the rounding
+    of the cumulative sum and of the effective SNR, whose error near equal
+    SNRs is absolute in beta (the rounding of ``beta * log(mean)`` with
+    ``mean`` near 1). They are widened by ``_FACTOR_REL`` more for the
+    factorisation, so the live set holds every candidate that bounds on the
+    SNR rows themselves keep. Cost: O(users * RBs * MCS) plus the live
+    count, whatever the number of rings.
+    """
+    levels = thr_lin.size
+    link = np.power(10.0, link_db / 10.0)
+    ring_order = np.argsort(link)
+    link_sorted = link[ring_order]
+    row = snr_unsplit(0.0, gain_db_desc, noise_db)
+    low = row[:, counts - 1] / counts
+    low *= (1.0 - _BOUND_REL) * (1.0 - _FACTOR_REL)
+    high = np.cumsum(row, axis=1)[:, counts - 1]
+    high /= counts * counts
+    high *= (1.0 + _BOUND_REL) * (1.0 + _FACTOR_REL)
+    need = thr_lin - _BOUND_REL * max_beta
+    # for each (n, i), the first position of a higher rate in rate order
+    # (sorted keys keep the binary search short)
+    rate = (se * counts[:, None]).ravel()
+    by_rate = np.argsort(rate)
+    above = np.empty_like(by_rate)
+    above[by_rate] = np.searchsorted(rate[by_rate], rate[by_rate],
+                                     side="right")
+    # lowest[j]: the smallest reach point from rate position j up;
+    # meet[:, i + 1] closes MCS i's interval, the last column the top MCS's
+    lowest = np.full(rate.size + 1, np.inf)
+    meet = np.full((counts.size, levels + 1), np.inf)
+    cells = []
+    for u in range(gain_db_desc.shape[0]):
+        # a threshold below the upper bound's absolute slack gives a meet
+        # point at or below 0, met at every ring
+        reach = thr_lin / low[u, :, None]
+        np.divide(need, high[u, :, None], out=meet[:, :-1])
+        # per (n, i), the G at which the sure rate first exceeds se_i * n:
+        # the smallest reach point of a higher rate, inf if none
+        np.minimum.accumulate(reach.ravel()[by_rate[::-1]],
+                              out=lowest[-2::-1])
+        exceed = lowest[above].reshape(reach.shape)
+        end = np.minimum(exceed, meet[:, 1:])
+        lo = np.searchsorted(link_sorted, meet[:, :-1], side="left").ravel()
+        size = np.searchsorted(link_sorted, end, side="left").ravel()
+        size -= lo
+        live = np.flatnonzero(size > 0)
+        cells.append((live // levels, np.full(live.size, u), lo[live],
+                      size[live]))
+    n_idx, user, lo, size = (np.concatenate(c) for c in zip(*cells))
+    order = np.argsort(n_idx, kind="stable")
+    n_idx, user, lo, size = n_idx[order], user[order], lo[order], size[order]
+    # the rings of each (n, user, i) interval, end to end
+    where = np.repeat(lo - (np.cumsum(size) - size), size)
+    where += np.arange(where.size)
+    return (np.repeat(user, size), ring_order[where],
+            np.repeat(counts[n_idx], size))
+
+
+def _live_rows(link_db, gain_db_desc, noise_db, pair, live_n):
+    """SNRs of the best RBs of each live (user, ring) pair, ``pair = user *
+    rings + ring``, up to its largest live n, end to end, by
+    ``snr_unsplit``; candidate c's best n RBs are ``rows[first[c]:][:n]``.
+    Pairs hold a few candidates each, so this takes a fraction of the terms
+    the EESM then reads."""
+    pairs, inverse = np.unique(pair, return_inverse=True)
+    length = np.zeros(pairs.size, dtype=np.int64)
+    np.maximum.at(length, inverse, live_n)
+    start = np.cumsum(length) - length
+    pair_u, pair_r = np.divmod(pairs, link_db.size)
+    where = np.repeat(pair_u * gain_db_desc.shape[1] - start, length)
+    where += np.arange(where.size)
+    gains = gain_db_desc.ravel()[where]
+    del where
+    return snr_unsplit(np.repeat(link_db[pair_r], length), gains, noise_db,
+                       out=gains), start[inverse]
+
+
+def _eesm_means(rows, first, live_n, v_min, unique_betas):
     """Shifted EESM mean ``mean(exp((v_min - v) / beta))`` over the best n
-    RBs ``v`` of each live candidate ``(ring, n)``, split over n, for every
-    beta; shape ``(betas, candidates)``.
+    RBs ``v`` of each live candidate, ``rows[first:first + n]`` split over
+    n, for every beta; shape ``(betas, candidates)``.
 
     The candidates' RBs are laid end to end in chunks of about
     ``EESM_CHUNK_TERMS`` terms. Candidates come ordered by n, so each run of
@@ -232,8 +341,6 @@ def _eesm_means(snr_unsplit_desc, live_n, live_r, v_min, unique_betas):
     means = np.empty((unique_betas.size, live_n.size))
     if live_n.size == 0:
         return means
-    width = snr_unsplit_desc.shape[1]
-    flat = snr_unsplit_desc.ravel()
     ends = np.cumsum(live_n)
     starts = ends - live_n
     cuts = (np.flatnonzero(np.diff((ends - 1) // EESM_CHUNK_TERMS))
@@ -241,11 +348,12 @@ def _eesm_means(snr_unsplit_desc, live_n, live_r, v_min, unique_betas):
     for lo, hi in zip([0] + cuts, cuts + [live_n.size]):
         n = live_n[lo:hi]
         offset = starts[lo:hi] - starts[lo]
-        # flat indices of each candidate's best n RBs, end to end
-        where = np.repeat(live_r[lo:hi] * width - offset, n)
+        # indices of each candidate's best n RBs in rows, end to end
+        where = np.repeat(first[lo:hi] - offset, n)
         where += np.arange(where.size)
         # shifted EESM terms, stable for large SNR
-        terms = flat[where]
+        terms = rows[where]
+        del where
         terms /= np.repeat(n, n)
         np.subtract(np.repeat(v_min[lo:hi], n), terms, out=terms)
         terms = terms / unique_betas[:, None]

@@ -181,6 +181,24 @@ def _target_slopes(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
     return freqs, angles, slopes
 
 
+# the designer's last twiddle table per evaluation mode (RB centers or
+# subcarriers), keyed by its delay grid and frequencies: one table per mode
+# stays resident, the per-subcarrier one of a 264-RB grid taking 3.2 MB
+_TWIDDLES = {}
+
+
+def _delay_twiddles(taus, freqs, per_subcarrier: bool):
+    """``_kernels.delay_twiddles(taus, freqs)``, reused while the delay grid
+    and the frequencies of this mode stay the same."""
+    cached = _TWIDDLES.get(per_subcarrier)
+    if cached is None or not (np.array_equal(cached[0], taus)
+                              and np.array_equal(cached[1], freqs)):
+        table = _kernels.delay_twiddles(taus, freqs)
+        table.flags.writeable = False
+        cached = _TWIDDLES[per_subcarrier] = (taus, freqs, table)
+    return cached[2]
+
+
 def design_type1(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
                  constraint: DelayConstraint,
                  per_subcarrier: bool = False):
@@ -199,7 +217,9 @@ def design_type1(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
     taus = constraint.grid()
     if taus.size == 0:
         raise ValueError("delay grid is empty")
-    scores = _kernels.delay_scan(slopes, freqs, taus, cfg.num_elements)
+    scores = _kernels.delay_scan(
+        slopes, _delay_twiddles(taus, freqs, per_subcarrier),
+        cfg.num_elements)
     best = np.argmax(np.abs(scores), axis=0)
     delays = taus[best]
     phases = np.angle(scores[best, np.arange(cfg.num_elements)])

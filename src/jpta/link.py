@@ -213,11 +213,6 @@ def load_eesm_betas(path, num_levels: int) -> np.ndarray:
     return betas
 
 
-def bler(entry: McsEntry, effective_snr_db: float) -> float:
-    """Hard-threshold block error rate: 0 at or above threshold, else 1."""
-    return 0.0 if effective_snr_db >= entry.snr_threshold_db else 1.0
-
-
 @dataclass(frozen=True)
 class RateDecision:
     """Outcome of rate selection for one UE at one distance."""
@@ -225,32 +220,41 @@ class RateDecision:
     mcs_index: int
     num_rbs: int
     effective_snr_db: float
-    bler: float
     throughput_bps: float
     outage: bool = False
 
 
-def select_rates(lm: LinkModel, distances_m, gain_row, available_rbs,
-                 mcs_table: McsTable, scs_hz: float, slot_duty: float,
-                 eesm_betas=None) -> list:
-    """Best feasible (MCS, RB count) among the available RBs, per distance.
+def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
+                     mcs_table: McsTable, scs_hz: float, slot_duty: float,
+                     eesm_betas=None) -> list:
+    """Best feasible (MCS, RB count) for every UE at every distance.
 
-    Allocations use the n highest-gain RBs for n from 4 up to the available
-    count, with transmit power split evenly. A pair is feasible when the
-    EESM effective SNR meets the MCS threshold; candidates are ranked by
-    throughput SE*n*12*scs*slot_duty, ties broken toward the higher MCS and
-    then the smaller allocation. A distance where nothing with at least 4
-    RBs is feasible gets an outage decision (mcs -1, zero throughput,
-    BLER 1). Returns one RateDecision per distance, in the given order; all
-    distances are searched in one batched scan, and each decision equals
-    the one-distance ``select_rate`` result.
+    UE u uses the RBs ``available_rbs[u]`` of its gain row ``gain_rows[u]``
+    (dB, indexable by RB id). Allocations use its n highest-gain RBs for n
+    from 4 up to its available count, with transmit power split evenly. A
+    pair is feasible when the EESM effective SNR meets the MCS threshold;
+    candidates are ranked by throughput SE*n*12*scs*slot_duty, ties broken
+    toward the higher MCS and then the smaller allocation. A distance where
+    nothing with at least 4 RBs is feasible gets an outage decision (mcs -1,
+    zero throughput) whose effective SNR is that of the 4 best RBs.
+
+    Returns ``decisions[ring][ue]``, rings in the given order. UEs with the
+    same number of available RBs are searched in one batched scan over all
+    distances, and each decision equals the one-UE, one-distance
+    ``select_rate`` result.
     """
     if not 0.0 < slot_duty <= 1.0:
         raise ValueError("slot_duty must lie in (0, 1]")
-    gains = np.asarray(gain_row, dtype=np.float64)
-    avail = np.asarray(available_rbs, dtype=np.int64)
-    if avail.size == 0:
-        raise ValueError("available_rbs must be non-empty")
+    if len(gain_rows) != len(available_rbs):
+        raise ValueError("gain_rows and available_rbs need one entry per UE")
+    shares = []
+    for row, rbs in zip(gain_rows, available_rbs):
+        avail = np.asarray(rbs, dtype=np.int64)
+        if avail.size == 0:
+            raise ValueError("available_rbs must be non-empty")
+        # the UE's gains sorted descending: each SNR term is monotone in its
+        # gain, so its SNR rows come out sorted descending at every distance
+        shares.append(-np.sort(-np.asarray(row, dtype=np.float64)[avail]))
     dists = np.asarray(distances_m, dtype=np.float64)
     if dists.ndim != 1:
         raise ValueError("distances_m must be a 1-D sequence")
@@ -261,48 +265,55 @@ def select_rates(lm: LinkModel, distances_m, gain_row, available_rbs,
         if betas.size != len(mcs_table) or np.any(betas <= 0.0):
             raise ValueError("eesm_betas must be positive, one per MCS level")
 
-    # per-RB SNR with the whole budget on one RB; splitting divides by n.
-    # Built in place, so one rings x RBs array is ever allocated, and sorted
-    # descending per row as the negated values sorted ascending.
     link_db = np.array([lm.ue_tx_power_dbm + lm.ue_beam_gain_db
                         + path_gain_db(lm, float(d)) for d in dists])
-    unsplit_lin = link_db[:, None] + gains[avail]
-    unsplit_lin -= noise_power_dbm_per_rb(lm, scs_hz)
-    unsplit_lin /= 10.0
-    np.power(10.0, unsplit_lin, out=unsplit_lin)
-    np.negative(unsplit_lin, out=unsplit_lin)
-    unsplit_lin.sort(axis=1)
-    np.negative(unsplit_lin, out=unsplit_lin)
-
+    noise_db = noise_power_dbm_per_rb(lm, scs_hz)
     unique_betas, beta_idx = np.unique(betas, return_inverse=True)
+    beta_idx = beta_idx.astype(np.int64)
     thr_lin = np.power(10.0, mcs_table.thresholds_db() / 10.0)
     se = mcs_table.spectral_efficiencies()
 
-    best_n, best_mcs, best_eff_lin, best_se_n = _kernels.rate_scan_batch(
-        unsplit_lin, thr_lin, se, unique_betas,
-        beta_idx.astype(np.int64), MIN_RBS_PER_GRANT)
+    decisions = [[None] * len(shares) for _ in range(dists.size)]
+    for width in sorted({share.size for share in shares}):
+        ues = [u for u, share in enumerate(shares) if share.size == width]
+        gains_desc = np.array([shares[u] for u in ues])
+        best_n, best_mcs, best_eff_lin, best_se_n = _kernels.rate_scan_batch(
+            link_db, gains_desc, noise_db, thr_lin, se, unique_betas,
+            beta_idx, MIN_RBS_PER_GRANT)
 
-    # diagnostic effective SNR of every outage: the most concentrated
-    # allowed allocation
-    outages = np.flatnonzero(best_mcs < 0)
-    n_diag = min(MIN_RBS_PER_GRANT, int(avail.size))
-    diag_db = iter(_eesm_effective_snr_db_rows(
-        10.0 * np.log10(unsplit_lin[outages, :n_diag] / n_diag),
-        float(betas[0])))
+        # diagnostic effective SNR of every outage: the most concentrated
+        # allowed allocation
+        out_u, out_r = np.nonzero(best_mcs < 0)
+        n_diag = min(MIN_RBS_PER_GRANT, width)
+        split = _kernels.snr_unsplit(link_db[out_r, None],
+                                     gains_desc[out_u, :n_diag], noise_db)
+        diag_db = iter(_eesm_effective_snr_db_rows(
+            10.0 * np.log10(split / n_diag), float(betas[0])))
 
-    decisions = []
-    for r in range(dists.size):
-        if best_mcs[r] < 0:
-            decisions.append(RateDecision(
-                mcs_index=-1, num_rbs=0, effective_snr_db=next(diag_db),
-                bler=1.0, throughput_bps=0.0, outage=True))
-            continue
-        throughput = best_se_n[r] * 12.0 * scs_hz * slot_duty
-        decisions.append(RateDecision(
-            mcs_index=int(best_mcs[r]), num_rbs=int(best_n[r]),
-            effective_snr_db=10.0 * math.log10(best_eff_lin[r]),
-            bler=0.0, throughput_bps=float(throughput), outage=False))
+        throughput = best_se_n * 12.0 * scs_hz * slot_duty
+        for k, u in enumerate(ues):
+            for r, (mcs, n, eff, tput) in enumerate(zip(
+                    best_mcs[k].tolist(), best_n[k].tolist(),
+                    best_eff_lin[k].tolist(), throughput[k].tolist())):
+                # positional fields: (mcs_index, num_rbs, effective_snr_db,
+                # throughput_bps, outage)
+                if mcs < 0:
+                    decisions[r][u] = RateDecision(-1, 0, next(diag_db), 0.0,
+                                                   True)
+                else:
+                    decisions[r][u] = RateDecision(
+                        mcs, n, 10.0 * math.log10(eff), tput, False)
     return decisions
+
+
+def select_rates(lm: LinkModel, distances_m, gain_row, available_rbs,
+                 mcs_table: McsTable, scs_hz: float, slot_duty: float,
+                 eesm_betas=None) -> list:
+    """``select_rate_grid`` of one UE: one RateDecision per distance, in the
+    given order."""
+    return [ring[0] for ring in select_rate_grid(
+        lm, distances_m, [gain_row], [available_rbs], mcs_table, scs_hz,
+        slot_duty, eesm_betas)]
 
 
 def select_rate(lm: LinkModel, distance_m: float, beam_gain_db_per_rb,

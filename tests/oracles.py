@@ -98,3 +98,38 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
                     best = (n, i, eff, rate)
                 break
     return best
+
+
+def snr_rows(link_db, gain_db_desc, noise_db):
+    """Per-RB linear SNR of every (user, ring) pair with the whole transmit
+    power on one RB, shape ``(users, rings, RBs)``:
+    ``10 ** (((link_db + gain_db) - noise_db) / 10)``, the values the rate
+    kernel's SNR terms take."""
+    snr = (np.asarray(link_db, dtype=np.float64)[None, :, None]
+           + gain_db_desc[:, None, :]) - noise_db
+    return np.power(10.0, snr / 10.0)
+
+
+def live_candidates_py(snr_unsplit_desc, counts, thr_lin, se, max_beta, rel):
+    """Candidates of one user that EESM bounds taken on its SNR rows keep:
+    ``(n index, ring)`` index arrays, ordered by n, then ring.
+
+    Per (ring, n) cell, ``v_min = snr[n-1]/n <= eff <= mean`` with the mean
+    from one cumulative sum. Each bound, widened by ``rel`` (and the upper
+    one by ``rel`` times the largest beta), is mapped to the highest MCS it
+    meets; a candidate stays live when its upper bound meets a threshold and
+    its upper-bound rate is at least the best lower-bound rate of its ring.
+    The rate kernel's per-user envelope must keep every candidate this
+    keeps.
+    """
+    v_min = snr_unsplit_desc[:, counts - 1] / counts
+    mean = np.cumsum(snr_unsplit_desc, axis=1)[:, counts - 1]
+    mean /= counts * counts
+    # rate of the highest MCS each bound meets, 0 where it meets none
+    se0 = np.concatenate(([0.0], se))
+    lb = np.searchsorted(thr_lin, v_min * (1.0 - rel), side="right")
+    lb_best = (se0[lb] * counts).max(axis=1, keepdims=True)
+    ub = np.searchsorted(thr_lin, mean * (1.0 + rel) + rel * max_beta,
+                         side="right")
+    live = (ub > 0) & (se0[ub] * counts >= lb_best)
+    return np.nonzero(live.T)

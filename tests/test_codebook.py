@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jpta import _kernels, codebook
 from jpta.antenna import (
     SPEED_OF_LIGHT_M_S,
     ArrayConfig,
@@ -251,6 +252,40 @@ def test_type1_per_subcarrier_close_to_rb_centers(array16, delay25):
     w_sc, _ = design_type1(array16, target, grid, delay25, True)
     # 12x denser evaluation may shift phases slightly, never the coarse shape
     np.testing.assert_allclose(w_sc.delays_s, w_rb.delays_s, atol=2.5e-9)
+
+
+def test_type1_keeps_one_twiddle_table_per_mode(array16, delay25,
+                                                monkeypatch):
+    # a design from the kept table equals the one that built it, bit for
+    # bit; the table is rebuilt when the frequencies or the delay grid
+    # change, and one table per evaluation mode stays resident
+    monkeypatch.setattr(codebook, "_TWIDDLES", {})
+    built = []
+    build = _kernels.delay_twiddles
+
+    def counted(taus, freqs):
+        built.append((taus.size, freqs.size))
+        return build(taus, freqs)
+
+    monkeypatch.setattr(_kernels, "delay_twiddles", counted)
+    short = DelayConstraint(2.5e-9, 20e-9)
+    for num_rbs, constraint in ((24, delay25), (36, delay25), (36, short)):
+        grid = FrequencyGrid(28e9, 400e6, 120e3, num_rbs)
+        target = _target(BORE_2UE, num_rbs)
+        for per_subcarrier in (False, True):
+            w0, obj0 = design_type1(array16, target, grid, constraint,
+                                    per_subcarrier)
+            w1, obj1 = design_type1(array16, target, grid, constraint,
+                                    per_subcarrier)
+            assert np.array_equal(w0.delays_s, w1.delays_s)
+            assert np.array_equal(w0.phases_rad, w1.phases_rad)
+            assert obj0 == obj1
+    assert built == [(64, 24), (64, 288), (64, 36), (64, 432), (9, 36),
+                     (9, 432)]
+    assert sorted(codebook._TWIDDLES) == [False, True]
+    assert [codebook._TWIDDLES[mode][2].shape for mode in (False, True)] \
+        == [(9, 36), (9, 432)]
+    assert not codebook._TWIDDLES[False][2].flags.writeable
 
 
 def test_type1_empty_delay_grid_error(array16, grid264):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from jpta import FrequencyGrid, PhaseTimeWeights, _kernels
 from jpta.antenna import pattern_map
-from oracles import delay_scan_py, pattern_corr_py, rate_scan_py
+from oracles import (
+    delay_scan_py,
+    live_candidates_py,
+    pattern_corr_py,
+    rate_scan_py,
+    snr_rows,
+)
 
 SLOPE_SCALE = 2 * np.pi * 0.005353 / 299792458.0
 
@@ -47,7 +53,8 @@ def test_delay_scan_matches_oracle():
         slopes = rng.uniform(-np.pi, np.pi, int(rng.integers(1, 50)))
         freqs = rng.uniform(27e9, 29e9, slopes.size)
         taus = np.arange(int(rng.integers(1, 30))) * 2.5e-9
-        got = _kernels.delay_scan(slopes, freqs, taus, num_el)
+        got = _kernels.delay_scan(
+            slopes, _kernels.delay_twiddles(taus, freqs), num_el)
         np.testing.assert_allclose(
             got, delay_scan_py(slopes, freqs, taus, num_el), rtol=0,
             atol=1e-9)
@@ -152,22 +159,32 @@ def _rate_inputs(rng, levels, distinct_betas):
     return 10.0 ** (thr_db / 10.0), se, betas
 
 
-def _sweep_rows(rng, rings, rbs):
-    """One random descending SNR row seen at ``rings`` path gains, as a
-    distance sweep sees it: the row scaled down ring by ring."""
-    row = np.sort(10.0 ** rng.uniform(-1.0, 5.0, rbs))[::-1]
-    return row[None, :] * np.geomspace(1.0, 1e-4, rings)[:, None]
+def _sweep(rng, rings, rbs):
+    """One random descending gain row seen at ``rings`` link gains falling
+    40 dB end to end, as a distance sweep sees it: ``(link_db, gain_db)``
+    for one user."""
+    gain_db = np.sort(rng.uniform(-10.0, 50.0, rbs))[::-1]
+    return np.linspace(0.0, -40.0, rings), gain_db[None, :]
 
 
-def _assert_matches_oracle(snr, thr_lin, se, betas):
-    """Batched scan of every row equals the one-row oracle, exactly."""
+def _one_ring_users(gain_db):
+    """Arbitrary gain rows, each one user seen at one ring of 0 dB link
+    gain, so that row's SNRs are the gains themselves."""
+    return np.zeros(1), np.sort(gain_db, axis=1)[:, ::-1]
+
+
+def _assert_matches_oracle(link_db, gain_db, noise_db, thr_lin, se, betas):
+    """Batched scan of every (user, ring) pair equals the one-row oracle,
+    exactly."""
     unique_betas, beta_idx = np.unique(betas, return_inverse=True)
-    got = _kernels.rate_scan_batch(snr, thr_lin, se, unique_betas, beta_idx,
-                                   4)
-    assert all(a.shape == (snr.shape[0],) for a in got)
-    for r in range(snr.shape[0]):
-        want = rate_scan_py(snr[r], thr_lin, se, unique_betas, beta_idx, 4)
-        assert tuple(a[r] for a in got) == want, "ring %d" % r
+    got = _kernels.rate_scan_batch(link_db, gain_db, noise_db, thr_lin, se,
+                                   unique_betas, beta_idx, 4)
+    assert all(a.shape == (gain_db.shape[0], link_db.size) for a in got)
+    rows = snr_rows(link_db, gain_db, noise_db)
+    for u, r in np.ndindex(rows.shape[:2]):
+        want = rate_scan_py(rows[u, r], thr_lin, se, unique_betas, beta_idx,
+                            4)
+        assert tuple(a[u, r] for a in got) == want, "user %d, ring %d" % (u, r)
     return got
 
 
@@ -178,10 +195,11 @@ def test_rate_scan_batch_matches_oracle(rings, distinct_betas):
     decided = outages = 0
     for rbs in (1, 3, 4, 5, 17, 33):
         thr_lin, se, betas = _rate_inputs(rng, 8, distinct_betas)
-        for snr in (_sweep_rows(rng, rings, rbs),
-                    np.sort(10.0 ** rng.uniform(-1.0, 5.0, (rings, rbs)),
-                            axis=1)[:, ::-1]):
-            mcs = _assert_matches_oracle(snr, thr_lin, se, betas)[1]
+        for link_db, gain_db in (
+                _sweep(rng, rings, rbs),
+                _one_ring_users(rng.uniform(-10.0, 50.0, (rings, rbs)))):
+            mcs = _assert_matches_oracle(link_db, gain_db, 0.0, thr_lin, se,
+                                         betas)[1]
             decided += int(np.sum(mcs >= 0))
             outages += int(np.sum(mcs < 0))
     # the inputs must exercise both branches
@@ -189,14 +207,14 @@ def test_rate_scan_batch_matches_oracle(rings, distinct_betas):
 
 
 def _rows_where_np_log_rounds_up(rng, count, rbs, beta):
-    """Random descending rows whose full-allocation EESM mean gets a larger
-    ``np.log`` than ``math.log``: an effective SNR computed with ``np.log``
-    then falls an ulp short of the one ``select_rate`` defines."""
+    """Random descending gain rows (dB, one ring at 0 dB link gain) whose
+    full-allocation EESM mean gets a larger ``np.log`` than ``math.log``: an
+    effective SNR computed with ``np.log`` then falls an ulp short of the one
+    ``select_rate`` defines."""
     rows = []
     while len(rows) < count:
-        block = np.sort(10.0 ** rng.uniform(-1.0, 3.0, (4000, rbs)),
-                        axis=1)[:, ::-1]
-        values = block / rbs
+        block = np.sort(rng.uniform(-10.0, 30.0, (4000, rbs)), axis=1)[:, ::-1]
+        values = snr_rows(np.zeros(1), block, 0.0)[:, 0] / rbs
         means = np.mean(np.exp(-(values - values[:, -1:]) / beta), axis=1)
         ups = np.log(means) > np.array([math.log(m) for m in means])
         rows.extend(block[ups])
@@ -206,24 +224,25 @@ def _rows_where_np_log_rounds_up(rng, count, rbs, beta):
 @pytest.mark.parametrize("rings", [1, 2, 160])
 @pytest.mark.parametrize("distinct_betas", [False, True])
 def test_rate_scan_batch_meets_exact_thresholds(rings, distinct_betas):
-    # The top MCS threshold equals one ring's exactly computed effective SNR
-    # of the whole row, so that ring's best grant is the whole row at the
-    # top MCS. The rows are picked where np.log rounds up, so a decision
-    # taken on np.log alone would miss that grant.
+    # The top MCS threshold equals the exactly computed effective SNR of a
+    # pinned user's whole row at one ring, so that pair's best grant is the
+    # whole row at the top MCS. The rows are picked where np.log rounds up,
+    # so a decision taken on np.log alone would miss that grant.
     rng = np.random.default_rng(11 + rings + 1000 * distinct_betas)
     rbs = 12
     betas = np.array([0.7, 1.9]) if distinct_betas else np.ones(2)
     se = np.array([1.0, 2.0])
     for pinned in _rows_where_np_log_rounds_up(rng, 4, rbs, betas[1]):
-        snr = _sweep_rows(rng, rings, rbs)
+        link_db, swept = _sweep(rng, rings, rbs)
         r = int(rng.integers(rings))
-        snr[r] = pinned
-        values = pinned / rbs
+        link_db[r] = 0.0
+        values = snr_rows(np.zeros(1), pinned[None, :], 0.0)[0, 0] / rbs
         top = values[-1] - betas[1] * math.log(
             np.mean(np.exp(-(values - values[-1]) / betas[1])))
         thr_lin = np.array([top * 1e-3, top])
-        got = _assert_matches_oracle(snr, thr_lin, se, betas)
-        assert (got[0][r], got[1][r], got[2][r]) == (rbs, 1, top)
+        got = _assert_matches_oracle(link_db, np.vstack((swept, pinned)),
+                                     0.0, thr_lin, se, betas)
+        assert (got[0][1, r], got[1][1, r], got[2][1, r]) == (rbs, 1, top)
 
 
 def test_rate_scan_chunks_match_oracle(monkeypatch):
@@ -233,45 +252,47 @@ def test_rate_scan_chunks_match_oracle(monkeypatch):
         monkeypatch.setattr(_kernels, "EESM_CHUNK_TERMS", chunk)
         for distinct_betas in (False, True):
             thr_lin, se, betas = _rate_inputs(rng, 8, distinct_betas)
-            snr = np.sort(10.0 ** rng.uniform(-1.0, 5.0, (30, 17)),
-                          axis=1)[:, ::-1]
-            _assert_matches_oracle(snr, thr_lin, se, betas)
+            link_db, gain_db = _one_ring_users(
+                rng.uniform(-10.0, 50.0, (30, 17)))
+            _assert_matches_oracle(link_db, gain_db, 0.0, thr_lin, se, betas)
+
+
+def test_snr_terms_keep_the_gain_order():
+    # the rate kernel sorts each user's gains once and takes every ring's
+    # SNR row in that order; that equals sorting each SNR row itself, bit for
+    # bit, because every step of snr_unsplit is monotone in the gain
+    rng = np.random.default_rng(61)
+    noise_db = -107.41637507904751
+    link_db = 23.0 + np.sort(rng.uniform(-200.0, -60.0, 200))
+    gain_db = rng.uniform(-52.0, 28.0, (20, 264))
+    gain_db[:, :40] = np.round(gain_db[:, :40], 1)  # ties among the gains
+    desc = np.sort(gain_db, axis=1)[:, ::-1]
+    got = _kernels.snr_unsplit(link_db[None, :, None], desc[:, None, :],
+                               noise_db)
+    want = -np.sort(-_kernels.snr_unsplit(
+        link_db[None, :, None], gain_db[:, None, :], noise_db), axis=2)
+    assert np.array_equal(got, want)
 
 
 def test_rate_scan_infeasible_returns_sentinel():
-    unsplit = np.full((2, 10), 1e-6)
     for rbs in (10, 3):
-        out = _kernels.rate_scan_batch(unsplit[:, :rbs], np.array([1.0]),
-                                       np.array([1.0]), np.ones(1),
-                                       np.zeros(1, dtype=np.int64), 4)
-        assert [a.tolist() for a in out] == [[0, 0], [-1, -1], [0.0, 0.0],
-                                             [0.0, 0.0]]
+        out = _kernels.rate_scan_batch(np.array([-60.0, -61.0]),
+                                       np.zeros((1, rbs)), 0.0,
+                                       np.array([1.0]), np.array([1.0]),
+                                       np.ones(1), np.zeros(1, dtype=np.int64),
+                                       4)
+        assert [a.tolist() for a in out] == [[[0, 0]], [[-1, -1]],
+                                             [[0.0, 0.0]], [[0.0, 0.0]]]
 
 
 # ---------------------------------------------------------------------------
 # rate scan: the EESM-bound prune drops no candidate that could win
 # ---------------------------------------------------------------------------
 
-@st.composite
-def _scan_problems(draw):
-    """Descending SNR rows for 1-200 rings on a ladder of 1-8 MCS levels.
-    The rows are one gain row up to 60 dB deep seen at path gains falling
-    ring by ring, as a distance sweep sees it, or an independent gain row per
-    ring; the ladder has one shared EESM beta or one beta per level."""
-    rings = draw(st.integers(1, 200))
-    rbs = draw(st.integers(1, 40))
-    spread = draw(st.floats(0.0, 60.0))
-    peak_db = draw(st.floats(-20.0, 40.0))
-    if draw(st.booleans()):
-        depth = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rbs,
-                                       max_size=rbs)))[None, :]
-        path_db = np.linspace(0.0, draw(st.floats(0.0, 60.0)), rings)
-        gains_db = peak_db - spread * depth - path_db[:, None]
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-        gains_db = peak_db - spread * rng.uniform(0.0, 1.0, (rings, rbs))
-    snr = np.sort(10.0 ** (gains_db / 10.0), axis=1)[:, ::-1]
-    levels = draw(st.integers(1, 8))
+def _ladder(draw, level_counts):
+    """An MCS ladder of one of ``level_counts`` levels with thresholds from
+    -10 to 40 dB and one shared EESM beta or one beta per level."""
+    levels = draw(st.sampled_from(level_counts))
     thr_db = np.sort(draw(st.lists(st.floats(-10.0, 40.0), min_size=levels,
                                    max_size=levels)))
     thr_db += np.arange(levels) * 1e-6  # keep strictly increasing
@@ -282,7 +303,28 @@ def _scan_problems(draw):
     else:
         betas = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=levels,
                                        max_size=levels)))
-    return snr, 10.0 ** (thr_db / 10.0), se, betas
+    return 10.0 ** (thr_db / 10.0), se, betas
+
+
+@st.composite
+def _scan_problems(draw):
+    """Descending gain rows on a ladder: one gain row up to 60 dB deep seen
+    at 1-200 link gains falling ring by ring, as a distance sweep sees it,
+    or 1-200 independent gain rows, each a user seen at one ring."""
+    rings = draw(st.integers(1, 200))
+    rbs = draw(st.integers(1, 40))
+    spread = draw(st.floats(0.0, 60.0))
+    peak_db = draw(st.floats(-20.0, 40.0))
+    if draw(st.booleans()):
+        depth = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=rbs,
+                                       max_size=rbs)))
+        link_db = -np.linspace(0.0, draw(st.floats(0.0, 60.0)), rings)
+        gain_db = np.sort(peak_db - spread * depth)[None, ::-1]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        link_db, gain_db = _one_ring_users(
+            peak_db - spread * rng.uniform(0.0, 1.0, (rings, rbs)))
+    return (link_db, gain_db, 0.0) + _ladder(draw, range(1, 9))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -291,9 +333,83 @@ def test_pruned_rate_scan_equals_oracle(problem):
     _assert_matches_oracle(*problem)
 
 
+@st.composite
+def _user_problems(draw):
+    """1-8 users sharing 1-60 rings at link gains in any order, each with a
+    gain row up to 60 dB deep over the same number (4-40) of RBs, against a
+    noise floor near -105 dB, on a ladder of up to 15 levels; the far rings
+    are outages."""
+    users = draw(st.integers(1, 8))
+    rings = draw(st.integers(1, 60))
+    rbs = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    noise_db = draw(st.floats(-110.0, -100.0))
+    near_db = draw(st.floats(-30.0, 40.0))
+    link_db = noise_db + near_db - np.sort(rng.uniform(0.0, 80.0, rings))
+    if draw(st.booleans()):
+        rng.shuffle(link_db)
+    spread = draw(st.floats(0.0, 60.0))
+    gain_db = np.sort(draw(st.floats(-20.0, 28.0))
+                      - spread * rng.uniform(0.0, 1.0, (users, rbs)),
+                      axis=1)[:, ::-1]
+    return (link_db, gain_db, noise_db) + _ladder(draw, [1, 2, 3, 5, 8, 15])
+
+
+def _assert_envelope_holds_per_cell(link_db, gain_db, noise_db, thr_lin, se,
+                                    betas):
+    """The per-user envelope keeps every candidate the bounds on the SNR
+    rows themselves keep, lists each once, ordered by n, and keeps none that
+    those bounds drop once widened to twice their margin."""
+    counts = np.arange(4, gain_db.shape[1] + 1)
+    live = _kernels._envelope_candidates(link_db, gain_db, noise_db, counts,
+                                         thr_lin, se, betas.max())
+    assert np.all(np.diff(live[2]) >= 0)  # ordered by n
+    got = list(zip(*(a.tolist() for a in live)))
+    assert len(set(got)) == len(got)
+    rows = snr_rows(link_db, gain_db, noise_db)
+    kept = {}
+    for rel in (_kernels._BOUND_REL, 2.0 * _kernels._BOUND_REL):
+        kept[rel] = {(u,) + cell for u in range(gain_db.shape[0])
+                     for cell in zip(*live_candidates_py(
+                         rows[u], counts, thr_lin, se, betas.max(), rel))}
+    kept = [{(u, r, int(counts[k])) for u, k, r in cells}
+            for cells in kept.values()]
+    assert kept[0] <= set(got) <= kept[1]
+    return kept[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_user_problems())
+def test_envelope_holds_per_cell_live_set(problem):
+    _assert_envelope_holds_per_cell(*problem)
+
+
+def test_envelope_holds_cells_pinned_at_their_upper_bound():
+    # A one-level ladder whose threshold is exactly one cell's widened upper
+    # bound, as the bounds on its SNR row compute it: those bounds keep the
+    # cell by equality, and the envelope, which evaluates the bound as link
+    # gain times the user's row, keeps it only through its factorisation
+    # slack
+    rng = np.random.default_rng(51)
+    rel = _kernels._BOUND_REL
+    for _ in range(60):
+        noise_db = -107.4
+        link_db = noise_db + 20.0 - np.sort(rng.uniform(0.0, 40.0, 20))
+        gain_db = np.sort(rng.uniform(-10.0, 28.0, (3, 24)), axis=1)[:, ::-1]
+        beta = rng.uniform(0.5, 3.0)
+        u, r, n = rng.integers(3), rng.integers(20), int(rng.integers(4, 25))
+        row = snr_rows(link_db, gain_db, noise_db)[u, r]
+        mean = np.cumsum(row)[n - 1] / (n * n)
+        thr_lin = np.array([mean * (1.0 + rel) + rel * beta])
+        kept = _assert_envelope_holds_per_cell(
+            link_db, gain_db, noise_db, thr_lin, np.ones(1), np.array([beta]))
+        assert (u, r, n) in kept
+
+
 def _tight_bound_rows(rng, kind, rbs, beta):
-    """Rows on which a bound is as tight as rounding allows, with the EESM
-    effective SNR of the whole row, as ``rate_scan_py`` computes it.
+    """Gain rows (dB, seen at 0 dB link gain) on which a bound is as tight
+    as rounding allows, with the EESM effective SNR of the whole row, as
+    ``rate_scan_py`` computes it.
 
     ``flat``: equal SNRs, whose EESM is the lowest SNR exactly while the
     cumulative-sum mean rounds below it. ``faint``: SNRs near 1e-12 within
@@ -302,33 +418,37 @@ def _tight_bound_rows(rng, kind, rbs, beta):
     """
     for _ in range(10000):
         if kind == "flat":
-            row = np.full(rbs, 10.0 ** rng.uniform(-1.0, 3.0))
+            gain_db = np.full(rbs, rng.uniform(-10.0, 30.0))
         else:
-            row = np.sort(10.0 ** rng.uniform(-12.5, -11.5)
-                          * (1.0 + rng.uniform(0.0, 1e-2, rbs)))[::-1]
+            gain_db = np.sort(rng.uniform(-125.0, -115.0) + 10.0 * np.log10(
+                1.0 + rng.uniform(0.0, 1e-2, rbs)))[::-1]
+        row = snr_rows(np.zeros(1), gain_db[None, :], 0.0)[0, 0]
         values = row / rbs
         eff = values[-1] - beta * math.log(
             np.mean(np.exp(-(values - values[-1]) / beta)))
         mean = np.cumsum(row)[-1] / (rbs * rbs)
         if (kind == "flat" and eff > mean) \
                 or (kind == "faint" and eff > mean * (1.0 + 1e-5)):
-            return row, eff
+            return gain_db, eff
     raise AssertionError("no %s row of %d RBs found" % (kind, rbs))
 
 
 @pytest.mark.parametrize("kind", ["flat", "faint"])
 @pytest.mark.parametrize("distinct_betas", [False, True])
 def test_rate_scan_prune_keeps_winner_on_tight_bounds(kind, distinct_betas):
-    # The top threshold is the whole row's effective SNR, which lies above
-    # the row's rounded mean: only the bound margins keep that candidate. It
-    # must win: every shorter allocation meets the top MCS too but carries
-    # fewer RBs, and the whole row at the lower MCS has a tenth of the rate.
+    # The top threshold is the whole row's effective SNR at the 0 dB ring,
+    # which lies above the row's rounded mean: only the bound margins keep
+    # that candidate. It must win: every shorter allocation meets the top
+    # MCS too but carries fewer RBs, and the whole row at the lower MCS has
+    # a tenth of the rate.
     rng = np.random.default_rng(31 + 2 * distinct_betas + (kind == "faint"))
     betas = np.array([0.7, 2.5]) if distinct_betas else np.full(2, 2.5)
     se = np.array([1.0, 10.0])
+    link_db = 10.0 * np.log10([4.0, 1.0, 0.5])
     for rbs in (9, 17, 33):
-        row, top = _tight_bound_rows(rng, kind, rbs, betas[1])
+        gain_db, top = _tight_bound_rows(rng, kind, rbs, betas[1])
         thr_lin = np.array([top * 1e-3, top])
-        snr = row[None, :] * np.array([4.0, 1.0, 0.5])[:, None]
-        got = _assert_matches_oracle(snr, thr_lin, se, betas)
-        assert (got[0][1], got[1][1], got[2][1]) == (rbs, 1, top), rbs
+        got = _assert_matches_oracle(link_db, gain_db[None, :], 0.0, thr_lin,
+                                     se, betas)
+        assert (got[0][0, 1], got[1][0, 1], got[2][0, 1]) == (rbs, 1, top), \
+            rbs

@@ -14,12 +14,12 @@ from jpta.link import (
     McsEntry,
     McsTable,
     RateDecision,
-    bler,
     eesm_effective_snr_db,
     load_eesm_betas,
     noise_power_dbm_per_rb,
     path_gain_db,
     select_rate,
+    select_rate_grid,
     select_rates,
     snr_per_rb_db,
 )
@@ -264,13 +264,6 @@ def test_load_eesm_betas_errors(tmp_path, body, match):
         load_eesm_betas(path, 15)
 
 
-def test_bler_hard_threshold():
-    e = McsEntry(0, 1.0, 5.0)
-    assert bler(e, 5.0) == 0.0
-    assert bler(e, 5.0001) == 0.0
-    assert bler(e, 4.9999) == 1.0
-
-
 # ---------------------------------------------------------------------------
 # rate selection
 # ---------------------------------------------------------------------------
@@ -278,7 +271,7 @@ def test_bler_hard_threshold():
 def test_select_rate_near_picks_top_mcs_full_band(link_default, mcs_default):
     d = select_rate(link_default, 30.0, FLAT28, ALL_RBS, mcs_default, SCS,
                     1.0)
-    assert (d.mcs_index, d.num_rbs, d.bler, d.outage) == (14, 264, 0.0, False)
+    assert (d.mcs_index, d.num_rbs, d.outage) == (14, 264, False)
     assert d.throughput_bps == pytest.approx(7.4063 * 264 * 12 * SCS,
                                              rel=1e-12)
     quarter = select_rate(link_default, 30.0, FLAT28, ALL_RBS, mcs_default,
@@ -289,8 +282,8 @@ def test_select_rate_near_picks_top_mcs_full_band(link_default, mcs_default):
 def test_select_rate_far_is_outage(link_default, mcs_default):
     d = select_rate(link_default, 10000.0, FLAT28, ALL_RBS, mcs_default, SCS,
                     1.0)
-    assert (d.mcs_index, d.num_rbs, d.bler, d.throughput_bps, d.outage) == \
-        (-1, 0, 1.0, 0.0, True)
+    assert (d.mcs_index, d.num_rbs, d.throughput_bps, d.outage) == \
+        (-1, 0, 0.0, True)
     # diagnostic SNR is the 4-RB EESM of the best RBs
     diag = snr_per_rb_db(link_default, 10000.0, FLAT28, [0, 1, 2, 3], SCS)
     assert d.effective_snr_db == pytest.approx(
@@ -398,6 +391,12 @@ def test_select_rate_validation(link_default, mcs_default):
                      1.0)
     assert select_rates(link_default, [], FLAT28, ALL_RBS, mcs_default, SCS,
                         1.0) == []
+    with pytest.raises(ValueError, match="one entry per UE"):
+        select_rate_grid(link_default, [100.0], [FLAT28, FLAT28], [ALL_RBS],
+                         mcs_default, SCS, 1.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        select_rate_grid(link_default, [100.0], [FLAT28, FLAT28],
+                         [ALL_RBS, []], mcs_default, SCS, 1.0)
 
 
 def _brute_force(lm, dist, gains, avail, table, scs, duty, betas):
@@ -452,7 +451,7 @@ def test_select_rate_matches_brute_force(link_default, mcs_default):
 
 
 def test_rate_decision_is_frozen():
-    d = RateDecision(0, 4, 1.0, 0.0, 1e6)
+    d = RateDecision(0, 4, 1.0, 1e6)
     with pytest.raises(AttributeError):
         d.mcs_index = 3
 
@@ -519,6 +518,41 @@ def test_select_rates_grant_sizes(problem):
         else:
             assert MIN_RBS_PER_GRANT <= d.num_rbs <= available
             assert 0 <= d.mcs_index < len(mcs)
+
+
+@st.composite
+def _multi_ue_problems(draw):
+    """1-8 UEs on one band of 8-80 RBs, each with its own gain row and share,
+    shares of one to three widths (some below the 4-RB minimum grant, so
+    every ring is an outage for them), distances 3 m to 30 km in any order, so far rings
+    are outages, and one EESM beta or 15 distinct ones."""
+    num_rbs = draw(st.integers(8, 80))
+    num_ues = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gains = draw(st.floats(-10.0, 28.0)) \
+        - draw(st.floats(0.0, 30.0)) * rng.uniform(0.0, 1.0, (num_ues, num_rbs))
+    # one to three share widths, so UEs of a width are searched together
+    widths = draw(st.lists(st.integers(1, num_rbs), min_size=1, max_size=3))
+    shares = [rng.choice(num_rbs, size=draw(st.sampled_from(widths)),
+                         replace=False) for _ in range(num_ues)]
+    distances = 10.0 ** rng.uniform(0.5, 4.5, draw(st.integers(1, 12)))
+    betas = None if draw(st.booleans()) else rng.uniform(0.5, 3.0, 15)
+    duty = draw(st.sampled_from([1.0, 0.5, 0.125]))
+    return distances, gains, shares, betas, duty
+
+
+@PROPERTY_SETTINGS
+@given(problem=_multi_ue_problems())
+def test_select_rate_grid_equals_per_ue_select_rates(problem):
+    # UEs of equal share width share one kernel call; each decision must
+    # still be the one its UE gets alone, in every field and every bit
+    lm, mcs = LinkModel(carrier_hz=28e9), McsTable.default()
+    distances, gains, shares, betas, duty = problem
+    grid = select_rate_grid(lm, distances, gains, shares, mcs, SCS, duty,
+                            betas)
+    alone = [select_rates(lm, distances, gains[u], shares[u], mcs, SCS, duty,
+                          betas) for u in range(len(shares))]
+    assert grid == [list(ring) for ring in zip(*alone)]
 
 
 @PROPERTY_SETTINGS

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpta.antenna import ArrayConfig, FrequencyGrid, axis_from_boresight_deg
 from jpta.codebook import DelayConstraint
-from jpta.link import LinkModel, McsTable
+from jpta.link import LinkModel, McsTable, RateDecision
 from jpta.sysim import (
     RESULTS_CSV_HEADER,
     SCHEME_JPTA,
@@ -75,6 +77,31 @@ def test_share_target_disjoint_exhaustive(num_ues):
     np.testing.assert_array_equal(merged, np.arange(264))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_share_target_disjoint_cover_property(data):
+    # any UE count, any angles (ties included) and any band with at least
+    # one RB per UE: the shares are non-empty contiguous blocks, disjoint,
+    # and cover [0, num_rbs) in descending boresight order, ties in UE order
+    num_ues = data.draw(st.integers(1, 16))
+    pool = data.draw(st.lists(st.floats(-90.0, 90.0), min_size=1,
+                              max_size=num_ues))
+    angles_deg = data.draw(st.lists(st.sampled_from(pool), min_size=num_ues,
+                                    max_size=num_ues))
+    num_rbs = data.draw(st.integers(num_ues, 300))
+    _, shares = jpta_share_target(np.radians(angles_deg), num_rbs)
+    assert len(shares) == num_ues
+    for share in shares:
+        assert share.size > 0
+        np.testing.assert_array_equal(
+            share, np.arange(share[0], share[0] + share.size))
+    merged = np.sort(np.concatenate(shares))
+    np.testing.assert_array_equal(merged, np.arange(num_rbs))
+    starts = [int(share[0]) for share in shares]
+    order = sorted(range(num_ues), key=lambda u: (-angles_deg[u], u))
+    assert [starts[u] for u in order] == sorted(starts)
+
+
 # ---------------------------------------------------------------------------
 # scheme parity checks
 # ---------------------------------------------------------------------------
@@ -129,6 +156,22 @@ def test_mean_throughput_is_per_ring_ue_average():
     for i, ring in enumerate(res.decisions[SCHEME_JPTA]):
         expect = np.mean([d.throughput_bps for d in ring])
         assert means[i] == pytest.approx(expect, rel=1e-12)
+
+
+def test_mean_throughput_equals_per_ring_mean_bit_for_bit():
+    # summary.csv prints these means: one row mean per ring over the
+    # (rings x UEs) array must equal each ring's 1-D np.mean exactly
+    rng = np.random.default_rng(29)
+    for num_ues in (1, 2, 3, 7, 8, 9, 16, 33, 128, 129, 300):
+        tput = rng.uniform(0.0, 2e9, (40, num_ues))
+        tput[rng.uniform(size=tput.shape) < 0.3] = 0.0
+        decisions = [[RateDecision(0, 4, 1.0, float(t)) for t in ring]
+                     for ring in tput]
+        res = ScenarioResult(distances_m=np.arange(1.0, 41.0),
+                             ue_angles_rad=np.zeros(num_ues),
+                             decisions={SCHEME_PAA: decisions})
+        want = [np.mean([d.throughput_bps for d in ring]) for ring in decisions]
+        assert res.mean_throughput_bps(SCHEME_PAA).tolist() == want, num_ues
 
 
 # ---------------------------------------------------------------------------
