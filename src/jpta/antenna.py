@@ -12,6 +12,7 @@ phase-time responses have unit norm and per-entry magnitude 1/sqrt(M).
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, fields
 
@@ -34,6 +35,38 @@ def require_finite_fields(obj) -> None:
     for f in fields(obj):
         if not math.isfinite(getattr(obj, f.name)):
             raise ValueError("%s must be finite" % f.name)
+
+
+def read_indexed_csv(path, header) -> list:
+    """Rows ``(line, index, values)`` of a CSV file headed by ``header``: an
+    integer index in the first column, finite numbers in the others. Blank
+    rows are skipped; every error names the file and the line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ValueError("%s is empty" % (path,))
+        if tuple(h.strip() for h in first) != header:
+            raise ValueError("%s line 1: header must be %s"
+                             % (path, ",".join(header)))
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = "%s line %d" % (path, reader.line_num)
+            if len(row) != len(header):
+                raise ValueError("%s: row %r must have %d fields"
+                                 % (where, row, len(header)))
+            try:
+                index, values = int(row[0]), tuple(map(float, row[1:]))
+                finite = all(map(math.isfinite, values))
+            except ValueError:
+                finite = False
+            if not finite:
+                raise ValueError("%s: expected an integer %s and finite "
+                                 "numbers, got %r" % (where, header[0], row))
+            rows.append((reader.line_num, index, values))
+    return rows
 
 
 def axis_from_boresight_rad(boresight_rad: float):

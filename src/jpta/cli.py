@@ -76,12 +76,11 @@ def _parse_angle_range(text: str) -> np.ndarray:
     except ValueError:
         raise ConfigError("--angles: expected numbers in start:stop:step, "
                           "got %r" % text)
-    if step <= 0.0:
-        raise ConfigError("--angles: step must be positive")
-    if stop < start:
-        raise ConfigError("--angles: stop must not be below start")
-    if start < -90.0 or stop > 90.0:
-        raise ConfigError("--angles: range must lie within [-90, 90]")
+    # chained comparisons so that NaN and infinities fail too
+    if not 0.0 < step < np.inf:
+        raise ConfigError("--angles: step must be positive and finite")
+    if not -90.0 <= start <= stop <= 90.0:
+        raise ConfigError("--angles: need -90 <= start <= stop <= 90")
     angles = start + step * np.arange(int((stop - start) / step + 0.5) + 1)
     return angles[angles <= stop + 1e-9 * max(1.0, step)]
 

@@ -27,6 +27,7 @@ from .antenna import (
     ArrayConfig,
     FrequencyGrid,
     PhaseTimeWeights,
+    read_indexed_csv,
     require_finite_fields,
 )
 
@@ -293,28 +294,15 @@ def import_codebook_csv(path) -> PhaseTimeWeights:
     Imported weights carry delay_step_s = 0: the file format does not record
     the quantization step.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("codebook file %s is empty" % (path,))
-        if tuple(h.strip() for h in header) != CODEBOOK_CSV_HEADER:
-            raise ValueError(
-                "codebook header must be %s" % (",".join(CODEBOOK_CSV_HEADER),))
-        delays = []
-        phases = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError("codebook row %r must have 3 fields" % (row,))
-            idx = int(row[0])
-            if idx != len(delays) + 1:
-                raise ValueError(
-                    "antenna indices must run 1..M in order; got %d" % idx)
-            delays.append(float(row[1]) * 1e-9)
-            phases.append(math.radians(float(row[2])))
+    delays = []
+    phases = []
+    for line, idx, (delay_ns, phase_deg) in read_indexed_csv(
+            path, CODEBOOK_CSV_HEADER):
+        if idx != len(delays) + 1:
+            raise ValueError("%s line %d: antenna indices must run 1..M in "
+                             "order; got %d" % (path, line, idx))
+        delays.append(delay_ns * 1e-9)
+        phases.append(math.radians(phase_deg))
     if not delays:
         raise ValueError("codebook file %s has no element rows" % (path,))
     return PhaseTimeWeights(delays_s=np.array(delays),

@@ -138,10 +138,7 @@ class RunConfig:
 
     def type1_target(self) -> Type1Target:
         angles_deg = self.design_type1_angles_deg or self.deploy_ue_angles_deg
-        # ascending axis order (descending boresight), as jpta_share_target
-        ordered = sorted(angles_deg, reverse=True)
-        axis = [axis_from_boresight_deg(a) for a in ordered]
-        return Type1Target.equal_shares(axis, self.grid_num_rbs)
+        return jpta_share_target(np.deg2rad(angles_deg), self.grid_num_rbs)[0]
 
     def rainbow_spec(self) -> RainbowSpec:
         return RainbowSpec(
@@ -290,14 +287,13 @@ def load_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    for angle in cfg.deploy_ue_angles_deg:
-        if not -90.0 <= angle <= 90.0:
-            raise ConfigError("deploy.ue_angles_deg: angle %g outside "
-                              "[-90, 90]" % angle)
-    for angle in cfg.design_type1_angles_deg:
-        if not -90.0 <= angle <= 90.0:
-            raise ConfigError("design.type1.angles_deg: angle %g outside "
-                              "[-90, 90]" % angle)
+    for key, angles in (("deploy.ue_angles_deg", cfg.deploy_ue_angles_deg),
+                        ("design.type1.angles_deg",
+                         cfg.design_type1_angles_deg)):
+        for angle in angles:
+            if not -90.0 <= angle <= 90.0:
+                raise ConfigError("%s: angle %g outside [-90, 90]"
+                                  % (key, angle))
     lo, hi = cfg.paa_sector_deg
     if not (-90.0 <= lo < hi <= 90.0):
         raise ConfigError("paa.sector_deg: need -90 <= lo < hi <= 90")
@@ -305,22 +301,18 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("deploy.ring_min_m: must be below deploy.ring_max_m")
     if cfg.deploy_ring_count < 2:
         raise ConfigError("deploy.ring_count: must be >= 2")
-    if len(cfg.deploy_distances_m) > 0:
-        d = np.array(cfg.deploy_distances_m)
-        if np.any(d <= 0.0) or np.any(np.diff(d) <= 0.0):
-            raise ConfigError("deploy.distances_m: must be positive and "
-                              "strictly increasing")
-    if cfg.delay_max_ns < 0.0:
-        raise ConfigError("delay.max_ns: must be nonnegative")
     if not -90.0 <= cfg.design_type2_center_deg <= 90.0:
         raise ConfigError("design.type2.center_deg: outside [-90, 90]")
     if cfg.design_type2_spread_deg < 0.0:
         raise ConfigError("design.type2.spread_deg: must be nonnegative")
-    occupied = cfg.grid_num_rbs * 12 * cfg.grid_scs_hz
-    if occupied > cfg.grid_bandwidth_hz * (1.0 + 1e-12):
-        raise ConfigError("grid.num_rbs: occupied bandwidth %.6g Hz exceeds "
-                          "grid.bandwidth_hz %.6g Hz"
-                          % (occupied, cfg.grid_bandwidth_hz))
+    # after the checks above each builder has one rule of its own left
+    for key, build in (("grid.num_rbs", cfg.frequency_grid),
+                       ("deploy.distances_m", cfg.deployment),
+                       ("delay.max_ns", cfg.delay_constraint)):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError("%s: %s" % (key, exc))
     # a JPTA share below the minimum grant could only ever be an outage
     num_ues = len(cfg.deploy_ue_angles_deg)
     try:

@@ -10,14 +10,17 @@ BLER target by construction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .antenna import SPEED_OF_LIGHT_M_S, require_finite_fields
+from .antenna import (
+    SPEED_OF_LIGHT_M_S,
+    read_indexed_csv,
+    require_finite_fields,
+)
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
@@ -133,6 +136,7 @@ class McsTable:
         for i, e in enumerate(self.entries):
             if e.index != i:
                 raise ValueError("MCS indices must run 0..L-1 in order")
+            require_finite_fields(e)
             if e.spectral_efficiency <= 0.0:
                 raise ValueError("spectral efficiencies must be positive")
         se = [e.spectral_efficiency for e in self.entries]
@@ -162,54 +166,27 @@ class McsTable:
 
     @classmethod
     def from_csv(cls, path) -> "McsTable":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError("MCS table file %s is empty" % (path,))
-            if tuple(h.strip() for h in header) != MCS_CSV_HEADER:
-                raise ValueError(
-                    "MCS table header must be %s" % (",".join(MCS_CSV_HEADER),))
-            entries = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ValueError("MCS row %r must have 3 fields" % (row,))
-                entries.append(McsEntry(int(row[0]), float(row[1]),
-                                        float(row[2])))
-        return cls(tuple(entries))
+        return cls(tuple(McsEntry(idx, se, thr) for _, idx, (se, thr)
+                         in read_indexed_csv(path, MCS_CSV_HEADER)))
 
 
 def load_eesm_betas(path, num_levels: int) -> np.ndarray:
     """Per-MCS EESM beta values from a CSV with columns index,beta."""
     betas = np.full(num_levels, np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("EESM beta file %s is empty" % (path,))
-        if tuple(h.strip() for h in header) != EESM_BETA_CSV_HEADER:
-            raise ValueError(
-                "EESM beta header must be %s" % (",".join(EESM_BETA_CSV_HEADER),))
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError("EESM beta row %r must have 2 fields" % (row,))
-            idx = int(row[0])
-            if not 0 <= idx < num_levels:
-                raise ValueError("EESM beta index %d out of range" % idx)
-            if not np.isnan(betas[idx]):
-                raise ValueError("duplicate EESM beta for index %d" % idx)
-            beta = float(row[1])
-            if not beta > 0.0:
-                raise ValueError("EESM beta must be positive")
-            betas[idx] = beta
+    for line, idx, (beta,) in read_indexed_csv(path, EESM_BETA_CSV_HEADER):
+        if not 0 <= idx < num_levels:
+            raise ValueError("%s line %d: EESM beta index %d out of range"
+                             % (path, line, idx))
+        if not np.isnan(betas[idx]):
+            raise ValueError("%s line %d: duplicate EESM beta for index %d"
+                             % (path, line, idx))
+        if not beta > 0.0:
+            raise ValueError("%s line %d: EESM beta must be positive"
+                             % (path, line))
+        betas[idx] = beta
     if np.any(np.isnan(betas)):
-        raise ValueError("EESM beta file must cover every MCS index")
+        raise ValueError("EESM beta file %s must cover every MCS index"
+                         % (path,))
     return betas
 
 
@@ -262,8 +239,10 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
         betas = np.ones(len(mcs_table))
     else:
         betas = np.asarray(eesm_betas, dtype=np.float64)
-        if betas.size != len(mcs_table) or np.any(betas <= 0.0):
-            raise ValueError("eesm_betas must be positive, one per MCS level")
+        if betas.size != len(mcs_table) or not (
+                np.all(betas > 0.0) and np.all(np.isfinite(betas))):
+            raise ValueError("eesm_betas must be finite and positive, one "
+                             "per MCS level")
 
     link_db = np.array([lm.ue_tx_power_dbm + lm.ue_beam_gain_db
                         + path_gain_db(lm, float(d)) for d in dists])

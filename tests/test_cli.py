@@ -100,7 +100,8 @@ def test_pattern_grid_layout(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("angles", ["10:20", "5:1:1", "0:10:-1", "-95:0:5",
-                                    "a:b:c"])
+                                    "a:b:c", "nan:90:1", "0:nan:1",
+                                    "0:10:nan", "0:10:inf", "-inf:0:1"])
 def test_pattern_bad_angle_ranges_exit_2(tmp_path, capsys, angles):
     cb = tmp_path / "cb.csv"
     main(["design", "--type", "2", "--out", str(cb)])
@@ -108,7 +109,8 @@ def test_pattern_bad_angle_ranges_exit_2(tmp_path, capsys, angles):
     rc = main(["pattern", str(cb), "--angles=%s" % angles,
                "--out", str(tmp_path / "p.csv")])
     assert rc == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err and "--angles" in err
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,20 @@ def test_undersized_jpta_share_exit_2_names_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err and "grid.num_rbs" in err
     assert "minimum grant" in err
+    assert not (out / "results.csv").exists()
+
+
+def test_inf_eesm_betas_exit_2_names_file(tmp_path, capsys):
+    # all-inf betas used to exit 0 with eff_snr_db = nan on every far ring
+    betas = tmp_path / "betas.csv"
+    betas.write_text("index,beta\n" + "".join("%d,inf\n" % i
+                                              for i in range(15)))
+    cfg_path = _write_cfg(tmp_path, SMALL_CFG
+                          + "link.eesm_beta_csv = %s\n" % betas)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "betas.csv line 2" in err
     assert not (out / "results.csv").exists()
 
 

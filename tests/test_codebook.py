@@ -376,3 +376,8 @@ def test_codebook_csv_errors(tmp_path):
     bad_width.write_text("antenna,delay_ns,phase_deg\n1,0\n")
     with pytest.raises(ValueError, match="3 fields"):
         import_codebook_csv(bad_width)
+
+    non_finite = tmp_path / "f.csv"
+    non_finite.write_text("antenna,delay_ns,phase_deg\n1,0,0\n2,nan,0\n")
+    with pytest.raises(ValueError, match="f.csv line 3: .*finite"):
+        import_codebook_csv(non_finite)

@@ -176,8 +176,11 @@ def test_parse_error_reports_line_number():
      "share of 3 RBs"),
 ])
 def test_validation_errors(text, match):
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ConfigError, match=match) as exc:
         parse_config_text(text)
+    # the message starts with one of the keys the text sets
+    keys = [line.split("=")[0].strip() for line in text.splitlines()]
+    assert str(exc.value).split(":")[0] in keys
 
 
 def test_smallest_jpta_share_meets_the_minimum_grant():
@@ -285,11 +288,12 @@ def test_type1_target_builder_descending_boresight():
     bores = [-math.degrees(a - math.pi / 2.0) for a, _ in target.entries]
     assert bores == pytest.approx([30.0, 10.0, -10.0, -30.0])
     assert target.num_rbs == 264
-    # explicit designer angles take precedence
-    cfg2 = parse_config_text("design.type1.angles_deg = -5, 25\n")
+    # explicit designer angles take precedence, ties included; the axis
+    # angles equal the scalar conversion bit for bit
+    cfg2 = parse_config_text("design.type1.angles_deg = -5, 25, -5\n")
     target2 = cfg2.type1_target()
-    assert len(target2.entries) == 2
-    assert target2.entries[0][0] == pytest.approx(axis_from_boresight_deg(25.0))
+    assert [a for a, _ in target2.entries] == [
+        axis_from_boresight_deg(a) for a in (25.0, -5.0, -5.0)]
 
 
 def test_rainbow_spec_builder():

@@ -197,6 +197,13 @@ def test_mcs_table_validation():
         McsTable(entries=(McsEntry(0, 2.0, 0.0), McsEntry(1, 1.0, 1.0)))
     with pytest.raises(ValueError, match="strictly increasing"):
         McsTable(entries=(McsEntry(0, 1.0, 1.0), McsEntry(1, 2.0, 1.0)))
+    # NaN passes the strictly-increasing checks, so it is refused first
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr_threshold_db must be finite"):
+            McsTable(entries=(McsEntry(0, 1.0, 0.0), McsEntry(1, 2.0, bad)))
+        with pytest.raises(ValueError,
+                           match="spectral_efficiency must be finite"):
+            McsTable(entries=(McsEntry(0, bad, 0.0),))
 
 
 def test_mcs_csv_round_trip(tmp_path, mcs_default):
@@ -236,6 +243,13 @@ def test_mcs_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="non-empty"):
         McsTable.from_csv(header_only)
 
+    for bad in ("nan", "inf", "-inf"):
+        non_finite = tmp_path / "f.csv"
+        non_finite.write_text("index,spectral_efficiency,snr_threshold_db\n"
+                              "0,0.5,-3\n\n1,1.0,%s\n" % bad)
+        with pytest.raises(ValueError, match="f.csv line 4: .*finite"):
+            McsTable.from_csv(non_finite)
+
 
 def test_load_eesm_betas(tmp_path):
     path = tmp_path / "betas.csv"
@@ -256,6 +270,11 @@ def test_load_eesm_betas(tmp_path):
     ("index,beta\n99,1\n", "out of range"),
     ("index,beta\n0,1,9\n", "2 fields"),
     ("", "empty"),
+    ("index,beta\n0,inf\n", "b.csv line 2: .*finite"),
+    ("index,beta\n" + "".join("%d,inf\n" % i for i in range(15)),
+     "b.csv line 2: .*finite"),
+    ("index,beta\n0,1\n\n1,nan\n", "b.csv line 4: .*finite"),
+    ("index,beta\n0.5,1\n", "b.csv line 2: .*integer index"),
 ])
 def test_load_eesm_betas_errors(tmp_path, body, match):
     path = tmp_path / "b.csv"
@@ -386,6 +405,10 @@ def test_select_rate_validation(link_default, mcs_default):
     with pytest.raises(ValueError, match="eesm_betas"):
         select_rate(link_default, 100.0, FLAT28, ALL_RBS, mcs_default, SCS,
                     1.0, eesm_betas=np.zeros(15))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="eesm_betas"):
+            select_rate(link_default, 100.0, FLAT28, ALL_RBS, mcs_default,
+                        SCS, 1.0, eesm_betas=np.full(15, bad))
     with pytest.raises(ValueError, match="distances_m"):
         select_rates(link_default, 100.0, FLAT28, ALL_RBS, mcs_default, SCS,
                      1.0)

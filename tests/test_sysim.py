@@ -8,8 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpta.antenna import ArrayConfig, FrequencyGrid, axis_from_boresight_deg
-from jpta.codebook import DelayConstraint
+from jpta import sysim
+from jpta.antenna import (
+    ArrayConfig,
+    FrequencyGrid,
+    axis_from_boresight_deg,
+    beam_gain_db,
+    pattern_map,
+)
+from jpta.codebook import (
+    DelayConstraint,
+    RainbowSpec,
+    design_type2,
+    paa_codebook,
+)
 from jpta.link import LinkModel, McsTable, RateDecision
 from jpta.sysim import (
     RESULTS_CSV_HEADER,
@@ -100,6 +112,56 @@ def test_share_target_disjoint_cover_property(data):
     starts = [int(share[0]) for share in shares]
     order = sorted(range(num_ues), key=lambda u: (-angles_deg[u], u))
     assert [starts[u] for u in order] == sorted(starts)
+
+
+# ---------------------------------------------------------------------------
+# gain rows and the serving beam
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_gain_rows_equal_per_ue_pattern_map_rows(data):
+    # batching evaluates each weight set once over the sorted distinct UE
+    # axes; in any UE order, with repeated angles, every row must equal
+    # that UE's own one-angle pattern_map row bit for bit
+    cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    grid = FrequencyGrid(28e9, 400e6, 120e3, data.draw(st.integers(1, 40)))
+    pool = data.draw(st.lists(st.floats(-90.0, 90.0), min_size=1,
+                              max_size=6))
+    angles = np.radians(data.draw(st.lists(st.sampled_from(pool),
+                                           min_size=1, max_size=12)))
+    weight_sets = [design_type2(cfg, RainbowSpec(math.pi / 2.0, 1.5), grid)]
+    weight_sets += paa_codebook(cfg, 3, SECTOR)
+    rows = sysim._gain_rows(cfg, weight_sets, angles, grid)
+    assert rows.shape == (len(weight_sets), angles.size, grid.num_rbs)
+    for w, set_rows in zip(weight_sets, rows):
+        for bore, row in zip(angles, set_rows):
+            axis = np.array([math.pi / 2.0 - bore])
+            assert np.array_equal(row, pattern_map(cfg, w, axis, grid)[0])
+
+
+def test_paa_serving_beam_tie_goes_to_the_first_beam(monkeypatch):
+    # a UE at boresight sits halfway between beams 7 and 8 of 16 over
+    # +-60 deg: their carrier gains tie exactly, and beam 7 must serve
+    cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    grid = FrequencyGrid(28e9, 400e6, 120e3, 24)
+    beams = paa_codebook(cfg, 16, SECTOR)
+    tied = [beam_gain_db(cfg, beams[b], math.pi / 2.0, 28e9) for b in (7, 8)]
+    assert tied == [23.675375784488104] * 2
+    calls = []
+    real = sysim._gain_rows
+
+    def spy(cfg, weight_sets, ue_angles_rad, grid):
+        calls.append(list(weight_sets))
+        return real(cfg, weight_sets, ue_angles_rad, grid)
+
+    monkeypatch.setattr(sysim, "_gain_rows", spy)
+    dep = Deployment(ue_angles_rad=[0.0], ring_distances_m=[100.0])
+    run_paa(dep, cfg, grid, LinkModel(carrier_hz=28e9), McsTable.default(),
+            beams)
+    # the carrier evaluation of every beam, then the serving beam's rows
+    assert len(calls) == 2 and len(calls[0]) == 16
+    assert len(calls[1]) == 1 and calls[1][0] is beams[7]
 
 
 # ---------------------------------------------------------------------------
