@@ -247,7 +247,8 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
     the rate of its highest upper-bound MCS i, G in ``[meet_i, meet_i+1)``,
     is no lower than the sure rate, G below ``exceed``: one interval of G
     per (n, i), disjoint over i, found among the rings by one binary search.
-    Ties stay live, so the first-n tie rule sees every candidate it needs.
+    All users go through one pass over (user, n, MCS) arrays. Ties stay
+    live, so the first-n tie rule sees every candidate it needs.
 
     Both bounds are widened by ``_BOUND_REL`` relative, and the upper one
     also by ``_BOUND_REL`` times the largest beta. That covers the rounding
@@ -276,31 +277,29 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
     above = np.empty_like(by_rate)
     above[by_rate] = np.searchsorted(rate[by_rate], rate[by_rate],
                                      side="right")
-    # lowest[j]: the smallest reach point from rate position j up;
-    # meet[:, i + 1] closes MCS i's interval, the last column the top MCS's
-    lowest = np.full(rate.size + 1, np.inf)
-    meet = np.full((counts.size, levels + 1), np.inf)
-    cells = []
-    for u in range(gain_db_desc.shape[0]):
-        # a threshold below the upper bound's absolute slack gives a meet
-        # point at or below 0, met at every ring
-        reach = thr_lin / low[u, :, None]
-        np.divide(need, high[u, :, None], out=meet[:, :-1])
-        # per (n, i), the G at which the sure rate first exceeds se_i * n:
-        # the smallest reach point of a higher rate, inf if none
-        np.minimum.accumulate(reach.ravel()[by_rate[::-1]],
-                              out=lowest[-2::-1])
-        exceed = lowest[above].reshape(reach.shape)
-        end = np.minimum(exceed, meet[:, 1:])
-        lo = np.searchsorted(link_sorted, meet[:, :-1], side="left").ravel()
-        size = np.searchsorted(link_sorted, end, side="left").ravel()
-        size -= lo
-        live = np.flatnonzero(size > 0)
-        cells.append((live // levels, np.full(live.size, u), lo[live],
-                      size[live]))
-    n_idx, user, lo, size = (np.concatenate(c) for c in zip(*cells))
-    order = np.argsort(n_idx, kind="stable")
-    n_idx, user, lo, size = n_idx[order], user[order], lo[order], size[order]
+    ues = gain_db_desc.shape[0]
+    reach = thr_lin / low[:, :, None]
+    # meet[u, :, i + 1] closes MCS i's interval, the last column the top
+    # MCS's; a threshold below the upper bound's absolute slack gives a meet
+    # point at or below 0, met at every ring
+    meet = np.full((ues, counts.size, levels + 1), np.inf)
+    np.divide(need, high[:, :, None], out=meet[:, :, :-1])
+    # lowest[u, j]: user u's smallest reach point from rate position j up
+    lowest = np.full((ues, rate.size + 1), np.inf)
+    np.minimum.accumulate(reach.reshape(ues, -1)[:, by_rate[::-1]], axis=1,
+                          out=lowest[:, -2::-1])
+    # per (u, n, i), the G at which the sure rate first exceeds se_i * n:
+    # the smallest reach point of a higher rate, inf if none
+    exceed = lowest[:, above].reshape(reach.shape)
+    end = np.minimum(exceed, meet[:, :, 1:])
+    lo = np.searchsorted(link_sorted, meet[:, :, :-1], side="left").ravel()
+    size = np.searchsorted(link_sorted, end, side="left").ravel()
+    size -= lo
+    live = np.flatnonzero(size > 0)
+    # ordered by n, then by user and MCS
+    live = live[np.argsort(live // levels % counts.size, kind="stable")]
+    user, n_idx = np.divmod(live // levels, counts.size)
+    lo, size = lo[live], size[live]
     # the rings of each (n, user, i) interval, end to end
     where = np.repeat(lo - (np.cumsum(size) - size), size)
     where += np.arange(where.size)

@@ -4,8 +4,8 @@ Subcommands: ``design`` writes a weight codebook CSV, ``pattern`` evaluates
 a codebook over an angle/frequency grid, ``simulate`` writes per-user and
 summary throughput CSVs, ``coverage`` reports the farthest distance meeting
 a throughput threshold. All angles on this surface are boresight-relative
-degrees. Exit codes: 0 success, 2 bad usage or configuration, 1 internal
-error. Set JPTA_LOG=debug|info|... to raise logging verbosity.
+degrees. Exit codes: 0 success, 2 bad usage, configuration or input file,
+1 internal error. Set JPTA_LOG=debug|info|... to raise logging verbosity.
 """
 
 from __future__ import annotations
@@ -89,11 +89,20 @@ def _cmd_pattern(args) -> int:
     cfg = _load(args)
     array = cfg.array_config()
     grid = cfg.frequency_grid()
-    weights = import_codebook_csv(args.codebook)
+    try:
+        weights = import_codebook_csv(args.codebook)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if weights.num_elements != array.num_elements:
+        raise ConfigError("%s: %d antennas, but array.num_elements is %d"
+                          % (args.codebook, weights.num_elements,
+                             array.num_elements))
     bore_deg = _parse_angle_range(args.angles)
     # boresight degrees descend as axis radians ascend; evaluate on the
     # ascending axis grid, then flip rows back to ascending degrees
     axis = np.array([axis_from_boresight_deg(a) for a in bore_deg[::-1]])
+    if np.any(np.diff(axis) <= 0.0):
+        raise ConfigError("--angles: step too small to tell angles apart")
     gains = pattern_map(array, weights, axis, grid)[::-1]
     # the bytes csv.writer would write (no field needs quoting): one row
     # template for the file, filled per angle by one %-format and written
@@ -223,7 +232,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         # bad configuration or bad input data, including unreadable files
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -170,16 +170,15 @@ def design_type2(cfg: ArrayConfig, spec: RainbowSpec,
 def _target_slopes(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
                    per_subcarrier: bool):
     """Evaluation frequencies and per-element target phase slopes."""
-    rb_angles = target.rb_angles(grid.num_rbs)
+    angles = target.rb_angles(grid.num_rbs)
     if per_subcarrier:
         freqs = grid.subcarrier_freqs()
-        angles = np.repeat(rb_angles, 12)
+        angles = np.repeat(angles, 12)
     else:
         freqs = grid.rb_center_freqs()
-        angles = rb_angles
     slopes = 2.0 * math.pi * cfg.spacing_m * freqs * np.cos(angles) \
         / SPEED_OF_LIGHT_M_S
-    return freqs, angles, slopes
+    return freqs, slopes
 
 
 # the designer's last twiddle table per evaluation mode (RB centers or
@@ -214,7 +213,7 @@ def design_type1(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
 
     Returns (weights, achieved objective).
     """
-    freqs, angles, slopes = _target_slopes(cfg, target, grid, per_subcarrier)
+    freqs, slopes = _target_slopes(cfg, target, grid, per_subcarrier)
     taus = constraint.grid()
     if taus.size == 0:
         raise ValueError("delay grid is empty")
@@ -234,7 +233,7 @@ def type1_objective(cfg: ArrayConfig, weights: PhaseTimeWeights,
                     target: Type1Target, grid: FrequencyGrid,
                     per_subcarrier: bool = False) -> float:
     """Achieved sum of squared distances to the target steering vectors."""
-    freqs, angles, slopes = _target_slopes(cfg, target, grid, per_subcarrier)
+    freqs, slopes = _target_slopes(cfg, target, grid, per_subcarrier)
     m = np.arange(cfg.num_elements, dtype=np.float64)
     steer = np.exp(1j * slopes[:, None] * m[None, :])
     resp = np.exp(1j * (weights.phases_rad[None, :]
@@ -289,7 +288,8 @@ def export_codebook_csv(weights: PhaseTimeWeights, path) -> None:
 
 
 def import_codebook_csv(path) -> PhaseTimeWeights:
-    """Read a codebook written by export_codebook_csv.
+    """Read a codebook written by export_codebook_csv; every error names
+    the file.
 
     Imported weights carry delay_step_s = 0: the file format does not record
     the quantization step.
@@ -305,5 +305,8 @@ def import_codebook_csv(path) -> PhaseTimeWeights:
         phases.append(math.radians(phase_deg))
     if not delays:
         raise ValueError("codebook file %s has no element rows" % (path,))
-    return PhaseTimeWeights(delays_s=np.array(delays),
-                            phases_rad=np.array(phases), delay_step_s=0.0)
+    try:
+        return PhaseTimeWeights(delays_s=np.array(delays),
+                                phases_rad=np.array(phases), delay_step_s=0.0)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc))

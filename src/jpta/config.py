@@ -126,8 +126,6 @@ class RunConfig:
     def eesm_betas(self, table: McsTable) -> np.ndarray:
         if self.link_eesm_beta_csv:
             return load_eesm_betas(self.link_eesm_beta_csv, len(table))
-        if not self.link_eesm_beta > 0.0:
-            raise ConfigError("link.eesm_beta: must be positive")
         return np.full(len(table), self.link_eesm_beta)
 
     def paa_sector_rad(self) -> tuple:
@@ -295,7 +293,9 @@ def _validate(cfg: RunConfig) -> None:
                 raise ConfigError("%s: angle %g outside [-90, 90]"
                                   % (key, angle))
     lo, hi = cfg.paa_sector_deg
-    if not (-90.0 <= lo < hi <= 90.0):
+    # compared again in axis radians, where a narrower sector rounds to none
+    axis_lo, axis_hi = cfg.paa_sector_rad()
+    if not (-90.0 <= lo < hi <= 90.0 and axis_lo < axis_hi):
         raise ConfigError("paa.sector_deg: need -90 <= lo < hi <= 90")
     if cfg.deploy_ring_min_m >= cfg.deploy_ring_max_m:
         raise ConfigError("deploy.ring_min_m: must be below deploy.ring_max_m")
@@ -303,16 +303,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("deploy.ring_count: must be >= 2")
     if not -90.0 <= cfg.design_type2_center_deg <= 90.0:
         raise ConfigError("design.type2.center_deg: outside [-90, 90]")
-    if cfg.design_type2_spread_deg < 0.0:
-        raise ConfigError("design.type2.spread_deg: must be nonnegative")
-    # after the checks above each builder has one rule of its own left
-    for key, build in (("grid.num_rbs", cfg.frequency_grid),
-                       ("deploy.distances_m", cfg.deployment),
-                       ("delay.max_ns", cfg.delay_constraint)):
-        try:
-            build()
-        except ValueError as exc:
-            raise ConfigError("%s: %s" % (key, exc))
     # a JPTA share below the minimum grant could only ever be an outage
     num_ues = len(cfg.deploy_ue_angles_deg)
     try:
@@ -326,3 +316,20 @@ def _validate(cfg: RunConfig) -> None:
                           "share of %d RBs, below the %d-RB minimum grant"
                           % (cfg.grid_num_rbs, num_ues, smallest,
                              MIN_RBS_PER_GRANT))
+    # after the checks above each builder has one rule of its own left, or
+    # reads an input file; a log grid with more rings than its span can
+    # separate repeats a distance
+    rings_key = ("deploy.distances_m" if cfg.deploy_distances_m
+                 else "deploy.ring_count")
+    for key, build in (("grid.num_rbs", cfg.frequency_grid),
+                       (rings_key, cfg.deployment),
+                       ("delay.max_ns", cfg.delay_constraint),
+                       ("link.mcs_table_csv", cfg.mcs_table),
+                       ("link.eesm_beta_csv",
+                        lambda: cfg.eesm_betas(cfg.mcs_table())),
+                       ("design.type1.angles_deg", cfg.type1_target),
+                       ("design.type2.spread_deg", cfg.rainbow_spec)):
+        try:
+            build()
+        except (ValueError, OSError) as exc:
+            raise ConfigError("%s: %s" % (key, exc))

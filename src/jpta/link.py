@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,8 +167,13 @@ class McsTable:
 
     @classmethod
     def from_csv(cls, path) -> "McsTable":
-        return cls(tuple(McsEntry(idx, se, thr) for _, idx, (se, thr)
-                         in read_indexed_csv(path, MCS_CSV_HEADER)))
+        """Table from an MCS CSV file; every error names the file."""
+        rows = read_indexed_csv(path, MCS_CSV_HEADER)
+        try:
+            return cls(tuple(McsEntry(idx, se, thr)
+                             for _, idx, (se, thr) in rows))
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc))
 
 
 def load_eesm_betas(path, num_levels: int) -> np.ndarray:
@@ -190,8 +196,7 @@ def load_eesm_betas(path, num_levels: int) -> np.ndarray:
     return betas
 
 
-@dataclass(frozen=True)
-class RateDecision:
+class RateDecision(NamedTuple):
     """Outcome of rate selection for one UE at one distance."""
 
     mcs_index: int
@@ -252,37 +257,31 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
     thr_lin = np.power(10.0, mcs_table.thresholds_db() / 10.0)
     se = mcs_table.spectral_efficiencies()
 
-    decisions = [[None] * len(shares) for _ in range(dists.size)]
+    # one (UE x ring) array per RateDecision field, filled per share width
+    shape = (2, len(shares), dists.size)
+    mcs, num_rbs = np.empty(shape, dtype=np.int64)
+    eff_db, tput = np.empty(shape)
     for width in sorted({share.size for share in shares}):
         ues = [u for u, share in enumerate(shares) if share.size == width]
         gains_desc = np.array([shares[u] for u in ues])
-        best_n, best_mcs, best_eff_lin, best_se_n = _kernels.rate_scan_batch(
+        best_n, best_mcs, best_eff, best_se_n = _kernels.rate_scan_batch(
             link_db, gains_desc, noise_db, thr_lin, se, unique_betas,
             beta_idx, MIN_RBS_PER_GRANT)
-
+        won = best_mcs >= 0
+        best_eff[won] = [10.0 * math.log10(e)
+                         for e in best_eff[won].tolist()]
         # diagnostic effective SNR of every outage: the most concentrated
         # allowed allocation
-        out_u, out_r = np.nonzero(best_mcs < 0)
+        out_u, out_r = np.nonzero(~won)
         n_diag = min(MIN_RBS_PER_GRANT, width)
         split = _kernels.snr_unsplit(link_db[out_r, None],
                                      gains_desc[out_u, :n_diag], noise_db)
-        diag_db = iter(_eesm_effective_snr_db_rows(
-            10.0 * np.log10(split / n_diag), float(betas[0])))
-
-        throughput = best_se_n * 12.0 * scs_hz * slot_duty
-        for k, u in enumerate(ues):
-            for r, (mcs, n, eff, tput) in enumerate(zip(
-                    best_mcs[k].tolist(), best_n[k].tolist(),
-                    best_eff_lin[k].tolist(), throughput[k].tolist())):
-                # positional fields: (mcs_index, num_rbs, effective_snr_db,
-                # throughput_bps, outage)
-                if mcs < 0:
-                    decisions[r][u] = RateDecision(-1, 0, next(diag_db), 0.0,
-                                                   True)
-                else:
-                    decisions[r][u] = RateDecision(
-                        mcs, n, 10.0 * math.log10(eff), tput, False)
-    return decisions
+        best_eff[out_u, out_r] = _eesm_effective_snr_db_rows(
+            10.0 * np.log10(split / n_diag), float(betas[0]))
+        mcs[ues], num_rbs[ues], eff_db[ues] = best_mcs, best_n, best_eff
+        tput[ues] = best_se_n * 12.0 * scs_hz * slot_duty
+    columns = [c.T.tolist() for c in (mcs, num_rbs, eff_db, tput, mcs < 0)]
+    return [list(map(RateDecision, *ring)) for ring in zip(*columns)]
 
 
 def select_rates(lm: LinkModel, distances_m, gain_row, available_rbs,

@@ -145,15 +145,15 @@ def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
 
 def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
              lm: LinkModel, mcs_table: McsTable,
-             constraint: DelayConstraint, eesm_betas=None,
-             per_subcarrier: bool = False):
+             constraint: DelayConstraint, eesm_betas=None):
     """FDM scheme: subband-steered weights, full duty, per-UE RB share.
 
-    Returns (decisions[ring][ue], designed weights). RB shares are disjoint
-    by construction, so UEs do not interfere.
+    Returns (decisions[ring][ue], designed weights). The weights are fitted
+    at the RB centers. RB shares are disjoint by construction, so UEs do not
+    interfere.
     """
     target, shares = jpta_share_target(dep.ue_angles_rad, grid.num_rbs)
-    weights, _ = design_type1(cfg, target, grid, constraint, per_subcarrier)
+    weights, _ = design_type1(cfg, target, grid, constraint)
     # conservation: the disjoint shares exhaust the band exactly
     assert sum(s.size for s in shares) == grid.num_rbs
     gain_rows = _gain_rows(cfg, [weights], dep.ue_angles_rad, grid)[0]

@@ -101,7 +101,8 @@ def test_pattern_grid_layout(tmp_path, capsys):
 
 @pytest.mark.parametrize("angles", ["10:20", "5:1:1", "0:10:-1", "-95:0:5",
                                     "a:b:c", "nan:90:1", "0:nan:1",
-                                    "0:10:nan", "0:10:inf", "-inf:0:1"])
+                                    "0:10:nan", "0:10:inf", "-inf:0:1",
+                                    "0:1e-300:1e-300"])
 def test_pattern_bad_angle_ranges_exit_2(tmp_path, capsys, angles):
     cb = tmp_path / "cb.csv"
     main(["design", "--type", "2", "--out", str(cb)])
@@ -229,6 +230,58 @@ def test_inf_eesm_betas_exit_2_names_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err and "betas.csv line 2" in err
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text,command,key", [
+    # the swept interval 80 +- 55 deg used to pass simulate and fail design
+    # without a key
+    ("design.type2.center_deg = 80\n", "design --type 2",
+     "design.type2.spread_deg: swept interval"),
+    ("design.type2.center_deg = 80\n", "simulate",
+     "design.type2.spread_deg: swept interval"),
+    pytest.param("design.type1.angles_deg = %s\n" % ", ".join(["0"] * 300),
+                 "design --type 1", "design.type1.angles_deg: fewer RBs",
+                 id="300-type1-angles"),
+    ("link.mcs_table_csv = {tmp}/mcs.csv\n", "simulate",
+     "link.mcs_table_csv: {tmp}/mcs.csv: SNR thresholds"),
+])
+def test_config_input_errors_exit_2_name_key(tmp_path, capsys, text, command,
+                                             key):
+    (tmp_path / "mcs.csv").write_text(
+        "index,spectral_efficiency,snr_threshold_db\n0,0.5,3\n1,1.0,-3\n")
+    cfg_path = _write_cfg(tmp_path, text.replace("{tmp}", str(tmp_path)))
+    out = tmp_path / "o"
+    argv = command.split() + ["--config", cfg_path, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: " + key.replace("{tmp}", str(tmp_path)) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows,match", [
+    # 4 antennas for the default 16-element array
+    ("".join("%d,0,0\n" % i for i in range(1, 5)), "array.num_elements"),
+    ("1,0,0\n2,-2.5,0\n", "delays_s must be nonnegative"),
+])
+def test_bad_codebook_exit_2_names_file(tmp_path, capsys, rows, match):
+    cb = tmp_path / "cb.csv"
+    cb.write_text("antenna,delay_ns,phase_deg\n" + rows)
+    rc = main(["pattern", str(cb), "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: %s" % cb in err and match in err
+
+
+def test_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
+    # only input errors are the user's: a fault inside a command is not
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast")
+    monkeypatch.setattr("jpta.cli.throughput_sweep", broken)
+    rc = main(["simulate", "--config", _write_cfg(tmp_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: operands" in err and "config error" not in err
 
 
 def test_missing_codebook_exit_2(tmp_path, capsys):

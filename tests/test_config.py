@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpta import ArrayConfig, DelayConstraint, Deployment, FrequencyGrid
 from jpta.antenna import SPEED_OF_LIGHT_M_S, axis_from_boresight_deg
+from jpta.codebook import paa_codebook
 from jpta.config import ConfigError, RunConfig, load_config, parse_config_text
 from jpta.link import McsTable
 
@@ -161,10 +164,13 @@ def test_parse_error_reports_line_number():
     ("deploy.ue_angles_deg = 0, 95", "outside"),
     ("design.type1.angles_deg = -91", "outside"),
     ("paa.sector_deg = 45, -45", "lo < hi"),
+    ("paa.sector_deg = 0, 1e-20", "lo < hi"),
     ("deploy.ring_min_m = 100\ndeploy.ring_max_m = 50", "below"),
     ("deploy.ring_count = 1", ">= 2"),
     ("deploy.distances_m = 100, 50", "strictly increasing"),
     ("deploy.distances_m = -5, 50", "strictly increasing"),
+    ("deploy.ring_min_m = 1\ndeploy.ring_max_m = 1.0000000000000002\n"
+     "deploy.ring_count = 50", "strictly increasing"),
     ("delay.max_ns = -1", "nonnegative"),
     ("design.type2.center_deg = 100", "outside"),
     ("design.type2.spread_deg = -2", "nonnegative"),
@@ -174,8 +180,22 @@ def test_parse_error_reports_line_number():
     ("grid.num_rbs = 3", "share of 0 RBs"),
     ("deploy.ue_angles_deg = -40, -20, 0, 20, 40\ngrid.num_rbs = 19",
      "share of 3 RBs"),
+    # the swept interval center +- spread/2 leaves the visible half-plane
+    ("design.type2.center_deg = 80\ndesign.type2.spread_deg = 110",
+     "design.type2.spread_deg: swept interval"),
+    pytest.param("design.type1.angles_deg = " + ", ".join(["0"] * 300),
+                 "design.type1.angles_deg: fewer RBs than target angles",
+                 id="300-type1-angles"),
+    ("link.mcs_table_csv = {tmp}/falling.csv",
+     "link.mcs_table_csv: .*falling.csv: SNR thresholds must be strictly"),
+    ("link.mcs_table_csv = {tmp}/absent.csv", "link.mcs_table_csv: .*absent"),
+    ("link.eesm_beta_csv = {tmp}/falling.csv", "link.eesm_beta_csv: .*header"),
 ])
-def test_validation_errors(text, match):
+def test_validation_errors(text, match, tmp_path):
+    # input files are read, and rejected, when the config is parsed
+    (tmp_path / "falling.csv").write_text(
+        "index,spectral_efficiency,snr_threshold_db\n0,0.5,3\n1,1.0,-3\n")
+    text = text.replace("{tmp}", str(tmp_path))
     with pytest.raises(ConfigError, match=match) as exc:
         parse_config_text(text)
     # the message starts with one of the keys the text sets
@@ -301,3 +321,53 @@ def test_rainbow_spec_builder():
                              "design.type2.spread_deg = 80\n").rainbow_spec()
     assert spec.center_rad == pytest.approx(axis_from_boresight_deg(10.0))
     assert spec.spread_rad == pytest.approx(math.radians(80.0))
+
+
+# ---------------------------------------------------------------------------
+# property: a config that parses builds every run object
+# ---------------------------------------------------------------------------
+
+def _numbers(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_config_that_parses_builds_every_run_object(data):
+    # every range-checked key, drawn in and around its valid range
+    draw = data.draw
+    keys = {
+        "deploy.ue_angles_deg": draw(st.lists(_numbers(-100, 100),
+                                              min_size=1, max_size=6)),
+        "paa.sector_deg": draw(st.lists(_numbers(-100, 100), min_size=2,
+                                        max_size=2)),
+        "deploy.ring_min_m": [draw(_numbers(-10, 3000))],
+        "deploy.ring_max_m": [draw(_numbers(-10, 3000))],
+        "deploy.ring_count": [draw(st.integers(-1, 400))],
+        "grid.num_rbs": [draw(st.integers(-1, 300))],
+        "design.type2.center_deg": [draw(_numbers(-100, 100))],
+        "design.type2.spread_deg": [draw(_numbers(-20, 400))],
+    }
+    if draw(st.booleans()):
+        keys["deploy.distances_m"] = draw(st.lists(_numbers(-10, 3000),
+                                                   min_size=1, max_size=5))
+    count = draw(st.integers(0, 300))
+    if count:
+        keys["design.type1.angles_deg"] = np.linspace(-60, 60, count).tolist()
+    text = "".join("%s = %s\n" % (key, ", ".join(map(repr, values)))
+                   for key, values in keys.items())
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError as exc:
+        assert str(exc).split(":")[0] in keys, str(exc)
+        return
+    array = cfg.array_config()
+    cfg.frequency_grid()
+    cfg.link_model()
+    cfg.delay_constraint()
+    cfg.deployment()
+    cfg.eesm_betas(cfg.mcs_table())
+    cfg.type1_target()
+    cfg.rainbow_spec()
+    assert len(paa_codebook(array, cfg.paa_num_beams,
+                            cfg.paa_sector_rad())) == cfg.paa_num_beams
