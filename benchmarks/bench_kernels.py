@@ -10,6 +10,11 @@ user and ring). Kernels and the delay- and rate-scan oracles report the
 best of ``--repeats`` runs; the oracles that take seconds (pattern grid,
 8-user rate scan) are timed once.
 
+One row times a shape of the pattern kernel against the kernel itself: the
+PAA gain rows of 8 UEs, 16 beams at the carrier and 8 serving beams over
+264 RBs, as two calls with the weight sets tiled as column blocks against
+the 24 one-set calls they replace.
+
 Usage::
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N]
@@ -58,6 +63,37 @@ def _pattern_args(num_angles: int):
     return cos_angles, freqs, phases, delays, slope_scale
 
 
+def _paa_gain_row_args():
+    """8 UEs, 16 frequency-flat beams and the 264 RB centers."""
+    cos_ues, rbs, _, _, slope_scale = _pattern_args(8)
+    elem = np.arange(16)
+    phases = np.pi * np.sin(np.linspace(-1.0, 1.0, 16))[:, None] * elem
+    return cos_ues, np.array([28e9]), rbs, phases, np.zeros((16, 16)), \
+        slope_scale
+
+
+def _paa_gain_rows_as_columns(cos_ues, carrier, rbs, phases, delays,
+                              slope_scale):
+    """All beams at the carrier in one call, 8 beams over the RBs in one."""
+    _kernels.pattern_corr(cos_ues, np.tile(carrier, 16), phases, delays,
+                          slope_scale)
+    _kernels.pattern_corr(cos_ues, np.tile(rbs, 8),
+                          np.repeat(phases[:8], rbs.size, axis=0),
+                          np.repeat(delays[:8], rbs.size, axis=0),
+                          slope_scale)
+
+
+def _paa_gain_rows_per_set(cos_ues, carrier, rbs, phases, delays,
+                           slope_scale):
+    """The same cells from one call per beam and frequency set."""
+    for b in range(16):
+        _kernels.pattern_corr(cos_ues, carrier, phases[b], delays[b],
+                              slope_scale)
+    for b in range(8):
+        _kernels.pattern_corr(cos_ues, rbs, phases[b], delays[b],
+                              slope_scale)
+
+
 def _delay_args():
     rng = np.random.default_rng(2)
     freqs = 28e9 + 120e3 * 12.0 * (np.arange(264) - 131.5)
@@ -98,12 +134,16 @@ def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
     return [rate_scan_py(row, *args) for user in rows for row in user]
 
 
-# (label, kernel, oracle, argument factory, oracle timed once)
+# (label, kernel, oracle or per-set reference, argument factory, oracle
+# timed once)
 BENCHES = [
     ("pattern_corr (721 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
      pattern_corr_py, lambda: _pattern_args(721), True),
     ("pattern_corr (3001 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
      pattern_corr_py, lambda: _pattern_args(3001), True),
+    ("pattern_corr (PAA gain rows, 8 UEs, 2 calls)",
+     _paa_gain_rows_as_columns, _paa_gain_rows_per_set, _paa_gain_row_args,
+     False),
     ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",

@@ -52,23 +52,24 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     Entry (a, k) is ``|(1/M) sum_m exp(j(slope_scale*f_k*cos_a*m - phi_m
     - 2*pi*f_k*tau_m))|`` where ``slope_scale = 2*pi*spacing/c``. This is the
     magnitude of the conjugated inner product between the unit-norm steering
-    vector and the unit-norm phase-time response.
+    vector and the unit-norm phase-time response. ``phases`` and ``delays``
+    hold one weight set, shape (M,), or one per column, shape (K, M).
 
     The sum is a polynomial in ``z[a, k] = exp(j*slope_scale*f_k*cos_a)``
-    with per-frequency coefficients ``c[k, m] = exp(-j(phi_m +
+    with per-column coefficients ``c[k, m] = exp(-j(phi_m +
     2*pi*f_k*tau_m))``, evaluated by Horner's rule over m: A*K + K*M complex
     exponentials instead of A*K*M, and M - 1 in-place multiply-adds on an
     (angle chunk x K) array, each adding one contiguous coefficient row
     ``c[:, m]``. Every cell is computed by the same elementwise
-    operations whatever the chunking, so a row does not depend on the other
-    angles of the call.
+    operations whatever the chunking or the other columns, so neither a row
+    nor a block of columns depends on the rest of the call.
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
     freqs = np.asarray(freqs, dtype=np.float64)
-    num_el = phases.shape[0]
+    num_el = phases.shape[-1]
     # one contiguous row of K coefficients per element, for the Horner steps
     coef = np.ascontiguousarray(np.exp(
-        -1j * (phases[None, :] + TWO_PI * freqs[:, None] * delays[None, :])).T)
+        -1j * (phases + TWO_PI * freqs[:, None] * delays)).T)
     out = np.empty((cos_angles.size, freqs.size), dtype=np.float64)
     slope = slope_scale * freqs
     chunk = max(1, PATTERN_CHUNK_CELLS // max(1, freqs.size))
@@ -79,9 +80,11 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
         np.sin(arg, out=z.imag)
         acc = np.empty_like(z)
         acc[:] = coef[-1]
+        # numpy rounds a one-cell in-place product unlike its vector loop
+        prod = acc if acc.size > 1 else np.empty_like(acc)
         for m in range(num_el - 2, -1, -1):
-            acc *= z
-            acc += coef[m]
+            np.multiply(acc, z, out=prod)
+            np.add(prod, coef[m], out=acc)
         np.abs(acc, out=out[a0:a0 + chunk])
     out /= num_el
     return out

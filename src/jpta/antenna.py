@@ -132,10 +132,11 @@ class FrequencyGrid:
 
     def __post_init__(self):
         require_finite_fields(self)
-        if not self.center_hz > 0.0:
-            raise ValueError("center_hz must be positive")
         if not self.bandwidth_hz > 0.0:
             raise ValueError("bandwidth_hz must be positive")
+        if not self.center_hz > self.bandwidth_hz / 2.0:
+            raise ValueError("center_hz must exceed bandwidth_hz / 2: the "
+                             "band may not reach 0 Hz")
         if not self.scs_hz > 0.0:
             raise ValueError("scs_hz must be positive")
         if self.num_rbs < 1:
@@ -277,11 +278,22 @@ def pattern_map(cfg: ArrayConfig, weights: PhaseTimeWeights,
         raise ValueError("angle_grid_rad must be strictly increasing")
     for a in (angles[0], angles[-1]):
         _check_angle(a)
-    if weights.num_elements != cfg.num_elements:
-        raise ValueError("weights length does not match cfg.num_elements")
-    freqs = grid.rb_center_freqs()
+    return pattern_gain_db(cfg, [weights], np.cos(angles),
+                           grid.rb_center_freqs())
+
+
+def pattern_gain_db(cfg: ArrayConfig, weight_sets, cos_angles, freqs):
+    """Gain in dB, shape (angles, sets * freqs): one ``pattern_corr`` call
+    with the weight sets as column blocks, then peak_gain_db plus 20*log10
+    of the correlation floored at CORRELATION_FLOOR."""
+    for w in weight_sets:
+        if w.num_elements != cfg.num_elements:
+            raise ValueError("weights length does not match cfg.num_elements")
     slope_scale = 2.0 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S
-    corr = _kernels.pattern_corr(np.cos(angles), freqs, weights.phases_rad,
-                                 weights.delays_s, slope_scale)
+    corr = _kernels.pattern_corr(
+        cos_angles, np.tile(freqs, len(weight_sets)),
+        np.repeat([w.phases_rad for w in weight_sets], len(freqs), axis=0),
+        np.repeat([w.delays_s for w in weight_sets], len(freqs), axis=0),
+        slope_scale)
     corr = np.maximum(corr, CORRELATION_FLOOR)
     return cfg.peak_gain_db + 20.0 * np.log10(corr)

@@ -211,21 +211,21 @@ def design_type1(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
     the argument of S_m at that delay. Evaluation runs at RB centers by
     default, or every subcarrier with per_subcarrier=True.
 
-    Returns (weights, achieved objective).
+    Returns (weights, achieved objective). With that phase antenna m adds
+    (2K - 2|S_m|)/M over the K evaluation frequencies to the objective.
     """
     freqs, slopes = _target_slopes(cfg, target, grid, per_subcarrier)
     taus = constraint.grid()
-    if taus.size == 0:
-        raise ValueError("delay grid is empty")
     scores = _kernels.delay_scan(
         slopes, _delay_twiddles(taus, freqs, per_subcarrier),
         cfg.num_elements)
     best = np.argmax(np.abs(scores), axis=0)
-    delays = taus[best]
-    phases = np.angle(scores[best, np.arange(cfg.num_elements)])
-    weights = PhaseTimeWeights(delays_s=delays, phases_rad=phases,
+    fitted = scores[best, np.arange(cfg.num_elements)]
+    weights = PhaseTimeWeights(delays_s=taus[best],
+                               phases_rad=np.angle(fitted),
                                delay_step_s=constraint.step_s)
-    objective = type1_objective(cfg, weights, target, grid, per_subcarrier)
+    objective = 2.0 * freqs.size \
+        - 2.0 / cfg.num_elements * float(np.sum(np.abs(fitted)))
     return weights, objective
 
 

@@ -210,8 +210,7 @@ _KEY_SPECS = {
     "array.carrier_hz": ("array_carrier_hz",
                          lambda k, t: _positive(k, _parse_float(k, t))),
     "array.peak_gain_db": ("array_peak_gain_db", _parse_float),
-    "grid.center_hz": ("grid_center_hz",
-                       lambda k, t: _positive(k, _parse_float(k, t))),
+    "grid.center_hz": ("grid_center_hz", _parse_float),
     "grid.bandwidth_hz": ("grid_bandwidth_hz",
                           lambda k, t: _positive(k, _parse_float(k, t))),
     "grid.scs_hz": ("grid_scs_hz",
@@ -332,4 +331,8 @@ def _validate(cfg: RunConfig) -> None:
         try:
             build()
         except (ValueError, OSError) as exc:
+            # the grid's other rule, a band above 0 Hz, is the center's
+            if key == "grid.num_rbs" and str(exc).startswith("center_hz"):
+                key = ("grid.center_hz" if cfg.grid_center_hz is not None
+                       else "array.carrier_hz")
             raise ConfigError("%s: %s" % (key, exc))

@@ -27,7 +27,7 @@ from .antenna import (
     FrequencyGrid,
     PhaseTimeWeights,
     axis_from_boresight_rad,
-    pattern_map,
+    pattern_gain_db,
 )
 from .codebook import DelayConstraint, Type1Target, design_type1, paa_codebook
 from .link import LinkModel, McsTable, select_rate_grid
@@ -103,18 +103,16 @@ def jpta_share_target(ue_angles_rad, num_rbs: int):
 
 
 def _gain_rows(cfg: ArrayConfig, weight_sets, ue_angles_rad,
-               grid: FrequencyGrid) -> np.ndarray:
+               freqs) -> np.ndarray:
     """Gain of every weight set toward every UE (boresight-relative
-    radians) at the RB centers of grid, shape (num_sets, num_ues, num_rbs).
-
-    One pattern_map call per weight set, over the UEs' sorted distinct axis
-    angles. A pattern_map row does not depend on the other angles of the
-    call, so each row equals the UE's own one-angle evaluation bit for bit.
+    radians) at every frequency, shape (num_sets, num_ues, num_freqs): one
+    pattern-kernel call with the weight sets tiled as column blocks, each
+    row equal to the UE's own one-angle pattern_map row bit for bit.
     """
-    axes, ue_axis = np.unique(axis_from_boresight_rad(ue_angles_rad),
-                              return_inverse=True)
-    return np.array([pattern_map(cfg, w, axes, grid)[ue_axis]
-                     for w in weight_sets])
+    gains = pattern_gain_db(cfg, weight_sets,
+                            np.cos(axis_from_boresight_rad(ue_angles_rad)),
+                            freqs)
+    return gains.reshape(-1, len(weight_sets), len(freqs)).transpose(1, 0, 2)
 
 
 def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
@@ -123,22 +121,17 @@ def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
     """Beam-sweeping benchmark: whole band, slot duty 1/N_UE per UE.
 
     Each UE is served by the codebook beam with the highest gain toward it
-    at the carrier. Returns decisions[ring][ue].
+    at the carrier, the first beam on ties. Returns decisions[ring][ue].
     """
     duty = 1.0 / dep.num_ues
     all_rbs = np.arange(grid.num_rbs, dtype=np.int64)
-    # serving beam: best gain at the carrier, the one RB center of this
-    # grid; the first beam wins ties
-    carrier = FrequencyGrid(cfg.carrier_hz, 12.0 * grid.scs_hz, grid.scs_hz, 1)
-    serving = np.argmax(
-        _gain_rows(cfg, beams, dep.ue_angles_rad, carrier)[:, :, 0], axis=0)
-    gain_rows = np.empty((dep.num_ues, grid.num_rbs))
-    # a set, not np.unique, which would load numpy.ma: 1 MB more peak RSS
-    for b in set(serving.tolist()):
-        ues = serving == b
-        gain_rows[ues] = _gain_rows(cfg, [beams[b]], dep.ue_angles_rad[ues],
-                                    grid)[0]
-    return select_rate_grid(lm, dep.ring_distances_m, gain_rows,
+    serving = np.argmax(_gain_rows(cfg, beams, dep.ue_angles_rad,
+                                   [cfg.carrier_hz])[:, :, 0], axis=0)
+    used, ue_beam = np.unique(serving, return_inverse=True)
+    rows = _gain_rows(cfg, [beams[b] for b in used], dep.ue_angles_rad,
+                      grid.rb_center_freqs())
+    return select_rate_grid(lm, dep.ring_distances_m,
+                            rows[ue_beam, np.arange(dep.num_ues)],
                             [all_rbs] * dep.num_ues, mcs_table, grid.scs_hz,
                             duty, eesm_betas)
 
@@ -156,7 +149,8 @@ def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
     weights, _ = design_type1(cfg, target, grid, constraint)
     # conservation: the disjoint shares exhaust the band exactly
     assert sum(s.size for s in shares) == grid.num_rbs
-    gain_rows = _gain_rows(cfg, [weights], dep.ue_angles_rad, grid)[0]
+    gain_rows = _gain_rows(cfg, [weights], dep.ue_angles_rad,
+                           grid.rb_center_freqs())[0]
     return select_rate_grid(lm, dep.ring_distances_m, gain_rows, shares,
                             mcs_table, grid.scs_hz, 1.0, eesm_betas), weights
 

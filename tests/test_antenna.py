@@ -87,6 +87,9 @@ def test_frequency_grid_occupancy_check():
     dict(center_hz=28e9, bandwidth_hz=0.0, scs_hz=120e3, num_rbs=1),
     dict(center_hz=28e9, bandwidth_hz=400e6, scs_hz=0.0, num_rbs=1),
     dict(center_hz=28e9, bandwidth_hz=400e6, scs_hz=120e3, num_rbs=0),
+    # a band reaching 0 Hz would hold negative RB frequencies
+    dict(center_hz=1.0, bandwidth_hz=400e6, scs_hz=120e3, num_rbs=264),
+    dict(center_hz=200e6, bandwidth_hz=400e6, scs_hz=120e3, num_rbs=1),
 ])
 def test_frequency_grid_validation(kwargs):
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpta import _kernels, codebook
 from jpta.antenna import (
@@ -222,6 +224,33 @@ def test_type1_two_target_reference(array16, grid264, delay25):
     # the reported objective matches an independent evaluation
     assert type1_objective(array16, w, target, grid264) == pytest.approx(
         obj, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_type1_scan_objective_equals_type1_objective(data):
+    # the designer takes its objective from the delay scan; recomputed from
+    # its own weights it must agree to 1e-12 relative, or to 1e-12 of the
+    # K evaluation frequencies where a near-exact fit leaves only rounding
+    num_rbs = data.draw(st.integers(1, 40))
+    cuts = data.draw(st.lists(st.integers(1, max(1, num_rbs - 1)),
+                              max_size=min(5, num_rbs - 1), unique=True))
+    bounds = [0] + sorted(cuts) + [num_rbs]
+    angles = data.draw(st.lists(st.floats(0.0, math.pi),
+                                min_size=len(bounds) - 1,
+                                max_size=len(bounds) - 1))
+    target = Type1Target(tuple(zip(angles, zip(bounds[:-1], bounds[1:]))))
+    cfg = ArrayConfig.half_wavelength(data.draw(st.integers(1, 24)), 28e9,
+                                      28.0)
+    grid = FrequencyGrid(28e9, 400e6, 120e3, num_rbs)
+    step_s = data.draw(st.floats(0.1, 5.0)) * 1e-9
+    constraint = DelayConstraint(step_s,
+                                 data.draw(st.integers(0, 63)) * step_s)
+    per_subcarrier = data.draw(st.booleans())
+    w, obj = design_type1(cfg, target, grid, constraint, per_subcarrier)
+    cert = type1_objective(cfg, w, target, grid, per_subcarrier)
+    num_freqs = num_rbs * (12 if per_subcarrier else 1)
+    assert obj == pytest.approx(cert, rel=1e-12, abs=1e-12 * num_freqs)
 
 
 def test_type1_single_angle_is_plain_steering(array16, grid264, delay25):

@@ -175,6 +175,12 @@ def test_parse_error_reports_line_number():
     ("design.type2.center_deg = 100", "outside"),
     ("design.type2.spread_deg = -2", "nonnegative"),
     ("grid.num_rbs = 278", "occupied bandwidth"),
+    # the band may not reach 0 Hz; its center defaults to the carrier
+    ("grid.center_hz = 1", "grid.center_hz: center_hz must exceed"),
+    ("grid.center_hz = -28e9", "grid.center_hz: center_hz must exceed"),
+    ("array.carrier_hz = 2e8", "array.carrier_hz: center_hz must exceed"),
+    ("array.carrier_hz = 2e8\ngrid.center_hz = 28e9\ngrid.num_rbs = 278",
+     "grid.num_rbs: occupied bandwidth"),
     ("grid.num_rbs = 15", "grid.num_rbs: 15 RBs over 4 UEs leave a JPTA "
                           "share of 3 RBs"),
     ("grid.num_rbs = 3", "share of 0 RBs"),

@@ -106,6 +106,35 @@ def test_pattern_corr_chunks_match_one_unchunked_call(monkeypatch):
         assert np.array_equal(chunked, whole), count
 
 
+@pytest.mark.parametrize("chunk_cells", [None, 6])
+def test_pattern_corr_weight_sets_as_columns_equal_per_set_calls(
+        monkeypatch, chunk_cells):
+    # S weight sets tiled as column blocks over K frequencies: block s
+    # equals set s's own call bit for bit, also where either call has a
+    # one-cell chunk and where chunks split the angles differently
+    if chunk_cells is not None:
+        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(12)
+    for num_sets, num_freqs, num_angles in ((1, 1, 1), (2, 1, 1), (2, 1, 7),
+                                            (16, 1, 8), (3, 24, 1),
+                                            (8, 24, 7)):
+        freqs = _rb_freqs(num_freqs)
+        cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
+        phases = rng.uniform(0.0, 2 * np.pi, (num_sets, 16))
+        delays = rng.integers(0, 64, (num_sets, 16)) * 2.5e-9
+        tiled = _kernels.pattern_corr(
+            cos_angles, np.tile(freqs, num_sets),
+            np.repeat(phases, num_freqs, axis=0),
+            np.repeat(delays, num_freqs, axis=0), SLOPE_SCALE)
+        assert tiled.shape == (num_angles, num_sets * num_freqs)
+        for s in range(num_sets):
+            own = _kernels.pattern_corr(cos_angles, freqs, phases[s],
+                                        delays[s], SLOPE_SCALE)
+            block = tiled[:, s * num_freqs:(s + 1) * num_freqs]
+            assert np.array_equal(block, own), (num_sets, num_freqs,
+                                                num_angles, s)
+
+
 def test_pattern_map_row_equals_single_angle_call(array16, grid264):
     rng = np.random.default_rng(8)
     w = PhaseTimeWeights(delays_s=rng.integers(0, 64, 16) * 2.5e-9,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpta import sysim
+from jpta import _kernels, codebook, sysim
 from jpta.antenna import (
     ArrayConfig,
     FrequencyGrid,
@@ -121,18 +121,28 @@ def test_share_target_disjoint_cover_property(data):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_gain_rows_equal_per_ue_pattern_map_rows(data):
-    # batching evaluates each weight set once over the sorted distinct UE
-    # axes; in any UE order, with repeated angles, every row must equal
-    # that UE's own one-angle pattern_map row bit for bit
+    # one kernel call evaluates every weight set, tiled as column blocks,
+    # over every UE; in any UE order, with repeated angles, every row must
+    # equal that UE's own one-angle pattern_map row bit for bit, over the
+    # RB centers of a grid or over the carrier alone (run_paa's serving-beam
+    # pick), which is the one RB center of a one-RB grid
     cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
-    grid = FrequencyGrid(28e9, 400e6, 120e3, data.draw(st.integers(1, 40)))
+    band = FrequencyGrid(28e9, 400e6, 120e3, 264)
+    if data.draw(st.booleans()):
+        grid = FrequencyGrid(cfg.carrier_hz, 12 * 120e3, 120e3, 1)
+        freqs = [cfg.carrier_hz]
+        assert grid.rb_center_freqs().tolist() == freqs
+    else:
+        grid = FrequencyGrid(28e9, 400e6, 120e3,
+                             data.draw(st.integers(1, 40)))
+        freqs = grid.rb_center_freqs()
     pool = data.draw(st.lists(st.floats(-90.0, 90.0), min_size=1,
                               max_size=6))
     angles = np.radians(data.draw(st.lists(st.sampled_from(pool),
                                            min_size=1, max_size=12)))
-    weight_sets = [design_type2(cfg, RainbowSpec(math.pi / 2.0, 1.5), grid)]
+    weight_sets = [design_type2(cfg, RainbowSpec(math.pi / 2.0, 1.5), band)]
     weight_sets += paa_codebook(cfg, 3, SECTOR)
-    rows = sysim._gain_rows(cfg, weight_sets, angles, grid)
+    rows = sysim._gain_rows(cfg, weight_sets, angles, freqs)
     assert rows.shape == (len(weight_sets), angles.size, grid.num_rbs)
     for w, set_rows in zip(weight_sets, rows):
         for bore, row in zip(angles, set_rows):
@@ -162,6 +172,32 @@ def test_paa_serving_beam_tie_goes_to_the_first_beam(monkeypatch):
     # the carrier evaluation of every beam, then the serving beam's rows
     assert len(calls) == 2 and len(calls[0]) == 16
     assert len(calls[1]) == 1 and calls[1][0] is beams[7]
+
+
+def test_sweep_makes_three_pattern_kernel_calls(monkeypatch):
+    # the carrier pick, the serving beams' rows and the JPTA rows, whatever
+    # the UE count; the designer's objective comes from its own scan
+    calls = []
+    real = _kernels.pattern_corr
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    def no_certificate(*args):
+        raise AssertionError("design_type1 recomputed its objective")
+
+    monkeypatch.setattr(_kernels, "pattern_corr", counted)
+    monkeypatch.setattr(codebook, "type1_objective", no_certificate)
+    for angles in ([0.0], [-30.0, -10.0, 10.0, 30.0],
+                   [-50.0, 0.0, 0.0, 50.0, 20.0, -20.0]):
+        calls.clear()
+        _sweep(angles, [100.0, 1000.0])
+        # columns: 16 beams at the carrier, up to one serving beam per UE
+        # over 264 RBs, the JPTA weights over 264 RBs
+        assert len(calls) == 3, calls
+        assert calls[0] == 16 and calls[2] == 264, calls
+        assert calls[1] in [264 * k for k in range(1, len(angles) + 1)]
 
 
 # ---------------------------------------------------------------------------
