@@ -54,13 +54,13 @@ from .link import (
     McsEntry,
     McsTable,
     RateDecision,
+    RateGrid,
     eesm_effective_snr_db,
     load_eesm_betas,
     noise_power_dbm_per_rb,
     path_gain_db,
     select_rate,
     select_rate_grid,
-    select_rates,
     snr_per_rb_db,
 )
 from .sysim import (
@@ -92,6 +92,7 @@ __all__ = [
     "PhaseTimeWeights",
     "RainbowSpec",
     "RateDecision",
+    "RateGrid",
     "RunConfig",
     "ScenarioResult",
     "SPEED_OF_LIGHT_M_S",
@@ -121,7 +122,6 @@ __all__ = [
     "run_paa",
     "select_rate",
     "select_rate_grid",
-    "select_rates",
     "snr_per_rb_db",
     "steer_weights",
     "steering_vector",

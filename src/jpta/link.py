@@ -206,9 +206,24 @@ class RateDecision(NamedTuple):
     outage: bool = False
 
 
+class RateGrid(NamedTuple):
+    """One C-contiguous (rings x UEs) array per ``RateDecision`` field."""
+
+    mcs_index: np.ndarray
+    num_rbs: np.ndarray
+    effective_snr_db: np.ndarray
+    throughput_bps: np.ndarray
+    outage: np.ndarray
+
+    def decisions(self) -> list:
+        """``decisions[ring][ue]``, each a RateDecision of Python scalars."""
+        return [list(map(RateDecision, *ring))
+                for ring in zip(*(c.tolist() for c in self))]
+
+
 def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
                      mcs_table: McsTable, scs_hz: float, slot_duty: float,
-                     eesm_betas=None) -> list:
+                     eesm_betas=None) -> RateGrid:
     """Best feasible (MCS, RB count) for every UE at every distance.
 
     UE u uses the RBs ``available_rbs[u]`` of its gain row ``gain_rows[u]``
@@ -220,45 +235,38 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
     nothing with at least 4 RBs is feasible gets an outage decision (mcs -1,
     zero throughput) whose effective SNR is that of the 4 best RBs.
 
-    Returns ``decisions[ring][ue]``, rings in the given order. UEs with the
-    same number of available RBs are searched in one batched scan over all
-    distances, and each decision equals the one-UE, one-distance
-    ``select_rate`` result.
+    Returns a ``RateGrid``, row i for ``distances_m[i]``; every cell equals
+    the one-UE, one-distance ``select_rate`` result.
     """
     if not 0.0 < slot_duty <= 1.0:
         raise ValueError("slot_duty must lie in (0, 1]")
     if len(gain_rows) != len(available_rbs):
         raise ValueError("gain_rows and available_rbs need one entry per UE")
-    shares = []
-    for row, rbs in zip(gain_rows, available_rbs):
-        avail = np.asarray(rbs, dtype=np.int64)
-        if avail.size == 0:
-            raise ValueError("available_rbs must be non-empty")
-        # the UE's gains sorted descending: each SNR term is monotone in its
-        # gain, so its SNR rows come out sorted descending at every distance
-        shares.append(-np.sort(-np.asarray(row, dtype=np.float64)[avail]))
+    avail = [np.asarray(rbs, dtype=np.int64) for rbs in available_rbs]
+    if any(rbs.size == 0 for rbs in avail):
+        raise ValueError("available_rbs must be non-empty")
+    # each UE's gains sorted descending: each SNR term is monotone in its
+    # gain, so its SNR rows come out sorted descending at every distance
+    shares = [-np.sort(-np.asarray(row, dtype=np.float64)[rbs])
+              for row, rbs in zip(gain_rows, avail)]
     dists = np.asarray(distances_m, dtype=np.float64)
     if dists.ndim != 1:
         raise ValueError("distances_m must be a 1-D sequence")
-    if eesm_betas is None:
-        betas = np.ones(len(mcs_table))
-    else:
-        betas = np.asarray(eesm_betas, dtype=np.float64)
-        if betas.size != len(mcs_table) or not (
-                np.all(betas > 0.0) and np.all(np.isfinite(betas))):
-            raise ValueError("eesm_betas must be finite and positive, one "
-                             "per MCS level")
+    betas = np.ones(len(mcs_table)) if eesm_betas is None \
+        else np.asarray(eesm_betas, dtype=np.float64)
+    if betas.size != len(mcs_table) or not np.all(
+            (betas > 0.0) & np.isfinite(betas)):
+        raise ValueError("eesm_betas must be finite and positive, one per "
+                         "MCS level")
 
     link_db = np.array([lm.ue_tx_power_dbm + lm.ue_beam_gain_db
                         + path_gain_db(lm, float(d)) for d in dists])
     noise_db = noise_power_dbm_per_rb(lm, scs_hz)
     unique_betas, beta_idx = np.unique(betas, return_inverse=True)
-    beta_idx = beta_idx.astype(np.int64)
     thr_lin = np.power(10.0, mcs_table.thresholds_db() / 10.0)
     se = mcs_table.spectral_efficiencies()
 
-    # one (UE x ring) array per RateDecision field, filled per share width
-    shape = (2, len(shares), dists.size)
+    shape = (2, dists.size, len(shares))
     mcs, num_rbs = np.empty(shape, dtype=np.int64)
     eff_db, tput = np.empty(shape)
     for width in sorted({share.size for share in shares}):
@@ -278,25 +286,16 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
                                      gains_desc[out_u, :n_diag], noise_db)
         best_eff[out_u, out_r] = _eesm_effective_snr_db_rows(
             10.0 * np.log10(split / n_diag), float(betas[0]))
-        mcs[ues], num_rbs[ues], eff_db[ues] = best_mcs, best_n, best_eff
-        tput[ues] = best_se_n * 12.0 * scs_hz * slot_duty
-    columns = [c.T.tolist() for c in (mcs, num_rbs, eff_db, tput, mcs < 0)]
-    return [list(map(RateDecision, *ring)) for ring in zip(*columns)]
-
-
-def select_rates(lm: LinkModel, distances_m, gain_row, available_rbs,
-                 mcs_table: McsTable, scs_hz: float, slot_duty: float,
-                 eesm_betas=None) -> list:
-    """``select_rate_grid`` of one UE: one RateDecision per distance, in the
-    given order."""
-    return [ring[0] for ring in select_rate_grid(
-        lm, distances_m, [gain_row], [available_rbs], mcs_table, scs_hz,
-        slot_duty, eesm_betas)]
+        mcs[:, ues], num_rbs[:, ues] = best_mcs.T, best_n.T
+        eff_db[:, ues] = best_eff.T
+        tput[:, ues] = (best_se_n * 12.0 * scs_hz * slot_duty).T
+    return RateGrid(mcs, num_rbs, eff_db, tput, mcs < 0)
 
 
 def select_rate(lm: LinkModel, distance_m: float, beam_gain_db_per_rb,
                 available_rbs, mcs_table: McsTable, scs_hz: float,
                 slot_duty: float, eesm_betas=None) -> RateDecision:
-    """``select_rates`` at a single distance."""
-    return select_rates(lm, [distance_m], beam_gain_db_per_rb, available_rbs,
-                        mcs_table, scs_hz, slot_duty, eesm_betas)[0]
+    """``select_rate_grid`` of one UE at a single distance."""
+    return select_rate_grid(lm, [distance_m], [beam_gain_db_per_rb],
+                            [available_rbs], mcs_table, scs_hz, slot_duty,
+                            eesm_betas).decisions()[0][0]

@@ -30,7 +30,7 @@ from .antenna import (
     pattern_gain_db,
 )
 from .codebook import DelayConstraint, Type1Target, design_type1, paa_codebook
-from .link import LinkModel, McsTable, select_rate_grid
+from .link import LinkModel, McsTable, RateGrid, select_rate_grid
 
 SCHEME_PAA = "PAA"
 SCHEME_JPTA = "JPTA"
@@ -117,11 +117,11 @@ def _gain_rows(cfg: ArrayConfig, weight_sets, ue_angles_rad,
 
 def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
             lm: LinkModel, mcs_table: McsTable, beams,
-            eesm_betas=None) -> list:
+            eesm_betas=None) -> RateGrid:
     """Beam-sweeping benchmark: whole band, slot duty 1/N_UE per UE.
 
     Each UE is served by the codebook beam with the highest gain toward it
-    at the carrier, the first beam on ties. Returns decisions[ring][ue].
+    at the carrier, the first beam on ties. Returns its ``RateGrid``.
     """
     duty = 1.0 / dep.num_ues
     all_rbs = np.arange(grid.num_rbs, dtype=np.int64)
@@ -141,7 +141,7 @@ def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
              constraint: DelayConstraint, eesm_betas=None):
     """FDM scheme: subband-steered weights, full duty, per-UE RB share.
 
-    Returns (decisions[ring][ue], designed weights). The weights are fitted
+    Returns (RateGrid, designed weights). The weights are fitted
     at the RB centers. RB shares are disjoint by construction, so UEs do not
     interfere.
     """
@@ -157,17 +157,21 @@ def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
 
 @dataclass
 class ScenarioResult:
-    """Sweep output: per-scheme, per-ring, per-UE rate decisions."""
+    """Sweep output: one (rings x UEs) ``RateGrid`` per scheme."""
 
     distances_m: np.ndarray
     ue_angles_rad: np.ndarray
-    decisions: dict
+    rates: dict
     jpta_weights: PhaseTimeWeights = None
+
+    @property
+    def decisions(self) -> dict:
+        """``{scheme: RateGrid.decisions()}``, built on each access."""
+        return {s: rates.decisions() for s, rates in self.rates.items()}
 
     def mean_throughput_bps(self, scheme: str) -> np.ndarray:
         # a row mean over the contiguous axis equals each ring's 1-D np.mean
-        return np.array([[d.throughput_bps for d in ring]
-                         for ring in self.decisions[scheme]]).mean(axis=1)
+        return self.rates[scheme].throughput_bps.mean(axis=1)
 
 
 def throughput_sweep(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
@@ -186,7 +190,7 @@ def throughput_sweep(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
                              eesm_betas)
     return ScenarioResult(distances_m=dep.ring_distances_m.copy(),
                           ue_angles_rad=dep.ue_angles_rad.copy(),
-                          decisions={SCHEME_PAA: paa, SCHEME_JPTA: jpta},
+                          rates={SCHEME_PAA: paa, SCHEME_JPTA: jpta},
                           jpta_weights=weights)
 
 
@@ -239,17 +243,13 @@ def write_results_csv(result: ScenarioResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_CSV_HEADER)
+        angles = [_fmt(math.degrees(a)) for a in result.ue_angles_rad]
         for scheme in (SCHEME_PAA, SCHEME_JPTA):
-            rings = result.decisions[scheme]
-            for i, dist in enumerate(result.distances_m):
-                for u in range(result.ue_angles_rad.size):
-                    d = rings[i][u]
-                    writer.writerow([
-                        scheme, _fmt(dist), u,
-                        _fmt(math.degrees(result.ue_angles_rad[u])),
-                        d.mcs_index, d.num_rbs, _fmt(d.effective_snr_db),
-                        _fmt(d.throughput_bps),
-                    ])
+            rings = zip(*(c.tolist() for c in result.rates[scheme][:4]))
+            for dist, ring in zip(result.distances_m, rings):
+                for u, (mcs, num_rbs, eff_db, tput) in enumerate(zip(*ring)):
+                    writer.writerow([scheme, _fmt(dist), u, angles[u], mcs,
+                                     num_rbs, _fmt(eff_db), _fmt(tput)])
 
 
 def write_summary_csv(result: ScenarioResult, path) -> None:

@@ -55,7 +55,7 @@ def delay_scan_py(slopes, freqs, taus, num_elements):
 def eesm_effective_snr_db_py(snr_db_values, beta):
     """EESM of one RB set in dB: ``-beta * ln(mean(exp(-snr/beta)))`` in
     the linear domain, shifted by the minimum, with a 1-D ``np.mean`` and
-    ``math.log`` on top. The outage diagnostic of ``select_rates`` prints
+    ``math.log`` on top. The outage diagnostic of ``select_rate_grid`` prints
     this value, so the batched form must equal it bit for bit."""
     lin = np.power(10.0, np.asarray(snr_db_values, dtype=np.float64) / 10.0)
     v_min = lin.min()

@@ -108,24 +108,26 @@ def test_criterion_3_near_and_floor_regime_parity():
     dep = Deployment(ue_angles_rad=np.radians(PLACEMENTS[4]),
                      ring_distances_m=log_ring_grid(30.0, 3000.0, 160))
     res = throughput_sweep(dep, ARRAY, GRID, LM3, MCS, DELAY, 16, SECTOR)
-    paa = res.decisions[SCHEME_PAA]
-    jpta = res.decisions[SCHEME_JPTA]
+    paa, jpta = res.rates[SCHEME_PAA], res.rates[SCHEME_JPTA]
+    paa_bps = paa.throughput_bps.tolist()
+    jpta_bps = jpta.throughput_bps.tolist()
+    # rings where a scheme grants the minimal allocation: MCS 0 on 4 RBs
+    paa_min, jpta_min = ((g.mcs_index == 0) & (g.num_rbs == 4)
+                         for g in (paa, jpta))
     ok = True
     floor_ues = 0
     near_parts = []
     floor_parts = []
     for u in range(dep.num_ues):
-        near = jpta[0][u].throughput_bps / paa[0][u].throughput_bps
+        near = jpta_bps[0][u] / paa_bps[0][u]
         near_parts.append("%.4f" % near)
         if abs(near - 1.0) > 0.01:
             ok = False
-        common = [i for i in range(dep.ring_distances_m.size)
-                  if (paa[i][u].mcs_index, paa[i][u].num_rbs) == (0, 4)
-                  and (jpta[i][u].mcs_index, jpta[i][u].num_rbs) == (0, 4)]
+        common = np.flatnonzero(paa_min[:, u] & jpta_min[:, u]).tolist()
         if common:
             floor_ues += 1
             i = common[-1]
-            ratio = (jpta[i][u].throughput_bps / paa[i][u].throughput_bps)
+            ratio = jpta_bps[i][u] / paa_bps[i][u]
             floor_parts.append("UE%d %.6f at %.0f m" %
                                (u, ratio, dep.ring_distances_m[i]))
             if abs(ratio - 4.0) > 1e-9:
@@ -225,8 +227,7 @@ def test_criterion_5_sixteen_user_ratio_curve():
     # A UE pushed below the minimum grant drops to zero throughput in one
     # step that no distance window covers, so rings with any outage are left
     # to the far-ring clause.
-    outages = {scheme: np.array([sum(d.outage for d in ring)
-                                 for ring in res.decisions[scheme]])
+    outages = {scheme: res.rates[scheme].outage.sum(axis=1)
                for scheme in (SCHEME_PAA, SCHEME_JPTA)}
     quiet = (outages[SCHEME_PAA][alive] == 0) & \
         (outages[SCHEME_JPTA][alive] == 0)

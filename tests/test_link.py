@@ -14,13 +14,13 @@ from jpta.link import (
     McsEntry,
     McsTable,
     RateDecision,
+    RateGrid,
     eesm_effective_snr_db,
     load_eesm_betas,
     noise_power_dbm_per_rb,
     path_gain_db,
     select_rate,
     select_rate_grid,
-    select_rates,
     snr_per_rb_db,
 )
 from oracles import eesm_effective_snr_db_py
@@ -320,8 +320,8 @@ def test_select_rate_fewer_than_min_rbs_is_outage(link_default, mcs_default):
 
 def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
                                                     mcs_default):
-    # select_rates computes the outage diagnostic for all outage rings in one
-    # pass; each must equal the one-row EESM oracle of the same 4-RB split
+    # select_rate_grid computes the outage diagnostic for all outage rings in
+    # one pass; each must equal the one-row EESM oracle of the same 4-RB split
     # bit for bit, since results.csv prints it, and so must the public
     # eesm_effective_snr_db, which takes the same batched path
     rng = np.random.default_rng(17)
@@ -332,11 +332,12 @@ def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
     checked = 0
     for avail in (ALL_RBS, np.sort(rng.choice(264, 40, replace=False)),
                   np.array([5, 9, 200])):
-        decisions = select_rates(link_default, dists, gains, avail,
+        rates = select_rate_grid(link_default, dists, [gains], [avail],
                                  mcs_default, SCS, 1.0, betas)
         n = min(MIN_RBS_PER_GRANT, avail.size)
-        for d, dec in zip(dists, decisions):
-            if not dec.outage:
+        for d, outage, eff_db in zip(dists, rates.outage[:, 0].tolist(),
+                                     rates.effective_snr_db[:, 0].tolist()):
+            if not outage:
                 continue
             link_db = link_default.ue_tx_power_dbm \
                 + link_default.ue_beam_gain_db \
@@ -345,7 +346,7 @@ def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
                                        / 10.0))[::-1]
             split_db = 10.0 * np.log10(unsplit[:n] / n)
             want = eesm_effective_snr_db_py(split_db, float(betas[0]))
-            assert dec.effective_snr_db == want, (avail.size, d)
+            assert eff_db == want, (avail.size, d)
             assert eesm_effective_snr_db(split_db, float(betas[0])) == want
             assert eesm_effective_snr_db(split_db, 2.5) \
                 == eesm_effective_snr_db_py(split_db, 2.5)
@@ -410,10 +411,11 @@ def test_select_rate_validation(link_default, mcs_default):
             select_rate(link_default, 100.0, FLAT28, ALL_RBS, mcs_default,
                         SCS, 1.0, eesm_betas=np.full(15, bad))
     with pytest.raises(ValueError, match="distances_m"):
-        select_rates(link_default, 100.0, FLAT28, ALL_RBS, mcs_default, SCS,
-                     1.0)
-    assert select_rates(link_default, [], FLAT28, ALL_RBS, mcs_default, SCS,
-                        1.0) == []
+        select_rate_grid(link_default, 100.0, [FLAT28], [ALL_RBS],
+                         mcs_default, SCS, 1.0)
+    empty = select_rate_grid(link_default, [], [FLAT28], [ALL_RBS],
+                             mcs_default, SCS, 1.0)
+    assert [c.shape for c in empty] == [(0, 1)] * len(RateGrid._fields)
     with pytest.raises(ValueError, match="one entry per UE"):
         select_rate_grid(link_default, [100.0], [FLAT28, FLAT28], [ALL_RBS],
                          mcs_default, SCS, 1.0)
@@ -508,8 +510,13 @@ def _rate_problems(draw):
 
 
 def _rates(lm, mcs, problem):
+    """The one UE's cells of its ``select_rate_grid`` call, one
+    ``(mcs_index, num_rbs, effective_snr_db, throughput_bps, outage)`` tuple
+    of Python scalars per distance."""
     distances, gains, avail, betas, duty = problem
-    return select_rates(lm, distances, gains, avail, mcs, SCS, duty, betas)
+    rates = select_rate_grid(lm, distances, [gains], [avail], mcs, SCS, duty,
+                             betas)
+    return list(zip(*(column[:, 0].tolist() for column in rates)))
 
 
 @PROPERTY_SETTINGS
@@ -526,7 +533,7 @@ def test_select_rates_equals_select_rate_per_distance(problem):
 @given(problem=_rate_problems())
 def test_select_rates_throughput_never_rises_with_distance(problem):
     lm, mcs = LinkModel(carrier_hz=28e9), McsTable.default()
-    tput = [d.throughput_bps for d in _rates(lm, mcs, problem)]
+    tput = [cell[3] for cell in _rates(lm, mcs, problem)]
     assert all(far <= near for near, far in zip(tput, tput[1:]))
 
 
@@ -535,12 +542,12 @@ def test_select_rates_throughput_never_rises_with_distance(problem):
 def test_select_rates_grant_sizes(problem):
     lm, mcs = LinkModel(carrier_hz=28e9), McsTable.default()
     available = len(problem[2])
-    for d in _rates(lm, mcs, problem):
-        if d.outage:
-            assert (d.mcs_index, d.num_rbs, d.throughput_bps) == (-1, 0, 0.0)
+    for mcs_index, num_rbs, _, tput, outage in _rates(lm, mcs, problem):
+        if outage:
+            assert (mcs_index, num_rbs, tput) == (-1, 0, 0.0)
         else:
-            assert MIN_RBS_PER_GRANT <= d.num_rbs <= available
-            assert 0 <= d.mcs_index < len(mcs)
+            assert MIN_RBS_PER_GRANT <= num_rbs <= available
+            assert 0 <= mcs_index < len(mcs)
 
 
 @st.composite
@@ -573,9 +580,13 @@ def test_select_rate_grid_equals_per_ue_select_rates(problem):
     distances, gains, shares, betas, duty = problem
     grid = select_rate_grid(lm, distances, gains, shares, mcs, SCS, duty,
                             betas)
-    alone = [select_rates(lm, distances, gains[u], shares[u], mcs, SCS, duty,
-                          betas) for u in range(len(shares))]
-    assert grid == [list(ring) for ring in zip(*alone)]
+    alone = [select_rate_grid(lm, distances, [gains[u]], [shares[u]], mcs,
+                              SCS, duty, betas) for u in range(len(shares))]
+    for field, column in zip(RateGrid._fields, grid):
+        assert column.shape == (len(distances), len(shares)), field
+        assert column.flags.c_contiguous, field
+        assert column.tolist() == np.hstack(
+            [getattr(one, field) for one in alone]).tolist(), field
 
 
 @PROPERTY_SETTINGS

@@ -22,7 +22,7 @@ from jpta.codebook import (
     design_type2,
     paa_codebook,
 )
-from jpta.link import LinkModel, McsTable, RateDecision
+from jpta.link import LinkModel, McsTable, RateGrid
 from jpta.sysim import (
     RESULTS_CSV_HEADER,
     SCHEME_JPTA,
@@ -209,12 +209,12 @@ def test_single_ue_schemes_coincide():
     matched beam at duty 1, and the subband design degenerates to the same
     frequency-flat steering, so every rate decision is identical."""
     res = _sweep([-3.75], np.geomspace(30.0, 3000.0, 10))
-    for ring_paa, ring_jpta in zip(res.decisions[SCHEME_PAA],
-                                   res.decisions[SCHEME_JPTA]):
-        assert ring_paa[0].mcs_index == ring_jpta[0].mcs_index
-        assert ring_paa[0].num_rbs == ring_jpta[0].num_rbs
-        assert ring_paa[0].throughput_bps == pytest.approx(
-            ring_jpta[0].throughput_bps, rel=1e-12)
+    paa, jpta = res.rates[SCHEME_PAA], res.rates[SCHEME_JPTA]
+    assert paa.mcs_index.tolist() == jpta.mcs_index.tolist()
+    assert paa.num_rbs.tolist() == jpta.num_rbs.tolist()
+    for ring_paa, ring_jpta in zip(paa.throughput_bps.tolist(),
+                                   jpta.throughput_bps.tolist()):
+        assert ring_paa[0] == pytest.approx(ring_jpta[0], rel=1e-12)
     assert np.all(res.jpta_weights.delays_s == 0.0)
 
 
@@ -222,15 +222,14 @@ def test_two_ue_near_ring_duty_composition():
     """Close to the array both schemes saturate at the top MCS, so
     full-band at half duty (PAA) equals half-band at full duty (JPTA)."""
     res = _sweep([-26.25, 26.25], [30.0])
-    paa = res.decisions[SCHEME_PAA][0]
-    jpta = res.decisions[SCHEME_JPTA][0]
+    paa, jpta = res.rates[SCHEME_PAA], res.rates[SCHEME_JPTA]
     for u in range(2):
-        assert paa[u].mcs_index == 14
-        assert jpta[u].mcs_index == 14
-        assert paa[u].num_rbs == 264
-        assert jpta[u].num_rbs == 132
-        assert paa[u].throughput_bps == pytest.approx(
-            jpta[u].throughput_bps, rel=1e-12)
+        assert paa.mcs_index[0, u] == 14
+        assert jpta.mcs_index[0, u] == 14
+        assert paa.num_rbs[0, u] == 264
+        assert jpta.num_rbs[0, u] == 132
+        assert paa.throughput_bps[0, u] == pytest.approx(
+            jpta.throughput_bps[0, u], rel=1e-12)
 
 
 def test_run_paa_far_ring_outage():
@@ -241,9 +240,9 @@ def test_run_paa_far_ring_outage():
     lm = LinkModel(carrier_hz=28e9)
     res = throughput_sweep(dep, cfg, grid, lm, McsTable.default(),
                            DelayConstraint(), 16, SECTOR)
-    near, far = res.decisions[SCHEME_PAA]
-    assert not near[0].outage
-    assert far[0].outage and far[0].throughput_bps == 0.0
+    paa = res.rates[SCHEME_PAA]
+    assert paa.outage[:, 0].tolist() == [False, True]
+    assert paa.throughput_bps[1, 0] == 0.0
     assert res.mean_throughput_bps(SCHEME_PAA)[1] == 0.0
 
 
@@ -251,8 +250,8 @@ def test_mean_throughput_is_per_ring_ue_average():
     res = _sweep([-26.25, 26.25], [30.0, 100.0], num_rbs=24)
     means = res.mean_throughput_bps(SCHEME_JPTA)
     assert means.shape == (2,)
-    for i, ring in enumerate(res.decisions[SCHEME_JPTA]):
-        expect = np.mean([d.throughput_bps for d in ring])
+    for i, ring in enumerate(res.rates[SCHEME_JPTA].throughput_bps.tolist()):
+        expect = np.mean(ring)
         assert means[i] == pytest.approx(expect, rel=1e-12)
 
 
@@ -263,12 +262,12 @@ def test_mean_throughput_equals_per_ring_mean_bit_for_bit():
     for num_ues in (1, 2, 3, 7, 8, 9, 16, 33, 128, 129, 300):
         tput = rng.uniform(0.0, 2e9, (40, num_ues))
         tput[rng.uniform(size=tput.shape) < 0.3] = 0.0
-        decisions = [[RateDecision(0, 4, 1.0, float(t)) for t in ring]
-                     for ring in tput]
+        ints = np.zeros(tput.shape, dtype=np.int64)
+        rates = RateGrid(ints, ints, np.ones(tput.shape), tput, ints < 0)
         res = ScenarioResult(distances_m=np.arange(1.0, 41.0),
                              ue_angles_rad=np.zeros(num_ues),
-                             decisions={SCHEME_PAA: decisions})
-        want = [np.mean([d.throughput_bps for d in ring]) for ring in decisions]
+                             rates={SCHEME_PAA: rates})
+        want = [np.mean(ring) for ring in tput.tolist()]
         assert res.mean_throughput_bps(SCHEME_PAA).tolist() == want, num_ues
 
 
@@ -327,11 +326,12 @@ def test_write_results_csv_layout(tmp_path):
     assert [float(r[1]) for r in body[:4]] == [30.0, 30.0, 100.0, 100.0]
     assert [int(r[2]) for r in body[:4]] == [0, 1, 0, 1]
     assert float(body[0][3]) == pytest.approx(-26.25)
-    # numeric columns parse and agree with the decisions
-    d = res.decisions[SCHEME_PAA][0][0]
-    assert int(body[0][4]) == d.mcs_index
-    assert int(body[0][5]) == d.num_rbs
-    assert float(body[0][7]) == pytest.approx(d.throughput_bps, rel=1e-4)
+    # numeric columns parse and agree with the rate grid
+    paa = res.rates[SCHEME_PAA]
+    assert int(body[0][4]) == paa.mcs_index[0, 0]
+    assert int(body[0][5]) == paa.num_rbs[0, 0]
+    assert float(body[0][7]) == pytest.approx(paa.throughput_bps[0, 0],
+                                              rel=1e-4)
 
 
 def test_write_summary_csv_layout(tmp_path):
@@ -383,9 +383,10 @@ def test_run_jpta_returns_weights_on_delay_grid():
     cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
     grid = FrequencyGrid(28e9, 400e6, 120e3, 264)
     lm = LinkModel(carrier_hz=28e9)
-    decisions, weights = run_jpta(dep, cfg, grid, lm, McsTable.default(),
-                                  DelayConstraint())
-    assert len(decisions) == 1 and len(decisions[0]) == 2
+    rates, weights = run_jpta(dep, cfg, grid, lm, McsTable.default(),
+                              DelayConstraint())
+    assert isinstance(rates, RateGrid)
+    assert [c.shape for c in rates] == [(1, 2)] * len(RateGrid._fields)
     steps = weights.delays_s / 2.5e-9
     np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
     assert weights.delays_s.max() == pytest.approx(2.5e-9, rel=1e-12)
