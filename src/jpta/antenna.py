@@ -28,6 +28,13 @@ CORRELATION_FLOOR = 1e-4
 
 _ANGLE_TOL_RAD = 1e-12
 
+# Physical ranges of the link-budget inputs. Inside them every per-RB SNR
+# stays within about +-1300 dB, so its linear value is a normal float64.
+CARRIER_RANGE_HZ = (1e8, 1e12)
+GAIN_RANGE_DB = (-100.0, 100.0)
+MAX_SPACING_M = 10.0
+SCS_RANGE_HZ = (1e3, 1e9)
+
 
 def require_finite_fields(obj) -> None:
     """Raise ValueError naming the first field of dataclass ``obj`` whose
@@ -35,6 +42,15 @@ def require_finite_fields(obj) -> None:
     for f in fields(obj):
         if not math.isfinite(getattr(obj, f.name)):
             raise ValueError("%s must be finite" % f.name)
+
+
+def require_range(obj, name: str, lo: float, hi: float) -> None:
+    """Raise ValueError naming field ``name`` of ``obj`` when its value lies
+    outside [lo, hi]."""
+    value = getattr(obj, name)
+    if not lo <= value <= hi:
+        raise ValueError("%s must lie in [%g, %g], got %g"
+                         % (name, lo, hi, value))
 
 
 def read_indexed_csv(path, header) -> list:
@@ -108,6 +124,10 @@ class ArrayConfig:
             raise ValueError("spacing_m must be positive")
         if not self.carrier_hz > 0.0:
             raise ValueError("carrier_hz must be positive")
+        # the carrier first: an automatic spacing is half its wavelength
+        require_range(self, "carrier_hz", *CARRIER_RANGE_HZ)
+        require_range(self, "spacing_m", 0.0, MAX_SPACING_M)
+        require_range(self, "peak_gain_db", *GAIN_RANGE_DB)
 
     @property
     def wavelength_m(self) -> float:
@@ -139,6 +159,7 @@ class FrequencyGrid:
                              "band may not reach 0 Hz")
         if not self.scs_hz > 0.0:
             raise ValueError("scs_hz must be positive")
+        require_range(self, "scs_hz", *SCS_RANGE_HZ)
         if self.num_rbs < 1:
             raise ValueError("num_rbs must be >= 1")
         occupied = self.num_rbs * 12 * self.scs_hz

@@ -29,11 +29,15 @@ from .antenna import (
     PhaseTimeWeights,
     read_indexed_csv,
     require_finite_fields,
+    require_range,
 )
 
 DEFAULT_DELAY_STEP_S = 2.5e-9
 # six-bit delay line: 63 steps of 2.5 ns
 DEFAULT_MAX_DELAY_S = 157.5e-9
+# physical range of a delay line: at most 1 us and 1024 steps (ten bits)
+MAX_DELAY_S = 1e-6
+MAX_DELAY_STEPS = 1024
 
 CODEBOOK_CSV_HEADER = ("antenna", "delay_ns", "phase_deg")
 
@@ -128,6 +132,13 @@ class DelayConstraint:
             raise ValueError("step_s must be positive")
         if self.max_delay_s < 0.0:
             raise ValueError("max_delay_s must be nonnegative")
+        # the 1e-9 relative slack admits a decimal 1000 ns, as in num_steps
+        require_range(self, "max_delay_s", 0.0, MAX_DELAY_S * (1.0 + 1e-9))
+        # the ratio test first keeps num_steps' floor finite
+        if not (self.max_delay_s / self.step_s < MAX_DELAY_STEPS + 1
+                and self.num_steps <= MAX_DELAY_STEPS):
+            raise ValueError("step_s must split max_delay_s into at most %d "
+                             "steps" % MAX_DELAY_STEPS)
 
     @property
     def num_steps(self) -> int:

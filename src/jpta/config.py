@@ -27,11 +27,30 @@ from .codebook import (
     Type1Target,
 )
 from .link import MIN_RBS_PER_GRANT, LinkModel, McsTable, load_eesm_betas
-from .sysim import Deployment, jpta_share_target, log_ring_grid
+from .sysim import RING_RANGE_M, Deployment, jpta_share_target, \
+    log_ring_grid
 
 
 class ConfigError(ValueError):
     """Invalid run configuration; message names the field and constraint."""
+
+
+# config key of each dataclass field whose rule a builder checks; an error
+# message starts with the field's name
+_FIELD_KEYS = {
+    "num_elements": "array.num_elements",
+    "spacing_m": "array.spacing_m",
+    "carrier_hz": "array.carrier_hz",
+    "peak_gain_db": "array.peak_gain_db",
+    "bandwidth_hz": "grid.bandwidth_hz",
+    "scs_hz": "grid.scs_hz",
+    "path_loss_exponent": "link.path_loss_exponent",
+    "ue_tx_power_dbm": "link.ue_tx_power_dbm",
+    "ue_beam_gain_db": "link.ue_beam_gain_db",
+    "bs_noise_figure_db": "link.bs_noise_figure_db",
+    "step_s": "delay.step_ns",
+    "max_delay_s": "delay.max_ns",
+}
 
 
 @dataclass
@@ -315,12 +334,26 @@ def _validate(cfg: RunConfig) -> None:
                           "share of %d RBs, below the %d-RB minimum grant"
                           % (cfg.grid_num_rbs, num_ues, smallest,
                              MIN_RBS_PER_GRANT))
-    # after the checks above each builder has one rule of its own left, or
-    # reads an input file; a log grid with more rings than its span can
-    # separate repeats a distance
-    rings_key = ("deploy.distances_m" if cfg.deploy_distances_m
-                 else "deploy.ring_count")
-    for key, build in (("grid.num_rbs", cfg.frequency_grid),
+    # the rings are explicit, or a log grid whose ends are ring_min_m and
+    # ring_max_m; a log grid with more rings than its span can separate
+    # repeats a distance
+    if cfg.deploy_distances_m:
+        rings_key = "deploy.distances_m"
+    elif cfg.deploy_ring_min_m < RING_RANGE_M[0]:
+        rings_key = "deploy.ring_min_m"
+    elif cfg.deploy_ring_max_m > RING_RANGE_M[1]:
+        rings_key = "deploy.ring_max_m"
+    else:
+        rings_key = "deploy.ring_count"
+    field_keys = dict(_FIELD_KEYS, center_hz=(
+        "grid.center_hz" if cfg.grid_center_hz is not None
+        else "array.carrier_hz"))
+    # each builder checks the ranges of its dataclass's fields, which name
+    # their key, and the rules left after the checks above, which are
+    # reported under the builder's key; the last four read input files
+    for key, build in (("array.carrier_hz", cfg.array_config),
+                       ("link.path_loss_exponent", cfg.link_model),
+                       ("grid.num_rbs", cfg.frequency_grid),
                        (rings_key, cfg.deployment),
                        ("delay.max_ns", cfg.delay_constraint),
                        ("link.mcs_table_csv", cfg.mcs_table),
@@ -331,8 +364,5 @@ def _validate(cfg: RunConfig) -> None:
         try:
             build()
         except (ValueError, OSError) as exc:
-            # the grid's other rule, a band above 0 Hz, is the center's
-            if key == "grid.num_rbs" and str(exc).startswith("center_hz"):
-                key = ("grid.center_hz" if cfg.grid_center_hz is not None
-                       else "array.carrier_hz")
+            key = field_keys.get(str(exc).split(" ", 1)[0], key)
             raise ConfigError("%s: %s" % (key, exc))

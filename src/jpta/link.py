@@ -18,12 +18,20 @@ import numpy as np
 
 from . import _kernels
 from .antenna import (
+    CARRIER_RANGE_HZ,
+    GAIN_RANGE_DB,
     SPEED_OF_LIGHT_M_S,
     read_indexed_csv,
     require_finite_fields,
+    require_range,
 )
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
+
+# physical ranges: a path-loss exponent above 10 loses 100 dB per decade
+# of distance; a noise figure is 0 dB for a noiseless receiver
+MAX_PATH_LOSS_EXPONENT = 10.0
+NOISE_FIGURE_RANGE_DB = (0.0, 100.0)
 
 # smallest schedulable allocation
 MIN_RBS_PER_GRANT = 4
@@ -56,6 +64,11 @@ class LinkModel:
             raise ValueError("carrier_hz must be positive")
         if not self.path_loss_exponent > 0.0:
             raise ValueError("path_loss_exponent must be positive")
+        require_range(self, "carrier_hz", *CARRIER_RANGE_HZ)
+        require_range(self, "path_loss_exponent", 0.0, MAX_PATH_LOSS_EXPONENT)
+        require_range(self, "ue_tx_power_dbm", *GAIN_RANGE_DB)
+        require_range(self, "ue_beam_gain_db", *GAIN_RANGE_DB)
+        require_range(self, "bs_noise_figure_db", *NOISE_FIGURE_RANGE_DB)
 
 
 def path_gain_db(lm: LinkModel, distance_m: float) -> float:

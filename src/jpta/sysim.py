@@ -40,6 +40,10 @@ RESULTS_CSV_HEADER = ("scheme", "distance_m", "ue_index", "ue_angle_deg",
 SUMMARY_CSV_HEADER = ("scheme", "distance_m", "mean_throughput_bps")
 COVERAGE_CSV_HEADER = ("scheme", "threshold_bps", "coverage_m", "censored")
 
+# ring distances: from the path-loss model's 1 m reference distance out to
+# 10,000 km
+RING_RANGE_M = (1.0, 1e7)
+
 
 @dataclass(frozen=True)
 class Deployment:
@@ -64,6 +68,9 @@ class Deployment:
         if np.any(rings <= 0.0) or np.any(np.diff(rings) <= 0.0):
             raise ValueError("ring_distances_m must be positive and strictly "
                              "increasing")
+        if rings[0] < RING_RANGE_M[0] or rings[-1] > RING_RANGE_M[1]:
+            raise ValueError("ring_distances_m must lie in [%g, %g], got %g "
+                             "to %g" % (RING_RANGE_M + (rings[0], rings[-1])))
         object.__setattr__(self, "ue_angles_rad", angles)
         object.__setattr__(self, "ring_distances_m", rings)
 

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpta import ArrayConfig, DelayConstraint, Deployment, FrequencyGrid
+from jpta import (
+    ArrayConfig,
+    DelayConstraint,
+    Deployment,
+    FrequencyGrid,
+    LinkModel,
+    throughput_sweep,
+)
 from jpta.antenna import SPEED_OF_LIGHT_M_S, axis_from_boresight_deg
 from jpta.codebook import paa_codebook
 from jpta.config import ConfigError, RunConfig, load_config, parse_config_text
@@ -155,6 +162,51 @@ def test_dataclasses_reject_non_finite_fields(cls, field, value):
         cls(**{**_VALID_FIELDS[cls], field: value})
 
 
+_VALID_FIELDS[LinkModel] = dict(carrier_hz=28e9)
+
+
+@pytest.mark.parametrize("cls,field,accepted,rejected", [
+    # a field with only a positivity check below has no lower value here
+    (ArrayConfig, "spacing_m", (1e-9, 10.0), (10.01,)),
+    (ArrayConfig, "carrier_hz", (1e8, 1e12), (9.9e7, 1.01e12)),
+    (ArrayConfig, "peak_gain_db", (-100.0, 100.0), (-100.1, 100.1)),
+    (FrequencyGrid, "scs_hz", (1e3, 1e9), (999.0, 1.01e9)),
+    (LinkModel, "carrier_hz", (1e8, 1e12), (9.9e7, 1.01e12)),
+    (LinkModel, "path_loss_exponent", (1e-9, 10.0), (10.01,)),
+    (LinkModel, "ue_tx_power_dbm", (-100.0, 100.0), (-100.1, 100.1)),
+    (LinkModel, "ue_beam_gain_db", (-100.0, 100.0), (-100.1, 100.1)),
+    (LinkModel, "bs_noise_figure_db", (0.0, 100.0), (-0.1, 100.1)),
+    (DelayConstraint, "max_delay_s", (0.0, 1e-6), (1.01e-6,)),
+])
+def test_dataclasses_check_physical_ranges(cls, field, accepted, rejected):
+    # callers that bypass the config parser get the field named
+    valid = dict(_VALID_FIELDS[cls])
+    if cls is FrequencyGrid:  # a band wide enough for one RB at any scs
+        valid.update(center_hz=2e10, bandwidth_hz=2e10, num_rbs=1)
+    for value in accepted:
+        cls(**{**valid, field: value})
+    for value in rejected:
+        with pytest.raises(ValueError, match="^%s must lie in" % field):
+            cls(**{**valid, field: value})
+
+
+def test_deployment_rings_lie_in_the_model_range():
+    angles = [0.0]
+    Deployment(angles, [1.0, 1e7])
+    for rings in ([0.5, 10.0], [10.0, 1.1e7]):
+        with pytest.raises(ValueError, match="^ring_distances_m must lie in"):
+            Deployment(angles, rings)
+
+
+def test_delay_constraint_caps_the_grid_at_1024_steps():
+    assert DelayConstraint(0.5e-9, 512e-9).num_steps == 1024
+    # 1000 ns given in ns and scaled to seconds rounds above 1e-6
+    assert DelayConstraint(2.5e-9, 1000 * 1e-9).num_steps == 400
+    for step_s in (0.4995e-9, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="^step_s must split"):
+            DelayConstraint(step_s, 512e-9)
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ConfigError, match="line 3: unknown key"):
         parse_config_text("array.num_elements = 4\n# fine\nnope = 1\n")
@@ -196,6 +248,27 @@ def test_parse_error_reports_line_number():
      "link.mcs_table_csv: .*falling.csv: SNR thresholds must be strictly"),
     ("link.mcs_table_csv = {tmp}/absent.csv", "link.mcs_table_csv: .*absent"),
     ("link.eesm_beta_csv = {tmp}/falling.csv", "link.eesm_beta_csv: .*header"),
+    # a key past its physical range is named, not a math error of the sweep
+    ("link.ue_tx_power_dbm = -1e300",
+     "link.ue_tx_power_dbm: ue_tx_power_dbm must lie in"),
+    ("link.ue_beam_gain_db = -1e300",
+     "link.ue_beam_gain_db: ue_beam_gain_db must lie in"),
+    ("link.bs_noise_figure_db = 1e300",
+     "link.bs_noise_figure_db: bs_noise_figure_db must lie in"),
+    ("link.path_loss_exponent = 1e300",
+     "link.path_loss_exponent: path_loss_exponent must lie in"),
+    ("array.carrier_hz = 1e300", "array.carrier_hz: carrier_hz must lie in"),
+    ("array.peak_gain_db = -1e300",
+     "array.peak_gain_db: peak_gain_db must lie in"),
+    ("array.spacing_m = 1e300", "array.spacing_m: spacing_m must lie in"),
+    ("grid.scs_hz = 1e-300", "grid.scs_hz: scs_hz must lie in"),
+    ("deploy.distances_m = 100, 1e300",
+     "deploy.distances_m: ring_distances_m must lie in"),
+    ("deploy.ring_min_m = 0.5", "deploy.ring_min_m: ring_distances_m must"),
+    ("deploy.ring_max_m = 1e300", "deploy.ring_max_m: ring_distances_m must"),
+    ("delay.max_ns = 1e300", "delay.max_ns: max_delay_s must lie in"),
+    ("delay.step_ns = 1e-300", "delay.step_ns: step_s must split"),
+    ("delay.step_ns = 0.1", "delay.step_ns: step_s must split"),
 ])
 def test_validation_errors(text, match, tmp_path):
     # input files are read, and rejected, when the config is parsed
@@ -330,36 +403,74 @@ def test_rainbow_spec_builder():
 
 
 # ---------------------------------------------------------------------------
-# property: a config that parses builds every run object
+# property: a config that parses builds every run object and runs
 # ---------------------------------------------------------------------------
 
 def _numbers(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 
 
+def _one(strategy):
+    return st.lists(strategy, min_size=1, max_size=1)
+
+
+_WILD_DB = _numbers(-1e300, 1e300)
+
+# key -> (valid values, wild values), each a strategy of the value list. The
+# wild values run in and far around the valid range: far enough that SNRs
+# would leave float64. Keys from deploy.distances_m on are set in about half
+# of the examples and keep their defaults otherwise.
+_KEY_VALUES = {
+    "deploy.ue_angles_deg": (st.lists(_numbers(-90, 90), min_size=1,
+                                      max_size=6),
+                             st.lists(_numbers(-100, 100), min_size=1,
+                                      max_size=6)),
+    "paa.sector_deg": (st.tuples(_numbers(-90, 0), _numbers(1, 90)).map(list),
+                       st.lists(_numbers(-100, 100), min_size=2,
+                                max_size=2)),
+    "deploy.ring_min_m": (_one(_numbers(1, 100)), _one(_numbers(-10, 1e300))),
+    "deploy.ring_max_m": (_one(_numbers(200, 3000)),
+                          _one(_numbers(-10, 1e300))),
+    "deploy.ring_count": (_one(st.integers(2, 400)),
+                          _one(st.integers(-1, 400))),
+    "grid.num_rbs": (_one(st.integers(24, 300)), _one(st.integers(-1, 300))),
+    "design.type2.center_deg": (_one(_numbers(-30, 30)),
+                                _one(_numbers(-100, 100))),
+    "design.type2.spread_deg": (_one(_numbers(0, 60)),
+                                _one(_numbers(-20, 400))),
+    "design.type1.angles_deg": (
+        st.integers(1, 24).map(lambda n: np.linspace(-60, 60, n).tolist()),
+        st.integers(1, 300).map(lambda n: np.linspace(-60, 60, n).tolist())),
+    "deploy.distances_m": (st.lists(_numbers(1, 3000), min_size=1,
+                                    max_size=5, unique=True).map(sorted),
+                           st.lists(_numbers(-10, 1e300), min_size=1,
+                                    max_size=5)),
+    "array.carrier_hz": (_one(_numbers(2e8, 1e12)), _one(_numbers(1, 1e300))),
+    "array.peak_gain_db": (_one(_numbers(-100, 100)), _one(_WILD_DB)),
+    "array.spacing_m": (_one(_numbers(1e-4, 10)), _one(_numbers(1e-4, 1e300))),
+    "grid.scs_hz": (_one(_numbers(1e3, 1e5)), _one(_numbers(1e-300, 2e5))),
+    "link.path_loss_exponent": (_one(_numbers(0.1, 10)),
+                                _one(_numbers(1e-300, 1e300))),
+    "link.ue_tx_power_dbm": (_one(_numbers(-100, 100)), _one(_WILD_DB)),
+    "link.ue_beam_gain_db": (_one(_numbers(-100, 100)), _one(_WILD_DB)),
+    "link.bs_noise_figure_db": (_one(_numbers(0, 100)), _one(_WILD_DB)),
+    "delay.step_ns": (_one(_numbers(0.2, 10)), _one(_numbers(1e-300, 1e300))),
+    "delay.max_ns": (_one(_numbers(0, 200)), _one(_numbers(0, 1e300))),
+}
+_ALWAYS_SET = list(_KEY_VALUES)[:list(_KEY_VALUES).index("deploy.distances_m")]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_config_that_parses_builds_every_run_object(data):
-    # every range-checked key, drawn in and around its valid range
+    # every range-checked key: in about half of the examples one of them is
+    # drawn wild, the rest valid
     draw = data.draw
-    keys = {
-        "deploy.ue_angles_deg": draw(st.lists(_numbers(-100, 100),
-                                              min_size=1, max_size=6)),
-        "paa.sector_deg": draw(st.lists(_numbers(-100, 100), min_size=2,
-                                        max_size=2)),
-        "deploy.ring_min_m": [draw(_numbers(-10, 3000))],
-        "deploy.ring_max_m": [draw(_numbers(-10, 3000))],
-        "deploy.ring_count": [draw(st.integers(-1, 400))],
-        "grid.num_rbs": [draw(st.integers(-1, 300))],
-        "design.type2.center_deg": [draw(_numbers(-100, 100))],
-        "design.type2.spread_deg": [draw(_numbers(-20, 400))],
-    }
-    if draw(st.booleans()):
-        keys["deploy.distances_m"] = draw(st.lists(_numbers(-10, 3000),
-                                                   min_size=1, max_size=5))
-    count = draw(st.integers(0, 300))
-    if count:
-        keys["design.type1.angles_deg"] = np.linspace(-60, 60, count).tolist()
+    wild = draw(st.sampled_from(list(_KEY_VALUES))) \
+        if draw(st.booleans()) else None
+    keys = {key: draw(values[key == wild])
+            for key, values in _KEY_VALUES.items()
+            if key in _ALWAYS_SET or key == wild or draw(st.booleans())}
     text = "".join("%s = %s\n" % (key, ", ".join(map(repr, values)))
                    for key, values in keys.items())
     try:
@@ -377,3 +488,15 @@ def test_a_config_that_parses_builds_every_run_object(data):
     cfg.rainbow_spec()
     assert len(paa_codebook(array, cfg.paa_num_beams,
                             cfg.paa_sector_rad())) == cfg.paa_num_beams
+    # and a sweep of its nearest or farthest ring has finite outputs
+    dep = cfg.deployment()
+    ring = dep.ring_distances_m[draw(st.sampled_from([0, -1]))]
+    mcs = cfg.mcs_table()
+    res = throughput_sweep(Deployment(dep.ue_angles_rad, [ring]), array,
+                           cfg.frequency_grid(), cfg.link_model(), mcs,
+                           cfg.delay_constraint(), cfg.paa_num_beams,
+                           cfg.paa_sector_rad(), cfg.eesm_betas(mcs))
+    for scheme, rates in res.rates.items():
+        for field, column in zip(rates._fields, rates):
+            assert np.all(np.isfinite(column)), (scheme, field, text)
+        assert np.all(np.isfinite(res.mean_throughput_bps(scheme))), text
