@@ -123,10 +123,15 @@ def _cmd_pattern(args) -> int:
 
 def _run_sweep(cfg: RunConfig):
     mcs = cfg.mcs_table()
-    return throughput_sweep(cfg.deployment(), cfg.array_config(),
-                            cfg.frequency_grid(), cfg.link_model(), mcs,
-                            cfg.delay_constraint(), cfg.paa_num_beams,
-                            cfg.paa_sector_rad(), cfg.eesm_betas(mcs))
+    result = throughput_sweep(cfg.deployment(), cfg.array_config(),
+                              cfg.frequency_grid(), cfg.link_model(), mcs,
+                              cfg.delay_constraint(), cfg.paa_num_beams,
+                              cfg.paa_sector_rad(), cfg.eesm_betas(mcs))
+    for scheme in (SCHEME_PAA, SCHEME_JPTA):
+        outage = result.rates[scheme].outage
+        log.info("%s: %d of %d decisions are outages (%d rings x %d UEs)",
+                 scheme, outage.sum(), outage.size, *outage.shape)
+    return result
 
 
 def _cmd_simulate(args) -> int:

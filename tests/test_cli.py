@@ -2,6 +2,7 @@
 
 import csv
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -132,6 +133,21 @@ def test_simulate_writes_both_csvs(tmp_path, capsys):
     assert len(summary) == 1 + 2 * 3
 
 
+def test_sweep_logs_outages_per_scheme(tmp_path, capsys, caplog):
+    # both UEs are out of reach on the 1000 km ring under both schemes; the
+    # records go to the log, so stdout is unchanged
+    cfg_path = _write_cfg(tmp_path, SMALL_CFG.replace("30, 100, 300",
+                                                      "30, 100, 1e6"))
+    caplog.set_level(logging.INFO, logger="jpta")
+    assert main(["simulate", "--config", cfg_path,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("jpta", logging.INFO,
+         "%s: 2 of 6 decisions are outages (3 rings x 2 UEs)" % scheme)
+        for scheme in ("PAA", "JPTA")]
+    assert "decisions are outages" not in capsys.readouterr().out
+
+
 def test_simulate_is_deterministic(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     a = tmp_path / "a"
@@ -244,6 +260,9 @@ def test_inf_eesm_betas_exit_2_names_file(tmp_path, capsys):
                  id="300-type1-angles"),
     ("link.mcs_table_csv = {tmp}/mcs.csv\n", "simulate",
      "link.mcs_table_csv: {tmp}/mcs.csv: SNR thresholds"),
+    # a power whose SNRs underflow used to exit 1 with "math domain error"
+    ("link.ue_tx_power_dbm = -1e300\n", "simulate",
+     "link.ue_tx_power_dbm: ue_tx_power_dbm must lie in [-100, 100]"),
 ])
 def test_config_input_errors_exit_2_name_key(tmp_path, capsys, text, command,
                                              key):

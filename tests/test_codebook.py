@@ -226,23 +226,30 @@ def test_type1_two_target_reference(array16, grid264, delay25):
         obj, rel=1e-12)
 
 
+@st.composite
+def _type1_targets(draw, max_rbs):
+    """A grid of up to ``max_rbs`` RBs and a target of one to six subbands,
+    each steered to its own axis angle."""
+    num_rbs = draw(st.integers(1, max_rbs))
+    cuts = draw(st.lists(st.integers(1, max(1, num_rbs - 1)),
+                         max_size=min(5, num_rbs - 1), unique=True))
+    bounds = [0] + sorted(cuts) + [num_rbs]
+    angles = draw(st.lists(st.floats(0.0, math.pi), min_size=len(bounds) - 1,
+                           max_size=len(bounds) - 1))
+    target = Type1Target(tuple(zip(angles, zip(bounds[:-1], bounds[1:]))))
+    return target, FrequencyGrid(28e9, 400e6, 120e3, num_rbs)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_type1_scan_objective_equals_type1_objective(data):
+@given(problem=_type1_targets(40), data=st.data())
+def test_type1_scan_objective_equals_type1_objective(problem, data):
     # the designer takes its objective from the delay scan; recomputed from
     # its own weights it must agree to 1e-12 relative, or to 1e-12 of the
     # K evaluation frequencies where a near-exact fit leaves only rounding
-    num_rbs = data.draw(st.integers(1, 40))
-    cuts = data.draw(st.lists(st.integers(1, max(1, num_rbs - 1)),
-                              max_size=min(5, num_rbs - 1), unique=True))
-    bounds = [0] + sorted(cuts) + [num_rbs]
-    angles = data.draw(st.lists(st.floats(0.0, math.pi),
-                                min_size=len(bounds) - 1,
-                                max_size=len(bounds) - 1))
-    target = Type1Target(tuple(zip(angles, zip(bounds[:-1], bounds[1:]))))
+    target, grid = problem
+    num_rbs = grid.num_rbs
     cfg = ArrayConfig.half_wavelength(data.draw(st.integers(1, 24)), 28e9,
                                       28.0)
-    grid = FrequencyGrid(28e9, 400e6, 120e3, num_rbs)
     step_s = data.draw(st.floats(0.1, 5.0)) * 1e-9
     constraint = DelayConstraint(step_s,
                                  data.draw(st.integers(0, 63)) * step_s)
@@ -251,6 +258,31 @@ def test_type1_scan_objective_equals_type1_objective(data):
     cert = type1_objective(cfg, w, target, grid, per_subcarrier)
     num_freqs = num_rbs * (12 if per_subcarrier else 1)
     assert obj == pytest.approx(cert, rel=1e-12, abs=1e-12 * num_freqs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_type1_targets(40), num_elements=st.integers(1, 16),
+       fine_step_ns=st.floats(0.1, 5.0), ratio=st.integers(1, 8),
+       coarse_steps=st.integers(0, 16), extra_steps=st.integers(0, 16),
+       per_subcarrier=st.booleans())
+def test_nested_delay_grid_never_raises_type1_objective(
+        problem, num_elements, fine_step_ns, ratio, coarse_steps,
+        extra_steps, per_subcarrier):
+    # the per-antenna search is exact over its delay grid, so a grid that
+    # holds every delay of a coarser one (coarse step a multiple of the fine
+    # step, coarse max at most the fine max) cannot end with a larger
+    # objective; j * (ratio * step) and (j * ratio) * step may differ in
+    # the last bit, hence the 1e-12 relative slack
+    target, grid = problem
+    cfg = ArrayConfig.half_wavelength(num_elements, 28e9, 28.0)
+    step = fine_step_ns * 1e-9
+    coarse = DelayConstraint(ratio * step, coarse_steps * (ratio * step))
+    fine = DelayConstraint(step, (ratio * coarse_steps + extra_steps) * step)
+    assert coarse.num_steps == coarse_steps
+    assert fine.num_steps == ratio * coarse_steps + extra_steps
+    _, coarse_obj = design_type1(cfg, target, grid, coarse, per_subcarrier)
+    _, fine_obj = design_type1(cfg, target, grid, fine, per_subcarrier)
+    assert fine_obj <= coarse_obj * (1.0 + 1e-12)
 
 
 def test_type1_single_angle_is_plain_steering(array16, grid264, delay25):
