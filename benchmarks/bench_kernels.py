@@ -15,6 +15,12 @@ PAA gain rows of 8 UEs, 16 beams at the carrier and 8 serving beams over
 264 RBs, as two calls with the weight sets tiled as column blocks against
 the 24 one-set calls they replace.
 
+The last row times rate selection end to end, kernel and result assembly:
+the two ``link.select_rate_grid`` calls of one sweep of the criterion-4
+deployment (8 UEs at exponent 3, 5120 log rings over 300-3000 m), against
+the same calls followed by the per-decision objects and the
+attribute-gathering ring mean that the column results replaced.
+
 Usage::
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N]
@@ -30,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from jpta import _kernels, codebook
+from jpta import _kernels, antenna, codebook, link, sysim
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
@@ -134,6 +140,48 @@ def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
     return [rate_scan_py(row, *args) for user in rows for row in user]
 
 
+def _sweep_rate_args():
+    """The arguments of a sweep's PAA and JPTA ``select_rate_grid`` calls on
+    the criterion-4 deployment at exponent 3 with 5120 rings."""
+    cfg = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    grid = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
+    angles = np.radians(np.linspace(-55.0, 55.0, 8))
+    freqs = grid.rb_center_freqs()
+    ues = np.arange(angles.size)
+    beams = codebook.paa_codebook(cfg, 16, (
+        antenna.axis_from_boresight_deg(60.0),
+        antenna.axis_from_boresight_deg(-60.0)))
+    serving = np.argmax(sysim._gain_rows(cfg, beams, angles,
+                                         [cfg.carrier_hz])[:, :, 0], axis=0)
+    paa_rows = sysim._gain_rows(cfg, [beams[b] for b in serving], angles,
+                                freqs)[ues, ues]
+    target, shares = sysim.jpta_share_target(angles, grid.num_rbs)
+    weights, _ = codebook.design_type1(cfg, target, grid,
+                                       codebook.DelayConstraint())
+    jpta_rows = sysim._gain_rows(cfg, [weights], angles, freqs)[0]
+    common = (link.LinkModel(carrier_hz=28e9),
+              sysim.log_ring_grid(300.0, 3000.0, 5120))
+    table = link.McsTable.default()
+    all_rbs = [np.arange(grid.num_rbs)] * angles.size
+    return ((*common, paa_rows, all_rbs, table, grid.scs_hz,
+             1.0 / angles.size),
+            (*common, jpta_rows, shares, table, grid.scs_hz, 1.0))
+
+
+def _sweep_rate_grids(paa_args, jpta_args):
+    """Both schemes' rate grids and ring means, read from the columns."""
+    return [link.select_rate_grid(*args).throughput_bps.mean(axis=1)
+            for args in (paa_args, jpta_args)]
+
+
+def _sweep_rate_decisions(paa_args, jpta_args):
+    """The same, through one RateDecision per ring and UE and a ring mean
+    of their throughput attributes."""
+    return [np.array([[d.throughput_bps for d in ring]
+                      for ring in link.select_rate_grid(*args).decisions()])
+            .mean(axis=1) for args in (paa_args, jpta_args)]
+
+
 # (label, kernel, oracle or per-set reference, argument factory, oracle
 # timed once)
 BENCHES = [
@@ -154,6 +202,8 @@ BENCHES = [
      _rate_scan_per_ring, lambda: _rate_args(1, 160), False),
     ("rate_scan    (8 users x 160 rings x 264 RBs)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(8, 160), True),
+    ("select_rate_grid (8 UEs x 5120 rings, 2 calls)", _sweep_rate_grids,
+     _sweep_rate_decisions, _sweep_rate_args, False),
 ]
 
 

@@ -1,0 +1,64 @@
+"""What the benchmark harness under ``perfbench/`` reads from the package:
+the functions its tracer wraps by name, and a sweep's per-decision view."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from jpta import _kernels
+from jpta.antenna import ArrayConfig, FrequencyGrid, axis_from_boresight_deg
+from jpta.codebook import DelayConstraint
+from jpta.link import LinkModel, McsTable, RateDecision, RateGrid
+from jpta.sysim import Deployment, throughput_sweep
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    # by path: perfbench is not a package, and the tracer needs only the
+    # standard library and numpy
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_in_its_module():
+    layers = _load_tracer().LAYERS
+    assert layers
+    for layer, names in layers.items():
+        module = importlib.import_module("jpta." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), (layer, name)
+    # the harness also records the kernels' backend name
+    assert isinstance(_kernels.backend(), str)
+
+
+def _bits(value):
+    return (type(value), value.hex() if isinstance(value, float) else value)
+
+
+def test_decisions_view_equals_the_rate_grid_columns():
+    # near, middle and out-of-reach rings, so outages are in the view; more
+    # rings than UEs, so a transposed view cannot match
+    dep = Deployment(ue_angles_rad=np.radians([-40.0, 5.0, 35.0]),
+                     ring_distances_m=np.array([30.0, 300.0, 700.0, 1e6]))
+    sector = (axis_from_boresight_deg(60.0), axis_from_boresight_deg(-60.0))
+    res = throughput_sweep(dep, ArrayConfig.half_wavelength(16, 28e9, 28.0),
+                           FrequencyGrid(28e9, 400e6, 120e3, 24),
+                           LinkModel(carrier_hz=28e9), McsTable.default(),
+                           DelayConstraint(), 16, sector)
+    decisions = res.decisions
+    assert list(decisions) == list(res.rates)
+    for scheme, rates in res.rates.items():
+        assert isinstance(rates, RateGrid)
+        view = decisions[scheme]
+        assert [len(ring) for ring in view] == [3] * 4
+        assert all(isinstance(d, RateDecision) for ring in view for d in ring)
+        assert rates.outage[-1].all() and not rates.outage[0].any()
+        for field, column in zip(RateGrid._fields, rates):
+            want = [[_bits(v) for v in ring] for ring in column.tolist()]
+            got = [[_bits(getattr(d, field)) for d in ring] for ring in view]
+            assert got == want, (scheme, field)
