@@ -122,8 +122,6 @@ class ArrayConfig:
             raise ValueError("num_elements must be >= 1")
         if not self.spacing_m > 0.0:
             raise ValueError("spacing_m must be positive")
-        if not self.carrier_hz > 0.0:
-            raise ValueError("carrier_hz must be positive")
         # the carrier first: an automatic spacing is half its wavelength
         require_range(self, "carrier_hz", *CARRIER_RANGE_HZ)
         require_range(self, "spacing_m", 0.0, MAX_SPACING_M)
@@ -157,8 +155,6 @@ class FrequencyGrid:
         if not self.center_hz > self.bandwidth_hz / 2.0:
             raise ValueError("center_hz must exceed bandwidth_hz / 2: the "
                              "band may not reach 0 Hz")
-        if not self.scs_hz > 0.0:
-            raise ValueError("scs_hz must be positive")
         require_range(self, "scs_hz", *SCS_RANGE_HZ)
         if self.num_rbs < 1:
             raise ValueError("num_rbs must be >= 1")

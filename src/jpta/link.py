@@ -60,8 +60,6 @@ class LinkModel:
 
     def __post_init__(self):
         require_finite_fields(self)
-        if not self.carrier_hz > 0.0:
-            raise ValueError("carrier_hz must be positive")
         if not self.path_loss_exponent > 0.0:
             raise ValueError("path_loss_exponent must be positive")
         require_range(self, "carrier_hz", *CARRIER_RANGE_HZ)
