@@ -138,6 +138,7 @@ _VALID_FIELDS = {
     DelayConstraint: dict(step_s=2.5e-9, max_delay_s=157.5e-9),
     Deployment: dict(ue_angles_rad=[-0.5, 0.5],
                      ring_distances_m=[30.0, 100.0]),
+    LinkModel: dict(carrier_hz=28e9),
 }
 
 
@@ -161,8 +162,6 @@ def test_dataclasses_reject_non_finite_fields(cls, field, value):
     with pytest.raises(ValueError, match="^%s must be finite" % field):
         cls(**{**_VALID_FIELDS[cls], field: value})
 
-
-_VALID_FIELDS[LinkModel] = dict(carrier_hz=28e9)
 
 
 @pytest.mark.parametrize("cls,field,accepted,rejected", [
