@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,9 @@ CARRIER_RANGE_HZ = (1e8, 1e12)
 GAIN_RANGE_DB = (-100.0, 100.0)
 MAX_SPACING_M = 10.0
 SCS_RANGE_HZ = (1e3, 1e9)
+# element count cap, far above the 16 elements of every study, so that no
+# array the config accepts allocates more than a machine holds
+MAX_NUM_ELEMENTS = 1024
 
 
 def require_finite_fields(obj) -> None:
@@ -118,12 +121,11 @@ class ArrayConfig:
 
     def __post_init__(self):
         require_finite_fields(self)
-        if self.num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
-        if not self.spacing_m > 0.0:
-            raise ValueError("spacing_m must be positive")
+        require_range(self, "num_elements", 1, MAX_NUM_ELEMENTS)
         # the carrier first: an automatic spacing is half its wavelength
         require_range(self, "carrier_hz", *CARRIER_RANGE_HZ)
+        if not self.spacing_m > 0.0:
+            raise ValueError("spacing_m must be positive")
         require_range(self, "spacing_m", 0.0, MAX_SPACING_M)
         require_range(self, "peak_gain_db", *GAIN_RANGE_DB)
 
@@ -135,8 +137,10 @@ class ArrayConfig:
     def half_wavelength(cls, num_elements: int, carrier_hz: float,
                         peak_gain_db: float = 28.0) -> "ArrayConfig":
         """Array with the default half-wavelength spacing at the carrier."""
-        spacing = SPEED_OF_LIGHT_M_S / carrier_hz / 2.0
-        return cls(num_elements, spacing, carrier_hz, peak_gain_db)
+        # built first at a unit spacing, so the carrier is checked before
+        # its wavelength is taken
+        array = cls(num_elements, 1.0, carrier_hz, peak_gain_db)
+        return replace(array, spacing_m=array.wavelength_m / 2.0)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ DEFAULT_MAX_DELAY_S = 157.5e-9
 # physical range of a delay line: at most 1 us and 1024 steps (ten bits)
 MAX_DELAY_S = 1e-6
 MAX_DELAY_STEPS = 1024
+# benchmark codebook size cap, far above the 16 beams of every study
+MAX_PAA_BEAMS = 1024
 
 CODEBOOK_CSV_HEADER = ("antenna", "delay_ns", "phase_deg")
 
@@ -130,8 +132,6 @@ class DelayConstraint:
         require_finite_fields(self)
         if not self.step_s > 0.0:
             raise ValueError("step_s must be positive")
-        if self.max_delay_s < 0.0:
-            raise ValueError("max_delay_s must be nonnegative")
         # the 1e-9 relative slack admits a decimal 1000 ns, as in num_steps
         require_range(self, "max_delay_s", 0.0, MAX_DELAY_S * (1.0 + 1e-9))
         # the ratio test first keeps num_steps' floor finite
@@ -273,8 +273,9 @@ def paa_codebook(cfg: ArrayConfig, num_beams: int, sector_rad) -> list:
     boresight-relative angle (descending axis angle).
     """
     lo, hi = float(sector_rad[0]), float(sector_rad[1])
-    if num_beams < 1:
-        raise ValueError("num_beams must be >= 1")
+    if not 1 <= num_beams <= MAX_PAA_BEAMS:
+        raise ValueError("num_beams must lie in [1, %d], got %s"
+                         % (MAX_PAA_BEAMS, num_beams))
     if not (0.0 <= lo < hi <= math.pi):
         raise ValueError("sector must satisfy 0 <= lo < hi <= pi")
     width = (hi - lo) / num_beams

@@ -14,7 +14,7 @@ the offending field. Angles in config files are boresight-relative degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .codebook import (
     DelayConstraint,
     RainbowSpec,
     Type1Target,
+    paa_codebook,
 )
 from .link import MIN_RBS_PER_GRANT, LinkModel, McsTable, load_eesm_betas
 from .sysim import RING_RANGE_M, Deployment, jpta_share_target, \
@@ -33,24 +34,6 @@ from .sysim import RING_RANGE_M, Deployment, jpta_share_target, \
 
 class ConfigError(ValueError):
     """Invalid run configuration; message names the field and constraint."""
-
-
-# config key of each dataclass field whose rule a builder checks; an error
-# message starts with the field's name
-_FIELD_KEYS = {
-    "num_elements": "array.num_elements",
-    "spacing_m": "array.spacing_m",
-    "carrier_hz": "array.carrier_hz",
-    "peak_gain_db": "array.peak_gain_db",
-    "bandwidth_hz": "grid.bandwidth_hz",
-    "scs_hz": "grid.scs_hz",
-    "path_loss_exponent": "link.path_loss_exponent",
-    "ue_tx_power_dbm": "link.ue_tx_power_dbm",
-    "ue_beam_gain_db": "link.ue_beam_gain_db",
-    "bs_noise_figure_db": "link.bs_noise_figure_db",
-    "step_s": "delay.step_ns",
-    "max_delay_s": "delay.max_ns",
-}
 
 
 @dataclass
@@ -210,62 +193,44 @@ def _parse_pair(key, text):
 def _parse_spacing(key, text):
     if text.strip().lower() == "auto":
         return None
+    return _parse_float(key, text)
+
+
+def _parse_positive(key, text):
     value = _parse_float(key, text)
-    if not value > 0.0:
-        raise ConfigError("%s: must be positive or 'auto'" % key)
-    return value
-
-
-def _positive(key, value):
     if not value > 0:
         raise ConfigError("%s: must be positive" % key)
     return value
 
 
+_TYPE_PARSERS = dict(int=_parse_int, float=_parse_float, bool=_parse_bool,
+                     str=lambda key, text: text.strip(),
+                     tuple=_parse_float_list)
+
+# fields whose type does not say how to parse them; the three positivity
+# checks are the parser's because no run object makes them on every parse:
+# the ring ends go unused beside deploy.distances_m, and the scalar beta is
+# checked only when a sweep runs
+_FIELD_PARSERS = dict(array_spacing_m=_parse_spacing,
+                      paa_sector_deg=_parse_pair,
+                      link_eesm_beta=_parse_positive,
+                      deploy_ring_min_m=_parse_positive,
+                      deploy_ring_max_m=_parse_positive)
+
+# config key -> (field, parser); a key is its field's name with the first
+# underscore, two for the designer fields, made a dot
 _KEY_SPECS = {
-    "array.num_elements": ("array_num_elements",
-                           lambda k, t: _positive(k, _parse_int(k, t))),
-    "array.spacing_m": ("array_spacing_m", _parse_spacing),
-    "array.carrier_hz": ("array_carrier_hz",
-                         lambda k, t: _positive(k, _parse_float(k, t))),
-    "array.peak_gain_db": ("array_peak_gain_db", _parse_float),
-    "grid.center_hz": ("grid_center_hz", _parse_float),
-    "grid.bandwidth_hz": ("grid_bandwidth_hz",
-                          lambda k, t: _positive(k, _parse_float(k, t))),
-    "grid.scs_hz": ("grid_scs_hz",
-                    lambda k, t: _positive(k, _parse_float(k, t))),
-    "grid.num_rbs": ("grid_num_rbs",
-                     lambda k, t: _positive(k, _parse_int(k, t))),
-    "link.path_loss_exponent": ("link_path_loss_exponent",
-                                lambda k, t: _positive(k, _parse_float(k, t))),
-    "link.ue_tx_power_dbm": ("link_ue_tx_power_dbm", _parse_float),
-    "link.ue_beam_gain_db": ("link_ue_beam_gain_db", _parse_float),
-    "link.bs_noise_figure_db": ("link_bs_noise_figure_db", _parse_float),
-    "link.mcs_margin_db": ("link_mcs_margin_db", _parse_float),
-    "link.eesm_beta": ("link_eesm_beta",
-                       lambda k, t: _positive(k, _parse_float(k, t))),
-    "link.mcs_table_csv": ("link_mcs_table_csv", lambda k, t: t.strip()),
-    "link.eesm_beta_csv": ("link_eesm_beta_csv", lambda k, t: t.strip()),
-    "paa.num_beams": ("paa_num_beams",
-                      lambda k, t: _positive(k, _parse_int(k, t))),
-    "paa.sector_deg": ("paa_sector_deg", _parse_pair),
-    "delay.step_ns": ("delay_step_ns",
-                      lambda k, t: _positive(k, _parse_float(k, t))),
-    "delay.max_ns": ("delay_max_ns", _parse_float),
-    "deploy.ue_angles_deg": ("deploy_ue_angles_deg", _parse_float_list),
-    "deploy.ring_min_m": ("deploy_ring_min_m",
-                          lambda k, t: _positive(k, _parse_float(k, t))),
-    "deploy.ring_max_m": ("deploy_ring_max_m",
-                          lambda k, t: _positive(k, _parse_float(k, t))),
-    "deploy.ring_count": ("deploy_ring_count",
-                          lambda k, t: _positive(k, _parse_int(k, t))),
-    "deploy.distances_m": ("deploy_distances_m", _parse_float_list),
-    "design.type1.angles_deg": ("design_type1_angles_deg", _parse_float_list),
-    "design.type1.per_subcarrier": ("design_type1_per_subcarrier",
-                                    _parse_bool),
-    "design.type2.center_deg": ("design_type2_center_deg", _parse_float),
-    "design.type2.spread_deg": ("design_type2_spread_deg", _parse_float),
+    f.name.replace("_", ".", 2 if f.name.startswith("design_") else 1):
+    (f.name, _FIELD_PARSERS.get(f.name, _TYPE_PARSERS[f.type]))
+    for f in fields(RunConfig)
 }
+
+# config key of each run-object field whose rule a builder checks, read
+# from the first word of the builder's error: the key's last part, or one
+# of these field names
+_FIELD_KEYS = dict({key.rsplit(".", 1)[1]: key for key in _KEY_SPECS},
+                   step_s="delay.step_ns", max_delay_s="delay.max_ns",
+                   sector="paa.sector_deg")
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -311,9 +276,7 @@ def _validate(cfg: RunConfig) -> None:
                 raise ConfigError("%s: angle %g outside [-90, 90]"
                                   % (key, angle))
     lo, hi = cfg.paa_sector_deg
-    # compared again in axis radians, where a narrower sector rounds to none
-    axis_lo, axis_hi = cfg.paa_sector_rad()
-    if not (-90.0 <= lo < hi <= 90.0 and axis_lo < axis_hi):
+    if not -90.0 <= lo < hi <= 90.0:
         raise ConfigError("paa.sector_deg: need -90 <= lo < hi <= 90")
     if cfg.deploy_ring_min_m >= cfg.deploy_ring_max_m:
         raise ConfigError("deploy.ring_min_m: must be below deploy.ring_max_m")
@@ -350,8 +313,14 @@ def _validate(cfg: RunConfig) -> None:
         else "array.carrier_hz"))
     # each builder checks the ranges of its dataclass's fields, which name
     # their key, and the rules left after the checks above, which are
-    # reported under the builder's key; the last four read input files
+    # reported under the builder's key; the codebook also rounds the sector
+    # to axis radians, where a narrow one becomes empty; the last four read
+    # input files
     for key, build in (("array.carrier_hz", cfg.array_config),
+                       ("paa.num_beams",
+                        lambda: paa_codebook(cfg.array_config(),
+                                             cfg.paa_num_beams,
+                                             cfg.paa_sector_rad())),
                        ("link.path_loss_exponent", cfg.link_model),
                        ("grid.num_rbs", cfg.frequency_grid),
                        (rings_key, cfg.deployment),

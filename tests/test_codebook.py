@@ -160,6 +160,9 @@ def test_paa_codebook_validation(array16):
         paa_codebook(array16, 4, (2.0, 0.5))
     with pytest.raises(ValueError):
         paa_codebook(array16, 4, (-0.1, 2.0))
+    assert len(paa_codebook(array16, 1024, (0.5, 2.0))) == 1024
+    with pytest.raises(ValueError, match="^num_beams must lie in"):
+        paa_codebook(array16, 1025, (0.5, 2.0))
 
 
 # ---------------------------------------------------------------------------
