@@ -34,16 +34,20 @@ CARRIER_RANGE_HZ = (1e8, 1e12)
 GAIN_RANGE_DB = (-100.0, 100.0)
 MAX_SPACING_M = 10.0
 SCS_RANGE_HZ = (1e3, 1e9)
-# element count cap, far above the 16 elements of every study, so that no
-# array the config accepts allocates more than a machine holds
+# size caps, so that no array or grid the config accepts allocates more than
+# a machine holds: far above the 16 elements of every study, and nearly four
+# times the 275 RBs of the widest NR carrier
 MAX_NUM_ELEMENTS = 1024
+MAX_NUM_RBS = 1024
 
 
 def require_finite_fields(obj) -> None:
     """Raise ValueError naming the first field of dataclass ``obj`` whose
-    value is not a finite number."""
+    value is not a finite number. Python ints are exact, hence finite, even
+    past the float range."""
     for f in fields(obj):
-        if not math.isfinite(getattr(obj, f.name)):
+        value = getattr(obj, f.name)
+        if not (isinstance(value, int) or math.isfinite(value)):
             raise ValueError("%s must be finite" % f.name)
 
 
@@ -52,8 +56,8 @@ def require_range(obj, name: str, lo: float, hi: float) -> None:
     outside [lo, hi]."""
     value = getattr(obj, name)
     if not lo <= value <= hi:
-        raise ValueError("%s must lie in [%g, %g], got %g"
-                         % (name, lo, hi, value))
+        raise ValueError("%s must lie in [%g, %g], got %s" % (
+            name, lo, hi, value if isinstance(value, int) else "%g" % value))
 
 
 def read_indexed_csv(path, header) -> list:
@@ -159,9 +163,9 @@ class FrequencyGrid:
         if not self.center_hz > self.bandwidth_hz / 2.0:
             raise ValueError("center_hz must exceed bandwidth_hz / 2: the "
                              "band may not reach 0 Hz")
+        require_range(self, "center_hz", *CARRIER_RANGE_HZ)
         require_range(self, "scs_hz", *SCS_RANGE_HZ)
-        if self.num_rbs < 1:
-            raise ValueError("num_rbs must be >= 1")
+        require_range(self, "num_rbs", 1, MAX_NUM_RBS)
         occupied = self.num_rbs * 12 * self.scs_hz
         if occupied > self.bandwidth_hz * (1.0 + 1e-12):
             raise ValueError(

@@ -230,7 +230,7 @@ _KEY_SPECS = {
 # of these field names
 _FIELD_KEYS = dict({key.rsplit(".", 1)[1]: key for key in _KEY_SPECS},
                    step_s="delay.step_ns", max_delay_s="delay.max_ns",
-                   sector="paa.sector_deg")
+                   sector="paa.sector_deg", count="deploy.ring_count")
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -267,6 +267,22 @@ def load_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
+def _require_min_share(cfg: RunConfig) -> None:
+    """A JPTA share below the minimum grant could only ever be an outage."""
+    num_ues = len(cfg.deploy_ue_angles_deg)
+    try:
+        _, shares = jpta_share_target(np.deg2rad(cfg.deploy_ue_angles_deg),
+                                      cfg.grid_num_rbs)
+    except ValueError:  # fewer RBs than UEs: some get no share
+        shares = [()]
+    smallest = min(len(share) for share in shares)
+    if smallest < MIN_RBS_PER_GRANT:
+        raise ValueError("%d RBs over %d UEs leave a JPTA share of %d RBs, "
+                         "below the %d-RB minimum grant"
+                         % (cfg.grid_num_rbs, num_ues, smallest,
+                            MIN_RBS_PER_GRANT))
+
+
 def _validate(cfg: RunConfig) -> None:
     for key, angles in (("deploy.ue_angles_deg", cfg.deploy_ue_angles_deg),
                         ("design.type1.angles_deg",
@@ -284,19 +300,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("deploy.ring_count: must be >= 2")
     if not -90.0 <= cfg.design_type2_center_deg <= 90.0:
         raise ConfigError("design.type2.center_deg: outside [-90, 90]")
-    # a JPTA share below the minimum grant could only ever be an outage
-    num_ues = len(cfg.deploy_ue_angles_deg)
-    try:
-        _, shares = jpta_share_target(np.deg2rad(cfg.deploy_ue_angles_deg),
-                                      cfg.grid_num_rbs)
-    except ValueError:  # fewer RBs than UEs: some get no share
-        shares = [()]
-    smallest = min(len(share) for share in shares)
-    if smallest < MIN_RBS_PER_GRANT:
-        raise ConfigError("grid.num_rbs: %d RBs over %d UEs leave a JPTA "
-                          "share of %d RBs, below the %d-RB minimum grant"
-                          % (cfg.grid_num_rbs, num_ues, smallest,
-                             MIN_RBS_PER_GRANT))
     # the rings are explicit, or a log grid whose ends are ring_min_m and
     # ring_max_m; a log grid with more rings than its span can separate
     # repeats a distance
@@ -308,6 +311,9 @@ def _validate(cfg: RunConfig) -> None:
         rings_key = "deploy.ring_max_m"
     else:
         rings_key = "deploy.ring_count"
+    # the built-in table's thresholds are shifted by the margin
+    mcs_key = ("link.mcs_table_csv" if cfg.link_mcs_table_csv
+               else "link.mcs_margin_db")
     field_keys = dict(_FIELD_KEYS, center_hz=(
         "grid.center_hz" if cfg.grid_center_hz is not None
         else "array.carrier_hz"))
@@ -323,9 +329,11 @@ def _validate(cfg: RunConfig) -> None:
                                              cfg.paa_sector_rad())),
                        ("link.path_loss_exponent", cfg.link_model),
                        ("grid.num_rbs", cfg.frequency_grid),
+                       # once the grid has capped the RB count
+                       ("grid.num_rbs", lambda: _require_min_share(cfg)),
                        (rings_key, cfg.deployment),
                        ("delay.max_ns", cfg.delay_constraint),
-                       ("link.mcs_table_csv", cfg.mcs_table),
+                       (mcs_key, cfg.mcs_table),
                        ("link.eesm_beta_csv",
                         lambda: cfg.eesm_betas(cfg.mcs_table())),
                        ("design.type1.angles_deg", cfg.type1_target),

@@ -43,6 +43,8 @@ COVERAGE_CSV_HEADER = ("scheme", "threshold_bps", "coverage_m", "censored")
 # ring distances: from the path-loss model's 1 m reference distance out to
 # 10,000 km
 RING_RANGE_M = (1.0, 1e7)
+# log-grid ring count cap, far above the 5120 rings of the largest study
+MAX_RING_COUNT = 100_000
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,9 @@ def log_ring_grid(min_m: float, max_m: float, count: int) -> np.ndarray:
     """Logarithmically spaced ring distances, endpoints included."""
     if not 0.0 < min_m < max_m:
         raise ValueError("need 0 < min_m < max_m")
-    if count < 2:
-        raise ValueError("count must be >= 2")
+    if not 2 <= count <= MAX_RING_COUNT:
+        raise ValueError("count must lie in [2, %d], got %s"
+                         % (MAX_RING_COUNT, count))
     return np.geomspace(min_m, max_m, count)
 
 

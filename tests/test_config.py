@@ -169,8 +169,11 @@ def test_dataclasses_reject_non_finite_fields(cls, field, value):
     (ArrayConfig, "spacing_m", (1e-9, 10.0), (10.01,)),
     (ArrayConfig, "carrier_hz", (1e8, 1e12), (9.9e7, 1.01e12)),
     (ArrayConfig, "peak_gain_db", (-100.0, 100.0), (-100.1, 100.1)),
-    (ArrayConfig, "num_elements", (1, 1024), (0, 1025)),
+    (ArrayConfig, "num_elements", (1, 1024), (0, 1025, 10**400)),
+    # center_hz's lower end is set by the band: above bandwidth_hz / 2
+    (FrequencyGrid, "center_hz", (1.01e10, 1e12), (1.01e12,)),
     (FrequencyGrid, "scs_hz", (1e3, 1e9), (999.0, 1.01e9)),
+    (FrequencyGrid, "num_rbs", (1, 1024), (0, 1025, 10**400)),
     (LinkModel, "carrier_hz", (1e8, 1e12), (9.9e7, 1.01e12)),
     (LinkModel, "path_loss_exponent", (1e-9, 10.0), (10.01,)),
     (LinkModel, "ue_tx_power_dbm", (-100.0, 100.0), (-100.1, 100.1)),
@@ -274,6 +277,13 @@ def test_parse_error_reports_line_number():
     ("array.num_elements = 1000000000000",
      "array.num_elements: num_elements must lie in"),
     ("paa.num_beams = 1000000000000", "paa.num_beams: num_beams must lie in"),
+    ("deploy.ring_count = 1000000000000",
+     "deploy.ring_count: count must lie in"),
+    ("grid.num_rbs = 1000000000000", "grid.num_rbs: num_rbs must lie in"),
+    ("grid.center_hz = 1e300", "grid.center_hz: center_hz must lie in"),
+    # the built-in MCS thresholds shifted past float resolution
+    ("link.mcs_margin_db = 1e300",
+     "link.mcs_margin_db: SNR thresholds must be strictly increasing"),
 ])
 def test_validation_errors(text, match, tmp_path):
     # input files are read, and rejected, when the config is parsed

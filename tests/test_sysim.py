@@ -362,6 +362,9 @@ def test_log_ring_grid():
         log_ring_grid(0.0, 100.0, 5)
     with pytest.raises(ValueError, match="count"):
         log_ring_grid(30.0, 100.0, 1)
+    assert log_ring_grid(30.0, 100.0, 100_000).size == 100_000
+    with pytest.raises(ValueError, match="^count must lie in"):
+        log_ring_grid(30.0, 100.0, 100_001)
 
 
 @pytest.mark.parametrize("angles,rings", [
