@@ -1,5 +1,6 @@
-"""What the benchmark harness under ``perfbench/`` reads from the package:
-the functions its tracer wraps by name, and a sweep's per-decision view."""
+"""What the benchmarks read from the package: the functions the tracer of
+``perfbench/`` wraps by name, a sweep's per-decision view, and the kernels
+and private helpers ``benchmarks/bench_kernels.py`` times."""
 
 import importlib
 import importlib.util
@@ -13,20 +14,19 @@ from jpta.codebook import DelayConstraint
 from jpta.link import LinkModel, McsTable, RateDecision, RateGrid
 from jpta.sysim import Deployment, throughput_sweep
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    # by path: perfbench is not a package, and the tracer needs only the
-    # standard library and numpy
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    # by path: neither perfbench nor benchmarks is a package
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves_in_its_module():
-    layers = _load_tracer().LAYERS
+    layers = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py").LAYERS
     assert layers
     for layer, names in layers.items():
         module = importlib.import_module("jpta." + layer)
@@ -62,3 +62,14 @@ def test_decisions_view_equals_the_rate_grid_columns():
             want = [[_bits(v) for v in ring] for ring in column.tolist()]
             got = [[_bits(getattr(d, field)) for d in ring] for ring in view]
             assert got == want, (scheme, field)
+
+
+def test_every_kernel_bench_runs_once():
+    # the table reaches private names (sysim._gain_rows,
+    # codebook._delay_twiddles, _kernels.*) that no other test calls this
+    # way; each timed call runs once, the oracles, which take seconds, never
+    benches = _load("bench_kernels",
+                    ROOT / "benchmarks" / "bench_kernels.py").BENCHES
+    assert benches
+    for _, kernel, _, make_args, _ in benches:
+        kernel(*make_args())

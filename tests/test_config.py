@@ -1,6 +1,8 @@
 """Run-configuration parsing, validation, and object builders."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ from jpta import (
 )
 from jpta.antenna import SPEED_OF_LIGHT_M_S, axis_from_boresight_deg
 from jpta.codebook import paa_codebook
-from jpta.config import ConfigError, RunConfig, load_config, parse_config_text
+from jpta.config import (
+    _KEY_SPECS,
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_config_text,
+)
 from jpta.link import McsTable
 
 FULL_TEXT = """
@@ -95,6 +103,13 @@ def test_defaults_match_documented_values():
 def test_empty_text_gives_defaults():
     cfg = parse_config_text("# only comments\n\n")
     assert cfg == RunConfig()
+
+
+def test_readme_key_table_lists_exactly_the_parsed_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+    assert sorted(rows) == sorted(_KEY_SPECS)
 
 
 @pytest.mark.parametrize("text,match", [
