@@ -157,6 +157,10 @@ class McsTable:
             raise ValueError("spectral efficiencies must be strictly increasing")
         if np.any(np.diff(thr) <= 0.0):
             raise ValueError("SNR thresholds must be strictly increasing")
+        # the dB range of the link budget's own fields: a threshold past it
+        # is met by every SNR or by none
+        for e in self.entries:
+            require_range(e, "snr_threshold_db", *GAIN_RANGE_DB)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -263,11 +263,18 @@ def test_inf_eesm_betas_exit_2_names_file(tmp_path, capsys):
     # a power whose SNRs underflow used to exit 1 with "math domain error"
     ("link.ue_tx_power_dbm = -1e300\n", "simulate",
      "link.ue_tx_power_dbm: ue_tx_power_dbm must lie in [-100, 100]"),
+    # a margin of 1e15 dB used to exit 0 with 0 bps for both schemes
+    ("link.mcs_margin_db = 1e15\n", "simulate",
+     "link.mcs_margin_db: snr_threshold_db must lie in [-100, 100]"),
+    ("link.mcs_table_csv = {tmp}/far.csv\n", "simulate",
+     "link.mcs_table_csv: {tmp}/far.csv: snr_threshold_db must lie in"),
 ])
 def test_config_input_errors_exit_2_name_key(tmp_path, capsys, text, command,
                                              key):
     (tmp_path / "mcs.csv").write_text(
         "index,spectral_efficiency,snr_threshold_db\n0,0.5,3\n1,1.0,-3\n")
+    (tmp_path / "far.csv").write_text(
+        "index,spectral_efficiency,snr_threshold_db\n0,0.5,3\n1,1.0,1e15\n")
     cfg_path = _write_cfg(tmp_path, text.replace("{tmp}", str(tmp_path)))
     out = tmp_path / "o"
     argv = command.split() + ["--config", cfg_path, "--out", str(out)]

@@ -300,6 +300,11 @@ def test_parse_error_reports_line_number():
     # the built-in MCS thresholds shifted past float resolution
     ("link.mcs_margin_db = 1e300",
      "link.mcs_margin_db: SNR thresholds must be strictly increasing"),
+    # thresholds that stay distinct but leave the dB range
+    ("link.mcs_margin_db = 1e15",
+     "link.mcs_margin_db: snr_threshold_db must lie in"),
+    ("link.mcs_margin_db = -1e15",
+     "link.mcs_margin_db: snr_threshold_db must lie in"),
 ])
 def test_validation_errors(text, match, tmp_path):
     # input files are read, and rejected, when the config is parsed

@@ -204,6 +204,14 @@ def test_mcs_table_validation():
         with pytest.raises(ValueError,
                            match="spectral_efficiency must be finite"):
             McsTable(entries=(McsEntry(0, bad, 0.0),))
+    # thresholds in the dB range of the link budget's other fields
+    McsTable(entries=(McsEntry(0, 1.0, -100.0), McsEntry(1, 2.0, 100.0)))
+    for low, high in ((-100.1, 0.0), (0.0, 100.1), (1e15, 1e15 + 1.0)):
+        with pytest.raises(ValueError, match="^snr_threshold_db must lie in"):
+            McsTable(entries=(McsEntry(0, 1.0, low), McsEntry(1, 2.0, high)))
+    for margin in (-1e15, 1e15):
+        with pytest.raises(ValueError, match="^snr_threshold_db must lie in"):
+            McsTable.default(margin_db=margin)
 
 
 def test_mcs_csv_round_trip(tmp_path, mcs_default):
