@@ -15,10 +15,12 @@ import csv
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
 from . import __version__
+from ._kernels import G6_SLOT, format_g6
 from .antenna import axis_from_boresight_deg, pattern_map
 from .codebook import design_type1, design_type2, export_codebook_csv, \
     import_codebook_csv
@@ -29,6 +31,10 @@ from .sysim import COVERAGE_CSV_HEADER, SCHEME_JPTA, SCHEME_PAA, \
 log = logging.getLogger("jpta")
 
 PATTERN_CSV_HEADER = ("angle_deg", "rb_index", "gain_db")
+
+# pattern cells per chunk of CSV rows: a chunk's byte buffer takes about
+# 1 MB at 264 RBs
+PATTERN_CSV_CHUNK_CELLS = 1 << 15
 
 
 def _load(args) -> RunConfig:
@@ -85,6 +91,46 @@ def _parse_angle_range(text: str) -> np.ndarray:
     return angles[angles <= stop + 1e-9 * max(1.0, step)]
 
 
+def write_pattern_rows(fh, bore_deg, gains) -> None:
+    """Write the pattern CSV rows ``angle,rb,gain`` to the binary file
+    ``fh``: gains row a at angle ``bore_deg[a]``, one row per RB, both
+    numbers as ``"%.6g"`` and CRLF line ends, the bytes csv.writer writes
+    (no field needs quoting).
+
+    Rows are built a chunk of about ``PATTERN_CSV_CHUNK_CELLS`` cells at a
+    time in one byte buffer of fixed-width fields per cell: the angle text,
+    the ``,rb,`` text, the gain's ``format_g6`` slot and CRLF, each padded
+    with NUL bytes, which are dropped before the chunk is written. The RB
+    and CRLF fields are the same in every chunk and are filled once.
+    """
+    num_rbs = gains.shape[1]
+    angle_text = [("%.6g" % deg).encode() for deg in bore_deg.tolist()]
+    rb_text = [(",%d," % r).encode() for r in range(num_rbs)]
+    angle_slots = _padded(angle_text)
+    rb_at = angle_slots.shape[1]
+    gain_at = rb_at + max(map(len, rb_text))
+    rows = max(1, PATTERN_CSV_CHUNK_CELLS // num_rbs)
+    buf = np.empty((min(rows, len(angle_text)), num_rbs,
+                    gain_at + G6_SLOT + 2), dtype=np.uint8)
+    buf[:, :, rb_at:gain_at] = _padded(rb_text)
+    buf[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    # one cell per row, the view format_g6 fills
+    flat = buf.reshape(-1, buf.shape[2])
+    for a0 in range(0, len(angle_text), rows):
+        block = gains[a0:a0 + rows]
+        buf[:len(block), :, :rb_at] = angle_slots[a0:a0 + rows, None]
+        cells = flat[:block.size]
+        format_g6(block, out=cells[:, gain_at:-2])
+        fh.write(cells.tobytes().translate(None, b"\0"))
+
+
+def _padded(texts) -> np.ndarray:
+    """Byte strings as the rows of a uint8 array, padded with NUL bytes."""
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                         dtype=np.uint8).reshape(len(texts), width)
+
+
 def _cmd_pattern(args) -> int:
     cfg = _load(args)
     array = cfg.array_config()
@@ -103,15 +149,16 @@ def _cmd_pattern(args) -> int:
     axis = np.array([axis_from_boresight_deg(a) for a in bore_deg[::-1]])
     if np.any(np.diff(axis) <= 0.0):
         raise ConfigError("--angles: step too small to tell angles apart")
+    start = time.perf_counter()
     gains = pattern_map(array, weights, axis, grid)[::-1]
-    # the bytes csv.writer would write (no field needs quoting): one row
-    # template for the file, filled per angle by one %-format and written
-    # row by row, so no more than one row of text is held at a time
-    template = "".join("\0,%d,%%.6g\r\n" % r for r in range(grid.num_rbs))
-    with open(args.out, "w", newline="") as fh:
-        fh.write(",".join(PATTERN_CSV_HEADER) + "\r\n")
-        for deg, row in zip(bore_deg, gains.tolist()):
-            fh.write(template.replace("\0", "%.6g" % deg) % tuple(row))
+    mapped = time.perf_counter()
+    with open(args.out, "wb") as fh:
+        fh.write((",".join(PATTERN_CSV_HEADER) + "\r\n").encode())
+        write_pattern_rows(fh, bore_deg, gains)
+        size = fh.tell()
+    log.info("pattern: %d angles x %d RBs, pattern_map %.3f s, write %.3f s, "
+             "%d bytes", bore_deg.size, grid.num_rbs, mapped - start,
+             time.perf_counter() - mapped, size)
     print("wrote %s (%d angles x %d resource blocks)"
           % (args.out, bore_deg.size, grid.num_rbs))
     return 0

@@ -133,3 +133,14 @@ def live_candidates_py(snr_unsplit_desc, counts, thr_lin, se, max_beta, rel):
                          side="right")
     live = (ub > 0) & (se0[ub] * counts >= lb_best)
     return np.nonzero(live.T)
+
+
+def write_pattern_rows_py(fh, bore_deg, gains):
+    """The pattern CSV rows ``angle,rb,gain`` one angle at a time: a row
+    template of ``"%.6g"`` fields for the RBs, filled per angle by one
+    %-format of the row's gains as Python floats, encoded and written to the
+    binary file ``fh``."""
+    template = "".join("\0,%d,%%.6g\r\n" % r for r in range(gains.shape[1]))
+    for deg, row in zip(bore_deg, np.asarray(gains).tolist()):
+        fh.write((template.replace("\0", "%.6g" % deg)
+                  % tuple(row)).encode())

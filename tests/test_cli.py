@@ -3,15 +3,18 @@
 import csv
 import io
 import logging
+import re
 
 import numpy as np
 import pytest
 
 import jpta
+from jpta import cli
 from jpta.antenna import axis_from_boresight_deg, pattern_map
 from jpta.cli import main
 from jpta.codebook import design_type2, import_codebook_csv
 from jpta.config import RunConfig
+from oracles import write_pattern_rows_py
 
 SMALL_CFG = ("deploy.ue_angles_deg = -26.25, 26.25\n"
              "deploy.distances_m = 30, 100, 300\n"
@@ -98,6 +101,59 @@ def test_pattern_grid_layout(tmp_path, capsys):
         writer.writerows(["%.6g" % deg, r, "%.6g" % g]
                          for r, g in enumerate(row))
     assert out.read_bytes() == want.getvalue().encode()
+
+
+def test_pattern_rows_equal_the_oracle_writer(monkeypatch):
+    # fallback cells (zero, scientific notation, nan) among fast-path ones,
+    # over several chunks, the last one short
+    bore = np.array([-90.0, -12.25, 0.0, 1e-5, 33.5, 60.0, 90.0])
+    gains = np.linspace(-60.0, 30.0, 7 * 11).reshape(7, 11)
+    gains[1, :4] = [0.0, 1e-5, 1e7, np.nan]
+    gains[4, -1] = -0.0
+    monkeypatch.setattr(cli, "PATTERN_CSV_CHUNK_CELLS", 30)
+    got = io.BytesIO()
+    cli.write_pattern_rows(got, bore, gains)
+    want = io.BytesIO()
+    write_pattern_rows_py(want, bore, gains)
+    assert got.getvalue() == want.getvalue()
+    assert b"-12.25,0,0\r\n-12.25,1,1e-05\r\n-12.25,2,1e+07\r\n" \
+        b"-12.25,3,nan\r\n" in got.getvalue()
+
+
+@pytest.mark.parametrize("num_rbs", [1, 1024])
+@pytest.mark.parametrize("design_type", [1, 2])
+def test_pattern_csv_equals_the_oracle_writer(tmp_path, capsys, monkeypatch,
+                                              design_type, num_rbs):
+    cb = tmp_path / "cb.csv"
+    assert main(["design", "--type", str(design_type), "--out", str(cb)]) == 0
+    # the run config as built, not parsed: a 1-RB grid leaves no JPTA share
+    # for the minimum grant, which the pattern command does not need
+    cfg = RunConfig(grid_num_rbs=num_rbs, grid_bandwidth_hz=1.6e9)
+    monkeypatch.setattr(cli, "_load", lambda args: cfg)
+    argv = ["pattern", str(cb),
+            "--angles=-90:90:%s" % ("0.25" if num_rbs == 1 else "2.5")]
+    assert main(argv + ["--out", str(tmp_path / "fast.csv")]) == 0
+    monkeypatch.setattr(cli, "write_pattern_rows", write_pattern_rows_py)
+    assert main(argv + ["--out", str(tmp_path / "oracle.csv")]) == 0
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "oracle.csv").read_bytes()
+    assert fast.count(b"\r\n") == 1 + num_rbs * (721 if num_rbs == 1 else 73)
+
+
+def test_pattern_logs_its_size_and_time(tmp_path, capsys, caplog):
+    cb = tmp_path / "cb.csv"
+    assert main(["design", "--type", "2", "--out", str(cb)]) == 0
+    out = tmp_path / "pattern.csv"
+    caplog.set_level(logging.INFO, logger="jpta")
+    assert main(["pattern", str(cb), "--angles=-10:10:5",
+                 "--out", str(out)]) == 0
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("jpta", logging.INFO)
+    match = re.fullmatch(r"pattern: 5 angles x 264 RBs, pattern_map "
+                         r"\d+\.\d{3} s, write \d+\.\d{3} s, (\d+) bytes",
+                         record.getMessage())
+    assert match and int(match.group(1)) == out.stat().st_size
+    assert "pattern_map" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("angles", ["10:20", "5:1:1", "0:10:-1", "-95:0:5",

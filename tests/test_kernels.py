@@ -1,6 +1,7 @@
 """Kernel checks: the pattern, delay and rate kernels against the
 brute-force oracles of ``tests/oracles.py``, the pattern kernel's chunking
-and bounds, and the rate kernel's bound pruning."""
+and bounds, the rate kernel's bound pruning, and the ``"%.6g"`` formatter
+against Python's own formatting."""
 
 import math
 
@@ -481,3 +482,60 @@ def test_rate_scan_prune_keeps_winner_on_tight_bounds(kind, distinct_betas):
                                      se, betas)
         assert (got[0][0, 1], got[1][0, 1], got[2][0, 1]) == (rbs, 1, top), \
             rbs
+
+
+# ---------------------------------------------------------------------------
+# "%.6g" formatter
+# ---------------------------------------------------------------------------
+
+def _g6_texts(values):
+    return [row.tobytes().replace(b"\0", b"").decode()
+            for row in _kernels.format_g6(np.array(values, dtype=np.float64))]
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0,
+    # the lower end of the fixed notation and its neighbours, and a value
+    # below it that rounds up to it
+    1e-4, -1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+    9.9999995e-5,
+    # the upper end: rounding down, the exact tie, rounding up to 1e+06
+    999999.4, 999999.5, 999999.6, -999999.6,
+    # a carry to the next decade inside the fixed range
+    9.999995, 0.0009999995,
+    # exact ties go to the even digit; products that round onto a half from
+    # a value above it
+    123456.5, 123457.5, 0.5, 2.5, 123.4565, 1234.565,
+    5e-324, -5e-324, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf,
+    1e6, 1e-5, 0.1, 1.0, 10.0, 100000.0, 123456.0, -12.3456789,
+])
+def test_format_g6_edge_values(value):
+    assert _g6_texts([value]) == ["%.6g" % value]
+
+
+def _g6_floats():
+    # any float, and the fixed-notation range with values on and near
+    # rounding halves of the sixth digit
+    halves = st.tuples(st.integers(100_000, 999_999),
+                       st.sampled_from([0.5, 0.4999999, 0.5000001]),
+                       st.integers(-9, 0), st.booleans()).map(
+        lambda t: (-1.0 if t[3] else 1.0) * (t[0] + t[1]) * 10.0 ** t[2])
+    return st.one_of(st.floats(), st.floats(-1e6, 1e6), halves,
+                     st.floats(9e-5, 2e-4), st.floats(9e5, 1.1e6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(_g6_floats(), min_size=1, max_size=12))
+def test_format_g6_equals_percent_format(values):
+    # several values per call, so fast-path and fallback values share masks
+    assert _g6_texts(values) == ["%.6g" % v for v in values]
+
+
+def test_format_g6_fills_a_strided_view():
+    values = np.array([[-12.5, 0.0], [1e7, 3.25]])
+    buf = np.full((4, _kernels.G6_SLOT + 3), 7, dtype=np.uint8)
+    view = buf[:, 1:-2]
+    assert _kernels.format_g6(values, out=view) is view
+    assert np.all(buf[:, 0] == 7) and np.all(buf[:, -2:] == 7)
+    assert [row.tobytes().replace(b"\0", b"") for row in view] == [
+        b"-12.5", b"0", b"1e+07", b"3.25"]
