@@ -15,11 +15,15 @@ PAA gain rows of 8 UEs, 16 beams at the carrier and 8 serving beams over
 264 RBs, as two calls with the weight sets tiled as column blocks against
 the 24 one-set calls they replace.
 
-The last row times rate selection end to end, kernel and result assembly:
-the two ``link.select_rate_grid`` calls of one sweep of the criterion-4
+One row times rate selection end to end, kernel and result assembly: the
+two ``link.select_rate_grid`` calls of one sweep of the criterion-4
 deployment (8 UEs at exponent 3, 5120 log rings over 300-3000 m), against
 the same calls followed by the per-decision objects and the
 attribute-gathering ring mean that the column results replaced.
+
+The last row times the pattern CSV writer of ``jpta pattern`` (``format_g6``
+byte slots) on the quick-start grid, the default type-1 design over 721
+angles x 264 RBs, into memory, against the per-row ``%``-format writer.
 
 Usage::
 
@@ -29,6 +33,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 import time
@@ -36,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from jpta import _kernels, antenna, codebook, link, sysim
+from jpta import _kernels, antenna, cli, codebook, link, sysim
+from jpta.config import RunConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
@@ -44,6 +50,7 @@ from oracles import (  # noqa: E402
     pattern_corr_py,
     rate_scan_py,
     snr_rows,
+    write_pattern_rows_py,
 )
 
 
@@ -182,6 +189,28 @@ def _sweep_rate_decisions(paa_args, jpta_args):
             .mean(axis=1) for args in (paa_args, jpta_args)]
 
 
+def _pattern_csv_args():
+    """The quick-start pattern: the default type-1 design's gains over
+    -90:90:0.25 degrees and 264 RBs, as ``jpta pattern`` computes them."""
+    cfg = RunConfig()
+    array = cfg.array_config()
+    grid = cfg.frequency_grid()
+    weights, _ = codebook.design_type1(array, cfg.type1_target(), grid,
+                                       cfg.delay_constraint())
+    bore_deg = -90.0 + 0.25 * np.arange(721)
+    axis = np.array([antenna.axis_from_boresight_deg(a)
+                     for a in bore_deg[::-1]])
+    return bore_deg, antenna.pattern_map(array, weights, axis, grid)[::-1]
+
+
+def _pattern_csv(bore_deg, gains):
+    cli.write_pattern_rows(io.BytesIO(), bore_deg, gains)
+
+
+def _pattern_csv_py(bore_deg, gains):
+    write_pattern_rows_py(io.BytesIO(), bore_deg, gains)
+
+
 # (label, kernel, oracle or per-set reference, argument factory, oracle
 # timed once)
 BENCHES = [
@@ -204,6 +233,8 @@ BENCHES = [
      _rate_scan_per_ring, lambda: _rate_args(8, 160), True),
     ("select_rate_grid (8 UEs x 5120 rings, 2 calls)", _sweep_rate_grids,
      _sweep_rate_decisions, _sweep_rate_args, False),
+    ("pattern CSV  (721 angles x 264 RBs)", _pattern_csv,
+     _pattern_csv_py, _pattern_csv_args, False),
 ]
 
 
