@@ -10,10 +10,12 @@ user and ring). Kernels and the delay- and rate-scan oracles report the
 best of ``--repeats`` runs; the oracles that take seconds (pattern grid,
 8-user rate scan) are timed once.
 
-One row times a shape of the pattern kernel against the kernel itself: the
-PAA gain rows of 8 UEs, 16 beams at the carrier and 8 serving beams over
-264 RBs, as two calls with the weight sets tiled as column blocks against
-the 24 one-set calls they replace.
+One row times the PAA gain stage of a sweep against the layout it
+replaced: for the criterion-4 deployment's 8 UEs, 16 beams at the carrier
+pick each UE's serving beam, then each UE's row over 264 RBs comes from its
+serving beam alone (``sysim._serving_gain_rows``), against every serving
+beam evaluated toward every UE in one column-block call and one row per UE
+kept.
 
 One row times rate selection end to end, kernel and result assembly: the
 two ``link.select_rate_grid`` calls of one sweep of the criterion-4
@@ -77,34 +79,42 @@ def _pattern_args(num_angles: int):
 
 
 def _paa_gain_row_args():
-    """8 UEs, 16 frequency-flat beams and the 264 RB centers."""
-    cos_ues, rbs, _, _, slope_scale = _pattern_args(8)
-    elem = np.arange(16)
-    phases = np.pi * np.sin(np.linspace(-1.0, 1.0, 16))[:, None] * elem
-    return cos_ues, np.array([28e9]), rbs, phases, np.zeros((16, 16)), \
-        slope_scale
+    """The criterion-4 deployment's 8 UEs, 16 PAA beams over +-60 degrees
+    and the 264 RB centers."""
+    cfg = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    beams = codebook.paa_codebook(cfg, 16, (
+        antenna.axis_from_boresight_deg(60.0),
+        antenna.axis_from_boresight_deg(-60.0)))
+    freqs = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264).rb_center_freqs()
+    return cfg, beams, np.radians(np.linspace(-55.0, 55.0, 8)), freqs
 
 
-def _paa_gain_rows_as_columns(cos_ues, carrier, rbs, phases, delays,
-                              slope_scale):
-    """All beams at the carrier in one call, 8 beams over the RBs in one."""
-    _kernels.pattern_corr(cos_ues, np.tile(carrier, 16), phases, delays,
-                          slope_scale)
-    _kernels.pattern_corr(cos_ues, np.tile(rbs, 8),
-                          np.repeat(phases[:8], rbs.size, axis=0),
-                          np.repeat(delays[:8], rbs.size, axis=0),
-                          slope_scale)
+def _paa_serving_beams(cfg, beams, angles):
+    """``run_paa``'s pick: the beam of highest carrier gain toward each UE,
+    the first on ties."""
+    cos_ues = np.cos(antenna.axis_from_boresight_rad(angles))
+    return np.argmax(antenna.pattern_gain_db(cfg, beams, cos_ues,
+                                             [cfg.carrier_hz]), axis=1)
 
 
-def _paa_gain_rows_per_set(cos_ues, carrier, rbs, phases, delays,
-                           slope_scale):
-    """The same cells from one call per beam and frequency set."""
-    for b in range(16):
-        _kernels.pattern_corr(cos_ues, carrier, phases[b], delays[b],
-                              slope_scale)
-    for b in range(8):
-        _kernels.pattern_corr(cos_ues, rbs, phases[b], delays[b],
-                              slope_scale)
+def _paa_gain_rows(cfg, beams, angles, freqs):
+    """Each UE's row from its serving beam alone, as ``run_paa`` builds
+    them."""
+    return sysim._serving_gain_rows(cfg, beams,
+                                    _paa_serving_beams(cfg, beams, angles),
+                                    angles, freqs)
+
+
+def _paa_gain_rows_as_columns(cfg, beams, angles, freqs):
+    """The same rows from every serving beam toward every UE, tiled as
+    column blocks in one call, then one row per UE kept."""
+    used, ue_beam = np.unique(_paa_serving_beams(cfg, beams, angles),
+                              return_inverse=True)
+    gains = antenna.pattern_gain_db(
+        cfg, [beams[b] for b in used],
+        np.cos(antenna.axis_from_boresight_rad(angles)), freqs)
+    return gains.reshape(angles.size, used.size, freqs.size)[
+        np.arange(angles.size), ue_beam]
 
 
 def _delay_args():
@@ -150,22 +160,15 @@ def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
 def _sweep_rate_args():
     """The arguments of a sweep's PAA and JPTA ``select_rate_grid`` calls on
     the criterion-4 deployment at exponent 3 with 5120 rings."""
-    cfg = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    cfg, beams, angles, freqs = _paa_gain_row_args()
     grid = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
-    angles = np.radians(np.linspace(-55.0, 55.0, 8))
-    freqs = grid.rb_center_freqs()
-    ues = np.arange(angles.size)
-    beams = codebook.paa_codebook(cfg, 16, (
-        antenna.axis_from_boresight_deg(60.0),
-        antenna.axis_from_boresight_deg(-60.0)))
-    serving = np.argmax(sysim._gain_rows(cfg, beams, angles,
-                                         [cfg.carrier_hz])[:, :, 0], axis=0)
-    paa_rows = sysim._gain_rows(cfg, [beams[b] for b in serving], angles,
-                                freqs)[ues, ues]
+    paa_rows = _paa_gain_rows(cfg, beams, angles, freqs)
     target, shares = sysim.jpta_share_target(angles, grid.num_rbs)
     weights, _ = codebook.design_type1(cfg, target, grid,
                                        codebook.DelayConstraint())
-    jpta_rows = sysim._gain_rows(cfg, [weights], angles, freqs)[0]
+    jpta_rows = sysim._serving_gain_rows(cfg, [weights],
+                                         np.zeros(angles.size, int), angles,
+                                         freqs)
     common = (link.LinkModel(carrier_hz=28e9),
               sysim.log_ring_grid(300.0, 3000.0, 5120))
     table = link.McsTable.default()
@@ -211,16 +214,15 @@ def _pattern_csv_py(bore_deg, gains):
     write_pattern_rows_py(io.BytesIO(), bore_deg, gains)
 
 
-# (label, kernel, oracle or per-set reference, argument factory, oracle
+# (label, kernel, oracle or the code it replaced, argument factory, oracle
 # timed once)
 BENCHES = [
     ("pattern_corr (721 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
      pattern_corr_py, lambda: _pattern_args(721), True),
     ("pattern_corr (3001 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
      pattern_corr_py, lambda: _pattern_args(3001), True),
-    ("pattern_corr (PAA gain rows, 8 UEs, 2 calls)",
-     _paa_gain_rows_as_columns, _paa_gain_rows_per_set, _paa_gain_row_args,
-     False),
+    ("gain rows    (PAA, 8 UEs x 264 RBs)", _paa_gain_rows,
+     _paa_gain_rows_as_columns, _paa_gain_row_args, False),
     ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",

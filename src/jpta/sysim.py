@@ -112,17 +112,18 @@ def jpta_share_target(ue_angles_rad, num_rbs: int):
     return target, shares
 
 
-def _gain_rows(cfg: ArrayConfig, weight_sets, ue_angles_rad,
-               freqs) -> np.ndarray:
-    """Gain of every weight set toward every UE (boresight-relative
-    radians) at every frequency, shape (num_sets, num_ues, num_freqs): one
-    pattern-kernel call with the weight sets tiled as column blocks, each
-    row equal to the UE's own one-angle pattern_map row bit for bit.
-    """
-    gains = pattern_gain_db(cfg, weight_sets,
-                            np.cos(axis_from_boresight_rad(ue_angles_rad)),
-                            freqs)
-    return gains.reshape(-1, len(weight_sets), len(freqs)).transpose(1, 0, 2)
+def _serving_gain_rows(cfg: ArrayConfig, weight_sets, serving,
+                       ue_angles_rad, freqs) -> np.ndarray:
+    """Gain rows (num_ues, num_freqs): row u is ``weight_sets[serving[u]]``
+    toward UE u (boresight-relative radians), bit for bit its one-angle
+    pattern_map row, from one pattern-kernel call per serving set."""
+    cos_ues = np.cos(axis_from_boresight_rad(ue_angles_rad))
+    rows = np.empty((cos_ues.size, len(freqs)))
+    # not np.unique, whose first call imports numpy.ma: 20-30 ms, 1 MB
+    for s in set(serving.tolist()):
+        ues = serving == s
+        rows[ues] = pattern_gain_db(cfg, [weight_sets[s]], cos_ues[ues], freqs)
+    return rows
 
 
 def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
@@ -135,13 +136,12 @@ def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
     """
     duty = 1.0 / dep.num_ues
     all_rbs = np.arange(grid.num_rbs, dtype=np.int64)
-    serving = np.argmax(_gain_rows(cfg, beams, dep.ue_angles_rad,
-                                   [cfg.carrier_hz])[:, :, 0], axis=0)
-    used, ue_beam = np.unique(serving, return_inverse=True)
-    rows = _gain_rows(cfg, [beams[b] for b in used], dep.ue_angles_rad,
-                      grid.rb_center_freqs())
-    return select_rate_grid(lm, dep.ring_distances_m,
-                            rows[ue_beam, np.arange(dep.num_ues)],
+    cos_ues = np.cos(axis_from_boresight_rad(dep.ue_angles_rad))
+    serving = np.argmax(pattern_gain_db(cfg, beams, cos_ues,
+                                        [cfg.carrier_hz]), axis=1)
+    rows = _serving_gain_rows(cfg, beams, serving, dep.ue_angles_rad,
+                              grid.rb_center_freqs())
+    return select_rate_grid(lm, dep.ring_distances_m, rows,
                             [all_rbs] * dep.num_ues, mcs_table, grid.scs_hz,
                             duty, eesm_betas)
 
@@ -159,8 +159,8 @@ def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
     weights, _ = design_type1(cfg, target, grid, constraint)
     # conservation: the disjoint shares exhaust the band exactly
     assert sum(s.size for s in shares) == grid.num_rbs
-    gain_rows = _gain_rows(cfg, [weights], dep.ue_angles_rad,
-                           grid.rb_center_freqs())[0]
+    gain_rows = _serving_gain_rows(cfg, [weights], np.zeros(dep.num_ues, int),
+                                   dep.ue_angles_rad, grid.rb_center_freqs())
     return select_rate_grid(lm, dep.ring_distances_m, gain_rows, shares,
                             mcs_table, grid.scs_hz, 1.0, eesm_betas), weights
 

@@ -121,11 +121,11 @@ def test_share_target_disjoint_cover_property(data):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_gain_rows_equal_per_ue_pattern_map_rows(data):
-    # one kernel call evaluates every weight set, tiled as column blocks,
-    # over every UE; in any UE order, with repeated angles, every row must
-    # equal that UE's own one-angle pattern_map row bit for bit, over the
-    # RB centers of a grid or over the carrier alone (run_paa's serving-beam
-    # pick), which is the one RB center of a one-RB grid
+    # one kernel call per serving set, over only the UEs it serves; in any
+    # UE order, with repeated angles and with sets that serve no UE, every
+    # row must equal its own set's one-angle pattern_map row bit for bit,
+    # over the RB centers of a grid or over the carrier alone (run_paa's
+    # serving-beam pick), which is the one RB center of a one-RB grid
     cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
     band = FrequencyGrid(28e9, 400e6, 120e3, 264)
     if data.draw(st.booleans()):
@@ -142,12 +142,15 @@ def test_gain_rows_equal_per_ue_pattern_map_rows(data):
                                            min_size=1, max_size=12)))
     weight_sets = [design_type2(cfg, RainbowSpec(math.pi / 2.0, 1.5), band)]
     weight_sets += paa_codebook(cfg, 3, SECTOR)
-    rows = sysim._gain_rows(cfg, weight_sets, angles, freqs)
-    assert rows.shape == (len(weight_sets), angles.size, grid.num_rbs)
-    for w, set_rows in zip(weight_sets, rows):
-        for bore, row in zip(angles, set_rows):
-            axis = np.array([math.pi / 2.0 - bore])
-            assert np.array_equal(row, pattern_map(cfg, w, axis, grid)[0])
+    serving = np.array(data.draw(st.lists(
+        st.integers(0, len(weight_sets) - 1), min_size=angles.size,
+        max_size=angles.size)))
+    rows = sysim._serving_gain_rows(cfg, weight_sets, serving, angles, freqs)
+    assert rows.shape == (angles.size, grid.num_rbs)
+    for s, bore, row in zip(serving, angles, rows):
+        axis = np.array([math.pi / 2.0 - bore])
+        assert np.array_equal(row,
+                              pattern_map(cfg, weight_sets[s], axis, grid)[0])
 
 
 def test_paa_serving_beam_tie_goes_to_the_first_beam(monkeypatch):
@@ -159,30 +162,32 @@ def test_paa_serving_beam_tie_goes_to_the_first_beam(monkeypatch):
     tied = [beam_gain_db(cfg, beams[b], math.pi / 2.0, 28e9) for b in (7, 8)]
     assert tied == [23.675375784488104] * 2
     calls = []
-    real = sysim._gain_rows
+    real = sysim._serving_gain_rows
 
-    def spy(cfg, weight_sets, ue_angles_rad, grid):
-        calls.append(list(weight_sets))
-        return real(cfg, weight_sets, ue_angles_rad, grid)
+    def spy(cfg, weight_sets, serving, ue_angles_rad, freqs):
+        calls.append([weight_sets[s] for s in serving])
+        return real(cfg, weight_sets, serving, ue_angles_rad, freqs)
 
-    monkeypatch.setattr(sysim, "_gain_rows", spy)
+    monkeypatch.setattr(sysim, "_serving_gain_rows", spy)
     dep = Deployment(ue_angles_rad=[0.0], ring_distances_m=[100.0])
     run_paa(dep, cfg, grid, LinkModel(carrier_hz=28e9), McsTable.default(),
             beams)
-    # the carrier evaluation of every beam, then the serving beam's rows
-    assert len(calls) == 2 and len(calls[0]) == 16
-    assert len(calls[1]) == 1 and calls[1][0] is beams[7]
+    # the serving beam's rows, once, for the one UE
+    assert len(calls) == 1 and len(calls[0]) == 1
+    assert calls[0][0] is beams[7]
 
 
-def test_sweep_makes_three_pattern_kernel_calls(monkeypatch):
-    # the carrier pick, the serving beams' rows and the JPTA rows, whatever
-    # the UE count; the designer's objective comes from its own scan
-    calls = []
+def test_sweep_pattern_kernel_cells(monkeypatch):
+    # the carrier pick, one row per UE from its serving beam and one per UE
+    # from the JPTA weights: beams x UEs + 2 x UEs x RBs cells, whatever
+    # the UEs share; the designer's objective comes from its own scan
+    cells = []
     real = _kernels.pattern_corr
 
     def counted(*args):
-        calls.append(len(args[1]))
-        return real(*args)
+        out = real(*args)
+        cells.append(out.size)
+        return out
 
     def no_certificate(*args):
         raise AssertionError("design_type1 recomputed its objective")
@@ -191,13 +196,10 @@ def test_sweep_makes_three_pattern_kernel_calls(monkeypatch):
     monkeypatch.setattr(codebook, "type1_objective", no_certificate)
     for angles in ([0.0], [-30.0, -10.0, 10.0, 30.0],
                    [-50.0, 0.0, 0.0, 50.0, 20.0, -20.0]):
-        calls.clear()
+        cells.clear()
         _sweep(angles, [100.0, 1000.0])
-        # columns: 16 beams at the carrier, up to one serving beam per UE
-        # over 264 RBs, the JPTA weights over 264 RBs
-        assert len(calls) == 3, calls
-        assert calls[0] == 16 and calls[2] == 264, calls
-        assert calls[1] in [264 * k for k in range(1, len(angles) + 1)]
+        num_ues = len(angles)
+        assert sum(cells) == 16 * num_ues + 2 * num_ues * 264, cells
 
 
 # ---------------------------------------------------------------------------
