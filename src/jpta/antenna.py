@@ -161,16 +161,17 @@ class FrequencyGrid:
         if not self.bandwidth_hz > 0.0:
             raise ValueError("bandwidth_hz must be positive")
         if not self.center_hz > self.bandwidth_hz / 2.0:
-            raise ValueError("center_hz must exceed bandwidth_hz / 2: the "
-                             "band may not reach 0 Hz")
+            raise ValueError("bandwidth_hz, center_hz: center_hz must "
+                             "exceed bandwidth_hz / 2: the band may not "
+                             "reach 0 Hz")
         require_range(self, "center_hz", *CARRIER_RANGE_HZ)
         require_range(self, "scs_hz", *SCS_RANGE_HZ)
         require_range(self, "num_rbs", 1, MAX_NUM_RBS)
         occupied = self.num_rbs * 12 * self.scs_hz
         if occupied > self.bandwidth_hz * (1.0 + 1e-12):
             raise ValueError(
-                "occupied bandwidth %.6g Hz exceeds bandwidth_hz %.6g Hz"
-                % (occupied, self.bandwidth_hz))
+                "bandwidth_hz, scs_hz, num_rbs: occupied bandwidth %.6g Hz "
+                "exceeds bandwidth_hz %.6g Hz" % (occupied, self.bandwidth_hz))
 
     @property
     def num_subcarriers(self) -> int:

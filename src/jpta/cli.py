@@ -36,6 +36,10 @@ PATTERN_CSV_HEADER = ("angle_deg", "rb_index", "gain_db")
 # 1 MB at 264 RBs
 PATTERN_CSV_CHUNK_CELLS = 1 << 15
 
+# angle count cap of --angles: a 0.005 deg step over -90:90, which bounds
+# the gain map at about 0.3 GB at the 1024-RB cap
+MAX_PATTERN_ANGLES = 36_001
+
 
 def _load(args) -> RunConfig:
     if args.config is None:
@@ -87,7 +91,12 @@ def _parse_angle_range(text: str) -> np.ndarray:
         raise ConfigError("--angles: step must be positive and finite")
     if not -90.0 <= start <= stop <= 90.0:
         raise ConfigError("--angles: need -90 <= start <= stop <= 90")
-    angles = start + step * np.arange(int((stop - start) / step + 0.5) + 1)
+    # counted before the grid is built, which could exhaust memory
+    steps = (stop - start) / step + 0.5
+    if steps >= MAX_PATTERN_ANGLES:
+        raise ConfigError("--angles: more than %d angles"
+                          % MAX_PATTERN_ANGLES)
+    angles = start + step * np.arange(int(steps) + 1)
     return angles[angles <= stop + 1e-9 * max(1.0, step)]
 
 
@@ -277,8 +286,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("JPTA_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a level name maps to its number; any other text, a logging attribute
+    # such as BASIC_FORMAT included, leaves the default
+    level = logging.getLevelName(os.environ.get("JPTA_LOG", "").upper())
+    logging.basicConfig(level=level if isinstance(level, int)
+                        else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     args = parser.parse_args(argv)

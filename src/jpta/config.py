@@ -295,7 +295,8 @@ def _validate(cfg: RunConfig) -> None:
     if not -90.0 <= lo < hi <= 90.0:
         raise ConfigError("paa.sector_deg: need -90 <= lo < hi <= 90")
     if cfg.deploy_ring_min_m >= cfg.deploy_ring_max_m:
-        raise ConfigError("deploy.ring_min_m: must be below deploy.ring_max_m")
+        raise ConfigError("deploy.ring_min_m, deploy.ring_max_m: ring_min_m "
+                          "must be below ring_max_m")
     if cfg.deploy_ring_count < 2:
         raise ConfigError("deploy.ring_count: must be >= 2")
     if not -90.0 <= cfg.design_type2_center_deg <= 90.0:
@@ -341,5 +342,12 @@ def _validate(cfg: RunConfig) -> None:
         try:
             build()
         except (ValueError, OSError) as exc:
-            key = field_keys.get(str(exc).split(" ", 1)[0], key)
-            raise ConfigError("%s: %s" % (key, exc))
+            text = str(exc)
+            # a rule over several fields lists them all before its colon
+            head, _, rule = text.partition(": ")
+            named = head.split(", ")
+            if all(n in field_keys for n in named):
+                key, text = ", ".join(field_keys[n] for n in named), rule
+            else:
+                key = field_keys.get(text.split(" ", 1)[0], key)
+            raise ConfigError("%s: %s" % (key, text))

@@ -3,7 +3,11 @@
 import csv
 import io
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from jpta import cli
 from jpta.antenna import axis_from_boresight_deg, pattern_map
 from jpta.cli import main
 from jpta.codebook import design_type2, import_codebook_csv
-from jpta.config import RunConfig
+from jpta.config import ConfigError, RunConfig
 from oracles import write_pattern_rows_py
 
 SMALL_CFG = ("deploy.ue_angles_deg = -26.25, 26.25\n"
@@ -159,7 +163,10 @@ def test_pattern_logs_its_size_and_time(tmp_path, capsys, caplog):
 @pytest.mark.parametrize("angles", ["10:20", "5:1:1", "0:10:-1", "-95:0:5",
                                     "a:b:c", "nan:90:1", "0:nan:1",
                                     "0:10:nan", "0:10:inf", "-inf:0:1",
-                                    "0:1e-300:1e-300"])
+                                    "0:1e-300:1e-300", "-90:90:1e-300",
+                                    # one angle past the cap
+                                    "-90:90:%r" % (180.0 /
+                                                   cli.MAX_PATTERN_ANGLES)])
 def test_pattern_bad_angle_ranges_exit_2(tmp_path, capsys, angles):
     cb = tmp_path / "cb.csv"
     main(["design", "--type", "2", "--out", str(cb)])
@@ -169,6 +176,18 @@ def test_pattern_bad_angle_ranges_exit_2(tmp_path, capsys, angles):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "--angles" in err
+
+
+def test_pattern_angle_cap_admits_exactly_the_cap():
+    # a 0.005 deg step over -90:90 builds the largest grid --angles accepts;
+    # a step of 180 deg / cap would build one angle more
+    assert cli._parse_angle_range("-90:90:0.005").size == \
+        cli.MAX_PATTERN_ANGLES
+    step = 180.0 / cli.MAX_PATTERN_ANGLES
+    assert int(180.0 / step + 0.5) + 1 == cli.MAX_PATTERN_ANGLES + 1
+    with pytest.raises(ConfigError,
+                       match="^--angles: more than 36001 angles$"):
+        cli._parse_angle_range("-90:90:%r" % step)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +404,26 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "jpta %s" % jpta.__version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value,level", [
+    ("basic_format", logging.WARNING), ("bogus", logging.WARNING),
+    ("info", logging.INFO), ("Debug", logging.DEBUG)])
+def test_jpta_log_resolves_only_level_names(value, level):
+    # in a fresh interpreter: under pytest the root logger already has
+    # handlers, so basicConfig would not set the level at all
+    script = ("import logging\nfrom jpta.cli import main\n"
+              "try:\n    main(['--version'])\n"
+              "except SystemExit as exc:\n"
+              "    print(exc.code, logging.getLogger().level)\n")
+    env = dict(os.environ, JPTA_LOG=value,
+               PYTHONPATH=str(Path(jpta.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["jpta %s" % jpta.__version__,
+                                       "0 %d" % level]
+    assert run.stderr == ""
 
 
 def test_missing_required_argument_exits(capsys):

@@ -305,6 +305,14 @@ def test_parse_error_reports_line_number():
      "link.mcs_margin_db: snr_threshold_db must lie in"),
     ("link.mcs_margin_db = -1e15",
      "link.mcs_margin_db: snr_threshold_db must lie in"),
+    # a rule over several keys names every key it reads, also those the
+    # text leaves at their defaults
+    ("deploy.ring_max_m = 1e-310",
+     "^deploy.ring_min_m, deploy.ring_max_m: ring_min_m must be below"),
+    ("grid.bandwidth_hz = 1e300",
+     "^grid.bandwidth_hz, array.carrier_hz: center_hz must exceed"),
+    ("grid.bandwidth_hz = 1e-310",
+     "^grid.bandwidth_hz, grid.scs_hz, grid.num_rbs: occupied bandwidth"),
 ])
 def test_validation_errors(text, match, tmp_path):
     # input files are read, and rejected, when the config is parsed
@@ -313,9 +321,15 @@ def test_validation_errors(text, match, tmp_path):
     text = text.replace("{tmp}", str(tmp_path))
     with pytest.raises(ConfigError, match=match) as exc:
         parse_config_text(text)
-    # the message starts with one of the keys the text sets
-    keys = [line.split("=")[0].strip() for line in text.splitlines()]
-    assert str(exc.value).split(":")[0] in keys
+    _assert_names_a_set_key(exc.value, [line.split("=")[0].strip()
+                                         for line in text.splitlines()])
+
+
+def _assert_names_a_set_key(exc, keys):
+    """The message starts with the keys the failed rule reads, one or more
+    of them comma-separated, and the text sets one of them."""
+    named = str(exc).split(": ")[0].split(", ")
+    assert set(named) <= set(_KEY_SPECS) and set(named) & set(keys), str(exc)
 
 
 def test_smallest_jpta_share_meets_the_minimum_grant():
@@ -512,7 +526,7 @@ def test_a_config_that_parses_builds_every_run_object(data):
     try:
         cfg = parse_config_text(text)
     except ConfigError as exc:
-        assert str(exc).split(":")[0] in keys, str(exc)
+        _assert_names_a_set_key(exc, keys)
         return
     array = cfg.array_config()
     cfg.frequency_grid()
