@@ -10,6 +10,12 @@ user and ring). Kernels and the delay- and rate-scan oracles report the
 best of ``--repeats`` runs; the oracles that take seconds (pattern grid,
 8-user rate scan) are timed once.
 
+Two rows time the kernels' thread use: the 3001-angle pattern grid split
+over the usable CPUs against the same call on one thread, and the delay
+scan in row blocks of ``DELAY_SCAN_BLOCK_TAUS`` taus against the one whole
+product it replaced, which OpenBLAS splits over its threads when it has
+more than one (``OPENBLAS_NUM_THREADS``).
+
 One row times the PAA gain stage of a sweep against the layout it
 replaced: for the criterion-4 deployment's 8 UEs, 16 beams at the carrier
 pick each UE's serving beam, then each UE's row over 264 RBs comes from its
@@ -78,6 +84,16 @@ def _pattern_args(num_angles: int):
     return cos_angles, freqs, phases, delays, slope_scale
 
 
+def _pattern_corr_one_thread(*args):
+    """``pattern_corr`` with every chunk on the calling thread."""
+    usable = _kernels._usable_cpus
+    _kernels._usable_cpus = lambda: 1
+    try:
+        return _kernels.pattern_corr(*args)
+    finally:
+        _kernels._usable_cpus = usable
+
+
 def _paa_gain_row_args():
     """The criterion-4 deployment's 8 UEs, 16 PAA beams over +-60 degrees
     and the 264 RB centers."""
@@ -135,6 +151,13 @@ def _delay_scan_kept_table(slopes, freqs, taus, num_elements):
     """The designer's delay scan once it keeps the twiddle table."""
     return _kernels.delay_scan(
         slopes, codebook._delay_twiddles(taus, freqs, False), num_elements)
+
+
+def _delay_scan_whole_product(slopes, freqs, taus, num_elements):
+    """The kept-table delay scan as one twiddles @ target product."""
+    elem = np.arange(num_elements, dtype=np.float64)
+    target = np.exp(1j * slopes[:, None] * elem[None, :])
+    return codebook._delay_twiddles(taus, freqs, False) @ target
 
 
 def _rate_args(users: int, rings: int):
@@ -221,12 +244,17 @@ BENCHES = [
      pattern_corr_py, lambda: _pattern_args(721), True),
     ("pattern_corr (3001 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
      pattern_corr_py, lambda: _pattern_args(3001), True),
+    ("pattern_corr (3001 x 264, threaded vs 1 thread)",
+     _kernels.pattern_corr, _pattern_corr_one_thread,
+     lambda: _pattern_args(3001), False),
     ("gain rows    (PAA, 8 UEs x 264 RBs)", _paa_gain_rows,
      _paa_gain_rows_as_columns, _paa_gain_row_args, False),
     ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",
      _delay_scan_kept_table, delay_scan_py, _delay_args, False),
+    ("delay_scan   (16-tau blocks vs one product)",
+     _delay_scan_kept_table, _delay_scan_whole_product, _delay_args, False),
     ("rate_scan    (1 ring x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(1, 1), False),
     ("rate_scan    (160 rings x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,

@@ -3,10 +3,12 @@
 Four loops dominate the toolkit's run time:
 
 * the angle x frequency pattern grid (``pattern_corr``), a Horner
-  evaluation of one element polynomial per frequency, chunked over angles;
+  evaluation of one element polynomial per frequency, chunked over angles
+  and split over the usable CPUs;
 * the per-antenna delay-grid scan of the wideband beam designer
-  (``delay_scan``), one complex matrix product with a twiddle table
-  (``delay_twiddles``) the designer keeps per evaluation mode;
+  (``delay_scan``), a complex matrix product with a twiddle table
+  (``delay_twiddles``) the designer keeps per evaluation mode, taken in
+  row blocks that keep it on the calling thread;
 * the RB-count x MCS rate search with an EESM average inside
   (``rate_scan_batch``), batched over every (user, ring) pair of one share
   width. Exact bounds prune it first: every EESM effective SNR lies between
@@ -33,6 +35,8 @@ them against.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -70,31 +74,83 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     ``c[:, m]``. Every cell is computed by the same elementwise
     operations whatever the chunking or the other columns, so neither a row
     nor a block of columns depends on the rest of the call.
+
+    A grid of several chunks is split over one thread per usable CPU, up to
+    one per chunk: numpy's ufuncs release the interpreter lock, each thread
+    takes the next whole chunk when it is free and writes only that chunk's
+    rows, so the result does not depend on the thread count. The threads are
+    started and joined within the call; a one-chunk grid runs on the calling
+    thread alone.
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
     freqs = np.asarray(freqs, dtype=np.float64)
-    num_el = phases.shape[-1]
     # one contiguous row of K coefficients per element, for the Horner steps
     coef = np.ascontiguousarray(np.exp(
         -1j * (phases + TWO_PI * freqs[:, None] * delays)).T)
     out = np.empty((cos_angles.size, freqs.size), dtype=np.float64)
     slope = slope_scale * freqs
     chunk = max(1, PATTERN_CHUNK_CELLS // max(1, freqs.size))
-    for a0 in range(0, cos_angles.size, chunk):
-        arg = cos_angles[a0:a0 + chunk, None] * slope
-        z = np.empty(arg.shape, dtype=np.complex128)
-        np.cos(arg, out=z.real)
-        np.sin(arg, out=z.imag)
-        acc = np.empty_like(z)
-        acc[:] = coef[-1]
-        # numpy rounds a one-cell in-place product unlike its vector loop
-        prod = acc if acc.size > 1 else np.empty_like(acc)
-        for m in range(num_el - 2, -1, -1):
-            np.multiply(acc, z, out=prod)
-            np.add(prod, coef[m], out=acc)
-        np.abs(acc, out=out[a0:a0 + chunk])
-    out /= num_el
+    starts = range(0, cos_angles.size, chunk)
+    workers = max(1, min(_usable_cpus(), len(starts)))
+    pending = iter(starts)
+    lock = threading.Lock()
+    errors = []
+
+    def work(buffers):
+        try:
+            while True:
+                with lock:
+                    a0 = next(pending, None)
+                if a0 is None:
+                    return
+                _horner_chunk(cos_angles[a0:a0 + chunk], slope, coef,
+                              out[a0:a0 + chunk], *buffers)
+        except Exception as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    # every worker's chunk buffers, allocated once on the calling thread, so
+    # that no worker thread's own malloc arena grows by them
+    rows = min(chunk, cos_angles.size)
+    buffers = [(np.empty((rows, freqs.size)),
+                np.empty((rows, freqs.size), dtype=np.complex128),
+                np.empty((rows, freqs.size), dtype=np.complex128),
+                np.empty((1, 1), dtype=np.complex128))
+               for _ in range(workers)]
+    threads = [threading.Thread(target=work, args=(b,)) for b in buffers[1:]]
+    for t in threads:
+        t.start()
+    work(buffers[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    out /= phases.shape[-1]
     return out
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _horner_chunk(cos_chunk, slope, coef, out, arg, z, acc, one_cell):
+    """``|sum_m coef[m] * z**m|`` of one angle chunk into ``out``, using the
+    first ``cos_chunk.size`` rows of the buffers ``arg``, ``z`` and ``acc``,
+    and ``one_cell`` for a chunk of one cell."""
+    rows = cos_chunk.size
+    arg, z, acc = arg[:rows], z[:rows], acc[:rows]
+    np.multiply(cos_chunk[:, None], slope, out=arg)
+    np.cos(arg, out=z.real)
+    np.sin(arg, out=z.imag)
+    acc[:] = coef[-1]
+    # numpy rounds a one-cell in-place product unlike its vector loop
+    prod = acc if acc.size > 1 else one_cell
+    for m in range(coef.shape[0] - 2, -1, -1):
+        np.multiply(acc, z, out=prod)
+        np.add(prod, coef[m], out=acc)
+    np.abs(acc, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +168,17 @@ def delay_twiddles(taus, freqs):
     return np.exp(twiddles, out=twiddles)
 
 
+# taus per row block of the delay scan's product. OpenBLAS (0.3.31) runs a
+# product this small on the calling thread; a whole 64-tau table is split
+# over its worker threads, and a worker then spins for about 0.13 s after
+# the call (0.11-0.13 s of CPU during a 0.3 s sleep after a 64 x 264 x 16
+# complex product, against 0.0001 s after the same product in 16-tau
+# blocks, also at 3168 frequencies), taking the core a threaded pattern grid
+# needs. Blocks give every score the same bits as the whole product; a
+# one-row block would not, as numpy hands a one-row product to gemv
+DELAY_SCAN_BLOCK_TAUS = 16
+
+
 def delay_scan(slopes, twiddles, num_elements):
     """Complex score ``U[t, m] = sum_k exp(j(m*slopes[k] - 2*pi*f_k*tau_t))``
     from the ``delay_twiddles`` table of the delays tau_t and frequencies
@@ -124,7 +191,14 @@ def delay_scan(slopes, twiddles, num_elements):
     slopes = np.asarray(slopes, dtype=np.float64)
     elem = np.arange(num_elements, dtype=np.float64)
     target = np.exp(1j * slopes[:, None] * elem[None, :])
-    return twiddles @ target
+    taus = twiddles.shape[0]
+    blocks = max(1, -(-taus // DELAY_SCAN_BLOCK_TAUS))
+    # balanced blocks: none has one row unless the table has
+    edges = [taus * b // blocks for b in range(blocks + 1)]
+    scores = np.empty((taus, num_elements), dtype=np.complex128)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.matmul(twiddles[lo:hi], target, out=scores[lo:hi])
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -311,7 +311,8 @@ def pattern_map(cfg: ArrayConfig, weights: PhaseTimeWeights,
 def pattern_gain_db(cfg: ArrayConfig, weight_sets, cos_angles, freqs):
     """Gain in dB, shape (angles, sets * freqs): one ``pattern_corr`` call
     with the weight sets as column blocks, then peak_gain_db plus 20*log10
-    of the correlation floored at CORRELATION_FLOOR."""
+    of the correlation floored at CORRELATION_FLOOR, each step in place on
+    the kernel's output."""
     for w in weight_sets:
         if w.num_elements != cfg.num_elements:
             raise ValueError("weights length does not match cfg.num_elements")
@@ -321,5 +322,8 @@ def pattern_gain_db(cfg: ArrayConfig, weight_sets, cos_angles, freqs):
         np.repeat([w.phases_rad for w in weight_sets], len(freqs), axis=0),
         np.repeat([w.delays_s for w in weight_sets], len(freqs), axis=0),
         slope_scale)
-    corr = np.maximum(corr, CORRELATION_FLOOR)
-    return cfg.peak_gain_db + 20.0 * np.log10(corr)
+    np.maximum(corr, CORRELATION_FLOOR, out=corr)
+    np.log10(corr, out=corr)
+    corr *= 20.0
+    corr += cfg.peak_gain_db
+    return corr

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jpta import _kernels
 from jpta.antenna import (
     CORRELATION_FLOOR,
     SPEED_OF_LIGHT_M_S,
@@ -218,6 +219,28 @@ def test_gain_never_exceeds_peak_and_is_floored(array16):
     gains = pattern_map(array16, w, angles, grid)
     assert np.all(gains <= 28.0 + 1e-9)
     assert np.all(gains >= 28.0 + 20 * math.log10(CORRELATION_FLOOR) - 1e-9)
+
+
+def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
+    # the dB steps run in place on the kernel's output: every gain keeps
+    # the bits of peak + 20 * log10(max(corr, floor)), floored cells too
+    rng = np.random.default_rng(12)
+    grid = FrequencyGrid(28e9, 400e6, 120e3, 24)
+    angles = np.linspace(0.1, math.pi - 0.1, 181)  # boresight in the middle
+    pair = ArrayConfig.half_wavelength(2, 28e9, 28.0)
+    for cfg, w in ((array16, PhaseTimeWeights(
+                        delays_s=rng.uniform(0, 20e-9, 16),
+                        phases_rad=rng.uniform(0, 2 * math.pi, 16))),
+                   # a null at boresight on every RB
+                   (pair, PhaseTimeWeights(delays_s=np.zeros(2),
+                                           phases_rad=[0.0, math.pi]))):
+        corr = _kernels.pattern_corr(
+            np.cos(angles), grid.rb_center_freqs(), w.phases_rad,
+            w.delays_s, 2 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S)
+        want = cfg.peak_gain_db + 20.0 * np.log10(
+            np.maximum(corr, CORRELATION_FLOOR))
+        assert np.array_equal(pattern_map(cfg, w, angles, grid), want)
+    assert (corr < CORRELATION_FLOOR).any()
 
 
 def test_pattern_map_matches_beam_gain(array16):

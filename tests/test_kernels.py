@@ -1,9 +1,13 @@
 """Kernel checks: the pattern, delay and rate kernels against the
-brute-force oracles of ``tests/oracles.py``, the pattern kernel's chunking
-and bounds, the rate kernel's bound pruning, and the ``"%.6g"`` formatter
-against Python's own formatting."""
+brute-force oracles of ``tests/oracles.py``, the pattern kernel's chunking,
+threads and bounds, the delay scan's row blocks, the rate kernel's bound
+pruning, and the ``"%.6g"`` formatter against Python's own formatting."""
 
 import math
+import resource
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +64,46 @@ def test_delay_scan_matches_oracle():
             got, delay_scan_py(slopes, freqs, taus, num_el), rtol=0,
             atol=1e-9)
         assert got.shape == (taus.size, num_el)
+
+
+@pytest.mark.parametrize("num_freqs", [1, 12, 264, 3168])
+def test_delay_scan_equals_one_whole_product(num_freqs):
+    # the scan's row blocks give every score the bits of the whole
+    # twiddles @ target product, for 1 to 70 taus
+    rng = np.random.default_rng(15 + num_freqs)
+    freqs = rng.uniform(27e9, 29e9, num_freqs)
+    slopes = rng.uniform(-np.pi, np.pi, num_freqs)
+    table = _kernels.delay_twiddles(np.arange(70) * 2.5e-9, freqs)
+    for num_el in (1, 2, 5, 16, 17, 33, 64):
+        target = np.exp(1j * slopes[:, None] * np.arange(num_el)[None, :])
+        for taus in range(1, 71):
+            twiddles = table[:taus]
+            assert np.array_equal(
+                _kernels.delay_scan(slopes, twiddles, num_el),
+                twiddles @ target), (num_el, taus)
+
+
+def _cpu_s():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
+@pytest.mark.skipif(_kernels._usable_cpus() < 2,
+                    reason="BLAS runs one thread on one CPU")
+@pytest.mark.parametrize("num_freqs", [264, 3168])
+def test_delay_scan_leaves_no_blas_thread_spinning(num_freqs):
+    # OpenBLAS splits a large product over worker threads, which then spin
+    # for about 0.13 s; the scan's blocks stay on the calling thread, so
+    # the process is idle while it sleeps after a 64-tau, 16-element scan
+    rng = np.random.default_rng(16)
+    freqs = rng.uniform(27e9, 29e9, num_freqs)
+    twiddles = _kernels.delay_twiddles(np.arange(64) * 2.5e-9, freqs)
+    slopes = rng.uniform(-np.pi, np.pi, num_freqs)
+    time.sleep(0.3)  # lets any worker woken earlier settle
+    _kernels.delay_scan(slopes, twiddles, 16)
+    before = _cpu_s()
+    time.sleep(0.3)
+    assert _cpu_s() - before < 0.03
 
 
 def _rb_freqs(num_rbs, every=1):
@@ -134,6 +178,85 @@ def test_pattern_corr_weight_sets_as_columns_equal_per_set_calls(
             block = tiled[:, s * num_freqs:(s + 1) * num_freqs]
             assert np.array_equal(block, own), (num_sets, num_freqs,
                                                 num_angles, s)
+
+
+def _threaded_and_serial(monkeypatch, cpus, args):
+    """``pattern_corr(*args)`` with ``cpus`` usable CPUs and with one, and
+    the number of threads the first call started."""
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(_kernels.threading, "Thread", CountedThread)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    threaded = _kernels.pattern_corr(*args)
+    assert not any(t.is_alive() for t in started)
+    count = len(started)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
+    serial = _kernels.pattern_corr(*args)
+    assert len(started) == count
+    return threaded, serial, count
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
+    # 2, 3 and 7 chunks, the last one partial, one-row and one-cell chunks,
+    # weight sets as column blocks, and one chunk, which starts no thread:
+    # every cell equals the one-thread run's, with one thread per CPU up to
+    # one per chunk, the calling thread included; a short switch interval
+    # makes the threads interleave their hand-outs
+    rng = np.random.default_rng(13)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for num_sets, num_freqs, num_angles, chunk_rows in (
+                (1, 24, 10, 5), (1, 24, 11, 5), (2, 12, 33, 5),
+                (1, 24, 7, 1), (3, 1, 9, 1), (1, 1, 5, 1),
+                (1, 264, 800, 124), (1, 264, 8, 124)):
+            monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
+                                chunk_rows * num_sets * num_freqs)
+            freqs = _rb_freqs(num_freqs)
+            args = (np.cos(rng.uniform(0.0, np.pi, num_angles)),
+                    np.tile(freqs, num_sets),
+                    np.repeat(rng.uniform(0.0, 2 * np.pi, (num_sets, 16)),
+                              num_freqs, axis=0),
+                    np.repeat(rng.integers(0, 64, (num_sets, 16)) * 2.5e-9,
+                              num_freqs, axis=0),
+                    SLOPE_SCALE)
+            threaded, serial, count = _threaded_and_serial(monkeypatch,
+                                                           cpus, args)
+            chunks = -(-num_angles // chunk_rows)
+            assert count == min(cpus, chunks) - 1
+            assert np.array_equal(threaded, serial), (num_sets, num_freqs,
+                                                      num_angles, chunk_rows)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pattern_corr_raises_a_worker_thread_error(monkeypatch):
+    # a chunk that fails on another thread fails the call, once every
+    # thread has ended
+    horner = _kernels._horner_chunk
+    failed = threading.Event()
+
+    def chunk(cos_chunk, *args):
+        if threading.current_thread() is not threading.main_thread():
+            failed.set()
+            raise FloatingPointError("chunk failed")
+        failed.wait(5.0)  # the calling thread waits for a worker's chunk
+        horner(cos_chunk, *args)
+
+    monkeypatch.setattr(_kernels, "_horner_chunk", chunk)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", 24)
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        _kernels.pattern_corr(np.cos(np.linspace(0.1, 3.0, 20)),
+                              _rb_freqs(24), np.zeros(16), np.zeros(16),
+                              SLOPE_SCALE)
+    assert failed.is_set()
 
 
 def test_pattern_map_row_equals_single_angle_call(array16, grid264):
