@@ -27,7 +27,13 @@ from .codebook import (
     Type1Target,
     paa_codebook,
 )
-from .link import MIN_RBS_PER_GRANT, LinkModel, McsTable, load_eesm_betas
+from .link import (
+    MAX_EESM_BETA,
+    MIN_RBS_PER_GRANT,
+    LinkModel,
+    McsTable,
+    load_eesm_betas,
+)
 from .sysim import RING_RANGE_M, Deployment, jpta_share_target, \
     log_ring_grid
 
@@ -203,17 +209,25 @@ def _parse_positive(key, text):
     return value
 
 
+def _parse_eesm_beta(key, text):
+    value = _parse_positive(key, text)
+    if not value <= MAX_EESM_BETA:
+        raise ConfigError("%s: must be at most %g, got %g"
+                          % (key, MAX_EESM_BETA, value))
+    return value
+
+
 _TYPE_PARSERS = dict(int=_parse_int, float=_parse_float, bool=_parse_bool,
                      str=lambda key, text: text.strip(),
                      tuple=_parse_float_list)
 
 # fields whose type does not say how to parse them; the three positivity
-# checks are the parser's because no run object makes them on every parse:
-# the ring ends go unused beside deploy.distances_m, and the scalar beta is
-# checked only when a sweep runs
+# checks and the scalar beta's cap are the parser's because no run object
+# makes them on every parse: the ring ends go unused beside
+# deploy.distances_m, and the scalar beta is checked only when a sweep runs
 _FIELD_PARSERS = dict(array_spacing_m=_parse_spacing,
                       paa_sector_deg=_parse_pair,
-                      link_eesm_beta=_parse_positive,
+                      link_eesm_beta=_parse_eesm_beta,
                       deploy_ring_min_m=_parse_positive,
                       deploy_ring_max_m=_parse_positive)
 

@@ -36,6 +36,17 @@ NOISE_FIGURE_RANGE_DB = (0.0, 100.0)
 # smallest schedulable allocation
 MIN_RBS_PER_GRANT = 4
 
+# Largest EESM beta. EESM follows the Chernoff bound of the symbol error
+# rate, exp(-gamma * d_min**2 / (4 E_s)), which for square M-QAM is
+# exp(-gamma / beta) with beta = 2 (M - 1) / 3: 1 for BPSK, 2 for QPSK, 170
+# for 256-QAM and 682 for 1024-QAM, the densest NR constellation; calibrated
+# per-MCS betas are of that order. The cap leaves a factor of ten above it
+# and bounds the rounding: the shifted mean's rounding next to 1 reaches the
+# effective SNR as about beta * 2**-53, at most 1.1e-12 of linear SNR. A
+# beta above about 2**53 times the spread of the linear SNRs rounds every
+# shifted term to 1, and the effective SNR collapses to the weakest RB's.
+MAX_EESM_BETA = 1e4
+
 # 15-level spectral-efficiency ladder (standard CQI ladder, QPSK to 256QAM)
 DEFAULT_SPECTRAL_EFFICIENCIES = (
     0.1523, 0.3770, 0.8770, 1.4766, 1.9141, 2.4063, 2.7305, 3.3223,
@@ -201,9 +212,10 @@ def load_eesm_betas(path, num_levels: int) -> np.ndarray:
         if not np.isnan(betas[idx]):
             raise ValueError("%s line %d: duplicate EESM beta for index %d"
                              % (path, line, idx))
-        if not beta > 0.0:
-            raise ValueError("%s line %d: EESM beta must be positive"
-                             % (path, line))
+        if not 0.0 < beta <= MAX_EESM_BETA:
+            raise ValueError("%s line %d: EESM beta must be positive and at "
+                             "most %g, got %g"
+                             % (path, line, MAX_EESM_BETA, beta))
         betas[idx] = beta
     if np.any(np.isnan(betas)):
         raise ValueError("EESM beta file %s must cover every MCS index"
@@ -270,9 +282,9 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
     betas = np.ones(len(mcs_table)) if eesm_betas is None \
         else np.asarray(eesm_betas, dtype=np.float64)
     if betas.size != len(mcs_table) or not np.all(
-            (betas > 0.0) & np.isfinite(betas)):
-        raise ValueError("eesm_betas must be finite and positive, one per "
-                         "MCS level")
+            (betas > 0.0) & (betas <= MAX_EESM_BETA)):
+        raise ValueError("eesm_betas must be positive and at most %g, one "
+                         "per MCS level" % MAX_EESM_BETA)
 
     link_db = np.array([lm.ue_tx_power_dbm + lm.ue_beam_gain_db
                         + path_gain_db(lm, float(d)) for d in dists])

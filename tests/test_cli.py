@@ -323,6 +323,26 @@ def test_inf_eesm_betas_exit_2_names_file(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+@pytest.mark.parametrize("scalar", [True, False])
+def test_huge_eesm_beta_exit_2_names_key_or_file(tmp_path, capsys, scalar):
+    # beta = 1e300 used to exit 0: every shifted EESM term rounded to 1, so
+    # the effective SNR fell to the weakest RB's
+    if scalar:
+        text, named = "link.eesm_beta = 1e300\n", "link.eesm_beta: "
+    else:
+        betas = tmp_path / "betas.csv"
+        betas.write_text("index,beta\n" + "".join(
+            "%d,%s\n" % (i, "1e300" if i == 7 else "1") for i in range(15)))
+        text = "link.eesm_beta_csv = %s\n" % betas
+        named = "betas.csv line 9"
+    cfg_path = _write_cfg(tmp_path, SMALL_CFG + text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and named in err and "at most" in err
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize("text,command,key", [
     # the swept interval 80 +- 55 deg used to pass simulate and fail design
     # without a key

@@ -125,6 +125,8 @@ def test_readme_key_table_lists_exactly_the_parsed_keys():
     ("design.type1.per_subcarrier = maybe", "true/false"),
     ("array.spacing_m = -1", "spacing_m must be positive"),
     ("link.eesm_beta = 0", "must be positive"),
+    ("link.eesm_beta = 1e300", "link.eesm_beta: must be at most 10000"),
+    ("link.eesm_beta = 10000.000000000002", "link.eesm_beta: must be at most"),
 ])
 def test_parse_errors(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -410,6 +412,13 @@ def test_mcs_table_builder_margin_and_csv(tmp_path):
                         "0,1.0,0.0\n1,2.0,5.0\n")
     cfg = parse_config_text("link.mcs_table_csv = %s\n" % csv_path)
     assert len(cfg.mcs_table()) == 2
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 1.0, 1.7, 2.0, 2.5, 3.0, 10.0,
+                                  1e4])
+def test_eesm_beta_in_range_parses(beta):
+    cfg = parse_config_text("link.eesm_beta = %r\n" % beta)
+    assert np.array_equal(cfg.eesm_betas(cfg.mcs_table()), np.full(15, beta))
 
 
 def test_eesm_betas_builder(tmp_path):

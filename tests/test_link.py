@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from jpta.link import (
     DEFAULT_SPECTRAL_EFFICIENCIES,
+    MAX_EESM_BETA,
     MIN_RBS_PER_GRANT,
     LinkModel,
     McsEntry,
@@ -283,6 +284,8 @@ def test_load_eesm_betas(tmp_path):
      "b.csv line 2: .*finite"),
     ("index,beta\n0,1\n\n1,nan\n", "b.csv line 4: .*finite"),
     ("index,beta\n0.5,1\n", "b.csv line 2: .*integer index"),
+    ("index,beta\n" + "".join("%d,1\n" % i for i in range(14)) + "14,1e300\n",
+     "b.csv line 16: .*at most 10000"),
 ])
 def test_load_eesm_betas_errors(tmp_path, body, match):
     path = tmp_path / "b.csv"
@@ -399,6 +402,36 @@ def test_select_rate_throughput_monotone_in_distance(link_default,
         prev = d.throughput_bps
 
 
+# every EESM beta the other tests use, and the cap itself
+USED_BETAS = (0.1, 0.2, 0.5, 0.7, 1.0, 1.7, 1.9, 2.0, 2.5, 2.75, 3.0, 4.0,
+              5.0, 10.0, MAX_EESM_BETA)
+
+
+@pytest.mark.parametrize("beta", USED_BETAS)
+def test_eesm_betas_in_range_are_accepted(tmp_path, link_default,
+                                          mcs_default, beta):
+    path = tmp_path / "b.csv"
+    path.write_text("index,beta\n" + "".join("%d,%r\n" % (i, beta)
+                                             for i in range(15)))
+    betas = load_eesm_betas(path, 15)
+    assert np.array_equal(betas, np.full(15, beta))
+    decision = select_rate(link_default, 100.0, FLAT28, ALL_RBS, mcs_default,
+                           SCS, 1.0, eesm_betas=betas)
+    assert decision.throughput_bps > 0.0
+
+
+def test_eesm_at_the_beta_cap_stays_above_the_weakest_rb():
+    # the failure the cap keeps out: at beta = 1e300 every shifted term
+    # rounds to 1 and the effective SNR is the weakest RB's; at the cap it
+    # still lies between the weakest and the mean SNR
+    snrs = np.array([0.0, 10.0, 20.0])
+    lin = 10.0 ** (snrs / 10.0)
+    assert eesm_effective_snr_db(snrs, 1e300) == snrs.min()
+    eff = 10.0 ** (eesm_effective_snr_db(snrs, MAX_EESM_BETA) / 10.0)
+    assert lin.min() < eff <= lin.mean() * (1.0 + 1e-12)
+    assert eff == pytest.approx(lin.mean(), rel=1e-2)
+
+
 def test_select_rate_validation(link_default, mcs_default):
     with pytest.raises(ValueError, match="slot_duty"):
         select_rate(link_default, 100.0, FLAT28, ALL_RBS, mcs_default, SCS,
@@ -414,7 +447,7 @@ def test_select_rate_validation(link_default, mcs_default):
     with pytest.raises(ValueError, match="eesm_betas"):
         select_rate(link_default, 100.0, FLAT28, ALL_RBS, mcs_default, SCS,
                     1.0, eesm_betas=np.zeros(15))
-    for bad in (np.inf, np.nan):
+    for bad in (np.inf, np.nan, 1e300, np.nextafter(MAX_EESM_BETA, np.inf)):
         with pytest.raises(ValueError, match="eesm_betas"):
             select_rate(link_default, 100.0, FLAT28, ALL_RBS, mcs_default,
                         SCS, 1.0, eesm_betas=np.full(15, bad))
