@@ -29,9 +29,10 @@ deployment (8 UEs at exponent 3, 5120 log rings over 300-3000 m), against
 the same calls followed by the per-decision objects and the
 attribute-gathering ring mean that the column results replaced.
 
-The last row times the pattern CSV writer of ``jpta pattern`` (``format_g6``
-byte slots) on the quick-start grid, the default type-1 design over 721
-angles x 264 RBs, into memory, against the per-row ``%``-format writer.
+The last row times the pattern CSV writer of ``jpta pattern``
+(``cli.format_g6`` byte slots) on the quick-start grid, the default type-1
+design over 721 angles x 264 RBs, into memory, against the per-row
+``%``-format writer.
 
 Usage::
 
@@ -133,12 +134,19 @@ def _paa_gain_rows_as_columns(cfg, beams, angles, freqs):
         np.arange(angles.size), ue_beam]
 
 
+# the delay scan's setting: the default 64-step delay line at the 264 RB
+# centers
+_DELAY = codebook.DelayConstraint()
+_DELAY_GRID = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
+
+
 def _delay_args():
+    """Random target slopes, and the frequencies and delays of ``_DELAY`` at
+    ``_DELAY_GRID``'s RB centers."""
     rng = np.random.default_rng(2)
-    freqs = 28e9 + 120e3 * 12.0 * (np.arange(264) - 131.5)
+    freqs = _DELAY_GRID.rb_center_freqs()
     slopes = rng.uniform(-math.pi, math.pi, freqs.size)
-    taus = np.arange(64) * 2.5e-9
-    return slopes, freqs, taus, 16
+    return slopes, freqs, _DELAY.grid(), 16
 
 
 def _delay_scan_new_table(slopes, freqs, taus, num_elements):
@@ -148,16 +156,19 @@ def _delay_scan_new_table(slopes, freqs, taus, num_elements):
 
 
 def _delay_scan_kept_table(slopes, freqs, taus, num_elements):
-    """The designer's delay scan once it keeps the twiddle table."""
+    """The designer's delay scan once it keeps the twiddle table, which it
+    keys by ``_DELAY`` and ``_DELAY_GRID``, the source of ``freqs`` and
+    ``taus``."""
     return _kernels.delay_scan(
-        slopes, codebook._delay_twiddles(taus, freqs, False), num_elements)
+        slopes, codebook._delay_twiddles(_DELAY, _DELAY_GRID, False),
+        num_elements)
 
 
 def _delay_scan_whole_product(slopes, freqs, taus, num_elements):
     """The kept-table delay scan as one twiddles @ target product."""
     elem = np.arange(num_elements, dtype=np.float64)
     target = np.exp(1j * slopes[:, None] * elem[None, :])
-    return codebook._delay_twiddles(taus, freqs, False) @ target
+    return codebook._delay_twiddles(_DELAY, _DELAY_GRID, False) @ target
 
 
 def _rate_args(users: int, rings: int):

@@ -1,14 +1,14 @@
 """Hot numerical kernels, one numpy implementation each.
 
-Four loops dominate the toolkit's run time:
+Three loops dominate the toolkit's numerical run time:
 
 * the angle x frequency pattern grid (``pattern_corr``), a Horner
   evaluation of one element polynomial per frequency, chunked over angles
   and split over the usable CPUs;
 * the per-antenna delay-grid scan of the wideband beam designer
   (``delay_scan``), a complex matrix product with a twiddle table
-  (``delay_twiddles``) the designer keeps per evaluation mode, taken in
-  row blocks that keep it on the calling thread;
+  (``delay_twiddles``), of which the designer keeps the last two it used,
+  taken in row blocks that keep it on the calling thread;
 * the RB-count x MCS rate search with an EESM average inside
   (``rate_scan_batch``), batched over every (user, ring) pair of one share
   width. Exact bounds prune it first: every EESM effective SNR lies between
@@ -18,18 +18,12 @@ Four loops dominate the toolkit's run time:
   interval lists the live candidates before any exponential is taken, at a
   cost that does not grow with the rings. On the criterion-4 deployment at
   160 rings the EESM runs for 1.6% of the (user, ring, RB count)
-  candidates;
-* the ``"%.6g"`` text of every gain of a pattern CSV (``format_g6``), one
-  fixed-width byte slot per value. The fast path covers the fixed notation,
-  ``1e-4 <= |v| < 1e6``: one product with an exact power of ten gives the
-  six digits, and masks place the sign, the ``0.000`` prefix, the digits and
-  the decimal point. Values it cannot decide exactly (zeros, non-finite
-  values, the scientific range, a sixth digit within 1e-9 of a rounding
-  half, a carry out of the fixed range) go through Python's own format.
+  candidates.
 
-``tests/oracles.py`` holds plain-loop references for all four, which the
-tests check these kernels against and ``benchmarks/bench_kernels.py`` times
-them against.
+The pattern CSV's text formatter (``format_g6``) lives with its writer in
+``jpta.cli``. ``tests/oracles.py`` holds plain-loop references for all three
+kernels, which the tests check them against and
+``benchmarks/bench_kernels.py`` times them against.
 """
 
 from __future__ import annotations
@@ -473,101 +467,3 @@ def _highest_feasible_mcs(v_min, means, thr_lin, unique_betas, beta_idx):
                 thr, v_min[c] - beta * math.log(means[b, c]), side="right")
         np.maximum(mcs, np.concatenate(([-1], levels))[met], out=mcs)
     return mcs
-
-
-# ---------------------------------------------------------------------------
-# "%.6g" text of many floats at once, for the CSV writers
-# ---------------------------------------------------------------------------
-
-# bytes per formatted value: sign, the "0.000" prefix of the smallest fixed
-# notation, then six digits with a decimal point slot after each but the last
-G6_SLOT = 17
-
-# the decades 1e-4 ... 1e5 of the fixed notation; each literal lies above its
-# exact power of ten, so a float compares with it as its exact value does
-_G6_DECADES = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5)
-# exact powers of ten that scale decade e to [1e5, 1e6), by decade index
-_G6_SCALES = np.array([float(10 ** (9 - i)) for i in range(10)])
-# a product within this of a rounding half goes to "%.6g". The product is
-# rounded by at most half an ulp, 2**-34 in [1e5, 1e6], and rounding is
-# monotone with every half a float, so only a product that lands on a half is
-# undecided; the margin keeps the fast path at least 8 ulps clear of it
-_G6_HALF_MARGIN = 1e-9
-_G6_PREFIX = b"0.000"
-# per three-digit group 0..999: its digit characters, shape (3, 1000), and
-# the number of trailing zeros of its three digits
-_G6_GROUPS = np.arange(1000)
-_G6_DIGITS = (_G6_GROUPS // np.array([[100], [10], [1]]) % 10
-              + ord("0")).astype(np.uint8)
-_G6_TRAILING = ((_G6_GROUPS % 10 == 0).astype(np.int8)
-                + (_G6_GROUPS % 100 == 0) + (_G6_GROUPS == 0))
-
-
-def format_g6(values, out=None):
-    """``"%.6g" % v`` of every float in ``values`` as ASCII bytes, one row of
-    ``G6_SLOT`` bytes per value with NUL bytes wherever a slot has no
-    character; dropping the NULs leaves the text. Shape ``(values.size,
-    G6_SLOT)``, uint8; ``out``, if given, is filled and returned, and may be
-    a strided view into a larger buffer.
-
-    Fast path, for ``1e-4 <= |v| < 1e6`` (the fixed notation of ``%g``): the
-    decade e is found against exact decade bounds, ``q = |v| * 10**(5 - e)``
-    in ``[1e5, 1e6)`` is one correctly rounded product with an exact power of
-    ten, and the six significant digits are those of ``rint(q)`` (a carry to
-    1e6 moves to the next decade). The slot is then filled from masks: the
-    sign, the ``0.000`` prefix of a negative decade, and six digit and five
-    point slots, with trailing zeros of the fraction dropped as ``%g`` drops
-    them. Each slot byte is filled for all values at once, as one row of a
-    byte-major table that is transposed at the end.
-
-    Every other value goes through Python's ``"%.6g" % v``: zeros, non-finite
-    values, the scientific range, a q within ``_G6_HALF_MARGIN`` of a
-    rounding half (whose exact decimal tie rule the product cannot decide),
-    and a carry out of the fixed range (999999.5 prints ``1e+06``).
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    mag = np.abs(v)
-    fast = mag < 1e6
-    fast &= mag >= 1e-4
-    mag[~fast] = 1.0
-    # decade index 1..10 of decades 1e-4 ... 1e5, then the decade e itself
-    e = np.zeros(v.size, dtype=np.int8)
-    for bound in _G6_DECADES:
-        e += mag >= bound
-    q = mag * _G6_SCALES[e - 1]
-    e -= 5
-    mant = np.rint(q)
-    q -= mant  # the rounding remainder
-    fast &= np.abs(q) < 0.5 - _G6_HALF_MARGIN
-    mant = mant.astype(np.int32)
-    carry = mant == 1_000_000
-    mant[carry] = 100_000
-    e += carry
-    fast &= e < 6
-    high, low = np.divmod(mant, 1000)
-    # index of the last nonzero digit, and of the last digit printed
-    last = 5 - _G6_TRAILING[low]
-    last[low == 0] = 2 - _G6_TRAILING[high[low == 0]]
-    shown = np.maximum(e, last)
-    point = np.where(last > e, e, -1)
-    slot = np.zeros((G6_SLOT, v.size), dtype=np.uint8)
-    slot[0] = np.signbit(v)
-    slot[0] *= ord("-")
-    # "0." from decade -1 down, and one more "0" per decade below
-    depth = -e
-    for j, char in enumerate(_G6_PREFIX):
-        np.multiply(depth > max(j - 1, 0), np.uint8(char), out=slot[1 + j])
-    digits = np.concatenate((np.take(_G6_DIGITS, high, axis=1),
-                             np.take(_G6_DIGITS, low, axis=1)))
-    for i in range(6):
-        np.multiply(digits[i], shown >= i, out=slot[6 + 2 * i])
-    for i in range(5):
-        np.multiply(point == i, np.uint8(ord(".")), out=slot[7 + 2 * i])
-    if out is None:
-        out = np.empty((v.size, G6_SLOT), dtype=np.uint8)
-    out[...] = slot.T
-    for i in np.flatnonzero(~fast).tolist():
-        text = ("%.6g" % v[i]).encode()
-        out[i] = 0
-        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return out

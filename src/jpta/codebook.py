@@ -16,6 +16,7 @@ grid) is provided for the benchmark scheme.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -178,36 +179,35 @@ def design_type2(cfg: ArrayConfig, spec: RainbowSpec,
                             delay_step_s=0.0)
 
 
+def _eval_freqs(grid: FrequencyGrid, per_subcarrier: bool) -> np.ndarray:
+    """Evaluation frequencies of the type-1 fit: RB centers or subcarriers."""
+    return grid.subcarrier_freqs() if per_subcarrier \
+        else grid.rb_center_freqs()
+
+
 def _target_slopes(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
                    per_subcarrier: bool):
     """Evaluation frequencies and per-element target phase slopes."""
-    angles = target.rb_angles(grid.num_rbs)
-    if per_subcarrier:
-        freqs = grid.subcarrier_freqs()
-        angles = np.repeat(angles, 12)
-    else:
-        freqs = grid.rb_center_freqs()
+    freqs = _eval_freqs(grid, per_subcarrier)
+    angles = np.repeat(target.rb_angles(grid.num_rbs),
+                       freqs.size // grid.num_rbs)
     slopes = 2.0 * math.pi * cfg.spacing_m * freqs * np.cos(angles) \
         / SPEED_OF_LIGHT_M_S
     return freqs, slopes
 
 
-# the designer's last twiddle table per evaluation mode (RB centers or
-# subcarriers), keyed by its delay grid and frequencies: one table per mode
-# stays resident, the per-subcarrier one of a 264-RB grid taking 3.2 MB
-_TWIDDLES = {}
-
-
-def _delay_twiddles(taus, freqs, per_subcarrier: bool):
-    """``_kernels.delay_twiddles(taus, freqs)``, reused while the delay grid
-    and the frequencies of this mode stay the same."""
-    cached = _TWIDDLES.get(per_subcarrier)
-    if cached is None or not (np.array_equal(cached[0], taus)
-                              and np.array_equal(cached[1], freqs)):
-        table = _kernels.delay_twiddles(taus, freqs)
-        table.flags.writeable = False
-        cached = _TWIDDLES[per_subcarrier] = (taus, freqs, table)
-    return cached[2]
+# keyed by the frozen constraint and grid and the mode: the last two tables
+# used stay resident, so designs alternating between the two modes build
+# each once; the per-subcarrier table of a 264-RB grid takes 3.2 MB
+@functools.lru_cache(maxsize=2)
+def _delay_twiddles(constraint: DelayConstraint, grid: FrequencyGrid,
+                    per_subcarrier: bool) -> np.ndarray:
+    """Read-only ``_kernels.delay_twiddles`` table of the delay grid at the
+    evaluation frequencies."""
+    table = _kernels.delay_twiddles(constraint.grid(),
+                                    _eval_freqs(grid, per_subcarrier))
+    table.flags.writeable = False
+    return table
 
 
 def design_type1(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
@@ -228,7 +228,7 @@ def design_type1(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
     freqs, slopes = _target_slopes(cfg, target, grid, per_subcarrier)
     taus = constraint.grid()
     scores = _kernels.delay_scan(
-        slopes, _delay_twiddles(taus, freqs, per_subcarrier),
+        slopes, _delay_twiddles(constraint, grid, per_subcarrier),
         cfg.num_elements)
     best = np.argmax(np.abs(scores), axis=0)
     fitted = scores[best, np.arange(cfg.num_elements)]

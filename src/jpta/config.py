@@ -34,8 +34,7 @@ from .link import (
     McsTable,
     load_eesm_betas,
 )
-from .sysim import RING_RANGE_M, Deployment, jpta_share_target, \
-    log_ring_grid
+from .sysim import Deployment, jpta_share_target, log_ring_grid
 
 
 class ConfigError(ValueError):
@@ -202,15 +201,10 @@ def _parse_spacing(key, text):
     return _parse_float(key, text)
 
 
-def _parse_positive(key, text):
+def _parse_eesm_beta(key, text):
     value = _parse_float(key, text)
     if not value > 0:
         raise ConfigError("%s: must be positive" % key)
-    return value
-
-
-def _parse_eesm_beta(key, text):
-    value = _parse_positive(key, text)
     if not value <= MAX_EESM_BETA:
         raise ConfigError("%s: must be at most %g, got %g"
                           % (key, MAX_EESM_BETA, value))
@@ -221,15 +215,12 @@ _TYPE_PARSERS = dict(int=_parse_int, float=_parse_float, bool=_parse_bool,
                      str=lambda key, text: text.strip(),
                      tuple=_parse_float_list)
 
-# fields whose type does not say how to parse them; the three positivity
-# checks and the scalar beta's cap are the parser's because no run object
-# makes them on every parse: the ring ends go unused beside
-# deploy.distances_m, and the scalar beta is checked only when a sweep runs
+# fields whose type does not say how to parse them; the scalar beta's
+# positivity and cap are the parser's because no run object checks them on
+# every parse: the scalar beta is checked only when a sweep runs
 _FIELD_PARSERS = dict(array_spacing_m=_parse_spacing,
                       paa_sector_deg=_parse_pair,
-                      link_eesm_beta=_parse_eesm_beta,
-                      deploy_ring_min_m=_parse_positive,
-                      deploy_ring_max_m=_parse_positive)
+                      link_eesm_beta=_parse_eesm_beta)
 
 # config key -> (field, parser); a key is its field's name with the first
 # underscore, two for the designer fields, made a dot
@@ -308,24 +299,12 @@ def _validate(cfg: RunConfig) -> None:
     lo, hi = cfg.paa_sector_deg
     if not -90.0 <= lo < hi <= 90.0:
         raise ConfigError("paa.sector_deg: need -90 <= lo < hi <= 90")
-    if cfg.deploy_ring_min_m >= cfg.deploy_ring_max_m:
-        raise ConfigError("deploy.ring_min_m, deploy.ring_max_m: ring_min_m "
-                          "must be below ring_max_m")
-    if cfg.deploy_ring_count < 2:
-        raise ConfigError("deploy.ring_count: must be >= 2")
     if not -90.0 <= cfg.design_type2_center_deg <= 90.0:
         raise ConfigError("design.type2.center_deg: outside [-90, 90]")
-    # the rings are explicit, or a log grid whose ends are ring_min_m and
-    # ring_max_m; a log grid with more rings than its span can separate
-    # repeats a distance
-    if cfg.deploy_distances_m:
-        rings_key = "deploy.distances_m"
-    elif cfg.deploy_ring_min_m < RING_RANGE_M[0]:
-        rings_key = "deploy.ring_min_m"
-    elif cfg.deploy_ring_max_m > RING_RANGE_M[1]:
-        rings_key = "deploy.ring_max_m"
-    else:
-        rings_key = "deploy.ring_count"
+    # the rings are explicit, or the log grid, which can repeat a distance
+    # when it has more rings than its span can separate
+    rings_key = ("deploy.distances_m" if cfg.deploy_distances_m
+                 else "deploy.ring_count")
     # the built-in table's thresholds are shifted by the margin
     mcs_key = ("link.mcs_table_csv" if cfg.link_mcs_table_csv
                else "link.mcs_margin_db")
@@ -334,10 +313,15 @@ def _validate(cfg: RunConfig) -> None:
         else "array.carrier_hz"))
     # each builder checks the ranges of its dataclass's fields, which name
     # their key, and the rules left after the checks above, which are
-    # reported under the builder's key; the codebook also rounds the sector
-    # to axis radians, where a narrow one becomes empty; the last four read
-    # input files
-    for key, build in (("array.carrier_hz", cfg.array_config),
+    # reported under the builder's key; the log grid's rules are checked
+    # also beside deploy.distances_m, which leaves the grid unused; the
+    # codebook also rounds the sector to axis radians, where a narrow one
+    # becomes empty; the last four read input files
+    for key, build in (("deploy.ring_count",
+                        lambda: log_ring_grid(cfg.deploy_ring_min_m,
+                                              cfg.deploy_ring_max_m,
+                                              cfg.deploy_ring_count)),
+                       ("array.carrier_hz", cfg.array_config),
                        ("paa.num_beams",
                         lambda: paa_codebook(cfg.array_config(),
                                              cfg.paa_num_beams,

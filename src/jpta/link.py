@@ -67,7 +67,6 @@ class LinkModel:
     ue_tx_power_dbm: float = 23.0
     ue_beam_gain_db: float = 0.0
     bs_noise_figure_db: float = 5.0
-    thermal_noise_dbm_per_hz: float = THERMAL_NOISE_DBM_PER_HZ
 
     def __post_init__(self):
         require_finite_fields(self)
@@ -94,7 +93,7 @@ def noise_power_dbm_per_rb(lm: LinkModel, scs_hz: float) -> float:
     """Noise floor of one 12-subcarrier RB including the noise figure."""
     if not scs_hz > 0.0:
         raise ValueError("scs_hz must be positive")
-    return lm.thermal_noise_dbm_per_hz + 10.0 * math.log10(12.0 * scs_hz) \
+    return THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(12.0 * scs_hz) \
         + lm.bs_noise_figure_db
 
 

@@ -81,14 +81,26 @@ class Deployment:
         return int(self.ue_angles_rad.size)
 
 
-def log_ring_grid(min_m: float, max_m: float, count: int) -> np.ndarray:
-    """Logarithmically spaced ring distances, endpoints included."""
-    if not 0.0 < min_m < max_m:
-        raise ValueError("need 0 < min_m < max_m")
+def log_ring_grid(ring_min_m: float, ring_max_m: float,
+                  count: int) -> np.ndarray:
+    """Logarithmically spaced ring distances, endpoints included.
+
+    The ends must be ordered, then each lie in ``RING_RANGE_M``, then the
+    count in [2, ``MAX_RING_COUNT``]; an error starts with the names of the
+    arguments it reads.
+    """
+    if not ring_min_m < ring_max_m:
+        raise ValueError("ring_min_m, ring_max_m: ring_min_m must be below "
+                         "ring_max_m")
+    for name, value in (("ring_min_m", ring_min_m),
+                        ("ring_max_m", ring_max_m)):
+        if not RING_RANGE_M[0] <= value <= RING_RANGE_M[1]:
+            raise ValueError("%s must lie in [%g, %g], got %g"
+                             % ((name,) + RING_RANGE_M + (value,)))
     if not 2 <= count <= MAX_RING_COUNT:
         raise ValueError("count must lie in [2, %d], got %s"
                          % (MAX_RING_COUNT, count))
-    return np.geomspace(min_m, max_m, count)
+    return np.geomspace(ring_min_m, ring_max_m, count)
 
 
 def jpta_share_target(ue_angles_rad, num_rbs: int):
@@ -228,8 +240,8 @@ def coverage_distance(distances_m, mean_bps, threshold_bps: float) -> CoverageRe
     if dists.size != vals.size or dists.size == 0:
         raise ValueError("distances and throughputs must be equal-length, "
                          "non-empty")
-    if not threshold_bps > 0.0:
-        raise ValueError("threshold_bps must be positive")
+    if not 0.0 < threshold_bps < math.inf:
+        raise ValueError("threshold_bps must be positive and finite")
     meets = np.nonzero(vals >= threshold_bps)[0]
     if meets.size == 0:
         return CoverageResult(distance_m=None, censored=False)

@@ -1,9 +1,10 @@
-"""Brute-force references for the vectorized kernels in ``jpta._kernels``.
+"""Brute-force references for the vectorized kernels in ``jpta._kernels``
+and for the pattern CSV writer of ``jpta.cli``.
 
-Plain scalar loops, one cell or one ring at a time: slow, but simple enough
-to read as the definition the fast kernels are checked against.
-``benchmarks/`` imports them too, to time the kernels against the loops they
-replace.
+Plain scalar loops, one cell, one ring or one CSV row at a time: slow, but
+simple enough to read as the definition the fast code is checked against.
+``benchmarks/`` imports them too, to time the fast code against the loops it
+replaces.
 """
 
 import math

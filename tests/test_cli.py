@@ -17,7 +17,8 @@ from jpta import cli
 from jpta.antenna import axis_from_boresight_deg, pattern_map
 from jpta.cli import main
 from jpta.codebook import design_type2, import_codebook_csv
-from jpta.config import ConfigError, RunConfig
+from jpta.config import ConfigError, RunConfig, load_config
+from jpta.sysim import coverage_distance, throughput_sweep
 from oracles import write_pattern_rows_py
 
 SMALL_CFG = ("deploy.ue_angles_deg = -26.25, 26.25\n"
@@ -271,10 +272,50 @@ def test_coverage_censored_when_met_everywhere(tmp_path, capsys):
     assert stdout.count("beyond last ring") == 2
 
 
+def test_coverage_inside_the_rings_equals_coverage_distance(tmp_path,
+                                                           capsys):
+    # 1e8 bps is met at 100 m and missed at 300 m by both schemes, so both
+    # coverages are crossings interpolated between those rings
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "coverage.csv"
+    assert main(["coverage", "--config", cfg_path, "--threshold", "1e8",
+                 "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    mcs = cfg.mcs_table()
+    res = throughput_sweep(cfg.deployment(), cfg.array_config(),
+                           cfg.frequency_grid(), cfg.link_model(), mcs,
+                           cfg.delay_constraint(), cfg.paa_num_beams,
+                           cfg.paa_sector_rad(), cfg.eesm_betas(mcs))
+    lines, rows = [], []
+    for scheme in ("PAA", "JPTA"):
+        cov = coverage_distance(res.distances_m,
+                                res.mean_throughput_bps(scheme), 1e8)
+        assert not cov.censored and 100.0 < cov.distance_m < 300.0
+        lines.append("%s coverage at 1e+08 bps: %.6g m"
+                     % (scheme, cov.distance_m))
+        rows.append([scheme, "1e+08", "%.6g" % cov.distance_m, "false"])
+    assert capsys.readouterr().out.splitlines() == lines + ["wrote %s" % out]
+    assert _read_rows(out)[1:] == rows
+
+
 def test_coverage_nonpositive_threshold_exit_2(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     assert main(["coverage", "--config", cfg_path, "--threshold", "0"]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["inf", "-inf", "1e309", "nan"])
+def test_coverage_non_finite_threshold_exit_2(tmp_path, capsys, threshold):
+    # an infinite threshold used to exit 0, "unmet on all rings", with inf
+    # in the CSV
+    cfg_path = _write_cfg(tmp_path)
+    out = tmp_path / "coverage.csv"
+    assert main(["coverage", "--config", cfg_path,
+                 "--threshold=" + threshold, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --threshold: must be "
+                                   "positive and finite")
+    assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +485,17 @@ def test_jpta_log_resolves_only_level_names(value, level):
     assert run.stdout.splitlines() == ["jpta %s" % jpta.__version__,
                                        "0 %d" % level]
     assert run.stderr == ""
+
+
+def test_package_import_leaves_the_cli_out():
+    # the pattern CSV formatter's tables are built when jpta.cli is
+    # imported, which only the command line tool needs
+    script = "import sys, jpta\nprint('jpta.cli' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(jpta.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_missing_required_argument_exits(capsys):

@@ -321,9 +321,10 @@ def test_type1_per_subcarrier_close_to_rb_centers(array16, delay25):
 def test_type1_keeps_one_twiddle_table_per_mode(array16, delay25,
                                                 monkeypatch):
     # a design from the kept table equals the one that built it, bit for
-    # bit; the table is rebuilt when the frequencies or the delay grid
-    # change, and one table per evaluation mode stays resident
-    monkeypatch.setattr(codebook, "_TWIDDLES", {})
+    # bit; equal but distinct constraints and grids hit one table, a new
+    # delay grid or frequency grid builds another, the tables of both
+    # evaluation modes stay resident, and the tables are read-only
+    codebook._delay_twiddles.cache_clear()
     built = []
     build = _kernels.delay_twiddles
 
@@ -334,22 +335,29 @@ def test_type1_keeps_one_twiddle_table_per_mode(array16, delay25,
     monkeypatch.setattr(_kernels, "delay_twiddles", counted)
     short = DelayConstraint(2.5e-9, 20e-9)
     for num_rbs, constraint in ((24, delay25), (36, delay25), (36, short)):
-        grid = FrequencyGrid(28e9, 400e6, 120e3, num_rbs)
         target = _target(BORE_2UE, num_rbs)
         for per_subcarrier in (False, True):
-            w0, obj0 = design_type1(array16, target, grid, constraint,
-                                    per_subcarrier)
-            w1, obj1 = design_type1(array16, target, grid, constraint,
-                                    per_subcarrier)
+            w0, obj0 = design_type1(
+                array16, target, FrequencyGrid(28e9, 400e6, 120e3, num_rbs),
+                constraint, per_subcarrier)
+            w1, obj1 = design_type1(
+                array16, target, FrequencyGrid(28e9, 400e6, 120e3, num_rbs),
+                DelayConstraint(constraint.step_s, constraint.max_delay_s),
+                per_subcarrier)
             assert np.array_equal(w0.delays_s, w1.delays_s)
             assert np.array_equal(w0.phases_rad, w1.phases_rad)
             assert obj0 == obj1
-    assert built == [(64, 24), (64, 288), (64, 36), (64, 432), (9, 36),
-                     (9, 432)]
-    assert sorted(codebook._TWIDDLES) == [False, True]
-    assert [codebook._TWIDDLES[mode][2].shape for mode in (False, True)] \
-        == [(9, 36), (9, 432)]
-    assert not codebook._TWIDDLES[False][2].flags.writeable
+    expected = [(64, 24), (64, 288), (64, 36), (64, 432), (9, 36), (9, 432)]
+    assert built == expected
+    grid = FrequencyGrid(28e9, 400e6, 120e3, 36)
+    tables = [codebook._delay_twiddles(DelayConstraint(2.5e-9, 20e-9), grid,
+                                       mode) for mode in (False, True)]
+    assert built == expected
+    assert [t.shape for t in tables] == [(9, 36), (9, 432)]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+    codebook._delay_twiddles.cache_clear()
 
 
 def test_type1_empty_delay_grid_error(array16, grid264):

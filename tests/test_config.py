@@ -133,6 +133,16 @@ def test_parse_errors(text, match):
         parse_config_text(text)
 
 
+@pytest.mark.parametrize("text,value", [
+    ("true", True), ("1", True), ("yes", True), ("On", True),
+    ("false", False), ("0", False), ("no", False), ("off", False),
+    (" FALSE ", False),
+])
+def test_bool_spellings(text, value):
+    cfg = parse_config_text("design.type1.per_subcarrier = %s" % text)
+    assert cfg.design_type1_per_subcarrier is value
+
+
 @pytest.mark.parametrize("text,key", [
     ("link.ue_tx_power_dbm = nan", "link.ue_tx_power_dbm"),
     ("delay.max_ns = nan", "delay.max_ns"),
@@ -239,7 +249,7 @@ def test_parse_error_reports_line_number():
     ("paa.sector_deg = 45, -45", "lo < hi"),
     ("paa.sector_deg = 0, 1e-20", "lo < hi"),
     ("deploy.ring_min_m = 100\ndeploy.ring_max_m = 50", "below"),
-    ("deploy.ring_count = 1", ">= 2"),
+    ("deploy.ring_count = 1", "deploy.ring_count: count must lie in"),
     ("deploy.distances_m = 100, 50", "strictly increasing"),
     ("deploy.distances_m = -5, 50", "strictly increasing"),
     ("deploy.ring_min_m = 1\ndeploy.ring_max_m = 1.0000000000000002\n"
@@ -285,8 +295,8 @@ def test_parse_error_reports_line_number():
     ("grid.scs_hz = 1e-300", "grid.scs_hz: scs_hz must lie in"),
     ("deploy.distances_m = 100, 1e300",
      "deploy.distances_m: ring_distances_m must lie in"),
-    ("deploy.ring_min_m = 0.5", "deploy.ring_min_m: ring_distances_m must"),
-    ("deploy.ring_max_m = 1e300", "deploy.ring_max_m: ring_distances_m must"),
+    ("deploy.ring_min_m = 0.5", "deploy.ring_min_m: ring_min_m must lie in"),
+    ("deploy.ring_max_m = 1e300", "deploy.ring_max_m: ring_max_m must lie in"),
     ("delay.max_ns = 1e300", "delay.max_ns: max_delay_s must lie in"),
     ("delay.step_ns = 1e-300", "delay.step_ns: step_s must split"),
     ("delay.step_ns = 0.1", "delay.step_ns: step_s must split"),
@@ -315,6 +325,21 @@ def test_parse_error_reports_line_number():
      "^grid.bandwidth_hz, array.carrier_hz: center_hz must exceed"),
     ("grid.bandwidth_hz = 1e-310",
      "^grid.bandwidth_hz, grid.scs_hz, grid.num_rbs: occupied bandwidth"),
+    # the log grid's rules hold also beside explicit rings, which leave the
+    # grid unused
+    ("deploy.distances_m = 100, 200\ndeploy.ring_count = 1",
+     "^deploy.ring_count: count must lie in"),
+    ("deploy.distances_m = 100, 200\ndeploy.ring_count = 1000000000000",
+     "^deploy.ring_count: count must lie in"),
+    ("deploy.distances_m = 100, 200\ndeploy.ring_min_m = -1",
+     "^deploy.ring_min_m: ring_min_m must lie in"),
+    ("deploy.distances_m = 100, 200\ndeploy.ring_min_m = 0.5",
+     "^deploy.ring_min_m: ring_min_m must lie in"),
+    ("deploy.distances_m = 100, 200\ndeploy.ring_max_m = 1e300",
+     "^deploy.ring_max_m: ring_max_m must lie in"),
+    ("deploy.distances_m = 100, 200\ndeploy.ring_min_m = 100\n"
+     "deploy.ring_max_m = 50",
+     "^deploy.ring_min_m, deploy.ring_max_m: ring_min_m must be below"),
 ])
 def test_validation_errors(text, match, tmp_path):
     # input files are read, and rejected, when the config is parsed

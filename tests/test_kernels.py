@@ -1,7 +1,8 @@
 """Kernel checks: the pattern, delay and rate kernels against the
 brute-force oracles of ``tests/oracles.py``, the pattern kernel's chunking,
 threads and bounds, the delay scan's row blocks, the rate kernel's bound
-pruning, and the ``"%.6g"`` formatter against Python's own formatting."""
+pruning, and the pattern CSV's ``"%.6g"`` formatter (``jpta.cli``) against
+Python's own formatting."""
 
 import math
 import resource
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpta import FrequencyGrid, PhaseTimeWeights, _kernels
+from jpta import FrequencyGrid, PhaseTimeWeights, _kernels, cli
 from jpta.antenna import pattern_map
 from oracles import (
     delay_scan_py,
@@ -608,12 +609,12 @@ def test_rate_scan_prune_keeps_winner_on_tight_bounds(kind, distinct_betas):
 
 
 # ---------------------------------------------------------------------------
-# "%.6g" formatter
+# "%.6g" formatter of the pattern CSV
 # ---------------------------------------------------------------------------
 
 def _g6_texts(values):
     return [row.tobytes().replace(b"\0", b"").decode()
-            for row in _kernels.format_g6(np.array(values, dtype=np.float64))]
+            for row in cli.format_g6(np.array(values, dtype=np.float64))]
 
 
 @pytest.mark.parametrize("value", [
@@ -656,9 +657,9 @@ def test_format_g6_equals_percent_format(values):
 
 def test_format_g6_fills_a_strided_view():
     values = np.array([[-12.5, 0.0], [1e7, 3.25]])
-    buf = np.full((4, _kernels.G6_SLOT + 3), 7, dtype=np.uint8)
+    buf = np.full((4, cli.G6_SLOT + 3), 7, dtype=np.uint8)
     view = buf[:, 1:-2]
-    assert _kernels.format_g6(values, out=view) is view
+    assert cli.format_g6(values, out=view) is view
     assert np.all(buf[:, 0] == 7) and np.all(buf[:, -2:] == 7)
     assert [row.tobytes().replace(b"\0", b"") for row in view] == [
         b"-12.5", b"0", b"1e+07", b"3.25"]

@@ -100,8 +100,7 @@ def test_link_model_validation():
 
 @pytest.mark.parametrize("field", ["carrier_hz", "path_loss_exponent",
                                    "ue_tx_power_dbm", "ue_beam_gain_db",
-                                   "bs_noise_figure_db",
-                                   "thermal_noise_dbm_per_hz"])
+                                   "bs_noise_figure_db"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_link_model_rejects_non_finite_fields(field, value):
     kwargs = {"carrier_hz": 28e9, field: value}

@@ -308,6 +308,11 @@ def test_coverage_validation():
         coverage_distance([], [], 1e6)
     with pytest.raises(ValueError, match="threshold_bps"):
         coverage_distance([1.0], [1e6], 0.0)
+    # an infinite threshold used to report "unmet on all rings"
+    for threshold in (math.inf, -math.inf, 1e309, math.nan):
+        with pytest.raises(ValueError,
+                           match="^threshold_bps must be positive and finite"):
+            coverage_distance([1.0, 2.0], [2e6, 1e6], threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +369,16 @@ def test_log_ring_grid():
         log_ring_grid(0.0, 100.0, 5)
     with pytest.raises(ValueError, match="count"):
         log_ring_grid(30.0, 100.0, 1)
+    # order first, then each end, then the count; each error starts with
+    # the names of the arguments it reads
+    with pytest.raises(ValueError, match="^ring_min_m, ring_max_m: ring_min_m "
+                                         "must be below ring_max_m"):
+        log_ring_grid(100.0, 1e-310, 1)
+    with pytest.raises(ValueError, match=r"^ring_min_m must lie in \[1, "):
+        log_ring_grid(0.5, 1e300, 1)
+    with pytest.raises(ValueError, match=r"^ring_max_m must lie in \[1, "):
+        log_ring_grid(30.0, 1e300, 1)
+    assert log_ring_grid(1.0, 1e7, 2).tolist() == [1.0, 1e7]
     assert log_ring_grid(30.0, 100.0, 100_000).size == 100_000
     with pytest.raises(ValueError, match="^count must lie in"):
         log_ring_grid(30.0, 100.0, 100_001)
