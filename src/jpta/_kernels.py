@@ -233,6 +233,15 @@ def snr_unsplit(link_db, gain_db, noise_db, out=None):
     return np.power(10.0, snr, out=snr)
 
 
+def eesm_snr_db(v_min, means, betas):
+    """EESM effective SNR in dB, ``10 * log10(v_min - beta * ln(mean))``,
+    of each shifted mean, by ``math.log`` and ``math.log10`` one entry of
+    the broadcast inputs at a time, so no entry depends on the others."""
+    v_min, means, betas = np.broadcast_arrays(v_min, means, betas)
+    return [10.0 * math.log10(v - beta * math.log(m)) for v, m, beta
+            in zip(v_min.tolist(), means.tolist(), betas.tolist())]
+
+
 def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
                     unique_betas, beta_idx, min_rbs):
     """Best feasible (RB count, MCS) for every (user, ring) pair.
@@ -257,7 +266,7 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     EESM means are the same 1-D ``np.mean`` reductions, and feasibility near
     a threshold and the winner's effective SNR use ``math.log``.
 
-    Returns arrays ``(best_n, best_mcs, best_eff_lin, best_se_n)`` of shape
+    Returns arrays ``(best_n, best_mcs, best_eff_db, best_se_n)`` of shape
     ``(users, rings)``, with ``best_mcs = -1`` (and zeros elsewhere) where
     nothing is feasible.
     """
@@ -296,8 +305,7 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
         best_n[cell] = live_n[c]
         best_mcs[cell] = i
         best_rate[cell] = rate[won]
-        best_eff[cell] = v_min[c] - unique_betas[b] * [
-            math.log(m) for m in means[b, c].tolist()]
+        best_eff[cell] = eesm_snr_db(v_min[c], means[b, c], unique_betas[b])
     shape = (ues, rings)
     return (best_n.reshape(shape), best_mcs.reshape(shape),
             best_eff.reshape(shape), best_rate.reshape(shape))

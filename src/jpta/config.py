@@ -27,14 +27,13 @@ from .codebook import (
     Type1Target,
     paa_codebook,
 )
-from .link import (
-    MAX_EESM_BETA,
-    MIN_RBS_PER_GRANT,
-    LinkModel,
-    McsTable,
-    load_eesm_betas,
+from .link import LinkModel, McsTable, load_eesm_betas, require_eesm_beta
+from .sysim import (
+    Deployment,
+    jpta_share_target,
+    log_ring_grid,
+    require_min_jpta_share,
 )
-from .sysim import Deployment, jpta_share_target, log_ring_grid
 
 
 class ConfigError(ValueError):
@@ -133,6 +132,7 @@ class RunConfig:
     def eesm_betas(self, table: McsTable) -> np.ndarray:
         if self.link_eesm_beta_csv:
             return load_eesm_betas(self.link_eesm_beta_csv, len(table))
+        require_eesm_beta("eesm_beta", self.link_eesm_beta)
         return np.full(len(table), self.link_eesm_beta)
 
     def paa_sector_rad(self) -> tuple:
@@ -201,26 +201,13 @@ def _parse_spacing(key, text):
     return _parse_float(key, text)
 
 
-def _parse_eesm_beta(key, text):
-    value = _parse_float(key, text)
-    if not value > 0:
-        raise ConfigError("%s: must be positive" % key)
-    if not value <= MAX_EESM_BETA:
-        raise ConfigError("%s: must be at most %g, got %g"
-                          % (key, MAX_EESM_BETA, value))
-    return value
-
-
 _TYPE_PARSERS = dict(int=_parse_int, float=_parse_float, bool=_parse_bool,
                      str=lambda key, text: text.strip(),
                      tuple=_parse_float_list)
 
-# fields whose type does not say how to parse them; the scalar beta's
-# positivity and cap are the parser's because no run object checks them on
-# every parse: the scalar beta is checked only when a sweep runs
+# fields whose type does not say how to parse them
 _FIELD_PARSERS = dict(array_spacing_m=_parse_spacing,
-                      paa_sector_deg=_parse_pair,
-                      link_eesm_beta=_parse_eesm_beta)
+                      paa_sector_deg=_parse_pair)
 
 # config key -> (field, parser); a key is its field's name with the first
 # underscore, two for the designer fields, made a dot
@@ -272,22 +259,6 @@ def load_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
-def _require_min_share(cfg: RunConfig) -> None:
-    """A JPTA share below the minimum grant could only ever be an outage."""
-    num_ues = len(cfg.deploy_ue_angles_deg)
-    try:
-        _, shares = jpta_share_target(np.deg2rad(cfg.deploy_ue_angles_deg),
-                                      cfg.grid_num_rbs)
-    except ValueError:  # fewer RBs than UEs: some get no share
-        shares = [()]
-    smallest = min(len(share) for share in shares)
-    if smallest < MIN_RBS_PER_GRANT:
-        raise ValueError("%d RBs over %d UEs leave a JPTA share of %d RBs, "
-                         "below the %d-RB minimum grant"
-                         % (cfg.grid_num_rbs, num_ues, smallest,
-                            MIN_RBS_PER_GRANT))
-
-
 def _validate(cfg: RunConfig) -> None:
     for key, angles in (("deploy.ue_angles_deg", cfg.deploy_ue_angles_deg),
                         ("design.type1.angles_deg",
@@ -316,7 +287,7 @@ def _validate(cfg: RunConfig) -> None:
     # reported under the builder's key; the log grid's rules are checked
     # also beside deploy.distances_m, which leaves the grid unused; the
     # codebook also rounds the sector to axis radians, where a narrow one
-    # becomes empty; the last four read input files
+    # becomes empty; the MCS and beta builders read their CSV files if set
     for key, build in (("deploy.ring_count",
                         lambda: log_ring_grid(cfg.deploy_ring_min_m,
                                               cfg.deploy_ring_max_m,
@@ -329,7 +300,8 @@ def _validate(cfg: RunConfig) -> None:
                        ("link.path_loss_exponent", cfg.link_model),
                        ("grid.num_rbs", cfg.frequency_grid),
                        # once the grid has capped the RB count
-                       ("grid.num_rbs", lambda: _require_min_share(cfg)),
+                       ("grid.num_rbs", lambda: require_min_jpta_share(
+                           len(cfg.deploy_ue_angles_deg), cfg.grid_num_rbs)),
                        (rings_key, cfg.deployment),
                        ("delay.max_ns", cfg.delay_constraint),
                        (mcs_key, cfg.mcs_table),

@@ -130,13 +130,11 @@ def eesm_effective_snr_db(snr_db_values, beta: float) -> float:
 def _eesm_effective_snr_db_rows(snr_db_rows, beta: float) -> list:
     """``eesm_effective_snr_db`` of every row of a 2-D array, one float per
     row, without input checks. The shift by the row minimum keeps large SNRs
-    from underflowing; the last step uses ``math.log`` and ``math.log10``,
-    so a row's result does not depend on the other rows."""
+    from underflowing; no row's result depends on the other rows."""
     lin = np.power(10.0, snr_db_rows / 10.0)
     v_min = lin.min(axis=1)
     means = np.mean(np.exp(-(lin - v_min[:, None]) / beta), axis=1)
-    return [10.0 * math.log10(v - beta * math.log(m))
-            for v, m in zip(v_min, means)]
+    return _kernels.eesm_snr_db(v_min, means, beta)
 
 
 @dataclass(frozen=True)
@@ -201,6 +199,16 @@ class McsTable:
             raise ValueError("%s: %s" % (path, exc))
 
 
+def require_eesm_beta(where: str, beta: float) -> None:
+    """Raise ValueError, its message starting with ``where``, unless
+    ``0 < beta <= MAX_EESM_BETA``."""
+    if not beta > 0.0:
+        raise ValueError("%s: must be positive, got %g" % (where, beta))
+    if not beta <= MAX_EESM_BETA:
+        raise ValueError("%s: must be at most %g, got %g"
+                         % (where, MAX_EESM_BETA, beta))
+
+
 def load_eesm_betas(path, num_levels: int) -> np.ndarray:
     """Per-MCS EESM beta values from a CSV with columns index,beta."""
     betas = np.full(num_levels, np.nan)
@@ -211,10 +219,7 @@ def load_eesm_betas(path, num_levels: int) -> np.ndarray:
         if not np.isnan(betas[idx]):
             raise ValueError("%s line %d: duplicate EESM beta for index %d"
                              % (path, line, idx))
-        if not 0.0 < beta <= MAX_EESM_BETA:
-            raise ValueError("%s line %d: EESM beta must be positive and at "
-                             "most %g, got %g"
-                             % (path, line, MAX_EESM_BETA, beta))
+        require_eesm_beta("%s line %d: EESM beta" % (path, line), beta)
         betas[idx] = beta
     if np.any(np.isnan(betas)):
         raise ValueError("EESM beta file %s must cover every MCS index"
@@ -280,10 +285,10 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
         raise ValueError("distances_m must be a 1-D sequence")
     betas = np.ones(len(mcs_table)) if eesm_betas is None \
         else np.asarray(eesm_betas, dtype=np.float64)
-    if betas.size != len(mcs_table) or not np.all(
-            (betas > 0.0) & (betas <= MAX_EESM_BETA)):
-        raise ValueError("eesm_betas must be positive and at most %g, one "
-                         "per MCS level" % MAX_EESM_BETA)
+    if betas.shape != (len(mcs_table),):
+        raise ValueError("eesm_betas needs one beta per MCS level")
+    for beta in betas.tolist():
+        require_eesm_beta("eesm_betas", beta)
 
     link_db = np.array([lm.ue_tx_power_dbm + lm.ue_beam_gain_db
                         + path_gain_db(lm, float(d)) for d in dists])
@@ -301,12 +306,9 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
         best_n, best_mcs, best_eff, best_se_n = _kernels.rate_scan_batch(
             link_db, gains_desc, noise_db, thr_lin, se, unique_betas,
             beta_idx, MIN_RBS_PER_GRANT)
-        won = best_mcs >= 0
-        best_eff[won] = [10.0 * math.log10(e)
-                         for e in best_eff[won].tolist()]
         # diagnostic effective SNR of every outage: the most concentrated
         # allowed allocation
-        out_u, out_r = np.nonzero(~won)
+        out_u, out_r = np.nonzero(best_mcs < 0)
         n_diag = min(MIN_RBS_PER_GRANT, width)
         split = _kernels.snr_unsplit(link_db[out_r, None],
                                      gains_desc[out_u, :n_diag], noise_db)

@@ -30,7 +30,13 @@ from .antenna import (
     pattern_gain_db,
 )
 from .codebook import DelayConstraint, Type1Target, design_type1, paa_codebook
-from .link import LinkModel, McsTable, RateGrid, select_rate_grid
+from .link import (
+    MIN_RBS_PER_GRANT,
+    LinkModel,
+    McsTable,
+    RateGrid,
+    select_rate_grid,
+)
 
 SCHEME_PAA = "PAA"
 SCHEME_JPTA = "JPTA"
@@ -124,6 +130,16 @@ def jpta_share_target(ue_angles_rad, num_rbs: int):
     return target, shares
 
 
+def require_min_jpta_share(num_ues: int, num_rbs: int) -> None:
+    """Reject a band whose smallest ``jpta_share_target`` share is below
+    the minimum grant: that UE could only ever be an outage."""
+    smallest = num_rbs // num_ues if num_rbs >= num_ues else 0
+    if smallest < MIN_RBS_PER_GRANT:
+        raise ValueError("%d RBs over %d UEs leave a JPTA share of %d RBs, "
+                         "below the %d-RB minimum grant"
+                         % (num_rbs, num_ues, smallest, MIN_RBS_PER_GRANT))
+
+
 def _serving_gain_rows(cfg: ArrayConfig, weight_sets, serving,
                        ue_angles_rad, freqs) -> np.ndarray:
     """Gain rows (num_ues, num_freqs): row u is ``weight_sets[serving[u]]``
@@ -165,8 +181,9 @@ def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
 
     Returns (RateGrid, designed weights). The weights are fitted
     at the RB centers. RB shares are disjoint by construction, so UEs do not
-    interfere.
+    interfere. Every share must hold the minimum grant.
     """
+    require_min_jpta_share(dep.num_ues, grid.num_rbs)
     target, shares = jpta_share_target(dep.ue_angles_rad, grid.num_rbs)
     weights, _ = design_type1(cfg, target, grid, constraint)
     # conservation: the disjoint shares exhaust the band exactly

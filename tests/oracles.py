@@ -79,7 +79,8 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
     ``math.exp`` sum rounds differently and could flip a decision whose
     threshold is met with equality.
 
-    Returns ``(best_n, best_mcs, best_eff_lin, best_se_n)``, and
+    Returns ``(best_n, best_mcs, best_eff_db, best_se_n)``, the effective
+    SNR ``10 * log10`` of the linear one by ``math.log10``, and
     ``(0, -1, 0.0, 0.0)`` when nothing is feasible.
     """
     best = (0, -1, 0.0, 0.0)
@@ -96,7 +97,7 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
                 rate = se[i] * n
                 if rate > best_rate or (rate == best_rate and i > best[1]):
                     best_rate = rate
-                    best = (n, i, eff, rate)
+                    best = (n, i, 10.0 * math.log10(eff), rate)
                 break
     return best
 

@@ -350,6 +350,29 @@ def test_undersized_jpta_share_exit_2_names_key(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_sweep_share_rule_exit_2_names_key_and_api_raises(tmp_path, capsys):
+    # one rule, owned by sysim: the sweep raises it, and the config reports
+    # the same text under grid.num_rbs before any command starts work
+    text = ("deploy.ue_angles_deg = %s\ngrid.num_rbs = 24\n"
+            "deploy.distances_m = 100\n"
+            % ", ".join(map(repr, np.linspace(-55.0, 55.0, 8).tolist())))
+    rule = ("24 RBs over 8 UEs leave a JPTA share of 3 RBs, below the 4-RB "
+            "minimum grant")
+    cfg_path = _write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "config error: grid.num_rbs: " + rule in capsys.readouterr().err
+    assert not out.exists()
+    cfg = RunConfig(deploy_ue_angles_deg=tuple(np.linspace(-55.0, 55.0, 8)),
+                    grid_num_rbs=24, deploy_distances_m=(100.0,))
+    mcs = cfg.mcs_table()
+    with pytest.raises(ValueError, match="^" + rule + "$"):
+        throughput_sweep(cfg.deployment(), cfg.array_config(),
+                         cfg.frequency_grid(), cfg.link_model(), mcs,
+                         cfg.delay_constraint(), cfg.paa_num_beams,
+                         cfg.paa_sector_rad(), cfg.eesm_betas(mcs))
+
+
 def test_inf_eesm_betas_exit_2_names_file(tmp_path, capsys):
     # all-inf betas used to exit 0 with eff_snr_db = nan on every far ring
     betas = tmp_path / "betas.csv"

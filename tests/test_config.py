@@ -26,7 +26,7 @@ from jpta.config import (
     load_config,
     parse_config_text,
 )
-from jpta.link import McsTable
+from jpta.link import MAX_EESM_BETA, McsTable, select_rate_grid
 
 FULL_TEXT = """
 # array geometry
@@ -456,6 +456,32 @@ def test_eesm_betas_builder(tmp_path):
                          "".join("%d,2.5\n" % i for i in range(15)))
     cfg2 = parse_config_text("link.eesm_beta_csv = %s\n" % beta_path)
     np.testing.assert_allclose(cfg2.eesm_betas(table), np.full(15, 2.5))
+
+
+@pytest.mark.parametrize("beta,rule", [
+    (0.0, "must be positive, got 0"), (-1.0, "must be positive, got -1"),
+    (math.nan, "must be positive, got nan"),
+    (math.nextafter(MAX_EESM_BETA, math.inf), "must be at most 10000, got"),
+    (1e300, "must be at most 10000, got 1e\\+300"),
+    (math.inf, "must be at most 10000, got inf")])
+def test_eesm_beta_range_is_one_check_for_key_file_and_sweep(tmp_path, beta,
+                                                             rule):
+    # the scalar key, a beta CSV row and a sweep's betas go through
+    # link.require_eesm_beta, each error led by its own subject
+    table = McsTable.default()
+    with pytest.raises(ValueError, match="^eesm_beta: " + rule):
+        RunConfig(link_eesm_beta=beta).eesm_betas(table)
+    path = tmp_path / "b.csv"
+    path.write_text("index,beta\n" + "".join(
+        "%d,%r\n" % (i, beta if i == 3 else 1.0) for i in range(15)))
+    cfg = RunConfig(link_eesm_beta_csv=str(path))
+    if math.isfinite(beta):  # the CSV reader rejects the others first
+        with pytest.raises(ValueError,
+                           match="b.csv line 5: EESM beta: " + rule):
+            cfg.eesm_betas(table)
+    with pytest.raises(ValueError, match="^eesm_betas: " + rule):
+        select_rate_grid(LinkModel(28e9), [100.0], [np.zeros(8)], [np.arange(8)],
+                         table, 120e3, 1.0, np.full(15, beta))
 
 
 def test_paa_sector_builder_axis_order():

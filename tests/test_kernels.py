@@ -19,6 +19,7 @@ from jpta import FrequencyGrid, PhaseTimeWeights, _kernels, cli
 from jpta.antenna import pattern_map
 from oracles import (
     delay_scan_py,
+    eesm_effective_snr_db_py,
     live_candidates_py,
     pattern_corr_py,
     rate_scan_py,
@@ -396,7 +397,8 @@ def test_rate_scan_batch_meets_exact_thresholds(rings, distinct_betas):
         thr_lin = np.array([top * 1e-3, top])
         got = _assert_matches_oracle(link_db, np.vstack((swept, pinned)),
                                      0.0, thr_lin, se, betas)
-        assert (got[0][1, r], got[1][1, r], got[2][1, r]) == (rbs, 1, top)
+        assert (got[0][1, r], got[1][1, r], got[2][1, r]) == (
+            rbs, 1, 10.0 * math.log10(top))
 
 
 def test_rate_scan_chunks_match_oracle(monkeypatch):
@@ -426,6 +428,23 @@ def test_snr_terms_keep_the_gain_order():
     want = -np.sort(-_kernels.snr_unsplit(
         link_db[None, :, None], gain_db[:, None, :], noise_db), axis=2)
     assert np.array_equal(got, want)
+
+
+def test_eesm_snr_db_is_the_last_step_of_the_oracle():
+    # the one home of 10*log10(v_min - beta*ln(mean)): a scalar beta, or one
+    # per entry, gives each row the oracle's dB value bit for bit
+    rng = np.random.default_rng(71)
+    rows = rng.uniform(-20.0, 40.0, (30, 9))
+    lin = 10.0 ** (rows / 10.0)
+    v_min = lin.min(axis=1)
+    betas = rng.uniform(0.1, 1e4, rows.shape[0])
+    for beta in (0.7, 2.5, betas):
+        b = np.broadcast_to(beta, v_min.shape)
+        means = np.array([np.mean(np.exp(-(row - v) / bb))
+                          for row, v, bb in zip(lin, v_min, b)])
+        got = _kernels.eesm_snr_db(v_min, means, beta)
+        assert got == [eesm_effective_snr_db_py(row, bb)
+                       for row, bb in zip(rows, b.tolist())]
 
 
 def test_rate_scan_infeasible_returns_sentinel():
@@ -604,8 +623,8 @@ def test_rate_scan_prune_keeps_winner_on_tight_bounds(kind, distinct_betas):
         thr_lin = np.array([top * 1e-3, top])
         got = _assert_matches_oracle(link_db, gain_db[None, :], 0.0, thr_lin,
                                      se, betas)
-        assert (got[0][0, 1], got[1][0, 1], got[2][0, 1]) == (rbs, 1, top), \
-            rbs
+        assert (got[0][0, 1], got[1][0, 1], got[2][0, 1]) == (
+            rbs, 1, 10.0 * math.log10(top)), rbs
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from jpta.sysim import (
     coverage_distance,
     jpta_share_target,
     log_ring_grid,
+    require_min_jpta_share,
     run_jpta,
     run_paa,
     throughput_sweep,
@@ -112,6 +113,40 @@ def test_share_target_disjoint_cover_property(data):
     starts = [int(share[0]) for share in shares]
     order = sorted(range(num_ues), key=lambda u: (-angles_deg[u], u))
     assert [starts[u] for u in order] == sorted(starts)
+
+
+@pytest.mark.parametrize("num_ues,num_rbs,smallest", [
+    (8, 24, 3), (4, 8, 2), (4, 15, 3), (5, 19, 3),
+    # fewer RBs than UEs: some UE gets no share at all
+    (8, 7, 0), (300, 264, 0)])
+def test_min_jpta_share_rejects_a_share_below_the_grant(num_ues, num_rbs,
+                                                         smallest):
+    if num_rbs >= num_ues:
+        _, shares = jpta_share_target(np.zeros(num_ues), num_rbs)
+        assert min(share.size for share in shares) == smallest
+    with pytest.raises(ValueError, match="^%d RBs over %d UEs leave a JPTA "
+                       "share of %d RBs, below the 4-RB minimum grant$"
+                       % (num_rbs, num_ues, smallest)):
+        require_min_jpta_share(num_ues, num_rbs)
+
+
+@pytest.mark.parametrize("num_ues,num_rbs", [(1, 4), (4, 16), (4, 19),
+                                             (8, 32), (66, 264)])
+def test_min_jpta_share_accepts_shares_of_the_grant(num_ues, num_rbs):
+    _, shares = jpta_share_target(np.zeros(num_ues), num_rbs)
+    assert min(share.size for share in shares) >= 4
+    require_min_jpta_share(num_ues, num_rbs)
+
+
+def test_sweep_rejects_jpta_shares_below_the_grant():
+    # 8 UEs on 24 RBs leave 3-RB shares: the sweep used to return JPTA
+    # outages on every ring and a mean of 0 bps without an error
+    with pytest.raises(ValueError, match="24 RBs over 8 UEs leave a JPTA "
+                       "share of 3 RBs, below the 4-RB minimum grant"):
+        _sweep(np.linspace(-55.0, 55.0, 8), [100.0], num_rbs=24)
+    # one RB more per UE is served
+    res = _sweep(np.linspace(-55.0, 55.0, 8), [100.0], num_rbs=32)
+    assert np.all(res.rates[SCHEME_JPTA].num_rbs == 4)
 
 
 # ---------------------------------------------------------------------------
