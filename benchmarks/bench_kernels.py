@@ -3,25 +3,21 @@
 
 Each kernel of ``jpta._kernels`` exists once, in numpy. The table times it
 against the plain-loop reference of ``tests/oracles.py`` on the same
-inputs: the pattern grid at 721 and 3001 angles x 264 RBs, the delay scan
-with a new and with a kept twiddle table, and the rate scan of one user at
-1 and at 160 rings and of 8 users at 160 rings (the oracle called once per
-user and ring). Kernels and the delay- and rate-scan oracles report the
-best of ``--repeats`` runs; the oracles that take seconds (pattern grid,
-8-user rate scan) are timed once.
+inputs: the pattern grid at 721 and 3001 angles x 264 RBs, and at 64 and
+256 elements on 91 angles, the delay scan with a new and with a kept
+twiddle table, and at 64 and 256 elements, and the rate scan of one user
+at 1 and at 160 rings and of 8 users at 160 rings (the oracle called once
+per user and ring). Kernels and the delay- and rate-scan oracles report
+the best of ``--repeats`` runs; the oracles that take seconds (pattern
+grid, the delay scan past 16 elements, 8-user rate scan) are timed once.
+This is the package's one micro-benchmark; ``perfbench/`` times whole
+workloads.
 
 Two rows time the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread, and the delay
 scan in row blocks of ``DELAY_SCAN_BLOCK_TAUS`` taus against the one whole
 product it replaced, which OpenBLAS splits over its threads when it has
 more than one (``OPENBLAS_NUM_THREADS``).
-
-One row times the PAA gain stage of a sweep against the layout it
-replaced: for the criterion-4 deployment's 8 UEs, 16 beams at the carrier
-pick each UE's serving beam, then each UE's row over 264 RBs comes from its
-serving beam alone (``sysim._serving_gain_rows``), against every serving
-beam evaluated toward every UE in one column-block call and one row per UE
-kept.
 
 One row times rate selection end to end, kernel and result assembly: the
 two ``link.select_rate_grid`` calls of one sweep of the criterion-4
@@ -73,9 +69,8 @@ def _time_best(fn, args, repeats: int) -> float:
     return best
 
 
-def _pattern_args(num_angles: int):
+def _pattern_args(num_angles: int, num_el: int = 16):
     rng = np.random.default_rng(1)
-    num_el = 16
     cos_angles = np.cos(np.linspace(0.02, math.pi - 0.02, num_angles))
     freqs = 28e9 + 120e3 * 12.0 * (np.arange(264) - 131.5)
     phases = rng.uniform(-math.pi, math.pi, num_el)
@@ -122,31 +117,19 @@ def _paa_gain_rows(cfg, beams, angles, freqs):
                                     angles, freqs)
 
 
-def _paa_gain_rows_as_columns(cfg, beams, angles, freqs):
-    """The same rows from every serving beam toward every UE, tiled as
-    column blocks in one call, then one row per UE kept."""
-    used, ue_beam = np.unique(_paa_serving_beams(cfg, beams, angles),
-                              return_inverse=True)
-    gains = antenna.pattern_gain_db(
-        cfg, [beams[b] for b in used],
-        np.cos(antenna.axis_from_boresight_rad(angles)), freqs)
-    return gains.reshape(angles.size, used.size, freqs.size)[
-        np.arange(angles.size), ue_beam]
-
-
 # the delay scan's setting: the default 64-step delay line at the 264 RB
 # centers
 _DELAY = codebook.DelayConstraint()
 _DELAY_GRID = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
 
 
-def _delay_args():
+def _delay_args(num_el: int = 16):
     """Random target slopes, and the frequencies and delays of ``_DELAY`` at
-    ``_DELAY_GRID``'s RB centers."""
+    ``_DELAY_GRID``'s RB centers, for ``num_el`` elements."""
     rng = np.random.default_rng(2)
     freqs = _DELAY_GRID.rb_center_freqs()
     slopes = rng.uniform(-math.pi, math.pi, freqs.size)
-    return slopes, freqs, _DELAY.grid(), 16
+    return slopes, freqs, _DELAY.grid(), num_el
 
 
 def _delay_scan_new_table(slopes, freqs, taus, num_elements):
@@ -258,14 +241,20 @@ BENCHES = [
     ("pattern_corr (3001 x 264, threaded vs 1 thread)",
      _kernels.pattern_corr, _pattern_corr_one_thread,
      lambda: _pattern_args(3001), False),
-    ("gain rows    (PAA, 8 UEs x 264 RBs)", _paa_gain_rows,
-     _paa_gain_rows_as_columns, _paa_gain_row_args, False),
+    ("pattern_corr (91 angles x 264 RBs, 64 el)", _kernels.pattern_corr,
+     pattern_corr_py, lambda: _pattern_args(91, 64), True),
+    ("pattern_corr (91 angles x 264 RBs, 256 el)", _kernels.pattern_corr,
+     pattern_corr_py, lambda: _pattern_args(91, 256), True),
     ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",
      _delay_scan_kept_table, delay_scan_py, _delay_args, False),
     ("delay_scan   (16-tau blocks vs one product)",
      _delay_scan_kept_table, _delay_scan_whole_product, _delay_args, False),
+    ("delay_scan   (64 taus x 264 freqs, 64 el)", _delay_scan_kept_table,
+     delay_scan_py, lambda: _delay_args(64), True),
+    ("delay_scan   (64 taus x 264 freqs, 256 el)", _delay_scan_kept_table,
+     delay_scan_py, lambda: _delay_args(256), True),
     ("rate_scan    (1 ring x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(1, 1), False),
     ("rate_scan    (160 rings x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,

@@ -130,9 +130,9 @@ class RunConfig:
         return McsTable.default(self.link_mcs_margin_db)
 
     def eesm_betas(self, table: McsTable) -> np.ndarray:
+        require_eesm_beta("eesm_beta", self.link_eesm_beta)
         if self.link_eesm_beta_csv:
             return load_eesm_betas(self.link_eesm_beta_csv, len(table))
-        require_eesm_beta("eesm_beta", self.link_eesm_beta)
         return np.full(len(table), self.link_eesm_beta)
 
     def paa_sector_rad(self) -> tuple:
@@ -247,6 +247,12 @@ def parse_config_text(text: str) -> RunConfig:
         attr, parser = _KEY_SPECS[key]
         setattr(cfg, attr, parser(key, value))
     _validate(cfg)
+    # a key whose value a CSV input replaces, checked after its range
+    for ignored, csv_key in (("link.mcs_margin_db", "link.mcs_table_csv"),
+                             ("link.eesm_beta", "link.eesm_beta_csv")):
+        if ignored in seen and getattr(cfg, _KEY_SPECS[csv_key][0]):
+            raise ConfigError("%s, %s: %s would be ignored beside %s"
+                              % (ignored, csv_key, ignored, csv_key))
     return cfg
 
 

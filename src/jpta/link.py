@@ -82,8 +82,8 @@ class LinkModel:
 def path_gain_db(lm: LinkModel, distance_m: float) -> float:
     """Log-distance path gain: free-space intercept at 1 m plus
     -10*beta*log10(d)."""
-    if not distance_m > 0.0:
-        raise ValueError("distance_m must be positive")
+    if not 0.0 < distance_m < math.inf:
+        raise ValueError("distance_m must be positive and finite")
     intercept = 20.0 * math.log10(
         SPEED_OF_LIGHT_M_S / (4.0 * math.pi * lm.carrier_hz))
     return intercept - 10.0 * lm.path_loss_exponent * math.log10(distance_m)
@@ -124,6 +124,8 @@ def eesm_effective_snr_db(snr_db_values, beta: float) -> float:
     snr_db = np.asarray(snr_db_values, dtype=np.float64)
     if snr_db.size == 0:
         raise ValueError("snr_db_values must be non-empty")
+    if not np.all(np.isfinite(snr_db)):
+        raise ValueError("snr_db_values must be finite")
     return _eesm_effective_snr_db_rows(snr_db.reshape(1, -1), beta)[0]
 
 
@@ -257,14 +259,15 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
                      eesm_betas=None) -> RateGrid:
     """Best feasible (MCS, RB count) for every UE at every distance.
 
-    UE u uses the RBs ``available_rbs[u]`` of its gain row ``gain_rows[u]``
-    (dB, indexable by RB id). Allocations use its n highest-gain RBs for n
-    from 4 up to its available count, with transmit power split evenly. A
-    pair is feasible when the EESM effective SNR meets the MCS threshold;
-    candidates are ranked by throughput SE*n*12*scs*slot_duty, ties broken
-    toward the higher MCS and then the smaller allocation. A distance where
-    nothing with at least 4 RBs is feasible gets an outage decision (mcs -1,
-    zero throughput) whose effective SNR is that of the 4 best RBs.
+    UE u uses the RBs ``available_rbs[u]``, distinct ids into its gain row
+    ``gain_rows[u]`` (dB), whose gains there must be finite. Allocations
+    use its n highest-gain RBs for n from 4 up to its available count, with
+    transmit power split evenly. A pair is feasible when the EESM effective
+    SNR meets the MCS threshold; candidates are ranked by throughput
+    SE*n*12*scs*slot_duty, ties broken toward the higher MCS and then the
+    smaller allocation. A distance where nothing with at least 4 RBs is
+    feasible gets an outage decision (mcs -1, zero throughput) whose
+    effective SNR is that of the 4 best RBs.
 
     Returns a ``RateGrid``, row i for ``distances_m[i]``; every cell equals
     the one-UE, one-distance ``select_rate`` result.
@@ -273,13 +276,23 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
         raise ValueError("slot_duty must lie in (0, 1]")
     if len(gain_rows) != len(available_rbs):
         raise ValueError("gain_rows and available_rbs need one entry per UE")
-    avail = [np.asarray(rbs, dtype=np.int64) for rbs in available_rbs]
-    if any(rbs.size == 0 for rbs in avail):
-        raise ValueError("available_rbs must be non-empty")
-    # each UE's gains sorted descending: each SNR term is monotone in its
-    # gain, so its SNR rows come out sorted descending at every distance
-    shares = [-np.sort(-np.asarray(row, dtype=np.float64)[rbs])
-              for row, rbs in zip(gain_rows, avail)]
+    shares = []
+    for row, rbs in zip(gain_rows, available_rbs):
+        row = np.asarray(row, dtype=np.float64)
+        rbs = np.asarray(rbs, dtype=np.int64)
+        if rbs.ndim != 1 or rbs.size == 0:
+            raise ValueError("available_rbs must be non-empty 1-D lists")
+        rbs = np.sort(rbs)
+        if row.ndim != 1 or rbs[0] < 0 or rbs[-1] >= row.size \
+                or np.any(rbs[1:] == rbs[:-1]):
+            raise ValueError("available_rbs must hold distinct RB ids of "
+                             "their gain_rows entry")
+        gains = row[rbs]
+        if not np.all(np.isfinite(gains)):
+            raise ValueError("gain_rows must be finite on the available RBs")
+        # each UE's gains sorted descending: each SNR term is monotone in its
+        # gain, so its SNR rows come out sorted descending at every distance
+        shares.append(-np.sort(-gains))
     dists = np.asarray(distances_m, dtype=np.float64)
     if dists.ndim != 1:
         raise ValueError("distances_m must be a 1-D sequence")

@@ -259,6 +259,8 @@ def coverage_distance(distances_m, mean_bps, threshold_bps: float) -> CoverageRe
                          "non-empty")
     if not 0.0 < threshold_bps < math.inf:
         raise ValueError("threshold_bps must be positive and finite")
+    if not (np.all(np.isfinite(dists)) and np.all(np.isfinite(vals))):
+        raise ValueError("distances_m and mean_bps must be finite")
     meets = np.nonzero(vals >= threshold_bps)[0]
     if meets.size == 0:
         return CoverageResult(distance_m=None, censored=False)

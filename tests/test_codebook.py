@@ -374,34 +374,35 @@ def test_type1_per_antenna_optimality_small_case():
     The squared distance to the target separates per antenna, so for each
     antenna the designed (delay, phase) must beat every (grid delay, best
     phase for it) pair. The check below recomputes costs from the raw
-    definition, without reusing the designer's internals.
+    definition, without reusing the designer's internals. Run at 4 and at
+    64 elements.
     """
-    cfg = ArrayConfig.half_wavelength(4, 28e9, 28.0)
     grid = FrequencyGrid(28e9, 400e6, 120e3, 12)
     dc = DelayConstraint(2.5e-9, 20e-9)
     target = _target((25.0, -40.0), 12)
-    w, obj = design_type1(cfg, target, grid, dc)
-
     freqs = grid.rb_center_freqs()
     rb_angles = target.rb_angles(12)
-    slopes = 2 * math.pi * cfg.spacing_m * freqs * np.cos(rb_angles) \
-        / SPEED_OF_LIGHT_M_S
+    for num_elements in (4, 64):
+        cfg = ArrayConfig.half_wavelength(num_elements, 28e9, 28.0)
+        w, obj = design_type1(cfg, target, grid, dc)
+        slopes = 2 * math.pi * cfg.spacing_m * freqs * np.cos(rb_angles) \
+            / SPEED_OF_LIGHT_M_S
 
-    def antenna_cost(m, tau, phi):
-        resp = np.exp(1j * (phi + 2 * math.pi * freqs * tau))
-        steer = np.exp(1j * slopes * m)
-        return np.sum(np.abs(resp - steer) ** 2) / cfg.num_elements
+        def antenna_cost(m, tau, phi):
+            resp = np.exp(1j * (phi + 2 * math.pi * freqs * tau))
+            steer = np.exp(1j * slopes * m)
+            return np.sum(np.abs(resp - steer) ** 2) / cfg.num_elements
 
-    total = 0.0
-    for m in range(cfg.num_elements):
-        chosen = antenna_cost(m, w.delays_s[m], w.phases_rad[m])
-        for tau in dc.grid():
-            theta = slopes * m - 2 * math.pi * freqs * tau
-            s = np.exp(1j * theta).sum()
-            best_phi = math.atan2(s.imag, s.real)
-            assert chosen <= antenna_cost(m, tau, best_phi) + 1e-9
-        total += chosen
-    assert total == pytest.approx(obj, rel=1e-9)
+        total = 0.0
+        for m in range(cfg.num_elements):
+            chosen = antenna_cost(m, w.delays_s[m], w.phases_rad[m])
+            for tau in dc.grid():
+                theta = slopes * m - 2 * math.pi * freqs * tau
+                s = np.exp(1j * theta).sum()
+                best_phi = math.atan2(s.imag, s.real)
+                assert chosen <= antenna_cost(m, tau, best_phi) + 1e-9
+            total += chosen
+        assert total == pytest.approx(obj, rel=1e-9), num_elements
 
 
 # ---------------------------------------------------------------------------

@@ -480,8 +480,37 @@ def test_eesm_beta_range_is_one_check_for_key_file_and_sweep(tmp_path, beta,
                            match="b.csv line 5: EESM beta: " + rule):
             cfg.eesm_betas(table)
     with pytest.raises(ValueError, match="^eesm_betas: " + rule):
-        select_rate_grid(LinkModel(28e9), [100.0], [np.zeros(8)], [np.arange(8)],
-                         table, 120e3, 1.0, np.full(15, beta))
+        select_rate_grid(LinkModel(28e9), [100.0], [np.zeros(8)],
+                         [np.arange(8)], table, 120e3, 1.0, np.full(15, beta))
+
+
+def test_a_key_a_csv_replaces_is_rejected_beside_it(tmp_path):
+    # the margin shifts only the built-in table and the scalar beta fills
+    # only the built-in betas: beside their CSVs both used to be accepted
+    # and ignored
+    mcs = tmp_path / "mcs.csv"
+    mcs.write_text("index,spectral_efficiency,snr_threshold_db\n"
+                   "0,1.0,0.0\n1,2.0,5.0\n")
+    betas = tmp_path / "betas.csv"
+    betas.write_text("index,beta\n0,2.5\n1,2.5\n")
+    for ignored, csv_key, path, value in (
+            ("link.mcs_margin_db", "link.mcs_table_csv", mcs, "30"),
+            ("link.eesm_beta", "link.eesm_beta_csv", betas, "7")):
+        text = "link.mcs_table_csv = %s\n%s = %s\n" % (mcs, ignored, value)
+        if csv_key != "link.mcs_table_csv":
+            text += "%s = %s\n" % (csv_key, path)
+        with pytest.raises(ConfigError, match="^%s, %s: %s would be ignored "
+                           "beside %s$" % (ignored, csv_key, ignored,
+                                           csv_key)):
+            parse_config_text(text)
+        # either key alone, or beside an empty CSV key, is used
+        parse_config_text("%s = %s\n" % (ignored, value))
+        parse_config_text("%s = %s\n%s =\n" % (ignored, value, csv_key))
+    # an out-of-range scalar beta keeps its range message beside a CSV
+    with pytest.raises(ConfigError,
+                       match="^link.eesm_beta: must be positive, got 0$"):
+        parse_config_text("link.mcs_table_csv = %s\nlink.eesm_beta = 0\n"
+                          "link.eesm_beta_csv = %s\n" % (mcs, betas))
 
 
 def test_paa_sector_builder_axis_order():

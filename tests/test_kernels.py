@@ -51,6 +51,12 @@ def test_pattern_corr_matches_oracle():
                                    rtol=0, atol=1e-12)
         assert got.shape == (ca.size, fr.size)
         assert np.all(got <= 1.0 + 1e-12)
+    # 64 elements, beyond the drawn ones, on a small grid
+    ca, fr, ph, de = _random_pattern_inputs(rng)[:4]
+    ph, de = rng.uniform(0.0, 2 * np.pi, 64), rng.uniform(0.0, 40e-9, 64)
+    np.testing.assert_allclose(_kernels.pattern_corr(ca, fr, ph, de, ss),
+                               pattern_corr_py(ca, fr, ph, de, ss), rtol=0,
+                               atol=1e-12)
 
 
 def test_delay_scan_matches_oracle():
@@ -83,6 +89,12 @@ def test_delay_scan_equals_one_whole_product(num_freqs):
             assert np.array_equal(
                 _kernels.delay_scan(slopes, twiddles, num_el),
                 twiddles @ target), (num_el, taus)
+    # up to the 1024-element cap, at the default delay line's 64 taus
+    for num_el in (256, 1024):
+        target = np.exp(1j * slopes[:, None] * np.arange(num_el)[None, :])
+        assert np.array_equal(
+            _kernels.delay_scan(slopes, table[:64], num_el),
+            table[:64] @ target), num_el
 
 
 def _cpu_s():

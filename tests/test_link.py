@@ -59,6 +59,11 @@ def test_path_gain_rejects_nonpositive_distance(link_default):
         path_gain_db(link_default, 0.0)
     with pytest.raises(ValueError, match="distance_m"):
         path_gain_db(link_default, -5.0)
+    # an infinite distance used to give a path gain of -inf
+    for distance in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError,
+                           match="^distance_m must be positive and finite$"):
+            path_gain_db(link_default, distance)
 
 
 def test_noise_power_reference_value(link_default):
@@ -161,6 +166,10 @@ def test_eesm_validation():
         eesm_effective_snr_db([1.0], 0.0)
     with pytest.raises(ValueError, match="non-empty"):
         eesm_effective_snr_db([], 1.0)
+    # a NaN SNR used to give an effective SNR of nan
+    for snrs in ([math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]):
+        with pytest.raises(ValueError, match="^snr_db_values must be finite$"):
+            eesm_effective_snr_db(snrs, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +471,33 @@ def test_select_rate_validation(link_default, mcs_default):
     with pytest.raises(ValueError, match="non-empty"):
         select_rate_grid(link_default, [100.0], [FLAT28, FLAT28],
                          [ALL_RBS, []], mcs_default, SCS, 1.0)
+    # [0, 0, 1, 2, 3] counted RB 0 twice (a 5-RB grant), [-1, 0, 1, 2]
+    # wrapped round to the last RB and [30] raised IndexError
+    for rbs in ([0, 0, 1, 2, 3], [-1, 0, 1, 2], [30], [0, 1, 2, 24],
+                [[0, 1], [2, 3]]):
+        with pytest.raises(ValueError, match="^available_rbs must"):
+            select_rate_grid(link_default, [100.0], [np.full(24, 28.0)],
+                             [rbs], mcs_default, SCS, 1.0)
+
+
+@pytest.mark.parametrize("bad_gain", [math.nan, math.inf, -math.inf])
+def test_select_rate_grid_rejects_non_finite_gains(link_default, mcs_default,
+                                                   bad_gain):
+    # a NaN gain sorted last and was dropped (a 23-RB grant of 24 RBs), +inf
+    # gave a 24-RB grant at a finite 23.22 dB effective SNR, and -inf passed
+    # with a divide-by-zero warning
+    row = np.full(24, 28.0)
+    row[5] = bad_gain
+    with pytest.raises(ValueError,
+                       match="^gain_rows must be finite on the available"):
+        select_rate_grid(link_default, [100.0], [row], [np.arange(24)],
+                         mcs_default, SCS, 1.0)
+    # a gain outside the UE's RBs is never read
+    got = select_rate_grid(link_default, [100.0], [row], [np.arange(6, 24)],
+                           mcs_default, SCS, 1.0)
+    want = select_rate_grid(link_default, [100.0], [np.full(24, 28.0)],
+                            [np.arange(6, 24)], mcs_default, SCS, 1.0)
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
 
 
 def _brute_force(lm, dist, gains, avail, table, scs, duty, betas):

@@ -348,6 +348,15 @@ def test_coverage_validation():
         with pytest.raises(ValueError,
                            match="^threshold_bps must be positive and finite"):
             coverage_distance([1.0, 2.0], [2e6, 1e6], threshold)
+    # a NaN ring used to be skipped (2.75 m) or to give a distance of nan
+    for dists, vals in (([1.0, 2.0, 3.0], [math.nan, 5.0, 1.0]),
+                        ([1.0, 2.0, 3.0], [5.0, math.nan, 1.0]),
+                        ([1.0, 2.0, 3.0], [5.0, 3.0, math.inf]),
+                        ([1.0, math.inf, 3.0], [5.0, 3.0, 1.0]),
+                        ([1.0, 2.0, math.nan], [5.0, 3.0, 1.0])):
+        with pytest.raises(ValueError,
+                           match="^distances_m and mean_bps must be finite$"):
+            coverage_distance(dists, vals, 2.0)
 
 
 # ---------------------------------------------------------------------------
