@@ -351,8 +351,9 @@ def test_undersized_jpta_share_exit_2_names_key(tmp_path, capsys):
 
 
 def test_sweep_share_rule_exit_2_names_key_and_api_raises(tmp_path, capsys):
-    # one rule, owned by sysim: the sweep raises it, and the config reports
-    # the same text under grid.num_rbs before any command starts work
+    # one rule, owned by sysim: the sweep raises it (it used to return JPTA
+    # outages on every ring and a mean of 0 bps), and the config reports the
+    # same text under grid.num_rbs before any command starts work
     text = ("deploy.ue_angles_deg = %s\ngrid.num_rbs = 24\n"
             "deploy.distances_m = 100\n"
             % ", ".join(map(repr, np.linspace(-55.0, 55.0, 8).tolist())))

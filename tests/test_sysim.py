@@ -138,17 +138,6 @@ def test_min_jpta_share_accepts_shares_of_the_grant(num_ues, num_rbs):
     require_min_jpta_share(num_ues, num_rbs)
 
 
-def test_sweep_rejects_jpta_shares_below_the_grant():
-    # 8 UEs on 24 RBs leave 3-RB shares: the sweep used to return JPTA
-    # outages on every ring and a mean of 0 bps without an error
-    with pytest.raises(ValueError, match="24 RBs over 8 UEs leave a JPTA "
-                       "share of 3 RBs, below the 4-RB minimum grant"):
-        _sweep(np.linspace(-55.0, 55.0, 8), [100.0], num_rbs=24)
-    # one RB more per UE is served
-    res = _sweep(np.linspace(-55.0, 55.0, 8), [100.0], num_rbs=32)
-    assert np.all(res.rates[SCHEME_JPTA].num_rbs == 4)
-
-
 # ---------------------------------------------------------------------------
 # gain rows and the serving beam
 # ---------------------------------------------------------------------------
