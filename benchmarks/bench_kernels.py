@@ -218,9 +218,8 @@ def _pattern_csv_args():
     weights, _ = codebook.design_type1(array, cfg.type1_target(), grid,
                                        cfg.delay_constraint())
     bore_deg = -90.0 + 0.25 * np.arange(721)
-    axis = np.array([antenna.axis_from_boresight_deg(a)
-                     for a in bore_deg[::-1]])
-    return bore_deg, antenna.pattern_map(array, weights, axis, grid)[::-1]
+    axis = antenna.axis_from_boresight_rad(np.radians(bore_deg))
+    return bore_deg, antenna.pattern_map(array, weights, axis, grid)
 
 
 def _pattern_csv(bore_deg, gains):

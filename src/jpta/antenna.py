@@ -294,16 +294,17 @@ def pattern_map(cfg: ArrayConfig, weights: PhaseTimeWeights,
 
     Returns shape (num_angles, num_rbs); entry (i, r) is the beam gain in dB
     at angle_grid_rad[i] and the center frequency of RB r. Rows follow the
-    given angle order (strictly increasing axis angles required), columns are
-    RB index 0..num_rbs-1.
+    given angle order, in any order and with repeats, each evaluated on its
+    own; columns are RB index 0..num_rbs-1.
     """
     angles = np.asarray(angle_grid_rad, dtype=np.float64)
     if angles.ndim != 1 or angles.size == 0:
         raise ValueError("angle_grid_rad must be a non-empty 1-D array")
-    if np.any(np.diff(angles) <= 0.0):
-        raise ValueError("angle_grid_rad must be strictly increasing")
-    for a in (angles[0], angles[-1]):
-        _check_angle(a)
+    # a NaN angle is outside too
+    outside = ~((angles >= -_ANGLE_TOL_RAD)
+                & (angles <= math.pi + _ANGLE_TOL_RAD))
+    if outside.any():
+        _check_angle(angles[outside][0])
     return pattern_gain_db(cfg, [weights], np.cos(angles),
                            grid.rb_center_freqs())
 

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .antenna import axis_from_boresight_deg, pattern_map
+from .antenna import axis_from_boresight_rad, pattern_map
 from .codebook import design_type1, design_type2, export_codebook_csv, \
     import_codebook_csv
 from .config import ConfigError, RunConfig, load_config
@@ -246,13 +246,9 @@ def _cmd_pattern(args) -> int:
                           % (args.codebook, weights.num_elements,
                              array.num_elements))
     bore_deg = _parse_angle_range(args.angles)
-    # boresight degrees descend as axis radians ascend; evaluate on the
-    # ascending axis grid, then flip rows back to ascending degrees
-    axis = np.array([axis_from_boresight_deg(a) for a in bore_deg[::-1]])
-    if np.any(np.diff(axis) <= 0.0):
-        raise ConfigError("--angles: step too small to tell angles apart")
     start = time.perf_counter()
-    gains = pattern_map(array, weights, axis, grid)[::-1]
+    gains = pattern_map(array, weights,
+                        axis_from_boresight_rad(np.radians(bore_deg)), grid)
     mapped = time.perf_counter()
     with open(args.out, "wb") as fh:
         fh.write((",".join(PATTERN_CSV_HEADER) + "\r\n").encode())

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jpta import _kernels
 from jpta.antenna import (
@@ -259,8 +261,6 @@ def test_pattern_map_matches_beam_gain(array16):
 
 def test_pattern_map_validation(array16, grid264):
     w = PhaseTimeWeights(delays_s=np.zeros(16), phases_rad=np.zeros(16))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        pattern_map(array16, w, np.array([1.0, 1.0]), grid264)
     with pytest.raises(ValueError, match="non-empty"):
         pattern_map(array16, w, np.array([]), grid264)
     with pytest.raises(ValueError, match="angle_rad"):
@@ -268,6 +268,35 @@ def test_pattern_map_validation(array16, grid264):
     w8 = PhaseTimeWeights(delays_s=np.zeros(8), phases_rad=np.zeros(8))
     with pytest.raises(ValueError, match="num_elements"):
         pattern_map(array16, w8, np.array([1.0, 2.0]), grid264)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-9, math.pi + 1e-9, 4.0])
+def test_pattern_map_rejects_an_interior_angle(array16, grid264, bad):
+    # every angle is checked, not only the two ends; a NaN used to give a
+    # row of NaN gains
+    w = PhaseTimeWeights(delays_s=np.zeros(16), phases_rad=np.zeros(16))
+    with pytest.raises(ValueError, match=r"^angle_rad must lie in \[0, pi\]"):
+        pattern_map(array16, w, np.array([0.5, bad, 1.5]), grid264)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pattern_map_rows_follow_any_angle_order(data):
+    # each row is evaluated on its own: any order of the grid, repeats
+    # included, gives the rows of the ascending evaluation bit for bit
+    array = ArrayConfig.half_wavelength(8, 28e9)
+    grid = FrequencyGrid(28e9, 400e6, 120e3, 12)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w = PhaseTimeWeights(rng.integers(0, 8, 8) * 2.5e-9,
+                         rng.uniform(0.0, 2 * math.pi, 8))
+    ascending = np.sort(np.concatenate((
+        [0.0, math.pi],
+        rng.uniform(0.0, math.pi, data.draw(st.integers(0, 40))))))
+    order = data.draw(st.lists(st.integers(0, ascending.size - 1),
+                               min_size=1, max_size=60))
+    want = pattern_map(array, w, ascending, grid)[order]
+    got = pattern_map(array, w, ascending[order], grid)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_global_phase_invariance(array16):

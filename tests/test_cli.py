@@ -164,7 +164,7 @@ def test_pattern_logs_its_size_and_time(tmp_path, capsys, caplog):
 @pytest.mark.parametrize("angles", ["10:20", "5:1:1", "0:10:-1", "-95:0:5",
                                     "a:b:c", "nan:90:1", "0:nan:1",
                                     "0:10:nan", "0:10:inf", "-inf:0:1",
-                                    "0:1e-300:1e-300", "-90:90:1e-300",
+                                    "-90:90:1e-300",
                                     # one angle past the cap
                                     "-90:90:%r" % (180.0 /
                                                    cli.MAX_PATTERN_ANGLES)])
@@ -177,6 +177,20 @@ def test_pattern_bad_angle_ranges_exit_2(tmp_path, capsys, angles):
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "--angles" in err
+
+
+def test_pattern_angles_that_round_together_exit_0(tmp_path):
+    # 0 and 1e-300 deg map to the same axis angle, and each row is
+    # evaluated as given, so both rows carry the same gains
+    cb = tmp_path / "cb.csv"
+    main(["design", "--type", "2", "--out", str(cb)])
+    out = tmp_path / "p.csv"
+    assert main(["pattern", str(cb), "--angles=0:1e-300:1e-300",
+                 "--out", str(out)]) == 0
+    body = _read_rows(out)[1:]
+    assert len(body) == 2 * 264
+    assert [r[0] for r in body[::264]] == ["0", "1e-300"]
+    assert [r[1:] for r in body[:264]] == [r[1:] for r in body[264:]]
 
 
 def test_pattern_angle_cap_admits_exactly_the_cap():
