@@ -13,11 +13,12 @@ grid, the delay scan past 16 elements, 8-user rate scan) are timed once.
 This is the package's one micro-benchmark; ``perfbench/`` times whole
 workloads.
 
-Two rows time the kernels' thread use: the 3001-angle pattern grid split
+Four rows time the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread, and the delay
-scan in row blocks of ``DELAY_SCAN_BLOCK_TAUS`` taus against the one whole
-product it replaced, which OpenBLAS splits over its threads when it has
-more than one (``OPENBLAS_NUM_THREADS``).
+scan in tiles of ``DELAY_SCAN_TILE`` taus by as many elements, at 16, 64
+and 256 elements, against the one whole product it replaced, which
+OpenBLAS splits over its threads when it has more than one
+(``OPENBLAS_NUM_THREADS``).
 
 One row times rate selection end to end, kernel and result assembly: the
 two ``link.select_rate_grid`` calls of one sweep of the criterion-4
@@ -248,8 +249,14 @@ BENCHES = [
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",
      _delay_scan_kept_table, delay_scan_py, _delay_args, False),
-    ("delay_scan   (16-tau blocks vs one product)",
+    ("delay_scan   (16x16 tiles vs one product)",
      _delay_scan_kept_table, _delay_scan_whole_product, _delay_args, False),
+    ("delay_scan   (tiles vs one product, 64 el)",
+     _delay_scan_kept_table, _delay_scan_whole_product,
+     lambda: _delay_args(64), False),
+    ("delay_scan   (tiles vs one product, 256 el)",
+     _delay_scan_kept_table, _delay_scan_whole_product,
+     lambda: _delay_args(256), False),
     ("delay_scan   (64 taus x 264 freqs, 64 el)", _delay_scan_kept_table,
      delay_scan_py, lambda: _delay_args(64), True),
     ("delay_scan   (64 taus x 264 freqs, 256 el)", _delay_scan_kept_table,

@@ -162,15 +162,25 @@ def delay_twiddles(taus, freqs):
     return np.exp(twiddles, out=twiddles)
 
 
-# taus per row block of the delay scan's product. OpenBLAS (0.3.31) runs a
-# product this small on the calling thread; a whole 64-tau table is split
-# over its worker threads, and a worker then spins for about 0.13 s after
-# the call (0.11-0.13 s of CPU during a 0.3 s sleep after a 64 x 264 x 16
-# complex product, against 0.0001 s after the same product in 16-tau
-# blocks, also at 3168 frequencies), taking the core a threaded pattern grid
-# needs. Blocks give every score the same bits as the whole product; a
-# one-row block would not, as numpy hands a one-row product to gemv
-DELAY_SCAN_BLOCK_TAUS = 16
+# rows and columns per tile of the delay scan's product. OpenBLAS (0.3.31)
+# runs a tile this small on the calling thread; a whole 64-tau table, or a
+# 16-tau block of more than about 24 elements, is split over its worker
+# threads, and a worker then spins for about 0.13 s after the call (0.11-0.13
+# s of CPU during a 0.3 s sleep after a 64-tau scan at 16 to 256 elements,
+# against 0.0001 s in 16 x 16 tiles, at 264 and 3168 frequencies), taking
+# the core a threaded pattern grid needs
+DELAY_SCAN_TILE = 16
+
+
+def _tile_edges(size):
+    """Edges of the delay scan's tiles along an axis of ``size``: blocks of
+    ``DELAY_SCAN_TILE``, a one-wide tail joined to the block before it.
+    Tiles so cut give every score the bits of the whole product, which a
+    one-wide tile, or blocks merely balanced in width, would not."""
+    edges = list(range(0, size, DELAY_SCAN_TILE)) + [size]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return edges
 
 
 def delay_scan(slopes, twiddles, num_elements):
@@ -186,12 +196,15 @@ def delay_scan(slopes, twiddles, num_elements):
     elem = np.arange(num_elements, dtype=np.float64)
     target = np.exp(1j * slopes[:, None] * elem[None, :])
     taus = twiddles.shape[0]
-    blocks = max(1, -(-taus // DELAY_SCAN_BLOCK_TAUS))
-    # balanced blocks: none has one row unless the table has
-    edges = [taus * b // blocks for b in range(blocks + 1)]
+    rows = _tile_edges(taus)
+    # numpy hands a one-row product to gemv, whose sums depend on the column
+    # count, so a one-row table stays one product
+    cols = _tile_edges(num_elements) if taus > 1 else [0, num_elements]
     scores = np.empty((taus, num_elements), dtype=np.complex128)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        np.matmul(twiddles[lo:hi], target, out=scores[lo:hi])
+    for r0, r1 in zip(rows[:-1], rows[1:]):
+        for c0, c1 in zip(cols[:-1], cols[1:]):
+            np.matmul(twiddles[r0:r1], target[:, c0:c1],
+                      out=scores[r0:r1, c0:c1])
     return scores
 
 

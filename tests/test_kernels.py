@@ -1,6 +1,6 @@
 """Kernel checks: the pattern, delay and rate kernels against the
 brute-force oracles of ``tests/oracles.py``, the pattern kernel's chunking,
-threads and bounds, the delay scan's row blocks, the rate kernel's bound
+threads and bounds, the delay scan's tiles, the rate kernel's bound
 pruning, and the pattern CSV's ``"%.6g"`` formatter (``jpta.cli``) against
 Python's own formatting."""
 
@@ -76,7 +76,7 @@ def test_delay_scan_matches_oracle():
 
 @pytest.mark.parametrize("num_freqs", [1, 12, 264, 3168])
 def test_delay_scan_equals_one_whole_product(num_freqs):
-    # the scan's row blocks give every score the bits of the whole
+    # the scan's tiles give every score the bits of the whole
     # twiddles @ target product, for 1 to 70 taus
     rng = np.random.default_rng(15 + num_freqs)
     freqs = rng.uniform(27e9, 29e9, num_freqs)
@@ -95,6 +95,19 @@ def test_delay_scan_equals_one_whole_product(num_freqs):
         assert np.array_equal(
             _kernels.delay_scan(slopes, table[:64], num_el),
             table[:64] @ target), num_el
+    # element counts whose one-wide tail joins the tile before it, and 1023
+    # below the cap (1.3 s at 3168 frequencies, where 1024 stands for it),
+    # at tau counts with one row, one full tile, a joined tail and a new tile
+    sizes = (17, 33, 49, 65, 129, 257)
+    if num_freqs <= 264:
+        sizes += (1023,)
+    for num_el in sizes:
+        target = np.exp(1j * slopes[:, None] * np.arange(num_el)[None, :])
+        for taus in (1, 2, 17, 64, 65):
+            twiddles = table[:taus]
+            assert np.array_equal(
+                _kernels.delay_scan(slopes, twiddles, num_el),
+                twiddles @ target), (num_el, taus)
 
 
 def _cpu_s():
@@ -107,17 +120,22 @@ def _cpu_s():
 @pytest.mark.parametrize("num_freqs", [264, 3168])
 def test_delay_scan_leaves_no_blas_thread_spinning(num_freqs):
     # OpenBLAS splits a large product over worker threads, which then spin
-    # for about 0.13 s; the scan's blocks stay on the calling thread, so
-    # the process is idle while it sleeps after a 64-tau, 16-element scan
+    # for about 0.13 s; the scan's 16 x 16 tiles stay on the calling
+    # thread, so the process is idle while it sleeps after a 64-tau scan,
+    # at 16 elements and at 64 and 256, where one 16-tau block of all
+    # columns would wake a worker
     rng = np.random.default_rng(16)
     freqs = rng.uniform(27e9, 29e9, num_freqs)
     twiddles = _kernels.delay_twiddles(np.arange(64) * 2.5e-9, freqs)
     slopes = rng.uniform(-np.pi, np.pi, num_freqs)
-    time.sleep(0.3)  # lets any worker woken earlier settle
-    _kernels.delay_scan(slopes, twiddles, 16)
-    before = _cpu_s()
+    # lets any worker woken earlier settle; each idle sleep below then
+    # settles the next scan
     time.sleep(0.3)
-    assert _cpu_s() - before < 0.03
+    for num_el in (16, 64, 256):
+        _kernels.delay_scan(slopes, twiddles, num_el)
+        before = _cpu_s()
+        time.sleep(0.3)
+        assert _cpu_s() - before < 0.03, num_el
 
 
 def _rb_freqs(num_rbs, every=1):
