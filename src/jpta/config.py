@@ -285,6 +285,8 @@ def _validate(cfg: RunConfig) -> None:
     # the built-in table's thresholds are shifted by the margin
     mcs_key = ("link.mcs_table_csv" if cfg.link_mcs_table_csv
                else "link.mcs_margin_db")
+    csv_keys = {key for key in ("link.mcs_table_csv", "link.eesm_beta_csv")
+                if getattr(cfg, _KEY_SPECS[key][0])}
     field_keys = dict(_FIELD_KEYS, center_hz=(
         "grid.center_hz" if cfg.grid_center_hz is not None
         else "array.carrier_hz"))
@@ -311,6 +313,8 @@ def _validate(cfg: RunConfig) -> None:
                        (rings_key, cfg.deployment),
                        ("delay.max_ns", cfg.delay_constraint),
                        (mcs_key, cfg.mcs_table),
+                       ("link.eesm_beta", lambda: require_eesm_beta(
+                           "eesm_beta", cfg.link_eesm_beta)),
                        ("link.eesm_beta_csv",
                         lambda: cfg.eesm_betas(cfg.mcs_table())),
                        ("design.type1.angles_deg", cfg.type1_target),
@@ -319,6 +323,10 @@ def _validate(cfg: RunConfig) -> None:
             build()
         except (ValueError, OSError) as exc:
             text = str(exc)
+            if key in csv_keys:
+                # a CSV input's error starts with its path, which may read
+                # like a field name
+                raise ConfigError("%s: %s" % (key, text))
             # a rule over several fields lists them all before its colon
             head, _, rule = text.partition(": ")
             named = head.split(", ")

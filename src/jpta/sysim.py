@@ -250,7 +250,8 @@ def coverage_distance(distances_m, mean_bps, threshold_bps: float) -> CoverageRe
     """Coverage from a sampled mean-throughput curve.
 
     Uses the farthest ring still meeting the threshold and linearly
-    interpolates the crossing toward the next ring.
+    interpolates the crossing toward the next ring; the distances must
+    strictly increase.
     """
     dists = np.asarray(distances_m, dtype=np.float64)
     vals = np.asarray(mean_bps, dtype=np.float64)
@@ -261,6 +262,8 @@ def coverage_distance(distances_m, mean_bps, threshold_bps: float) -> CoverageRe
         raise ValueError("threshold_bps must be positive and finite")
     if not (np.all(np.isfinite(dists)) and np.all(np.isfinite(vals))):
         raise ValueError("distances_m and mean_bps must be finite")
+    if np.any(np.diff(dists) <= 0.0):
+        raise ValueError("distances_m must be strictly increasing")
     meets = np.nonzero(vals >= threshold_bps)[0]
     if meets.size == 0:
         return CoverageResult(distance_m=None, censored=False)

@@ -513,6 +513,24 @@ def test_a_key_a_csv_replaces_is_rejected_beside_it(tmp_path):
                           "link.eesm_beta_csv = %s\n" % (mcs, betas))
 
 
+@pytest.mark.parametrize("key, name, body, message", [
+    ("link.mcs_table_csv", "count",
+     "index,spectral_efficiency,snr_threshold_db\n0,0.5,3\n1,1.0,-3\n",
+     "count: SNR thresholds must be strictly increasing"),
+    ("link.eesm_beta_csv", "eesm_beta", "index,beta\n0,0\n",
+     "eesm_beta line 2: EESM beta: must be positive, got 0")],
+    ids=["count", "eesm_beta"])
+def test_a_csv_named_like_a_field_keeps_its_key(tmp_path, monkeypatch, key,
+                                                name, body, message):
+    # a CSV's error starts with its path; a bare path that reads like a
+    # field name used to move the error under that field's key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(body)
+    with pytest.raises(ConfigError,
+                       match="^%s: %s$" % (key, re.escape(message))):
+        parse_config_text("%s = %s\n" % (key, name))
+
+
 def test_paa_sector_builder_axis_order():
     lo, hi = RunConfig().paa_sector_rad()
     assert lo == pytest.approx(axis_from_boresight_deg(60.0))
