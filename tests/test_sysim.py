@@ -346,18 +346,14 @@ def test_coverage_validation():
         with pytest.raises(ValueError,
                            match="^distances_m and mean_bps must be finite$"):
             coverage_distance(dists, vals, 2.0)
-
-
-@pytest.mark.parametrize("dists, vals", [
-    ([3.0, 2.0, 1.0], [5.0, 5.0, 5.0]),
-    ([1.0, 3.0, 2.0], [5.0, 5.0, 1.0]),
-    ([1.0, 1.0, 2.0], [5.0, 3.0, 1.0])])
-def test_coverage_rejects_distances_out_of_order(dists, vals):
     # the crossing is interpolated toward the next ring out; falling
     # distances used to give 1.0 m censored, or 2.75 m
-    with pytest.raises(ValueError,
-                       match="^distances_m must be strictly increasing$"):
-        coverage_distance(dists, vals, 4.0)
+    for dists, vals in (([3.0, 2.0, 1.0], [5.0, 5.0, 5.0]),
+                        ([1.0, 3.0, 2.0], [5.0, 5.0, 1.0]),
+                        ([1.0, 1.0, 2.0], [5.0, 3.0, 1.0])):
+        with pytest.raises(ValueError,
+                           match="^distances_m must be strictly increasing$"):
+            coverage_distance(dists, vals, 4.0)
 
 
 # ---------------------------------------------------------------------------
