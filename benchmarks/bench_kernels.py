@@ -20,11 +20,12 @@ and 256 elements, against the one whole product it replaced, which
 OpenBLAS splits over its threads when it has more than one
 (``OPENBLAS_NUM_THREADS``).
 
-One row times rate selection end to end, kernel and result assembly: the
-two ``link.select_rate_grid`` calls of one sweep of the criterion-4
-deployment (8 UEs at exponent 3, 5120 log rings over 300-3000 m), against
-the same calls followed by the per-decision objects and the
-attribute-gathering ring mean that the column results replaced.
+Two rows time rate selection end to end, kernel and result assembly: the
+two ``link.select_rate_grid`` calls of one sweep, recorded from
+``sysim.throughput_sweep``, of the quick start (4 UEs, 40 rings) and of
+the criterion-4 deployment (8 UEs at exponent 3, 5120 log rings over
+300-3000 m), against the same calls followed by the per-decision objects
+and the attribute-gathering ring mean that the column results replaced.
 
 The last row times the pattern CSV writer of ``jpta pattern``
 (``cli.format_g6`` byte slots) on the quick-start grid, the default type-1
@@ -91,33 +92,6 @@ def _pattern_corr_one_thread(*args):
         _kernels._usable_cpus = usable
 
 
-def _paa_gain_row_args():
-    """The criterion-4 deployment's 8 UEs, 16 PAA beams over +-60 degrees
-    and the 264 RB centers."""
-    cfg = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
-    beams = codebook.paa_codebook(cfg, 16, (
-        antenna.axis_from_boresight_deg(60.0),
-        antenna.axis_from_boresight_deg(-60.0)))
-    freqs = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264).rb_center_freqs()
-    return cfg, beams, np.radians(np.linspace(-55.0, 55.0, 8)), freqs
-
-
-def _paa_serving_beams(cfg, beams, angles):
-    """``run_paa``'s pick: the beam of highest carrier gain toward each UE,
-    the first on ties."""
-    cos_ues = np.cos(antenna.axis_from_boresight_rad(angles))
-    return np.argmax(antenna.pattern_gain_db(cfg, beams, cos_ues,
-                                             [cfg.carrier_hz]), axis=1)
-
-
-def _paa_gain_rows(cfg, beams, angles, freqs):
-    """Each UE's row from its serving beam alone, as ``run_paa`` builds
-    them."""
-    return sysim._serving_gain_rows(cfg, beams,
-                                    _paa_serving_beams(cfg, beams, angles),
-                                    angles, freqs)
-
-
 # the delay scan's setting: the default 64-step delay line at the 264 RB
 # centers
 _DELAY = codebook.DelayConstraint()
@@ -175,25 +149,43 @@ def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
     return [rate_scan_py(row, *args) for user in rows for row in user]
 
 
-def _sweep_rate_args():
-    """The arguments of a sweep's PAA and JPTA ``select_rate_grid`` calls on
-    the criterion-4 deployment at exponent 3 with 5120 rings."""
-    cfg, beams, angles, freqs = _paa_gain_row_args()
-    grid = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
-    paa_rows = _paa_gain_rows(cfg, beams, angles, freqs)
-    target, shares = sysim.jpta_share_target(angles, grid.num_rbs)
-    weights, _ = codebook.design_type1(cfg, target, grid,
-                                       codebook.DelayConstraint())
-    jpta_rows = sysim._serving_gain_rows(cfg, [weights],
-                                         np.zeros(angles.size, int), angles,
-                                         freqs)
-    common = (link.LinkModel(carrier_hz=28e9),
-              sysim.log_ring_grid(300.0, 3000.0, 5120))
-    table = link.McsTable.default()
-    all_rbs = [np.arange(grid.num_rbs)] * angles.size
-    return ((*common, paa_rows, all_rbs, table, grid.scs_hz,
-             1.0 / angles.size),
-            (*common, jpta_rows, shares, table, grid.scs_hz, 1.0))
+def _recorded_rate_args(cfg, dep, lm):
+    """The arguments of the PAA and JPTA ``select_rate_grid`` calls of one
+    ``throughput_sweep`` of ``dep`` under the config ``cfg``'s array, grid,
+    MCS table, delay line and PAA codebook, recorded as the sweep makes
+    them."""
+    calls = []
+    select = sysim.select_rate_grid
+
+    def record(*args):
+        calls.append(args)
+        return select(*args)
+
+    sysim.select_rate_grid = record
+    try:
+        mcs = cfg.mcs_table()
+        sysim.throughput_sweep(dep, cfg.array_config(), cfg.frequency_grid(),
+                               lm, mcs, cfg.delay_constraint(),
+                               cfg.paa_num_beams, cfg.paa_sector_rad(),
+                               cfg.eesm_betas(mcs))
+    finally:
+        sysim.select_rate_grid = select
+    return calls
+
+
+def _criterion4_rate_args():
+    """The criterion-4 deployment at exponent 3: 8 UEs over -55..55
+    degrees, 5120 log rings over 300-3000 m."""
+    dep = sysim.Deployment(np.radians(np.linspace(-55.0, 55.0, 8)),
+                           sysim.log_ring_grid(300.0, 3000.0, 5120))
+    return _recorded_rate_args(RunConfig(), dep,
+                               link.LinkModel(carrier_hz=28e9))
+
+
+def _quickstart_rate_args():
+    """The quick start's sweep, the default config: 4 UEs, 40 rings."""
+    cfg = RunConfig()
+    return _recorded_rate_args(cfg, cfg.deployment(), cfg.link_model())
 
 
 def _sweep_rate_grids(paa_args, jpta_args):
@@ -267,8 +259,10 @@ BENCHES = [
      _rate_scan_per_ring, lambda: _rate_args(1, 160), False),
     ("rate_scan    (8 users x 160 rings x 264 RBs)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(8, 160), True),
+    ("select_rate_grid (4 UEs x 40 rings, 2 calls)", _sweep_rate_grids,
+     _sweep_rate_decisions, _quickstart_rate_args, False),
     ("select_rate_grid (8 UEs x 5120 rings, 2 calls)", _sweep_rate_grids,
-     _sweep_rate_decisions, _sweep_rate_args, False),
+     _sweep_rate_decisions, _criterion4_rate_args, False),
     ("pattern CSV  (721 angles x 264 RBs)", _pattern_csv,
      _pattern_csv_py, _pattern_csv_args, False),
 ]

@@ -62,12 +62,13 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
 
     The sum is a polynomial in ``z[a, k] = exp(j*slope_scale*f_k*cos_a)``
     with per-column coefficients ``c[k, m] = exp(-j(phi_m +
-    2*pi*f_k*tau_m))``, evaluated by Horner's rule over m: A*K + K*M complex
-    exponentials instead of A*K*M, and M - 1 in-place multiply-adds on an
-    (angle chunk x K) array, each adding one contiguous coefficient row
-    ``c[:, m]``. Every cell is computed by the same elementwise
-    operations whatever the chunking or the other columns, so neither a row
-    nor a block of columns depends on the rest of the call.
+    2*pi*f_k*tau_m))`` (``_coefficients``), evaluated by Horner's rule over
+    m: at most A*K + K*M complex exponentials instead of A*K*M, and M - 1
+    in-place multiply-adds on an (angle chunk x K) array, each adding one
+    contiguous coefficient row ``c[:, m]``. Every cell is computed by the
+    same elementwise operations whatever the chunking or the other columns,
+    so neither a row nor a block of columns depends on the rest of the
+    call.
 
     A grid of several chunks is split over one thread per usable CPU, up to
     one per chunk: numpy's ufuncs release the interpreter lock, each thread
@@ -78,9 +79,7 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
     freqs = np.asarray(freqs, dtype=np.float64)
-    # one contiguous row of K coefficients per element, for the Horner steps
-    coef = np.ascontiguousarray(np.exp(
-        -1j * (phases + TWO_PI * freqs[:, None] * delays)).T)
+    coef = _coefficients(freqs, phases, delays)
     out = np.empty((cos_angles.size, freqs.size), dtype=np.float64)
     slope = slope_scale * freqs
     chunk = max(1, PATTERN_CHUNK_CELLS // max(1, freqs.size))
@@ -120,6 +119,20 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
         raise errors[0]
     out /= phases.shape[-1]
     return out
+
+
+def _coefficients(freqs, phases, delays):
+    """Horner coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))``, one
+    contiguous row of K per element m. An element whose argument is the
+    same in every column (a zero delay under one weight set) takes one
+    exponential, copied along its row: the same value the column-by-column
+    table holds."""
+    arg = phases + TWO_PI * freqs[:, None] * delays
+    const = (arg == arg[:1]).all(axis=0)
+    coef = np.empty((arg.shape[1], freqs.size), dtype=np.complex128)
+    coef[const] = np.exp(-1j * arg[:1, const]).T
+    coef[~const] = np.exp(-1j * arg[:, ~const]).T
+    return coef
 
 
 def _usable_cpus() -> int:
@@ -271,8 +284,13 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     be strictly increasing, as ``McsTable`` ensures.
 
     Candidates that cannot win are pruned before any exponential is taken,
-    by the bounds of ``_envelope_candidates``; the EESM runs only on the
-    live ones, a few per pair.
+    by the bounds of ``_envelope_candidates``, which also give each live
+    candidate an upper-bound MCS ``i``: its exact rate is at most ``se[i] *
+    n``. The EESM then runs in two stages. Stage 1 evaluates each pair's
+    candidate of the largest bound, an exact rate ``r1`` for the pair;
+    stage 2 evaluates the pair's other candidates whose bound is at least
+    ``r1``. A candidate left out has an exact rate below ``r1``, so it can
+    neither win nor tie.
 
     Every pair is decided exactly as a one-user, one-ring call would decide
     it: each SNR term comes from ``snr_unsplit`` of the same values, the
@@ -291,17 +309,38 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     best_rate = np.zeros(ues * rings)
     if total >= min_rbs and best_n.size:
         counts = np.arange(min_rbs, total + 1)
-        live_u, live_r, live_n = _envelope_candidates(
+        live_u, live_r, live_n, live_i = _envelope_candidates(
             link_db, gain_db_desc, noise_db, counts, thr_lin, se,
             unique_betas.max())
         pair = live_u * rings + live_r
-        rows, first = _live_rows(link_db, gain_db_desc, noise_db, pair,
-                                 live_n)
-        # the weakest of the best n RBs after the split
-        v_min = rows[first + live_n - 1] / live_n
-        means = _eesm_means(rows, first, live_n, v_min, unique_betas)
-        mcs = _highest_feasible_mcs(v_min, means, thr_lin, unique_betas,
-                                    beta_idx)
+        bound = se[live_i] * live_n
+        rows, first, top = _pair_rows(link_db, gain_db_desc, noise_db, pair,
+                                      live_n, bound)
+        # exact results of the evaluated candidates; the others stay
+        # infeasible, as none of them can win or tie
+        v_min = np.empty(live_n.size)
+        means = np.empty((unique_betas.size, live_n.size))
+        mcs = np.full(live_n.size, -1, dtype=np.int64)
+
+        def evaluate(c):
+            n = live_n[c]
+            # the weakest of the best n RBs after the split
+            v_min[c] = rows[first[c] + n - 1] / n
+            means[:, c] = _eesm_means(rows, first[c], n, v_min[c],
+                                      unique_betas)
+            mcs[c] = _highest_feasible_mcs(v_min[c], means[:, c], thr_lin,
+                                           unique_betas, beta_idx)
+
+        # stage 1, each pair's largest bound, and stage 2, the rest whose
+        # bound reaches the pair's stage-1 rate (>= keeps a tie), each in n
+        # order
+        stage1 = np.zeros(live_n.size, dtype=bool)
+        stage1[top] = True
+        evaluate(np.flatnonzero(stage1))
+        r1 = np.full(ues * rings, -np.inf)
+        fit = top[mcs[top] >= 0]
+        r1[pair[fit]] = se[mcs[fit]] * live_n[fit]
+        evaluate(np.flatnonzero(~stage1 & (bound >= r1[pair])))
 
         # best n per pair by (rate, MCS, -n): as se strictly increases, of
         # equal rates the one with fewer RBs has the higher MCS, so sort the
@@ -326,8 +365,8 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
 
 def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
                          se, max_beta):
-    """Candidates ``(user, ring, n)`` that may still win or tie, as three
-    index arrays ordered by n.
+    """Candidates ``(user, ring, n)`` that may still win or tie, with each
+    one's upper-bound MCS ``i``, as four index arrays ordered by n.
 
     For the split SNRs ``g`` of the best n RBs, every beta's effective SNR
     lies between ``min(g)`` (each shifted EESM term is at most 1) and
@@ -347,7 +386,9 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
     is no lower than the sure rate, G below ``exceed``: one interval of G
     per (n, i), disjoint over i, found among the rings by one binary search.
     All users go through one pass over (user, n, MCS) arrays. Ties stay
-    live, so the first-n tie rule sees every candidate it needs.
+    live, so the first-n tie rule sees every candidate it needs. Below
+    ``meet_i+1`` the upper bound misses every higher threshold, so the
+    candidate's exact MCS is at most i.
 
     Both bounds are widened by ``_BOUND_REL`` relative, and the upper one
     also by ``_BOUND_REL`` times the largest beta. That covers the rounding
@@ -403,26 +444,47 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
     where = np.repeat(lo - (np.cumsum(size) - size), size)
     where += np.arange(where.size)
     return (np.repeat(user, size), ring_order[where],
-            np.repeat(counts[n_idx], size))
+            np.repeat(counts[n_idx], size), np.repeat(live % levels, size))
 
 
-def _live_rows(link_db, gain_db_desc, noise_db, pair, live_n):
-    """SNRs of the best RBs of each live (user, ring) pair, ``pair = user *
-    rings + ring``, up to its largest live n, end to end, by
-    ``snr_unsplit``; candidate c's best n RBs are ``rows[first[c]:][:n]``.
-    Pairs hold a few candidates each, so this takes a fraction of the terms
-    the EESM then reads."""
-    pairs, inverse = np.unique(pair, return_inverse=True)
-    length = np.zeros(pairs.size, dtype=np.int64)
-    np.maximum.at(length, inverse, live_n)
+def _pair_rows(link_db, gain_db_desc, noise_db, pair, live_n, bound):
+    """The live candidates grouped by (user, ring) pair, ``pair = user *
+    rings + ring``: SNRs of each pair's best RBs up to its largest live n,
+    end to end, by ``snr_unsplit``; each candidate's row start, its best n
+    RBs being ``rows[first[c]:][:n]``; and each pair's candidate of the
+    largest ``bound``. Pairs hold a few candidates each, so the rows take a
+    fraction of the terms the EESM then reads. They are built in chunks of
+    about ``EESM_CHUNK_TERMS`` terms, so no temporary grows with them."""
+    order = np.lexsort((bound, pair))
+    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    ends = np.flatnonzero(np.diff(pair[order], append=-1))
+    length = np.maximum.reduceat(live_n[order], starts)
     start = np.cumsum(length) - length
-    pair_u, pair_r = np.divmod(pairs, link_db.size)
-    where = np.repeat(pair_u * gain_db_desc.shape[1] - start, length)
-    where += np.arange(where.size)
-    gains = gain_db_desc.ravel()[where]
-    del where
-    return snr_unsplit(np.repeat(link_db[pair_r], length), gains, noise_db,
-                       out=gains), start[inverse]
+    pair_u, pair_r = np.divmod(pair[order[ends]], link_db.size)
+    gains = gain_db_desc.ravel()
+    rows = np.empty(length.sum())
+    for lo, hi in _chunks(length):
+        n = length[lo:hi]
+        # indices of each pair's best RBs in the gain rows, end to end
+        where = np.repeat(pair_u[lo:hi] * gain_db_desc.shape[1]
+                          - (start[lo:hi] - start[lo]), n)
+        where += np.arange(where.size)
+        row = rows[start[lo]:start[lo] + where.size]
+        np.take(gains, where, out=row)
+        snr_unsplit(np.repeat(link_db[pair_r[lo:hi]], n), row, noise_db,
+                    out=row)
+    first = np.empty(pair.size, dtype=np.int64)
+    first[order] = np.repeat(start, ends - starts + 1)
+    return rows, first, order[ends]
+
+
+def _chunks(sizes):
+    """``(lo, hi)`` bounds that cut items of ``sizes`` terms, laid end to
+    end, into chunks of about ``EESM_CHUNK_TERMS`` terms: a chunk's arrays
+    stay near cache size."""
+    lows = np.flatnonzero(np.diff((np.cumsum(sizes) - 1) // EESM_CHUNK_TERMS,
+                                  prepend=-1)).tolist()
+    return zip(lows, lows[1:] + [sizes.size])
 
 
 def _eesm_means(rows, first, live_n, v_min, unique_betas):
@@ -430,22 +492,16 @@ def _eesm_means(rows, first, live_n, v_min, unique_betas):
     RBs ``v`` of each live candidate, ``rows[first:first + n]`` split over
     n, for every beta; shape ``(betas, candidates)``.
 
-    The candidates' RBs are laid end to end in chunks of about
-    ``EESM_CHUNK_TERMS`` terms. Candidates come ordered by n, so each run of
-    equal n in a chunk is a C-contiguous (candidates x n) block per beta,
-    summed row by row with the same 1-D pairwise reduction and divided by n
-    as ``np.mean`` does for one row alone.
+    The candidates' RBs are laid end to end in ``_chunks``. Candidates come
+    ordered by n, so each run of equal n in a chunk is a C-contiguous
+    (candidates x n) block per beta, summed row by row with the same 1-D
+    pairwise reduction and divided by n as ``np.mean`` does for one row
+    alone.
     """
     means = np.empty((unique_betas.size, live_n.size))
-    if live_n.size == 0:
-        return means
-    ends = np.cumsum(live_n)
-    starts = ends - live_n
-    cuts = (np.flatnonzero(np.diff((ends - 1) // EESM_CHUNK_TERMS))
-            + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [live_n.size]):
+    for lo, hi in _chunks(live_n):
         n = live_n[lo:hi]
-        offset = starts[lo:hi] - starts[lo]
+        offset = np.cumsum(n) - n
         # indices of each candidate's best n RBs in rows, end to end
         where = np.repeat(first[lo:hi] - offset, n)
         where += np.arange(where.size)

@@ -70,14 +70,9 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
 
     ``snr_unsplit_desc`` is one ring's per-RB linear SNR with the whole
     transmit power on one RB, sorted descending. Every allocation size n
-    from ``min_rbs`` up and every MCS level is tried; the highest feasible
-    MCS per n is kept and candidates are ranked by ``se * n``, then higher
-    MCS, then fewer RBs.
-
-    The EESM mean is a 1-D ``np.mean`` of ``np.exp`` with ``math.log`` on
-    top, the arithmetic ``select_rate`` is defined by. A sequential
-    ``math.exp`` sum rounds differently and could flip a decision whose
-    threshold is met with equality.
+    from ``min_rbs`` up is tried, with its highest feasible MCS
+    (``highest_mcs_py``), and candidates are ranked by ``se * n``, then
+    higher MCS, then fewer RBs.
 
     Returns ``(best_n, best_mcs, best_eff_db, best_se_n)``, the effective
     SNR ``10 * log10`` of the linear one by ``math.log10``, and
@@ -86,20 +81,35 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
     best = (0, -1, 0.0, 0.0)
     best_rate = -1.0
     for n in range(min_rbs, snr_unsplit_desc.shape[0] + 1):
-        values = snr_unsplit_desc[:n] / n
-        v_min = values[-1]
-        effs = [v_min - beta * math.log(np.mean(np.exp(-(values - v_min)
-                                                       / beta)))
-                for beta in unique_betas]
-        for i in range(se.shape[0] - 1, -1, -1):
-            eff = effs[beta_idx[i]]
-            if eff >= thr_lin[i]:
-                rate = se[i] * n
-                if rate > best_rate or (rate == best_rate and i > best[1]):
-                    best_rate = rate
-                    best = (n, i, 10.0 * math.log10(eff), rate)
-                break
+        i, eff = highest_mcs_py(snr_unsplit_desc, n, thr_lin, unique_betas,
+                                beta_idx)
+        if i >= 0:
+            rate = se[i] * n
+            if rate > best_rate or (rate == best_rate and i > best[1]):
+                best_rate = rate
+                best = (n, i, 10.0 * math.log10(eff), rate)
     return best
+
+
+def highest_mcs_py(snr_unsplit_desc, n, thr_lin, unique_betas, beta_idx):
+    """Highest MCS whose threshold the EESM effective SNR of the best ``n``
+    RBs of one ring meets, with that effective SNR (linear): ``(-1, None)``
+    when none is met.
+
+    The EESM mean is a 1-D ``np.mean`` of ``np.exp`` with ``math.log`` on
+    top, the arithmetic ``select_rate`` is defined by. A sequential
+    ``math.exp`` sum rounds differently and could flip a decision whose
+    threshold is met with equality.
+    """
+    values = snr_unsplit_desc[:n] / n
+    v_min = values[-1]
+    effs = [v_min - beta * math.log(np.mean(np.exp(-(values - v_min)
+                                                   / beta)))
+            for beta in unique_betas]
+    for i in range(thr_lin.shape[0] - 1, -1, -1):
+        if effs[beta_idx[i]] >= thr_lin[i]:
+            return i, effs[beta_idx[i]]
+    return -1, None
 
 
 def snr_rows(link_db, gain_db_desc, noise_db):

@@ -20,6 +20,7 @@ from jpta.antenna import pattern_map
 from oracles import (
     delay_scan_py,
     eesm_effective_snr_db_py,
+    highest_mcs_py,
     live_candidates_py,
     pattern_corr_py,
     rate_scan_py,
@@ -333,6 +334,34 @@ def test_pattern_corr_single_element_runs_no_horner_step():
         rtol=0, atol=1e-15)
 
 
+def test_zero_delay_coefficients_equal_the_per_column_table():
+    # an element whose argument is the same in every column takes one
+    # exponential copied along its row: a PAA beam (no delay), a set with
+    # some zero delays, and sets given per column, where a zero delay under
+    # changing phases still needs one exponential per column; every table
+    # equals the per-column one bit for bit
+    rng = np.random.default_rng(13)
+    freqs = _rb_freqs(264)
+    mixed = np.where(rng.random(16) < 0.5, 0,
+                     rng.integers(1, 64, 16)) * 2.5e-9
+    sets_phases = np.repeat(rng.uniform(0.0, 2 * np.pi, (2, 16)), 132, axis=0)
+    sets_phases[:, 3] = 1.25
+    sets_delays = np.repeat(np.where(rng.random((2, 16)) < 0.5, 0,
+                                     rng.integers(1, 64, (2, 16))) * 2.5e-9,
+                            132, axis=0)
+    sets_delays[:, 3] = 0.0
+    for phases, delays, constant in (
+            (rng.uniform(0.0, 2 * np.pi, 16), np.zeros(16), 16),
+            (rng.uniform(0.0, 2 * np.pi, 16), mixed, np.sum(mixed == 0)),
+            (sets_phases, sets_delays, 1)):
+        arg = phases + _kernels.TWO_PI * freqs[:, None] * delays
+        assert np.sum(np.all(arg == arg[:1], axis=0)) == constant > 0
+        got = _kernels._coefficients(freqs, phases, delays)
+        want = np.exp(-1j * arg).T
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def _rate_inputs(rng, levels, distinct_betas):
     """Random strictly increasing MCS ladder with linear thresholds."""
     thr_db = np.sort(rng.uniform(-10.0, 30.0, levels))
@@ -562,14 +591,19 @@ def _assert_envelope_holds_per_cell(link_db, gain_db, noise_db, thr_lin, se,
                                     betas):
     """The per-user envelope keeps every candidate the bounds on the SNR
     rows themselves keep, lists each once, ordered by n, and keeps none that
-    those bounds drop once widened to twice their margin."""
+    those bounds drop once widened to twice their margin. Each candidate's
+    upper-bound MCS is at least the MCS its exact EESM meets."""
     counts = np.arange(4, gain_db.shape[1] + 1)
-    live = _kernels._envelope_candidates(link_db, gain_db, noise_db, counts,
-                                         thr_lin, se, betas.max())
+    *live, live_mcs = _kernels._envelope_candidates(
+        link_db, gain_db, noise_db, counts, thr_lin, se, betas.max())
     assert np.all(np.diff(live[2]) >= 0)  # ordered by n
     got = list(zip(*(a.tolist() for a in live)))
     assert len(set(got)) == len(got)
     rows = snr_rows(link_db, gain_db, noise_db)
+    unique_betas, beta_idx = np.unique(betas, return_inverse=True)
+    for (u, r, n), i in zip(got, live_mcs.tolist()):
+        assert i >= highest_mcs_py(rows[u, r], n, thr_lin, unique_betas,
+                                   beta_idx)[0], (u, r, n)
     kept = {}
     for rel in (_kernels._BOUND_REL, 2.0 * _kernels._BOUND_REL):
         kept[rel] = {(u,) + cell for u in range(gain_db.shape[0])
@@ -607,6 +641,54 @@ def test_envelope_holds_cells_pinned_at_their_upper_bound():
         kept = _assert_envelope_holds_per_cell(
             link_db, gain_db, noise_db, thr_lin, np.ones(1), np.array([beta]))
         assert (u, r, n) in kept
+
+
+def _stage_sizes(monkeypatch):
+    """Candidates the rate scan evaluates, one list entry per stage (two per
+    call), recorded from its EESM calls."""
+    sizes = []
+    eesm_means = _kernels._eesm_means
+
+    def spy(rows, first, live_n, v_min, unique_betas):
+        sizes.append(live_n.tolist())
+        return eesm_means(rows, first, live_n, v_min, unique_betas)
+
+    monkeypatch.setattr(_kernels, "_eesm_means", spy)
+    return sizes
+
+
+def test_two_stage_rate_scan_equals_oracle(monkeypatch):
+    # every pair of every drawn problem against the one-row oracle; the
+    # draws must reach stage 2, where a pair's other candidates whose bound
+    # reaches its stage-1 rate are evaluated
+    stages = _stage_sizes(monkeypatch)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(problem=_user_problems())
+    def check(problem):
+        _assert_matches_oracle(*problem)
+
+    check()
+    assert len(stages) % 2 == 0
+    assert sum(len(n) for n in stages[1::2]) > 0
+
+
+def test_rate_scan_tie_found_in_stage_2_wins(monkeypatch):
+    # Four equal strong RBs and four weak ones. Four RBs at MCS 1 and eight
+    # at MCS 0 both carry se * n = 8 exactly. Eight RBs have the largest
+    # bound (16: their mean still meets MCS 1), so stage 1 evaluates them
+    # and finds rate 8; the four-RB twin, bound 8, is found only in stage 2
+    # and must win the tie by its higher MCS.
+    stages = _stage_sizes(monkeypatch)
+    gain_db = np.array([[30.0] * 4 + [-10.0] * 4])
+    thr_lin, se, betas = np.array([0.5, 50.0]), np.array([1.0, 2.0]), np.ones(2)
+    got = _assert_matches_oracle(np.zeros(1), gain_db, 0.0, thr_lin, se,
+                                 betas)
+    assert (got[0][0, 0], got[1][0, 0], got[3][0, 0]) == (4, 1, 8.0)
+    assert stages[0] == [8] and 4 in stages[1]
+    assert rate_scan_py(snr_rows(np.zeros(1), gain_db, 0.0)[0, 0][:8], thr_lin,
+                        se, np.ones(1), np.zeros(2, dtype=np.int64), 8)[:2] \
+        == (8, 0)
 
 
 def _tight_bound_rows(rng, kind, rbs, beta):
