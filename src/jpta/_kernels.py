@@ -16,9 +16,12 @@ Three loops dominate the toolkit's numerical run time:
   both bounds scale with the ring's link gain. So each (RB count, MCS) pair
   can win only on one interval of link gain, and one binary search per
   interval lists the live candidates before any exponential is taken, at a
-  cost that does not grow with the rings. On the criterion-4 deployment at
-  160 rings the EESM runs for 1.6% of the (user, ring, RB count)
-  candidates.
+  cost that does not grow with the rings. The interval also caps each
+  candidate's rate, so the EESM runs in two stages: each pair's candidate
+  of the largest cap first, then only the others whose cap reaches that
+  exact rate. On the criterion-4 deployment at 160 rings the EESM runs for
+  0.6-1.0% of the (user, ring, RB count) candidates, at 1.3 times the
+  terms of the winners alone.
 
 The pattern CSV's text formatter (``format_g6``) lives with its writer in
 ``jpta.cli``. ``tests/oracles.py`` holds plain-loop references for all three
@@ -242,8 +245,8 @@ _BOUND_REL = 1e-6
 # factorisation rounds by about 1e-14 relative
 _FACTOR_REL = 1e-10
 
-# EESM terms per chunk of live candidates: a chunk's arrays stay near cache
-# size, and memory does not grow with the ring count
+# SNR or EESM terms per chunk of the rate scan's pair rows and candidates: a
+# chunk's arrays stay near cache size, and no temporary grows with the rings
 EESM_CHUNK_TERMS = 1 << 15
 
 
@@ -456,9 +459,10 @@ def _pair_rows(link_db, gain_db_desc, noise_db, pair, live_n, bound):
     fraction of the terms the EESM then reads. They are built in chunks of
     about ``EESM_CHUNK_TERMS`` terms, so no temporary grows with them."""
     order = np.lexsort((bound, pair))
-    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
-    ends = np.flatnonzero(np.diff(pair[order], append=-1))
-    length = np.maximum.reduceat(live_n[order], starts)
+    # where each pair's run of candidates starts, then the candidate count
+    edges = np.flatnonzero(np.diff(pair[order], prepend=-1, append=-1))
+    ends = edges[1:] - 1
+    length = np.maximum.reduceat(live_n[order], edges[:-1])
     start = np.cumsum(length) - length
     pair_u, pair_r = np.divmod(pair[order[ends]], link_db.size)
     gains = gain_db_desc.ravel()
@@ -474,7 +478,7 @@ def _pair_rows(link_db, gain_db_desc, noise_db, pair, live_n, bound):
         snr_unsplit(np.repeat(link_db[pair_r[lo:hi]], n), row, noise_db,
                     out=row)
     first = np.empty(pair.size, dtype=np.int64)
-    first[order] = np.repeat(start, ends - starts + 1)
+    first[order] = np.repeat(start, np.diff(edges))
     return rows, first, order[ends]
 
 
@@ -482,9 +486,9 @@ def _chunks(sizes):
     """``(lo, hi)`` bounds that cut items of ``sizes`` terms, laid end to
     end, into chunks of about ``EESM_CHUNK_TERMS`` terms: a chunk's arrays
     stay near cache size."""
-    lows = np.flatnonzero(np.diff((np.cumsum(sizes) - 1) // EESM_CHUNK_TERMS,
-                                  prepend=-1)).tolist()
-    return zip(lows, lows[1:] + [sizes.size])
+    chunk = (np.cumsum(sizes) - 1) // EESM_CHUNK_TERMS
+    cuts = (np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist()
+    return zip([0] + cuts, cuts + [sizes.size]) if sizes.size else ()
 
 
 def _eesm_means(rows, first, live_n, v_min, unique_betas):

@@ -681,14 +681,15 @@ def test_rate_scan_tie_found_in_stage_2_wins(monkeypatch):
     # and must win the tie by its higher MCS.
     stages = _stage_sizes(monkeypatch)
     gain_db = np.array([[30.0] * 4 + [-10.0] * 4])
-    thr_lin, se, betas = np.array([0.5, 50.0]), np.array([1.0, 2.0]), np.ones(2)
+    thr_lin, se = np.array([0.5, 50.0]), np.array([1.0, 2.0])
     got = _assert_matches_oracle(np.zeros(1), gain_db, 0.0, thr_lin, se,
-                                 betas)
+                                 np.ones(2))
     assert (got[0][0, 0], got[1][0, 0], got[3][0, 0]) == (4, 1, 8.0)
     assert stages[0] == [8] and 4 in stages[1]
-    assert rate_scan_py(snr_rows(np.zeros(1), gain_db, 0.0)[0, 0][:8], thr_lin,
-                        se, np.ones(1), np.zeros(2, dtype=np.int64), 8)[:2] \
-        == (8, 0)
+    # eight RBs alone meet MCS 0 only
+    row = snr_rows(np.zeros(1), gain_db, 0.0)[0, 0]
+    assert rate_scan_py(row, thr_lin, se, np.ones(1),
+                        np.zeros(2, dtype=np.int64), 8)[:2] == (8, 0)
 
 
 def _tight_bound_rows(rng, kind, rbs, beta):
