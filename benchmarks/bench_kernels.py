@@ -13,6 +13,12 @@ grid, the delay scan past 16 elements, 8-user rate scan) are timed once.
 This is the package's one micro-benchmark; ``perfbench/`` times whole
 workloads.
 
+One row times a sweep's gain stage, recorded from
+``sysim.throughput_sweep`` of the criterion-4 deployment: the PAA and JPTA
+gain rows of 8 UEs over 264 RBs, each scheme's rows from one pattern-kernel
+call, against one ``antenna.pattern_gain_db`` call per distinct serving
+set, the gain stage that call replaced.
+
 Four rows time the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread, and the delay
 scan in tiles of ``DELAY_SCAN_TILE`` taus by as many elements, at 16, 64
@@ -82,12 +88,19 @@ def _pattern_args(num_angles: int, num_el: int = 16):
     return cos_angles, freqs, phases, delays, slope_scale
 
 
+def _pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
+    """``pattern_corr`` of one weight set with its coefficient table, as
+    ``antenna.pattern_map`` calls it."""
+    coef = _kernels.pattern_coefficients(freqs, [phases], [delays])
+    return _kernels.pattern_corr(cos_angles, slope_scale * freqs, coef[:, 0])
+
+
 def _pattern_corr_one_thread(*args):
-    """``pattern_corr`` with every chunk on the calling thread."""
+    """``_pattern_corr`` with every chunk on the calling thread."""
     usable = _kernels._usable_cpus
     _kernels._usable_cpus = lambda: 1
     try:
-        return _kernels.pattern_corr(*args)
+        return _pattern_corr(*args)
     finally:
         _kernels._usable_cpus = usable
 
@@ -149,19 +162,19 @@ def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
     return [rate_scan_py(row, *args) for user in rows for row in user]
 
 
-def _recorded_rate_args(cfg, dep, lm):
-    """The arguments of the PAA and JPTA ``select_rate_grid`` calls of one
+def _recorded_args(name, cfg, dep, lm):
+    """The arguments of the PAA and JPTA calls of ``sysim.<name>`` in one
     ``throughput_sweep`` of ``dep`` under the config ``cfg``'s array, grid,
     MCS table, delay line and PAA codebook, recorded as the sweep makes
     them."""
     calls = []
-    select = sysim.select_rate_grid
+    real = getattr(sysim, name)
 
     def record(*args):
         calls.append(args)
-        return select(*args)
+        return real(*args)
 
-    sysim.select_rate_grid = record
+    setattr(sysim, name, record)
     try:
         mcs = cfg.mcs_table()
         sysim.throughput_sweep(dep, cfg.array_config(), cfg.frequency_grid(),
@@ -169,23 +182,56 @@ def _recorded_rate_args(cfg, dep, lm):
                                cfg.paa_num_beams, cfg.paa_sector_rad(),
                                cfg.eesm_betas(mcs))
     finally:
-        sysim.select_rate_grid = select
+        setattr(sysim, name, real)
     return calls
 
 
-def _criterion4_rate_args():
+def _criterion4(rings):
     """The criterion-4 deployment at exponent 3: 8 UEs over -55..55
-    degrees, 5120 log rings over 300-3000 m."""
-    dep = sysim.Deployment(np.radians(np.linspace(-55.0, 55.0, 8)),
-                           sysim.log_ring_grid(300.0, 3000.0, 5120))
-    return _recorded_rate_args(RunConfig(), dep,
-                               link.LinkModel(carrier_hz=28e9))
+    degrees, ``rings`` log rings over 300-3000 m."""
+    return (RunConfig(),
+            sysim.Deployment(np.radians(np.linspace(-55.0, 55.0, 8)),
+                             sysim.log_ring_grid(300.0, 3000.0, rings)),
+            link.LinkModel(carrier_hz=28e9))
+
+
+def _criterion4_rate_args():
+    """The rate selection of the criterion-4 deployment at 5120 rings."""
+    return _recorded_args("select_rate_grid", *_criterion4(5120))
 
 
 def _quickstart_rate_args():
     """The quick start's sweep, the default config: 4 UEs, 40 rings."""
     cfg = RunConfig()
-    return _recorded_rate_args(cfg, cfg.deployment(), cfg.link_model())
+    return _recorded_args("select_rate_grid", cfg, cfg.deployment(),
+                          cfg.link_model())
+
+
+def _gain_rows_args():
+    """The gain stage of the criterion-4 deployment: the PAA rows from 16
+    beams, of which the 8 UEs are served by 8, and the JPTA rows from its
+    one weight set."""
+    return _recorded_args("_serving_gain_rows", *_criterion4(2))
+
+
+def _gain_rows(paa_args, jpta_args):
+    """Both schemes' gain rows, one pattern-kernel call each."""
+    return [sysim._serving_gain_rows(*args) for args in (paa_args, jpta_args)]
+
+
+def _gain_rows_per_set(paa_args, jpta_args):
+    """The same rows from one ``antenna.pattern_gain_db`` call per distinct
+    serving set over the UEs it serves, the gain stage it replaced."""
+    def per_set(cfg, weight_sets, serving, ue_angles_rad, freqs):
+        cos_ues = np.cos(antenna.axis_from_boresight_rad(ue_angles_rad))
+        rows = np.empty((cos_ues.size, len(freqs)))
+        for s in set(serving.tolist()):
+            ues = serving == s
+            rows[ues] = antenna.pattern_gain_db(cfg, [weight_sets[s]],
+                                                cos_ues[ues], freqs)
+        return rows
+
+    return [per_set(*args) for args in (paa_args, jpta_args)]
 
 
 def _sweep_rate_grids(paa_args, jpta_args):
@@ -226,17 +272,19 @@ def _pattern_csv_py(bore_deg, gains):
 # (label, kernel, oracle or the code it replaced, argument factory, oracle
 # timed once)
 BENCHES = [
-    ("pattern_corr (721 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
+    ("pattern_corr (721 angles x 264 RBs, 16 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(721), True),
-    ("pattern_corr (3001 angles x 264 RBs, 16 el)", _kernels.pattern_corr,
+    ("pattern_corr (3001 angles x 264 RBs, 16 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(3001), True),
     ("pattern_corr (3001 x 264, threaded vs 1 thread)",
-     _kernels.pattern_corr, _pattern_corr_one_thread,
+     _pattern_corr, _pattern_corr_one_thread,
      lambda: _pattern_args(3001), False),
-    ("pattern_corr (91 angles x 264 RBs, 64 el)", _kernels.pattern_corr,
+    ("pattern_corr (91 angles x 264 RBs, 64 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(91, 64), True),
-    ("pattern_corr (91 angles x 264 RBs, 256 el)", _kernels.pattern_corr,
+    ("pattern_corr (91 angles x 264 RBs, 256 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(91, 256), True),
+    ("gain rows    (8 UEs x 264 RBs, vs per set)", _gain_rows,
+     _gain_rows_per_set, _gain_rows_args, False),
     ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",

@@ -2,9 +2,12 @@
 
 Three loops dominate the toolkit's numerical run time:
 
-* the angle x frequency pattern grid (``pattern_corr``), a Horner
-  evaluation of one element polynomial per frequency, chunked over angles
-  and split over the usable CPUs;
+* the angle x column pattern grid (``pattern_corr``), a Horner evaluation
+  of one element polynomial per column, chunked over angles and split over
+  the usable CPUs. A column is a steering slope and a coefficient column
+  (``pattern_coefficients``, one pass over any number of weight sets), so
+  one call serves a pattern map (sets as column blocks) or every UE's gain
+  row toward its own angle from its own serving set (one row at cos = 1);
 * the per-antenna delay-grid scan of the wideband beam designer
   (``delay_scan``), a complex matrix product with a twiddle table
   (``delay_twiddles``), of which the designer keeps the last two it used,
@@ -54,24 +57,27 @@ def backend() -> str:
 # pattern correlation: |<steering(angle, f), response(f)>| on a grid
 # ---------------------------------------------------------------------------
 
-def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
-    """Correlation magnitudes on an angle x frequency grid.
+def pattern_corr(cos_angles, slope, coef):
+    """Correlation magnitudes on an angle x column grid.
 
-    Entry (a, k) is ``|(1/M) sum_m exp(j(slope_scale*f_k*cos_a*m - phi_m
-    - 2*pi*f_k*tau_m))|`` where ``slope_scale = 2*pi*spacing/c``. This is the
-    magnitude of the conjugated inner product between the unit-norm steering
-    vector and the unit-norm phase-time response. ``phases`` and ``delays``
-    hold one weight set, shape (M,), or one per column, shape (K, M).
+    Entry (a, k) is ``|(1/M) sum_m coef[m, k] exp(j*cos_a*slope_k*m)|``. With
+    the steering slope ``slope_k = 2*pi*spacing*f_k/c`` of a column's
+    frequency and the coefficients ``coef[m, k] = exp(-j(phi_m +
+    2*pi*f_k*tau_m))`` of a weight set (``pattern_coefficients``), that is
+    the magnitude of the conjugated inner product between the unit-norm
+    steering vector and the unit-norm phase-time response. Columns need not
+    share a weight set or an angle: a column whose slope is ``cos_u *
+    slope_k`` gives, at ``cos_a = 1``, the cell of angle u, since the
+    kernel's argument is the product ``cos_a * slope_k`` and ``1.0 * x`` is
+    ``x``.
 
-    The sum is a polynomial in ``z[a, k] = exp(j*slope_scale*f_k*cos_a)``
-    with per-column coefficients ``c[k, m] = exp(-j(phi_m +
-    2*pi*f_k*tau_m))`` (``_coefficients``), evaluated by Horner's rule over
-    m: at most A*K + K*M complex exponentials instead of A*K*M, and M - 1
-    in-place multiply-adds on an (angle chunk x K) array, each adding one
-    contiguous coefficient row ``c[:, m]``. Every cell is computed by the
-    same elementwise operations whatever the chunking or the other columns,
-    so neither a row nor a block of columns depends on the rest of the
-    call.
+    The sum is a polynomial in ``z[a, k] = exp(j*cos_a*slope_k)``,
+    evaluated by Horner's rule over m: A*K phasors instead of A*K*M
+    exponentials, and M - 1 in-place multiply-adds on an (angle chunk x K)
+    array, each adding one contiguous coefficient row ``coef[m]``. Every
+    cell is computed by the same elementwise operations whatever the
+    chunking or the other columns, so neither a row nor a block of columns
+    depends on the rest of the call.
 
     A grid of several chunks is split over one thread per usable CPU, up to
     one per chunk: numpy's ufuncs release the interpreter lock, each thread
@@ -81,11 +87,9 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     thread alone.
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
-    freqs = np.asarray(freqs, dtype=np.float64)
-    coef = _coefficients(freqs, phases, delays)
-    out = np.empty((cos_angles.size, freqs.size), dtype=np.float64)
-    slope = slope_scale * freqs
-    chunk = max(1, PATTERN_CHUNK_CELLS // max(1, freqs.size))
+    cols = slope.size
+    out = np.empty((cos_angles.size, cols), dtype=np.float64)
+    chunk = max(1, PATTERN_CHUNK_CELLS // max(1, cols))
     starts = range(0, cos_angles.size, chunk)
     workers = max(1, min(_usable_cpus(), len(starts)))
     pending = iter(starts)
@@ -107,9 +111,9 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     # every worker's chunk buffers, allocated once on the calling thread, so
     # that no worker thread's own malloc arena grows by them
     rows = min(chunk, cos_angles.size)
-    buffers = [(np.empty((rows, freqs.size)),
-                np.empty((rows, freqs.size), dtype=np.complex128),
-                np.empty((rows, freqs.size), dtype=np.complex128),
+    buffers = [(np.empty((rows, cols)),
+                np.empty((rows, cols), dtype=np.complex128),
+                np.empty((rows, cols), dtype=np.complex128),
                 np.empty((1, 1), dtype=np.complex128))
                for _ in range(workers)]
     threads = [threading.Thread(target=work, args=(b,)) for b in buffers[1:]]
@@ -120,21 +124,25 @@ def pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
         t.join()
     if errors:
         raise errors[0]
-    out /= phases.shape[-1]
+    out /= coef.shape[0]
     return out
 
 
-def _coefficients(freqs, phases, delays):
-    """Horner coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))``, one
-    contiguous row of K per element m. An element whose argument is the
-    same in every column (a zero delay under one weight set) takes one
-    exponential, copied along its row: the same value the column-by-column
-    table holds."""
-    arg = phases + TWO_PI * freqs[:, None] * delays
-    const = (arg == arg[:1]).all(axis=0)
-    coef = np.empty((arg.shape[1], freqs.size), dtype=np.complex128)
-    coef[const] = np.exp(-1j * arg[:1, const]).T
-    coef[~const] = np.exp(-1j * arg[:, ~const]).T
+def pattern_coefficients(freqs, phases, delays):
+    """Horner coefficients ``exp(-j(phi_sm + 2*pi*f_k*tau_sm))`` of S weight
+    sets, ``phases`` and ``delays`` of shape (S, M), at K frequencies:
+    shape (M, S, K), so ``reshape(M, S * K)`` lays the sets out as column
+    blocks of contiguous rows. An element whose argument is the same at
+    every frequency under its set (a zero delay) takes one exponential,
+    copied along its row: the same value the per-frequency table holds.
+    All sets take one pass."""
+    freqs = np.asarray(freqs, dtype=np.float64)
+    arg = (np.asarray(phases).T[:, :, None]
+           + TWO_PI * freqs * np.asarray(delays).T[:, :, None])
+    const = (arg == arg[:, :, :1]).all(axis=2)
+    coef = np.empty(arg.shape, dtype=np.complex128)
+    coef[const] = np.exp(-1j * arg[:, :, 0][const])[:, None]
+    coef[~const] = np.exp(-1j * arg[~const])
     return coef
 
 
@@ -264,11 +272,20 @@ def snr_unsplit(link_db, gain_db, noise_db, out=None):
 
 def eesm_snr_db(v_min, means, betas):
     """EESM effective SNR in dB, ``10 * log10(v_min - beta * ln(mean))``,
-    of each shifted mean, by ``math.log`` and ``math.log10`` one entry of
-    the broadcast inputs at a time, so no entry depends on the others."""
+    of each shifted mean, of the broadcast shape. The logarithms are
+    ``math.log`` and ``math.log10`` of one entry at a time (``np.log`` may
+    differ by an ulp), the product and differences the same IEEE operations
+    in numpy, so every entry has the bits of the Python expression."""
     v_min, means, betas = np.broadcast_arrays(v_min, means, betas)
-    return [10.0 * math.log10(v - beta * math.log(m)) for v, m, beta
-            in zip(v_min.tolist(), means.tolist(), betas.tolist())]
+    return 10.0 * map_floats(math.log10,
+                             v_min - betas * map_floats(math.log, means))
+
+
+def map_floats(fn, values):
+    """``fn`` of each entry of a float array, taken as a Python float, so
+    a ``math`` function keeps its scalar bits."""
+    return np.fromiter(map(fn, values.ravel().tolist()), np.float64,
+                       values.size).reshape(values.shape)
 
 
 def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
@@ -434,15 +451,21 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
     # per (u, n, i), the G at which the sure rate first exceeds se_i * n:
     # the smallest reach point of a higher rate, inf if none
     exceed = lowest[:, above].reshape(reach.shape)
-    end = np.minimum(exceed, meet[:, :, 1:])
-    lo = np.searchsorted(link_sorted, meet[:, :, :-1], side="left").ravel()
-    size = np.searchsorted(link_sorted, end, side="left").ravel()
+    start = meet[:, :, :-1].ravel()
+    end = np.minimum(exceed, meet[:, :, 1:]).ravel()
+    # an interval that starts past the last ring or ends at or before the
+    # first holds none; the binary searches place the others
+    live = np.flatnonzero(~((start > link_sorted[-1])
+                            | (end <= link_sorted[0])))
+    lo = np.searchsorted(link_sorted, start[live], side="left")
+    size = np.searchsorted(link_sorted, end[live], side="left")
     size -= lo
-    live = np.flatnonzero(size > 0)
+    held = size > 0
+    live, lo, size = live[held], lo[held], size[held]
     # ordered by n, then by user and MCS
-    live = live[np.argsort(live // levels % counts.size, kind="stable")]
+    order = np.argsort(live // levels % counts.size, kind="stable")
+    live, lo, size = live[order], lo[order], size[order]
     user, n_idx = np.divmod(live // levels, counts.size)
-    lo, size = lo[live], size[live]
     # the rings of each (n, user, i) interval, end to end
     where = np.repeat(lo - (np.cumsum(size) - size), size)
     where += np.arange(where.size)
@@ -517,11 +540,12 @@ def _eesm_means(rows, first, live_n, v_min, unique_betas):
         terms = terms / unique_betas[:, None]
         np.exp(terms, out=terms)
         runs = [0] + (np.flatnonzero(np.diff(n)) + 1).tolist() + [n.size]
-        for a, z in zip(runs[:-1], runs[1:]):
-            size = int(n[a])
-            block = terms[:, offset[a]:offset[a] + (z - a) * size]
-            means[:, lo + a:lo + z] = np.add.reduce(
-                block.reshape(-1, z - a, size), axis=2)
+        for a, z, size, start in zip(runs[:-1], runs[1:],
+                                     n[runs[:-1]].tolist(),
+                                     offset[runs[:-1]].tolist()):
+            block = terms[:, start:start + (z - a) * size]
+            np.add.reduce(block.reshape(-1, z - a, size), axis=2,
+                          out=means[:, lo + a:lo + z])
     means /= live_n
     return means
 

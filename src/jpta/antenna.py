@@ -311,18 +311,33 @@ def pattern_map(cfg: ArrayConfig, weights: PhaseTimeWeights,
 
 def pattern_gain_db(cfg: ArrayConfig, weight_sets, cos_angles, freqs):
     """Gain in dB, shape (angles, sets * freqs): one ``pattern_corr`` call
-    with the weight sets as column blocks, then peak_gain_db plus 20*log10
-    of the correlation floored at CORRELATION_FLOOR, each step in place on
-    the kernel's output."""
+    with the weight sets as column blocks (``table_gain_db``)."""
+    slope, coef = pattern_tables(cfg, weight_sets, freqs)
+    return table_gain_db(cfg, cos_angles, np.tile(slope, len(weight_sets)),
+                         coef.reshape(cfg.num_elements, -1))
+
+
+def pattern_tables(cfg: ArrayConfig, weight_sets, freqs):
+    """The pattern kernel's tables at ``freqs``: the steering slope
+    ``2*pi*spacing*f/c`` of each frequency, shape (freqs,), and the weight
+    sets' coefficients, shape (elements, sets, freqs), from one
+    ``_kernels.pattern_coefficients`` pass."""
     for w in weight_sets:
         if w.num_elements != cfg.num_elements:
             raise ValueError("weights length does not match cfg.num_elements")
     slope_scale = 2.0 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S
-    corr = _kernels.pattern_corr(
-        cos_angles, np.tile(freqs, len(weight_sets)),
-        np.repeat([w.phases_rad for w in weight_sets], len(freqs), axis=0),
-        np.repeat([w.delays_s for w in weight_sets], len(freqs), axis=0),
-        slope_scale)
+    freqs = np.asarray(freqs, dtype=np.float64)
+    coef = _kernels.pattern_coefficients(
+        freqs, [w.phases_rad for w in weight_sets],
+        [w.delays_s for w in weight_sets])
+    return slope_scale * freqs, coef
+
+
+def table_gain_db(cfg: ArrayConfig, cos_angles, slope, coef):
+    """Gain in dB of one ``pattern_corr`` call: peak_gain_db plus 20*log10
+    of the correlation floored at CORRELATION_FLOOR, each step in place on
+    the kernel's output."""
+    corr = _kernels.pattern_corr(cos_angles, slope, coef)
     np.maximum(corr, CORRELATION_FLOOR, out=corr)
     np.log10(corr, out=corr)
     corr *= 20.0

@@ -265,6 +265,18 @@ def quantize_delays(weights: PhaseTimeWeights,
                             delay_step_s=constraint.step_s)
 
 
+def require_paa_codebook(num_beams: int, sector_rad) -> None:
+    """Raise ValueError unless ``paa_codebook`` can split the axis-angle
+    sector ``(lo, hi)`` into ``num_beams`` beams: at most
+    ``MAX_PAA_BEAMS`` of them, and ``0 <= lo < hi <= pi``."""
+    lo, hi = float(sector_rad[0]), float(sector_rad[1])
+    if not 1 <= num_beams <= MAX_PAA_BEAMS:
+        raise ValueError("num_beams must lie in [1, %d], got %s"
+                         % (MAX_PAA_BEAMS, num_beams))
+    if not (0.0 <= lo < hi <= math.pi):
+        raise ValueError("sector must satisfy 0 <= lo < hi <= pi")
+
+
 def paa_codebook(cfg: ArrayConfig, num_beams: int, sector_rad) -> list:
     """Frequency-flat beam codebook over an axis-angle sector.
 
@@ -272,12 +284,8 @@ def paa_codebook(cfg: ArrayConfig, num_beams: int, sector_rad) -> list:
     steered at each slice center. Beams are ordered by ascending
     boresight-relative angle (descending axis angle).
     """
+    require_paa_codebook(num_beams, sector_rad)
     lo, hi = float(sector_rad[0]), float(sector_rad[1])
-    if not 1 <= num_beams <= MAX_PAA_BEAMS:
-        raise ValueError("num_beams must lie in [1, %d], got %s"
-                         % (MAX_PAA_BEAMS, num_beams))
-    if not (0.0 <= lo < hi <= math.pi):
-        raise ValueError("sector must satisfy 0 <= lo < hi <= pi")
     width = (hi - lo) / num_beams
     centers = hi - (np.arange(num_beams) + 0.5) * width
     return [steer_weights(cfg, float(c)) for c in centers]

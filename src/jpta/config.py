@@ -25,7 +25,7 @@ from .codebook import (
     DelayConstraint,
     RainbowSpec,
     Type1Target,
-    paa_codebook,
+    require_paa_codebook,
 )
 from .link import LinkModel, McsTable, load_eesm_betas, require_eesm_beta
 from .sysim import (
@@ -294,17 +294,17 @@ def _validate(cfg: RunConfig) -> None:
     # their key, and the rules left after the checks above, which are
     # reported under the builder's key; the log grid's rules are checked
     # also beside deploy.distances_m, which leaves the grid unused; the
-    # codebook also rounds the sector to axis radians, where a narrow one
-    # becomes empty; the MCS and beta builders read their CSV files if set
+    # codebook's rule, which builds no beam, reads the sector rounded to
+    # axis radians, where a narrow one becomes empty; the MCS and beta
+    # builders read their CSV files if set
     for key, build in (("deploy.ring_count",
                         lambda: log_ring_grid(cfg.deploy_ring_min_m,
                                               cfg.deploy_ring_max_m,
                                               cfg.deploy_ring_count)),
                        ("array.carrier_hz", cfg.array_config),
                        ("paa.num_beams",
-                        lambda: paa_codebook(cfg.array_config(),
-                                             cfg.paa_num_beams,
-                                             cfg.paa_sector_rad())),
+                        lambda: require_paa_codebook(cfg.paa_num_beams,
+                                                     cfg.paa_sector_rad())),
                        ("link.path_loss_exponent", cfg.link_model),
                        ("grid.num_rbs", cfg.frequency_grid),
                        # once the grid has capped the RB count

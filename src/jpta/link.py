@@ -79,14 +79,18 @@ class LinkModel:
         require_range(self, "bs_noise_figure_db", *NOISE_FIGURE_RANGE_DB)
 
 
-def path_gain_db(lm: LinkModel, distance_m: float) -> float:
+def path_gain_db(lm: LinkModel, distance_m):
     """Log-distance path gain: free-space intercept at 1 m plus
-    -10*beta*log10(d)."""
-    if not 0.0 < distance_m < math.inf:
+    -10*beta*log10(d), of a distance or elementwise of an array of them.
+    Each log10 is ``math.log10`` of one distance, so an array's entries keep
+    the bits of the scalar call (``np.log10`` may differ by an ulp)."""
+    dists = np.asarray(distance_m, dtype=np.float64)
+    if not np.all((dists > 0.0) & (dists < math.inf)):
         raise ValueError("distance_m must be positive and finite")
     intercept = 20.0 * math.log10(
         SPEED_OF_LIGHT_M_S / (4.0 * math.pi * lm.carrier_hz))
-    return intercept - 10.0 * lm.path_loss_exponent * math.log10(distance_m)
+    return intercept - 10.0 * lm.path_loss_exponent * _kernels.map_floats(
+        math.log10, dists)
 
 
 def noise_power_dbm_per_rb(lm: LinkModel, scs_hz: float) -> float:
@@ -126,11 +130,11 @@ def eesm_effective_snr_db(snr_db_values, beta: float) -> float:
         raise ValueError("snr_db_values must be non-empty")
     if not np.all(np.isfinite(snr_db)):
         raise ValueError("snr_db_values must be finite")
-    return _eesm_effective_snr_db_rows(snr_db.reshape(1, -1), beta)[0]
+    return float(_eesm_effective_snr_db_rows(snr_db.reshape(1, -1), beta)[0])
 
 
-def _eesm_effective_snr_db_rows(snr_db_rows, beta: float) -> list:
-    """``eesm_effective_snr_db`` of every row of a 2-D array, one float per
+def _eesm_effective_snr_db_rows(snr_db_rows, beta: float) -> np.ndarray:
+    """``eesm_effective_snr_db`` of every row of a 2-D array, one entry per
     row, without input checks. The shift by the row minimum keeps large SNRs
     from underflowing; no row's result depends on the other rows."""
     lin = np.power(10.0, snr_db_rows / 10.0)
@@ -276,23 +280,16 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
         raise ValueError("slot_duty must lie in (0, 1]")
     if len(gain_rows) != len(available_rbs):
         raise ValueError("gain_rows and available_rbs need one entry per UE")
-    shares = []
-    for row, rbs in zip(gain_rows, available_rbs):
-        row = np.asarray(row, dtype=np.float64)
-        rbs = np.asarray(rbs, dtype=np.int64)
-        if rbs.ndim != 1 or rbs.size == 0:
-            raise ValueError("available_rbs must be non-empty 1-D lists")
-        rbs = np.sort(rbs)
-        if row.ndim != 1 or rbs[0] < 0 or rbs[-1] >= row.size \
-                or np.any(rbs[1:] == rbs[:-1]):
-            raise ValueError("available_rbs must hold distinct RB ids of "
-                             "their gain_rows entry")
-        gains = row[rbs]
-        if not np.all(np.isfinite(gains)):
-            raise ValueError("gain_rows must be finite on the available RBs")
-        # each UE's gains sorted descending: each SNR term is monotone in its
-        # gain, so its SNR rows come out sorted descending at every distance
-        shares.append(-np.sort(-gains))
+    rows = [np.asarray(row, dtype=np.float64) for row in gain_rows]
+    rbs = [np.asarray(ids, dtype=np.int64) for ids in available_rbs]
+    if not all(ids.ndim == 1 and ids.size for ids in rbs):
+        raise ValueError("available_rbs must be non-empty 1-D lists")
+    # UEs grouped by share width, each group checked and sorted at once
+    widths = [ids.size for ids in rbs]
+    groups = [(w, [u for u, width in enumerate(widths) if width == w])
+              for w in sorted(set(widths))]
+    shares = [_sorted_share_gains([rows[u] for u in ues],
+                                  [rbs[u] for u in ues]) for _, ues in groups]
     dists = np.asarray(distances_m, dtype=np.float64)
     if dists.ndim != 1:
         raise ValueError("distances_m must be a 1-D sequence")
@@ -303,19 +300,17 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
     for beta in betas.tolist():
         require_eesm_beta("eesm_betas", beta)
 
-    link_db = np.array([lm.ue_tx_power_dbm + lm.ue_beam_gain_db
-                        + path_gain_db(lm, float(d)) for d in dists])
+    link_db = (lm.ue_tx_power_dbm + lm.ue_beam_gain_db
+               + path_gain_db(lm, dists))
     noise_db = noise_power_dbm_per_rb(lm, scs_hz)
     unique_betas, beta_idx = np.unique(betas, return_inverse=True)
     thr_lin = np.power(10.0, mcs_table.thresholds_db() / 10.0)
     se = mcs_table.spectral_efficiencies()
 
-    shape = (2, dists.size, len(shares))
+    shape = (2, dists.size, len(rows))
     mcs, num_rbs = np.empty(shape, dtype=np.int64)
     eff_db, tput = np.empty(shape)
-    for width in sorted({share.size for share in shares}):
-        ues = [u for u, share in enumerate(shares) if share.size == width]
-        gains_desc = np.array([shares[u] for u in ues])
+    for (width, ues), gains_desc in zip(groups, shares):
         best_n, best_mcs, best_eff, best_se_n = _kernels.rate_scan_batch(
             link_db, gains_desc, noise_db, thr_lin, se, unique_betas,
             beta_idx, MIN_RBS_PER_GRANT)
@@ -331,6 +326,26 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
         eff_db[:, ues] = best_eff.T
         tput[:, ues] = (best_se_n * 12.0 * scs_hz * slot_duty).T
     return RateGrid(mcs, num_rbs, eff_db, tput, mcs < 0)
+
+
+def _sorted_share_gains(rows, rbs) -> np.ndarray:
+    """Gains of UEs with shares of one width on their RBs, one row per UE,
+    each sorted descending: each SNR term is monotone in its gain, so a
+    UE's SNR rows come out sorted descending at every distance. The RB ids
+    of each UE must be distinct ids into its gain row, and its gains there
+    finite; the gain rows may differ in length."""
+    ids = np.sort(rbs, axis=1)
+    sizes = np.array([row.size if row.ndim == 1 else -1 for row in rows])
+    if np.any((ids[:, 0] < 0) | (ids[:, -1] >= sizes)
+              | (ids[:, 1:] == ids[:, :-1]).any(axis=1)):
+        raise ValueError("available_rbs must hold distinct RB ids of "
+                         "their gain_rows entry")
+    # each UE's ids into the gain rows laid end to end
+    ids += (np.cumsum(sizes) - sizes)[:, None]
+    gains = np.concatenate(rows)[ids]
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("gain_rows must be finite on the available RBs")
+    return -np.sort(-gains, axis=1)
 
 
 def select_rate(lm: LinkModel, distance_m: float, beam_gain_db_per_rb,

@@ -28,6 +28,8 @@ from .antenna import (
     PhaseTimeWeights,
     axis_from_boresight_rad,
     pattern_gain_db,
+    pattern_tables,
+    table_gain_db,
 )
 from .codebook import DelayConstraint, Type1Target, design_type1, paa_codebook
 from .link import (
@@ -144,14 +146,19 @@ def _serving_gain_rows(cfg: ArrayConfig, weight_sets, serving,
                        ue_angles_rad, freqs) -> np.ndarray:
     """Gain rows (num_ues, num_freqs): row u is ``weight_sets[serving[u]]``
     toward UE u (boresight-relative radians), bit for bit its one-angle
-    pattern_map row, from one pattern-kernel call per serving set."""
+    pattern_map row, from one pattern-kernel call: one row at cos = 1 whose
+    columns u*K ... u*K + K - 1 take UE u's slopes ``cos_u * slope_k`` and
+    its serving set's coefficients, each distinct set's table built once."""
     cos_ues = np.cos(axis_from_boresight_rad(ue_angles_rad))
-    rows = np.empty((cos_ues.size, len(freqs)))
-    # not np.unique, whose first call imports numpy.ma: 20-30 ms, 1 MB
-    for s in set(serving.tolist()):
-        ues = serving == s
-        rows[ues] = pattern_gain_db(cfg, [weight_sets[s]], cos_ues[ues], freqs)
-    return rows
+    used = np.zeros(len(weight_sets), dtype=bool)
+    used[serving] = True
+    slope, coef = pattern_tables(
+        cfg, [w for w, u in zip(weight_sets, used.tolist()) if u], freqs)
+    # each UE's position among the used sets
+    coef = coef[:, (np.cumsum(used) - 1)[serving]]
+    rows = table_gain_db(cfg, [1.0], (cos_ues[:, None] * slope).ravel(),
+                         coef.reshape(cfg.num_elements, -1))
+    return rows.reshape(cos_ues.size, -1)
 
 
 def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,

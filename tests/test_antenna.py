@@ -236,9 +236,12 @@ def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
                    # a null at boresight on every RB
                    (pair, PhaseTimeWeights(delays_s=np.zeros(2),
                                            phases_rad=[0.0, math.pi]))):
+        freqs = grid.rb_center_freqs()
         corr = _kernels.pattern_corr(
-            np.cos(angles), grid.rb_center_freqs(), w.phases_rad,
-            w.delays_s, 2 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S)
+            np.cos(angles),
+            2 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S * freqs,
+            _kernels.pattern_coefficients(freqs, [w.phases_rad],
+                                          [w.delays_s])[:, 0])
         want = cfg.peak_gain_db + 20.0 * np.log10(
             np.maximum(corr, CORRELATION_FLOOR))
         assert np.array_equal(pattern_map(cfg, w, angles, grid), want)

@@ -300,8 +300,8 @@ def test_parse_error_reports_line_number():
     ("delay.max_ns = 1e300", "delay.max_ns: max_delay_s must lie in"),
     ("delay.step_ns = 1e-300", "delay.step_ns: step_s must split"),
     ("delay.step_ns = 0.1", "delay.step_ns: step_s must split"),
-    # the benchmark codebook is built when the config is read: its size keys
-    # are capped before anything of that size is allocated
+    # the size keys are capped when the config is read, before anything of
+    # that size is allocated
     ("array.num_elements = 1000000000000",
      "array.num_elements: num_elements must lie in"),
     ("paa.num_beams = 1000000000000", "paa.num_beams: num_beams must lie in"),

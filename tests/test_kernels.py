@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jpta import FrequencyGrid, PhaseTimeWeights, _kernels, cli
 from jpta.antenna import pattern_map
+from jpta.link import MAX_EESM_BETA
 from oracles import (
     delay_scan_py,
     eesm_effective_snr_db_py,
@@ -28,6 +30,20 @@ from oracles import (
 )
 
 SLOPE_SCALE = 2 * np.pi * 0.005353 / 299792458.0
+
+
+def _kernel_args(cos_angles, freqs, phases, delays, slope_scale):
+    """``pattern_corr``'s arguments for one weight set, (M,), or for S sets,
+    (S, M), as column blocks over ``freqs``."""
+    phases, delays = np.atleast_2d(phases, delays)
+    coef = _kernels.pattern_coefficients(freqs, phases, delays)
+    return (cos_angles, np.tile(slope_scale * freqs, len(phases)),
+            coef.reshape(coef.shape[0], -1))
+
+
+def _corr(*args):
+    """``pattern_corr`` of the weight sets of ``_kernel_args(*args)``."""
+    return _kernels.pattern_corr(*_kernel_args(*args))
 
 
 def _random_pattern_inputs(rng):
@@ -47,7 +63,7 @@ def test_pattern_corr_matches_oracle():
     rng = np.random.default_rng(3)
     for _ in range(5):
         ca, fr, ph, de, ss, num_el = _random_pattern_inputs(rng)
-        got = _kernels.pattern_corr(ca, fr, ph, de, ss)
+        got = _corr(ca, fr, ph, de, ss)
         np.testing.assert_allclose(got, pattern_corr_py(ca, fr, ph, de, ss),
                                    rtol=0, atol=1e-12)
         assert got.shape == (ca.size, fr.size)
@@ -55,7 +71,7 @@ def test_pattern_corr_matches_oracle():
     # 64 elements, beyond the drawn ones, on a small grid
     ca, fr, ph, de = _random_pattern_inputs(rng)[:4]
     ph, de = rng.uniform(0.0, 2 * np.pi, 64), rng.uniform(0.0, 40e-9, 64)
-    np.testing.assert_allclose(_kernels.pattern_corr(ca, fr, ph, de, ss),
+    np.testing.assert_allclose(_corr(ca, fr, ph, de, ss),
                                pattern_corr_py(ca, fr, ph, de, ss), rtol=0,
                                atol=1e-12)
 
@@ -157,8 +173,7 @@ def test_pattern_corr_quantized_delays_with_deep_nulls(reverse):
     phases = rng.uniform(0.0, 2 * np.pi) * elem
     cos_angles = np.cos(np.linspace(0.01, np.pi - 0.01, 361))
     freqs = _rb_freqs(264, 8)
-    got = _kernels.pattern_corr(cos_angles, freqs, phases, delays,
-                                SLOPE_SCALE)
+    got = _corr(cos_angles, freqs, phases, delays, SLOPE_SCALE)
     want = pattern_corr_py(cos_angles, freqs, phases, delays, SLOPE_SCALE)
     assert delays.max() == pytest.approx(157.5e-9)
     assert want.min() < 1e-4
@@ -176,11 +191,10 @@ def test_pattern_corr_chunks_match_one_unchunked_call(monkeypatch):
         ca = cos_angles[:count]
         monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
                             count * freqs.size)
-        whole = _kernels.pattern_corr(ca, freqs, phases, delays, SLOPE_SCALE)
+        whole = _corr(ca, freqs, phases, delays, SLOPE_SCALE)
         monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
                             chunk * freqs.size)
-        chunked = _kernels.pattern_corr(ca, freqs, phases, delays,
-                                        SLOPE_SCALE)
+        chunked = _corr(ca, freqs, phases, delays, SLOPE_SCALE)
         assert np.array_equal(chunked, whole), count
 
 
@@ -200,14 +214,11 @@ def test_pattern_corr_weight_sets_as_columns_equal_per_set_calls(
         cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
         phases = rng.uniform(0.0, 2 * np.pi, (num_sets, 16))
         delays = rng.integers(0, 64, (num_sets, 16)) * 2.5e-9
-        tiled = _kernels.pattern_corr(
-            cos_angles, np.tile(freqs, num_sets),
-            np.repeat(phases, num_freqs, axis=0),
-            np.repeat(delays, num_freqs, axis=0), SLOPE_SCALE)
+        tiled = _corr(cos_angles, freqs, phases, delays, SLOPE_SCALE)
         assert tiled.shape == (num_angles, num_sets * num_freqs)
         for s in range(num_sets):
-            own = _kernels.pattern_corr(cos_angles, freqs, phases[s],
-                                        delays[s], SLOPE_SCALE)
+            own = _corr(cos_angles, freqs, phases[s], delays[s],
+                        SLOPE_SCALE)
             block = tiled[:, s * num_freqs:(s + 1) * num_freqs]
             assert np.array_equal(block, own), (num_sets, num_freqs,
                                                 num_angles, s)
@@ -252,13 +263,10 @@ def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
             monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
                                 chunk_rows * num_sets * num_freqs)
             freqs = _rb_freqs(num_freqs)
-            args = (np.cos(rng.uniform(0.0, np.pi, num_angles)),
-                    np.tile(freqs, num_sets),
-                    np.repeat(rng.uniform(0.0, 2 * np.pi, (num_sets, 16)),
-                              num_freqs, axis=0),
-                    np.repeat(rng.integers(0, 64, (num_sets, 16)) * 2.5e-9,
-                              num_freqs, axis=0),
-                    SLOPE_SCALE)
+            args = _kernel_args(
+                np.cos(rng.uniform(0.0, np.pi, num_angles)), freqs,
+                rng.uniform(0.0, 2 * np.pi, (num_sets, 16)),
+                rng.integers(0, 64, (num_sets, 16)) * 2.5e-9, SLOPE_SCALE)
             threaded, serial, count = _threaded_and_serial(monkeypatch,
                                                            cpus, args)
             chunks = -(-num_angles // chunk_rows)
@@ -286,9 +294,8 @@ def test_pattern_corr_raises_a_worker_thread_error(monkeypatch):
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", 24)
     with pytest.raises(FloatingPointError, match="chunk failed"):
-        _kernels.pattern_corr(np.cos(np.linspace(0.1, 3.0, 20)),
-                              _rb_freqs(24), np.zeros(16), np.zeros(16),
-                              SLOPE_SCALE)
+        _corr(np.cos(np.linspace(0.1, 3.0, 20)), _rb_freqs(24),
+              np.zeros(16), np.zeros(16), SLOPE_SCALE)
     assert failed.is_set()
 
 
@@ -313,8 +320,7 @@ def test_pattern_corr_never_exceeds_one():
         f0 = freqs[int(rng.integers(freqs.size))]
         phases = SLOPE_SCALE * f0 * cos0 * np.arange(16)
         delays = np.zeros(16)
-        corr = _kernels.pattern_corr(cos_angles, freqs, phases, delays,
-                                     SLOPE_SCALE)
+        corr = _corr(cos_angles, freqs, phases, delays, SLOPE_SCALE)
         assert corr.max() == pytest.approx(1.0, abs=1e-12)
         assert np.all(corr <= 1.0 + 1e-12)
 
@@ -325,8 +331,7 @@ def test_pattern_corr_single_element_runs_no_horner_step():
     freqs = _rb_freqs(24)
     phases = rng.uniform(0.0, 2 * np.pi, 1)
     delays = np.array([157.5e-9])
-    got = _kernels.pattern_corr(cos_angles, freqs, phases, delays,
-                                SLOPE_SCALE)
+    got = _corr(cos_angles, freqs, phases, delays, SLOPE_SCALE)
     assert got.shape == (7, 24)
     np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(
@@ -335,30 +340,30 @@ def test_pattern_corr_single_element_runs_no_horner_step():
 
 
 def test_zero_delay_coefficients_equal_the_per_column_table():
-    # an element whose argument is the same in every column takes one
-    # exponential copied along its row: a PAA beam (no delay), a set with
-    # some zero delays, and sets given per column, where a zero delay under
-    # changing phases still needs one exponential per column; every table
-    # equals the per-column one bit for bit
+    # an element whose argument is the same at every frequency under its
+    # set takes one exponential copied along its row: a PAA beam (no
+    # delay), a set with some zero delays, and three sets in one pass,
+    # where a zero delay under each set's own phase is constant per set;
+    # every table equals the per-set, per-column one bit for bit
     rng = np.random.default_rng(13)
     freqs = _rb_freqs(264)
     mixed = np.where(rng.random(16) < 0.5, 0,
                      rng.integers(1, 64, 16)) * 2.5e-9
-    sets_phases = np.repeat(rng.uniform(0.0, 2 * np.pi, (2, 16)), 132, axis=0)
-    sets_phases[:, 3] = 1.25
-    sets_delays = np.repeat(np.where(rng.random((2, 16)) < 0.5, 0,
-                                     rng.integers(1, 64, (2, 16))) * 2.5e-9,
-                            132, axis=0)
+    sets_delays = np.where(rng.random((3, 16)) < 0.5, 0,
+                           rng.integers(1, 64, (3, 16))) * 2.5e-9
     sets_delays[:, 3] = 0.0
-    for phases, delays, constant in (
-            (rng.uniform(0.0, 2 * np.pi, 16), np.zeros(16), 16),
-            (rng.uniform(0.0, 2 * np.pi, 16), mixed, np.sum(mixed == 0)),
-            (sets_phases, sets_delays, 1)):
-        arg = phases + _kernels.TWO_PI * freqs[:, None] * delays
-        assert np.sum(np.all(arg == arg[:1], axis=0)) == constant > 0
-        got = _kernels._coefficients(freqs, phases, delays)
-        want = np.exp(-1j * arg).T
-        assert got.flags.c_contiguous and got.shape == want.shape
+    for phases, delays in (
+            (rng.uniform(0.0, 2 * np.pi, (1, 16)), np.zeros((1, 16))),
+            (rng.uniform(0.0, 2 * np.pi, (1, 16)), mixed[None]),
+            (rng.uniform(0.0, 2 * np.pi, (3, 16)), sets_delays)):
+        args = [p + _kernels.TWO_PI * freqs[:, None] * d
+                for p, d in zip(phases, delays)]
+        constant = sum(np.sum(np.all(a == a[:1], axis=0)) for a in args)
+        assert constant == np.sum(delays == 0) > 0
+        got = _kernels.pattern_coefficients(freqs, phases, delays)
+        want = np.stack([np.exp(-1j * a).T for a in args], axis=1)
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape == (16, len(phases), 264)
         assert got.tobytes() == want.tobytes()
 
 
@@ -502,8 +507,31 @@ def test_eesm_snr_db_is_the_last_step_of_the_oracle():
         means = np.array([np.mean(np.exp(-(row - v) / bb))
                           for row, v, bb in zip(lin, v_min, b)])
         got = _kernels.eesm_snr_db(v_min, means, beta)
-        assert got == [eesm_effective_snr_db_py(row, bb)
-                       for row, bb in zip(rows, b.tolist())]
+        assert got.tolist() == [eesm_effective_snr_db_py(row, bb)
+                                for row, bb in zip(rows, b.tolist())]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eesm_snr_db_equals_the_python_expression(data):
+    # over broadcast shapes, betas up to the cap and shifted means next to
+    # 1, where beta * ln(mean) is least: every entry has the bits of
+    # 10 * math.log10(v - beta * math.log(m))
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=3, max_dims=3, max_side=4))
+    near_one = st.integers(0, 64).map(lambda k: 1.0 - k * 2.0 ** -53)
+    inputs = [data.draw(hnp.arrays(np.float64, shape, elements=elements))
+              for shape, elements in zip(shapes.input_shapes, (
+                  st.floats(1e-12, 1e12),
+                  st.one_of(near_one, st.floats(1e-300, 1.0)),
+                  st.floats(1e-3, MAX_EESM_BETA)))]
+    got = _kernels.eesm_snr_db(*inputs)
+    assert got.shape == shapes.result_shape
+    want = [10.0 * math.log10(v - beta * math.log(m)) for v, m, beta
+            in zip(*(a.ravel().tolist()
+                     for a in np.broadcast_arrays(*inputs)))]
+    assert [g.hex() for g in got.ravel().tolist()] == \
+        [w.hex() for w in want]
 
 
 def test_rate_scan_infeasible_returns_sentinel():
@@ -641,6 +669,58 @@ def test_envelope_holds_cells_pinned_at_their_upper_bound():
         kept = _assert_envelope_holds_per_cell(
             link_db, gain_db, noise_db, thr_lin, np.ones(1), np.array([beta]))
         assert (u, r, n) in kept
+
+
+def test_envelope_lists_no_ring_past_every_interval():
+    # rings 200 dB below the noise floor lie below every interval's start:
+    # nothing is live, and every pair is an outage, as the oracle finds
+    rng = np.random.default_rng(52)
+    noise_db = -107.4
+    link_db = noise_db - 200.0 - np.sort(rng.uniform(0.0, 40.0, 20))
+    gain_db = np.sort(rng.uniform(-10.0, 28.0, (3, 24)), axis=1)[:, ::-1]
+    thr_lin, se, betas = _rate_inputs(rng, 8, True)
+    live = _kernels._envelope_candidates(link_db, gain_db, noise_db,
+                                         np.arange(4, 25), thr_lin, se,
+                                         betas.max())
+    assert [a.size for a in live] == [0] * 4
+    assert _assert_envelope_holds_per_cell(link_db, gain_db, noise_db,
+                                           thr_lin, se, betas) == set()
+    mcs = _assert_matches_oracle(link_db, gain_db, noise_db, thr_lin, se,
+                                 betas)[1]
+    assert np.all(mcs == -1)
+
+
+def test_envelope_ring_on_an_interval_end():
+    # Four RBs at unit SNR and one ring at link gain 1 (0 dB), on a
+    # two-level ladder whose upper threshold puts MCS 1's meet point, where
+    # MCS 0's interval ends and MCS 1's starts, exactly on the ring: the
+    # half-open intervals list the ring once, under MCS 1, and its exact
+    # decision is the oracle's (MCS 0 on all four RBs)
+    noise_db = -100.0
+    gain_db = np.full((1, 4), noise_db)
+    link_db = np.array([0.0])
+    assert np.array_equal(_kernels.snr_unsplit(link_db, gain_db, noise_db),
+                          np.ones((1, 4)))
+    rel = _kernels._BOUND_REL
+    # the envelope's widened upper bound of n = 4, and the threshold whose
+    # widened value meets it exactly at link gain 1
+    high = 4.0 / 16 * ((1.0 + rel) * (1.0 + _kernels._FACTOR_REL))
+    thr = high + rel
+    while thr - rel < high:
+        thr = np.nextafter(thr, np.inf)
+    while thr - rel > high:
+        thr = np.nextafter(thr, -np.inf)
+    assert thr - rel == high
+    thr_lin, se, betas = np.array([0.1, thr]), np.array([1.0, 2.0]), \
+        np.ones(2)
+    live = _kernels._envelope_candidates(link_db, gain_db, noise_db,
+                                         np.array([4]), thr_lin, se, 1.0)
+    assert [a.tolist() for a in live] == [[0], [0], [4], [1]]
+    _assert_envelope_holds_per_cell(link_db, gain_db, noise_db, thr_lin, se,
+                                    betas)
+    got = _assert_matches_oracle(link_db, gain_db, noise_db, thr_lin, se,
+                                 betas)
+    assert (got[0].tolist(), got[1].tolist()) == ([[4]], [[0]])
 
 
 def _stage_sizes(monkeypatch):

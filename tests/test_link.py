@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from jpta.antenna import SPEED_OF_LIGHT_M_S
 from jpta.link import (
     DEFAULT_SPECTRAL_EFFICIENCIES,
     MAX_EESM_BETA,
@@ -64,6 +66,36 @@ def test_path_gain_rejects_nonpositive_distance(link_default):
         with pytest.raises(ValueError,
                            match="^distance_m must be positive and finite$"):
             path_gain_db(link_default, distance)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_path_gain_of_an_array_equals_the_scalar_formula(data):
+    # every entry has the bits of the scalar formula, of any shape; one
+    # distance of 0, below 0, inf or NaN anywhere rejects the array
+    lm = LinkModel(carrier_hz=data.draw(st.floats(1e8, 1e12)),
+                   path_loss_exponent=data.draw(st.floats(0.1, 10.0)))
+    dists = data.draw(hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=6),
+        elements=st.floats(1e-6, 1e12)))
+    got = path_gain_db(lm, dists)
+    assert np.shape(got) == dists.shape
+    intercept = 20.0 * math.log10(
+        SPEED_OF_LIGHT_M_S / (4.0 * math.pi * lm.carrier_hz))
+    want = [intercept - 10.0 * lm.path_loss_exponent * math.log10(d)
+            for d in dists.ravel().tolist()]
+    assert [g.hex() for g in np.ravel(got).tolist()] == \
+        [w.hex() for w in want]
+    assert [float(path_gain_db(lm, d)).hex()
+            for d in dists.ravel().tolist()] == [w.hex() for w in want]
+    if dists.size:
+        bad = dists.copy()
+        bad.flat[data.draw(st.integers(0, dists.size - 1))] = data.draw(
+            st.sampled_from([0.0, -0.0, -5.0, math.inf, -math.inf,
+                             math.nan]))
+        with pytest.raises(ValueError,
+                           match="^distance_m must be positive and finite$"):
+            path_gain_db(lm, bad)
 
 
 def test_noise_power_reference_value(link_default):
@@ -478,6 +510,57 @@ def test_select_rate_validation(link_default, mcs_default):
         with pytest.raises(ValueError, match="^available_rbs must"):
             select_rate_grid(link_default, [100.0], [np.full(24, 28.0)],
                              [rbs], mcs_default, SCS, 1.0)
+    # the same faults in one UE of a ragged JPTA layout, 7 UEs on 264 RBs
+    # (six shares of 37, one of 42), in either share width, and in one of
+    # two UEs whose gain rows differ in length
+    ragged = [np.arange(37 * u, 37 * u + 37) for u in range(6)]
+    ragged.append(np.arange(222, 264))
+    rows = [FLAT28] * 7
+    mixed = [np.full(24, 28.0), np.full(30, 28.0)]
+    for u, size in ((2, 264), (6, 264), (0, 24), (1, 30)):
+        layout = [ids.copy() for ids in
+                  (ragged if size == 264 else [np.arange(10)] * 2)]
+        gains = rows if size == 264 else mixed
+        for ids, match in (([], "non-empty 1-D"),
+                           (np.array([[0, 1], [2, 3]]), "non-empty 1-D"),
+                           (np.r_[layout[u][1:], layout[u][1]],
+                            "^available_rbs must hold distinct"),
+                           (np.r_[layout[u][:-1], -1],
+                            "^available_rbs must hold distinct"),
+                           (np.r_[layout[u][:-1], size],
+                            "^available_rbs must hold distinct")):
+            bad = layout[:u] + [ids] + layout[u + 1:]
+            with pytest.raises(ValueError, match=match):
+                select_rate_grid(link_default, [100.0], gains, bad,
+                                 mcs_default, SCS, 1.0)
+        bad_gains = [g.copy() for g in gains]
+        bad_gains[u][layout[u][-1]] = math.nan
+        with pytest.raises(ValueError,
+                           match="^gain_rows must be finite on the available"):
+            select_rate_grid(link_default, [100.0], bad_gains, layout,
+                             mcs_default, SCS, 1.0)
+
+
+def test_select_rate_grid_share_groups_equal_one_ue_calls(link_default,
+                                                          mcs_default):
+    # UEs are checked and sorted once per share width: ragged widths, RB
+    # ids in any order and gain rows of different lengths within one width
+    # give every UE the columns of its own one-UE call, by bytes
+    rng = np.random.default_rng(31)
+    sizes = (264, 264, 40, 300, 264, 52, 264)
+    rows = [rng.uniform(-20.0, 28.0, size) for size in sizes]
+    rbs = [np.arange(37), rng.permutation(264)[:37], np.arange(3, 40),
+           rng.permutation(300)[:42], np.arange(222, 264),
+           rng.permutation(52)[:37], np.arange(100, 137)]
+    dists = np.geomspace(20.0, 3000.0, 12)
+    grid = select_rate_grid(link_default, dists, rows, rbs, mcs_default, SCS,
+                            0.5)
+    assert grid.outage.any() and not grid.outage.all()
+    for u, (row, ids) in enumerate(zip(rows, rbs)):
+        own = select_rate_grid(link_default, dists, [row], [ids],
+                               mcs_default, SCS, 0.5)
+        for column, own_column in zip(grid, own):
+            assert column[:, u].tobytes() == own_column[:, 0].tobytes(), u
 
 
 @pytest.mark.parametrize("bad_gain", [math.nan, math.inf, -math.inf])

@@ -142,16 +142,38 @@ def test_min_jpta_share_accepts_shares_of_the_grant(num_ues, num_rbs):
 # gain rows and the serving beam
 # ---------------------------------------------------------------------------
 
+def _weight_sets(cfg):
+    """A type-1 design with nonzero quantized delays, a rainbow design and
+    three PAA beams (no delays)."""
+    band = FrequencyGrid(28e9, 400e6, 120e3, 264)
+    target = codebook.Type1Target.equal_shares(
+        [math.pi / 2.0 - math.radians(a) for a in (40.0, 0.0, -40.0)], 264)
+    type1, _ = codebook.design_type1(cfg, target, band, DelayConstraint())
+    assert np.count_nonzero(type1.delays_s) > 8
+    return ([type1, design_type2(cfg, RainbowSpec(math.pi / 2.0, 1.5), band)]
+            + paa_codebook(cfg, 3, SECTOR))
+
+
+def _assert_gain_rows_equal_pattern_map_rows(cfg, weight_sets, serving,
+                                             angles, grid, freqs):
+    rows = sysim._serving_gain_rows(cfg, weight_sets, serving, angles, freqs)
+    assert rows.shape == (angles.size, grid.num_rbs)
+    for s, bore, row in zip(serving, angles, rows):
+        axis = np.array([math.pi / 2.0 - bore])
+        assert np.array_equal(row,
+                              pattern_map(cfg, weight_sets[s], axis, grid)[0])
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_gain_rows_equal_per_ue_pattern_map_rows(data):
-    # one kernel call per serving set, over only the UEs it serves; in any
-    # UE order, with repeated angles and with sets that serve no UE, every
-    # row must equal its own set's one-angle pattern_map row bit for bit,
-    # over the RB centers of a grid or over the carrier alone (run_paa's
-    # serving-beam pick), which is the one RB center of a one-RB grid
+    # one kernel call for all UEs, each serving set's coefficients built
+    # once; in any UE order, with repeated angles and with sets that serve
+    # no UE, every row must equal its own set's one-angle pattern_map row
+    # bit for bit, over the RB centers of a grid or over the carrier alone
+    # (run_paa's serving-beam pick), which is the one RB center of a one-RB
+    # grid
     cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
-    band = FrequencyGrid(28e9, 400e6, 120e3, 264)
     if data.draw(st.booleans()):
         grid = FrequencyGrid(cfg.carrier_hz, 12 * 120e3, 120e3, 1)
         freqs = [cfg.carrier_hz]
@@ -164,17 +186,24 @@ def test_gain_rows_equal_per_ue_pattern_map_rows(data):
                               max_size=6))
     angles = np.radians(data.draw(st.lists(st.sampled_from(pool),
                                            min_size=1, max_size=12)))
-    weight_sets = [design_type2(cfg, RainbowSpec(math.pi / 2.0, 1.5), band)]
-    weight_sets += paa_codebook(cfg, 3, SECTOR)
+    weight_sets = _weight_sets(cfg)
     serving = np.array(data.draw(st.lists(
         st.integers(0, len(weight_sets) - 1), min_size=angles.size,
         max_size=angles.size)))
-    rows = sysim._serving_gain_rows(cfg, weight_sets, serving, angles, freqs)
-    assert rows.shape == (angles.size, grid.num_rbs)
-    for s, bore, row in zip(serving, angles, rows):
-        axis = np.array([math.pi / 2.0 - bore])
-        assert np.array_equal(row,
-                              pattern_map(cfg, weight_sets[s], axis, grid)[0])
+    _assert_gain_rows_equal_pattern_map_rows(cfg, weight_sets, serving,
+                                             angles, grid, freqs)
+
+
+def test_gain_row_of_one_ue_on_one_rb():
+    # the kernel row is one cell, as is the pattern_map row, for each set
+    cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    grid = FrequencyGrid(cfg.carrier_hz, 12 * 120e3, 120e3, 1)
+    weight_sets = _weight_sets(cfg)
+    for s in range(len(weight_sets)):
+        for bore in (-0.7, 0.0, 0.3):
+            _assert_gain_rows_equal_pattern_map_rows(
+                cfg, weight_sets, np.array([s]), np.array([bore]), grid,
+                grid.rb_center_freqs())
 
 
 def test_paa_serving_beam_tie_goes_to_the_first_beam(monkeypatch):
@@ -224,6 +253,8 @@ def test_sweep_pattern_kernel_cells(monkeypatch):
         _sweep(angles, [100.0, 1000.0])
         num_ues = len(angles)
         assert sum(cells) == 16 * num_ues + 2 * num_ues * 264, cells
+        # the carrier pick and one call per scheme's gain rows
+        assert len(cells) == 3, cells
 
 
 # ---------------------------------------------------------------------------
