@@ -92,7 +92,7 @@ def _pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     """``pattern_corr`` of one weight set with its coefficient table, as
     ``antenna.pattern_map`` calls it."""
     coef = _kernels.pattern_coefficients(freqs, [phases], [delays])
-    return _kernels.pattern_corr(cos_angles, slope_scale * freqs, coef[:, 0])
+    return _kernels.pattern_corr(cos_angles, slope_scale * freqs, coef)
 
 
 def _pattern_corr_one_thread(*args):

@@ -34,6 +34,7 @@ kernels, which the tests check them against and
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -60,24 +61,29 @@ def backend() -> str:
 def pattern_corr(cos_angles, slope, coef):
     """Correlation magnitudes on an angle x column grid.
 
-    Entry (a, k) is ``|(1/M) sum_m coef[m, k] exp(j*cos_a*slope_k*m)|``. With
-    the steering slope ``slope_k = 2*pi*spacing*f_k/c`` of a column's
-    frequency and the coefficients ``coef[m, k] = exp(-j(phi_m +
-    2*pi*f_k*tau_m))`` of a weight set (``pattern_coefficients``), that is
-    the magnitude of the conjugated inner product between the unit-norm
-    steering vector and the unit-norm phase-time response. Columns need not
-    share a weight set or an angle: a column whose slope is ``cos_u *
-    slope_k`` gives, at ``cos_a = 1``, the cell of angle u, since the
-    kernel's argument is the product ``cos_a * slope_k`` and ``1.0 * x`` is
-    ``x``.
+    Entry (a, k) is ``|(1/M) sum_m coef[m, a, k] exp(j*cos_a*slope_k*m)|``.
+    With the steering slope ``slope_k = 2*pi*spacing*f_k/c`` of a column's
+    frequency and the coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))`` of a
+    weight set (``pattern_coefficients``), that is the magnitude of the
+    conjugated inner product between the unit-norm steering vector and the
+    unit-norm phase-time response.
+
+    ``coef`` broadcasts to (elements, angles, columns): (M, 1, K) gives
+    every angle the same columns, as a pattern map does; (M, A, K) gives
+    angle a its own row of coefficients, as the gain rows do, each UE's
+    from its serving set; and (M, A, 1) or (M, 1, 1) stands one value per
+    element for every column, as a zero-delay set's table does. A row is
+    computed by the same elementwise operations whichever of these forms
+    carries its coefficients, so it equals its own one-angle call with the
+    (M, 1, K) table bit for bit.
 
     The sum is a polynomial in ``z[a, k] = exp(j*cos_a*slope_k)``,
     evaluated by Horner's rule over m: A*K phasors instead of A*K*M
     exponentials, and M - 1 in-place multiply-adds on an (angle chunk x K)
-    array, each adding one contiguous coefficient row ``coef[m]``. Every
-    cell is computed by the same elementwise operations whatever the
-    chunking or the other columns, so neither a row nor a block of columns
-    depends on the rest of the call.
+    array, each adding one coefficient row ``coef[m]`` of the chunk's
+    angles. Every cell is computed by the same elementwise operations
+    whatever the chunking or the other columns, so neither a row nor a
+    block of columns depends on the rest of the call.
 
     A grid of several chunks is split over one thread per usable CPU, up to
     one per chunk: numpy's ufuncs release the interpreter lock, each thread
@@ -92,6 +98,7 @@ def pattern_corr(cos_angles, slope, coef):
     chunk = max(1, PATTERN_CHUNK_CELLS // max(1, cols))
     starts = range(0, cos_angles.size, chunk)
     workers = max(1, min(_usable_cpus(), len(starts)))
+    per_angle = coef.shape[1] > 1
     pending = iter(starts)
     lock = threading.Lock()
     errors = []
@@ -103,7 +110,8 @@ def pattern_corr(cos_angles, slope, coef):
                     a0 = next(pending, None)
                 if a0 is None:
                     return
-                _horner_chunk(cos_angles[a0:a0 + chunk], slope, coef,
+                _horner_chunk(cos_angles[a0:a0 + chunk], slope,
+                              coef[:, a0:a0 + chunk] if per_angle else coef,
                               out[a0:a0 + chunk], *buffers)
         except Exception as exc:  # re-raised by the calling thread
             errors.append(exc)
@@ -130,15 +138,18 @@ def pattern_corr(cos_angles, slope, coef):
 
 def pattern_coefficients(freqs, phases, delays):
     """Horner coefficients ``exp(-j(phi_sm + 2*pi*f_k*tau_sm))`` of S weight
-    sets, ``phases`` and ``delays`` of shape (S, M), at K frequencies:
-    shape (M, S, K), so ``reshape(M, S * K)`` lays the sets out as column
-    blocks of contiguous rows. An element whose argument is the same at
-    every frequency under its set (a zero delay) takes one exponential,
-    copied along its row: the same value the per-frequency table holds.
-    All sets take one pass."""
+    sets, ``phases`` and ``delays`` of shape (S, M), at K frequencies: shape
+    (M, S, K), or (M, S, 1) when every delay is zero, every argument then
+    being its phase at each frequency. An element whose argument is the
+    same at every frequency under its set (a zero delay) takes one
+    exponential, copied along its row: the same value the per-frequency
+    table holds. All sets take one pass."""
+    phases = np.asarray(phases, dtype=np.float64).T
+    delays = np.asarray(delays, dtype=np.float64).T
+    if not delays.any():
+        return np.exp(-1j * np.ascontiguousarray(phases))[:, :, None]
     freqs = np.asarray(freqs, dtype=np.float64)
-    arg = (np.asarray(phases).T[:, :, None]
-           + TWO_PI * freqs * np.asarray(delays).T[:, :, None])
+    arg = phases[:, :, None] + TWO_PI * freqs * delays[:, :, None]
     const = (arg == arg[:, :, :1]).all(axis=2)
     coef = np.empty(arg.shape, dtype=np.complex128)
     coef[const] = np.exp(-1j * arg[:, :, 0][const])[:, None]
@@ -154,9 +165,10 @@ def _usable_cpus() -> int:
 
 
 def _horner_chunk(cos_chunk, slope, coef, out, arg, z, acc, one_cell):
-    """``|sum_m coef[m] * z**m|`` of one angle chunk into ``out``, using the
-    first ``cos_chunk.size`` rows of the buffers ``arg``, ``z`` and ``acc``,
-    and ``one_cell`` for a chunk of one cell."""
+    """``|sum_m coef[m] * z**m|`` of one angle chunk into ``out``, ``coef``
+    broadcasting to (elements, chunk angles, columns), using the first
+    ``cos_chunk.size`` rows of the buffers ``arg``, ``z`` and ``acc``, and
+    ``one_cell`` for a chunk of one cell."""
     rows = cos_chunk.size
     arg, z, acc = arg[:rows], z[:rows], acc[:rows]
     np.multiply(cos_chunk[:, None], slope, out=arg)
@@ -328,9 +340,8 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     best_eff = np.zeros(ues * rings)
     best_rate = np.zeros(ues * rings)
     if total >= min_rbs and best_n.size:
-        counts = np.arange(min_rbs, total + 1)
         live_u, live_r, live_n, live_i = _envelope_candidates(
-            link_db, gain_db_desc, noise_db, counts, thr_lin, se,
+            link_db, gain_db_desc, noise_db, min_rbs, thr_lin, se,
             unique_betas.max())
         pair = live_u * rings + live_r
         bound = se[live_i] * live_n
@@ -383,10 +394,11 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
             best_eff.reshape(shape), best_rate.reshape(shape))
 
 
-def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
+def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
                          se, max_beta):
     """Candidates ``(user, ring, n)`` that may still win or tie, with each
-    one's upper-bound MCS ``i``, as four index arrays ordered by n.
+    one's upper-bound MCS ``i``, as four index arrays ordered by n, then by
+    user and MCS; n runs over ``[min_rbs, RBs]``.
 
     For the split SNRs ``g`` of the best n RBs, every beta's effective SNR
     lies between ``min(g)`` (each shifted EESM term is at most 1) and
@@ -400,11 +412,12 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
 
     A ring surely reaches the rate of every (n, i) whose ``reach`` it
     passes, so its sure rate is a step function of G; it first exceeds
-    ``se_i * n`` at ``exceed``, the smallest ``reach`` of a higher rate (one
-    sort of the rates and a running minimum). Candidate n is live at G when
-    the rate of its highest upper-bound MCS i, G in ``[meet_i, meet_i+1)``,
-    is no lower than the sure rate, G below ``exceed``: one interval of G
-    per (n, i), disjoint over i, found among the rings by one binary search.
+    ``se_i * n`` at ``exceed``, the smallest ``reach`` of a higher rate: a
+    running minimum in the rate order of ``_rate_order``, which is built
+    once per ladder and share width. Candidate n is live at G when the rate
+    of its highest upper-bound MCS i, G in ``[meet_i, meet_i+1)``, is no
+    lower than the sure rate, G below ``exceed``: one interval of G per
+    (n, i), disjoint over i, found among the rings by one binary search.
     All users go through one pass over (user, n, MCS) arrays. Ties stay
     live, so the first-n tie rule sees every candidate it needs. Below
     ``meet_i+1`` the upper bound misses every higher threshold, so the
@@ -419,7 +432,9 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
     SNR rows themselves keep. Cost: O(users * RBs * MCS) plus the live
     count, whatever the number of rings.
     """
+    ues, total = gain_db_desc.shape
     levels = thr_lin.size
+    counts = np.arange(min_rbs, total + 1)
     link = np.power(10.0, link_db / 10.0)
     ring_order = np.argsort(link)
     link_sorted = link[ring_order]
@@ -430,47 +445,62 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, counts, thr_lin,
     high /= counts * counts
     high *= (1.0 + _BOUND_REL) * (1.0 + _FACTOR_REL)
     need = thr_lin - _BOUND_REL * max_beta
-    # for each (n, i), the first position of a higher rate in rate order
-    # (sorted keys keep the binary search short)
-    rate = (se * counts[:, None]).ravel()
-    by_rate = np.argsort(rate)
-    above = np.empty_like(by_rate)
-    above[by_rate] = np.searchsorted(rate[by_rate], rate[by_rate],
-                                     side="right")
-    ues = gain_db_desc.shape[0]
-    reach = thr_lin / low[:, :, None]
-    # meet[u, :, i + 1] closes MCS i's interval, the last column the top
-    # MCS's; a threshold below the upper bound's absolute slack gives a meet
-    # point at or below 0, met at every ring
-    meet = np.full((ues, counts.size, levels + 1), np.inf)
-    np.divide(need, high[:, :, None], out=meet[:, :, :-1])
-    # lowest[u, j]: user u's smallest reach point from rate position j up
-    lowest = np.full((ues, rate.size + 1), np.inf)
-    np.minimum.accumulate(reach.reshape(ues, -1)[:, by_rate[::-1]], axis=1,
-                          out=lowest[:, -2::-1])
-    # per (u, n, i), the G at which the sure rate first exceeds se_i * n:
-    # the smallest reach point of a higher rate, inf if none
-    exceed = lowest[:, above].reshape(reach.shape)
-    start = meet[:, :, :-1].ravel()
-    end = np.minimum(exceed, meet[:, :, 1:]).ravel()
-    # an interval that starts past the last ring or ends at or before the
-    # first holds none; the binary searches place the others
-    live = np.flatnonzero(~((start > link_sorted[-1])
-                            | (end <= link_sorted[0])))
-    lo = np.searchsorted(link_sorted, start[live], side="left")
-    size = np.searchsorted(link_sorted, end[live], side="left")
+    n_rev, i_rev, above = _rate_order(se.tobytes(), min_rbs, total)
+    # lowest[u, 1 + q]: user u's smallest reach point over the q + 1
+    # highest rates, taken as thr / low; lowest[u, 0] stands for no rate
+    lowest = np.empty((ues, n_rev.size + 1))
+    lowest[:, 0] = np.inf
+    reach = lowest[:, 1:]
+    np.take(low, n_rev, axis=1, out=reach, mode="clip")  # indices in range
+    np.divide(thr_lin[i_rev], reach, out=reach)
+    np.fmin.accumulate(reach, axis=1, out=reach)
+    # per (u, n, i), the G at which the sure rate first exceeds se_i * n,
+    # inf if no rate is higher, capped by meet[u, n, i + 1], where MCS i's
+    # interval ends; a threshold below the upper bound's absolute slack
+    # gives a meet point at or below 0, met at every ring
+    end = np.take(lowest, above, axis=1).reshape(ues, counts.size, levels)
+    # the meet points, in the running minimum's place
+    meet = reach.reshape(end.shape)
+    np.divide(need, high[:, :, None], out=meet)
+    np.minimum(end[:, :, :-1], meet[:, :, 1:], out=end[:, :, :-1])
+    # an interval that is empty, starts past the last ring or ends at or
+    # before the first holds none; the binary searches place the others.
+    # The (n, user, MCS) order of the mask lists them by n.
+    live = np.flatnonzero(((end > meet) & (meet <= link_sorted[-1])
+                           & (end > link_sorted[0])).transpose(1, 0, 2))
+    n_idx, user = np.divmod(live, ues * levels)
+    user, mcs = np.divmod(user, levels)
+    cell = (user * counts.size + n_idx) * levels + mcs
+    lo = np.searchsorted(link_sorted, meet.ravel()[cell], side="left")
+    size = np.searchsorted(link_sorted, end.ravel()[cell], side="left")
     size -= lo
-    held = size > 0
-    live, lo, size = live[held], lo[held], size[held]
-    # ordered by n, then by user and MCS
-    order = np.argsort(live // levels % counts.size, kind="stable")
-    live, lo, size = live[order], lo[order], size[order]
-    user, n_idx = np.divmod(live // levels, counts.size)
     # the rings of each (n, user, i) interval, end to end
     where = np.repeat(lo - (np.cumsum(size) - size), size)
     where += np.arange(where.size)
     return (np.repeat(user, size), ring_order[where],
-            np.repeat(counts[n_idx], size), np.repeat(live % levels, size))
+            np.repeat(counts[n_idx], size), np.repeat(mcs, size))
+
+
+# keyed by the bytes of the ladder's spectral efficiencies, the minimum
+# grant and the share width: a sweep's schemes need two, and the order of
+# a 264-RB share takes 94 KB
+@functools.lru_cache(maxsize=8)
+def _rate_order(se_bytes, min_rbs, total):
+    """The rates ``se_i * n`` of every (n, MCS i), n in ``[min_rbs,
+    total]``, from the highest down: read-only arrays of each one's n index
+    and MCS, and for each (n, i) in (n, i) order the position, counted from
+    1 in that falling order, past the last strictly higher rate (0 when
+    none is higher)."""
+    se = np.frombuffer(se_bytes)
+    rate = (se * np.arange(min_rbs, total + 1)[:, None]).ravel()
+    by_rate = np.argsort(rate)
+    above = np.empty_like(by_rate)
+    above[by_rate] = rate.size - np.searchsorted(rate[by_rate],
+                                                 rate[by_rate], side="right")
+    n_rev, i_rev = np.divmod(by_rate[::-1], se.size)
+    for table in (n_rev, i_rev, above):
+        table.flags.writeable = False
+    return n_rev, i_rev, above
 
 
 def _pair_rows(link_db, gain_db_desc, noise_db, pair, live_n, bound):

@@ -215,9 +215,10 @@ class PhaseTimeWeights:
             raise ValueError("delays_s and phases_rad must have equal length")
         if delays.size == 0:
             raise ValueError("weights must cover at least one element")
-        if not np.all(np.isfinite(delays)) or not np.all(np.isfinite(phases)):
+        # array methods: a codebook validates one set per beam
+        if not (np.isfinite(delays).all() and np.isfinite(phases).all()):
             raise ValueError("weights must be finite")
-        if np.any(delays < 0.0):
+        if (delays < 0.0).any():
             raise ValueError("delays_s must be nonnegative")
         if self.delay_step_s < 0.0:
             raise ValueError("delay_step_s must be nonnegative")
@@ -313,15 +314,17 @@ def pattern_gain_db(cfg: ArrayConfig, weight_sets, cos_angles, freqs):
     """Gain in dB, shape (angles, sets * freqs): one ``pattern_corr`` call
     with the weight sets as column blocks (``table_gain_db``)."""
     slope, coef = pattern_tables(cfg, weight_sets, freqs)
+    blocks = np.broadcast_to(coef, coef.shape[:2] + slope.shape)
     return table_gain_db(cfg, cos_angles, np.tile(slope, len(weight_sets)),
-                         coef.reshape(cfg.num_elements, -1))
+                         blocks.reshape(cfg.num_elements, 1, -1))
 
 
 def pattern_tables(cfg: ArrayConfig, weight_sets, freqs):
     """The pattern kernel's tables at ``freqs``: the steering slope
     ``2*pi*spacing*f/c`` of each frequency, shape (freqs,), and the weight
-    sets' coefficients, shape (elements, sets, freqs), from one
-    ``_kernels.pattern_coefficients`` pass."""
+    sets' coefficients, shape (elements, sets, freqs), or (elements, sets,
+    1) when no set has a delay, from one ``_kernels.pattern_coefficients``
+    pass."""
     for w in weight_sets:
         if w.num_elements != cfg.num_elements:
             raise ValueError("weights length does not match cfg.num_elements")

@@ -155,9 +155,15 @@ def steer_weights(cfg: ArrayConfig, angle_rad: float) -> PhaseTimeWeights:
     if not (0.0 <= angle_rad <= math.pi):
         raise ValueError("angle_rad must lie in [0, pi]")
     m = np.arange(cfg.num_elements, dtype=np.float64)
-    slope = 2.0 * math.pi * cfg.spacing_m * math.cos(angle_rad) / cfg.wavelength_m
     return PhaseTimeWeights(delays_s=np.zeros(cfg.num_elements),
-                            phases_rad=slope * m, delay_step_s=0.0)
+                            phases_rad=_steer_slope(cfg, angle_rad) * m,
+                            delay_step_s=0.0)
+
+
+def _steer_slope(cfg: ArrayConfig, angle_rad: float) -> float:
+    """Per-element phase step of the flat beam toward an axis angle."""
+    return 2.0 * math.pi * cfg.spacing_m * math.cos(angle_rad) \
+        / cfg.wavelength_m
 
 
 def design_type2(cfg: ArrayConfig, spec: RainbowSpec,
@@ -288,7 +294,14 @@ def paa_codebook(cfg: ArrayConfig, num_beams: int, sector_rad) -> list:
     lo, hi = float(sector_rad[0]), float(sector_rad[1])
     width = (hi - lo) / num_beams
     centers = hi - (np.arange(num_beams) + 0.5) * width
-    return [steer_weights(cfg, float(c)) for c in centers]
+    # every beam's steer_weights phases from one outer product of the
+    # slopes and the element indices
+    phases = np.multiply.outer(
+        [_steer_slope(cfg, c) for c in centers.tolist()],
+        np.arange(cfg.num_elements, dtype=np.float64))
+    delays = np.zeros(cfg.num_elements)
+    return [PhaseTimeWeights(delays_s=delays, phases_rad=p, delay_step_s=0.0)
+            for p in phases]
 
 
 def export_codebook_csv(weights: PhaseTimeWeights, path) -> None:

@@ -146,19 +146,18 @@ def _serving_gain_rows(cfg: ArrayConfig, weight_sets, serving,
                        ue_angles_rad, freqs) -> np.ndarray:
     """Gain rows (num_ues, num_freqs): row u is ``weight_sets[serving[u]]``
     toward UE u (boresight-relative radians), bit for bit its one-angle
-    pattern_map row, from one pattern-kernel call: one row at cos = 1 whose
-    columns u*K ... u*K + K - 1 take UE u's slopes ``cos_u * slope_k`` and
-    its serving set's coefficients, each distinct set's table built once."""
+    pattern_map row, from one pattern-kernel call over the UE angles whose
+    coefficient table holds row u's serving set, each distinct set's table
+    built once. A lone serving set's table broadcasts over every row."""
     cos_ues = np.cos(axis_from_boresight_rad(ue_angles_rad))
     used = np.zeros(len(weight_sets), dtype=bool)
     used[serving] = True
     slope, coef = pattern_tables(
         cfg, [w for w, u in zip(weight_sets, used.tolist()) if u], freqs)
-    # each UE's position among the used sets
-    coef = coef[:, (np.cumsum(used) - 1)[serving]]
-    rows = table_gain_db(cfg, [1.0], (cos_ues[:, None] * slope).ravel(),
-                         coef.reshape(cfg.num_elements, -1))
-    return rows.reshape(cos_ues.size, -1)
+    if coef.shape[1] > 1:
+        # each UE's position among the used sets
+        coef = coef[:, (np.cumsum(used) - 1)[serving]]
+    return table_gain_db(cfg, cos_ues, slope, coef)
 
 
 def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,

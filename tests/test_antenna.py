@@ -241,7 +241,7 @@ def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
             np.cos(angles),
             2 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S * freqs,
             _kernels.pattern_coefficients(freqs, [w.phases_rad],
-                                          [w.delays_s])[:, 0])
+                                          [w.delays_s]))
         want = cfg.peak_gain_db + 20.0 * np.log10(
             np.maximum(corr, CORRELATION_FLOOR))
         assert np.array_equal(pattern_map(cfg, w, angles, grid), want)

@@ -34,11 +34,12 @@ SLOPE_SCALE = 2 * np.pi * 0.005353 / 299792458.0
 
 def _kernel_args(cos_angles, freqs, phases, delays, slope_scale):
     """``pattern_corr``'s arguments for one weight set, (M,), or for S sets,
-    (S, M), as column blocks over ``freqs``."""
+    (S, M), as column blocks over ``freqs`` shared by every angle."""
     phases, delays = np.atleast_2d(phases, delays)
     coef = _kernels.pattern_coefficients(freqs, phases, delays)
+    blocks = np.broadcast_to(coef, coef.shape[:2] + (len(freqs),))
     return (cos_angles, np.tile(slope_scale * freqs, len(phases)),
-            coef.reshape(coef.shape[0], -1))
+            blocks.reshape(coef.shape[0], 1, -1))
 
 
 def _corr(*args):
@@ -342,7 +343,8 @@ def test_pattern_corr_single_element_runs_no_horner_step():
 def test_zero_delay_coefficients_equal_the_per_column_table():
     # an element whose argument is the same at every frequency under its
     # set takes one exponential copied along its row: a PAA beam (no
-    # delay), a set with some zero delays, and three sets in one pass,
+    # delay), four of them in one pass, a set with some zero delays, and
+    # three sets in one pass,
     # where a zero delay under each set's own phase is constant per set;
     # every table equals the per-set, per-column one bit for bit
     rng = np.random.default_rng(13)
@@ -354,6 +356,7 @@ def test_zero_delay_coefficients_equal_the_per_column_table():
     sets_delays[:, 3] = 0.0
     for phases, delays in (
             (rng.uniform(0.0, 2 * np.pi, (1, 16)), np.zeros((1, 16))),
+            (rng.uniform(0.0, 2 * np.pi, (4, 16)), np.zeros((4, 16))),
             (rng.uniform(0.0, 2 * np.pi, (1, 16)), mixed[None]),
             (rng.uniform(0.0, 2 * np.pi, (3, 16)), sets_delays)):
         args = [p + _kernels.TWO_PI * freqs[:, None] * d
@@ -363,8 +366,11 @@ def test_zero_delay_coefficients_equal_the_per_column_table():
         got = _kernels.pattern_coefficients(freqs, phases, delays)
         want = np.stack([np.exp(-1j * a).T for a in args], axis=1)
         assert got.flags.c_contiguous
-        assert got.shape == want.shape == (16, len(phases), 264)
-        assert got.tobytes() == want.tobytes()
+        # sets without any delay take a one-column table
+        width = 264 if delays.any() else 1
+        assert got.shape == (16, len(phases), width)
+        assert want.shape == (16, len(phases), 264)
+        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
 
 
 def _rate_inputs(rng, levels, distinct_betas):
@@ -623,7 +629,7 @@ def _assert_envelope_holds_per_cell(link_db, gain_db, noise_db, thr_lin, se,
     upper-bound MCS is at least the MCS its exact EESM meets."""
     counts = np.arange(4, gain_db.shape[1] + 1)
     *live, live_mcs = _kernels._envelope_candidates(
-        link_db, gain_db, noise_db, counts, thr_lin, se, betas.max())
+        link_db, gain_db, noise_db, 4, thr_lin, se, betas.max())
     assert np.all(np.diff(live[2]) >= 0)  # ordered by n
     got = list(zip(*(a.tolist() for a in live)))
     assert len(set(got)) == len(got)
@@ -679,9 +685,8 @@ def test_envelope_lists_no_ring_past_every_interval():
     link_db = noise_db - 200.0 - np.sort(rng.uniform(0.0, 40.0, 20))
     gain_db = np.sort(rng.uniform(-10.0, 28.0, (3, 24)), axis=1)[:, ::-1]
     thr_lin, se, betas = _rate_inputs(rng, 8, True)
-    live = _kernels._envelope_candidates(link_db, gain_db, noise_db,
-                                         np.arange(4, 25), thr_lin, se,
-                                         betas.max())
+    live = _kernels._envelope_candidates(link_db, gain_db, noise_db, 4,
+                                         thr_lin, se, betas.max())
     assert [a.size for a in live] == [0] * 4
     assert _assert_envelope_holds_per_cell(link_db, gain_db, noise_db,
                                            thr_lin, se, betas) == set()
@@ -713,8 +718,8 @@ def test_envelope_ring_on_an_interval_end():
     assert thr - rel == high
     thr_lin, se, betas = np.array([0.1, thr]), np.array([1.0, 2.0]), \
         np.ones(2)
-    live = _kernels._envelope_candidates(link_db, gain_db, noise_db,
-                                         np.array([4]), thr_lin, se, 1.0)
+    live = _kernels._envelope_candidates(link_db, gain_db, noise_db, 4,
+                                         thr_lin, se, 1.0)
     assert [a.tolist() for a in live] == [[0], [0], [4], [1]]
     _assert_envelope_holds_per_cell(link_db, gain_db, noise_db, thr_lin, se,
                                     betas)
