@@ -10,14 +10,22 @@ at 1 and at 160 rings and of 8 users at 160 rings (the oracle called once
 per user and ring). Kernels and the delay- and rate-scan oracles report
 the best of ``--repeats`` runs; the oracles that take seconds (pattern
 grid, the delay scan past 16 elements, 8-user rate scan) are timed once.
+The faults column counts the process's minor page faults during the
+kernel's best run: memory the allocator has just taken from the system
+faults once per page on first use, which can cost more than the work, so
+a time with faults reflects the heap's layout as well as the kernel.
 This is the package's one micro-benchmark; ``perfbench/`` times whole
 workloads.
 
 One row times a sweep's gain stage, recorded from
 ``sysim.throughput_sweep`` of the criterion-4 deployment: the PAA and JPTA
 gain rows of 8 UEs over 264 RBs, each scheme's rows from one pattern-kernel
-call, against one ``antenna.pattern_gain_db`` call per distinct serving
-set, the gain stage that call replaced.
+call over the UE angles with one coefficient row per UE, against the same
+call laid out as one row at cos = 1 over UEs x RBs columns, each UE's
+serving set's coefficient columns copied into an (elements, UEs x RBs)
+table, the layout that the coefficient rows replaced. Another times one
+``throughput_sweep`` of that deployment at one ring, the set-up cost every
+sweep pays whatever its ring count, against the same sweep at 160 rings.
 
 Four rows time the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread, and the delay
@@ -48,6 +56,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import resource
 import sys
 import time
 from pathlib import Path
@@ -67,13 +76,17 @@ from oracles import (  # noqa: E402
 )
 
 
-def _time_best(fn, args, repeats: int) -> float:
-    """Best-of-N wall time in seconds for ``fn(*args)``."""
-    best = math.inf
+def _time_best(fn, args, repeats: int):
+    """Best-of-N wall time in seconds for ``fn(*args)``, and the minor page
+    faults of the process during that run."""
+    best = (math.inf, 0)
     for _ in range(repeats):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         fn(*args)
-        best = min(best, time.perf_counter() - t0)
+        seconds = time.perf_counter() - t0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        best = min(best, (seconds, faults))
     return best
 
 
@@ -219,19 +232,55 @@ def _gain_rows(paa_args, jpta_args):
     return [sysim._serving_gain_rows(*args) for args in (paa_args, jpta_args)]
 
 
-def _gain_rows_per_set(paa_args, jpta_args):
-    """The same rows from one ``antenna.pattern_gain_db`` call per distinct
-    serving set over the UEs it serves, the gain stage it replaced."""
-    def per_set(cfg, weight_sets, serving, ue_angles_rad, freqs):
+def _gain_rows_one_row(paa_args, jpta_args):
+    """The same rows from one row at cos = 1 whose columns u*K ... u*K + K
+    - 1 take UE u's slopes and its serving set's coefficient columns, each
+    used set's table built at every frequency: the layout and the tables
+    that the coefficient rows replaced."""
+    def one_row(cfg, weight_sets, serving, ue_angles_rad, freqs):
         cos_ues = np.cos(antenna.axis_from_boresight_rad(ue_angles_rad))
-        rows = np.empty((cos_ues.size, len(freqs)))
-        for s in set(serving.tolist()):
-            ues = serving == s
-            rows[ues] = antenna.pattern_gain_db(cfg, [weight_sets[s]],
-                                                cos_ues[ues], freqs)
-        return rows
+        used = sorted(set(serving.tolist()))
+        arg = (np.array([weight_sets[s].phases_rad for s in used]).T[:, :, None]
+               + _kernels.TWO_PI * freqs
+               * np.array([weight_sets[s].delays_s for s in used]).T[:, :, None])
+        const = (arg == arg[:, :, :1]).all(axis=2)
+        coef = np.empty(arg.shape, dtype=np.complex128)
+        coef[const] = np.exp(-1j * arg[:, :, 0][const])[:, None]
+        coef[~const] = np.exp(-1j * arg[~const])
+        slope = (2.0 * math.pi * cfg.spacing_m / antenna.SPEED_OF_LIGHT_M_S
+                 * np.asarray(freqs))
+        rows = antenna.table_gain_db(
+            cfg, [1.0], (cos_ues[:, None] * slope).ravel(),
+            coef[:, np.searchsorted(used, serving)].reshape(
+                cfg.num_elements, 1, -1))
+        return rows.reshape(cos_ues.size, -1)
 
-    return [per_set(*args) for args in (paa_args, jpta_args)]
+    return [one_row(*args) for args in (paa_args, jpta_args)]
+
+
+def _sweep_args(rings):
+    """``throughput_sweep``'s arguments for the criterion-4 deployment at
+    ``rings`` rings (one ring at 1000 m)."""
+    cfg, dep, lm = _criterion4(max(rings, 2))
+    if rings == 1:
+        dep = sysim.Deployment(dep.ue_angles_rad, [1000.0])
+    mcs = cfg.mcs_table()
+    return (dep, cfg.array_config(), cfg.frequency_grid(), lm, mcs,
+            cfg.delay_constraint(), cfg.paa_num_beams, cfg.paa_sector_rad(),
+            cfg.eesm_betas(mcs))
+
+
+def _one_ring_sweep_args():
+    """The one-ring sweep and, for the comparison, the 160-ring one."""
+    return _sweep_args(1), _sweep_args(160)
+
+
+def _sweep_one_ring(one_ring, many_rings):
+    return sysim.throughput_sweep(*one_ring)
+
+
+def _sweep_many_rings(one_ring, many_rings):
+    return sysim.throughput_sweep(*many_rings)
 
 
 def _sweep_rate_grids(paa_args, jpta_args):
@@ -283,8 +332,10 @@ BENCHES = [
      pattern_corr_py, lambda: _pattern_args(91, 64), True),
     ("pattern_corr (91 angles x 264 RBs, 256 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(91, 256), True),
-    ("gain rows    (8 UEs x 264 RBs, vs per set)", _gain_rows,
-     _gain_rows_per_set, _gain_rows_args, False),
+    ("gain rows    (8 UEs x 264 RBs, vs one row)", _gain_rows,
+     _gain_rows_one_row, _gain_rows_args, False),
+    ("throughput_sweep (8 UEs, 1 ring vs 160 rings)", _sweep_one_ring,
+     _sweep_many_rings, _one_ring_sweep_args, False),
     ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",
@@ -323,16 +374,18 @@ def main() -> None:
                              "(best is reported)")
     args = parser.parse_args()
 
-    header = "%-46s %12s %12s %9s" % ("kernel", "numpy", "oracle", "speedup")
+    header = "%-46s %12s %7s %12s %9s" % ("kernel", "numpy", "faults",
+                                           "oracle", "speedup")
     print(header)
     print("-" * len(header))
     for name, kernel, oracle, make_args, oracle_once in BENCHES:
         call_args = make_args()
-        t_kernel = _time_best(kernel, call_args, args.repeats)
+        t_kernel, faults = _time_best(kernel, call_args, args.repeats)
         t_oracle = _time_best(oracle, call_args,
-                              1 if oracle_once else args.repeats)
-        print("%-46s %10.3f ms %10.3f ms %8.1fx"
-              % (name, t_kernel * 1e3, t_oracle * 1e3, t_oracle / t_kernel))
+                              1 if oracle_once else args.repeats)[0]
+        print("%-46s %10.3f ms %7d %10.3f ms %8.1fx"
+              % (name, t_kernel * 1e3, faults, t_oracle * 1e3,
+                 t_oracle / t_kernel))
 
 
 if __name__ == "__main__":

@@ -3,11 +3,12 @@
 Three loops dominate the toolkit's numerical run time:
 
 * the angle x column pattern grid (``pattern_corr``), a Horner evaluation
-  of one element polynomial per column, chunked over angles and split over
-  the usable CPUs. A column is a steering slope and a coefficient column
-  (``pattern_coefficients``, one pass over any number of weight sets), so
-  one call serves a pattern map (sets as column blocks) or every UE's gain
-  row toward its own angle from its own serving set (one row at cos = 1);
+  of one element polynomial per cell, chunked over angles and split over
+  the usable CPUs. A column is a steering slope, and the coefficient table
+  (``pattern_coefficients``, one pass over any number of weight sets, one
+  column wide when no set has a delay) holds one row for every angle or
+  one per angle, so one call serves a pattern map (sets as column blocks)
+  or every UE's gain row toward its own angle from its own serving set;
 * the per-antenna delay-grid scan of the wideband beam designer
   (``delay_scan``), a complex matrix product with a twiddle table
   (``delay_twiddles``), of which the designer keeps the last two it used,
@@ -19,7 +20,8 @@ Three loops dominate the toolkit's numerical run time:
   both bounds scale with the ring's link gain. So each (RB count, MCS) pair
   can win only on one interval of link gain, and one binary search per
   interval lists the live candidates before any exponential is taken, at a
-  cost that does not grow with the rings. The interval also caps each
+  cost that does not grow with the rings, in a rate order built once per
+  MCS ladder and share width. The interval also caps each
   candidate's rate, so the EESM runs in two stages: each pair's candidate
   of the largest cap first, then only the others whose cap reaches that
   exact rate. On the criterion-4 deployment at 160 rings the EESM runs for
@@ -266,7 +268,9 @@ _BOUND_REL = 1e-6
 _FACTOR_REL = 1e-10
 
 # SNR or EESM terms per chunk of the rate scan's pair rows and candidates: a
-# chunk's arrays stay near cache size, and no temporary grows with the rings
+# chunk's temporaries stay near cache size. The pair rows themselves, which
+# the EESM reads, grow with the rings: 0.55-0.72 MB for the PAA rows of the
+# criterion-4 deployment at 160 rings, 17-23 MB at 5120
 EESM_CHUNK_TERMS = 1 << 15
 
 
@@ -418,7 +422,7 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
     of its highest upper-bound MCS i, G in ``[meet_i, meet_i+1)``, is no
     lower than the sure rate, G below ``exceed``: one interval of G per
     (n, i), disjoint over i, found among the rings by one binary search.
-    All users go through one pass over (user, n, MCS) arrays. Ties stay
+    All users go through one pass over (user, MCS, n) arrays. Ties stay
     live, so the first-n tie rule sees every candidate it needs. Below
     ``meet_i+1`` the upper bound misses every higher threshold, so the
     candidate's exact MCS is at most i.
@@ -445,34 +449,33 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
     high /= counts * counts
     high *= (1.0 + _BOUND_REL) * (1.0 + _FACTOR_REL)
     need = thr_lin - _BOUND_REL * max_beta
-    n_rev, i_rev, above = _rate_order(se.tobytes(), min_rbs, total)
-    # lowest[u, 1 + q]: user u's smallest reach point over the q + 1
-    # highest rates, taken as thr / low; lowest[u, 0] stands for no rate
+    n_rev, i_rev, above = _rate_order(
+        np.asarray(se, dtype=np.float64).tobytes(), min_rbs, total)
+    # lowest[u, c]: user u's smallest reach point thr / low over the c
+    # highest rates, inf over none
     lowest = np.empty((ues, n_rev.size + 1))
     lowest[:, 0] = np.inf
     reach = lowest[:, 1:]
     np.take(low, n_rev, axis=1, out=reach, mode="clip")  # indices in range
     np.divide(thr_lin[i_rev], reach, out=reach)
     np.fmin.accumulate(reach, axis=1, out=reach)
-    # per (u, n, i), the G at which the sure rate first exceeds se_i * n,
-    # inf if no rate is higher, capped by meet[u, n, i + 1], where MCS i's
-    # interval ends; a threshold below the upper bound's absolute slack
-    # gives a meet point at or below 0, met at every ring
-    end = np.take(lowest, above, axis=1).reshape(ues, counts.size, levels)
-    # the meet points, in the running minimum's place
-    meet = reach.reshape(end.shape)
-    np.divide(need, high[:, :, None], out=meet)
-    np.minimum(end[:, :, :-1], meet[:, :, 1:], out=end[:, :, :-1])
+    # per (u, i, n), the G at which the sure rate first exceeds se_i * n,
+    # lowest over the rates above it, capped by meet[u, i + 1, n], where
+    # MCS i's interval ends; a threshold below the upper bound's absolute
+    # slack gives a meet point at or below 0, met at every ring
+    end = np.take(lowest, above, axis=1).reshape(ues, levels, counts.size)
+    meet = reach.reshape(end.shape)  # in the running minimum's place
+    np.divide(need[:, None], high[:, None, :], out=meet)
+    np.minimum(end[:, :-1], meet[:, 1:], out=end[:, :-1])
     # an interval that is empty, starts past the last ring or ends at or
     # before the first holds none; the binary searches place the others.
     # The (n, user, MCS) order of the mask lists them by n.
     live = np.flatnonzero(((end > meet) & (meet <= link_sorted[-1])
-                           & (end > link_sorted[0])).transpose(1, 0, 2))
+                           & (end > link_sorted[0])).transpose(2, 0, 1))
     n_idx, user = np.divmod(live, ues * levels)
     user, mcs = np.divmod(user, levels)
-    cell = (user * counts.size + n_idx) * levels + mcs
-    lo = np.searchsorted(link_sorted, meet.ravel()[cell], side="left")
-    size = np.searchsorted(link_sorted, end.ravel()[cell], side="left")
+    lo = np.searchsorted(link_sorted, meet[user, mcs, n_idx], side="left")
+    size = np.searchsorted(link_sorted, end[user, mcs, n_idx], side="left")
     size -= lo
     # the rings of each (n, user, i) interval, end to end
     where = np.repeat(lo - (np.cumsum(size) - size), size)
@@ -486,18 +489,18 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
 # a 264-RB share takes 94 KB
 @functools.lru_cache(maxsize=8)
 def _rate_order(se_bytes, min_rbs, total):
-    """The rates ``se_i * n`` of every (n, MCS i), n in ``[min_rbs,
+    """The rates ``se_i * n`` of every (MCS i, n), n in ``[min_rbs,
     total]``, from the highest down: read-only arrays of each one's n index
-    and MCS, and for each (n, i) in (n, i) order the position, counted from
-    1 in that falling order, past the last strictly higher rate (0 when
-    none is higher)."""
+    and MCS, and, for each (i, n) in (i, n) order, how many rates are
+    strictly higher."""
     se = np.frombuffer(se_bytes)
-    rate = (se * np.arange(min_rbs, total + 1)[:, None]).ravel()
+    counts = np.arange(min_rbs, total + 1)
+    rate = (se[:, None] * counts).ravel()
     by_rate = np.argsort(rate)
     above = np.empty_like(by_rate)
     above[by_rate] = rate.size - np.searchsorted(rate[by_rate],
                                                  rate[by_rate], side="right")
-    n_rev, i_rev = np.divmod(by_rate[::-1], se.size)
+    i_rev, n_rev = np.divmod(by_rate[::-1], counts.size)
     for table in (n_rev, i_rev, above):
         table.flags.writeable = False
     return n_rev, i_rev, above
@@ -510,7 +513,8 @@ def _pair_rows(link_db, gain_db_desc, noise_db, pair, live_n, bound):
     RBs being ``rows[first[c]:][:n]``; and each pair's candidate of the
     largest ``bound``. Pairs hold a few candidates each, so the rows take a
     fraction of the terms the EESM then reads. They are built in chunks of
-    about ``EESM_CHUNK_TERMS`` terms, so no temporary grows with them."""
+    about ``EESM_CHUNK_TERMS`` terms, so no temporary but the rows grows
+    with them."""
     order = np.lexsort((bound, pair))
     # where each pair's run of candidates starts, then the candidate count
     edges = np.flatnonzero(np.diff(pair[order], prepend=-1, append=-1))

@@ -153,6 +153,26 @@ def test_paa_codebook_centers(array16):
         assert np.all(beam.delays_s == 0.0)
 
 
+def test_paa_codebook_equals_steer_weights_bit_for_bit(array16):
+    # the codebook's one-pass phases are each beam's steer_weights phases,
+    # bits included, on arrays of 1, 16 and 64 elements and at a spacing
+    # off half a wavelength
+    for cfg in (array16, ArrayConfig.half_wavelength(1, 28e9),
+                ArrayConfig(64, 0.0041, 39e9, 30.0)):
+        for num_beams, sector in ((16, (axis_from_boresight_deg(60.0),
+                                        axis_from_boresight_deg(-60.0))),
+                                  (1, (0.5, 2.0)), (7, (0.0, math.pi))):
+            beams = paa_codebook(cfg, num_beams, sector)
+            width = (sector[1] - sector[0]) / num_beams
+            centers = sector[1] - (np.arange(num_beams) + 0.5) * width
+            assert len(beams) == num_beams
+            for beam, center in zip(beams, centers.tolist()):
+                want = steer_weights(cfg, center)
+                assert beam.phases_rad.tobytes() == want.phases_rad.tobytes()
+                assert beam.delays_s.tobytes() == want.delays_s.tobytes()
+                assert beam.delay_step_s == want.delay_step_s
+
+
 def test_paa_codebook_validation(array16):
     with pytest.raises(ValueError):
         paa_codebook(array16, 0, (0.5, 2.0))

@@ -225,6 +225,42 @@ def test_pattern_corr_weight_sets_as_columns_equal_per_set_calls(
                                                 num_angles, s)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pattern_corr_per_angle_coefficient_rows_equal_one_angle_calls(
+        monkeypatch, cpus):
+    # a table with one coefficient row per angle, each from one of S weight
+    # sets: full width from sets with delays, one column wide from sets
+    # without any; row a equals angle a's own call with its set's (M, 1, K)
+    # table bit for bit, on grids of several chunks, which the threads
+    # hand out and whose coefficient rows each chunk slices, of one-cell
+    # chunks and of one cell
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(17)
+    for num_freqs, num_angles, chunk_rows in ((24, 10, 3), (24, 9, 9),
+                                              (1, 7, 1), (1, 1, 1),
+                                              (264, 8, 124)):
+        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
+                            chunk_rows * num_freqs)
+        freqs = _rb_freqs(num_freqs)
+        slope = SLOPE_SCALE * freqs
+        cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
+        phases = rng.uniform(0.0, 2 * np.pi, (3, 16))
+        serving = rng.integers(0, 3, num_angles)
+        for delays in (rng.integers(0, 64, (3, 16)) * 2.5e-9,
+                       np.zeros((3, 16))):
+            tables = _kernels.pattern_coefficients(freqs, phases, delays)
+            assert tables.shape[2] == (num_freqs if delays.any() else 1)
+            rows = _kernels.pattern_corr(cos_angles, slope,
+                                         tables[:, serving])
+            assert rows.shape == (num_angles, num_freqs)
+            for a, s in enumerate(serving.tolist()):
+                own = np.ascontiguousarray(np.broadcast_to(
+                    tables[:, s:s + 1], (16, 1, num_freqs)))
+                want = _kernels.pattern_corr(cos_angles[a:a + 1], slope, own)
+                assert np.array_equal(rows[a], want[0]), (num_freqs,
+                                                          num_angles, a)
+
+
 def _threaded_and_serial(monkeypatch, cpus, args):
     """``pattern_corr(*args)`` with ``cpus`` usable CPUs and with one, and
     the number of threads the first call started."""
