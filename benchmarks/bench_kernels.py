@@ -240,9 +240,10 @@ def _gain_rows_one_row(paa_args, jpta_args):
     def one_row(cfg, weight_sets, serving, ue_angles_rad, freqs):
         cos_ues = np.cos(antenna.axis_from_boresight_rad(ue_angles_rad))
         used = sorted(set(serving.tolist()))
-        arg = (np.array([weight_sets[s].phases_rad for s in used]).T[:, :, None]
-               + _kernels.TWO_PI * freqs
-               * np.array([weight_sets[s].delays_s for s in used]).T[:, :, None])
+        phases = np.array([weight_sets[s].phases_rad for s in used]).T
+        delays = np.array([weight_sets[s].delays_s for s in used]).T
+        arg = (phases[:, :, None]
+               + _kernels.TWO_PI * freqs * delays[:, :, None])
         const = (arg == arg[:, :, :1]).all(axis=2)
         coef = np.empty(arg.shape, dtype=np.complex128)
         coef[const] = np.exp(-1j * arg[:, :, 0][const])[:, None]

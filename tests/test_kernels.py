@@ -380,9 +380,9 @@ def test_zero_delay_coefficients_equal_the_per_column_table():
     # an element whose argument is the same at every frequency under its
     # set takes one exponential copied along its row: a PAA beam (no
     # delay), four of them in one pass, a set with some zero delays, and
-    # three sets in one pass,
-    # where a zero delay under each set's own phase is constant per set;
-    # every table equals the per-set, per-column one bit for bit
+    # three sets in one pass, where a zero delay under each set's own phase
+    # is constant per set; every table equals the per-set, per-column one
+    # bit for bit, one column standing for all where no set has a delay
     rng = np.random.default_rng(13)
     freqs = _rb_freqs(264)
     mixed = np.where(rng.random(16) < 0.5, 0,
