@@ -19,14 +19,14 @@ Three loops dominate the toolkit's numerical run time:
   the weakest split SNR and the mean split SNR, and across one user's rings
   both bounds scale with the ring's link gain. So each (RB count, MCS) pair
   can win only on one interval of link gain, and one binary search per
-  interval lists the live candidates before any exponential is taken, at a
-  cost that does not grow with the rings, in a rate order built once per
-  MCS ladder and share width. The interval also caps each
-  candidate's rate, so the EESM runs in two stages: each pair's candidate
-  of the largest cap first, then only the others whose cap reaches that
-  exact rate. On the criterion-4 deployment at 160 rings the EESM runs for
-  0.6-1.0% of the (user, ring, RB count) candidates, at 1.3 times the
-  terms of the winners alone.
+  interval lists the live candidates before any exponential is taken, in a
+  rate order built once per MCS ladder and share width. The interval also
+  caps each candidate's rate, so the EESM runs in two stages: each pair's
+  candidate of the largest cap first, then only the others whose cap
+  reaches that exact rate. Each evaluated candidate builds its own SNR row
+  in the EESM's chunk loop, read there in place. On the criterion-4
+  deployment at 160 rings the EESM runs for 0.6-1.0% of the (user, ring,
+  RB count) candidates, at 1.3 times the terms of the winners alone.
 
 The pattern CSV's text formatter (``format_g6``) lives with its writer in
 ``jpta.cli``. ``tests/oracles.py`` holds plain-loop references for all three
@@ -267,11 +267,29 @@ _BOUND_REL = 1e-6
 # factorisation rounds by about 1e-14 relative
 _FACTOR_REL = 1e-10
 
-# SNR or EESM terms per chunk of the rate scan's pair rows and candidates: a
-# chunk's temporaries stay near cache size. The pair rows themselves, which
-# the EESM reads, grow with the rings: 0.55-0.72 MB for the PAA rows of the
-# criterion-4 deployment at 160 rings, 17-23 MB at 5120
+# SNR and EESM terms per chunk of the rate scan: a chunk builds each of its
+# candidates' own SNR rows and takes their EESM means, and its temporaries
+# stay near cache size. Nothing but the per-candidate results grows with
+# the rings
 EESM_CHUNK_TERMS = 1 << 15
+
+# the base of ``pow10``'s chunks: numpy runs ``np.power`` in its vector
+# loop for an array base, but not for a scalar one
+_TENS = np.full(1 << 15, 10.0)
+_TENS.flags.writeable = False
+
+
+def pow10(x, out=None):
+    """``10 ** x`` elementwise with the bits of ``np.power(10.0, x)``, at
+    about half its cost: the base is a full array of tens, taken in chunks
+    of ``_TENS.size`` terms. ``out``, C-contiguous, may be ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty(x.shape) if out is None else out
+    flat, dest = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _TENS.size):
+        hi = lo + _TENS.size
+        np.power(_TENS[:flat.size - lo], flat[lo:hi], out=dest[lo:hi])
+    return out
 
 
 def snr_unsplit(link_db, gain_db, noise_db, out=None):
@@ -283,7 +301,7 @@ def snr_unsplit(link_db, gain_db, noise_db, out=None):
     snr = np.add(link_db, gain_db, out=out)
     snr -= noise_db
     snr /= 10.0
-    return np.power(10.0, snr, out=snr)
+    return pow10(snr, out=snr)
 
 
 def eesm_snr_db(v_min, means, betas):
@@ -323,10 +341,10 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     by the bounds of ``_envelope_candidates``, which also give each live
     candidate an upper-bound MCS ``i``: its exact rate is at most ``se[i] *
     n``. The EESM then runs in two stages. Stage 1 evaluates each pair's
-    candidate of the largest bound, an exact rate ``r1`` for the pair;
-    stage 2 evaluates the pair's other candidates whose bound is at least
-    ``r1``. A candidate left out has an exact rate below ``r1``, so it can
-    neither win nor tie.
+    candidate of the largest bound (of equal bounds the one with more RBs),
+    an exact rate ``r1`` for the pair; stage 2 evaluates the pair's other
+    candidates whose bound is at least ``r1``. A candidate left out has an
+    exact rate below ``r1``, so it can neither win nor tie.
 
     Every pair is decided exactly as a one-user, one-ring call would decide
     it: each SNR term comes from ``snr_unsplit`` of the same values, the
@@ -349,8 +367,6 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
             unique_betas.max())
         pair = live_u * rings + live_r
         bound = se[live_i] * live_n
-        rows, first, top = _pair_rows(link_db, gain_db_desc, noise_db, pair,
-                                      live_n, bound)
         # exact results of the evaluated candidates; the others stay
         # infeasible, as none of them can win or tie
         v_min = np.empty(live_n.size)
@@ -358,36 +374,31 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
         mcs = np.full(live_n.size, -1, dtype=np.int64)
 
         def evaluate(c):
-            n = live_n[c]
-            # the weakest of the best n RBs after the split
-            v_min[c] = rows[first[c] + n - 1] / n
-            means[:, c] = _eesm_means(rows, first[c], n, v_min[c],
-                                      unique_betas)
+            v_min[c], means[:, c] = _eesm_stage(
+                link_db, gain_db_desc, noise_db, live_u[c], live_r[c],
+                live_n[c], unique_betas)
             mcs[c] = _highest_feasible_mcs(v_min[c], means[:, c], thr_lin,
                                            unique_betas, beta_idx)
 
         # stage 1, each pair's largest bound, and stage 2, the rest whose
         # bound reaches the pair's stage-1 rate (>= keeps a tie), each in n
         # order
-        stage1 = np.zeros(live_n.size, dtype=bool)
-        stage1[top] = True
-        evaluate(np.flatnonzero(stage1))
+        top = _leaders(pair, ues * rings, bound, live_n)
+        evaluate(top)
         r1 = np.full(ues * rings, -np.inf)
         fit = top[mcs[top] >= 0]
         r1[pair[fit]] = se[mcs[fit]] * live_n[fit]
-        evaluate(np.flatnonzero(~stage1 & (bound >= r1[pair])))
+        stage2 = bound >= r1[pair]
+        stage2[top] = False
+        evaluate(np.flatnonzero(stage2))
 
         # best n per pair by (rate, MCS, -n): as se strictly increases, of
-        # equal rates the one with fewer RBs has the higher MCS, so sort the
-        # feasible candidates by pair, falling rate and rising n, and take
-        # each pair's first
+        # equal rates the one with fewer RBs has the higher MCS
         fit = np.flatnonzero(mcs >= 0)
         rate = se[mcs[fit]] * live_n[fit]
-        order = np.lexsort((live_n[fit], -rate, pair[fit]))
-        won = order[np.flatnonzero(np.diff(pair[fit[order]], prepend=-1))]
+        won = _leaders(pair[fit], ues * rings, rate, -live_n[fit])
         c = fit[won]
-        cell = pair[c]
-        i = mcs[c]
+        cell, i = pair[c], mcs[c]
         b = beta_idx[i]
         best_n[cell] = live_n[c]
         best_mcs[cell] = i
@@ -439,7 +450,7 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
     ues, total = gain_db_desc.shape
     levels = thr_lin.size
     counts = np.arange(min_rbs, total + 1)
-    link = np.power(10.0, link_db / 10.0)
+    link = pow10(link_db / 10.0)
     ring_order = np.argsort(link)
     link_sorted = link[ring_order]
     row = snr_unsplit(0.0, gain_db_desc, noise_db)
@@ -506,37 +517,16 @@ def _rate_order(se_bytes, min_rbs, total):
     return n_rev, i_rev, above
 
 
-def _pair_rows(link_db, gain_db_desc, noise_db, pair, live_n, bound):
-    """The live candidates grouped by (user, ring) pair, ``pair = user *
-    rings + ring``: SNRs of each pair's best RBs up to its largest live n,
-    end to end, by ``snr_unsplit``; each candidate's row start, its best n
-    RBs being ``rows[first[c]:][:n]``; and each pair's candidate of the
-    largest ``bound``. Pairs hold a few candidates each, so the rows take a
-    fraction of the terms the EESM then reads. They are built in chunks of
-    about ``EESM_CHUNK_TERMS`` terms, so no temporary but the rows grows
-    with them."""
-    order = np.lexsort((bound, pair))
-    # where each pair's run of candidates starts, then the candidate count
-    edges = np.flatnonzero(np.diff(pair[order], prepend=-1, append=-1))
-    ends = edges[1:] - 1
-    length = np.maximum.reduceat(live_n[order], edges[:-1])
-    start = np.cumsum(length) - length
-    pair_u, pair_r = np.divmod(pair[order[ends]], link_db.size)
-    gains = gain_db_desc.ravel()
-    rows = np.empty(length.sum())
-    for lo, hi in _chunks(length):
-        n = length[lo:hi]
-        # indices of each pair's best RBs in the gain rows, end to end
-        where = np.repeat(pair_u[lo:hi] * gain_db_desc.shape[1]
-                          - (start[lo:hi] - start[lo]), n)
-        where += np.arange(where.size)
-        row = rows[start[lo]:start[lo] + where.size]
-        np.take(gains, where, out=row)
-        snr_unsplit(np.repeat(link_db[pair_r[lo:hi]], n), row, noise_db,
-                    out=row)
-    first = np.empty(pair.size, dtype=np.int64)
-    first[order] = np.repeat(start, np.diff(edges))
-    return rows, first, order[ends]
+def _leaders(group, groups, key, tie):
+    """Ascending indices of the entries that lead their group, ``group`` in
+    ``[0, groups)``: the highest float ``key``, then of those the highest
+    integer ``tie``, which must be distinct within a group of equal keys."""
+    top = np.full(groups, -np.inf)
+    np.maximum.at(top, group, key)
+    lead = np.flatnonzero(key == top[group])
+    best = np.full(groups, np.iinfo(np.int64).min)
+    np.maximum.at(best, group[lead], tie[lead])
+    return lead[tie[lead] == best[group[lead]]]
 
 
 def _chunks(sizes):
@@ -548,28 +538,37 @@ def _chunks(sizes):
     return zip([0] + cuts, cuts + [sizes.size]) if sizes.size else ()
 
 
-def _eesm_means(rows, first, live_n, v_min, unique_betas):
-    """Shifted EESM mean ``mean(exp((v_min - v) / beta))`` over the best n
-    RBs ``v`` of each live candidate, ``rows[first:first + n]`` split over
-    n, for every beta; shape ``(betas, candidates)``.
+def _eesm_stage(link_db, gain_db_desc, noise_db, user, ring, live_n,
+                unique_betas):
+    """Weakest split SNR ``v_min`` of each candidate ``(user, ring, n)``,
+    shape ``(candidates,)``, and its shifted EESM mean ``mean(exp((v_min -
+    v) / beta))`` over its best n RBs ``v`` split over n, for every beta,
+    shape ``(betas, candidates)``.
 
-    The candidates' RBs are laid end to end in ``_chunks``. Candidates come
+    Each candidate builds its own SNR row, its user's best n gains by
+    ``snr_unsplit`` at its ring, inside the chunk loop of ``_chunks``: the
+    rows lie end to end, and the EESM reads them in place. Candidates come
     ordered by n, so each run of equal n in a chunk is a C-contiguous
     (candidates x n) block per beta, summed row by row with the same 1-D
     pairwise reduction and divided by n as ``np.mean`` does for one row
     alone.
     """
+    split = live_n.astype(np.float64)
+    v_min = np.empty(live_n.size)
     means = np.empty((unique_betas.size, live_n.size))
     for lo, hi in _chunks(live_n):
         n = live_n[lo:hi]
         offset = np.cumsum(n) - n
-        # indices of each candidate's best n RBs in rows, end to end
-        where = np.repeat(first[lo:hi] - offset, n)
+        # indices of each candidate's best n RBs in the gain rows, end to end
+        where = np.repeat(user[lo:hi] * gain_db_desc.shape[1] - offset, n)
         where += np.arange(where.size)
-        # shifted EESM terms, stable for large SNR
-        terms = rows[where]
-        del where
-        terms /= np.repeat(n, n)
+        terms = np.take(gain_db_desc, where, mode="clip")  # in range
+        snr_unsplit(np.repeat(link_db[ring[lo:hi]], n), terms, noise_db,
+                    out=terms)
+        # the weakest of the best n RBs after the split, then the shifted
+        # EESM terms, stable for large SNR
+        np.divide(terms[offset + n - 1], split[lo:hi], out=v_min[lo:hi])
+        terms /= np.repeat(split[lo:hi], n)
         np.subtract(np.repeat(v_min[lo:hi], n), terms, out=terms)
         terms = terms / unique_betas[:, None]
         np.exp(terms, out=terms)
@@ -580,8 +579,8 @@ def _eesm_means(rows, first, live_n, v_min, unique_betas):
             block = terms[:, start:start + (z - a) * size]
             np.add.reduce(block.reshape(-1, z - a, size), axis=2,
                           out=means[:, lo + a:lo + z])
-    means /= live_n
-    return means
+    means /= split
+    return v_min, means
 
 
 def _highest_feasible_mcs(v_min, means, thr_lin, unique_betas, beta_idx):
@@ -599,10 +598,11 @@ def _highest_feasible_mcs(v_min, means, thr_lin, unique_betas, beta_idx):
         # thresholds met; only the nearest one below or above can flip when
         # np.log is replaced by math.log
         met = np.searchsorted(thr, eff, side="right")
-        near = ((eff <= np.concatenate(([-np.inf], thr + tol))[met])
-                | (eff >= np.concatenate((thr - tol, [np.inf]))[met]))
-        for c in np.flatnonzero(near).tolist():
-            met[c] = np.searchsorted(
-                thr, v_min[c] - beta * math.log(means[b, c]), side="right")
+        near = np.flatnonzero(
+            (eff <= np.concatenate(([-np.inf], thr + tol))[met])
+            | (eff >= np.concatenate((thr - tol, [np.inf]))[met]))
+        met[near] = np.searchsorted(
+            thr, v_min[near] - beta * map_floats(math.log, means[b, near]),
+            side="right")
         np.maximum(mcs, np.concatenate(([-1], levels))[met], out=mcs)
     return mcs

@@ -137,7 +137,7 @@ def _eesm_effective_snr_db_rows(snr_db_rows, beta: float) -> np.ndarray:
     """``eesm_effective_snr_db`` of every row of a 2-D array, one entry per
     row, without input checks. The shift by the row minimum keeps large SNRs
     from underflowing; no row's result depends on the other rows."""
-    lin = np.power(10.0, snr_db_rows / 10.0)
+    lin = _kernels.pow10(snr_db_rows / 10.0)
     v_min = lin.min(axis=1)
     means = np.mean(np.exp(-(lin - v_min[:, None]) / beta), axis=1)
     return _kernels.eesm_snr_db(v_min, means, beta)
@@ -304,7 +304,7 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
                + path_gain_db(lm, dists))
     noise_db = noise_power_dbm_per_rb(lm, scs_hz)
     unique_betas, beta_idx = np.unique(betas, return_inverse=True)
-    thr_lin = np.power(10.0, mcs_table.thresholds_db() / 10.0)
+    thr_lin = _kernels.pow10(mcs_table.thresholds_db() / 10.0)
     se = mcs_table.spectral_efficiencies()
 
     shape = (2, dists.size, len(rows))

@@ -519,6 +519,30 @@ def test_rate_scan_chunks_match_oracle(monkeypatch):
             _assert_matches_oracle(link_db, gain_db, 0.0, thr_lin, se, betas)
 
 
+@st.composite
+def _pow10_exponents(draw):
+    """Exponents over the +-1300 dB SNR range, ``x = snr_db / 10``: 1-70
+    terms, or one chunk of ``pow10``'s base and either side of it."""
+    chunk = _kernels._TENS.size
+    size = draw(st.one_of(st.integers(1, 70),
+                          st.sampled_from([chunk - 1, chunk, chunk + 1])))
+    if size > 70:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        return rng.uniform(-130.0, 130.0, size)
+    return np.array(draw(st.lists(st.floats(-130.0, 130.0), min_size=size,
+                                  max_size=size)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x=_pow10_exponents(), in_place=st.booleans())
+def test_pow10_equals_power_with_a_scalar_base(x, in_place):
+    # the full-array base changes numpy's loop, not the bits
+    want = np.power(10.0, x)
+    got = _kernels.pow10(x, out=x) if in_place else _kernels.pow10(x)
+    assert (got is x) == in_place
+    assert got.tobytes() == want.tobytes()
+
+
 def test_snr_terms_keep_the_gain_order():
     # the rate kernel sorts each user's gains once and takes every ring's
     # SNR row in that order; that equals sorting each SNR row itself, bit for
@@ -768,13 +792,15 @@ def _stage_sizes(monkeypatch):
     """Candidates the rate scan evaluates, one list entry per stage (two per
     call), recorded from its EESM calls."""
     sizes = []
-    eesm_means = _kernels._eesm_means
+    eesm_stage = _kernels._eesm_stage
 
-    def spy(rows, first, live_n, v_min, unique_betas):
+    def spy(link_db, gain_db_desc, noise_db, user, ring, live_n,
+            unique_betas):
         sizes.append(live_n.tolist())
-        return eesm_means(rows, first, live_n, v_min, unique_betas)
+        return eesm_stage(link_db, gain_db_desc, noise_db, user, ring, live_n,
+                          unique_betas)
 
-    monkeypatch.setattr(_kernels, "_eesm_means", spy)
+    monkeypatch.setattr(_kernels, "_eesm_stage", spy)
     return sizes
 
 
