@@ -41,6 +41,11 @@ the criterion-4 deployment (8 UEs at exponent 3, 5120 log rings over
 300-3000 m), against the same calls followed by the per-decision objects
 and the attribute-gathering ring mean that the column results replaced.
 
+Two rows time ``_kernels.pow10``, every ``10**x`` of the rate scan, whose
+base is a full array of tens, against ``np.power(10.0, x)`` with a scalar
+base, which gives the same bits in numpy's strided loop: on one share's
+264 terms and on 100k terms, exponents over the +-130 dB SNR range.
+
 The last row times the pattern CSV writer of ``jpta pattern``
 (``cli.format_g6`` byte slots) on the quick-start grid, the default type-1
 design over 721 angles x 264 RBs, into memory, against the per-row
@@ -168,6 +173,15 @@ def _rate_args(users: int, rings: int):
     unique_betas = np.array([1.0])
     beta_idx = np.zeros(15, dtype=np.int64)
     return link_db, gain_db, 0.0, thr_lin, se, unique_betas, beta_idx, 4
+
+
+def _pow10_args(terms):
+    """``terms`` exponents ``snr_db / 10`` over the +-130 dB SNR range."""
+    return (np.random.default_rng(4).uniform(-13.0, 13.0, terms),)
+
+
+def _pow10_scalar_base(x):
+    return np.power(10.0, x)
 
 
 def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
@@ -359,6 +373,10 @@ BENCHES = [
      _rate_scan_per_ring, lambda: _rate_args(1, 160), False),
     ("rate_scan    (8 users x 160 rings x 264 RBs)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(8, 160), True),
+    ("10**x        (264 terms, array vs scalar base)", _kernels.pow10,
+     _pow10_scalar_base, lambda: _pow10_args(264), False),
+    ("10**x        (100k terms, array vs scalar base)", _kernels.pow10,
+     _pow10_scalar_base, lambda: _pow10_args(100_000), False),
     ("select_rate_grid (4 UEs x 40 rings, 2 calls)", _sweep_rate_grids,
      _sweep_rate_decisions, _quickstart_rate_args, False),
     ("select_rate_grid (8 UEs x 5120 rings, 2 calls)", _sweep_rate_grids,

@@ -522,10 +522,12 @@ def test_rate_scan_chunks_match_oracle(monkeypatch):
 @st.composite
 def _pow10_exponents(draw):
     """Exponents over the +-1300 dB SNR range, ``x = snr_db / 10``: 1-70
-    terms, or one chunk of ``pow10``'s base and either side of it."""
-    chunk = _kernels._TENS.size
-    size = draw(st.one_of(st.integers(1, 70),
-                          st.sampled_from([chunk - 1, chunk, chunk + 1])))
+    terms, or one chunk of ``pow10``'s base or of the rate scan's EESM, or
+    one term either side of it."""
+    sizes = [size + step for size in (_kernels._TENS.size,
+                                      _kernels.EESM_CHUNK_TERMS)
+             for step in (-1, 0, 1)]
+    size = draw(st.one_of(st.integers(1, 70), st.sampled_from(sizes)))
     if size > 70:
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         return rng.uniform(-130.0, 130.0, size)
