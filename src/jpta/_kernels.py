@@ -280,9 +280,9 @@ _TENS.flags.writeable = False
 
 
 def pow10(x, out=None):
-    """``10 ** x`` elementwise with the bits of ``np.power(10.0, x)``, at
-    about half its cost: the base is a full array of tens, taken in chunks
-    of ``_TENS.size`` terms. ``out``, C-contiguous, may be ``x``."""
+    """``10 ** x`` elementwise, the bits of ``np.power(10.0, x)`` at about
+    half its cost past a few thousand terms: the base is an array of tens,
+    in chunks of ``_TENS.size``. ``out``, C-contiguous, may be ``x``."""
     out = np.empty(np.shape(x)) if out is None else out
     flat, dest = np.ravel(x), out.reshape(-1)
     for lo in range(0, flat.size, _TENS.size):
