@@ -8,11 +8,17 @@ Three loops dominate the toolkit's numerical run time:
   (``pattern_coefficients``, one pass over any number of weight sets, one
   column wide when no set has a delay) holds one row for every angle or
   one per angle, so one call serves a pattern map (sets as column blocks)
-  or every UE's gain row toward its own angle from its own serving set;
+  or every UE's gain row toward its own angle from its own serving set. A
+  row shared by every angle is added from a tile of its copies, in
+  contiguous runs that numpy adds in its fast loop, and the thread that
+  computes a chunk also divides it by M and, for gains, takes its dB
+  steps;
 * the per-antenna delay-grid scan of the wideband beam designer
-  (``delay_scan``), a complex matrix product with a twiddle table
+  (``delay_scan``), a complex matrix product of a twiddle table
   (``delay_twiddles``), of which the designer keeps the last two it used,
-  taken in row blocks that keep it on the calling thread;
+  and a target table built from ``np.cos`` and ``np.sin``
+  (``phase_ramps``), taken in row blocks that keep it on the calling
+  thread;
 * the RB-count x MCS rate search with an EESM average inside
   (``rate_scan_batch``), batched over every (user, ring) pair of one share
   width. Exact bounds prune it first: every EESM effective SNR lies between
@@ -45,10 +51,21 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# complex cells of one angle chunk of the pattern grid: the two live arrays
-# of the Horner loop take 512 KiB each and stay in cache (measured ~20%
-# faster on a 3001 x 264 grid than one 16 MB chunk)
+# complex cells of one angle chunk of the pattern grid, rounded down to
+# whole tiles (``PATTERN_TILE_RUN``): the two live arrays of the Horner loop
+# take 512 KiB each and stay in cache (measured ~20% faster on a 3001 x 264
+# grid than one 16 MB chunk)
 PATTERN_CHUNK_CELLS = 1 << 15
+
+# cells that one contiguous run of the tiled coefficient add must exceed.
+# numpy 2.4 adds a shared (1, K) row to a chunk in a loop of K cells per
+# row, and rows of T*K cells from a T-row tile of its copies as slowly
+# while T*K <= 4096, past that in 0.5-0.8 of the time: 0.67 ns a cell
+# broadcast at 264 columns, 0.67 in 15-row tiles, 0.37 in 16-row tiles;
+# 1.15 ns at 1024 columns, 1.29 in 4-row tiles, 0.92 in 5-row tiles; 0.94
+# ns at 24 columns, 0.77 in 170-row tiles, 0.47 in 171-row tiles. A tile
+# holds at most 4096 + K cells: 66 KB at 264 columns, 80 KB at 1024
+PATTERN_TILE_RUN = 4096
 
 
 def backend() -> str:
@@ -60,7 +77,7 @@ def backend() -> str:
 # pattern correlation: |<steering(angle, f), response(f)>| on a grid
 # ---------------------------------------------------------------------------
 
-def pattern_corr(cos_angles, slope, coef):
+def pattern_corr(cos_angles, slope, coef, db=None):
     """Correlation magnitudes on an angle x column grid.
 
     Entry (a, k) is ``|(1/M) sum_m coef[m, a, k] exp(j*cos_a*slope_k*m)|``.
@@ -68,7 +85,9 @@ def pattern_corr(cos_angles, slope, coef):
     frequency and the coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))`` of a
     weight set (``pattern_coefficients``), that is the magnitude of the
     conjugated inner product between the unit-norm steering vector and the
-    unit-norm phase-time response.
+    unit-norm phase-time response. With ``db``, a pair ``(floor,
+    peak_db)``, each entry is instead the gain ``peak_db + 20 *
+    log10(max(corr, floor))``, those steps taken in that order in place.
 
     ``coef`` broadcasts to (elements, angles, columns): (M, 1, K) gives
     every angle the same columns, as a pattern map does; (M, A, K) gives
@@ -83,24 +102,33 @@ def pattern_corr(cos_angles, slope, coef):
     evaluated by Horner's rule over m: A*K phasors instead of A*K*M
     exponentials, and M - 1 in-place multiply-adds on an (angle chunk x K)
     array, each adding one coefficient row ``coef[m]`` of the chunk's
-    angles. Every cell is computed by the same elementwise operations
-    whatever the chunking or the other columns, so neither a row nor a
-    block of columns depends on the rest of the call.
+    angles; a row shared by every angle is added from a tile of its copies
+    (``_tile_rows``). Every cell is computed by the same elementwise
+    operations whatever the chunking or the other columns, so neither a
+    row nor a block of columns depends on the rest of the call.
 
     A grid of several chunks is split over one thread per usable CPU, up to
     one per chunk: numpy's ufuncs release the interpreter lock, each thread
     takes the next whole chunk when it is free and writes only that chunk's
-    rows, so the result does not depend on the thread count. The threads are
-    started and joined within the call; a one-chunk grid runs on the calling
-    thread alone.
+    rows, the division by M and the dB steps included, so the result does
+    not depend on the thread count. The threads are started and joined
+    within the call; a one-chunk grid runs on the calling thread alone.
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
     cols = slope.size
     out = np.empty((cos_angles.size, cols), dtype=np.float64)
     chunk = max(1, PATTERN_CHUNK_CELLS // max(1, cols))
+    per_angle = coef.shape[1] > 1
+    # a row of several columns shared by every angle is added from a tile,
+    # when a chunk holds one; a one-column row is added as a scalar, which
+    # numpy's broadcast loop does faster
+    tile = 0 if per_angle or coef.shape[2] == 1 else _tile_rows(cols)
+    if 1 < tile <= min(chunk, cos_angles.size):
+        chunk -= chunk % tile
+    else:
+        tile = 0
     starts = range(0, cos_angles.size, chunk)
     workers = max(1, min(_usable_cpus(), len(starts)))
-    per_angle = coef.shape[1] > 1
     pending = iter(starts)
     lock = threading.Lock()
     errors = []
@@ -112,20 +140,29 @@ def pattern_corr(cos_angles, slope, coef):
                     a0 = next(pending, None)
                 if a0 is None:
                     return
+                block = out[a0:a0 + chunk]
                 _horner_chunk(cos_angles[a0:a0 + chunk], slope,
                               coef[:, a0:a0 + chunk] if per_angle else coef,
-                              out[a0:a0 + chunk], *buffers)
+                              block, *buffers)
+                if db is not None:
+                    _gain_db(block, *db)
         except Exception as exc:  # re-raised by the calling thread
             errors.append(exc)
 
     # every worker's chunk buffers, allocated once on the calling thread, so
-    # that no worker thread's own malloc arena grows by them
+    # that no worker thread's own malloc arena grows by them; the tile takes
+    # the phase buffer's memory, whose phases are spent before the first add
     rows = min(chunk, cos_angles.size)
-    buffers = [(np.empty((rows, cols)),
-                np.empty((rows, cols), dtype=np.complex128),
-                np.empty((rows, cols), dtype=np.complex128),
-                np.empty((1, 1), dtype=np.complex128))
-               for _ in range(workers)]
+    buffers = []
+    for _ in range(workers):
+        arg = np.empty(max(rows, 2 * tile) * cols)
+        buffers.append((
+            arg[:rows * cols].reshape(rows, cols),
+            np.empty((rows, cols), dtype=np.complex128),
+            np.empty((rows, cols), dtype=np.complex128),
+            np.empty((1, 1), dtype=np.complex128),
+            arg[:2 * tile * cols].view(np.complex128).reshape(tile, cols)
+            if tile else None))
     threads = [threading.Thread(target=work, args=(b,)) for b in buffers[1:]]
     for t in threads:
         t.start()
@@ -134,8 +171,16 @@ def pattern_corr(cos_angles, slope, coef):
         t.join()
     if errors:
         raise errors[0]
-    out /= coef.shape[0]
     return out
+
+
+def _gain_db(corr, floor, peak_db):
+    """``peak_db + 20*log10(max(corr, floor))`` in place on ``corr``, one
+    IEEE operation per step."""
+    np.maximum(corr, floor, out=corr)
+    np.log10(corr, out=corr)
+    corr *= 20.0
+    corr += peak_db
 
 
 def pattern_coefficients(freqs, phases, delays):
@@ -166,11 +211,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _horner_chunk(cos_chunk, slope, coef, out, arg, z, acc, one_cell):
-    """``|sum_m coef[m] * z**m|`` of one angle chunk into ``out``, ``coef``
-    broadcasting to (elements, chunk angles, columns), using the first
-    ``cos_chunk.size`` rows of the buffers ``arg``, ``z`` and ``acc``, and
-    ``one_cell`` for a chunk of one cell."""
+def _tile_rows(cols):
+    """Rows of the tile from which a shared coefficient row is added to a
+    chunk of ``cols`` columns: the fewest whose cells exceed
+    ``PATTERN_TILE_RUN``. One row where the row alone does."""
+    return PATTERN_TILE_RUN // cols + 1
+
+
+def _horner_chunk(cos_chunk, slope, coef, out, arg, z, acc, one_cell, tile):
+    """``|sum_m coef[m] * z**m| / M`` of one angle chunk into ``out``,
+    ``coef`` broadcasting to (elements, chunk angles, columns), using the
+    first ``cos_chunk.size`` rows of the buffers ``arg``, ``z`` and
+    ``acc``, and ``one_cell`` for a chunk of one cell.
+
+    With a ``tile`` of T rows, ``coef`` is one row shared by every angle,
+    copied into each tile row once per element, and the chunk is added to
+    as rows of T*K cells, whole tiles first, then any short rest: the same
+    IEEE additions as the broadcast add, which numpy runs in a loop of K
+    cells per row."""
     rows = cos_chunk.size
     arg, z, acc = arg[:rows], z[:rows], acc[:rows]
     np.multiply(cos_chunk[:, None], slope, out=arg)
@@ -179,10 +237,23 @@ def _horner_chunk(cos_chunk, slope, coef, out, arg, z, acc, one_cell):
     acc[:] = coef[-1]
     # numpy rounds a one-cell in-place product unlike its vector loop
     prod = acc if acc.size > 1 else one_cell
+    if tile is not None:
+        whole = rows - rows % len(tile)
+        prod_tiles = prod[:whole].reshape(-1, tile.size)
+        acc_tiles = acc[:whole].reshape(-1, tile.size)
+        tile_row = tile.reshape(1, -1)
+        rest = tile[:rows - whole]
     for m in range(coef.shape[0] - 2, -1, -1):
         np.multiply(acc, z, out=prod)
-        np.add(prod, coef[m], out=acc)
+        if tile is None:
+            np.add(prod, coef[m], out=acc)
+        else:
+            tile[:] = coef[m]
+            np.add(prod_tiles, tile_row, out=acc_tiles)
+            if rest.size:
+                np.add(prod[whole:], rest, out=acc[whole:])
     np.abs(acc, out=out)
+    out /= coef.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +292,21 @@ def _tile_edges(size):
     return edges
 
 
+def phase_ramps(slopes, num_elements):
+    """Target table ``exp(j*m*slopes[k])``, shape (slopes, num_elements),
+    built as the pattern phasors are: ``np.cos`` and ``np.sin`` of the real
+    products into its real and imaginary parts. Those are the bits of
+    ``np.exp(1j * slopes[:, None] * m)`` for every slope but -0.0 (whose
+    imaginary parts come out -0.0 instead of +0.0), at about 0.8 of its
+    cost."""
+    slopes = np.asarray(slopes, dtype=np.float64)
+    arg = slopes[:, None] * np.arange(num_elements, dtype=np.float64)
+    target = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=target.real)
+    np.sin(arg, out=target.imag)
+    return target
+
+
 def delay_scan(slopes, twiddles, num_elements):
     """Complex score ``U[t, m] = sum_k exp(j(m*slopes[k] - 2*pi*f_k*tau_t))``
     from the ``delay_twiddles`` table of the delays tau_t and frequencies
@@ -230,9 +316,7 @@ def delay_scan(slopes, twiddles, num_elements):
     vector at evaluation frequency ``f_k``. The best delay for antenna m
     maximizes ``|U[:, m]|`` and the matching phase is ``angle(U)``.
     """
-    slopes = np.asarray(slopes, dtype=np.float64)
-    elem = np.arange(num_elements, dtype=np.float64)
-    target = np.exp(1j * slopes[:, None] * elem[None, :])
+    target = phase_ramps(slopes, num_elements)
     taus = twiddles.shape[0]
     rows = _tile_edges(taus)
     # numpy hands a one-row product to gemv, whose sums depend on the column

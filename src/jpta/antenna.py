@@ -338,11 +338,7 @@ def pattern_tables(cfg: ArrayConfig, weight_sets, freqs):
 
 def table_gain_db(cfg: ArrayConfig, cos_angles, slope, coef):
     """Gain in dB of one ``pattern_corr`` call: peak_gain_db plus 20*log10
-    of the correlation floored at CORRELATION_FLOOR, each step in place on
-    the kernel's output."""
-    corr = _kernels.pattern_corr(cos_angles, slope, coef)
-    np.maximum(corr, CORRELATION_FLOOR, out=corr)
-    np.log10(corr, out=corr)
-    corr *= 20.0
-    corr += cfg.peak_gain_db
-    return corr
+    of the correlation floored at CORRELATION_FLOOR, each step taken in
+    place by the kernel on each chunk it computes."""
+    return _kernels.pattern_corr(cos_angles, slope, coef,
+                                 (CORRELATION_FLOOR, cfg.peak_gain_db))

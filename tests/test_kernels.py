@@ -284,11 +284,12 @@ def _threaded_and_serial(monkeypatch, cpus, args):
 
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
-    # 2, 3 and 7 chunks, the last one partial, one-row and one-cell chunks,
-    # weight sets as column blocks, and one chunk, which starts no thread:
-    # every cell equals the one-thread run's, with one thread per CPU up to
-    # one per chunk, the calling thread included; a short switch interval
-    # makes the threads interleave their hand-outs
+    # 2, 3, 7 and 8 chunks, the last one partial, one-row and one-cell
+    # chunks, weight sets as column blocks, 264-column chunks of 112 rows
+    # (7 whole 16-row tiles), and one chunk, which starts no thread: every
+    # cell equals the one-thread run's, with one thread per CPU up to one
+    # per chunk, the calling thread included; a short switch interval makes
+    # the threads interleave their hand-outs
     rng = np.random.default_rng(13)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -296,7 +297,7 @@ def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
         for num_sets, num_freqs, num_angles, chunk_rows in (
                 (1, 24, 10, 5), (1, 24, 11, 5), (2, 12, 33, 5),
                 (1, 24, 7, 1), (3, 1, 9, 1), (1, 1, 5, 1),
-                (1, 264, 800, 124), (1, 264, 8, 124)):
+                (1, 264, 800, 112), (1, 264, 8, 124)):
             monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
                                 chunk_rows * num_sets * num_freqs)
             freqs = _rb_freqs(num_freqs)
