@@ -27,6 +27,14 @@ table, the layout that the coefficient rows replaced. Another times one
 ``throughput_sweep`` of that deployment at one ring, the set-up cost every
 sweep pays whatever its ring count, against the same sweep at 160 rings.
 
+Three rows time one chunk of the pattern grid as a worker computes it,
+16 elements and a shared coefficient table, at 24, 264 and 1024 columns:
+each element's row added from a tile of its copies (``_horner_chunk``
+with the tile ``pattern_corr`` hands it) against the broadcast add of the
+row. One row times the delay scan's target table for the per-subcarrier
+slopes of a 264-RB grid, ``np.cos`` and ``np.sin`` into its parts
+(``phase_ramps``), against ``np.exp`` of the imaginary products.
+
 Four rows time the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread, and the delay
 scan in tiles of ``DELAY_SCAN_TILE`` taus by as many elements, at 16, 64
@@ -121,6 +129,43 @@ def _pattern_corr_one_thread(*args):
         return _pattern_corr(*args)
     finally:
         _kernels._usable_cpus = usable
+
+
+def _horner_args(cols: int):
+    """One whole chunk of the pattern grid at ``cols`` columns and 16
+    elements, a delayed weight set's shared (16, 1, cols) table: the
+    arguments of ``_kernels._horner_chunk`` as a worker of ``pattern_corr``
+    gets them, its buffers and tile included."""
+    rng = np.random.default_rng(5)
+    tile = _kernels._tile_rows(cols)
+    rows = _kernels.PATTERN_CHUNK_CELLS // cols
+    rows -= rows % tile
+    freqs = 28e9 + 120e3 * 12.0 * (np.arange(cols) - cols / 2.0)
+    coef = _kernels.pattern_coefficients(
+        freqs, [rng.uniform(-math.pi, math.pi, 16)],
+        [rng.integers(0, 64, 16) * 2.5e-9])
+    slope = 2.0 * math.pi * (299_792_458.0 / 28e9 / 2.0) / 299_792_458.0
+    return (np.cos(rng.uniform(0.0, math.pi, rows)), slope * freqs, coef,
+            np.empty((rows, cols)), *_kernels._chunk_buffers(rows, cols, tile))
+
+
+def _horner_broadcast(*args):
+    """The same chunk with the shared row added by broadcast."""
+    return _kernels._horner_chunk(*args[:-1], None)
+
+
+def _phase_ramps_exp(slopes, num_elements):
+    """The delay scan's target table as ``np.exp`` of the imaginary
+    products."""
+    elem = np.arange(num_elements, dtype=np.float64)
+    return np.exp(1j * slopes[:, None] * elem[None, :])
+
+
+def _phase_ramps_args():
+    """The per-subcarrier target slopes of a 264-RB grid (3168 slopes) at
+    16 elements."""
+    rng = np.random.default_rng(6)
+    return rng.uniform(-math.pi, math.pi, 12 * 264), 16
 
 
 # the delay scan's setting: the default 64-step delay line at the 264 RB
@@ -347,6 +392,15 @@ BENCHES = [
      pattern_corr_py, lambda: _pattern_args(91, 64), True),
     ("pattern_corr (91 angles x 264 RBs, 256 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(91, 256), True),
+    ("Horner chunk (1197 x 24, tile vs broadcast)",
+     _kernels._horner_chunk, _horner_broadcast, lambda: _horner_args(24),
+     False),
+    ("Horner chunk (112 x 264, tile vs broadcast)",
+     _kernels._horner_chunk, _horner_broadcast, lambda: _horner_args(264),
+     False),
+    ("Horner chunk (30 x 1024, tile vs broadcast)",
+     _kernels._horner_chunk, _horner_broadcast, lambda: _horner_args(1024),
+     False),
     ("gain rows    (8 UEs x 264 RBs, vs one row)", _gain_rows,
      _gain_rows_one_row, _gain_rows_args, False),
     ("throughput_sweep (8 UEs, 1 ring vs 160 rings)", _sweep_one_ring,
@@ -367,6 +421,8 @@ BENCHES = [
      delay_scan_py, lambda: _delay_args(64), True),
     ("delay_scan   (64 taus x 264 freqs, 256 el)", _delay_scan_kept_table,
      delay_scan_py, lambda: _delay_args(256), True),
+    ("delay target (3168 x 16, cos/sin vs exp)", _kernels.phase_ramps,
+     _phase_ramps_exp, _phase_ramps_args, False),
     ("rate_scan    (1 ring x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(1, 1), False),
     ("rate_scan    (160 rings x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,

@@ -122,11 +122,11 @@ def pattern_corr(cos_angles, slope, coef, db=None):
     # a row of several columns shared by every angle is added from a tile,
     # when a chunk holds one; a one-column row is added as a scalar, which
     # numpy's broadcast loop does faster
-    tile = 0 if per_angle or coef.shape[2] == 1 else _tile_rows(cols)
-    if 1 < tile <= min(chunk, cos_angles.size):
-        chunk -= chunk % tile
+    tile_rows = 0 if per_angle or coef.shape[2] <= 1 else _tile_rows(cols)
+    if 1 < tile_rows <= min(chunk, cos_angles.size):
+        chunk -= chunk % tile_rows
     else:
-        tile = 0
+        tile_rows = 0
     starts = range(0, cos_angles.size, chunk)
     workers = max(1, min(_usable_cpus(), len(starts)))
     pending = iter(starts)
@@ -150,19 +150,9 @@ def pattern_corr(cos_angles, slope, coef, db=None):
             errors.append(exc)
 
     # every worker's chunk buffers, allocated once on the calling thread, so
-    # that no worker thread's own malloc arena grows by them; the tile takes
-    # the phase buffer's memory, whose phases are spent before the first add
-    rows = min(chunk, cos_angles.size)
-    buffers = []
-    for _ in range(workers):
-        arg = np.empty(max(rows, 2 * tile) * cols)
-        buffers.append((
-            arg[:rows * cols].reshape(rows, cols),
-            np.empty((rows, cols), dtype=np.complex128),
-            np.empty((rows, cols), dtype=np.complex128),
-            np.empty((1, 1), dtype=np.complex128),
-            arg[:2 * tile * cols].view(np.complex128).reshape(tile, cols)
-            if tile else None))
+    # that no worker thread's own malloc arena grows by them
+    buffers = [_chunk_buffers(min(chunk, cos_angles.size), cols, tile_rows)
+               for _ in range(workers)]
     threads = [threading.Thread(target=work, args=(b,)) for b in buffers[1:]]
     for t in threads:
         t.start()
@@ -172,6 +162,20 @@ def pattern_corr(cos_angles, slope, coef, db=None):
     if errors:
         raise errors[0]
     return out
+
+
+def _chunk_buffers(rows, cols, tile_rows):
+    """``_horner_chunk``'s buffers for chunks of up to ``rows`` x ``cols``
+    cells: phases, phasors, sums, a spare cell, and a tile of ``tile_rows``
+    rows (None for 0), which takes the phase buffer's memory, as the phases
+    are spent before the first add."""
+    arg = np.empty(max(rows, 2 * tile_rows) * cols)
+    tile = arg[:2 * tile_rows * cols].view(np.complex128)
+    return (arg[:rows * cols].reshape(rows, cols),
+            np.empty((rows, cols), dtype=np.complex128),
+            np.empty((rows, cols), dtype=np.complex128),
+            np.empty((1, 1), dtype=np.complex128),
+            tile.reshape(tile_rows, cols) if tile_rows else None)
 
 
 def _gain_db(corr, floor, peak_db):

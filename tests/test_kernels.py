@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from jpta import FrequencyGrid, PhaseTimeWeights, _kernels, cli
-from jpta.antenna import pattern_map
+from jpta.antenna import (
+    CORRELATION_FLOOR,
+    ArrayConfig,
+    pattern_map,
+    table_gain_db,
+)
 from jpta.link import MAX_EESM_BETA
 from oracles import (
     delay_scan_py,
@@ -126,6 +131,22 @@ def test_delay_scan_equals_one_whole_product(num_freqs):
             assert np.array_equal(
                 _kernels.delay_scan(slopes, twiddles, num_el),
                 twiddles @ target), (num_el, taus)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(slopes=hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(
+           -1e6, 1e6, allow_subnormal=True).filter(
+               lambda x: x != 0.0 or math.copysign(1.0, x) > 0.0)),
+       num_el=st.sampled_from([1, 2, 15, 16, 17, 64, 257, 1024]))
+def test_phase_ramps_equal_the_complex_exponential(slopes, num_el):
+    # the delay scan's target table from np.cos and np.sin keeps every bit
+    # of np.exp of the imaginary products, zero and sign bits included,
+    # for slopes past any a 10 m, 1 THz array has; a slope of -0.0, which
+    # no target angle gives, would flip the sign of its zero sines
+    want = np.exp(1j * slopes[:, None] * np.arange(num_el, dtype=np.float64))
+    got = _kernels.phase_ramps(slopes, num_el)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _cpu_s():
@@ -335,6 +356,114 @@ def test_pattern_corr_raises_a_worker_thread_error(monkeypatch):
         _corr(np.cos(np.linspace(0.1, 3.0, 20)), _rb_freqs(24),
               np.zeros(16), np.zeros(16), SLOPE_SCALE)
     assert failed.is_set()
+
+
+def _wide_freqs(num_freqs):
+    """``num_freqs`` RB-spaced frequencies about 28 GHz, any count up to
+    the 1024-RB cap."""
+    return 28e9 + 120e3 * 12.0 * (np.arange(num_freqs) - num_freqs / 2.0)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("num_freqs", [1, 24, 264, 1024])
+def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
+                                                       num_freqs):
+    # at the kernel's own chunk size a shared (M, 1, K) table of K > 1
+    # columns is added from a tile of T rows, T*K just past
+    # PATTERN_TILE_RUN, with chunks of whole tiles: every row equals its
+    # one-angle call, whose one row is added by broadcast, bit for bit, at
+    # angle counts around a tile, a chunk and two chunks with a short last
+    # one; one column is added untiled, as a scalar
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(23 + num_freqs)
+    freqs = _wide_freqs(num_freqs)
+    slope = SLOPE_SCALE * freqs
+    tile = _kernels._tile_rows(num_freqs)
+    chunk = _kernels.PATTERN_CHUNK_CELLS // num_freqs
+    if num_freqs > 1:
+        assert tile * num_freqs > _kernels.PATTERN_TILE_RUN
+        assert tile * num_freqs * 16 < 128 * 1024
+        chunk -= chunk % tile
+    counts = {1, tile - 1, tile, tile + 1, chunk - 1, chunk, chunk + 1,
+              2 * chunk + tile + 1}
+    if num_freqs == 1:
+        counts = {1, 2, 7, 300}
+    for num_el in (1, 2, 16, 64):
+        coef = _kernels.pattern_coefficients(
+            freqs, rng.uniform(0.0, 2 * np.pi, (1, num_el)),
+            rng.integers(0, 64, (1, num_el)) * 2.5e-9)
+        assert coef.shape == (num_el, 1, num_freqs)
+        for count in sorted(counts):
+            cos_angles = np.cos(rng.uniform(0.0, np.pi, count))
+            rows = _kernels.pattern_corr(cos_angles, slope, coef)
+            for a in range(count):
+                want = _kernels.pattern_corr(cos_angles[a:a + 1], slope, coef)
+                assert np.array_equal(rows[a], want[0]), (num_el, count, a)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_table_gain_db_equals_the_whole_map_db(monkeypatch, cpus):
+    # the floor, log10, x20 and +peak that each chunk's thread takes in
+    # place give the bits of the same steps on the whole correlation map,
+    # at several chunks with a short last one, per-angle rows, one-column
+    # tables, a floored null and a one-cell grid
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(29)
+    cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    for num_freqs, num_angles, per_angle, delayed in (
+            (264, 300, False, True), (24, 2000, False, True),
+            (1024, 61, False, True), (24, 40, True, True),
+            (24, 40, True, False), (1, 5000, False, False),
+            (1, 1, False, True)):
+        freqs = _wide_freqs(num_freqs)
+        sets = num_angles if per_angle else 1
+        delays = rng.integers(0, 64, (sets, 16)) * 2.5e-9 * delayed
+        slope, coef = SLOPE_SCALE * freqs, _kernels.pattern_coefficients(
+            freqs, rng.uniform(0.0, 2 * np.pi, (sets, 16)), delays)
+        cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
+        # a uniform weight set's null at the first column: -80 dB floor
+        cos_angles[0] = 2 * np.pi / (16 * slope[0])
+        if not per_angle:
+            coef[:, 0, :] = 1.0
+        want = _kernels.pattern_corr(cos_angles, slope, coef)
+        if not per_angle:
+            assert want[0, 0] < CORRELATION_FLOOR
+        np.maximum(want, CORRELATION_FLOOR, out=want)
+        want = 20.0 * np.log10(want) + cfg.peak_gain_db
+        got = table_gain_db(cfg, cos_angles, slope, coef)
+        assert np.array_equal(got, want), (num_freqs, num_angles, per_angle)
+
+
+def test_pattern_corr_raises_a_worker_thread_db_step_error(monkeypatch):
+    # a dB step that fails on another thread fails the call once every
+    # thread the call started has ended
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    failed = threading.Event()
+
+    def gain_db(corr, floor, peak_db):
+        if threading.current_thread() is not threading.main_thread():
+            failed.set()
+            raise FloatingPointError("dB step failed")
+        failed.wait(5.0)  # the calling thread waits for a worker's chunk
+
+    monkeypatch.setattr(_kernels.threading, "Thread", CountedThread)
+    monkeypatch.setattr(_kernels, "_gain_db", gain_db)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", 24 * 4)
+    freqs = _rb_freqs(24)
+    with pytest.raises(FloatingPointError, match="dB step failed"):
+        table_gain_db(ArrayConfig.half_wavelength(16, 28e9, 28.0),
+                      np.cos(np.linspace(0.1, 3.0, 20)), SLOPE_SCALE * freqs,
+                      _kernels.pattern_coefficients(freqs, np.zeros((1, 16)),
+                                                    np.ones((1, 16)) * 1e-9))
+    assert failed.is_set() and len(started) == 1
+    assert not started[0].is_alive()
 
 
 def test_pattern_map_row_equals_single_angle_call(array16, grid264):
