@@ -31,9 +31,9 @@ Three rows time one chunk of the pattern grid as a worker computes it,
 16 elements and a shared coefficient table, at 24, 264 and 1024 columns:
 each element's row added from a tile of its copies (``_horner_chunk``
 with the tile ``pattern_corr`` hands it) against the broadcast add of the
-row. One row times the delay scan's target table for the per-subcarrier
-slopes of a 264-RB grid, ``np.cos`` and ``np.sin`` into its parts
-(``phase_ramps``), against ``np.exp`` of the imaginary products.
+row. Two rows time the delay scan's target table for the RB-center and
+the per-subcarrier slopes of a 264-RB grid, ``np.cos`` and ``np.sin`` into
+its parts (``phase_ramps``), against ``np.exp`` of the imaginary products.
 
 Four rows time the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread, and the delay
@@ -161,11 +161,11 @@ def _phase_ramps_exp(slopes, num_elements):
     return np.exp(1j * slopes[:, None] * elem[None, :])
 
 
-def _phase_ramps_args():
-    """The per-subcarrier target slopes of a 264-RB grid (3168 slopes) at
-    16 elements."""
+def _phase_ramps_args(num_slopes: int):
+    """``num_slopes`` target slopes at 16 elements: 264 for a 264-RB grid's
+    RB centers, 3168 for its subcarriers."""
     rng = np.random.default_rng(6)
-    return rng.uniform(-math.pi, math.pi, 12 * 264), 16
+    return rng.uniform(-math.pi, math.pi, num_slopes), 16
 
 
 # the delay scan's setting: the default 64-step delay line at the 264 RB
@@ -421,8 +421,10 @@ BENCHES = [
      delay_scan_py, lambda: _delay_args(64), True),
     ("delay_scan   (64 taus x 264 freqs, 256 el)", _delay_scan_kept_table,
      delay_scan_py, lambda: _delay_args(256), True),
+    ("delay target (264 x 16, cos/sin vs exp)", _kernels.phase_ramps,
+     _phase_ramps_exp, lambda: _phase_ramps_args(264), False),
     ("delay target (3168 x 16, cos/sin vs exp)", _kernels.phase_ramps,
-     _phase_ramps_exp, _phase_ramps_args, False),
+     _phase_ramps_exp, lambda: _phase_ramps_args(3168), False),
     ("rate_scan    (1 ring x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(1, 1), False),
     ("rate_scan    (160 rings x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,

@@ -301,8 +301,8 @@ def phase_ramps(slopes, num_elements):
     built as the pattern phasors are: ``np.cos`` and ``np.sin`` of the real
     products into its real and imaginary parts. Those are the bits of
     ``np.exp(1j * slopes[:, None] * m)`` for every slope but -0.0 (whose
-    imaginary parts come out -0.0 instead of +0.0), at about 0.8 of its
-    cost."""
+    imaginary parts come out -0.0 instead of +0.0), without its complex
+    temporary of the products."""
     slopes = np.asarray(slopes, dtype=np.float64)
     arg = slopes[:, None] * np.arange(num_elements, dtype=np.float64)
     target = np.empty(arg.shape, dtype=np.complex128)
