@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -101,10 +101,6 @@ def axis_from_boresight_deg(boresight_deg: float):
     return math.pi / 2.0 - math.radians(boresight_deg)
 
 
-def boresight_deg_from_axis(axis_rad: float):
-    return 90.0 - math.degrees(axis_rad)
-
-
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array at a fixed carrier.
@@ -176,10 +172,6 @@ class FrequencyGrid:
     @property
     def num_subcarriers(self) -> int:
         return 12 * self.num_rbs
-
-    @property
-    def rb_bandwidth_hz(self) -> float:
-        return 12.0 * self.scs_hz
 
     def subcarrier_freqs(self) -> np.ndarray:
         """Absolute subcarrier frequencies, strictly increasing, symmetric

@@ -178,9 +178,8 @@ def design_type2(cfg: ArrayConfig, spec: RainbowSpec,
     """
     m = np.arange(cfg.num_elements, dtype=np.float64)
     delays = m * (math.sin(spec.spread_rad / 2.0) / grid.bandwidth_hz)
-    steer_slope = 2.0 * math.pi * cfg.spacing_m \
-        * math.cos(spec.center_rad) / cfg.wavelength_m
-    phases = steer_slope * m - 2.0 * math.pi * grid.center_hz * delays
+    phases = _steer_slope(cfg, spec.center_rad) * m \
+        - 2.0 * math.pi * grid.center_hz * delays
     return PhaseTimeWeights(delays_s=delays, phases_rad=phases,
                             delay_step_s=0.0)
 
@@ -257,18 +256,6 @@ def type1_objective(cfg: ArrayConfig, weights: PhaseTimeWeights,
                         + 2.0 * math.pi * freqs[:, None] * weights.delays_s[None, :]))
     diff = (resp - steer) / math.sqrt(cfg.num_elements)
     return float(np.sum(np.abs(diff) ** 2))
-
-
-def quantize_delays(weights: PhaseTimeWeights,
-                    constraint: DelayConstraint) -> PhaseTimeWeights:
-    """Round delays to the nearest grid point (ties toward the smaller
-    multiple) and clamp into [0, max_delay_s]. Phases pass through."""
-    ratio = weights.delays_s / constraint.step_s
-    steps = np.ceil(ratio - 0.5)  # nearest integer, half-way cases go down
-    steps = np.clip(steps, 0, constraint.num_steps)
-    return PhaseTimeWeights(delays_s=steps * constraint.step_s,
-                            phases_rad=weights.phases_rad.copy(),
-                            delay_step_s=constraint.step_s)
 
 
 def require_paa_codebook(num_beams: int, sector_rad) -> None:

@@ -101,22 +101,6 @@ def noise_power_dbm_per_rb(lm: LinkModel, scs_hz: float) -> float:
         + lm.bs_noise_figure_db
 
 
-def snr_per_rb_db(lm: LinkModel, distance_m: float, beam_gain_db_per_rb,
-                  allocated_rbs, scs_hz: float) -> np.ndarray:
-    """Per-RB SNR with transmit power split evenly over the allocation.
-
-    beam_gain_db_per_rb is indexable by RB id; allocated_rbs lists the RB ids
-    carrying the transmission. Returns SNRs in allocation order.
-    """
-    gains = np.asarray(beam_gain_db_per_rb, dtype=np.float64)
-    alloc = np.asarray(allocated_rbs, dtype=np.int64)
-    if alloc.size == 0:
-        raise ValueError("allocated_rbs must be non-empty")
-    tx = lm.ue_tx_power_dbm - 10.0 * math.log10(alloc.size)
-    return (tx + lm.ue_beam_gain_db + path_gain_db(lm, distance_m)
-            + gains[alloc] - noise_power_dbm_per_rb(lm, scs_hz))
-
-
 def eesm_effective_snr_db(snr_db_values, beta: float) -> float:
     """Exponential effective-SNR mapping over per-RB SNRs (dB in, dB out).
 
@@ -130,17 +114,10 @@ def eesm_effective_snr_db(snr_db_values, beta: float) -> float:
         raise ValueError("snr_db_values must be non-empty")
     if not np.all(np.isfinite(snr_db)):
         raise ValueError("snr_db_values must be finite")
-    return float(_eesm_effective_snr_db_rows(snr_db.reshape(1, -1), beta)[0])
-
-
-def _eesm_effective_snr_db_rows(snr_db_rows, beta: float) -> np.ndarray:
-    """``eesm_effective_snr_db`` of every row of a 2-D array, one entry per
-    row, without input checks. The shift by the row minimum keeps large SNRs
-    from underflowing; no row's result depends on the other rows."""
-    lin = _kernels.pow10(snr_db_rows / 10.0)
-    v_min = lin.min(axis=1)
-    means = np.mean(np.exp(-(lin - v_min[:, None]) / beta), axis=1)
-    return _kernels.eesm_snr_db(v_min, means, beta)
+    lin = _kernels.pow10(snr_db / 10.0)
+    v_min = lin.min()
+    mean = np.mean(np.exp(-(lin - v_min) / beta))
+    return float(_kernels.eesm_snr_db(v_min, mean, beta))
 
 
 @dataclass(frozen=True)
@@ -271,7 +248,8 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
     SE*n*12*scs*slot_duty, ties broken toward the higher MCS and then the
     smaller allocation. A distance where nothing with at least 4 RBs is
     feasible gets an outage decision (mcs -1, zero throughput) whose
-    effective SNR is that of the 4 best RBs.
+    effective SNR is the EESM, at MCS 0's beta, of the min(4, available)
+    best RBs with the power split over them.
 
     Returns a ``RateGrid``, row i for ``distances_m[i]``; every cell equals
     the one-UE, one-distance ``select_rate`` result.
@@ -314,14 +292,14 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
         best_n, best_mcs, best_eff, best_se_n = _kernels.rate_scan_batch(
             link_db, gains_desc, noise_db, thr_lin, se, unique_betas,
             beta_idx, MIN_RBS_PER_GRANT)
-        # diagnostic effective SNR of every outage: the most concentrated
-        # allowed allocation
+        # diagnostic effective SNR of every outage: the EESM at MCS 0's beta
+        # of the most concentrated allowed allocation, by the scan's own stage
         out_u, out_r = np.nonzero(best_mcs < 0)
-        n_diag = min(MIN_RBS_PER_GRANT, width)
-        split = _kernels.snr_unsplit(link_db[out_r, None],
-                                     gains_desc[out_u, :n_diag], noise_db)
-        best_eff[out_u, out_r] = _eesm_effective_snr_db_rows(
-            10.0 * np.log10(split / n_diag), float(betas[0]))
+        v_min, means = _kernels._eesm_stage(
+            link_db, gains_desc, noise_db, out_u, out_r,
+            np.full(out_u.size, min(MIN_RBS_PER_GRANT, width)), betas[:1])
+        best_eff[out_u, out_r] = _kernels.eesm_snr_db(v_min, means[0],
+                                                      betas[0])
         mcs[:, ues], num_rbs[:, ues] = best_mcs.T, best_n.T
         eff_db[:, ues] = best_eff.T
         tput[:, ues] = (best_se_n * 12.0 * scs_hz * slot_duty).T

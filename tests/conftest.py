@@ -10,34 +10,36 @@ delay-line step capped at 157.5 ns.
 
 import pytest
 
-import jpta
+from jpta.antenna import ArrayConfig, FrequencyGrid
+from jpta.codebook import DelayConstraint
+from jpta.link import LinkModel, McsTable
 
 _ACCEPTANCE = {}
 
 
 @pytest.fixture(scope="session")
 def array16():
-    return jpta.ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    return ArrayConfig.half_wavelength(16, 28e9, 28.0)
 
 
 @pytest.fixture(scope="session")
 def grid264():
-    return jpta.FrequencyGrid(28e9, 400e6, 120e3, 264)
+    return FrequencyGrid(28e9, 400e6, 120e3, 264)
 
 
 @pytest.fixture(scope="session")
 def link_default():
-    return jpta.LinkModel(carrier_hz=28e9)
+    return LinkModel(carrier_hz=28e9)
 
 
 @pytest.fixture(scope="session")
 def mcs_default():
-    return jpta.McsTable.default()
+    return McsTable.default()
 
 
 @pytest.fixture(scope="session")
 def delay25():
-    return jpta.DelayConstraint(2.5e-9, 157.5e-9)
+    return DelayConstraint(2.5e-9, 157.5e-9)
 
 
 def record_criterion(num: int, ok: bool, detail: str) -> None:

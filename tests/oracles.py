@@ -1,5 +1,6 @@
-"""Brute-force references for the vectorized kernels in ``jpta._kernels``
-and for the pattern CSV writer of ``jpta.cli``.
+"""Brute-force references for the vectorized kernels in ``jpta._kernels``,
+for the link budget's per-RB SNR and for the pattern CSV writer of
+``jpta.cli``.
 
 Plain scalar loops, one cell, one ring or one CSV row at a time: slow, but
 simple enough to read as the definition the fast code is checked against.
@@ -10,6 +11,8 @@ replaces.
 import math
 
 import numpy as np
+
+from jpta.link import noise_power_dbm_per_rb, path_gain_db
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,14 +57,36 @@ def delay_scan_py(slopes, freqs, taus, num_elements):
 
 
 def eesm_effective_snr_db_py(snr_db_values, beta):
-    """EESM of one RB set in dB: ``-beta * ln(mean(exp(-snr/beta)))`` in
-    the linear domain, shifted by the minimum, with a 1-D ``np.mean`` and
-    ``math.log`` on top. The outage diagnostic of ``select_rate_grid`` prints
-    this value, so the batched form must equal it bit for bit."""
-    lin = np.power(10.0, np.asarray(snr_db_values, dtype=np.float64) / 10.0)
-    v_min = lin.min()
-    eff = v_min - beta * math.log(np.mean(np.exp(-(lin - v_min) / beta)))
+    """EESM of one RB set in dB, of per-RB SNRs in dB: their linear values
+    ``np.power(10, snr/10)`` through ``eesm_linear_db_py``."""
+    return eesm_linear_db_py(
+        np.power(10.0, np.asarray(snr_db_values, dtype=np.float64) / 10.0),
+        beta)
+
+
+def eesm_linear_db_py(snr_lin, beta):
+    """EESM of one RB set in dB, of linear per-RB SNRs:
+    ``-beta * ln(mean(exp(-snr/beta)))``, shifted by the minimum, with a
+    1-D ``np.mean`` and ``math.log`` on top. An outage's diagnostic
+    effective SNR in ``select_rate_grid`` is this of its split SNRs, bit for
+    bit, since results.csv prints it."""
+    v_min = snr_lin.min()
+    eff = v_min - beta * math.log(np.mean(np.exp(-(snr_lin - v_min) / beta)))
     return 10.0 * math.log10(eff)
+
+
+def snr_per_rb_db(lm, distance_m, beam_gain_db_per_rb, allocated_rbs,
+                  scs_hz):
+    """Per-RB SNR in dB of one UE at one distance, in allocation order,
+    with the transmit power split evenly over ``allocated_rbs``, ids into
+    ``beam_gain_db_per_rb``: the link budget term by term in dB."""
+    gains = np.asarray(beam_gain_db_per_rb, dtype=np.float64)
+    alloc = np.asarray(allocated_rbs, dtype=np.int64)
+    if alloc.size == 0:
+        raise ValueError("allocated_rbs must be non-empty")
+    tx = lm.ue_tx_power_dbm - 10.0 * math.log10(alloc.size)
+    return (tx + lm.ue_beam_gain_db + path_gain_db(lm, distance_m)
+            + gains[alloc] - noise_power_dbm_per_rb(lm, scs_hz))
 
 
 def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,

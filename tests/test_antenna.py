@@ -17,7 +17,6 @@ from jpta.antenna import (
     axis_from_boresight_deg,
     axis_from_boresight_rad,
     beam_gain_db,
-    boresight_deg_from_axis,
     jpta_response,
     pattern_map,
     steering_vector,
@@ -31,7 +30,7 @@ from jpta.antenna import (
 def test_axis_boresight_round_trip():
     for deg in (-90.0, -30.0, 0.0, 10.0, 90.0):
         axis = axis_from_boresight_deg(deg)
-        assert boresight_deg_from_axis(axis) == pytest.approx(deg, abs=1e-12)
+        assert axis == axis_from_boresight_rad(math.radians(deg))
     assert axis_from_boresight_deg(0.0) == pytest.approx(math.pi / 2.0)
     assert axis_from_boresight_rad(math.pi / 2.0) == pytest.approx(0.0)
     # boresight +90 deg maps to axis 0 (array end-fire)
@@ -75,7 +74,6 @@ def test_frequency_grid_layout(grid264):
     assert rb[0] == pytest.approx(28e9 - (3168 / 2 - 6) * 120e3, rel=1e-15)
     # RB center is the mean of its 12 subcarriers
     np.testing.assert_allclose(rb, sc.reshape(264, 12).mean(axis=1), rtol=1e-12)
-    assert grid264.rb_bandwidth_hz == pytest.approx(1.44e6)
 
 
 def test_frequency_grid_occupancy_check():

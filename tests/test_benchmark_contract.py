@@ -1,9 +1,12 @@
 """What the benchmarks read from the package: the functions the tracer of
-``perfbench/`` wraps by name, a sweep's per-decision view, and the kernels
-and private helpers ``benchmarks/bench_kernels.py`` times."""
+``perfbench/`` wraps by name, a sweep's per-decision view, one round of each
+perfbench workload against its recorded references, the kernels and private
+helpers ``benchmarks/bench_kernels.py`` times, and the names
+``benchmarks/delay_study.py`` imports."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +76,34 @@ def test_every_kernel_bench_runs_once():
     assert benches
     for _, kernel, _, make_args, _ in benches:
         kernel(*make_args())
+
+
+def test_every_perfbench_workload_round_matches_its_references(tmp_path,
+                                                              monkeypatch):
+    # one round of each workload as the benchmark worker runs it: set-up,
+    # warm-up, then tasks checked against references.json. The workloads
+    # import the harness by name, as they do from their own directory
+    harness = _load("harness", ROOT / "perfbench" / "harness.py")
+    monkeypatch.setitem(sys.modules, "harness", harness)
+    workloads = _load("perfbench_workloads",
+                      ROOT / "perfbench" / "workloads.py").WORKLOADS
+    assert list(workloads) == ["sweep_dense", "cli_quickstart",
+                               "design_certify"]
+    for name, cls in workloads.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload = cls(1, workdir)
+        workload.warm_up()
+        references = harness.load_references(name)
+        for i in range(workload.tasks_per_round):
+            outputs, problems = workload.outputs(i, workload.run(i))
+            assert outputs
+            assert problems + harness.compare(outputs, references) == [], \
+                (name, i)
+
+
+def test_delay_study_imports_without_running():
+    # loading the study resolves every name it imports from the package;
+    # its table runs only under __main__
+    study = _load("delay_study", ROOT / "benchmarks" / "delay_study.py")
+    assert callable(study.main)

@@ -12,7 +12,6 @@ from jpta.antenna import (
     SPEED_OF_LIGHT_M_S,
     ArrayConfig,
     FrequencyGrid,
-    PhaseTimeWeights,
     axis_from_boresight_deg,
     beam_gain_db,
     pattern_map,
@@ -29,7 +28,6 @@ from jpta.codebook import (
     export_codebook_csv,
     import_codebook_csv,
     paa_codebook,
-    quantize_delays,
     steer_weights,
     type1_objective,
 )
@@ -84,7 +82,7 @@ def test_equal_shares_needs_enough_rbs():
 
 
 # ---------------------------------------------------------------------------
-# DelayConstraint / quantize_delays
+# DelayConstraint
 # ---------------------------------------------------------------------------
 
 def test_delay_constraint_grid():
@@ -107,24 +105,6 @@ def test_delay_constraint_validation():
         DelayConstraint(1e-9, -1e-9)
     # zero max is a single-point grid {0}
     assert DelayConstraint(1e-9, 0.0).grid().tolist() == [0.0]
-
-
-def test_quantize_delays_rounding():
-    dc = DelayConstraint(2.5e-9, 157.5e-9)
-    w = PhaseTimeWeights(
-        delays_s=np.array([0.0, 1.25e-9, 3.75e-9, 3.76e-9, 30.7182e-9,
-                           200e-9]),
-        phases_rad=np.zeros(6))
-    q = quantize_delays(w, dc)
-    np.testing.assert_allclose(
-        q.delays_s,
-        [0.0, 0.0, 2.5e-9, 5.0e-9, 30.0e-9, 157.5e-9],  # halfway rounds down
-        rtol=1e-12)
-    assert q.delay_step_s == 2.5e-9
-    np.testing.assert_array_equal(q.phases_rad, w.phases_rad)
-    # idempotent on already-quantized weights
-    q2 = quantize_delays(q, dc)
-    np.testing.assert_array_equal(q2.delays_s, q.delays_s)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpta import (
+from jpta.antenna import (
+    SPEED_OF_LIGHT_M_S,
     ArrayConfig,
-    DelayConstraint,
-    Deployment,
     FrequencyGrid,
-    LinkModel,
-    throughput_sweep,
+    axis_from_boresight_deg,
 )
-from jpta.antenna import SPEED_OF_LIGHT_M_S, axis_from_boresight_deg
-from jpta.codebook import paa_codebook
+from jpta.codebook import DelayConstraint, paa_codebook
 from jpta.config import (
     _KEY_SPECS,
     ConfigError,
@@ -26,7 +23,8 @@ from jpta.config import (
     load_config,
     parse_config_text,
 )
-from jpta.link import MAX_EESM_BETA, McsTable, select_rate_grid
+from jpta.link import MAX_EESM_BETA, LinkModel, McsTable, select_rate_grid
+from jpta.sysim import Deployment, throughput_sweep
 
 FULL_TEXT = """
 # array geometry

@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from jpta import FrequencyGrid, PhaseTimeWeights, _kernels, cli
+from jpta import _kernels, cli
 from jpta.antenna import (
     CORRELATION_FLOOR,
     ArrayConfig,
+    FrequencyGrid,
+    PhaseTimeWeights,
     pattern_map,
     table_gain_db,
 )

@@ -24,9 +24,8 @@ from jpta.link import (
     path_gain_db,
     select_rate,
     select_rate_grid,
-    snr_per_rb_db,
 )
-from oracles import eesm_effective_snr_db_py
+from oracles import eesm_effective_snr_db_py, eesm_linear_db_py, snr_per_rb_db
 
 SCS = 120e3
 FLAT28 = np.full(264, 28.0)
@@ -372,9 +371,11 @@ def test_select_rate_fewer_than_min_rbs_is_outage(link_default, mcs_default):
 def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
                                                     mcs_default):
     # select_rate_grid computes the outage diagnostic for all outage rings in
-    # one pass; each must equal the one-row EESM oracle of the same 4-RB split
-    # bit for bit, since results.csv prints it, and so must the public
-    # eesm_effective_snr_db, which takes the same batched path
+    # one pass, by the rate scan's EESM stage; each must equal the one-row
+    # EESM oracle of the same linear split SNRs of the best min(4, width) RBs
+    # bit for bit, since results.csv prints it. The one- and three-RB shares
+    # are outages at every ring. The public eesm_effective_snr_db of the
+    # split's dB values keeps its own oracle's bits
     rng = np.random.default_rng(17)
     gains = rng.uniform(-40.0, 28.0, 264)
     dists = np.geomspace(30.0, 1e5, 240)
@@ -382,7 +383,7 @@ def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
     noise = noise_power_dbm_per_rb(link_default, SCS)
     checked = 0
     for avail in (ALL_RBS, np.sort(rng.choice(264, 40, replace=False)),
-                  np.array([5, 9, 200])):
+                  np.array([5, 9, 200]), np.array([131])):
         rates = select_rate_grid(link_default, dists, [gains], [avail],
                                  mcs_default, SCS, 1.0, betas)
         n = min(MIN_RBS_PER_GRANT, avail.size)
@@ -395,14 +396,15 @@ def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
                 + path_gain_db(link_default, float(d))
             unsplit = np.sort(10.0 ** ((link_db + gains[avail] - noise)
                                        / 10.0))[::-1]
-            split_db = 10.0 * np.log10(unsplit[:n] / n)
-            want = eesm_effective_snr_db_py(split_db, float(betas[0]))
-            assert eff_db == want, (avail.size, d)
-            assert eesm_effective_snr_db(split_db, float(betas[0])) == want
-            assert eesm_effective_snr_db(split_db, 2.5) \
-                == eesm_effective_snr_db_py(split_db, 2.5)
+            split = unsplit[:n] / n
+            assert eff_db == eesm_linear_db_py(split, float(betas[0])), \
+                (avail.size, d)
+            split_db = 10.0 * np.log10(split)
+            for beta in (float(betas[0]), 2.5):
+                assert eesm_effective_snr_db(split_db, beta) \
+                    == eesm_effective_snr_db_py(split_db, beta)
             checked += 1
-    assert checked > dists.size + 50
+    assert checked > 2 * dists.size + 50
 
 
 def test_select_rate_four_rb_floor(link_default):
