@@ -27,6 +27,12 @@ table, the layout that the coefficient rows replaced. Another times one
 ``throughput_sweep`` of that deployment at one ring, the set-up cost every
 sweep pays whatever its ring count, against the same sweep at 160 rings.
 
+One row times the pattern grid's phasors on the 3001 x 264 grid, in the
+112-angle chunks of ``pattern_corr`` at 264 columns: each chunk's coarse
+and fine tables of ``phasor_split`` and one complex product per cell
+(``_fill_phasors``), against ``np.cos`` and ``np.sin`` of every cell's
+phase, the one-factor form (not an oracle).
+
 Three rows time one chunk of the pattern grid as a worker computes it,
 16 elements and a shared coefficient table, at 24, 264 and 1024 columns:
 each element's row added from a tile of its copies (``_horner_chunk``
@@ -118,7 +124,8 @@ def _pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     """``pattern_corr`` of one weight set with its coefficient table, as
     ``antenna.pattern_map`` calls it."""
     coef = _kernels.pattern_coefficients(freqs, [phases], [delays])
-    return _kernels.pattern_corr(cos_angles, slope_scale * freqs, coef)
+    return _kernels.pattern_corr(
+        cos_angles, _kernels.phasor_split(slope_scale, freqs), coef)
 
 
 def _pattern_corr_one_thread(*args):
@@ -144,14 +151,46 @@ def _horner_args(cols: int):
     coef = _kernels.pattern_coefficients(
         freqs, [rng.uniform(-math.pi, math.pi, 16)],
         [rng.integers(0, 64, 16) * 2.5e-9])
-    slope = 2.0 * math.pi * (299_792_458.0 / 28e9 / 2.0) / 299_792_458.0
-    return (np.cos(rng.uniform(0.0, math.pi, rows)), slope * freqs, coef,
+    split = _kernels.phasor_split(
+        2.0 * math.pi * (299_792_458.0 / 28e9 / 2.0) / 299_792_458.0, freqs)
+    return (np.cos(rng.uniform(0.0, math.pi, rows)), split, coef,
             np.empty((rows, cols)), *_kernels._chunk_buffers(rows, cols, tile))
 
 
 def _horner_broadcast(*args):
     """The same chunk with the shared row added by broadcast."""
     return _kernels._horner_chunk(*args[:-1], None)
+
+
+def _phasor_args():
+    """The 3001 x 264 grid of ``_pattern_args`` in chunks of the rows that
+    ``pattern_corr`` gives a chunk at 264 columns, with its RB centers'
+    split and one-factor forms."""
+    cos_angles, freqs, _, _, slope_scale = _pattern_args(3001)
+    rows = _kernels.PATTERN_CHUNK_CELLS // freqs.size
+    rows -= rows % _kernels._tile_rows(freqs.size)
+    return (cos_angles, rows, _kernels.phasor_split(slope_scale, freqs),
+            _kernels.PhasorSplit(slope_scale * freqs, np.zeros(1),
+                                 freqs.size))
+
+
+def _phasor_chunks(cos_angles, rows, split):
+    """Every chunk's phasors over the columns of ``split`` as a worker of
+    ``pattern_corr`` fills them, in one set of chunk buffers."""
+    z, acc = _kernels._chunk_buffers(rows, split.cols, 0)[:2]
+    for a0 in range(0, cos_angles.size, rows):
+        chunk = cos_angles[a0:a0 + rows]
+        _kernels._fill_phasors(chunk, split, z[:chunk.size],
+                               acc[:chunk.size])
+
+
+def _phasors_split(cos_angles, rows, split, one_factor):
+    return _phasor_chunks(cos_angles, rows, split)
+
+
+def _phasors_per_cell(cos_angles, rows, split, one_factor):
+    """The same phasors from ``np.cos`` and ``np.sin`` of every cell."""
+    return _phasor_chunks(cos_angles, rows, one_factor)
 
 
 def _phase_ramps_exp(slopes, num_elements):
@@ -309,8 +348,9 @@ def _gain_rows_one_row(paa_args, jpta_args):
         coef[~const] = np.exp(-1j * arg[~const])
         slope = (2.0 * math.pi * cfg.spacing_m / antenna.SPEED_OF_LIGHT_M_S
                  * np.asarray(freqs))
+        slopes = (cos_ues[:, None] * slope).ravel()
         rows = antenna.table_gain_db(
-            cfg, [1.0], (cos_ues[:, None] * slope).ravel(),
+            cfg, [1.0], _kernels.PhasorSplit(slopes, np.zeros(1), slopes.size),
             coef[:, np.searchsorted(used, serving)].reshape(
                 cfg.num_elements, 1, -1))
         return rows.reshape(cos_ues.size, -1)
@@ -392,6 +432,8 @@ BENCHES = [
      pattern_corr_py, lambda: _pattern_args(91, 64), True),
     ("pattern_corr (91 angles x 264 RBs, 256 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(91, 256), True),
+    ("pattern phasors (3001 x 264, split vs cos/sin)", _phasors_split,
+     _phasors_per_cell, _phasor_args, False),
     ("Horner chunk (1197 x 24, tile vs broadcast)",
      _kernels._horner_chunk, _horner_broadcast, lambda: _horner_args(24),
      False),

@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the toolkit's outputs, one ``sha256  name`` line each.
+
+The outputs:
+
+* the README quick-start files, written by ``cli.main`` in a temporary
+  directory: ``design`` of types 1 and 2, ``pattern`` of the type-1
+  codebook at 0.5 degree steps over -60:60 (the README's grid) and at 0.25
+  degree steps over -90:90 (the benchmark's), ``simulate``'s
+  ``results.csv`` and ``summary.csv``, and ``coverage``;
+* every ``RateGrid`` column of both schemes in the criterion-4 sweeps: 8
+  UEs over -55..55 degrees with 160 log rings on each path-loss exponent's
+  span (2, 3 and 4, the three sweeps of the ``sweep_dense`` benchmark
+  workload), and with 5120 log rings over 300-3000 m at exponent 3;
+* the criterion-7 swept maps: ``pattern_map`` over 3001 axis angles of the
+  type-2 designs of 30, 60 and 110 degree spread about boresight.
+
+An array's digest covers its dtype, shape and bytes. Run the tool against
+two source trees and compare the listings, for example a change against
+its parent checked out in ``../parent``::
+
+    PYTHONPATH=../parent/src python3 benchmarks/output_digests.py > old.txt
+    PYTHONPATH=src python3 benchmarks/output_digests.py > new.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from jpta import antenna, cli, codebook, link, sysim
+
+ARRAY = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
+GRID = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
+SECTOR = (antenna.axis_from_boresight_deg(60.0),
+          antenna.axis_from_boresight_deg(-60.0))
+UE_ANGLES_DEG = np.linspace(-55.0, 55.0, 8)
+# (name, path-loss exponent, nearest and farthest ring, ring count)
+SWEEPS = (("sweep_dense.beta2", 2.0, 8000.0, 120000.0, 160),
+          ("sweep_dense.beta3", 3.0, 300.0, 3000.0, 160),
+          ("sweep_dense.beta4", 4.0, 60.0, 500.0, 160),
+          ("criterion4.5120_rings", 3.0, 300.0, 3000.0, 5120))
+SPREADS_DEG = (30.0, 60.0, 110.0)
+QUICKSTART_CONFIG = ("deploy.ue_angles_deg = -30, -10, 10, 30\n"
+                     "deploy.ring_min_m    = 30\n"
+                     "deploy.ring_max_m    = 1500\n"
+                     "deploy.ring_count    = 40\n")
+
+
+def quickstart_files(workdir: Path):
+    """``(name, bytes)`` of each quick-start file written in ``workdir``."""
+    cfg = workdir / "run.cfg"
+    cfg.write_text(QUICKSTART_CONFIG)
+    commands = {
+        "codebook_type1.csv": ["design", "--type", "1"],
+        "codebook_type2.csv": ["design", "--type", "2"],
+        "pattern_0.5deg.csv": ["pattern", str(workdir / "codebook_type1.csv"),
+                               "--angles=-60:60:0.5"],
+        "pattern_0.25deg.csv": ["pattern",
+                                str(workdir / "codebook_type1.csv"),
+                                "--angles=-90:90:0.25"],
+        "out": ["simulate"],
+        "coverage.csv": ["coverage", "--threshold", "1e6"],
+    }
+    for name, argv in commands.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv + ["--config", str(cfg),
+                                    "--out", str(workdir / name)])
+        if code != 0:
+            raise RuntimeError("jpta %s exited %d" % (argv[0], code))
+    for name in ("codebook_type1.csv", "codebook_type2.csv",
+                 "pattern_0.5deg.csv", "pattern_0.25deg.csv",
+                 "out/results.csv", "out/summary.csv", "coverage.csv"):
+        yield "quickstart." + name, (workdir / name).read_bytes()
+
+
+def sweep_columns():
+    """``(name, array)`` of every ``RateGrid`` column of ``SWEEPS``."""
+    mcs = link.McsTable.default()
+    for name, exponent, lo, hi, rings in SWEEPS:
+        dep = sysim.Deployment(np.radians(UE_ANGLES_DEG),
+                               sysim.log_ring_grid(lo, hi, rings))
+        lm = link.LinkModel(carrier_hz=28e9, path_loss_exponent=exponent)
+        res = sysim.throughput_sweep(dep, ARRAY, GRID, lm, mcs,
+                                     codebook.DelayConstraint(), 16, SECTOR)
+        for scheme, rates in res.rates.items():
+            for field, column in zip(link.RateGrid._fields, rates):
+                yield "%s.%s.%s" % (name, scheme, field), column
+
+
+def swept_maps():
+    """``(name, array)`` of the criterion-7 swept gain maps."""
+    axis_grid = np.linspace(0.02, math.pi - 0.02, 3001)
+    for spread in SPREADS_DEG:
+        spec = codebook.RainbowSpec(center_rad=math.pi / 2.0,
+                                    spread_rad=math.radians(spread))
+        weights = codebook.design_type2(ARRAY, spec, GRID)
+        yield ("criterion7.spread%g.gain_db" % spread,
+               antenna.pattern_map(ARRAY, weights, axis_grid, GRID))
+
+
+def digest(value) -> str:
+    """SHA-256 of bytes, or of an array's dtype, shape and bytes."""
+    if isinstance(value, bytes):
+        return hashlib.sha256(value).hexdigest()
+    array = np.ascontiguousarray(value)
+    head = "%s %s\n" % (array.dtype.str, array.shape)
+    return hashlib.sha256(head.encode() + array.tobytes()).hexdigest()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, data in quickstart_files(Path(workdir)):
+            print("%s  %s" % (digest(data), name))
+    for outputs in (sweep_columns(), swept_maps()):
+        for name, array in outputs:
+            print("%s  %s" % (digest(array), name))
+
+
+if __name__ == "__main__":
+    main()

@@ -4,7 +4,11 @@ Three loops dominate the toolkit's numerical run time:
 
 * the angle x column pattern grid (``pattern_corr``), a Horner evaluation
   of one element polynomial per cell, chunked over angles and split over
-  the usable CPUs. A column is a steering slope, and the coefficient table
+  the usable CPUs. A column is a steering slope; on an evenly spaced
+  frequency axis of K columns each chunk builds its phasors from a coarse
+  and a fine table of about sqrt(K) columns each (``phasor_split``), one
+  complex product per cell, and on any other axis from ``np.cos`` and
+  ``np.sin`` of every cell's phase. The coefficient table
   (``pattern_coefficients``, one pass over any number of weight sets, one
   column wide when no set has a delay) holds one row for every angle or
   one per angle, so one call serves a pattern map (sets as column blocks)
@@ -46,6 +50,7 @@ import functools
 import math
 import os
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,17 +82,65 @@ def backend() -> str:
 # pattern correlation: |<steering(angle, f), response(f)>| on a grid
 # ---------------------------------------------------------------------------
 
-def pattern_corr(cos_angles, slope, coef, db=None):
+class PhasorSplit(NamedTuple):
+    """The pattern kernel's column phasors ``exp(j*cos_a*slope_k)`` as the
+    products of two tables per angle: column k of ``width`` takes the
+    coarse slope ``coarse[k // B]`` plus the fine slope ``fine[k % B]``, B
+    being ``fine.size``, and ``blocks`` copies of those columns lie side by
+    side, one per weight set of a pattern map. A single fine slope, 0.0, is
+    the one-factor form: every column has its own coarse slope."""
+
+    coarse: np.ndarray
+    fine: np.ndarray
+    width: int
+    blocks: int = 1
+
+    @property
+    def cols(self) -> int:
+        return self.width * self.blocks
+
+
+def phasor_split(scale, freqs):
+    """The column slopes ``scale * f_k`` of the K frequencies ``freqs`` as
+    a ``PhasorSplit``.
+
+    When the frequencies form an exact arithmetic progression ``f_k = f_0 +
+    k*step``, as the RB centers of an integer-Hz carrier and subcarrier
+    spacing do, column k = q*B + r takes the coarse slope ``scale * f_qB``
+    (column qB's own slope) and the fine slope ``scale * (r*step)``: B +
+    ceil(K/B) phasors per angle instead of K. B is the smallest divisor of
+    K from isqrt(K) to 2*isqrt(K), else isqrt(K) with a short last run:
+    each run of B columns is one broadcast product, and whole runs fill a
+    chunk faster (22 x 12 at 264 RBs in about 0.8 of the time of 16 x 17).
+    Any other axis, and one of fewer than four columns, takes the
+    one-factor form, whose phasors have the bits of each column's own
+    slope."""
+    freqs = np.asarray(freqs, dtype=np.float64)
+    size = freqs.size
+    root = math.isqrt(size)
+    fine = next((b for b in range(root, 2 * root + 1) if size % b == 0),
+                root)
+    if fine > 1:
+        step = freqs[1] - freqs[0]
+        if np.array_equal(freqs[0] + step * np.arange(size), freqs):
+            return PhasorSplit(scale * freqs[::fine],
+                               scale * (step * np.arange(fine)), size)
+    return PhasorSplit(scale * freqs, np.zeros(1), size)
+
+
+def pattern_corr(cos_angles, split, coef, db=None):
     """Correlation magnitudes on an angle x column grid.
 
-    Entry (a, k) is ``|(1/M) sum_m coef[m, a, k] exp(j*cos_a*slope_k*m)|``.
+    Entry (a, k) is ``|(1/M) sum_m coef[m, a, k] exp(j*cos_a*slope_k*m)|``,
+    ``slope_k`` being column k's slope in the ``PhasorSplit`` ``split``.
     With the steering slope ``slope_k = 2*pi*spacing*f_k/c`` of a column's
-    frequency and the coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))`` of a
-    weight set (``pattern_coefficients``), that is the magnitude of the
-    conjugated inner product between the unit-norm steering vector and the
-    unit-norm phase-time response. With ``db``, a pair ``(floor,
-    peak_db)``, each entry is instead the gain ``peak_db + 20 *
-    log10(max(corr, floor))``, those steps taken in that order in place.
+    frequency (``phasor_split``) and the coefficients ``exp(-j(phi_m +
+    2*pi*f_k*tau_m))`` of a weight set (``pattern_coefficients``), that is
+    the magnitude of the conjugated inner product between the unit-norm
+    steering vector and the unit-norm phase-time response. With ``db``, a
+    pair ``(floor, peak_db)``, each entry is instead the gain ``peak_db +
+    20 * log10(max(corr, floor))``, those steps taken in that order in
+    place.
 
     ``coef`` broadcasts to (elements, angles, columns): (M, 1, K) gives
     every angle the same columns, as a pattern map does; (M, A, K) gives
@@ -99,13 +152,16 @@ def pattern_corr(cos_angles, slope, coef, db=None):
     (M, 1, K) table bit for bit.
 
     The sum is a polynomial in ``z[a, k] = exp(j*cos_a*slope_k)``,
-    evaluated by Horner's rule over m: A*K phasors instead of A*K*M
-    exponentials, and M - 1 in-place multiply-adds on an (angle chunk x K)
-    array, each adding one coefficient row ``coef[m]`` of the chunk's
-    angles; a row shared by every angle is added from a tile of its copies
-    (``_tile_rows``). Every cell is computed by the same elementwise
-    operations whatever the chunking or the other columns, so neither a
-    row nor a block of columns depends on the rest of the call.
+    evaluated by Horner's rule over m. Each chunk builds its phasors from
+    the split's coarse and fine tables (``_fill_phasors``): about 2*sqrt(K)
+    cos/sin pairs per angle and one complex product per cell, where
+    ``np.exp`` of every term would take A*K*M exponentials. Then come M -
+    1 in-place multiply-adds on an (angle chunk x K) array, each adding one
+    coefficient row ``coef[m]`` of the chunk's angles; a row shared by
+    every angle is added from a tile of its copies (``_tile_rows``). Every
+    cell is computed by the same elementwise operations whatever the
+    chunking or the other columns, so neither a row nor a block of columns
+    depends on the rest of the call.
 
     A grid of several chunks is split over one thread per usable CPU, up to
     one per chunk: numpy's ufuncs release the interpreter lock, each thread
@@ -115,7 +171,7 @@ def pattern_corr(cos_angles, slope, coef, db=None):
     within the call; a one-chunk grid runs on the calling thread alone.
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
-    cols = slope.size
+    cols = split.cols
     out = np.empty((cos_angles.size, cols), dtype=np.float64)
     chunk = max(1, PATTERN_CHUNK_CELLS // max(1, cols))
     per_angle = coef.shape[1] > 1
@@ -141,7 +197,7 @@ def pattern_corr(cos_angles, slope, coef, db=None):
                 if a0 is None:
                     return
                 block = out[a0:a0 + chunk]
-                _horner_chunk(cos_angles[a0:a0 + chunk], slope,
+                _horner_chunk(cos_angles[a0:a0 + chunk], split,
                               coef[:, a0:a0 + chunk] if per_angle else coef,
                               block, *buffers)
                 if db is not None:
@@ -166,16 +222,13 @@ def pattern_corr(cos_angles, slope, coef, db=None):
 
 def _chunk_buffers(rows, cols, tile_rows):
     """``_horner_chunk``'s buffers for chunks of up to ``rows`` x ``cols``
-    cells: phases, phasors, sums, a spare cell, and a tile of ``tile_rows``
-    rows (None for 0), which takes the phase buffer's memory, as the phases
-    are spent before the first add."""
-    arg = np.empty(max(rows, 2 * tile_rows) * cols)
-    tile = arg[:2 * tile_rows * cols].view(np.complex128)
-    return (arg[:rows * cols].reshape(rows, cols),
-            np.empty((rows, cols), dtype=np.complex128),
+    cells: phasors, sums, a spare cell, and a tile of ``tile_rows`` rows
+    (None for 0)."""
+    return (np.empty((rows, cols), dtype=np.complex128),
             np.empty((rows, cols), dtype=np.complex128),
             np.empty((1, 1), dtype=np.complex128),
-            tile.reshape(tile_rows, cols) if tile_rows else None)
+            np.empty((tile_rows, cols), dtype=np.complex128)
+            if tile_rows else None)
 
 
 def _gain_db(corr, floor, peak_db):
@@ -222,11 +275,56 @@ def _tile_rows(cols):
     return PATTERN_TILE_RUN // cols + 1
 
 
-def _horner_chunk(cos_chunk, slope, coef, out, arg, z, acc, one_cell, tile):
+def _cos_sin(cos_chunk, slopes, arg, out):
+    """``exp(j*cos_a*slope)`` of a chunk's angles and ``slopes`` into
+    ``out``: ``np.cos`` and ``np.sin`` of the products, taken in the flat
+    float buffer ``arg``, into its real and imaginary parts."""
+    arg = arg[:out.size].reshape(out.shape)
+    np.multiply(cos_chunk[:, None], slopes, out=arg)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+
+
+def _fill_phasors(cos_chunk, split, z, acc):
+    """The phasors of a chunk's angles and the columns of ``split`` into
+    ``z``: the coarse and the fine table of each angle, then one complex
+    product per cell, each run of B columns one broadcast product of a
+    coarse phasor and the fine row; in the one-factor form, the coarse
+    phasors written into ``z`` as they are. Further blocks are copies of
+    the first.
+
+    The tables, and the one-factor form's phases, take the memory of the
+    sums ``acc``, which the Horner loop overwrites once the phasors are
+    made; B + ceil(K/B) <= K from four columns up, so the tables fit. The
+    split's phases take the memory of ``z``, spent before the product
+    fills it."""
+    rows, width = cos_chunk.size, split.width
+    head = z[:, :width]
+    spare = acc.reshape(-1)
+    if split.fine.size == 1:
+        _cos_sin(cos_chunk, split.coarse, spare.view(np.float64), head)
+    else:
+        runs, step = split.coarse.size, split.fine.size
+        coarse = spare[:rows * runs].reshape(rows, runs)
+        fine = spare[rows * runs:rows * (runs + step)].reshape(rows, step)
+        phases = z.reshape(-1).view(np.float64)
+        _cos_sin(cos_chunk, split.coarse, phases, coarse)
+        _cos_sin(cos_chunk, split.fine, phases, fine)
+        whole = width - width % step
+        np.multiply(coarse[:, :whole // step, None], fine[:, None, :],
+                    out=head[:, :whole].reshape(rows, -1, step))
+        if whole < width:
+            np.multiply(coarse[:, whole // step:], fine[:, :width - whole],
+                        out=head[:, whole:])
+    if split.blocks > 1:
+        z.reshape(rows, split.blocks, width)[:, 1:] = head[:, None]
+
+
+def _horner_chunk(cos_chunk, split, coef, out, z, acc, one_cell, tile):
     """``|sum_m coef[m] * z**m| / M`` of one angle chunk into ``out``,
     ``coef`` broadcasting to (elements, chunk angles, columns), using the
-    first ``cos_chunk.size`` rows of the buffers ``arg``, ``z`` and
-    ``acc``, and ``one_cell`` for a chunk of one cell.
+    first ``cos_chunk.size`` rows of the buffers ``z`` and ``acc``, and
+    ``one_cell`` for a chunk of one cell.
 
     With a ``tile`` of T rows, ``coef`` is one row shared by every angle,
     copied into each tile row once per element, and the chunk is added to
@@ -234,10 +332,8 @@ def _horner_chunk(cos_chunk, slope, coef, out, arg, z, acc, one_cell, tile):
     IEEE additions as the broadcast add, which numpy runs in a loop of K
     cells per row."""
     rows = cos_chunk.size
-    arg, z, acc = arg[:rows], z[:rows], acc[:rows]
-    np.multiply(cos_chunk[:, None], slope, out=arg)
-    np.cos(arg, out=z.real)
-    np.sin(arg, out=z.imag)
+    z, acc = z[:rows], acc[:rows]
+    _fill_phasors(cos_chunk, split, z, acc)
     acc[:] = coef[-1]
     # numpy rounds a one-cell in-place product unlike its vector loop
     prod = acc if acc.size > 1 else one_cell

@@ -212,6 +212,8 @@ class PhaseTimeWeights:
             raise ValueError("weights must be finite")
         if (delays < 0.0).any():
             raise ValueError("delays_s must be nonnegative")
+        if not math.isfinite(self.delay_step_s):
+            raise ValueError("delay_step_s must be finite")
         if self.delay_step_s < 0.0:
             raise ValueError("delay_step_s must be nonnegative")
         if self.delay_step_s > 0.0:
@@ -305,18 +307,19 @@ def pattern_map(cfg: ArrayConfig, weights: PhaseTimeWeights,
 def pattern_gain_db(cfg: ArrayConfig, weight_sets, cos_angles, freqs):
     """Gain in dB, shape (angles, sets * freqs): one ``pattern_corr`` call
     with the weight sets as column blocks (``table_gain_db``)."""
-    slope, coef = pattern_tables(cfg, weight_sets, freqs)
-    blocks = np.broadcast_to(coef, coef.shape[:2] + slope.shape)
-    return table_gain_db(cfg, cos_angles, np.tile(slope, len(weight_sets)),
-                         blocks.reshape(cfg.num_elements, 1, -1))
+    split, coef = pattern_tables(cfg, weight_sets, freqs)
+    table = np.broadcast_to(coef, coef.shape[:2] + (split.width,))
+    return table_gain_db(cfg, cos_angles,
+                         split._replace(blocks=len(weight_sets)),
+                         table.reshape(cfg.num_elements, 1, -1))
 
 
 def pattern_tables(cfg: ArrayConfig, weight_sets, freqs):
-    """The pattern kernel's tables at ``freqs``: the steering slope
-    ``2*pi*spacing*f/c`` of each frequency, shape (freqs,), and the weight
-    sets' coefficients, shape (elements, sets, freqs), or (elements, sets,
-    1) when no set has a delay, from one ``_kernels.pattern_coefficients``
-    pass."""
+    """The pattern kernel's tables at ``freqs``: the steering slopes
+    ``2*pi*spacing*f/c`` of the frequencies as a ``_kernels.PhasorSplit``
+    (``_kernels.phasor_split``), and the weight sets' coefficients, shape
+    (elements, sets, freqs), or (elements, sets, 1) when no set has a
+    delay, from one ``_kernels.pattern_coefficients`` pass."""
     for w in weight_sets:
         if w.num_elements != cfg.num_elements:
             raise ValueError("weights length does not match cfg.num_elements")
@@ -325,12 +328,13 @@ def pattern_tables(cfg: ArrayConfig, weight_sets, freqs):
     coef = _kernels.pattern_coefficients(
         freqs, [w.phases_rad for w in weight_sets],
         [w.delays_s for w in weight_sets])
-    return slope_scale * freqs, coef
+    return _kernels.phasor_split(slope_scale, freqs), coef
 
 
-def table_gain_db(cfg: ArrayConfig, cos_angles, slope, coef):
-    """Gain in dB of one ``pattern_corr`` call: peak_gain_db plus 20*log10
-    of the correlation floored at CORRELATION_FLOOR, each step taken in
-    place by the kernel on each chunk it computes."""
-    return _kernels.pattern_corr(cos_angles, slope, coef,
+def table_gain_db(cfg: ArrayConfig, cos_angles, split, coef):
+    """Gain in dB of one ``pattern_corr`` call over the columns of the
+    ``_kernels.PhasorSplit`` ``split``: peak_gain_db plus 20*log10 of the
+    correlation floored at CORRELATION_FLOOR, each step taken in place by
+    the kernel on each chunk it computes."""
+    return _kernels.pattern_corr(cos_angles, split, coef,
                                  (CORRELATION_FLOOR, cfg.peak_gain_db))

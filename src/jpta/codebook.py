@@ -114,6 +114,7 @@ class RainbowSpec:
     spread_rad: float
 
     def __post_init__(self):
+        require_finite_fields(self)
         if self.spread_rad < 0.0:
             raise ValueError("spread_rad must be nonnegative")
         lo = self.center_rad - self.spread_rad / 2.0

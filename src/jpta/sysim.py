@@ -152,12 +152,12 @@ def _serving_gain_rows(cfg: ArrayConfig, weight_sets, serving,
     cos_ues = np.cos(axis_from_boresight_rad(ue_angles_rad))
     used = np.zeros(len(weight_sets), dtype=bool)
     used[serving] = True
-    slope, coef = pattern_tables(
+    split, coef = pattern_tables(
         cfg, [w for w, u in zip(weight_sets, used.tolist()) if u], freqs)
     if coef.shape[1] > 1:
         # each UE's position among the used sets
         coef = coef[:, (np.cumsum(used) - 1)[serving]]
-    return table_gain_db(cfg, cos_ues, slope, coef)
+    return table_gain_db(cfg, cos_ues, split, coef)
 
 
 def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,

@@ -237,7 +237,8 @@ def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
         freqs = grid.rb_center_freqs()
         corr = _kernels.pattern_corr(
             np.cos(angles),
-            2 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S * freqs,
+            _kernels.phasor_split(
+                2 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S, freqs),
             _kernels.pattern_coefficients(freqs, [w.phases_rad],
                                           [w.delays_s]))
         want = cfg.peak_gain_db + 20.0 * np.log10(

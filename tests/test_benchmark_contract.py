@@ -1,8 +1,10 @@
 """What the benchmarks read from the package: the functions the tracer of
 ``perfbench/`` wraps by name, a sweep's per-decision view, one round of each
-perfbench workload against its recorded references, the kernels and private
-helpers ``benchmarks/bench_kernels.py`` times, and the names
-``benchmarks/delay_study.py`` imports."""
+perfbench workload and every ``design_certify`` pool target against their
+recorded references, the kernels and private helpers
+``benchmarks/bench_kernels.py`` times, and the names that
+``benchmarks/delay_study.py`` and ``benchmarks/output_digests.py``
+import."""
 
 import importlib
 import importlib.util
@@ -102,8 +104,44 @@ def test_every_perfbench_workload_round_matches_its_references(tmp_path,
                 (name, i)
 
 
+def test_design_certify_whole_pool_matches_its_references(tmp_path,
+                                                          monkeypatch):
+    # every task of design_certify until its seeded order has drawn each
+    # of the 48 pool targets once, at RB centers and per subcarrier, with
+    # the share targets and the swept beams of every task: each output
+    # against references.json, where one round checks 4 of the targets
+    harness = _load("harness", ROOT / "perfbench" / "harness.py")
+    monkeypatch.setitem(sys.modules, "harness", harness)
+    cls = _load("perfbench_workloads",
+                ROOT / "perfbench" / "workloads.py").WORKLOADS[
+                    "design_certify"]
+    workload = cls(1, tmp_path)
+    references = harness.load_references(cls.name)
+    tasks = cls.pool_size // cls.targets_per_task
+    checked = set()
+    for i in range(tasks):
+        outputs, problems = workload.outputs(i, workload.run(i))
+        assert problems + harness.compare(outputs, references) == [], i
+        checked.update(outputs)
+    pool = {"pool%02d.%s.%s" % (k, tag, figure)
+            for k in range(cls.pool_size) for tag in ("rb", "sc")
+            for figure in ("objective", "dip_db")}
+    # two figures per share target, three per swept beam
+    others = (2 * len(cls.share_placements)
+              + 3 * len(cls.rainbow_spreads_deg))
+    assert pool <= checked and len(checked) == len(pool) + others
+
+
 def test_delay_study_imports_without_running():
     # loading the study resolves every name it imports from the package;
     # its table runs only under __main__
     study = _load("delay_study", ROOT / "benchmarks" / "delay_study.py")
     assert callable(study.main)
+
+
+def test_output_digests_imports_without_running():
+    # loading the tool resolves every name it imports from the package;
+    # it computes its outputs only under __main__
+    tool = _load("output_digests",
+                 ROOT / "benchmarks" / "output_digests.py")
+    assert callable(tool.main)

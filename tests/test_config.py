@@ -13,9 +13,10 @@ from jpta.antenna import (
     SPEED_OF_LIGHT_M_S,
     ArrayConfig,
     FrequencyGrid,
+    PhaseTimeWeights,
     axis_from_boresight_deg,
 )
-from jpta.codebook import DelayConstraint, paa_codebook
+from jpta.codebook import DelayConstraint, RainbowSpec, paa_codebook
 from jpta.config import (
     _KEY_SPECS,
     ConfigError,
@@ -164,6 +165,9 @@ _VALID_FIELDS = {
     Deployment: dict(ue_angles_rad=[-0.5, 0.5],
                      ring_distances_m=[30.0, 100.0]),
     LinkModel: dict(carrier_hz=28e9),
+    RainbowSpec: dict(center_rad=1.5, spread_rad=0.5),
+    PhaseTimeWeights: dict(delays_s=[0.0, 5e-9], phases_rad=[0.0, 1.0],
+                           delay_step_s=2.5e-9),
 }
 
 
@@ -180,6 +184,11 @@ _VALID_FIELDS = {
     (DelayConstraint, "step_s", math.inf),
     (Deployment, "ue_angles_rad", [0.1, math.nan]),
     (Deployment, "ring_distances_m", [30.0, math.inf]),
+    (RainbowSpec, "center_rad", math.nan),
+    (RainbowSpec, "center_rad", math.inf),
+    (RainbowSpec, "spread_rad", math.nan),
+    (PhaseTimeWeights, "delay_step_s", math.nan),
+    (PhaseTimeWeights, "delay_step_s", math.inf),
 ])
 def test_dataclasses_reject_non_finite_fields(cls, field, value):
     # callers that bypass the config parser get the field named

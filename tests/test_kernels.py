@@ -1,8 +1,8 @@
 """Kernel checks: the pattern, delay and rate kernels against the
-brute-force oracles of ``tests/oracles.py``, the pattern kernel's chunking,
-threads and bounds, the delay scan's tiles, the rate kernel's bound
-pruning, and the pattern CSV's ``"%.6g"`` formatter (``jpta.cli``) against
-Python's own formatting."""
+brute-force oracles of ``tests/oracles.py``, the pattern kernel's phasor
+split, chunking, threads and bounds, the delay scan's tiles, the rate
+kernel's bound pruning, and the pattern CSV's ``"%.6g"`` formatter
+(``jpta.cli``) against Python's own formatting."""
 
 import math
 import resource
@@ -18,11 +18,17 @@ from hypothesis.extra import numpy as hnp
 
 from jpta import _kernels, cli
 from jpta.antenna import (
+    CARRIER_RANGE_HZ,
     CORRELATION_FLOOR,
+    MAX_NUM_RBS,
+    MAX_SPACING_M,
+    SCS_RANGE_HZ,
+    SPEED_OF_LIGHT_M_S,
     ArrayConfig,
     FrequencyGrid,
     PhaseTimeWeights,
     pattern_map,
+    pattern_tables,
     table_gain_db,
 )
 from jpta.link import MAX_EESM_BETA
@@ -45,7 +51,8 @@ def _kernel_args(cos_angles, freqs, phases, delays, slope_scale):
     phases, delays = np.atleast_2d(phases, delays)
     coef = _kernels.pattern_coefficients(freqs, phases, delays)
     blocks = np.broadcast_to(coef, coef.shape[:2] + (len(freqs),))
-    return (cos_angles, np.tile(slope_scale * freqs, len(phases)),
+    split = _kernels.phasor_split(slope_scale, freqs)
+    return (cos_angles, split._replace(blocks=len(phases)),
             blocks.reshape(coef.shape[0], 1, -1))
 
 
@@ -82,6 +89,65 @@ def test_pattern_corr_matches_oracle():
     np.testing.assert_allclose(_corr(ca, fr, ph, de, ss),
                                pattern_corr_py(ca, fr, ph, de, ss), rtol=0,
                                atol=1e-12)
+
+
+def _phasors(cos_angles, split):
+    """The phasors of ``split``'s columns at ``cos_angles``, built as one
+    chunk of the pattern kernel builds them."""
+    z, acc = _kernels._chunk_buffers(cos_angles.size, split.cols, 0)[:2]
+    _kernels._fill_phasors(cos_angles, split, z, acc)
+    return z
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, MAX_NUM_RBS),
+       st.integers(int(CARRIER_RANGE_HZ[0]), int(CARRIER_RANGE_HZ[1])),
+       st.floats(1e-6, MAX_SPACING_M), st.floats(-1.0, 1.0), st.data())
+def test_split_phasors_stay_within_a_few_ulps_of_exp(num_rbs, carrier,
+                                                     spacing, cos, data):
+    # the RB centers of an integer-Hz carrier and subcarrier spacing are a
+    # progression, split from four columns up; every phasor lies within a
+    # few ulps of exp(j*c*s_k), scaled by the phase's magnitude, at the
+    # ends and the middle of the cos range and at one drawn cos
+    scs = data.draw(st.integers(
+        int(SCS_RANGE_HZ[0]),
+        min(int(SCS_RANGE_HZ[1]), carrier // (12 * num_rbs))))
+    freqs = FrequencyGrid(carrier, 12.0 * num_rbs * scs, scs,
+                          num_rbs).rb_center_freqs()
+    split, _ = pattern_tables(ArrayConfig(1, spacing, carrier),
+                              [PhaseTimeWeights([0.0], [0.0])], freqs)
+    fine = split.fine.size
+    assert (fine > 1) == (num_rbs >= 4)
+    assert split.width == num_rbs and split.coarse.size == -(-num_rbs // fine)
+    cos_angles = np.array([-1.0, 0.0, 1.0, cos])
+    phase = cos_angles[:, None] * (
+        2.0 * math.pi * spacing / SPEED_OF_LIGHT_M_S * freqs)
+    err = np.abs(_phasors(cos_angles, split) - np.exp(1j * phase))
+    assert np.all(err <= 4 * np.finfo(float).eps
+                  * np.maximum(1.0, np.abs(phase)))
+
+
+def test_a_non_progression_axis_keeps_the_per_column_phasors():
+    # random frequencies take the one-factor form: each column keeps its
+    # own slope, each phasor the bits of cos and sin of its own phase, and
+    # each correlation the bits of the Horner steps on the whole arrays
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        ca, fr, ph, de, ss, num_el = _random_pattern_inputs(rng)
+        split = _kernels.phasor_split(ss, fr)
+        assert split.fine.tolist() == [0.0]
+        assert np.array_equal(split.coarse, ss * fr)
+        arg = ca[:, None] * (ss * fr)
+        z = np.empty(arg.shape, dtype=np.complex128)
+        np.cos(arg, out=z.real)
+        np.sin(arg, out=z.imag)
+        assert np.array_equal(_phasors(ca, split), z)
+        coef = _kernels.pattern_coefficients(fr, [ph], [de])
+        acc = np.broadcast_to(coef[-1], z.shape)
+        for m in range(num_el - 2, -1, -1):
+            acc = acc * z + coef[m]
+        assert np.array_equal(_kernels.pattern_corr(ca, split, coef),
+                              np.abs(acc) / num_el)
 
 
 def test_delay_scan_matches_oracle():
@@ -265,7 +331,7 @@ def test_pattern_corr_per_angle_coefficient_rows_equal_one_angle_calls(
         monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
                             chunk_rows * num_freqs)
         freqs = _rb_freqs(num_freqs)
-        slope = SLOPE_SCALE * freqs
+        split = _kernels.phasor_split(SLOPE_SCALE, freqs)
         cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
         phases = rng.uniform(0.0, 2 * np.pi, (3, 16))
         serving = rng.integers(0, 3, num_angles)
@@ -273,13 +339,13 @@ def test_pattern_corr_per_angle_coefficient_rows_equal_one_angle_calls(
                        np.zeros((3, 16))):
             tables = _kernels.pattern_coefficients(freqs, phases, delays)
             assert tables.shape[2] == (num_freqs if delays.any() else 1)
-            rows = _kernels.pattern_corr(cos_angles, slope,
+            rows = _kernels.pattern_corr(cos_angles, split,
                                          tables[:, serving])
             assert rows.shape == (num_angles, num_freqs)
             for a, s in enumerate(serving.tolist()):
                 own = np.ascontiguousarray(np.broadcast_to(
                     tables[:, s:s + 1], (16, 1, num_freqs)))
-                want = _kernels.pattern_corr(cos_angles[a:a + 1], slope, own)
+                want = _kernels.pattern_corr(cos_angles[a:a + 1], split, own)
                 assert np.array_equal(rows[a], want[0]), (num_freqs,
                                                           num_angles, a)
 
@@ -367,7 +433,7 @@ def _wide_freqs(num_freqs):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-@pytest.mark.parametrize("num_freqs", [1, 24, 264, 1024])
+@pytest.mark.parametrize("num_freqs", [1, 24, 263, 264, 1024])
 def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
                                                        num_freqs):
     # at the kernel's own chunk size a shared (M, 1, K) table of K > 1
@@ -375,11 +441,13 @@ def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
     # PATTERN_TILE_RUN, with chunks of whole tiles: every row equals its
     # one-angle call, whose one row is added by broadcast, bit for bit, at
     # angle counts around a tile, a chunk and two chunks with a short last
-    # one; one column is added untiled, as a scalar
+    # one; one column is added untiled, as a scalar. At 263 columns, which
+    # have no divisor from sqrt(K) to 2*sqrt(K), the phasors' last run of
+    # fine phasors is short
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(23 + num_freqs)
     freqs = _wide_freqs(num_freqs)
-    slope = SLOPE_SCALE * freqs
+    split = _kernels.phasor_split(SLOPE_SCALE, freqs)
     tile = _kernels._tile_rows(num_freqs)
     chunk = _kernels.PATTERN_CHUNK_CELLS // num_freqs
     if num_freqs > 1:
@@ -397,9 +465,9 @@ def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
         assert coef.shape == (num_el, 1, num_freqs)
         for count in sorted(counts):
             cos_angles = np.cos(rng.uniform(0.0, np.pi, count))
-            rows = _kernels.pattern_corr(cos_angles, slope, coef)
+            rows = _kernels.pattern_corr(cos_angles, split, coef)
             for a in range(count):
-                want = _kernels.pattern_corr(cos_angles[a:a + 1], slope, coef)
+                want = _kernels.pattern_corr(cos_angles[a:a + 1], split, coef)
                 assert np.array_equal(rows[a], want[0]), (num_el, count, a)
 
 
@@ -420,19 +488,20 @@ def test_table_gain_db_equals_the_whole_map_db(monkeypatch, cpus):
         freqs = _wide_freqs(num_freqs)
         sets = num_angles if per_angle else 1
         delays = rng.integers(0, 64, (sets, 16)) * 2.5e-9 * delayed
-        slope, coef = SLOPE_SCALE * freqs, _kernels.pattern_coefficients(
+        split = _kernels.phasor_split(SLOPE_SCALE, freqs)
+        coef = _kernels.pattern_coefficients(
             freqs, rng.uniform(0.0, 2 * np.pi, (sets, 16)), delays)
         cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
         # a uniform weight set's null at the first column: -80 dB floor
-        cos_angles[0] = 2 * np.pi / (16 * slope[0])
+        cos_angles[0] = 2 * np.pi / (16 * (SLOPE_SCALE * freqs[0]))
         if not per_angle:
             coef[:, 0, :] = 1.0
-        want = _kernels.pattern_corr(cos_angles, slope, coef)
+        want = _kernels.pattern_corr(cos_angles, split, coef)
         if not per_angle:
             assert want[0, 0] < CORRELATION_FLOOR
         np.maximum(want, CORRELATION_FLOOR, out=want)
         want = 20.0 * np.log10(want) + cfg.peak_gain_db
-        got = table_gain_db(cfg, cos_angles, slope, coef)
+        got = table_gain_db(cfg, cos_angles, split, coef)
         assert np.array_equal(got, want), (num_freqs, num_angles, per_angle)
 
 
@@ -461,7 +530,8 @@ def test_pattern_corr_raises_a_worker_thread_db_step_error(monkeypatch):
     freqs = _rb_freqs(24)
     with pytest.raises(FloatingPointError, match="dB step failed"):
         table_gain_db(ArrayConfig.half_wavelength(16, 28e9, 28.0),
-                      np.cos(np.linspace(0.1, 3.0, 20)), SLOPE_SCALE * freqs,
+                      np.cos(np.linspace(0.1, 3.0, 20)),
+                      _kernels.phasor_split(SLOPE_SCALE, freqs),
                       _kernels.pattern_coefficients(freqs, np.zeros((1, 16)),
                                                     np.ones((1, 16)) * 1e-9))
     assert failed.is_set() and len(started) == 1
