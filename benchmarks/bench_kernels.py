@@ -19,11 +19,9 @@ workloads.
 
 One row times a sweep's gain stage, recorded from
 ``sysim.throughput_sweep`` of the criterion-4 deployment: the PAA and JPTA
-gain rows of 8 UEs over 264 RBs, each scheme's rows from one pattern-kernel
-call over the UE angles with one coefficient row per UE, against the same
-call laid out as one row at cos = 1 over UEs x RBs columns, each UE's
-serving set's coefficient columns copied into an (elements, UEs x RBs)
-table, the layout that the coefficient rows replaced. Another times one
+gain rows of 8 UEs over 264 RBs, each scheme's rows from one
+``antenna.serving_gain_db`` call over the UE angles, each row naming its
+serving set, against one ``pattern_map`` call per UE. Another times one
 ``throughput_sweep`` of that deployment at one ring, the set-up cost every
 sweep pays whatever its ring count, against the same sweep at 160 rings.
 
@@ -37,9 +35,7 @@ Three rows time one chunk of the pattern grid as a worker computes it,
 16 elements and a shared coefficient table, at 24, 264 and 1024 columns:
 each element's row added from a tile of its copies (``_horner_chunk``
 with the tile ``pattern_corr`` hands it) against the broadcast add of the
-row. Two rows time the delay scan's target table for the RB-center and
-the per-subcarrier slopes of a 264-RB grid, ``np.cos`` and ``np.sin`` into
-its parts (``phase_ramps``), against ``np.exp`` of the imaginary products.
+row.
 
 Four rows time the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread, and the delay
@@ -54,11 +50,6 @@ two ``link.select_rate_grid`` calls of one sweep, recorded from
 the criterion-4 deployment (8 UEs at exponent 3, 5120 log rings over
 300-3000 m), against the same calls followed by the per-decision objects
 and the attribute-gathering ring mean that the column results replaced.
-
-Two rows time ``_kernels.pow10``, every ``10**x`` of the rate scan, whose
-base is a full array of tens, against ``np.power(10.0, x)`` with a scalar
-base, which gives the same bits in numpy's strided loop: on one share's
-264 terms and on 100k terms, exponents over the +-130 dB SNR range.
 
 The last row times the pattern CSV writer of ``jpta pattern``
 (``cli.format_g6`` byte slots) on the quick-start grid, the default type-1
@@ -153,8 +144,9 @@ def _horner_args(cols: int):
         [rng.integers(0, 64, 16) * 2.5e-9])
     split = _kernels.phasor_split(
         2.0 * math.pi * (299_792_458.0 / 28e9 / 2.0) / 299_792_458.0, freqs)
-    return (np.cos(rng.uniform(0.0, math.pi, rows)), split, coef,
-            np.empty((rows, cols)), *_kernels._chunk_buffers(rows, cols, tile))
+    return (np.cos(rng.uniform(0.0, math.pi, rows)), split, coef, None,
+            np.empty((rows, cols)),
+            *_kernels._chunk_buffers(rows, cols, (tile, cols)))
 
 
 def _horner_broadcast(*args):
@@ -177,7 +169,7 @@ def _phasor_args():
 def _phasor_chunks(cos_angles, rows, split):
     """Every chunk's phasors over the columns of ``split`` as a worker of
     ``pattern_corr`` fills them, in one set of chunk buffers."""
-    z, acc = _kernels._chunk_buffers(rows, split.cols, 0)[:2]
+    z, acc = _kernels._chunk_buffers(rows, split.width, None)[:2]
     for a0 in range(0, cos_angles.size, rows):
         chunk = cos_angles[a0:a0 + rows]
         _kernels._fill_phasors(chunk, split, z[:chunk.size],
@@ -191,20 +183,6 @@ def _phasors_split(cos_angles, rows, split, one_factor):
 def _phasors_per_cell(cos_angles, rows, split, one_factor):
     """The same phasors from ``np.cos`` and ``np.sin`` of every cell."""
     return _phasor_chunks(cos_angles, rows, one_factor)
-
-
-def _phase_ramps_exp(slopes, num_elements):
-    """The delay scan's target table as ``np.exp`` of the imaginary
-    products."""
-    elem = np.arange(num_elements, dtype=np.float64)
-    return np.exp(1j * slopes[:, None] * elem[None, :])
-
-
-def _phase_ramps_args(num_slopes: int):
-    """``num_slopes`` target slopes at 16 elements: 264 for a 264-RB grid's
-    RB centers, 3168 for its subcarriers."""
-    rng = np.random.default_rng(6)
-    return rng.uniform(-math.pi, math.pi, num_slopes), 16
 
 
 # the delay scan's setting: the default 64-step delay line at the 264 RB
@@ -259,25 +237,16 @@ def _rate_args(users: int, rings: int):
     return link_db, gain_db, 0.0, thr_lin, se, unique_betas, beta_idx, 4
 
 
-def _pow10_args(terms):
-    """``terms`` exponents ``snr_db / 10`` over the +-130 dB SNR range."""
-    return (np.random.default_rng(4).uniform(-13.0, 13.0, terms),)
-
-
-def _pow10_scalar_base(x):
-    return np.power(10.0, x)
-
-
 def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
     rows = snr_rows(link_db, gain_db, noise_db)
     return [rate_scan_py(row, *args) for user in rows for row in user]
 
 
 def _recorded_args(name, cfg, dep, lm):
-    """The arguments of the PAA and JPTA calls of ``sysim.<name>`` in one
-    ``throughput_sweep`` of ``dep`` under the config ``cfg``'s array, grid,
-    MCS table, delay line and PAA codebook, recorded as the sweep makes
-    them."""
+    """The arguments of every call of ``sysim.<name>``, PAA's before
+    JPTA's, in one ``throughput_sweep`` of ``dep`` under the config
+    ``cfg``'s array, grid, MCS table, delay line and PAA codebook, recorded
+    as the sweep makes them."""
     calls = []
     real = getattr(sysim, name)
 
@@ -321,41 +290,25 @@ def _quickstart_rate_args():
 def _gain_rows_args():
     """The gain stage of the criterion-4 deployment: the PAA rows from 16
     beams, of which the 8 UEs are served by 8, and the JPTA rows from its
-    one weight set."""
-    return _recorded_args("_serving_gain_rows", *_criterion4(2))
+    one weight set (the sweep's second and third ``serving_gain_db``
+    calls, after the carrier pick), and the grid and UE axis angles of one
+    ``pattern_map`` call per UE."""
+    cfg, dep, lm = _criterion4(2)
+    rows = _recorded_args("serving_gain_db", cfg, dep, lm)[1:]
+    return (*rows, cfg.frequency_grid(),
+            antenna.axis_from_boresight_rad(dep.ue_angles_rad))
 
 
-def _gain_rows(paa_args, jpta_args):
-    """Both schemes' gain rows, one pattern-kernel call each."""
-    return [sysim._serving_gain_rows(*args) for args in (paa_args, jpta_args)]
+def _gain_rows(paa_args, jpta_args, grid, ue_axes):
+    """Both schemes' gain rows, one ``serving_gain_db`` call each."""
+    return [antenna.serving_gain_db(*args) for args in (paa_args, jpta_args)]
 
 
-def _gain_rows_one_row(paa_args, jpta_args):
-    """The same rows from one row at cos = 1 whose columns u*K ... u*K + K
-    - 1 take UE u's slopes and its serving set's coefficient columns, each
-    used set's table built at every frequency: the layout and the tables
-    that the coefficient rows replaced."""
-    def one_row(cfg, weight_sets, serving, ue_angles_rad, freqs):
-        cos_ues = np.cos(antenna.axis_from_boresight_rad(ue_angles_rad))
-        used = sorted(set(serving.tolist()))
-        phases = np.array([weight_sets[s].phases_rad for s in used]).T
-        delays = np.array([weight_sets[s].delays_s for s in used]).T
-        arg = (phases[:, :, None]
-               + _kernels.TWO_PI * freqs * delays[:, :, None])
-        const = (arg == arg[:, :, :1]).all(axis=2)
-        coef = np.empty(arg.shape, dtype=np.complex128)
-        coef[const] = np.exp(-1j * arg[:, :, 0][const])[:, None]
-        coef[~const] = np.exp(-1j * arg[~const])
-        slope = (2.0 * math.pi * cfg.spacing_m / antenna.SPEED_OF_LIGHT_M_S
-                 * np.asarray(freqs))
-        slopes = (cos_ues[:, None] * slope).ravel()
-        rows = antenna.table_gain_db(
-            cfg, [1.0], _kernels.PhasorSplit(slopes, np.zeros(1), slopes.size),
-            coef[:, np.searchsorted(used, serving)].reshape(
-                cfg.num_elements, 1, -1))
-        return rows.reshape(cos_ues.size, -1)
-
-    return [one_row(*args) for args in (paa_args, jpta_args)]
+def _gain_rows_per_ue(paa_args, jpta_args, grid, ue_axes):
+    """The same rows from one ``pattern_map`` call per UE and scheme."""
+    return [[antenna.pattern_map(cfg, weight_sets[s], ue_axes[u:u + 1], grid)
+             for u, s in enumerate(serving.tolist())]
+            for cfg, weight_sets, serving, _, _ in (paa_args, jpta_args)]
 
 
 def _sweep_args(rings):
@@ -443,8 +396,8 @@ BENCHES = [
     ("Horner chunk (30 x 1024, tile vs broadcast)",
      _kernels._horner_chunk, _horner_broadcast, lambda: _horner_args(1024),
      False),
-    ("gain rows    (8 UEs x 264 RBs, vs one row)", _gain_rows,
-     _gain_rows_one_row, _gain_rows_args, False),
+    ("gain rows    (8 UEs x 264 RBs, vs per-UE maps)", _gain_rows,
+     _gain_rows_per_ue, _gain_rows_args, False),
     ("throughput_sweep (8 UEs, 1 ring vs 160 rings)", _sweep_one_ring,
      _sweep_many_rings, _one_ring_sweep_args, False),
     ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
@@ -463,20 +416,12 @@ BENCHES = [
      delay_scan_py, lambda: _delay_args(64), True),
     ("delay_scan   (64 taus x 264 freqs, 256 el)", _delay_scan_kept_table,
      delay_scan_py, lambda: _delay_args(256), True),
-    ("delay target (264 x 16, cos/sin vs exp)", _kernels.phase_ramps,
-     _phase_ramps_exp, lambda: _phase_ramps_args(264), False),
-    ("delay target (3168 x 16, cos/sin vs exp)", _kernels.phase_ramps,
-     _phase_ramps_exp, lambda: _phase_ramps_args(3168), False),
     ("rate_scan    (1 ring x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(1, 1), False),
     ("rate_scan    (160 rings x 264 RBs x 15 MCS)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(1, 160), False),
     ("rate_scan    (8 users x 160 rings x 264 RBs)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(8, 160), True),
-    ("10**x        (264 terms, array vs scalar base)", _kernels.pow10,
-     _pow10_scalar_base, lambda: _pow10_args(264), False),
-    ("10**x        (100k terms, array vs scalar base)", _kernels.pow10,
-     _pow10_scalar_base, lambda: _pow10_args(100_000), False),
     ("select_rate_grid (4 UEs x 40 rings, 2 calls)", _sweep_rate_grids,
      _sweep_rate_decisions, _quickstart_rate_args, False),
     ("select_rate_grid (8 UEs x 5120 rings, 2 calls)", _sweep_rate_grids,

@@ -13,7 +13,11 @@ The outputs:
   span (2, 3 and 4, the three sweeps of the ``sweep_dense`` benchmark
   workload), and with 5120 log rings over 300-3000 m at exponent 3;
 * the criterion-7 swept maps: ``pattern_map`` over 3001 axis angles of the
-  type-2 designs of 30, 60 and 110 degree spread about boresight.
+  type-2 designs of 30, 60 and 110 degree spread about boresight;
+* raw ``pattern_map`` arrays, whose CSV text rounds to six digits: the
+  quick-start type-1 design over -90:90:0.25 degrees, and one
+  ``paa_codebook`` beam and ``steer_weights`` at boresight, both without
+  delays, over the same 3001 axis angles.
 
 An array's digest covers its dtype, shape and bytes. Run the tool against
 two source trees and compare the listings, for example a change against
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from jpta import antenna, cli, codebook, link, sysim
+from jpta import antenna, cli, codebook, config, link, sysim
 
 ARRAY = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
 GRID = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
@@ -95,8 +99,9 @@ def sweep_columns():
                 yield "%s.%s.%s" % (name, scheme, field), column
 
 
-def swept_maps():
-    """``(name, array)`` of the criterion-7 swept gain maps."""
+def pattern_maps():
+    """``(name, array)`` of the criterion-7 swept gain maps and of the raw
+    quick-start and zero-delay maps."""
     axis_grid = np.linspace(0.02, math.pi - 0.02, 3001)
     for spread in SPREADS_DEG:
         spec = codebook.RainbowSpec(center_rad=math.pi / 2.0,
@@ -104,6 +109,20 @@ def swept_maps():
         weights = codebook.design_type2(ARRAY, spec, GRID)
         yield ("criterion7.spread%g.gain_db" % spread,
                antenna.pattern_map(ARRAY, weights, axis_grid, GRID))
+    cfg = config.parse_config_text(QUICKSTART_CONFIG)
+    array, grid = cfg.array_config(), cfg.frequency_grid()
+    weights, _ = codebook.design_type1(array, cfg.type1_target(), grid,
+                                       cfg.delay_constraint())
+    bore_deg = -90.0 + 0.25 * np.arange(721)
+    yield ("quickstart.type1.gain_db",
+           antenna.pattern_map(array, weights, antenna.axis_from_boresight_rad(
+               np.radians(bore_deg)), grid))
+    beam = codebook.paa_codebook(ARRAY, 16, SECTOR)[5]
+    yield ("paa_beam5.gain_db",
+           antenna.pattern_map(ARRAY, beam, axis_grid, GRID))
+    flat = codebook.steer_weights(ARRAY, math.pi / 2.0)
+    yield ("steer_boresight.gain_db",
+           antenna.pattern_map(ARRAY, flat, axis_grid, GRID))
 
 
 def digest(value) -> str:
@@ -119,7 +138,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         for name, data in quickstart_files(Path(workdir)):
             print("%s  %s" % (digest(data), name))
-    for outputs in (sweep_columns(), swept_maps()):
+    for outputs in (sweep_columns(), pattern_maps()):
         for name, array in outputs:
             print("%s  %s" % (digest(array), name))
 

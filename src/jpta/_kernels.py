@@ -8,11 +8,11 @@ Three loops dominate the toolkit's numerical run time:
   frequency axis of K columns each chunk builds its phasors from a coarse
   and a fine table of about sqrt(K) columns each (``phasor_split``), one
   complex product per cell, and on any other axis from ``np.cos`` and
-  ``np.sin`` of every cell's phase. The coefficient table
+  ``np.sin`` of every cell's phase. The coefficient tables
   (``pattern_coefficients``, one pass over any number of weight sets, one
-  column wide when no set has a delay) holds one row for every angle or
-  one per angle, so one call serves a pattern map (sets as column blocks)
-  or every UE's gain row toward its own angle from its own serving set. A
+  column wide when no set has a delay) serve every row, or each row the
+  set it names, so one call serves a pattern map, the serving-beam pick or
+  every UE's gain row toward its own angle from its own serving set. A
   row shared by every angle is added from a tile of its copies, in
   contiguous runs that numpy adds in its fast loop, and the thread that
   computes a chunk also divides it by M and, for gains, takes its dB
@@ -86,18 +86,12 @@ class PhasorSplit(NamedTuple):
     """The pattern kernel's column phasors ``exp(j*cos_a*slope_k)`` as the
     products of two tables per angle: column k of ``width`` takes the
     coarse slope ``coarse[k // B]`` plus the fine slope ``fine[k % B]``, B
-    being ``fine.size``, and ``blocks`` copies of those columns lie side by
-    side, one per weight set of a pattern map. A single fine slope, 0.0, is
-    the one-factor form: every column has its own coarse slope."""
+    being ``fine.size``. A single fine slope, 0.0, is the one-factor form:
+    every column has its own coarse slope."""
 
     coarse: np.ndarray
     fine: np.ndarray
     width: int
-    blocks: int = 1
-
-    @property
-    def cols(self) -> int:
-        return self.width * self.blocks
 
 
 def phasor_split(scale, freqs):
@@ -128,28 +122,29 @@ def phasor_split(scale, freqs):
     return PhasorSplit(scale * freqs, np.zeros(1), size)
 
 
-def pattern_corr(cos_angles, split, coef, db=None):
+def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     """Correlation magnitudes on an angle x column grid.
 
-    Entry (a, k) is ``|(1/M) sum_m coef[m, a, k] exp(j*cos_a*slope_k*m)|``,
-    ``slope_k`` being column k's slope in the ``PhasorSplit`` ``split``.
-    With the steering slope ``slope_k = 2*pi*spacing*f_k/c`` of a column's
-    frequency (``phasor_split``) and the coefficients ``exp(-j(phi_m +
-    2*pi*f_k*tau_m))`` of a weight set (``pattern_coefficients``), that is
-    the magnitude of the conjugated inner product between the unit-norm
-    steering vector and the unit-norm phase-time response. With ``db``, a
-    pair ``(floor, peak_db)``, each entry is instead the gain ``peak_db +
-    20 * log10(max(corr, floor))``, those steps taken in that order in
-    place.
+    Entry (a, k) is ``|(1/M) sum_m coef[m, s_a, k] exp(j*cos_a*slope_k*m)|``,
+    ``slope_k`` being column k's slope in the ``PhasorSplit`` ``split`` and
+    ``s_a`` the weight set of row a: ``sets[a]``, or 0 for every row when
+    ``sets`` is None. With the steering slope ``slope_k =
+    2*pi*spacing*f_k/c`` of a column's frequency (``phasor_split``) and the
+    coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))`` of S weight sets
+    (``pattern_coefficients``), that is the magnitude of the conjugated
+    inner product between the unit-norm steering vector and the unit-norm
+    phase-time response. With ``db``, a pair ``(floor, peak_db)``, each
+    entry is instead the gain ``peak_db + 20 * log10(max(corr, floor))``,
+    those steps taken in that order in place.
 
-    ``coef`` broadcasts to (elements, angles, columns): (M, 1, K) gives
-    every angle the same columns, as a pattern map does; (M, A, K) gives
-    angle a its own row of coefficients, as the gain rows do, each UE's
-    from its serving set; and (M, A, 1) or (M, 1, 1) stands one value per
-    element for every column, as a zero-delay set's table does. A row is
-    computed by the same elementwise operations whichever of these forms
-    carries its coefficients, so it equals its own one-angle call with the
-    (M, 1, K) table bit for bit.
+    ``coef`` holds the tables of the S sets, shape (elements, S, K), or (M,
+    S, 1) when one value per element stands for every column, as a
+    zero-delay set's does. Without ``sets`` every row shares the one table,
+    as a pattern map's rows do; with ``sets`` each chunk gathers its rows'
+    coefficients one element at a time, so no table grows with the rows. A
+    row is computed by the same elementwise operations whichever set and
+    form carries its coefficients, so it equals its own one-angle call with
+    its set's (M, 1, K) table bit for bit.
 
     The sum is a polynomial in ``z[a, k] = exp(j*cos_a*slope_k)``,
     evaluated by Horner's rule over m. Each chunk builds its phasors from
@@ -157,11 +152,10 @@ def pattern_corr(cos_angles, split, coef, db=None):
     cos/sin pairs per angle and one complex product per cell, where
     ``np.exp`` of every term would take A*K*M exponentials. Then come M -
     1 in-place multiply-adds on an (angle chunk x K) array, each adding one
-    coefficient row ``coef[m]`` of the chunk's angles; a row shared by
-    every angle is added from a tile of its copies (``_tile_rows``). Every
-    cell is computed by the same elementwise operations whatever the
-    chunking or the other columns, so neither a row nor a block of columns
-    depends on the rest of the call.
+    coefficient row per angle; a row shared by every angle is added from a
+    tile of its copies (``_tile_rows``). Every cell is computed by the same
+    elementwise operations whatever the chunking, so no row depends on the
+    rest of the call.
 
     A grid of several chunks is split over one thread per usable CPU, up to
     one per chunk: numpy's ufuncs release the interpreter lock, each thread
@@ -171,18 +165,23 @@ def pattern_corr(cos_angles, split, coef, db=None):
     within the call; a one-chunk grid runs on the calling thread alone.
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
-    cols = split.cols
+    cols = split.width
     out = np.empty((cos_angles.size, cols), dtype=np.float64)
     chunk = max(1, PATTERN_CHUNK_CELLS // max(1, cols))
-    per_angle = coef.shape[1] > 1
-    # a row of several columns shared by every angle is added from a tile,
-    # when a chunk holds one; a one-column row is added as a scalar, which
-    # numpy's broadcast loop does faster
-    tile_rows = 0 if per_angle or coef.shape[2] <= 1 else _tile_rows(cols)
-    if 1 < tile_rows <= min(chunk, cos_angles.size):
-        chunk -= chunk % tile_rows
+    if sets is not None:
+        # the buffer that each element's coefficients of a chunk's rows are
+        # gathered into
+        spare = (min(chunk, cos_angles.size), coef.shape[2])
     else:
-        tile_rows = 0
+        # a row of several columns shared by every angle is added from a
+        # tile, when a chunk holds one; a one-column row is added as a
+        # scalar, which numpy's broadcast loop does faster
+        tile_rows = _tile_rows(cols) if coef.shape[2] > 1 else 0
+        if 1 < tile_rows <= min(chunk, cos_angles.size):
+            chunk -= chunk % tile_rows
+            spare = (tile_rows, cols)
+        else:
+            spare = None
     starts = range(0, cos_angles.size, chunk)
     workers = max(1, min(_usable_cpus(), len(starts)))
     pending = iter(starts)
@@ -197,8 +196,8 @@ def pattern_corr(cos_angles, split, coef, db=None):
                 if a0 is None:
                     return
                 block = out[a0:a0 + chunk]
-                _horner_chunk(cos_angles[a0:a0 + chunk], split,
-                              coef[:, a0:a0 + chunk] if per_angle else coef,
+                _horner_chunk(cos_angles[a0:a0 + chunk], split, coef,
+                              None if sets is None else sets[a0:a0 + chunk],
                               block, *buffers)
                 if db is not None:
                     _gain_db(block, *db)
@@ -207,7 +206,7 @@ def pattern_corr(cos_angles, split, coef, db=None):
 
     # every worker's chunk buffers, allocated once on the calling thread, so
     # that no worker thread's own malloc arena grows by them
-    buffers = [_chunk_buffers(min(chunk, cos_angles.size), cols, tile_rows)
+    buffers = [_chunk_buffers(min(chunk, cos_angles.size), cols, spare)
                for _ in range(workers)]
     threads = [threading.Thread(target=work, args=(b,)) for b in buffers[1:]]
     for t in threads:
@@ -220,15 +219,14 @@ def pattern_corr(cos_angles, split, coef, db=None):
     return out
 
 
-def _chunk_buffers(rows, cols, tile_rows):
+def _chunk_buffers(rows, cols, spare):
     """``_horner_chunk``'s buffers for chunks of up to ``rows`` x ``cols``
-    cells: phasors, sums, a spare cell, and a tile of ``tile_rows`` rows
-    (None for 0)."""
+    cells: phasors, sums, a spare cell, and a coefficient buffer of the
+    shape ``spare`` (None for none)."""
     return (np.empty((rows, cols), dtype=np.complex128),
             np.empty((rows, cols), dtype=np.complex128),
             np.empty((1, 1), dtype=np.complex128),
-            np.empty((tile_rows, cols), dtype=np.complex128)
-            if tile_rows else None)
+            None if spare is None else np.empty(spare, dtype=np.complex128))
 
 
 def _gain_db(corr, floor, peak_db):
@@ -251,7 +249,8 @@ def pattern_coefficients(freqs, phases, delays):
     phases = np.asarray(phases, dtype=np.float64).T
     delays = np.asarray(delays, dtype=np.float64).T
     if not delays.any():
-        return np.exp(-1j * np.ascontiguousarray(phases))[:, :, None]
+        coef = np.multiply(-1j, phases, order="C")
+        return np.exp(coef, out=coef)[:, :, None]
     freqs = np.asarray(freqs, dtype=np.float64)
     arg = phases[:, :, None] + TWO_PI * freqs * delays[:, :, None]
     const = (arg == arg[:, :, :1]).all(axis=2)
@@ -290,8 +289,7 @@ def _fill_phasors(cos_chunk, split, z, acc):
     ``z``: the coarse and the fine table of each angle, then one complex
     product per cell, each run of B columns one broadcast product of a
     coarse phasor and the fine row; in the one-factor form, the coarse
-    phasors written into ``z`` as they are. Further blocks are copies of
-    the first.
+    phasors written into ``z`` as they are.
 
     The tables, and the one-factor form's phases, take the memory of the
     sums ``acc``, which the Horner loop overwrites once the phasors are
@@ -299,42 +297,52 @@ def _fill_phasors(cos_chunk, split, z, acc):
     split's phases take the memory of ``z``, spent before the product
     fills it."""
     rows, width = cos_chunk.size, split.width
-    head = z[:, :width]
     spare = acc.reshape(-1)
     if split.fine.size == 1:
-        _cos_sin(cos_chunk, split.coarse, spare.view(np.float64), head)
-    else:
-        runs, step = split.coarse.size, split.fine.size
-        coarse = spare[:rows * runs].reshape(rows, runs)
-        fine = spare[rows * runs:rows * (runs + step)].reshape(rows, step)
-        phases = z.reshape(-1).view(np.float64)
-        _cos_sin(cos_chunk, split.coarse, phases, coarse)
-        _cos_sin(cos_chunk, split.fine, phases, fine)
-        whole = width - width % step
-        np.multiply(coarse[:, :whole // step, None], fine[:, None, :],
-                    out=head[:, :whole].reshape(rows, -1, step))
-        if whole < width:
-            np.multiply(coarse[:, whole // step:], fine[:, :width - whole],
-                        out=head[:, whole:])
-    if split.blocks > 1:
-        z.reshape(rows, split.blocks, width)[:, 1:] = head[:, None]
+        _cos_sin(cos_chunk, split.coarse, spare.view(np.float64), z)
+        return
+    runs, step = split.coarse.size, split.fine.size
+    coarse = spare[:rows * runs].reshape(rows, runs)
+    fine = spare[rows * runs:rows * (runs + step)].reshape(rows, step)
+    phases = z.reshape(-1).view(np.float64)
+    _cos_sin(cos_chunk, split.coarse, phases, coarse)
+    _cos_sin(cos_chunk, split.fine, phases, fine)
+    whole = width - width % step
+    np.multiply(coarse[:, :whole // step, None], fine[:, None, :],
+                out=z[:, :whole].reshape(rows, -1, step))
+    if whole < width:
+        np.multiply(coarse[:, whole // step:], fine[:, :width - whole],
+                    out=z[:, whole:])
 
 
-def _horner_chunk(cos_chunk, split, coef, out, z, acc, one_cell, tile):
-    """``|sum_m coef[m] * z**m| / M`` of one angle chunk into ``out``,
-    ``coef`` broadcasting to (elements, chunk angles, columns), using the
-    first ``cos_chunk.size`` rows of the buffers ``z`` and ``acc``, and
-    ``one_cell`` for a chunk of one cell.
+def _horner_chunk(cos_chunk, split, coef, sets, out, z, acc, one_cell,
+                  spare):
+    """``|sum_m coef[m, s_a] * z**m| / M`` of one angle chunk into ``out``,
+    ``s_a`` being ``sets[a]`` of the chunk's rows, indices in range, or 0
+    for every row when ``sets`` is None, using the first ``cos_chunk.size``
+    rows of the buffers ``z`` and ``acc``, and ``one_cell`` for a chunk of
+    one cell.
 
-    With a ``tile`` of T rows, ``coef`` is one row shared by every angle,
-    copied into each tile row once per element, and the chunk is added to
-    as rows of T*K cells, whole tiles first, then any short rest: the same
-    IEEE additions as the broadcast add, which numpy runs in a loop of K
-    cells per row."""
+    With ``sets``, each element's coefficients of the rows' sets are
+    gathered into ``spare`` as its step comes. Without, a ``spare`` tile of
+    T rows takes copies of the shared row of each element, and the chunk
+    is added to as rows of T*K cells, whole tiles first, then any short
+    rest: the same IEEE additions as the broadcast add, which numpy runs in
+    a loop of K cells per row."""
     rows = cos_chunk.size
     z, acc = z[:rows], acc[:rows]
     _fill_phasors(cos_chunk, split, z, acc)
-    acc[:] = coef[-1]
+    if sets is None:
+        tile = spare
+
+        def term(m):
+            return coef[m, 0]
+    else:
+        tile, gathered = None, spare[:rows]
+
+        def term(m):
+            return np.take(coef[m], sets, axis=0, out=gathered, mode="clip")
+    acc[:] = term(-1)
     # numpy rounds a one-cell in-place product unlike its vector loop
     prod = acc if acc.size > 1 else one_cell
     if tile is not None:
@@ -346,9 +354,9 @@ def _horner_chunk(cos_chunk, split, coef, out, z, acc, one_cell, tile):
     for m in range(coef.shape[0] - 2, -1, -1):
         np.multiply(acc, z, out=prod)
         if tile is None:
-            np.add(prod, coef[m], out=acc)
+            np.add(prod, term(m), out=acc)
         else:
-            tile[:] = coef[m]
+            tile[:] = term(m)
             np.add(prod_tiles, tile_row, out=acc_tiles)
             if rest.size:
                 np.add(prod[whole:], rest, out=acc[whole:])

@@ -300,41 +300,36 @@ def pattern_map(cfg: ArrayConfig, weights: PhaseTimeWeights,
                 & (angles <= math.pi + _ANGLE_TOL_RAD))
     if outside.any():
         _check_angle(angles[outside][0])
-    return pattern_gain_db(cfg, [weights], np.cos(angles),
-                           grid.rb_center_freqs())
+    return serving_gain_db(cfg, [weights], np.zeros(angles.size, dtype=int),
+                           np.cos(angles), grid.rb_center_freqs())
 
 
-def pattern_gain_db(cfg: ArrayConfig, weight_sets, cos_angles, freqs):
-    """Gain in dB, shape (angles, sets * freqs): one ``pattern_corr`` call
-    with the weight sets as column blocks (``table_gain_db``)."""
-    split, coef = pattern_tables(cfg, weight_sets, freqs)
-    table = np.broadcast_to(coef, coef.shape[:2] + (split.width,))
-    return table_gain_db(cfg, cos_angles,
-                         split._replace(blocks=len(weight_sets)),
-                         table.reshape(cfg.num_elements, 1, -1))
+def serving_gain_db(cfg: ArrayConfig, weight_sets, serving, cos_angles,
+                    freqs) -> np.ndarray:
+    """Gain in dB, shape (angles, freqs): row a is the gain of
+    ``weight_sets[serving[a]]`` toward the axis angle of cosine
+    ``cos_angles[a]``, bit for bit its one-angle ``pattern_map`` row at
+    ``freqs``.
 
-
-def pattern_tables(cfg: ArrayConfig, weight_sets, freqs):
-    """The pattern kernel's tables at ``freqs``: the steering slopes
-    ``2*pi*spacing*f/c`` of the frequencies as a ``_kernels.PhasorSplit``
-    (``_kernels.phasor_split``), and the weight sets' coefficients, shape
-    (elements, sets, freqs), or (elements, sets, 1) when no set has a
-    delay, from one ``_kernels.pattern_coefficients`` pass."""
+    One ``_kernels.pattern_corr`` call, each row naming its set's table:
+    the coefficient tables of the sets that serve a row are built in one
+    ``_kernels.pattern_coefficients`` pass, one column wide when none of
+    them has a delay, and a lone serving set's table is shared by every
+    row. Each gain is peak_gain_db plus 20*log10 of the correlation floored
+    at CORRELATION_FLOOR, each step taken in place by the kernel on each
+    chunk it computes."""
     for w in weight_sets:
         if w.num_elements != cfg.num_elements:
             raise ValueError("weights length does not match cfg.num_elements")
-    slope_scale = 2.0 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S
+    used = np.zeros(len(weight_sets), dtype=bool)
+    used[serving] = True
+    kept = [w for w, u in zip(weight_sets, used.tolist()) if u]
     freqs = np.asarray(freqs, dtype=np.float64)
     coef = _kernels.pattern_coefficients(
-        freqs, [w.phases_rad for w in weight_sets],
-        [w.delays_s for w in weight_sets])
-    return _kernels.phasor_split(slope_scale, freqs), coef
-
-
-def table_gain_db(cfg: ArrayConfig, cos_angles, split, coef):
-    """Gain in dB of one ``pattern_corr`` call over the columns of the
-    ``_kernels.PhasorSplit`` ``split``: peak_gain_db plus 20*log10 of the
-    correlation floored at CORRELATION_FLOOR, each step taken in place by
-    the kernel on each chunk it computes."""
-    return _kernels.pattern_corr(cos_angles, split, coef,
+        freqs, [w.phases_rad for w in kept], [w.delays_s for w in kept])
+    # each row's position among the used sets
+    sets = (np.cumsum(used) - 1)[serving] if len(kept) > 1 else None
+    split = _kernels.phasor_split(
+        2.0 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S, freqs)
+    return _kernels.pattern_corr(cos_angles, split, coef, sets,
                                  (CORRELATION_FLOOR, cfg.peak_gain_db))

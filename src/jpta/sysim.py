@@ -27,9 +27,7 @@ from .antenna import (
     FrequencyGrid,
     PhaseTimeWeights,
     axis_from_boresight_rad,
-    pattern_gain_db,
-    pattern_tables,
-    table_gain_db,
+    serving_gain_db,
 )
 from .codebook import DelayConstraint, Type1Target, design_type1, paa_codebook
 from .link import (
@@ -142,24 +140,6 @@ def require_min_jpta_share(num_ues: int, num_rbs: int) -> None:
                          % (num_rbs, num_ues, smallest, MIN_RBS_PER_GRANT))
 
 
-def _serving_gain_rows(cfg: ArrayConfig, weight_sets, serving,
-                       ue_angles_rad, freqs) -> np.ndarray:
-    """Gain rows (num_ues, num_freqs): row u is ``weight_sets[serving[u]]``
-    toward UE u (boresight-relative radians), bit for bit its one-angle
-    pattern_map row, from one pattern-kernel call over the UE angles whose
-    coefficient table holds row u's serving set, each distinct set's table
-    built once. A lone serving set's table broadcasts over every row."""
-    cos_ues = np.cos(axis_from_boresight_rad(ue_angles_rad))
-    used = np.zeros(len(weight_sets), dtype=bool)
-    used[serving] = True
-    split, coef = pattern_tables(
-        cfg, [w for w, u in zip(weight_sets, used.tolist()) if u], freqs)
-    if coef.shape[1] > 1:
-        # each UE's position among the used sets
-        coef = coef[:, (np.cumsum(used) - 1)[serving]]
-    return table_gain_db(cfg, cos_ues, split, coef)
-
-
 def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
             lm: LinkModel, mcs_table: McsTable, beams,
             eesm_betas=None) -> RateGrid:
@@ -171,10 +151,14 @@ def run_paa(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
     duty = 1.0 / dep.num_ues
     all_rbs = np.arange(grid.num_rbs, dtype=np.int64)
     cos_ues = np.cos(axis_from_boresight_rad(dep.ue_angles_rad))
-    serving = np.argmax(pattern_gain_db(cfg, beams, cos_ues,
-                                        [cfg.carrier_hz]), axis=1)
-    rows = _serving_gain_rows(cfg, beams, serving, dep.ue_angles_rad,
-                              grid.rb_center_freqs())
+    # every beam toward every UE at the carrier, one (UE, beam) row each
+    count = len(beams)
+    carrier = serving_gain_db(cfg, beams,
+                              np.arange(dep.num_ues * count) % count,
+                              np.repeat(cos_ues, count), [cfg.carrier_hz])
+    serving = np.argmax(carrier.reshape(dep.num_ues, -1), axis=1)
+    rows = serving_gain_db(cfg, beams, serving, cos_ues,
+                           grid.rb_center_freqs())
     return select_rate_grid(lm, dep.ring_distances_m, rows,
                             [all_rbs] * dep.num_ues, mcs_table, grid.scs_hz,
                             duty, eesm_betas)
@@ -194,8 +178,10 @@ def run_jpta(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
     weights, _ = design_type1(cfg, target, grid, constraint)
     # conservation: the disjoint shares exhaust the band exactly
     assert sum(s.size for s in shares) == grid.num_rbs
-    gain_rows = _serving_gain_rows(cfg, [weights], np.zeros(dep.num_ues, int),
-                                   dep.ue_angles_rad, grid.rb_center_freqs())
+    gain_rows = serving_gain_db(
+        cfg, [weights], np.zeros(dep.num_ues, dtype=int),
+        np.cos(axis_from_boresight_rad(dep.ue_angles_rad)),
+        grid.rb_center_freqs())
     return select_rate_grid(lm, dep.ring_distances_m, gain_rows, shares,
                             mcs_table, grid.scs_hz, 1.0, eesm_betas), weights
 

@@ -21,6 +21,7 @@ from jpta.antenna import (
     pattern_map,
     steering_vector,
 )
+from jpta.codebook import paa_codebook, steer_weights
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,38 @@ def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
             np.maximum(corr, CORRELATION_FLOOR))
         assert np.array_equal(pattern_map(cfg, w, angles, grid), want)
     assert (corr < CORRELATION_FLOOR).any()
+
+
+def test_zero_delay_pattern_map_takes_a_one_column_table(monkeypatch,
+                                                        array16, grid264):
+    # a set without delays reaches the kernel with its one-column table,
+    # not one widened to the K RB columns, and its map keeps the bits of
+    # the kernel's result on the explicitly widened (M, 1, K) table
+    real = _kernels.pattern_corr
+    widths = []
+
+    def spy(cos_angles, split, coef, *args):
+        widths.append(coef.shape[2])
+        return real(cos_angles, split, coef, *args)
+
+    monkeypatch.setattr(_kernels, "pattern_corr", spy)
+    angles = np.linspace(0.02, math.pi - 0.02, 3001)
+    freqs = grid264.rb_center_freqs()
+    split = _kernels.phasor_split(
+        2.0 * math.pi * array16.spacing_m / SPEED_OF_LIGHT_M_S, freqs)
+    sector = (axis_from_boresight_deg(60.0), axis_from_boresight_deg(-60.0))
+    for w in (steer_weights(array16, math.pi / 2.0),
+              paa_codebook(array16, 16, sector)[5]):
+        widths.clear()
+        gains = pattern_map(array16, w, angles, grid264)
+        assert widths == [1]
+        widened = np.ascontiguousarray(np.broadcast_to(
+            _kernels.pattern_coefficients(freqs, [w.phases_rad],
+                                          [w.delays_s]),
+            (16, 1, freqs.size)))
+        want = real(np.cos(angles), split, widened, None,
+                    (CORRELATION_FLOOR, array16.peak_gain_db))
+        assert np.array_equal(gains, want)
 
 
 def test_pattern_map_matches_beam_gain(array16):

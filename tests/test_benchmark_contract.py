@@ -70,9 +70,9 @@ def test_decisions_view_equals_the_rate_grid_columns():
 
 
 def test_every_kernel_bench_runs_once():
-    # the table reaches private names (sysim._serving_gain_rows,
-    # codebook._delay_twiddles, _kernels.*) that no other test calls this
-    # way; each timed call runs once, the oracles, which take seconds, never
+    # the table reaches private names (codebook._delay_twiddles,
+    # _kernels.*) that no other test calls this way; each timed call runs
+    # once, the oracles, which take seconds, never
     benches = _load("bench_kernels",
                     ROOT / "benchmarks" / "bench_kernels.py").BENCHES
     assert benches

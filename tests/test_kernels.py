@@ -28,8 +28,7 @@ from jpta.antenna import (
     FrequencyGrid,
     PhaseTimeWeights,
     pattern_map,
-    pattern_tables,
-    table_gain_db,
+    serving_gain_db,
 )
 from jpta.link import MAX_EESM_BETA
 from oracles import (
@@ -45,19 +44,16 @@ from oracles import (
 SLOPE_SCALE = 2 * np.pi * 0.005353 / 299792458.0
 
 
-def _kernel_args(cos_angles, freqs, phases, delays, slope_scale):
-    """``pattern_corr``'s arguments for one weight set, (M,), or for S sets,
-    (S, M), as column blocks over ``freqs`` shared by every angle."""
+def _kernel_args(cos_angles, freqs, phases, delays, slope_scale, sets=None):
+    """``pattern_corr``'s arguments for one weight set, (M,), shared by
+    every angle, or for S sets, (S, M), angle a taking set ``sets[a]``."""
     phases, delays = np.atleast_2d(phases, delays)
-    coef = _kernels.pattern_coefficients(freqs, phases, delays)
-    blocks = np.broadcast_to(coef, coef.shape[:2] + (len(freqs),))
-    split = _kernels.phasor_split(slope_scale, freqs)
-    return (cos_angles, split._replace(blocks=len(phases)),
-            blocks.reshape(coef.shape[0], 1, -1))
+    return (cos_angles, _kernels.phasor_split(slope_scale, freqs),
+            _kernels.pattern_coefficients(freqs, phases, delays), sets)
 
 
 def _corr(*args):
-    """``pattern_corr`` of the weight sets of ``_kernel_args(*args)``."""
+    """``pattern_corr`` of the weight set of ``_kernel_args(*args)``."""
     return _kernels.pattern_corr(*_kernel_args(*args))
 
 
@@ -94,7 +90,7 @@ def test_pattern_corr_matches_oracle():
 def _phasors(cos_angles, split):
     """The phasors of ``split``'s columns at ``cos_angles``, built as one
     chunk of the pattern kernel builds them."""
-    z, acc = _kernels._chunk_buffers(cos_angles.size, split.cols, 0)[:2]
+    z, acc = _kernels._chunk_buffers(cos_angles.size, split.width, None)[:2]
     _kernels._fill_phasors(cos_angles, split, z, acc)
     return z
 
@@ -114,8 +110,8 @@ def test_split_phasors_stay_within_a_few_ulps_of_exp(num_rbs, carrier,
         min(int(SCS_RANGE_HZ[1]), carrier // (12 * num_rbs))))
     freqs = FrequencyGrid(carrier, 12.0 * num_rbs * scs, scs,
                           num_rbs).rb_center_freqs()
-    split, _ = pattern_tables(ArrayConfig(1, spacing, carrier),
-                              [PhaseTimeWeights([0.0], [0.0])], freqs)
+    split = _kernels.phasor_split(
+        2.0 * math.pi * spacing / SPEED_OF_LIGHT_M_S, freqs)
     fine = split.fine.size
     assert (fine > 1) == (num_rbs >= 4)
     assert split.width == num_rbs and split.coarse.size == -(-num_rbs // fine)
@@ -288,59 +284,33 @@ def test_pattern_corr_chunks_match_one_unchunked_call(monkeypatch):
         assert np.array_equal(chunked, whole), count
 
 
-@pytest.mark.parametrize("chunk_cells", [None, 6])
-def test_pattern_corr_weight_sets_as_columns_equal_per_set_calls(
-        monkeypatch, chunk_cells):
-    # S weight sets tiled as column blocks over K frequencies: block s
-    # equals set s's own call bit for bit, also where either call has a
-    # one-cell chunk and where chunks split the angles differently
-    if chunk_cells is not None:
-        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", chunk_cells)
-    rng = np.random.default_rng(12)
-    for num_sets, num_freqs, num_angles in ((1, 1, 1), (2, 1, 1), (2, 1, 7),
-                                            (16, 1, 8), (3, 24, 1),
-                                            (8, 24, 7)):
-        freqs = _rb_freqs(num_freqs)
-        cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
-        phases = rng.uniform(0.0, 2 * np.pi, (num_sets, 16))
-        delays = rng.integers(0, 64, (num_sets, 16)) * 2.5e-9
-        tiled = _corr(cos_angles, freqs, phases, delays, SLOPE_SCALE)
-        assert tiled.shape == (num_angles, num_sets * num_freqs)
-        for s in range(num_sets):
-            own = _corr(cos_angles, freqs, phases[s], delays[s],
-                        SLOPE_SCALE)
-            block = tiled[:, s * num_freqs:(s + 1) * num_freqs]
-            assert np.array_equal(block, own), (num_sets, num_freqs,
-                                                num_angles, s)
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_pattern_corr_per_angle_coefficient_rows_equal_one_angle_calls(
         monkeypatch, cpus):
-    # a table with one coefficient row per angle, each from one of S weight
-    # sets: full width from sets with delays, one column wide from sets
+    # each angle names one of S weight sets, whose coefficients each chunk
+    # gathers: full width from sets with delays, one column wide from sets
     # without any; row a equals angle a's own call with its set's (M, 1, K)
     # table bit for bit, on grids of several chunks, which the threads
-    # hand out and whose coefficient rows each chunk slices, of one-cell
-    # chunks and of one cell
+    # hand out and whose set indices each chunk slices, of one-cell chunks
+    # and of one cell, and at the serving-beam pick's shape, 16 sets of one
+    # column over 8 angles, in one chunk and in chunks of 6 cells
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(17)
-    for num_freqs, num_angles, chunk_rows in ((24, 10, 3), (24, 9, 9),
-                                              (1, 7, 1), (1, 1, 1),
-                                              (264, 8, 124)):
+    for num_sets, num_freqs, num_angles, chunk_rows in (
+            (3, 24, 10, 3), (3, 24, 9, 9), (3, 1, 7, 1), (3, 1, 1, 1),
+            (3, 264, 8, 124), (16, 1, 8, 8), (16, 1, 8, 6)):
         monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
                             chunk_rows * num_freqs)
         freqs = _rb_freqs(num_freqs)
         split = _kernels.phasor_split(SLOPE_SCALE, freqs)
         cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
-        phases = rng.uniform(0.0, 2 * np.pi, (3, 16))
-        serving = rng.integers(0, 3, num_angles)
-        for delays in (rng.integers(0, 64, (3, 16)) * 2.5e-9,
-                       np.zeros((3, 16))):
+        phases = rng.uniform(0.0, 2 * np.pi, (num_sets, 16))
+        serving = rng.integers(0, num_sets, num_angles)
+        for delays in (rng.integers(0, 64, (num_sets, 16)) * 2.5e-9,
+                       np.zeros((num_sets, 16))):
             tables = _kernels.pattern_coefficients(freqs, phases, delays)
             assert tables.shape[2] == (num_freqs if delays.any() else 1)
-            rows = _kernels.pattern_corr(cos_angles, split,
-                                         tables[:, serving])
+            rows = _kernels.pattern_corr(cos_angles, split, tables, serving)
             assert rows.shape == (num_angles, num_freqs)
             for a, s in enumerate(serving.tolist()):
                 own = np.ascontiguousarray(np.broadcast_to(
@@ -374,7 +344,7 @@ def _threaded_and_serial(monkeypatch, cpus, args):
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
     # 2, 3, 7 and 8 chunks, the last one partial, one-row and one-cell
-    # chunks, weight sets as column blocks, 264-column chunks of 112 rows
+    # chunks, rows that name their weight sets, 264-column chunks of 112 rows
     # (7 whole 16-row tiles), and one chunk, which starts no thread: every
     # cell equals the one-thread run's, with one thread per CPU up to one
     # per chunk, the calling thread included; a short switch interval makes
@@ -388,12 +358,14 @@ def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
                 (1, 24, 7, 1), (3, 1, 9, 1), (1, 1, 5, 1),
                 (1, 264, 800, 112), (1, 264, 8, 124)):
             monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
-                                chunk_rows * num_sets * num_freqs)
+                                chunk_rows * num_freqs)
             freqs = _rb_freqs(num_freqs)
             args = _kernel_args(
                 np.cos(rng.uniform(0.0, np.pi, num_angles)), freqs,
                 rng.uniform(0.0, 2 * np.pi, (num_sets, 16)),
-                rng.integers(0, 64, (num_sets, 16)) * 2.5e-9, SLOPE_SCALE)
+                rng.integers(0, 64, (num_sets, 16)) * 2.5e-9, SLOPE_SCALE,
+                rng.integers(0, num_sets, num_angles) if num_sets > 1
+                else None)
             threaded, serial, count = _threaded_and_serial(monkeypatch,
                                                            cpus, args)
             chunks = -(-num_angles // chunk_rows)
@@ -474,9 +446,9 @@ def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_table_gain_db_equals_the_whole_map_db(monkeypatch, cpus):
     # the floor, log10, x20 and +peak that each chunk's thread takes in
-    # place give the bits of the same steps on the whole correlation map,
-    # at several chunks with a short last one, per-angle rows, one-column
-    # tables, a floored null and a one-cell grid
+    # place (pattern_corr's db steps) give the bits of the same steps on
+    # the whole correlation map, at several chunks with a short last one,
+    # a set per angle, one-column tables, a floored null and a one-cell grid
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(29)
     cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
@@ -494,14 +466,16 @@ def test_table_gain_db_equals_the_whole_map_db(monkeypatch, cpus):
         cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
         # a uniform weight set's null at the first column: -80 dB floor
         cos_angles[0] = 2 * np.pi / (16 * (SLOPE_SCALE * freqs[0]))
+        rows = np.arange(num_angles) if per_angle else None
         if not per_angle:
             coef[:, 0, :] = 1.0
-        want = _kernels.pattern_corr(cos_angles, split, coef)
+        want = _kernels.pattern_corr(cos_angles, split, coef, rows)
         if not per_angle:
             assert want[0, 0] < CORRELATION_FLOOR
         np.maximum(want, CORRELATION_FLOOR, out=want)
         want = 20.0 * np.log10(want) + cfg.peak_gain_db
-        got = table_gain_db(cfg, cos_angles, split, coef)
+        got = _kernels.pattern_corr(cos_angles, split, coef, rows,
+                                    (CORRELATION_FLOOR, cfg.peak_gain_db))
         assert np.array_equal(got, want), (num_freqs, num_angles, per_angle)
 
 
@@ -529,11 +503,10 @@ def test_pattern_corr_raises_a_worker_thread_db_step_error(monkeypatch):
     monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", 24 * 4)
     freqs = _rb_freqs(24)
     with pytest.raises(FloatingPointError, match="dB step failed"):
-        table_gain_db(ArrayConfig.half_wavelength(16, 28e9, 28.0),
-                      np.cos(np.linspace(0.1, 3.0, 20)),
-                      _kernels.phasor_split(SLOPE_SCALE, freqs),
-                      _kernels.pattern_coefficients(freqs, np.zeros((1, 16)),
-                                                    np.ones((1, 16)) * 1e-9))
+        serving_gain_db(ArrayConfig.half_wavelength(16, 28e9, 28.0),
+                        [PhaseTimeWeights(np.ones(16) * 1e-9, np.zeros(16))],
+                        np.zeros(20, dtype=int),
+                        np.cos(np.linspace(0.1, 3.0, 20)), freqs)
     assert failed.is_set() and len(started) == 1
     assert not started[0].is_alive()
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jpta import _kernels, codebook, sysim
+from jpta import _kernels, antenna, codebook, sysim
 from jpta.antenna import (
     ArrayConfig,
     FrequencyGrid,
@@ -156,7 +156,9 @@ def _weight_sets(cfg):
 
 def _assert_gain_rows_equal_pattern_map_rows(cfg, weight_sets, serving,
                                              angles, grid, freqs):
-    rows = sysim._serving_gain_rows(cfg, weight_sets, serving, angles, freqs)
+    rows = antenna.serving_gain_db(cfg, weight_sets, serving,
+                                   np.cos(antenna.axis_from_boresight_rad(
+                                       angles)), freqs)
     assert rows.shape == (angles.size, grid.num_rbs)
     for s, bore, row in zip(serving, angles, rows):
         axis = np.array([math.pi / 2.0 - bore])
@@ -215,19 +217,20 @@ def test_paa_serving_beam_tie_goes_to_the_first_beam(monkeypatch):
     tied = [beam_gain_db(cfg, beams[b], math.pi / 2.0, 28e9) for b in (7, 8)]
     assert tied == [23.675375784488104] * 2
     calls = []
-    real = sysim._serving_gain_rows
+    real = sysim.serving_gain_db
 
-    def spy(cfg, weight_sets, serving, ue_angles_rad, freqs):
+    def spy(cfg, weight_sets, serving, cos_angles, freqs):
         calls.append([weight_sets[s] for s in serving])
-        return real(cfg, weight_sets, serving, ue_angles_rad, freqs)
+        return real(cfg, weight_sets, serving, cos_angles, freqs)
 
-    monkeypatch.setattr(sysim, "_serving_gain_rows", spy)
+    monkeypatch.setattr(sysim, "serving_gain_db", spy)
     dep = Deployment(ue_angles_rad=[0.0], ring_distances_m=[100.0])
     run_paa(dep, cfg, grid, LinkModel(carrier_hz=28e9), McsTable.default(),
             beams)
-    # the serving beam's rows, once, for the one UE
-    assert len(calls) == 1 and len(calls[0]) == 1
-    assert calls[0][0] is beams[7]
+    # the carrier pick over every beam, then the serving beam's rows, once,
+    # for the one UE
+    assert [len(c) for c in calls] == [16, 1]
+    assert calls[1][0] is beams[7]
 
 
 def test_sweep_pattern_kernel_cells(monkeypatch):
@@ -255,6 +258,30 @@ def test_sweep_pattern_kernel_cells(monkeypatch):
         assert sum(cells) == 16 * num_ues + 2 * num_ues * 264, cells
         # the carrier pick and one call per scheme's gain rows
         assert len(cells) == 3, cells
+
+
+def test_paa_coefficient_tables_hold_each_beam_once(monkeypatch):
+    # the carrier pick names a beam per (UE, beam) row and the gain rows a
+    # serving beam per UE; each call's coefficient table holds one
+    # one-column row per beam it uses, (M, beams, 1) for the pick and (M,
+    # distinct serving beams, 1) for the rows, never one per row
+    calls = []
+    real = _kernels.pattern_corr
+
+    def spy(cos_angles, split, coef, sets=None, db=None):
+        calls.append((coef.shape, len(sets), cos_angles.size))
+        return real(cos_angles, split, coef, sets, db)
+
+    monkeypatch.setattr(_kernels, "pattern_corr", spy)
+    cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    grid = FrequencyGrid(28e9, 400e6, 120e3, 24)
+    dep = Deployment(ue_angles_rad=np.radians([-50.0, -20.0, 0.0, 0.0, 20.0,
+                                               50.0]),
+                     ring_distances_m=[100.0])
+    run_paa(dep, cfg, grid, LinkModel(carrier_hz=28e9), McsTable.default(),
+            paa_codebook(cfg, 16, SECTOR))
+    # five distinct serving beams: the two UEs at boresight share one
+    assert calls == [((16, 16, 1), 6 * 16, 6 * 16), ((16, 5, 1), 6, 6)]
 
 
 # ---------------------------------------------------------------------------
