@@ -25,24 +25,14 @@ serving set, against one ``pattern_map`` call per UE. Another times one
 ``throughput_sweep`` of that deployment at one ring, the set-up cost every
 sweep pays whatever its ring count, against the same sweep at 160 rings.
 
-One row times the pattern grid's phasors on the 3001 x 264 grid, in the
-112-angle chunks of ``pattern_corr`` at 264 columns: each chunk's coarse
-and fine tables of ``phasor_split`` and one complex product per cell
-(``_fill_phasors``), against ``np.cos`` and ``np.sin`` of every cell's
-phase, the one-factor form (not an oracle).
+One row times the kernels' thread use: the 3001-angle pattern grid split
+over the usable CPUs against the same call on one thread.
 
-Three rows time one chunk of the pattern grid as a worker computes it,
-16 elements and a shared coefficient table, at 24, 264 and 1024 columns:
-each element's row added from a tile of its copies (``_horner_chunk``
-with the tile ``pattern_corr`` hands it) against the broadcast add of the
-row.
-
-Four rows time the kernels' thread use: the 3001-angle pattern grid split
-over the usable CPUs against the same call on one thread, and the delay
-scan in tiles of ``DELAY_SCAN_TILE`` taus by as many elements, at 16, 64
-and 256 elements, against the one whole product it replaced, which
-OpenBLAS splits over its threads when it has more than one
-(``OPENBLAS_NUM_THREADS``).
+One row times the rate scan's EESM stage (``_kernels._eesm_stage``) on
+the candidates of one ``throughput_sweep`` of the criterion-4 deployment
+at exponent 3 and 160 rings, both schemes' stage calls and outage
+diagnostics as the sweep makes them, against the same means from one 1-D
+``np.mean`` per candidate and beta (``eesm_stage_py``, timed once).
 
 Two rows time rate selection end to end, kernel and result assembly: the
 two ``link.select_rate_grid`` calls of one sweep, recorded from
@@ -79,6 +69,7 @@ from jpta.config import RunConfig
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
     delay_scan_py,
+    eesm_stage_py,
     pattern_corr_py,
     rate_scan_py,
     snr_rows,
@@ -129,62 +120,6 @@ def _pattern_corr_one_thread(*args):
         _kernels._usable_cpus = usable
 
 
-def _horner_args(cols: int):
-    """One whole chunk of the pattern grid at ``cols`` columns and 16
-    elements, a delayed weight set's shared (16, 1, cols) table: the
-    arguments of ``_kernels._horner_chunk`` as a worker of ``pattern_corr``
-    gets them, its buffers and tile included."""
-    rng = np.random.default_rng(5)
-    tile = _kernels._tile_rows(cols)
-    rows = _kernels.PATTERN_CHUNK_CELLS // cols
-    rows -= rows % tile
-    freqs = 28e9 + 120e3 * 12.0 * (np.arange(cols) - cols / 2.0)
-    coef = _kernels.pattern_coefficients(
-        freqs, [rng.uniform(-math.pi, math.pi, 16)],
-        [rng.integers(0, 64, 16) * 2.5e-9])
-    split = _kernels.phasor_split(
-        2.0 * math.pi * (299_792_458.0 / 28e9 / 2.0) / 299_792_458.0, freqs)
-    return (np.cos(rng.uniform(0.0, math.pi, rows)), split, coef, None,
-            np.empty((rows, cols)),
-            *_kernels._chunk_buffers(rows, cols, (tile, cols)))
-
-
-def _horner_broadcast(*args):
-    """The same chunk with the shared row added by broadcast."""
-    return _kernels._horner_chunk(*args[:-1], None)
-
-
-def _phasor_args():
-    """The 3001 x 264 grid of ``_pattern_args`` in chunks of the rows that
-    ``pattern_corr`` gives a chunk at 264 columns, with its RB centers'
-    split and one-factor forms."""
-    cos_angles, freqs, _, _, slope_scale = _pattern_args(3001)
-    rows = _kernels.PATTERN_CHUNK_CELLS // freqs.size
-    rows -= rows % _kernels._tile_rows(freqs.size)
-    return (cos_angles, rows, _kernels.phasor_split(slope_scale, freqs),
-            _kernels.PhasorSplit(slope_scale * freqs, np.zeros(1),
-                                 freqs.size))
-
-
-def _phasor_chunks(cos_angles, rows, split):
-    """Every chunk's phasors over the columns of ``split`` as a worker of
-    ``pattern_corr`` fills them, in one set of chunk buffers."""
-    z, acc = _kernels._chunk_buffers(rows, split.width, None)[:2]
-    for a0 in range(0, cos_angles.size, rows):
-        chunk = cos_angles[a0:a0 + rows]
-        _kernels._fill_phasors(chunk, split, z[:chunk.size],
-                               acc[:chunk.size])
-
-
-def _phasors_split(cos_angles, rows, split, one_factor):
-    return _phasor_chunks(cos_angles, rows, split)
-
-
-def _phasors_per_cell(cos_angles, rows, split, one_factor):
-    """The same phasors from ``np.cos`` and ``np.sin`` of every cell."""
-    return _phasor_chunks(cos_angles, rows, one_factor)
-
-
 # the delay scan's setting: the default 64-step delay line at the 264 RB
 # centers
 _DELAY = codebook.DelayConstraint()
@@ -215,13 +150,6 @@ def _delay_scan_kept_table(slopes, freqs, taus, num_elements):
         num_elements)
 
 
-def _delay_scan_whole_product(slopes, freqs, taus, num_elements):
-    """The kept-table delay scan as one twiddles @ target product."""
-    elem = np.arange(num_elements, dtype=np.float64)
-    target = np.exp(1j * slopes[:, None] * elem[None, :])
-    return codebook._delay_twiddles(_DELAY, _DELAY_GRID, False) @ target
-
-
 def _rate_args(users: int, rings: int):
     """Random 264-RB gain rows seen at ``rings`` link gains 30 dB apart end
     to end, as a distance sweep sees them, on the 15-level ladder."""
@@ -242,19 +170,19 @@ def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
     return [rate_scan_py(row, *args) for user in rows for row in user]
 
 
-def _recorded_args(name, cfg, dep, lm):
-    """The arguments of every call of ``sysim.<name>``, PAA's before
+def _recorded_args(name, cfg, dep, lm, module=sysim):
+    """The arguments of every call of ``module.<name>``, PAA's before
     JPTA's, in one ``throughput_sweep`` of ``dep`` under the config
     ``cfg``'s array, grid, MCS table, delay line and PAA codebook, recorded
     as the sweep makes them."""
     calls = []
-    real = getattr(sysim, name)
+    real = getattr(module, name)
 
     def record(*args):
         calls.append(args)
         return real(*args)
 
-    setattr(sysim, name, record)
+    setattr(module, name, record)
     try:
         mcs = cfg.mcs_table()
         sysim.throughput_sweep(dep, cfg.array_config(), cfg.frequency_grid(),
@@ -262,7 +190,7 @@ def _recorded_args(name, cfg, dep, lm):
                                cfg.paa_num_beams, cfg.paa_sector_rad(),
                                cfg.eesm_betas(mcs))
     finally:
-        setattr(sysim, name, real)
+        setattr(module, name, real)
     return calls
 
 
@@ -278,6 +206,20 @@ def _criterion4(rings):
 def _criterion4_rate_args():
     """The rate selection of the criterion-4 deployment at 5120 rings."""
     return _recorded_args("select_rate_grid", *_criterion4(5120))
+
+
+def _eesm_stage_args():
+    """Every EESM stage call of the criterion-4 sweep at 160 rings."""
+    return (_recorded_args("_eesm_stage", *_criterion4(160),
+                           module=_kernels),)
+
+
+def _eesm_stages(calls):
+    return [_kernels._eesm_stage(*args) for args in calls]
+
+
+def _eesm_stages_per_candidate(calls):
+    return [eesm_stage_py(*args) for args in calls]
 
 
 def _quickstart_rate_args():
@@ -385,17 +327,6 @@ BENCHES = [
      pattern_corr_py, lambda: _pattern_args(91, 64), True),
     ("pattern_corr (91 angles x 264 RBs, 256 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(91, 256), True),
-    ("pattern phasors (3001 x 264, split vs cos/sin)", _phasors_split,
-     _phasors_per_cell, _phasor_args, False),
-    ("Horner chunk (1197 x 24, tile vs broadcast)",
-     _kernels._horner_chunk, _horner_broadcast, lambda: _horner_args(24),
-     False),
-    ("Horner chunk (112 x 264, tile vs broadcast)",
-     _kernels._horner_chunk, _horner_broadcast, lambda: _horner_args(264),
-     False),
-    ("Horner chunk (30 x 1024, tile vs broadcast)",
-     _kernels._horner_chunk, _horner_broadcast, lambda: _horner_args(1024),
-     False),
     ("gain rows    (8 UEs x 264 RBs, vs per-UE maps)", _gain_rows,
      _gain_rows_per_ue, _gain_rows_args, False),
     ("throughput_sweep (8 UEs, 1 ring vs 160 rings)", _sweep_one_ring,
@@ -404,14 +335,6 @@ BENCHES = [
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",
      _delay_scan_kept_table, delay_scan_py, _delay_args, False),
-    ("delay_scan   (16x16 tiles vs one product)",
-     _delay_scan_kept_table, _delay_scan_whole_product, _delay_args, False),
-    ("delay_scan   (tiles vs one product, 64 el)",
-     _delay_scan_kept_table, _delay_scan_whole_product,
-     lambda: _delay_args(64), False),
-    ("delay_scan   (tiles vs one product, 256 el)",
-     _delay_scan_kept_table, _delay_scan_whole_product,
-     lambda: _delay_args(256), False),
     ("delay_scan   (64 taus x 264 freqs, 64 el)", _delay_scan_kept_table,
      delay_scan_py, lambda: _delay_args(64), True),
     ("delay_scan   (64 taus x 264 freqs, 256 el)", _delay_scan_kept_table,
@@ -422,6 +345,8 @@ BENCHES = [
      _rate_scan_per_ring, lambda: _rate_args(1, 160), False),
     ("rate_scan    (8 users x 160 rings x 264 RBs)", _kernels.rate_scan_batch,
      _rate_scan_per_ring, lambda: _rate_args(8, 160), True),
+    ("EESM stage   (sweep at 160 rings, vs np.mean)", _eesm_stages,
+     _eesm_stages_per_candidate, _eesm_stage_args, True),
     ("select_rate_grid (4 UEs x 40 rings, 2 calls)", _sweep_rate_grids,
      _sweep_rate_decisions, _quickstart_rate_args, False),
     ("select_rate_grid (8 UEs x 5120 rings, 2 calls)", _sweep_rate_grids,

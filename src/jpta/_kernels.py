@@ -34,7 +34,9 @@ Three loops dominate the toolkit's numerical run time:
   caps each candidate's rate, so the EESM runs in two stages: each pair's
   candidate of the largest cap first, then only the others whose cap
   reaches that exact rate. Each evaluated candidate builds its own SNR row
-  in the EESM's chunk loop, read there in place. On the criterion-4
+  in the EESM's chunk loop, read there in place, and one ``reduceat`` per
+  chunk, each row led by a zero, sums every row with the bits of its own
+  ``np.mean``. On the criterion-4
   deployment at 160 rings the EESM runs for 0.6-1.0% of the (user, ring,
   RB count) candidates, at 1.3 times the terms of the winners alone.
 
@@ -572,8 +574,7 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
                                            unique_betas, beta_idx)
 
         # stage 1, each pair's largest bound, and stage 2, the rest whose
-        # bound reaches the pair's stage-1 rate (>= keeps a tie), each in n
-        # order
+        # bound reaches the pair's stage-1 rate (>= keeps a tie)
         top = _leaders(pair, ues * rings, bound, live_n)
         evaluate(top)
         r1 = np.full(ues * rings, -np.inf)
@@ -603,8 +604,8 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
 def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
                          se, max_beta):
     """Candidates ``(user, ring, n)`` that may still win or tie, with each
-    one's upper-bound MCS ``i``, as four index arrays ordered by n, then by
-    user and MCS; n runs over ``[min_rbs, RBs]``.
+    one's upper-bound MCS ``i``, as four index arrays ordered by user, MCS
+    and n; n runs over ``[min_rbs, RBs]``.
 
     For the split SNRs ``g`` of the best n RBs, every beta's effective SNR
     lies between ``min(g)`` (each shifted EESM term is at most 1) and
@@ -670,16 +671,15 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
     np.divide(need[:, None], high[:, None, :], out=meet)
     np.minimum(end[:, :-1], meet[:, 1:], out=end[:, :-1])
     # an interval that is empty, starts past the last ring or ends at or
-    # before the first holds none; the binary searches place the others.
-    # The (n, user, MCS) order of the mask lists them by n.
-    live = np.flatnonzero(((end > meet) & (meet <= link_sorted[-1])
-                           & (end > link_sorted[0])).transpose(2, 0, 1))
-    n_idx, user = np.divmod(live, ues * levels)
-    user, mcs = np.divmod(user, levels)
+    # before the first holds none; the binary searches place the others
+    live = np.flatnonzero((end > meet) & (meet <= link_sorted[-1])
+                          & (end > link_sorted[0]))
+    user, n_idx = np.divmod(live, levels * counts.size)
+    mcs, n_idx = np.divmod(n_idx, counts.size)
     lo = np.searchsorted(link_sorted, meet[user, mcs, n_idx], side="left")
     size = np.searchsorted(link_sorted, end[user, mcs, n_idx], side="left")
     size -= lo
-    # the rings of each (n, user, i) interval, end to end
+    # the rings of each (user, i, n) interval, end to end
     where = np.repeat(lo - (np.cumsum(size) - size), size)
     where += np.arange(where.size)
     return (np.repeat(user, size), ring_order[where],
@@ -722,8 +722,8 @@ def _leaders(group, groups, key, tie):
 
 def _chunks(sizes):
     """``(lo, hi)`` bounds that cut items of ``sizes`` terms, laid end to
-    end, into chunks of about ``EESM_CHUNK_TERMS`` terms: a chunk's arrays
-    stay near cache size."""
+    end, into chunks of about ``EESM_CHUNK_TERMS`` terms, the only loop of
+    ``_eesm_stage``: a chunk's arrays stay near cache size."""
     chunk = (np.cumsum(sizes) - 1) // EESM_CHUNK_TERMS
     cuts = (np.flatnonzero(chunk[1:] != chunk[:-1]) + 1).tolist()
     return zip([0] + cuts, cuts + [sizes.size]) if sizes.size else ()
@@ -734,43 +734,43 @@ def _eesm_stage(link_db, gain_db_desc, noise_db, user, ring, live_n,
     """Weakest split SNR ``v_min`` of each candidate ``(user, ring, n)``,
     shape ``(candidates,)``, and its shifted EESM mean ``mean(exp((v_min -
     v) / beta))`` over its best n RBs ``v`` split over n, for every beta,
-    shape ``(betas, candidates)``.
+    shape ``(betas, candidates)``, in any candidate order.
 
     Each candidate builds its own SNR row, its user's best n gains by
     ``snr_unsplit`` at its ring, inside the chunk loop of ``_chunks``: the
-    rows lie end to end, and the EESM reads them in place. Candidates come
-    ordered by n, so each run of equal n in a chunk is a C-contiguous
-    (candidates x n) block per beta, summed row by row with the same 1-D
-    pairwise reduction and divided by n as ``np.mean`` does for one row
-    alone.
+    rows lie end to end, and the EESM reads them in place. One
+    ``np.add.reduceat`` per chunk sums every row. ``reduceat`` returns a
+    segment's first entry plus the pairwise sum of the rest, where
+    ``np.mean`` takes the pairwise sum of the whole row. So each row is led
+    by one slot that holds an exact 0.0 when the sum is taken: every EESM
+    term lies in [0, 1], ``0.0 + pairwise(row)`` is the pairwise sum
+    itself, and divided by n it is the bits of ``np.mean`` of that row.
     """
     split = live_n.astype(np.float64)
     v_min = np.empty(live_n.size)
     means = np.empty((unique_betas.size, live_n.size))
-    for lo, hi in _chunks(live_n):
+    for lo, hi in _chunks(live_n + 1):
         n = live_n[lo:hi]
-        offset = np.cumsum(n) - n
-        # indices of each candidate's best n RBs in the gain rows, end to end
-        where = np.repeat(user[lo:hi] * gain_db_desc.shape[1] - offset, n)
+        seg = n + 1
+        head = np.cumsum(seg) - seg
+        # indices of each candidate's slot and best n RBs in the gain rows,
+        # end to end; the slot reads the strongest RB, so its term is finite
+        where = np.repeat(user[lo:hi] * gain_db_desc.shape[1] - head - 1, seg)
         where += np.arange(where.size)
+        where[head] += 1
         terms = np.take(gain_db_desc, where, mode="clip")  # in range
         del where
-        snr_unsplit(np.repeat(link_db[ring[lo:hi]], n), terms, noise_db,
+        snr_unsplit(np.repeat(link_db[ring[lo:hi]], seg), terms, noise_db,
                     out=terms)
         # the weakest of the best n RBs after the split, then the shifted
         # EESM terms, stable for large SNR
-        np.divide(terms[offset + n - 1], split[lo:hi], out=v_min[lo:hi])
-        terms /= np.repeat(split[lo:hi], n)
-        np.subtract(np.repeat(v_min[lo:hi], n), terms, out=terms)
+        np.divide(terms[head + n], split[lo:hi], out=v_min[lo:hi])
+        terms /= np.repeat(split[lo:hi], seg)
+        np.subtract(np.repeat(v_min[lo:hi], seg), terms, out=terms)
         terms = terms / unique_betas[:, None]
         np.exp(terms, out=terms)
-        runs = [0] + (np.flatnonzero(np.diff(n)) + 1).tolist() + [n.size]
-        for a, z, size, start in zip(runs[:-1], runs[1:],
-                                     n[runs[:-1]].tolist(),
-                                     offset[runs[:-1]].tolist()):
-            block = terms[:, start:start + (z - a) * size]
-            np.add.reduce(block.reshape(-1, z - a, size), axis=2,
-                          out=means[:, lo + a:lo + z])
+        terms[:, head] = 0.0
+        np.add.reduceat(terms, head, axis=1, out=means[:, lo:hi])
     means /= split
     return v_min, means
 

@@ -147,6 +147,24 @@ def snr_rows(link_db, gain_db_desc, noise_db):
     return np.power(10.0, snr / 10.0)
 
 
+def eesm_stage_py(link_db, gain_db_desc, noise_db, user, ring, live_n,
+                  unique_betas):
+    """``_kernels._eesm_stage`` one candidate ``(user, ring, n)`` at a time:
+    the weakest of its best n split SNRs ``v``, and per beta the shifted
+    EESM mean ``mean(exp((v_min - v) / beta))``, one 1-D ``np.mean`` (the
+    pairwise ``np.add.reduce`` divided by n) of its own terms."""
+    rows = snr_rows(link_db, gain_db_desc, noise_db)
+    v_min = np.empty(live_n.size)
+    means = np.empty((unique_betas.size, live_n.size))
+    for c, (u, r, n) in enumerate(zip(user.tolist(), ring.tolist(),
+                                      live_n.tolist())):
+        values = rows[u, r, :n] / float(n)
+        v_min[c] = values[-1]
+        for b, beta in enumerate(unique_betas.tolist()):
+            means[b, c] = np.mean(np.exp((values[-1] - values) / beta))
+    return v_min, means
+
+
 def live_candidates_py(snr_unsplit_desc, counts, thr_lin, se, max_beta, rel):
     """Candidates of one user that EESM bounds taken on its SNR rows keep:
     ``(n index, ring)`` index arrays, ordered by n, then ring.

@@ -34,6 +34,7 @@ from jpta.link import MAX_EESM_BETA
 from oracles import (
     delay_scan_py,
     eesm_effective_snr_db_py,
+    eesm_stage_py,
     highest_mcs_py,
     live_candidates_py,
     pattern_corr_py,
@@ -683,7 +684,9 @@ def test_rate_scan_batch_meets_exact_thresholds(rings, distinct_betas):
 
 
 def test_rate_scan_chunks_match_oracle(monkeypatch):
-    # chunk boundaries fall inside and between runs of equal RB count
+    # chunks of about one candidate (1 and 7 terms) and of many (40 and
+    # 1000 terms); a chunk holds whole candidates, 5 to 18 terms each with
+    # its zero slot
     rng = np.random.default_rng(41)
     for chunk in (1, 7, 40, 1000):
         monkeypatch.setattr(_kernels, "EESM_CHUNK_TERMS", chunk)
@@ -692,6 +695,60 @@ def test_rate_scan_chunks_match_oracle(monkeypatch):
             link_db, gain_db = _one_ring_users(
                 rng.uniform(-10.0, 50.0, (30, 17)))
             _assert_matches_oracle(link_db, gain_db, 0.0, thr_lin, se, betas)
+
+
+# RB counts where numpy's pairwise sum changes shape: its 8-way unrolled
+# loop starts at 8 terms, past 128 terms it splits the sum in two, and
+# past 256 each half splits again
+_PAIRWISE_EDGES = [1, 7, 8, 9, 128, 129, 256, 257, 1100]
+
+
+@st.composite
+def _eesm_candidates(draw):
+    """``_eesm_stage``'s inputs, 1-3 users with 1100 gains each seen at 1-4
+    rings, and the EESM chunk size: runs of 1-4 candidates of equal n, 1 to
+    1100 RBs with the pairwise-sum edges, at random users and rings, and
+    1-3 distinct betas."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    users, rings = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(_PAIRWISE_EDGES), st.integers(1, 1100)),
+        st.integers(1, 4)), min_size=1, max_size=12))
+    live_n = np.repeat(*np.array(runs).T)
+    betas = np.unique(draw(st.lists(st.floats(0.5, 3.0), min_size=1,
+                                    max_size=3)))
+    chunk = draw(st.one_of(st.sampled_from([1, 300, 1 << 15]),
+                           st.integers(1, 4000)))
+    return (chunk, rng.uniform(-30.0, 0.0, rings),
+            np.sort(rng.uniform(-10.0, 50.0, (users, 1100)), axis=1)[:, ::-1],
+            0.0, rng.integers(0, users, live_n.size),
+            rng.integers(0, rings, live_n.size), live_n, betas)
+
+
+def test_eesm_stage_means_equal_each_candidates_own_reduce(monkeypatch):
+    # One reduceat sums every candidate of a chunk. Each mean must keep the
+    # bits of the 1-D pairwise np.add.reduce over that candidate's terms
+    # alone, divided by n, at every length, beta and chunk cut
+    def check(chunk, *args):
+        monkeypatch.setattr(_kernels, "EESM_CHUNK_TERMS", chunk)
+        got = _kernels._eesm_stage(*args)
+        want = eesm_stage_py(*args)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    # every pairwise-sum edge three times over, at three betas, in chunks
+    # that cut the runs of 128 RBs and longer
+    check(300, np.array([-3.0, -20.0]),
+          np.sort(np.random.default_rng(7).uniform(-10.0, 50.0, (2, 1100)),
+                  axis=1)[:, ::-1], 0.0,
+          np.arange(27) % 2, np.arange(27) % 3 % 2,
+          np.repeat(_PAIRWISE_EDGES, 3), np.array([0.7, 1.0, 2.9]))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(problem=_eesm_candidates())
+    def check_drawn(problem):
+        check(*problem)
+
+    check_drawn()
 
 
 @st.composite
@@ -861,13 +918,12 @@ def _user_problems(draw):
 def _assert_envelope_holds_per_cell(link_db, gain_db, noise_db, thr_lin, se,
                                     betas):
     """The per-user envelope keeps every candidate the bounds on the SNR
-    rows themselves keep, lists each once, ordered by n, and keeps none that
-    those bounds drop once widened to twice their margin. Each candidate's
+    rows themselves keep, lists each once, and keeps none that those bounds
+    drop once widened to twice their margin. Each candidate's
     upper-bound MCS is at least the MCS its exact EESM meets."""
     counts = np.arange(4, gain_db.shape[1] + 1)
     *live, live_mcs = _kernels._envelope_candidates(
         link_db, gain_db, noise_db, 4, thr_lin, se, betas.max())
-    assert np.all(np.diff(live[2]) >= 0)  # ordered by n
     got = list(zip(*(a.tolist() for a in live)))
     assert len(set(got)) == len(got)
     rows = snr_rows(link_db, gain_db, noise_db)
