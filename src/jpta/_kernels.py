@@ -36,9 +36,11 @@ Three loops dominate the toolkit's numerical run time:
   reaches that exact rate. Each evaluated candidate builds its own SNR row
   in the EESM's chunk loop, read there in place, and one ``reduceat`` per
   chunk, each row led by a zero, sums every row with the bits of its own
-  ``np.mean``. On the criterion-4
-  deployment at 160 rings the EESM runs for 0.6-1.0% of the (user, ring,
-  RB count) candidates, at 1.3 times the terms of the winners alone.
+  ``np.mean``. A candidate's MCS is decided, and a winner's effective SNR
+  reported, by the same ``np.log`` arithmetic (``eesm_snr_db``). On the
+  criterion-4 deployment at 160 rings the EESM runs for 0.6-1.0% of the
+  (user, ring, RB count) candidates, at 1.3 times the terms of the winners
+  alone.
 
 The pattern CSV's text formatter (``format_g6``) lives with its writer in
 ``jpta.cli``. ``tests/oracles.py`` holds plain-loop references for all three
@@ -244,22 +246,14 @@ def pattern_coefficients(freqs, phases, delays):
     """Horner coefficients ``exp(-j(phi_sm + 2*pi*f_k*tau_sm))`` of S weight
     sets, ``phases`` and ``delays`` of shape (S, M), at K frequencies: shape
     (M, S, K), or (M, S, 1) when every delay is zero, every argument then
-    being its phase at each frequency. An element whose argument is the
-    same at every frequency under its set (a zero delay) takes one
-    exponential, copied along its row: the same value the per-frequency
-    table holds. All sets take one pass."""
-    phases = np.asarray(phases, dtype=np.float64).T
+    being its phase at each frequency. All sets take one ``np.exp``."""
+    arg = np.asarray(phases, dtype=np.float64).T[:, :, None]
     delays = np.asarray(delays, dtype=np.float64).T
-    if not delays.any():
-        coef = np.multiply(-1j, phases, order="C")
-        return np.exp(coef, out=coef)[:, :, None]
-    freqs = np.asarray(freqs, dtype=np.float64)
-    arg = phases[:, :, None] + TWO_PI * freqs * delays[:, :, None]
-    const = (arg == arg[:, :, :1]).all(axis=2)
-    coef = np.empty(arg.shape, dtype=np.complex128)
-    coef[const] = np.exp(-1j * arg[:, :, 0][const])[:, None]
-    coef[~const] = np.exp(-1j * arg[~const])
-    return coef
+    if delays.any():
+        arg = arg + TWO_PI * np.asarray(freqs, dtype=np.float64) \
+            * delays[:, :, None]
+    coef = np.multiply(-1j, arg, order="C")
+    return np.exp(coef, out=coef)
 
 
 def _usable_cpus() -> int:
@@ -276,12 +270,14 @@ def _tile_rows(cols):
     return PATTERN_TILE_RUN // cols + 1
 
 
-def _cos_sin(cos_chunk, slopes, arg, out):
-    """``exp(j*cos_a*slope)`` of a chunk's angles and ``slopes`` into
-    ``out``: ``np.cos`` and ``np.sin`` of the products, taken in the flat
-    float buffer ``arg``, into its real and imaginary parts."""
+def _cos_sin(rows, cols, arg, out):
+    """``exp(j*rows[a]*cols[k])`` into ``out``: ``np.cos`` and ``np.sin`` of
+    the outer products, taken in the flat float buffer ``arg``, into its
+    real and imaginary parts. Every phasor table is built this way: a
+    pattern chunk's angles by its slopes, the delay scan's slopes by the
+    element indices."""
     arg = arg[:out.size].reshape(out.shape)
-    np.multiply(cos_chunk[:, None], slopes, out=arg)
+    np.multiply(rows[:, None], cols, out=arg)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
 
@@ -404,16 +400,14 @@ def _tile_edges(size):
 
 def phase_ramps(slopes, num_elements):
     """Target table ``exp(j*m*slopes[k])``, shape (slopes, num_elements),
-    built as the pattern phasors are: ``np.cos`` and ``np.sin`` of the real
-    products into its real and imaginary parts. Those are the bits of
+    built as the pattern phasors are (``_cos_sin``). Those are the bits of
     ``np.exp(1j * slopes[:, None] * m)`` for every slope but -0.0 (whose
     imaginary parts come out -0.0 instead of +0.0), without its complex
     temporary of the products."""
     slopes = np.asarray(slopes, dtype=np.float64)
-    arg = slopes[:, None] * np.arange(num_elements, dtype=np.float64)
-    target = np.empty(arg.shape, dtype=np.complex128)
-    np.cos(arg, out=target.real)
-    np.sin(arg, out=target.imag)
+    target = np.empty((slopes.size, num_elements), dtype=np.complex128)
+    _cos_sin(slopes, np.arange(num_elements, dtype=np.float64),
+             np.empty(target.size), target)
     return target
 
 
@@ -445,15 +439,10 @@ def delay_scan(slopes, twiddles, num_elements):
 # (user, ring) pair at once
 # ---------------------------------------------------------------------------
 
-# np.log may differ from math.log by an ulp; a feasibility margin this small,
-# relative to the threshold, is decided again with math.log
-_NEAR_THRESHOLD_REL = 1e-9
-
 # slack on both EESM bounds before they are compared with a threshold,
 # relative (and, on the upper bound, times the largest beta in absolute
-# terms): far above the near-threshold re-check and above the rounding of
-# an effective SNR or of a cumulative sum of a few hundred terms (about
-# 1e-13 of either)
+# terms): above the rounding of an effective SNR or of a cumulative sum of
+# a few hundred terms (about 1e-13 of either)
 _BOUND_REL = 1e-6
 
 # further relative slack on both bounds for evaluating them as a ring's link
@@ -499,20 +488,25 @@ def snr_unsplit(link_db, gain_db, noise_db, out=None):
 
 def eesm_snr_db(v_min, means, betas):
     """EESM effective SNR in dB, ``10 * log10(v_min - beta * ln(mean))``,
-    of each shifted mean, of the broadcast shape. The logarithms are
-    ``math.log`` and ``math.log10`` of one entry at a time (``np.log`` may
-    differ by an ulp), the product and differences the same IEEE operations
-    in numpy, so every entry has the bits of the Python expression."""
-    v_min, means, betas = np.broadcast_arrays(v_min, means, betas)
-    return 10.0 * map_floats(math.log10,
-                             v_min - betas * map_floats(math.log, means))
+    of each shifted mean, of the broadcast shape: ``np.log``, the product
+    and the difference that ``_highest_feasible_mcs`` decides with, then
+    ``np.log10``. Neither log depends on an entry's position in its array,
+    so each entry has the bits of its own 0-d call.
 
-
-def map_floats(fn, values):
-    """``fn`` of each entry of a float array, taken as a Python float, so
-    a ``math`` function keeps its scalar bits."""
-    return np.fromiter(map(fn, values.ravel().tolist()), np.float64,
-                       values.size).reshape(values.shape)
+    Error against the exact value ``y`` of the same float64 inputs, for
+    ``v_min, beta > 0`` and ``0 < mean <= 1`` (each shifted EESM mean has a
+    term of 1), with u = 2**-53 and numpy's ``log`` and ``log10`` within
+    one ulp, relative e = 2u (measured: 0.60 and 0.50 ulp). ``np.log``
+    errs by relative e and the beta product by u. As ``-beta * ln(mean) >=
+    0``, the difference adds two non-negative terms and cancels nothing,
+    even for means next to 1: it carries the product's error at weight at
+    most 1 and rounds once, to relative ``eD = (e + u + e*u)*(1 + u) + u``.
+    That moves ``log10`` by at most ``lam = eD / (ln(10) * (1 - eD))``, and
+    ``np.log10`` and the factor 10 add relative e and u: ``|eesm_snr_db -
+    y| <= 10*lam*(1 + e)*(1 + u) + |y|*(e + u + e*u)``, about 1.9e-15 dB
+    plus 3.3e-16 of ``|y|`` (``tests/oracles.py::eesm_snr_db_bound``).
+    """
+    return 10.0 * np.log10(v_min - betas * np.log(means))
 
 
 def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
@@ -541,8 +535,8 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
 
     Every pair is decided exactly as a one-user, one-ring call would decide
     it: each SNR term comes from ``snr_unsplit`` of the same values, the
-    EESM means are the same 1-D ``np.mean`` reductions, and feasibility near
-    a threshold and the winner's effective SNR use ``math.log``.
+    EESM means are the same 1-D ``np.mean`` reductions, and the winner's
+    effective SNR is the one its MCS was decided with (``eesm_snr_db``).
 
     Returns arrays ``(best_n, best_mcs, best_eff_db, best_se_n)`` of shape
     ``(users, rings)``, with ``best_mcs = -1`` (and zeros elsewhere) where
@@ -777,24 +771,15 @@ def _eesm_stage(link_db, gain_db_desc, noise_db, user, ring, live_n,
 
 def _highest_feasible_mcs(v_min, means, thr_lin, unique_betas, beta_idx):
     """Highest MCS whose threshold the effective SNR ``v_min - beta *
-    log(mean)`` meets, per live candidate, -1 where none is met."""
+    log(mean)`` meets, per live candidate, -1 where none is met: the
+    operations of ``eesm_snr_db`` before its ``log10``, so a threshold met
+    with equality is met by the value a grant reports."""
     effs = np.log(means)
     effs *= unique_betas[:, None]
     np.subtract(v_min, effs, out=effs)
     mcs = np.full(v_min.size, -1, dtype=np.int64)
-    for b, beta in enumerate(unique_betas):
+    for b in range(unique_betas.size):
         levels = np.flatnonzero(beta_idx == b)
-        thr = thr_lin[levels]
-        tol = _NEAR_THRESHOLD_REL * thr
-        eff = effs[b]
-        # thresholds met; only the nearest one below or above can flip when
-        # np.log is replaced by math.log
-        met = np.searchsorted(thr, eff, side="right")
-        near = np.flatnonzero(
-            (eff <= np.concatenate(([-np.inf], thr + tol))[met])
-            | (eff >= np.concatenate((thr - tol, [np.inf]))[met]))
-        met[near] = np.searchsorted(
-            thr, v_min[near] - beta * map_floats(math.log, means[b, near]),
-            side="right")
+        met = np.searchsorted(thr_lin[levels], effs[b], side="right")
         np.maximum(mcs, np.concatenate(([-1], levels))[met], out=mcs)
     return mcs

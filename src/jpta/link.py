@@ -82,15 +82,14 @@ class LinkModel:
 def path_gain_db(lm: LinkModel, distance_m):
     """Log-distance path gain: free-space intercept at 1 m plus
     -10*beta*log10(d), of a distance or elementwise of an array of them.
-    Each log10 is ``math.log10`` of one distance, so an array's entries keep
-    the bits of the scalar call (``np.log10`` may differ by an ulp)."""
+    ``np.log10`` does not depend on an entry's position, so an array's
+    entries keep the bits of the scalar call."""
     dists = np.asarray(distance_m, dtype=np.float64)
     if not np.all((dists > 0.0) & (dists < math.inf)):
         raise ValueError("distance_m must be positive and finite")
     intercept = 20.0 * math.log10(
         SPEED_OF_LIGHT_M_S / (4.0 * math.pi * lm.carrier_hz))
-    return intercept - 10.0 * lm.path_loss_exponent * _kernels.map_floats(
-        math.log10, dists)
+    return intercept - 10.0 * lm.path_loss_exponent * np.log10(dists)
 
 
 def noise_power_dbm_per_rb(lm: LinkModel, scs_hz: float) -> float:

@@ -67,12 +67,34 @@ def eesm_effective_snr_db_py(snr_db_values, beta):
 def eesm_linear_db_py(snr_lin, beta):
     """EESM of one RB set in dB, of linear per-RB SNRs:
     ``-beta * ln(mean(exp(-snr/beta)))``, shifted by the minimum, with a
-    1-D ``np.mean`` and ``math.log`` on top. An outage's diagnostic
-    effective SNR in ``select_rate_grid`` is this of its split SNRs, bit for
-    bit, since results.csv prints it."""
+    1-D ``np.mean`` and ``np.log`` and ``np.log10`` on top. An outage's
+    diagnostic effective SNR in ``select_rate_grid`` is this of its split
+    SNRs, bit for bit, since results.csv prints it."""
     v_min = snr_lin.min()
-    eff = v_min - beta * math.log(np.mean(np.exp(-(snr_lin - v_min) / beta)))
-    return 10.0 * math.log10(eff)
+    eff = v_min - beta * np.log(np.mean(np.exp(-(snr_lin - v_min) / beta)))
+    return 10.0 * np.log10(eff)
+
+
+def eesm_snr_db_longdouble(v_min, means, betas):
+    """``10 * log10(v_min - beta * ln(mean))`` of the same float64 inputs
+    as ``_kernels.eesm_snr_db``, every step taken in ``np.longdouble``:
+    on a 63-bit mantissa its own error is about 2**-11 of the float64
+    kernel's, so it stands for the exact value."""
+    v_min, means, betas = (np.asarray(a, dtype=np.float64).astype(
+        np.longdouble) for a in (v_min, means, betas))
+    return 10 * np.log10(v_min - betas * np.log(means))
+
+
+def eesm_snr_db_bound(y_db, unit=2.0 ** -53, log_ulps=1.0):
+    """Largest error ``_kernels.eesm_snr_db`` may make against the exact
+    effective SNR ``y_db``, derived in its docstring, in a float type of
+    unit roundoff ``unit`` whose ``log`` and ``log10`` err by at most
+    ``log_ulps`` ulp."""
+    e_log = 2.0 * log_ulps * unit
+    e_arg = (e_log + unit + e_log * unit) * (1.0 + unit) + unit
+    lam = e_arg / (math.log(10.0) * (1.0 - e_arg))
+    return (10.0 * lam * (1.0 + e_log) * (1.0 + unit)
+            + np.abs(y_db) * (e_log + unit + e_log * unit))
 
 
 def snr_per_rb_db(lm, distance_m, beam_gain_db_per_rb, allocated_rbs,
@@ -100,7 +122,7 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
     higher MCS, then fewer RBs.
 
     Returns ``(best_n, best_mcs, best_eff_db, best_se_n)``, the effective
-    SNR ``10 * log10`` of the linear one by ``math.log10``, and
+    SNR ``10 * log10`` of the linear one by ``np.log10``, and
     ``(0, -1, 0.0, 0.0)`` when nothing is feasible.
     """
     best = (0, -1, 0.0, 0.0)
@@ -112,7 +134,7 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
             rate = se[i] * n
             if rate > best_rate or (rate == best_rate and i > best[1]):
                 best_rate = rate
-                best = (n, i, 10.0 * math.log10(eff), rate)
+                best = (n, i, 10.0 * np.log10(eff), rate)
     return best
 
 
@@ -121,15 +143,15 @@ def highest_mcs_py(snr_unsplit_desc, n, thr_lin, unique_betas, beta_idx):
     RBs of one ring meets, with that effective SNR (linear): ``(-1, None)``
     when none is met.
 
-    The EESM mean is a 1-D ``np.mean`` of ``np.exp`` with ``math.log`` on
+    The EESM mean is a 1-D ``np.mean`` of ``np.exp`` with ``np.log`` on
     top, the arithmetic ``select_rate`` is defined by. A sequential
     ``math.exp`` sum rounds differently and could flip a decision whose
     threshold is met with equality.
     """
     values = snr_unsplit_desc[:n] / n
     v_min = values[-1]
-    effs = [v_min - beta * math.log(np.mean(np.exp(-(values - v_min)
-                                                   / beta)))
+    effs = [v_min - beta * np.log(np.mean(np.exp(-(values - v_min)
+                                                 / beta)))
             for beta in unique_betas]
     for i in range(thr_lin.shape[0] - 1, -1, -1):
         if effs[beta_idx[i]] >= thr_lin[i]:

@@ -34,6 +34,8 @@ from jpta.link import MAX_EESM_BETA
 from oracles import (
     delay_scan_py,
     eesm_effective_snr_db_py,
+    eesm_snr_db_bound,
+    eesm_snr_db_longdouble,
     eesm_stage_py,
     highest_mcs_py,
     live_candidates_py,
@@ -554,11 +556,12 @@ def test_pattern_corr_single_element_runs_no_horner_step():
 
 def test_zero_delay_coefficients_equal_the_per_column_table():
     # an element whose argument is the same at every frequency under its
-    # set takes one exponential copied along its row: a PAA beam (no
-    # delay), four of them in one pass, a set with some zero delays, and
-    # three sets in one pass, where a zero delay under each set's own phase
-    # is constant per set; every table equals the per-set, per-column one
-    # bit for bit, one column standing for all where no set has a delay
+    # set (a zero delay) gets the same exponential in every column: a PAA
+    # beam (no delay), four of them in one pass, a set with some zero
+    # delays, and three sets in one pass, where a zero delay under each
+    # set's own phase is constant per set; every table equals the per-set,
+    # per-column one bit for bit, one column standing for all where no set
+    # has a delay
     rng = np.random.default_rng(13)
     freqs = _rb_freqs(264)
     mixed = np.where(rng.random(16) < 0.5, 0,
@@ -643,44 +646,50 @@ def test_rate_scan_batch_matches_oracle(rings, distinct_betas):
     assert decided > 0 and outages > 0
 
 
-def _rows_where_np_log_rounds_up(rng, count, rbs, beta):
+def _rows_where_the_logs_differ(rng, count, rbs, beta):
     """Random descending gain rows (dB, one ring at 0 dB link gain) whose
-    full-allocation EESM mean gets a larger ``np.log`` than ``math.log``: an
-    effective SNR computed with ``np.log`` then falls an ulp short of the one
-    ``select_rate`` defines."""
-    rows = []
-    while len(rows) < count:
+    full-allocation EESM mean gets a different ``np.log`` from
+    ``math.log``, half of them larger and half smaller: on those rows an
+    effective SNR decided or reported with ``math.log`` is an ulp off the
+    one the rate path computes with ``np.log``."""
+    rows = {True: [], False: []}
+    while min(len(r) for r in rows.values()) < count // 2:
         block = np.sort(rng.uniform(-10.0, 30.0, (4000, rbs)), axis=1)[:, ::-1]
         values = snr_rows(np.zeros(1), block, 0.0)[:, 0] / rbs
         means = np.mean(np.exp(-(values - values[:, -1:]) / beta), axis=1)
-        ups = np.log(means) > np.array([math.log(m) for m in means])
-        rows.extend(block[ups])
-    return rows[:count]
+        logs = np.log(means)
+        scalar = np.array([math.log(m) for m in means])
+        for up in rows:
+            rows[up].extend(block[(logs > scalar) if up else (logs < scalar)])
+    return rows[True][:count // 2] + rows[False][:count - count // 2]
 
 
 @pytest.mark.parametrize("rings", [1, 2, 160])
 @pytest.mark.parametrize("distinct_betas", [False, True])
 def test_rate_scan_batch_meets_exact_thresholds(rings, distinct_betas):
-    # The top MCS threshold equals the exactly computed effective SNR of a
-    # pinned user's whole row at one ring, so that pair's best grant is the
-    # whole row at the top MCS. The rows are picked where np.log rounds up,
-    # so a decision taken on np.log alone would miss that grant.
+    # The top MCS threshold equals the effective SNR of a pinned user's
+    # whole row at one ring, as the rate path computes it with np.log, so
+    # that pair's best grant is the whole row at the top MCS, met with
+    # equality, and it reports 10 * np.log10 of that very threshold. The
+    # rows are picked where np.log and math.log differ, in both directions,
+    # so a decision or a report taken with math.log misses the grant or its
+    # bits.
     rng = np.random.default_rng(11 + rings + 1000 * distinct_betas)
     rbs = 12
     betas = np.array([0.7, 1.9]) if distinct_betas else np.ones(2)
     se = np.array([1.0, 2.0])
-    for pinned in _rows_where_np_log_rounds_up(rng, 4, rbs, betas[1]):
+    for pinned in _rows_where_the_logs_differ(rng, 4, rbs, betas[1]):
         link_db, swept = _sweep(rng, rings, rbs)
         r = int(rng.integers(rings))
         link_db[r] = 0.0
         values = snr_rows(np.zeros(1), pinned[None, :], 0.0)[0, 0] / rbs
-        top = values[-1] - betas[1] * math.log(
+        top = values[-1] - betas[1] * np.log(
             np.mean(np.exp(-(values - values[-1]) / betas[1])))
         thr_lin = np.array([top * 1e-3, top])
         got = _assert_matches_oracle(link_db, np.vstack((swept, pinned)),
                                      0.0, thr_lin, se, betas)
         assert (got[0][1, r], got[1][1, r], got[2][1, r]) == (
-            rbs, 1, 10.0 * math.log10(top))
+            rbs, 1, 10.0 * np.log10(top))
 
 
 def test_rate_scan_chunks_match_oracle(monkeypatch):
@@ -815,8 +824,9 @@ def test_eesm_snr_db_is_the_last_step_of_the_oracle():
 @given(data=st.data())
 def test_eesm_snr_db_equals_the_python_expression(data):
     # over broadcast shapes, betas up to the cap and shifted means next to
-    # 1, where beta * ln(mean) is least: every entry has the bits of
-    # 10 * math.log10(v - beta * math.log(m))
+    # 1, where beta * ln(mean) is least: every entry has the bits of the
+    # scalar expression 10 * np.log10(v - beta * np.log(m)) of that entry
+    # alone, whatever its position in the arrays
     shapes = data.draw(hnp.mutually_broadcastable_shapes(
         num_shapes=3, max_dims=3, max_side=4))
     near_one = st.integers(0, 64).map(lambda k: 1.0 - k * 2.0 ** -53)
@@ -827,11 +837,38 @@ def test_eesm_snr_db_equals_the_python_expression(data):
                   st.floats(1e-3, MAX_EESM_BETA)))]
     got = _kernels.eesm_snr_db(*inputs)
     assert got.shape == shapes.result_shape
-    want = [10.0 * math.log10(v - beta * math.log(m)) for v, m, beta
+    want = [10.0 * np.log10(v - beta * np.log(m)) for v, m, beta
             in zip(*(a.ravel().tolist()
                      for a in np.broadcast_arrays(*inputs)))]
     assert [g.hex() for g in got.ravel().tolist()] == \
-        [w.hex() for w in want]
+        [float(w).hex() for w in want]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="needs a long double of 63 mantissa bits or more")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eesm_snr_db_within_its_bound_of_the_long_double_value(data):
+    # the bound derived in eesm_snr_db's docstring, plus the long-double
+    # oracle's own, holds for linear SNRs from 1e-30 to 1e30, shifted means
+    # next to 1, next to the smallest normal float and between, and betas
+    # up to the cap
+    tiny = np.finfo(np.float64).smallest_normal
+    means = st.one_of(
+        st.integers(0, 1 << 20).map(lambda k: 1.0 - k * 2.0 ** -53),
+        st.floats(tiny, tiny * 2.0 ** 64), st.floats(tiny, 1.0))
+    betas = st.one_of(st.floats(1e-3, MAX_EESM_BETA),
+                      st.just(MAX_EESM_BETA))
+    size = data.draw(st.integers(1, 40))
+    v_min, mean, beta = (data.draw(hnp.arrays(np.float64, size, elements=e))
+                         for e in (st.floats(1e-30, 1e30), means, betas))
+    got = _kernels.eesm_snr_db(v_min, mean, beta)
+    want = eesm_snr_db_longdouble(v_min, mean, beta)
+    err = np.abs(got.astype(np.longdouble) - want)
+    y_db = want.astype(np.float64)
+    bound = eesm_snr_db_bound(y_db) + eesm_snr_db_bound(
+        y_db, unit=float(np.finfo(np.longdouble).eps) / 2.0)
+    assert np.all(err <= bound), (err / bound).max()
 
 
 def test_rate_scan_infeasible_returns_sentinel():
@@ -1090,7 +1127,7 @@ def _tight_bound_rows(rng, kind, rbs, beta):
                 1.0 + rng.uniform(0.0, 1e-2, rbs)))[::-1]
         row = snr_rows(np.zeros(1), gain_db[None, :], 0.0)[0, 0]
         values = row / rbs
-        eff = values[-1] - beta * math.log(
+        eff = values[-1] - beta * np.log(
             np.mean(np.exp(-(values - values[-1]) / beta)))
         mean = np.cumsum(row)[-1] / (rbs * rbs)
         if (kind == "flat" and eff > mean) \
@@ -1117,7 +1154,7 @@ def test_rate_scan_prune_keeps_winner_on_tight_bounds(kind, distinct_betas):
         got = _assert_matches_oracle(link_db, gain_db[None, :], 0.0, thr_lin,
                                      se, betas)
         assert (got[0][0, 1], got[1][0, 1], got[2][0, 1]) == (
-            rbs, 1, 10.0 * math.log10(top)), rbs
+            rbs, 1, 10.0 * np.log10(top)), rbs
 
 
 # ---------------------------------------------------------------------------

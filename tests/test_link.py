@@ -70,7 +70,8 @@ def test_path_gain_rejects_nonpositive_distance(link_default):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_path_gain_of_an_array_equals_the_scalar_formula(data):
-    # every entry has the bits of the scalar formula, of any shape; one
+    # every entry has the bits of the scalar formula with np.log10 of that
+    # distance alone, and of its own scalar call, of any shape; one
     # distance of 0, below 0, inf or NaN anywhere rejects the array
     lm = LinkModel(carrier_hz=data.draw(st.floats(1e8, 1e12)),
                    path_loss_exponent=data.draw(st.floats(0.1, 10.0)))
@@ -81,7 +82,7 @@ def test_path_gain_of_an_array_equals_the_scalar_formula(data):
     assert np.shape(got) == dists.shape
     intercept = 20.0 * math.log10(
         SPEED_OF_LIGHT_M_S / (4.0 * math.pi * lm.carrier_hz))
-    want = [intercept - 10.0 * lm.path_loss_exponent * math.log10(d)
+    want = [float(intercept - 10.0 * lm.path_loss_exponent * np.log10(d))
             for d in dists.ravel().tolist()]
     assert [g.hex() for g in np.ravel(got).tolist()] == \
         [w.hex() for w in want]
