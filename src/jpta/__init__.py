@@ -4,8 +4,8 @@ A uniform linear array whose analog front end combines per-antenna phase
 shifters with per-antenna true-time-delay elements can realize beams whose
 pointing direction varies across a wide band. This package provides
 
-* ``antenna`` — array geometry, frequency grids, steering vectors and the
-  frequency-dependent response of phase-plus-delay weights;
+* ``antenna`` — array geometry, frequency grids, phase-plus-delay weights
+  and their frequency-dependent gains, every one from the pattern kernel;
 * ``codebook`` — weight designers: a subband-target least-squares fit, a
   closed-form frequency-swept ("rainbow") beam, conventional single-angle
   steering codebooks and CSV import/export;

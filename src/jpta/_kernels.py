@@ -10,9 +10,10 @@ Three loops dominate the toolkit's numerical run time:
   complex product per cell, and on any other axis from ``np.cos`` and
   ``np.sin`` of every cell's phase. The coefficient tables
   (``pattern_coefficients``, one pass over any number of weight sets, one
-  column wide when no set has a delay) serve every row, or each row the
-  set it names, so one call serves a pattern map, the serving-beam pick or
-  every UE's gain row toward its own angle from its own serving set. A
+  column wide when no set has a delay) serve each row the set it names,
+  and a lone set's table every row, so one call serves a one-cell beam
+  gain, a pattern map, the serving-beam pick or every UE's gain row toward
+  its own angle from its own serving set. A
   row shared by every angle is added from a tile of its copies, in
   contiguous runs that numpy adds in its fast loop, and the thread that
   computes a chunk also divides it by M and, for gains, takes its dB
@@ -36,8 +37,10 @@ Three loops dominate the toolkit's numerical run time:
   reaches that exact rate. Each evaluated candidate builds its own SNR row
   in the EESM's chunk loop, read there in place, and one ``reduceat`` per
   chunk, each row led by a zero, sums every row with the bits of its own
-  ``np.mean``. A candidate's MCS is decided, and a winner's effective SNR
-  reported, by the same ``np.log`` arithmetic (``eesm_snr_db``). On the
+  ``np.mean``. A candidate's MCS is decided with its linear effective SNR
+  (``_eesm_linear``), and a winner reports ``10 * log10`` of that very
+  value; an outage reports the EESM of its most concentrated allowed grant
+  from the same stage. On the
   criterion-4 deployment at 160 rings the EESM runs for 0.6-1.0% of the
   (user, ring, RB count) candidates, at 1.3 times the terms of the winners
   alone.
@@ -131,24 +134,26 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
 
     Entry (a, k) is ``|(1/M) sum_m coef[m, s_a, k] exp(j*cos_a*slope_k*m)|``,
     ``slope_k`` being column k's slope in the ``PhasorSplit`` ``split`` and
-    ``s_a`` the weight set of row a: ``sets[a]``, or 0 for every row when
-    ``sets`` is None. With the steering slope ``slope_k =
-    2*pi*spacing*f_k/c`` of a column's frequency (``phasor_split``) and the
-    coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))`` of S weight sets
-    (``pattern_coefficients``), that is the magnitude of the conjugated
-    inner product between the unit-norm steering vector and the unit-norm
-    phase-time response. With ``db``, a pair ``(floor, peak_db)``, each
-    entry is instead the gain ``peak_db + 20 * log10(max(corr, floor))``,
-    those steps taken in that order in place.
+    ``s_a`` the weight set of row a: ``sets[a]``, indices in range, or 0
+    for every row when ``coef`` holds one set. With the steering slope
+    ``slope_k = 2*pi*spacing*f_k/c`` of a column's frequency
+    (``phasor_split``) and the coefficients ``exp(-j(phi_m +
+    2*pi*f_k*tau_m))`` of S weight sets (``pattern_coefficients``), that is
+    the magnitude of the conjugated inner product between the unit-norm
+    steering vector and the unit-norm phase-time response. With ``db``, a
+    pair ``(floor, peak_db)``, each entry is instead the gain ``peak_db +
+    20 * log10(max(corr, floor))``, those steps taken in that order in
+    place.
 
     ``coef`` holds the tables of the S sets, shape (elements, S, K), or (M,
     S, 1) when one value per element stands for every column, as a
-    zero-delay set's does. Without ``sets`` every row shares the one table,
-    as a pattern map's rows do; with ``sets`` each chunk gathers its rows'
-    coefficients one element at a time, so no table grows with the rows. A
-    row is computed by the same elementwise operations whichever set and
-    form carries its coefficients, so it equals its own one-angle call with
-    its set's (M, 1, K) table bit for bit.
+    zero-delay set's does. The path follows S alone: one set's table is
+    shared by every row, as a pattern map's rows share it, and ``sets`` is
+    not read; of several, each chunk gathers its rows' coefficients one
+    element at a time, so no table grows with the rows. A row is computed
+    by the same elementwise operations whichever set and form carries its
+    coefficients, so it equals its own one-angle call with its set's (M, 1,
+    K) table bit for bit.
 
     The sum is a polynomial in ``z[a, k] = exp(j*cos_a*slope_k)``,
     evaluated by Horner's rule over m. Each chunk builds its phasors from
@@ -172,11 +177,12 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     cols = split.width
     out = np.empty((cos_angles.size, cols), dtype=np.float64)
     chunk = max(1, PATTERN_CHUNK_CELLS // max(1, cols))
-    if sets is not None:
+    if coef.shape[1] > 1:
         # the buffer that each element's coefficients of a chunk's rows are
         # gathered into
         spare = (min(chunk, cos_angles.size), coef.shape[2])
     else:
+        sets = None
         # a row of several columns shared by every angle is added from a
         # tile, when a chunk holds one; a one-column row is added as a
         # scalar, which numpy's broadcast loop does faster
@@ -452,8 +458,10 @@ _FACTOR_REL = 1e-10
 
 # SNR and EESM terms per chunk of the rate scan, in which each candidate
 # builds its own SNR row: a chunk's temporaries stay near cache size, and
-# nothing but the per-candidate results grows with the rings
-EESM_CHUNK_TERMS = 1 << 15
+# nothing but the per-candidate results grows with the rings. At 1 << 15
+# (256 KB arrays) a warm pass over a sweep's EESM calls faulted about 165
+# pages back in each time; at 1 << 14 it faults none and is no slower
+EESM_CHUNK_TERMS = 1 << 14
 
 # the base of ``pow10``'s chunks, as numpy runs ``np.power`` in its vector
 # loop for an array base only; 32 KB, as a resident 256 KB base cost every
@@ -486,12 +494,17 @@ def snr_unsplit(link_db, gain_db, noise_db, out=None):
     return pow10(snr, out=snr)
 
 
+def _eesm_linear(v_min, means, betas):
+    """Linear EESM effective SNR ``v_min - beta * ln(mean)``, broadcast:
+    every MCS is decided with it, and every reported one taken from it."""
+    return v_min - betas * np.log(means)
+
+
 def eesm_snr_db(v_min, means, betas):
     """EESM effective SNR in dB, ``10 * log10(v_min - beta * ln(mean))``,
-    of each shifted mean, of the broadcast shape: ``np.log``, the product
-    and the difference that ``_highest_feasible_mcs`` decides with, then
-    ``np.log10``. Neither log depends on an entry's position in its array,
-    so each entry has the bits of its own 0-d call.
+    of each shifted mean, of the broadcast shape: ``np.log10`` of
+    ``_eesm_linear``. Neither log depends on an entry's position in its
+    array, so each entry has the bits of its own 0-d call.
 
     Error against the exact value ``y`` of the same float64 inputs, for
     ``v_min, beta > 0`` and ``0 < mean <= 1`` (each shifted EESM mean has a
@@ -506,7 +519,7 @@ def eesm_snr_db(v_min, means, betas):
     y| <= 10*lam*(1 + e)*(1 + u) + |y|*(e + u + e*u)``, about 1.9e-15 dB
     plus 3.3e-16 of ``|y|`` (``tests/oracles.py::eesm_snr_db_bound``).
     """
-    return 10.0 * np.log10(v_min - betas * np.log(means))
+    return 10.0 * np.log10(_eesm_linear(v_min, means, betas))
 
 
 def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
@@ -536,11 +549,14 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     Every pair is decided exactly as a one-user, one-ring call would decide
     it: each SNR term comes from ``snr_unsplit`` of the same values, the
     EESM means are the same 1-D ``np.mean`` reductions, and the winner's
-    effective SNR is the one its MCS was decided with (``eesm_snr_db``).
+    effective SNR is ``10 * log10`` of the very value its MCS was decided
+    with.
 
     Returns arrays ``(best_n, best_mcs, best_eff_db, best_se_n)`` of shape
-    ``(users, rings)``, with ``best_mcs = -1`` (and zeros elsewhere) where
-    nothing is feasible.
+    ``(users, rings)``. Where nothing is feasible, an outage, ``best_mcs``
+    is -1, ``best_n`` and ``best_se_n`` are 0, and ``best_eff_db`` is a
+    diagnostic: the EESM at MCS 0's beta of the ``min(min_rbs, RBs)`` best
+    RBs with the power split over them, by the same stage and arithmetic.
     """
     ues, total = gain_db_desc.shape
     rings = link_db.size
@@ -554,18 +570,17 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
             unique_betas.max())
         pair = live_u * rings + live_r
         bound = se[live_i] * live_n
-        # exact results of the evaluated candidates; the others stay
-        # infeasible, as none of them can win or tie
-        v_min = np.empty(live_n.size)
-        means = np.empty((unique_betas.size, live_n.size))
+        # exact decisions of the evaluated candidates, each MCS with its
+        # linear effective SNR; the others stay infeasible, as none of them
+        # can win or tie
         mcs = np.full(live_n.size, -1, dtype=np.int64)
+        eff = np.empty(live_n.size)
 
         def evaluate(c):
-            v_min[c], means[:, c] = _eesm_stage(
-                link_db, gain_db_desc, noise_db, live_u[c], live_r[c],
-                live_n[c], unique_betas)
-            mcs[c] = _highest_feasible_mcs(v_min[c], means[:, c], thr_lin,
-                                           unique_betas, beta_idx)
+            mcs[c], eff[c] = _highest_feasible_mcs(
+                *_eesm_stage(link_db, gain_db_desc, noise_db, live_u[c],
+                             live_r[c], live_n[c], unique_betas),
+                thr_lin, unique_betas, beta_idx)
 
         # stage 1, each pair's largest bound, and stage 2, the rest whose
         # bound reaches the pair's stage-1 rate (>= keeps a tie)
@@ -584,12 +599,17 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
         rate = se[mcs[fit]] * live_n[fit]
         won = _leaders(pair[fit], ues * rings, rate, -live_n[fit])
         c = fit[won]
-        cell, i = pair[c], mcs[c]
-        b = beta_idx[i]
+        cell = pair[c]
         best_n[cell] = live_n[c]
-        best_mcs[cell] = i
+        best_mcs[cell] = mcs[c]
         best_rate[cell] = rate[won]
-        best_eff[cell] = eesm_snr_db(v_min[c], means[b, c], unique_betas[b])
+        best_eff[cell] = 10.0 * np.log10(eff[c])
+    out = np.flatnonzero(best_mcs < 0)
+    beta0 = unique_betas[beta_idx[:1]]
+    v_min, means = _eesm_stage(link_db, gain_db_desc, noise_db, out // rings,
+                               out % rings,
+                               np.full(out.size, min(min_rbs, total)), beta0)
+    best_eff[out] = eesm_snr_db(v_min, means[0], beta0)
     shape = (ues, rings)
     return (best_n.reshape(shape), best_mcs.reshape(shape),
             best_eff.reshape(shape), best_rate.reshape(shape))
@@ -770,16 +790,15 @@ def _eesm_stage(link_db, gain_db_desc, noise_db, user, ring, live_n,
 
 
 def _highest_feasible_mcs(v_min, means, thr_lin, unique_betas, beta_idx):
-    """Highest MCS whose threshold the effective SNR ``v_min - beta *
-    log(mean)`` meets, per live candidate, -1 where none is met: the
-    operations of ``eesm_snr_db`` before its ``log10``, so a threshold met
-    with equality is met by the value a grant reports."""
-    effs = np.log(means)
-    effs *= unique_betas[:, None]
-    np.subtract(v_min, effs, out=effs)
+    """Highest MCS whose threshold the linear effective SNR
+    (``_eesm_linear``) meets, per candidate, -1 where none is met, and the
+    effective SNR at that MCS's beta: the value a grant reports, so a
+    threshold met with equality is met by it. A candidate that meets none
+    gets its value at the last MCS's beta, which decides nothing."""
+    effs = _eesm_linear(v_min, means, unique_betas[:, None])
     mcs = np.full(v_min.size, -1, dtype=np.int64)
     for b in range(unique_betas.size):
         levels = np.flatnonzero(beta_idx == b)
         met = np.searchsorted(thr_lin[levels], effs[b], side="right")
         np.maximum(mcs, np.concatenate(([-1], levels))[met], out=mcs)
-    return mcs
+    return mcs, effs[beta_idx[mcs], np.arange(mcs.size)]

@@ -1,4 +1,4 @@
-"""Uniform linear array geometry, steering vectors, and phase-time responses.
+"""Uniform linear array geometry, phase-time weights and their gains.
 
 Angle convention: internal angles are measured from the array axis in radians,
 so boresight is pi/2 and the element-m phase of a plane wave at frequency f is
@@ -6,8 +6,13 @@ so boresight is pi/2 and the element-m phase of a plane wave at frequency f is
 boresight-relative degrees in [-90, +90]; the mapping is
 axis_angle = pi/2 - boresight_angle, hence cos(axis) = sin(boresight).
 
-All weight vectors are normalized by 1/sqrt(M) so steering vectors and
-phase-time responses have unit norm and per-entry magnitude 1/sqrt(M).
+A gain is the correlation of two unit-norm vectors, per entry of
+magnitude 1/sqrt(M): the steering vector of a plane wave and the phase-time
+response exp(j*(phi_m + 2*pi*f*tau_m))/sqrt(M), the phase shifter flat in
+frequency and the true-time delay linear in it. Every gain, one cell or a
+whole map, comes from one pattern kernel call (``serving_gain_db``);
+``tests/oracles.py`` builds both vectors as the reference it is checked
+against.
 """
 
 from __future__ import annotations
@@ -235,52 +240,18 @@ def _check_angle(angle_rad: float):
         raise ValueError("angle_rad must lie in [0, pi] (axis convention)")
 
 
-def _check_freq(freq_hz: float):
-    if not freq_hz > 0.0:
-        raise ValueError("freq_hz must be positive")
-
-
-def steering_vector(cfg: ArrayConfig, angle_rad: float,
-                    freq_hz: float) -> np.ndarray:
-    """Unit-norm array response of a plane wave from the given axis angle.
-
-    Entry m is (1/sqrt(M)) * exp(j*2*pi*m*spacing*freq*cos(angle)/c).
-    """
-    _check_angle(angle_rad)
-    _check_freq(freq_hz)
-    m = np.arange(cfg.num_elements, dtype=np.float64)
-    slope = 2.0 * math.pi * cfg.spacing_m * freq_hz * math.cos(angle_rad) \
-        / SPEED_OF_LIGHT_M_S
-    return np.exp(1j * slope * m) / math.sqrt(cfg.num_elements)
-
-
-def jpta_response(cfg: ArrayConfig, weights: PhaseTimeWeights,
-                  freq_hz: float) -> np.ndarray:
-    """Array weight vector realized at one frequency.
-
-    Entry m is (1/sqrt(M)) * exp(j*(phi_m + 2*pi*freq*tau_m)): the phase
-    shifter is frequency flat, the true-time-delay element contributes a
-    phase linear in absolute frequency.
-    """
-    _check_freq(freq_hz)
-    if weights.num_elements != cfg.num_elements:
-        raise ValueError("weights length does not match cfg.num_elements")
-    phase = weights.phases_rad + 2.0 * math.pi * freq_hz * weights.delays_s
-    return np.exp(1j * phase) / math.sqrt(cfg.num_elements)
-
-
 def beam_gain_db(cfg: ArrayConfig, weights: PhaseTimeWeights,
                  angle_rad: float, freq_hz: float) -> float:
-    """Realized gain toward an axis angle at one frequency, in dB.
-
-    peak_gain_db plus 20*log10 of the correlation between the steering
-    vector and the response; correlations below 1e-4 are floored, which caps
-    the loss at 80 dB below peak. Never exceeds peak_gain_db.
-    """
-    steer = steering_vector(cfg, angle_rad, freq_hz)
-    resp = jpta_response(cfg, weights, freq_hz)
-    corr = abs(np.vdot(steer, resp))
-    return cfg.peak_gain_db + 20.0 * math.log10(max(corr, CORRELATION_FLOOR))
+    """Realized gain toward an axis angle at one frequency, in dB: the
+    one-cell ``serving_gain_db``, peak_gain_db plus 20*log10 of the
+    correlation between the unit-norm steering vector and the unit-norm
+    phase-time response; correlations below 1e-4 are floored, which caps
+    the loss at 80 dB below peak."""
+    _check_angle(angle_rad)
+    if not freq_hz > 0.0:
+        raise ValueError("freq_hz must be positive")
+    return float(serving_gain_db(cfg, [weights], [0], np.cos([angle_rad]),
+                                 [freq_hz])[0, 0])
 
 
 def pattern_map(cfg: ArrayConfig, weights: PhaseTimeWeights,
@@ -309,27 +280,28 @@ def serving_gain_db(cfg: ArrayConfig, weight_sets, serving, cos_angles,
     """Gain in dB, shape (angles, freqs): row a is the gain of
     ``weight_sets[serving[a]]`` toward the axis angle of cosine
     ``cos_angles[a]``, bit for bit its one-angle ``pattern_map`` row at
-    ``freqs``.
+    ``freqs``. Each ``serving`` index must name a set: negative ones are
+    rejected too.
 
-    One ``_kernels.pattern_corr`` call, each row naming its set's table:
-    the coefficient tables of the sets that serve a row are built in one
-    ``_kernels.pattern_coefficients`` pass, one column wide when none of
-    them has a delay, and a lone serving set's table is shared by every
-    row. Each gain is peak_gain_db plus 20*log10 of the correlation floored
-    at CORRELATION_FLOOR, each step taken in place by the kernel on each
-    chunk it computes."""
+    One ``_kernels.pattern_corr`` call: the coefficient tables of every set
+    are built in one ``_kernels.pattern_coefficients`` pass, one column
+    wide when none of them has a delay, and each row names its set's table
+    by its ``serving`` index. Each gain is peak_gain_db plus 20*log10 of
+    the correlation floored at CORRELATION_FLOOR, each step taken in place
+    by the kernel on each chunk it computes."""
     for w in weight_sets:
         if w.num_elements != cfg.num_elements:
             raise ValueError("weights length does not match cfg.num_elements")
-    used = np.zeros(len(weight_sets), dtype=bool)
-    used[serving] = True
-    kept = [w for w, u in zip(weight_sets, used.tolist()) if u]
+    serving = np.asarray(serving)
+    bad = serving[(serving < 0) | (serving >= len(weight_sets))]
+    if bad.size:
+        raise ValueError("serving indices must lie in [0, %d), got %d"
+                         % (len(weight_sets), bad[0]))
     freqs = np.asarray(freqs, dtype=np.float64)
     coef = _kernels.pattern_coefficients(
-        freqs, [w.phases_rad for w in kept], [w.delays_s for w in kept])
-    # each row's position among the used sets
-    sets = (np.cumsum(used) - 1)[serving] if len(kept) > 1 else None
+        freqs, [w.phases_rad for w in weight_sets],
+        [w.delays_s for w in weight_sets])
     split = _kernels.phasor_split(
         2.0 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S, freqs)
-    return _kernels.pattern_corr(cos_angles, split, coef, sets,
+    return _kernels.pattern_corr(cos_angles, split, coef, serving,
                                  (CORRELATION_FLOOR, cfg.peak_gain_db))

@@ -108,11 +108,6 @@ G6_SLOT = 17
 _G6_DECADES = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5)
 # exact powers of ten that scale decade e to [1e5, 1e6), by decade index
 _G6_SCALES = np.array([float(10 ** (9 - i)) for i in range(10)])
-# a product within this of a rounding half goes to "%.6g". The product is
-# rounded by at most half an ulp, 2**-34 in [1e5, 1e6], and rounding is
-# monotone with every half a float, so only a product that lands on a half is
-# undecided; the margin keeps the fast path at least 8 ulps clear of it
-_G6_HALF_MARGIN = 1e-9
 _G6_PREFIX = b"0.000"
 # per three-digit group 0..999: its digit characters, shape (3, 1000), and
 # the number of trailing zeros of its three digits
@@ -134,16 +129,20 @@ def format_g6(values, out=None):
     decade e is found against exact decade bounds, ``q = |v| * 10**(5 - e)``
     in ``[1e5, 1e6)`` is one correctly rounded product with an exact power of
     ten, and the six significant digits are those of ``rint(q)`` (a carry to
-    1e6 moves to the next decade). The slot is then filled from masks: the
+    1e6 moves to the next decade). They are the digits of the exact product
+    wherever q is not itself a half: every n + 0.5 below 1e6 is a float and
+    rounding is monotone, so a rounded q below (above) a half comes from an
+    exact product below (above) it. The slot is then filled from masks: the
     sign, the ``0.000`` prefix of a negative decade, and six digit and five
     point slots, with trailing zeros of the fraction dropped as ``%g`` drops
     them. Each slot byte is filled for all values at once, as one row of a
     byte-major table that is transposed at the end.
 
     Every other value goes through Python's ``"%.6g" % v``: zeros, non-finite
-    values, the scientific range, a q within ``_G6_HALF_MARGIN`` of a
-    rounding half (whose exact decimal tie rule the product cannot decide),
-    and a carry out of the fixed range (999999.5 prints ``1e+06``).
+    values, the scientific range, a q on a rounding half (whose exact
+    product may lie on either side of it, or on it, where ``%g``'s tie rule
+    applies), and a carry out of the fixed range (999999.5 prints
+    ``1e+06``).
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     mag = np.abs(v)
@@ -158,7 +157,7 @@ def format_g6(values, out=None):
     e -= 5
     mant = np.rint(q)
     q -= mant  # the rounding remainder
-    fast &= np.abs(q) < 0.5 - _G6_HALF_MARGIN
+    fast &= np.abs(q) < 0.5
     mant = mant.astype(np.int32)
     carry = mant == 1_000_000
     mant[carry] = 100_000

@@ -263,10 +263,10 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
         raise ValueError("available_rbs must be non-empty 1-D lists")
     # UEs grouped by share width, each group checked and sorted at once
     widths = [ids.size for ids in rbs]
-    groups = [(w, [u for u, width in enumerate(widths) if width == w])
+    groups = [[u for u, width in enumerate(widths) if width == w]
               for w in sorted(set(widths))]
     shares = [_sorted_share_gains([rows[u] for u in ues],
-                                  [rbs[u] for u in ues]) for _, ues in groups]
+                                  [rbs[u] for u in ues]) for ues in groups]
     dists = np.asarray(distances_m, dtype=np.float64)
     if dists.ndim != 1:
         raise ValueError("distances_m must be a 1-D sequence")
@@ -287,18 +287,10 @@ def select_rate_grid(lm: LinkModel, distances_m, gain_rows, available_rbs,
     shape = (2, dists.size, len(rows))
     mcs, num_rbs = np.empty(shape, dtype=np.int64)
     eff_db, tput = np.empty(shape)
-    for (width, ues), gains_desc in zip(groups, shares):
+    for ues, gains_desc in zip(groups, shares):
         best_n, best_mcs, best_eff, best_se_n = _kernels.rate_scan_batch(
             link_db, gains_desc, noise_db, thr_lin, se, unique_betas,
             beta_idx, MIN_RBS_PER_GRANT)
-        # diagnostic effective SNR of every outage: the EESM at MCS 0's beta
-        # of the most concentrated allowed allocation, by the scan's own stage
-        out_u, out_r = np.nonzero(best_mcs < 0)
-        v_min, means = _kernels._eesm_stage(
-            link_db, gains_desc, noise_db, out_u, out_r,
-            np.full(out_u.size, min(MIN_RBS_PER_GRANT, width)), betas[:1])
-        best_eff[out_u, out_r] = _kernels.eesm_snr_db(v_min, means[0],
-                                                      betas[0])
         mcs[:, ues], num_rbs[:, ues] = best_mcs.T, best_n.T
         eff_db[:, ues] = best_eff.T
         tput[:, ues] = (best_se_n * 12.0 * scs_hz * slot_duty).T

@@ -1,6 +1,7 @@
 """Brute-force references for the vectorized kernels in ``jpta._kernels``,
-for the link budget's per-RB SNR and for the pattern CSV writer of
-``jpta.cli``.
+for the beam gain and its two vectors, for the link budget's per-RB SNR
+and for the pattern CSV writer of ``jpta.cli``, and the closed-form
+uniform-array factor.
 
 Plain scalar loops, one cell, one ring or one CSV row at a time: slow, but
 simple enough to read as the definition the fast code is checked against.
@@ -12,9 +13,50 @@ import math
 
 import numpy as np
 
+from jpta.antenna import CORRELATION_FLOOR, SPEED_OF_LIGHT_M_S
 from jpta.link import noise_power_dbm_per_rb, path_gain_db
 
 TWO_PI = 2.0 * math.pi
+
+
+def steering_vector(cfg, angle_rad, freq_hz):
+    """Unit-norm array response of a plane wave from the axis angle
+    ``angle_rad``: entry m is ``exp(j*2*pi*m*spacing*freq*cos(angle)/c) /
+    sqrt(M)``."""
+    m = np.arange(cfg.num_elements, dtype=np.float64)
+    slope = 2.0 * math.pi * cfg.spacing_m * freq_hz * math.cos(angle_rad) \
+        / SPEED_OF_LIGHT_M_S
+    return np.exp(1j * slope * m) / math.sqrt(cfg.num_elements)
+
+
+def jpta_response(cfg, weights, freq_hz):
+    """Weight vector that phase-time weights realize at one frequency:
+    entry m is ``exp(j*(phi_m + 2*pi*freq*tau_m)) / sqrt(M)``, the phase
+    shifter flat in frequency, the true-time delay linear in it."""
+    phase = weights.phases_rad + 2.0 * math.pi * freq_hz * weights.delays_s
+    return np.exp(1j * phase) / math.sqrt(cfg.num_elements)
+
+
+def beam_gain_db_py(cfg, weights, angle_rad, freq_hz):
+    """Gain in dB toward an axis angle at one frequency, from the two
+    vectors: ``peak_gain_db + 20*log10`` of ``|<steering, response>|``
+    floored at ``CORRELATION_FLOOR``, by ``np.vdot``."""
+    corr = abs(np.vdot(steering_vector(cfg, angle_rad, freq_hz),
+                       jpta_response(cfg, weights, freq_hz)))
+    return cfg.peak_gain_db + 20.0 * math.log10(max(corr, CORRELATION_FLOOR))
+
+
+def array_factor(num_elements, psi):
+    """Uniform-array factor ``|sin(M*psi/2) / (M*sin(psi/2))|``, 1 where
+    ``psi`` is 0 mod 2*pi: the correlation of weights whose element phases
+    step by the same ``psi`` across the array. ``psi`` is first reduced to
+    [-pi, pi], where the quotient of the two sines is well conditioned."""
+    psi = np.asarray(psi, dtype=np.float64)
+    psi = psi - TWO_PI * np.round(psi / TWO_PI)
+    den = num_elements * np.sin(psi / 2.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        factor = np.abs(np.sin(num_elements * psi / 2.0) / den)
+    return np.where(den == 0.0, 1.0, factor)
 
 
 def pattern_corr_py(cos_angles, freqs, phases, delays, slope_scale):
@@ -122,10 +164,14 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
     higher MCS, then fewer RBs.
 
     Returns ``(best_n, best_mcs, best_eff_db, best_se_n)``, the effective
-    SNR ``10 * log10`` of the linear one by ``np.log10``, and
-    ``(0, -1, 0.0, 0.0)`` when nothing is feasible.
+    SNR ``10 * log10`` of the linear one by ``np.log10``. When nothing is
+    feasible it is ``(0, -1, eff, 0.0)``, ``eff`` the outage diagnostic:
+    ``eesm_linear_db_py`` at MCS 0's beta of the ``min(min_rbs, RBs)``
+    best split SNRs.
     """
-    best = (0, -1, 0.0, 0.0)
+    n = min(min_rbs, snr_unsplit_desc.shape[0])
+    best = (0, -1, eesm_linear_db_py(snr_unsplit_desc[:n] / n,
+                                     unique_betas[beta_idx[0]]), 0.0)
     best_rate = -1.0
     for n in range(min_rbs, snr_unsplit_desc.shape[0] + 1):
         i, eff = highest_mcs_py(snr_unsplit_desc, n, thr_lin, unique_betas,

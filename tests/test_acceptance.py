@@ -24,9 +24,7 @@ from jpta.antenna import (
     FrequencyGrid,
     PhaseTimeWeights,
     axis_from_boresight_deg,
-    jpta_response,
     pattern_map,
-    steering_vector,
 )
 from jpta.codebook import (
     DelayConstraint,
@@ -45,6 +43,7 @@ from jpta.sysim import (
     log_ring_grid,
     throughput_sweep,
 )
+from oracles import jpta_response, steering_vector
 
 ARRAY = ArrayConfig.half_wavelength(16, 28e9, 28.0)
 GRID = FrequencyGrid(28e9, 400e6, 120e3, 264)

@@ -1,4 +1,4 @@
-"""Array geometry, steering vectors, phase-time responses, gain maps."""
+"""Array geometry, the steering and response references, gain maps."""
 
 import math
 
@@ -17,11 +17,20 @@ from jpta.antenna import (
     axis_from_boresight_deg,
     axis_from_boresight_rad,
     beam_gain_db,
-    jpta_response,
     pattern_map,
+)
+from jpta.codebook import (
+    RainbowSpec,
+    design_type2,
+    paa_codebook,
+    steer_weights,
+)
+from oracles import (
+    array_factor,
+    beam_gain_db_py,
+    jpta_response,
     steering_vector,
 )
-from jpta.codebook import paa_codebook, steer_weights
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +143,7 @@ def test_weights_on_grid_accepted():
 
 
 # ---------------------------------------------------------------------------
-# steering_vector / jpta_response
+# the steering and response references of tests/oracles.py
 # ---------------------------------------------------------------------------
 
 def test_steering_two_element_boresight_vs_endfire():
@@ -157,14 +166,15 @@ def test_steering_slope_formula():
     np.testing.assert_allclose(v, expect, rtol=1e-12)
 
 
-def test_steering_validation():
+def test_beam_gain_rejects_an_angle_or_frequency_out_of_range():
     cfg = ArrayConfig.half_wavelength(4, 1e9)
+    w = PhaseTimeWeights(delays_s=np.zeros(4), phases_rad=np.zeros(4))
     with pytest.raises(ValueError, match="angle_rad"):
-        steering_vector(cfg, -0.1, 1e9)
+        beam_gain_db(cfg, w, -0.1, 1e9)
     with pytest.raises(ValueError, match="angle_rad"):
-        steering_vector(cfg, math.pi + 0.1, 1e9)
+        beam_gain_db(cfg, w, math.pi + 0.1, 1e9)
     with pytest.raises(ValueError, match="freq_hz"):
-        steering_vector(cfg, 1.0, 0.0)
+        beam_gain_db(cfg, w, 1.0, 0.0)
 
 
 def test_response_delay_phase():
@@ -177,14 +187,14 @@ def test_response_delay_phase():
     np.testing.assert_allclose(v[1], -1 / math.sqrt(2), rtol=1e-12)
 
 
-def test_response_validation():
+def test_beam_gain_rejects_mismatched_weights_or_a_negative_frequency():
     cfg = ArrayConfig.half_wavelength(4, 1e9)
     w = PhaseTimeWeights(delays_s=np.zeros(3), phases_rad=np.zeros(3))
     with pytest.raises(ValueError, match="num_elements"):
-        jpta_response(cfg, w, 1e9)
+        beam_gain_db(cfg, w, 1.0, 1e9)
     w4 = PhaseTimeWeights(delays_s=np.zeros(4), phases_rad=np.zeros(4))
     with pytest.raises(ValueError, match="freq_hz"):
-        jpta_response(cfg, w4, -1.0)
+        beam_gain_db(cfg, w4, 1.0, -1.0)
 
 
 def test_response_frequency_flat_without_delays():
@@ -290,8 +300,75 @@ def test_pattern_map_matches_beam_gain(array16):
     freqs = grid.rb_center_freqs()
     for i in (0, 4, 8):
         for r in (0, 5, 11):
-            ref = beam_gain_db(array16, w, float(angles[i]), float(freqs[r]))
+            ref = beam_gain_db_py(array16, w, float(angles[i]),
+                                  float(freqs[r]))
             assert gains[i, r] == pytest.approx(ref, abs=1e-9)
+
+
+def _array_factor_error_bound(num_elements, coef_arg, slope, psi):
+    """Largest gap between the correlation a ``pattern_map`` gain stands
+    for and the uniform-array factor at ``psi``, with u = 2**-53 and
+    ``coef_arg`` the largest coefficient argument ``|phi_m| + 2*pi*f*|tau_m|``
+    of the map and ``slope`` its largest steering slope s(f).
+
+    First order in u, per element term m of the kernel's sum, each term of
+    magnitude 1/M: its coefficient argument rounds by 3u*coef_arg; the
+    designer's rounding of its phase and delay, against m times element
+    1's, by 4u*(m*(slope + 2*pi) + coef_arg + 2*pi); its phasor power by
+    m*(8u*slope + 6u). Horner's sums add 4u*M. The factor's psi rounds by
+    4u*(slope + |phi_1| + 2*pi*f*|tau_1|) + 3u*|psi|, its reduction mod
+    2*pi included, and moves the factor by at most (M - 1)/2 times that;
+    the factor itself rounds by 8u, and the dB round trip of the gain by
+    30u of the correlation. Summed with M - 1 < M and (M - 1)*(|phi_1| +
+    2*pi*f*|tau_1|) <= coef_arg + 2*pi, every term is covered by
+    u*(10*coef_arg + 16*M*(slope + |psi| + 4) + 32)."""
+    unit = 2.0 ** -53
+    return unit * (10.0 * coef_arg
+                   + 16.0 * num_elements * (slope + np.abs(psi) + 4.0) + 32.0)
+
+
+def _linear_weight_sets():
+    """``(cfg, weights)`` of every weight set with linear phases and delays
+    that the toolkit designs: ``steer_weights`` and every beam of a 16-beam
+    ``paa_codebook`` at 1, 2, 16 and 64 elements, and ``design_type2`` at
+    criterion 7's 30, 60 and 110 degree spreads about boresight."""
+    sector = (axis_from_boresight_deg(60.0), axis_from_boresight_deg(-60.0))
+    for m in (1, 2, 16, 64):
+        cfg = ArrayConfig.half_wavelength(m, 28e9, 28.0)
+        for w in [steer_weights(cfg, axis_from_boresight_deg(17.0))] \
+                + paa_codebook(cfg, 16, sector):
+            yield cfg, w
+    cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    grid = FrequencyGrid(28e9, 400e6, 120e3, 264)
+    for spread in (30.0, 60.0, 110.0):
+        yield cfg, design_type2(cfg, RainbowSpec(math.pi / 2.0,
+                                                 math.radians(spread)), grid)
+
+
+def test_pattern_map_of_linear_weights_is_the_array_factor(grid264):
+    # weights whose element phases and delays step linearly, phi_m = m *
+    # phi_1 and tau_m = m * tau_1, have the closed-form correlation
+    # |sin(M psi/2) / (M sin(psi/2))|, psi = s(f) cos(theta) - (phi_1 + 2 pi
+    # f tau_1): every cell of the 3001 x 264 map within the derived bound
+    angles = np.linspace(0.02, math.pi - 0.02, 3001)
+    freqs = grid264.rb_center_freqs()
+    worst = 0.0
+    for cfg, w in _linear_weight_sets():
+        m = cfg.num_elements
+        slope = 2.0 * math.pi * cfg.spacing_m * freqs / SPEED_OF_LIGHT_M_S
+        step = w.phases_rad[1] + 2.0 * math.pi * freqs * w.delays_s[1] \
+            if m > 1 else np.zeros(freqs.size)
+        psi = np.cos(angles)[:, None] * slope - step
+        want = np.maximum(array_factor(m, psi), CORRELATION_FLOOR)
+        gains = pattern_map(cfg, w, angles, grid264)
+        corr = 10.0 ** ((gains - cfg.peak_gain_db) / 20.0)
+        coef_arg = np.max(np.abs(w.phases_rad)[:, None]
+                          + 2.0 * math.pi * freqs * w.delays_s[:, None])
+        bound = _array_factor_error_bound(m, coef_arg, slope.max(), psi)
+        ratio = np.abs(corr - want) / bound
+        assert ratio.max() <= 1.0, (m, ratio.max())
+        worst = max(worst, ratio.max())
+    assert worst > 0.0
 
 
 def test_pattern_map_validation(array16, grid264):

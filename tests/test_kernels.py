@@ -4,11 +4,14 @@ split, chunking, threads and bounds, the delay scan's tiles, the rate
 kernel's bound pruning, and the pattern CSV's ``"%.6g"`` formatter
 (``jpta.cli``) against Python's own formatting."""
 
+import ast
 import math
 import resource
 import sys
 import threading
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from jpta.link import MAX_EESM_BETA
 from oracles import (
     delay_scan_py,
     eesm_effective_snr_db_py,
+    eesm_linear_db_py,
     eesm_snr_db_bound,
     eesm_snr_db_longdouble,
     eesm_stage_py,
@@ -872,14 +876,20 @@ def test_eesm_snr_db_within_its_bound_of_the_long_double_value(data):
 
 
 def test_rate_scan_infeasible_returns_sentinel():
+    # an outage reports no grant, and as its effective SNR the EESM of the
+    # min(4, RBs) best split SNRs at MCS 0's beta
+    link_db = np.array([-60.0, -61.0])
     for rbs in (10, 3):
-        out = _kernels.rate_scan_batch(np.array([-60.0, -61.0]),
-                                       np.zeros((1, rbs)), 0.0,
+        out = _kernels.rate_scan_batch(link_db, np.zeros((1, rbs)), 0.0,
                                        np.array([1.0]), np.array([1.0]),
                                        np.ones(1), np.zeros(1, dtype=np.int64),
                                        4)
-        assert [a.tolist() for a in out] == [[[0, 0]], [[-1, -1]],
-                                             [[0.0, 0.0]], [[0.0, 0.0]]]
+        n = min(4, rbs)
+        eff = [eesm_linear_db_py(snr_rows(link_db, np.zeros((1, rbs)),
+                                          0.0)[0, r, :n] / n, 1.0)
+               for r in range(2)]
+        assert [a.tolist() for a in out] == [[[0, 0]], [[-1, -1]], [eff],
+                                             [[0.0, 0.0]]]
 
 
 # ---------------------------------------------------------------------------
@@ -1059,26 +1069,33 @@ def test_envelope_ring_on_an_interval_end():
 
 
 def _stage_sizes(monkeypatch):
-    """Candidates the rate scan evaluates, one list entry per stage (two per
-    call), recorded from its EESM calls."""
-    sizes = []
+    """Candidates the rate scan evaluates, recorded from its EESM calls:
+    one list per scan, of one entry per call, stage 1, stage 2 and then the
+    outages' diagnostic."""
+    scans = []
     eesm_stage = _kernels._eesm_stage
+    rate_scan_batch = _kernels.rate_scan_batch
+
+    def scan_spy(*args):
+        scans.append([])
+        return rate_scan_batch(*args)
 
     def spy(link_db, gain_db_desc, noise_db, user, ring, live_n,
             unique_betas):
-        sizes.append(live_n.tolist())
+        scans[-1].append(live_n.tolist())
         return eesm_stage(link_db, gain_db_desc, noise_db, user, ring, live_n,
                           unique_betas)
 
+    monkeypatch.setattr(_kernels, "rate_scan_batch", scan_spy)
     monkeypatch.setattr(_kernels, "_eesm_stage", spy)
-    return sizes
+    return scans
 
 
 def test_two_stage_rate_scan_equals_oracle(monkeypatch):
     # every pair of every drawn problem against the one-row oracle; the
     # draws must reach stage 2, where a pair's other candidates whose bound
     # reaches its stage-1 rate are evaluated
-    stages = _stage_sizes(monkeypatch)
+    scans = _stage_sizes(monkeypatch)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(problem=_user_problems())
@@ -1086,8 +1103,8 @@ def test_two_stage_rate_scan_equals_oracle(monkeypatch):
         _assert_matches_oracle(*problem)
 
     check()
-    assert len(stages) % 2 == 0
-    assert sum(len(n) for n in stages[1::2]) > 0
+    assert all(len(stages) == 3 for stages in scans)
+    assert sum(len(stages[1]) for stages in scans) > 0
 
 
 def test_rate_scan_tie_found_in_stage_2_wins(monkeypatch):
@@ -1096,13 +1113,14 @@ def test_rate_scan_tie_found_in_stage_2_wins(monkeypatch):
     # bound (16: their mean still meets MCS 1), so stage 1 evaluates them
     # and finds rate 8; the four-RB twin, bound 8, is found only in stage 2
     # and must win the tie by its higher MCS.
-    stages = _stage_sizes(monkeypatch)
+    scans = _stage_sizes(monkeypatch)
     gain_db = np.array([[30.0] * 4 + [-10.0] * 4])
     thr_lin, se = np.array([0.5, 50.0]), np.array([1.0, 2.0])
     got = _assert_matches_oracle(np.zeros(1), gain_db, 0.0, thr_lin, se,
                                  np.ones(2))
     assert (got[0][0, 0], got[1][0, 0], got[3][0, 0]) == (4, 1, 8.0)
-    assert stages[0] == [8] and 4 in stages[1]
+    stages = scans[0]
+    assert stages[0] == [8] and 4 in stages[1] and stages[2] == []
     # eight RBs alone meet MCS 0 only
     row = snr_rows(np.zeros(1), gain_db, 0.0)[0, 0]
     assert rate_scan_py(row, thr_lin, se, np.ones(1),
@@ -1166,7 +1184,25 @@ def _g6_texts(values):
             for row in cli.format_g6(np.array(values, dtype=np.float64))]
 
 
+# per decade 1e-4 ... 1e4 of the fixed notation, a value whose product with
+# the decade's exact power of ten rounds onto a half n + 0.5 while the exact
+# product lies on the side that the half-even rint of n + 0.5 does not take
+# (decade 1e5 is scaled by 1, exactly)
+_G6_ONTO_HALVES = [0.0001234645, 0.001234585, 0.01234585, 0.1234575,
+                   1.234575, 12.34585, 123.4565, 1234.565, 12345.85]
+
+
+def test_g6_onto_halves_round_onto_a_half():
+    for value, e in zip(_G6_ONTO_HALVES, range(-4, 5)):
+        scaled = value * float(10 ** (5 - e))
+        exact = Fraction(value) * 10 ** (5 - e)
+        assert scaled % 1.0 == 0.5 and exact != Fraction(scaled)
+        assert (exact > scaled) == (int(scaled) % 2 == 0), value
+
+
 @pytest.mark.parametrize("value", [
+    v for x in _G6_ONTO_HALVES
+    for v in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0))] + [
     0.0, -0.0,
     # the lower end of the fixed notation and its neighbours, and a value
     # below it that rounds up to it
@@ -1176,9 +1212,8 @@ def _g6_texts(values):
     999999.4, 999999.5, 999999.6, -999999.6,
     # a carry to the next decade inside the fixed range
     9.999995, 0.0009999995,
-    # exact ties go to the even digit; products that round onto a half from
-    # a value above it
-    123456.5, 123457.5, 0.5, 2.5, 123.4565, 1234.565,
+    # exact ties go to the even digit
+    123456.5, 123457.5, 0.5, 2.5,
     5e-324, -5e-324, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf,
     1e6, 1e-5, 0.1, 1.0, 10.0, 100000.0, 123456.0, -12.3456789,
 ])
@@ -1212,3 +1247,26 @@ def test_format_g6_fills_a_strided_view():
     assert np.all(buf[:, 0] == 7) and np.all(buf[:, -2:] == 7)
     assert [row.tobytes().replace(b"\0", b"") for row in view] == [
         b"-12.5", b"0", b"1e+07", b"3.25"]
+
+
+# ---------------------------------------------------------------------------
+# the kernel boundary
+# ---------------------------------------------------------------------------
+
+def test_no_module_reaches_into_the_kernels_private_names():
+    # every module but _kernels itself uses the kernels through their
+    # public names only: an attribute _kernels._<name> is a private stage
+    # that the kernel's own callers are meant to run
+    package = Path(_kernels.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "_kernels" \
+                    and node.attr.startswith("_"):
+                found.append("%s:%d _kernels.%s"
+                             % (path.name, node.lineno, node.attr))
+    assert found == []

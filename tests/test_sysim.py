@@ -263,8 +263,8 @@ def test_sweep_pattern_kernel_cells(monkeypatch):
 def test_paa_coefficient_tables_hold_each_beam_once(monkeypatch):
     # the carrier pick names a beam per (UE, beam) row and the gain rows a
     # serving beam per UE; each call's coefficient table holds one
-    # one-column row per beam it uses, (M, beams, 1) for the pick and (M,
-    # distinct serving beams, 1) for the rows, never one per row
+    # one-column row per beam of the codebook, (M, beams, 1), never one per
+    # row
     calls = []
     real = _kernels.pattern_corr
 
@@ -280,8 +280,19 @@ def test_paa_coefficient_tables_hold_each_beam_once(monkeypatch):
                      ring_distances_m=[100.0])
     run_paa(dep, cfg, grid, LinkModel(carrier_hz=28e9), McsTable.default(),
             paa_codebook(cfg, 16, SECTOR))
-    # five distinct serving beams: the two UEs at boresight share one
-    assert calls == [((16, 16, 1), 6 * 16, 6 * 16), ((16, 5, 1), 6, 6)]
+    assert calls == [((16, 16, 1), 6 * 16, 6 * 16), ((16, 16, 1), 6, 6)]
+
+
+@pytest.mark.parametrize("serving", [[0, 5], [-1], [2, 0, 3]])
+def test_serving_index_out_of_range_is_rejected(serving):
+    # an index past the last set, or a negative one, names no set: it is
+    # not read as a set counted from the end
+    cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    beams = paa_codebook(cfg, 3, SECTOR)
+    with pytest.raises(ValueError, match=r"^serving indices must lie in "
+                                         r"\[0, 3\)"):
+        antenna.serving_gain_db(cfg, beams, serving,
+                                np.zeros(len(serving)), [28e9])
 
 
 # ---------------------------------------------------------------------------
