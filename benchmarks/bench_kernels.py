@@ -26,7 +26,12 @@ serving set, against one ``pattern_map`` call per UE. Another times one
 sweep pays whatever its ring count, against the same sweep at 160 rings.
 
 One row times the kernels' thread use: the 3001-angle pattern grid split
-over the usable CPUs against the same call on one thread.
+over the usable CPUs against the same call on one thread. Another times
+``antenna.pattern_map`` of criterion 7's 110-degree swept beam, the
+``design_type2`` map of 3001 angles x 264 RBs at 16 elements that the
+``design_certify`` workload builds three of, on one CPU, against the
+long-double sum of the same correlations (``pattern_corr_longdouble``,
+timed once).
 
 One row times the rate scan's EESM stage (``_kernels._eesm_stage``) on
 the candidates of one ``throughput_sweep`` of the criterion-4 deployment
@@ -70,6 +75,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
     delay_scan_py,
     eesm_stage_py,
+    pattern_corr_longdouble,
     pattern_corr_py,
     rate_scan_py,
     snr_rows,
@@ -105,19 +111,49 @@ def _pattern_args(num_angles: int, num_el: int = 16):
 def _pattern_corr(cos_angles, freqs, phases, delays, slope_scale):
     """``pattern_corr`` of one weight set with its coefficient table, as
     ``antenna.pattern_map`` calls it."""
-    coef = _kernels.pattern_coefficients(freqs, [phases], [delays])
-    return _kernels.pattern_corr(
-        cos_angles, _kernels.phasor_split(slope_scale, freqs), coef)
+    split = _kernels.phasor_split(slope_scale, freqs)
+    coef = _kernels.pattern_coefficients(split, [phases], [delays])
+    return _kernels.pattern_corr(cos_angles, split, coef)
+
+
+def _on_one_cpu(fn, *args):
+    """``fn(*args)`` with every pattern chunk on the calling thread."""
+    usable = _kernels._usable_cpus
+    _kernels._usable_cpus = lambda: 1
+    try:
+        return fn(*args)
+    finally:
+        _kernels._usable_cpus = usable
 
 
 def _pattern_corr_one_thread(*args):
     """``_pattern_corr`` with every chunk on the calling thread."""
-    usable = _kernels._usable_cpus
-    _kernels._usable_cpus = lambda: 1
-    try:
-        return _pattern_corr(*args)
-    finally:
-        _kernels._usable_cpus = usable
+    return _on_one_cpu(_pattern_corr, *args)
+
+
+def _swept_map_args():
+    """Criterion 7's 110-degree swept beam and its certification grid:
+    ``design_type2`` of the 16-element array over 264 RBs, 3001 axis
+    angles."""
+    cfg = antenna.ArrayConfig.half_wavelength(16, 28e9)
+    grid = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
+    spec = codebook.RainbowSpec(center_rad=math.pi / 2.0,
+                                spread_rad=math.radians(110.0))
+    return (cfg, codebook.design_type2(cfg, spec, grid),
+            np.linspace(0.02, math.pi - 0.02, 3001), grid)
+
+
+def _swept_map_one_cpu(cfg, weights, axis, grid):
+    """The swept beam's ``pattern_map`` on one CPU."""
+    return _on_one_cpu(antenna.pattern_map, cfg, weights, axis, grid)
+
+
+def _swept_map_longdouble(cfg, weights, axis, grid):
+    """The swept beam's correlations as a long-double sum."""
+    return pattern_corr_longdouble(
+        np.cos(axis), grid.rb_center_freqs(), weights.phases_rad,
+        weights.delays_s,
+        2.0 * math.pi * cfg.spacing_m / antenna.SPEED_OF_LIGHT_M_S)
 
 
 # the delay scan's setting: the default 64-step delay line at the 264 RB
@@ -323,6 +359,8 @@ BENCHES = [
     ("pattern_corr (3001 x 264, threaded vs 1 thread)",
      _pattern_corr, _pattern_corr_one_thread,
      lambda: _pattern_args(3001), False),
+    ("pattern_map  (swept 3001 x 264, 1 CPU)",
+     _swept_map_one_cpu, _swept_map_longdouble, _swept_map_args, True),
     ("pattern_corr (91 angles x 264 RBs, 64 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(91, 64), True),
     ("pattern_corr (91 angles x 264 RBs, 256 el)", _pattern_corr,

@@ -2,22 +2,22 @@
 
 Three loops dominate the toolkit's numerical run time:
 
-* the angle x column pattern grid (``pattern_corr``), a Horner evaluation
-  of one element polynomial per cell, chunked over angles and split over
-  the usable CPUs. A column is a steering slope; on an evenly spaced
-  frequency axis of K columns each chunk builds its phasors from a coarse
-  and a fine table of about sqrt(K) columns each (``phasor_split``), one
-  complex product per cell, and on any other axis from ``np.cos`` and
-  ``np.sin`` of every cell's phase. The coefficient tables
-  (``pattern_coefficients``, one pass over any number of weight sets, one
+* the angle x column pattern grid (``pattern_corr``), chunked over angles
+  and split over the usable CPUs. On an evenly spaced frequency axis of K
+  columns, column k = q*B + r of a coarse and a fine table of about
+  sqrt(K) columns each (``phasor_split``) has a phasor and coefficients
+  that factor into a coarse and a fine part, so each angle's map is one
+  (Q x M) @ (M x B) complex matrix product of coefficient tables
+  (``pattern_coefficients``) times phasor powers, all of a chunk's angles
+  in one stacked ``np.matmul``; any other axis is one coarse column per
+  frequency, whose element axis splits the same way into two stacked
+  products per cell. The coefficient tables (one pass over any number of
+  weight sets, their arguments reduced mod 2*pi in long double, one
   column wide when no set has a delay) serve each row the set it names,
   and a lone set's table every row, so one call serves a one-cell beam
-  gain, a pattern map, the serving-beam pick or every UE's gain row toward
-  its own angle from its own serving set. A
-  row shared by every angle is added from a tile of its copies, in
-  contiguous runs that numpy adds in its fast loop, and the thread that
-  computes a chunk also divides it by M and, for gains, takes its dB
-  steps;
+  gain, a pattern map, the serving-beam pick or every UE's gain row
+  toward its own angle from its own serving set. The thread that computes
+  a chunk also divides it by M and, for gains, takes its dB steps;
 * the per-antenna delay-grid scan of the wideband beam designer
   (``delay_scan``), a complex matrix product of a twiddle table
   (``delay_twiddles``), of which the designer keeps the last two it used,
@@ -63,21 +63,23 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# complex cells of one angle chunk of the pattern grid, rounded down to
-# whole tiles (``PATTERN_TILE_RUN``): the two live arrays of the Horner loop
-# take 512 KiB each and stay in cache (measured ~20% faster on a 3001 x 264
-# grid than one 16 MB chunk)
-PATTERN_CHUNK_CELLS = 1 << 15
+# complex cells of one angle chunk of the pattern grid, counted over its
+# power tables and its product (``_cells_per_angle``): 2 MB a chunk. Three
+# 3001 x 264 x 16 swept maps (808 cells per angle, chunks of 162 angles)
+# took 31.1 ms best of 25 on two CPUs, against 35.1 at 1 << 16, 50.1 at
+# 1 << 15 (smaller chunks, more numpy calls that need the interpreter
+# lock) and 39.6 at 1 << 18; 40-45 ms on one CPU at any of them
+PATTERN_CHUNK_CELLS = 1 << 17
 
-# cells that one contiguous run of the tiled coefficient add must exceed.
-# numpy 2.4 adds a shared (1, K) row to a chunk in a loop of K cells per
-# row, and rows of T*K cells from a T-row tile of its copies as slowly
-# while T*K <= 4096, past that in 0.5-0.8 of the time: 0.67 ns a cell
-# broadcast at 264 columns, 0.67 in 15-row tiles, 0.37 in 16-row tiles;
-# 1.15 ns at 1024 columns, 1.29 in 4-row tiles, 0.92 in 5-row tiles; 0.94
-# ns at 24 columns, 0.77 in 170-row tiles, 0.47 in 171-row tiles. A tile
-# holds at most 4096 + K cells: 66 KB at 264 columns, 80 KB at 1024
-PATTERN_TILE_RUN = 4096
+# complex multiply-adds (Q*B*elements) per BLAS product of the pattern grid,
+# more than any; a row of more elements takes its product in element blocks
+# that are summed. OpenBLAS (0.3.31) runs every complex product of fewer on
+# the calling thread; from 65536 it splits some over its worker threads
+# (32 x 64 x 32, a 1024-RB row of 64 elements, but not 12 x 1024 x 22),
+# which then spin for about 0.12 s after the call, taking the CPU that the
+# other chunk's thread needs: a 61-angle 1024-RB map of 64 elements took
+# 1.05 s in one product per row, the first call starting the workers
+PATTERN_GEMM_TERMS = 1 << 16
 
 
 def backend() -> str:
@@ -90,108 +92,194 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 class PhasorSplit(NamedTuple):
-    """The pattern kernel's column phasors ``exp(j*cos_a*slope_k)`` as the
-    products of two tables per angle: column k of ``width`` takes the
-    coarse slope ``coarse[k // B]`` plus the fine slope ``fine[k % B]``, B
-    being ``fine.size``. A single fine slope, 0.0, is the one-factor form:
-    every column has its own coarse slope."""
+    """The K column frequencies of a pattern grid as a coarse and a fine
+    table, with the steering slope per Hz ``scale``: column k = q*B + r of
+    ``width`` lies at ``coarse[q] + fine[r]``, B being ``fine.size``, so
+    both its phasor ``exp(j*cos_a*scale*f_k)`` and its coefficients factor
+    into a coarse and a fine part. A single fine offset, 0.0, is the
+    one-factor form: every column has its own coarse frequency."""
 
     coarse: np.ndarray
     fine: np.ndarray
     width: int
+    scale: float
 
 
 def phasor_split(scale, freqs):
-    """The column slopes ``scale * f_k`` of the K frequencies ``freqs`` as
-    a ``PhasorSplit``.
+    """The K frequencies ``freqs`` and the slope per Hz ``scale`` as a
+    ``PhasorSplit``.
 
     When the frequencies form an exact arithmetic progression ``f_k = f_0 +
     k*step``, as the RB centers of an integer-Hz carrier and subcarrier
-    spacing do, column k = q*B + r takes the coarse slope ``scale * f_qB``
-    (column qB's own slope) and the fine slope ``scale * (r*step)``: B +
-    ceil(K/B) phasors per angle instead of K. B is the smallest divisor of
-    K from isqrt(K) to 2*isqrt(K), else isqrt(K) with a short last run:
-    each run of B columns is one broadcast product, and whole runs fill a
-    chunk faster (22 x 12 at 264 RBs in about 0.8 of the time of 16 x 17).
-    Any other axis, and one of fewer than four columns, takes the
-    one-factor form, whose phasors have the bits of each column's own
-    slope."""
+    spacing do, column k = q*B + r takes the coarse frequency ``f_qB``
+    (column qB's own) and the fine offset ``r*step``: B + ceil(K/B)
+    phasors and coefficients per angle and element instead of K. B is the
+    smallest divisor of K from isqrt(K) to 2*isqrt(K), else isqrt(K) with
+    a short last run, whose product columns past K are dropped. Any other
+    axis, and one of fewer than four columns, takes the one-factor form,
+    whose phasors have the bits of each column's own slope."""
     freqs = np.asarray(freqs, dtype=np.float64)
     size = freqs.size
-    root = math.isqrt(size)
-    fine = next((b for b in range(root, 2 * root + 1) if size % b == 0),
-                root)
+    fine = _root_width(size)
     if fine > 1:
         step = freqs[1] - freqs[0]
         if np.array_equal(freqs[0] + step * np.arange(size), freqs):
-            return PhasorSplit(scale * freqs[::fine],
-                               scale * (step * np.arange(fine)), size)
-    return PhasorSplit(scale * freqs, np.zeros(1), size)
+            return PhasorSplit(freqs[::fine], step * np.arange(fine), size,
+                               scale)
+    return PhasorSplit(freqs, np.zeros(1), size, scale)
+
+
+def _root_width(size):
+    """The run width that splits an axis of ``size``: its smallest divisor
+    from isqrt(size) to 2*isqrt(size), else isqrt(size), the last run then
+    short."""
+    root = math.isqrt(size)
+    return next((b for b in range(root, 2 * root + 1) if size % b == 0),
+                root)
+
+
+def pattern_coefficients(split, phases, delays):
+    """The coarse and the fine coefficient table of S weight sets,
+    ``phases`` and ``delays`` of shape (S, M), on the columns of the
+    ``PhasorSplit`` ``split``: ``exp(-j(phi_sm + 2*pi*f_q*tau_sm))`` at the
+    Q coarse frequencies f_q, shape (M, S, Q), and ``exp(-j*2*pi*g_r*tau_sm)``
+    at the B fine offsets g_r, shape (M, S, B), their product at column k =
+    q*B + r being column k's coefficient. Q + B exponentials per element
+    and set instead of K, two ``np.exp`` for all sets.
+
+    Each argument is taken in ``np.longdouble`` and less its whole turns
+    of 2*pi there before it is rounded to float64 (``_exp_neg_j_turns``): a
+    type-2 design's phases cancel most of its carrier delay phase, so its
+    arguments reach 1.7e3-2.8e4 rad, where a float64 argument alone is off
+    by up to half an ulp, 1.8e-12 rad at 2.8e4, and each factor's rounding
+    would add its own. A phase in [0, 2*pi), as ``PhaseTimeWeights`` keeps
+    it, under a zero delay keeps its bits. Where every delay is zero the
+    coarse table is (M, S, 1), the phases alone standing for every column,
+    and the fine one (M, 1, 1) of ones."""
+    phases = np.asarray(phases, dtype=np.float64).T[:, :, None]
+    delays = np.asarray(delays, dtype=np.float64).T[:, :, None]
+    if not delays.any():
+        return (_exp_neg_j_turns(phases),
+                np.ones((phases.shape[0], 1, 1), dtype=np.complex128))
+    # 2*pi*tau_sm, the float64 2*pi exact in long double
+    turn = np.longdouble(TWO_PI) * delays.astype(np.longdouble)
+    return (_exp_neg_j_turns(phases.astype(np.longdouble)
+                             + turn * split.coarse.astype(np.longdouble)),
+            _exp_neg_j_turns(turn * split.fine.astype(np.longdouble)))
+
+
+# 2*pi to the precision of np.longdouble: a 64-bit mantissa where it is the
+# x87 type, float64's 53 bits where it is float64
+_TWO_PI_LONG = 8 * np.arctan(np.longdouble(1))
+
+
+def _exp_neg_j_turns(arg):
+    """``exp(-j*arg)``: ``arg`` less its whole turns of 2*pi, counted in
+    float64 and subtracted in long double, then rounded to float64. A turn
+    count off by one at a turn's edge leaves an argument just outside [0,
+    2*pi), which costs no accuracy; an array in [0, 2*pi) counts no turn
+    and is rounded as it is."""
+    turns = np.floor(arg.astype(np.float64) / TWO_PI)
+    if turns.any():
+        arg = arg - turns * _TWO_PI_LONG
+    return _exp_neg_j(arg.astype(np.float64))
+
+
+def _exp_neg_j(arg):
+    """``exp(-j*arg)`` of a float64 array, C-ordered."""
+    coef = np.multiply(-1j, arg, order="C")
+    return np.exp(coef, out=coef)
 
 
 def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     """Correlation magnitudes on an angle x column grid.
 
-    Entry (a, k) is ``|(1/M) sum_m coef[m, s_a, k] exp(j*cos_a*slope_k*m)|``,
-    ``slope_k`` being column k's slope in the ``PhasorSplit`` ``split`` and
-    ``s_a`` the weight set of row a: ``sets[a]``, indices in range, or 0
-    for every row when ``coef`` holds one set. With the steering slope
-    ``slope_k = 2*pi*spacing*f_k/c`` of a column's frequency
-    (``phasor_split``) and the coefficients ``exp(-j(phi_m +
-    2*pi*f_k*tau_m))`` of S weight sets (``pattern_coefficients``), that is
-    the magnitude of the conjugated inner product between the unit-norm
-    steering vector and the unit-norm phase-time response. With ``db``, a
-    pair ``(floor, peak_db)``, each entry is instead the gain ``peak_db +
-    20 * log10(max(corr, floor))``, those steps taken in that order in
-    place.
+    Entry (a, k) is ``|(1/M) sum_m c[m, s_a, k] exp(j*cos_a*slope_k*m)|``,
+    ``slope_k`` being ``scale * f_k`` of column k of the ``PhasorSplit``
+    ``split``, ``s_a`` the weight set of row a: ``sets[a]``, indices in
+    range, or 0 for every row of a table of one set, and ``c`` the product
+    of the coarse and the fine table of ``coef`` (``pattern_coefficients``)
+    at the column. With the steering slope ``2*pi*spacing*f_k/c`` and the
+    coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))``, that is the magnitude
+    of the conjugated inner product between the unit-norm steering vector
+    and the unit-norm phase-time response. With ``db``, a pair ``(floor,
+    peak_db)``, each entry is instead the gain ``peak_db + 20 *
+    log10(max(corr, floor))``, those steps taken in that order in place.
 
-    ``coef`` holds the tables of the S sets, shape (elements, S, K), or (M,
-    S, 1) when one value per element stands for every column, as a
-    zero-delay set's does. The path follows S alone: one set's table is
-    shared by every row, as a pattern map's rows share it, and ``sets`` is
-    not read; of several, each chunk gathers its rows' coefficients one
-    element at a time, so no table grows with the rows. A row is computed
-    by the same elementwise operations whichever set and form carries its
-    coefficients, so it equals its own one-angle call with its set's (M, 1,
-    K) table bit for bit.
+    Column k = q*B + r has the phasor ``P_aq * R_ar``, the coarse phasor
+    ``exp(j*cos_a*scale*f_q)`` times the fine one ``exp(j*cos_a*scale*g_r)``,
+    and the coefficient ``C[m, q] * D[m, r]``. So row a's map is one matrix
+    product: the (Q x M) table ``C[m, s_a, q] * P_aq**m`` times the (M x B)
+    table ``D[m, s_a, r] * R_ar**m``, which gives the (Q, B) grid of its K
+    columns, those past K dropped when the last run is short. Each chunk of
+    angles builds its 2*sqrt(K) or so phasors per angle by ``_cos_sin``,
+    their powers 0 to M - 1 by repeated doubling (``_factor_powers``), the
+    tables by one product with each coefficient table, gathered once per
+    chunk from a table of several sets and shared from one of one set, and
+    then the products of every row in one stacked ``np.matmul``. A row of
+    more elements than keep its product under ``PATTERN_GEMM_TERMS``
+    multiply-adds takes it in element blocks that are summed, which
+    OpenBLAS keeps on the calling thread.
 
-    The sum is a polynomial in ``z[a, k] = exp(j*cos_a*slope_k)``,
-    evaluated by Horner's rule over m. Each chunk builds its phasors from
-    the split's coarse and fine tables (``_fill_phasors``): about 2*sqrt(K)
-    cos/sin pairs per angle and one complex product per cell, where
-    ``np.exp`` of every term would take A*K*M exponentials. Then come M -
-    1 in-place multiply-adds on an (angle chunk x K) array, each adding one
-    coefficient row per angle; a row shared by every angle is added from a
-    tile of its copies (``_tile_rows``). Every cell is computed by the same
-    elementwise operations whatever the chunking, so no row depends on the
-    rest of the call.
+    A one-factor split (one fine offset, 0.0) has fine phasors and
+    coefficients of exactly 1, so cell (a, k) is the sum over m of
+    ``C[m, s_a, k] * z**m``, z its coarse phasor. The element axis splits
+    as the column axis does, m = i*L + j with L = ``_root_width(M)``: the
+    cell's (I x L) block matrix of coefficients (``_element_table``, laid
+    out once per call set-major with zeros past M, gathered once per chunk)
+    times its fine powers z**j, then the dot with its coarse powers
+    (z**L)**i, each a stacked ``np.matmul`` (``_element_chunk``). Every
+    cell's matrix and vectors lie contiguous, as a one-angle call's do:
+    BLAS sums a strided vector in another order than a contiguous one. A
+    row is computed by the same elementwise operations and the same BLAS
+    products whichever chunk and set carry it, so it equals its own
+    one-angle call with its set's tables bit for bit.
+
+    Error against the exact correlation of the same float64 inputs (the
+    float64 2*pi among them), to first order in u = 2**-53 and v, the unit
+    roundoff of ``np.longdouble`` (2**-64 on x87, u where it is float64),
+    for cos and sin within one ulp: with A the largest ``|phi_m| +
+    2*pi*|f*tau_m|`` over the split's frequencies and offsets, s its
+    largest slope ``scale*|f|``, and D the largest ``|f_q + g_r - f_k|``,
+    0 for integer-Hz RB centers,
+
+    * a coefficient's long-double argument rounds by 3v*A and its turns by
+      2v*(A + 2*pi) + 2*pi*v, its float64 argument by 2*pi*u, and cos and
+      sin by sqrt(2)*u: both tables 10v*(A + 2*pi) + (4*pi + 2*sqrt(2))*u,
+      and 2*pi*tau*D for the column's own frequency;
+    * a phasor's phase rounds by 2u*s per factor and is off by scale*D, so
+      power m by m*(4u*s + scale*D); its cos and sin and the m - 1
+      products of its tree, sqrt(2)*gamma_2 each, add about 4.25u*m per
+      factor;
+    * each term takes three complex products, 8.5u; M terms of magnitude 1
+      sum within sqrt(2)*(M - 1)*u*M; the magnitude and the division by M
+      add 3u.
+
+    Averaged over m, the power terms count (M - 1)/2 times:
+    ``|corr - exact| <= 10v*(A + 2*pi) + 2*pi*tau_max*D + (M - 1)*(2u*s
+    + scale*D/2 + 6u) + 27u`` (``tests/oracles.py::pattern_corr_bound``,
+    tested against ``pattern_corr_longdouble`` there). A one-factor cell
+    is within it too: its power m = i*L + j is a tree of m phasors of one
+    factor, m - 1 products, its term ``(C * z**j) * (z**L)**i`` takes two
+    complex products, and sums of L and then of I terms, L + I - 2 <= M - 1
+    additions deep, round by no more than one of M terms. With a float64
+    argument alone the first term would be about 10u*A, 3e-11 at the
+    2.8e4 rad of a 157.5 ns delay at 28 GHz.
 
     A grid of several chunks is split over one thread per usable CPU, up to
-    one per chunk: numpy's ufuncs release the interpreter lock, each thread
-    takes the next whole chunk when it is free and writes only that chunk's
-    rows, the division by M and the dB steps included, so the result does
-    not depend on the thread count. The threads are started and joined
-    within the call; a one-chunk grid runs on the calling thread alone.
+    one per chunk: numpy's ufuncs and ``np.matmul`` release the interpreter
+    lock, each thread takes the next whole chunk when it is free and writes
+    only that chunk's rows, the division by M and the dB steps included, so
+    the result does not depend on the thread count. The threads are started
+    and joined within the call; a one-chunk grid runs on the calling thread
+    alone.
     """
     cos_angles = np.asarray(cos_angles, dtype=np.float64)
-    cols = split.width
-    out = np.empty((cos_angles.size, cols), dtype=np.float64)
-    chunk = max(1, PATTERN_CHUNK_CELLS // max(1, cols))
-    if coef.shape[1] > 1:
-        # the buffer that each element's coefficients of a chunk's rows are
-        # gathered into
-        spare = (min(chunk, cos_angles.size), coef.shape[2])
-    else:
-        sets = None
-        # a row of several columns shared by every angle is added from a
-        # tile, when a chunk holds one; a one-column row is added as a
-        # scalar, which numpy's broadcast loop does faster
-        tile_rows = _tile_rows(cols) if coef.shape[2] > 1 else 0
-        if 1 < tile_rows <= min(chunk, cos_angles.size):
-            chunk -= chunk % tile_rows
-            spare = (tile_rows, cols)
-        else:
-            spare = None
+    out = np.empty((cos_angles.size, split.width), dtype=np.float64)
+    elements = coef[0].shape[0]
+    chunk = max(1, PATTERN_CHUNK_CELLS // _cells_per_angle(elements, split))
+    if split.fine.size == 1:
+        coef = (_element_table(coef[0]),)
     starts = range(0, cos_angles.size, chunk)
     workers = max(1, min(_usable_cpus(), len(starts)))
     pending = iter(starts)
@@ -206,9 +294,10 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
                 if a0 is None:
                     return
                 block = out[a0:a0 + chunk]
-                _horner_chunk(cos_angles[a0:a0 + chunk], split, coef,
+                _factor_chunk(cos_angles[a0:a0 + chunk], split, coef,
                               None if sets is None else sets[a0:a0 + chunk],
-                              block, *buffers)
+                              block, buffers)
+                block /= elements
                 if db is not None:
                     _gain_db(block, *db)
         except Exception as exc:  # re-raised by the calling thread
@@ -216,8 +305,8 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
 
     # every worker's chunk buffers, allocated once on the calling thread, so
     # that no worker thread's own malloc arena grows by them
-    buffers = [_chunk_buffers(min(chunk, cos_angles.size), cols, spare)
-               for _ in range(workers)]
+    buffers = [_chunk_buffers(max(2, min(chunk, cos_angles.size)), split,
+                              coef) for _ in range(workers)]
     threads = [threading.Thread(target=work, args=(b,)) for b in buffers[1:]]
     for t in threads:
         t.start()
@@ -229,14 +318,77 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     return out
 
 
-def _chunk_buffers(rows, cols, spare):
-    """``_horner_chunk``'s buffers for chunks of up to ``rows`` x ``cols``
-    cells: phasors, sums, a spare cell, and a coefficient buffer of the
-    shape ``spare`` (None for none)."""
-    return (np.empty((rows, cols), dtype=np.complex128),
-            np.empty((rows, cols), dtype=np.complex128),
-            np.empty((1, 1), dtype=np.complex128),
-            None if spare is None else np.empty(spare, dtype=np.complex128))
+def _cells_per_angle(elements, split):
+    """Complex cells that one angle of a chunk takes: its power tables,
+    M*(Q + B), and its product, Q*B; for a one-factor split, per column,
+    the gathered block matrix I*L, the L + 1 fine and I coarse powers and
+    their row-major copies of L and I, the I inner products and the sum."""
+    runs, step = split.coarse.size, split.fine.size
+    if step == 1:
+        blocks, block = _element_blocks(elements)
+        return runs * (blocks * block + 2 * block + 3 * blocks + 2)
+    return elements * (runs + step) + runs * step
+
+
+def _chunk_buffers(rows, split, coef):
+    """Flat buffers for ``_factor_chunk`` on chunks of up to ``rows``
+    angles: per factor its power table and, for a coefficient table of
+    several sets, the gathered coefficients, then the product and the phase
+    arguments; for a one-factor split those of ``_element_chunk``."""
+    if split.fine.size == 1:
+        return ([np.empty(math.prod(shape), dtype=np.complex128)
+                 for shape in _element_shapes(rows, split.width, coef[0])]
+                + [np.empty(rows * split.width)])
+    elements = coef[0].shape[0]
+    widths = (split.coarse.size, split.fine.size)
+    powers = [np.empty(elements * rows * w, dtype=np.complex128)
+              for w in widths]
+    gathered = [np.empty(elements * rows * table.shape[2],
+                         dtype=np.complex128) if table.shape[1] > 1 else None
+                for table in coef]
+    # a second product adds each element block's past the first
+    blocks = min(2, -(-elements // _gemm_block(split)))
+    product = np.empty((blocks, rows * widths[0] * widths[1]),
+                       dtype=np.complex128)
+    return powers, gathered, product, np.empty(rows * max(widths))
+
+
+def _gemm_block(split):
+    """Elements per BLAS product of a split's rows: the most that keep a
+    (Q x m) @ (m x B) product below ``PATTERN_GEMM_TERMS`` terms."""
+    return max(1, (PATTERN_GEMM_TERMS - 1)
+               // (split.coarse.size * split.fine.size))
+
+
+def _element_blocks(elements):
+    """(I, L): a one-factor row's M elements as I blocks of L =
+    ``_root_width(M)``, the last block short when L does not divide M."""
+    block = _root_width(elements)
+    return -(-elements // block), block
+
+
+def _element_shapes(rows, width, table):
+    """Shapes of ``_element_chunk``'s complex buffers for ``rows`` angles
+    of ``width`` columns and the ``_element_table`` ``table``: the fine and
+    the coarse powers, then the same row-major, the gathered matrices
+    (none from a table of one set), the inner products and the sums."""
+    count, columns, blocks, block = table.shape
+    return ((block + 1, rows, width), (blocks, rows, width),
+            (rows, width, block, 1), (rows, width, 1, blocks),
+            (rows, columns, blocks, block) if count > 1 else (0,),
+            (rows, width, blocks, 1), (rows, width, 1, 1))
+
+
+def _element_table(coarse):
+    """A one-factor split's coarse table (M, S, K) set-major as (S, K, I,
+    L) (``_element_blocks``): each (set, column)'s M coefficients
+    contiguous, as one (I x L) matrix, zero past M. A zero coefficient
+    adds an exact zero to its sum."""
+    elements, sets, width = coarse.shape
+    blocks, block = _element_blocks(elements)
+    table = np.zeros((sets, width, blocks * block), dtype=np.complex128)
+    table[:, :, :elements] = coarse.transpose(1, 2, 0)
+    return table.reshape(sets, width, blocks, block)
 
 
 def _gain_db(corr, floor, peak_db):
@@ -248,20 +400,6 @@ def _gain_db(corr, floor, peak_db):
     corr += peak_db
 
 
-def pattern_coefficients(freqs, phases, delays):
-    """Horner coefficients ``exp(-j(phi_sm + 2*pi*f_k*tau_sm))`` of S weight
-    sets, ``phases`` and ``delays`` of shape (S, M), at K frequencies: shape
-    (M, S, K), or (M, S, 1) when every delay is zero, every argument then
-    being its phase at each frequency. All sets take one ``np.exp``."""
-    arg = np.asarray(phases, dtype=np.float64).T[:, :, None]
-    delays = np.asarray(delays, dtype=np.float64).T
-    if delays.any():
-        arg = arg + TWO_PI * np.asarray(freqs, dtype=np.float64) \
-            * delays[:, :, None]
-    coef = np.multiply(-1j, arg, order="C")
-    return np.exp(coef, out=coef)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -269,103 +407,119 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _tile_rows(cols):
-    """Rows of the tile from which a shared coefficient row is added to a
-    chunk of ``cols`` columns: the fewest whose cells exceed
-    ``PATTERN_TILE_RUN``. One row where the row alone does."""
-    return PATTERN_TILE_RUN // cols + 1
-
-
 def _cos_sin(rows, cols, arg, out):
     """``exp(j*rows[a]*cols[k])`` into ``out``: ``np.cos`` and ``np.sin`` of
     the outer products, taken in the flat float buffer ``arg``, into its
     real and imaginary parts. Every phasor table is built this way: a
-    pattern chunk's angles by its slopes, the delay scan's slopes by the
-    element indices."""
+    pattern chunk's angles by its coarse and fine slopes, the delay scan's
+    slopes by the element indices."""
     arg = arg[:out.size].reshape(out.shape)
     np.multiply(rows[:, None], cols, out=arg)
     np.cos(arg, out=out.real)
     np.sin(arg, out=out.imag)
 
 
-def _fill_phasors(cos_chunk, split, z, acc):
-    """The phasors of a chunk's angles and the columns of ``split`` into
-    ``z``: the coarse and the fine table of each angle, then one complex
-    product per cell, each run of B columns one broadcast product of a
-    coarse phasor and the fine row; in the one-factor form, the coarse
-    phasors written into ``z`` as they are.
+def _factor_powers(cos_chunk, slopes, arg, powers):
+    """``powers[m] = exp(j*cos_chunk[a]*slopes[n])**m``, shape (M, rows,
+    n), for m from 0 to M - 1: the phasors by ``_cos_sin``, then their
+    powers by ``_doubling``."""
+    if len(powers) > 1:
+        _cos_sin(cos_chunk, slopes, arg, powers[1])
+    _doubling(powers)
 
-    The tables, and the one-factor form's phases, take the memory of the
-    sums ``acc``, which the Horner loop overwrites once the phasors are
-    made; B + ceil(K/B) <= K from four columns up, so the tables fit. The
-    split's phases take the memory of ``z``, spent before the product
-    fills it."""
-    rows, width = cos_chunk.size, split.width
-    spare = acc.reshape(-1)
-    if split.fine.size == 1:
-        _cos_sin(cos_chunk, split.coarse, spare.view(np.float64), z)
-        return
+
+def _doubling(powers):
+    """``powers[m] = powers[1]**m`` for m from 0 to ``len(powers) - 1`` by
+    repeated doubling: the powers h + 1 to 2h as the products of the powers
+    1 to h with power h, one broadcast product per doubling. Every power m
+    is the product of a tree of m copies of power 1, m - 1 products, as a
+    running product takes, in about log2(M) numpy calls instead of M - 2."""
+    powers[0] = 1.0
+    last = len(powers) - 1
+    h = 1
+    while h < last:
+        top = min(2 * h, last)
+        np.multiply(powers[1:top - h + 1], powers[h],
+                    out=powers[h + 1:top + 1])
+        h = top
+
+
+def _factor_chunk(cos_chunk, split, coef, sets, out, buffers):
+    """``|sum_m C[m, s_a, q]*P_aq**m * D[m, s_a, r]*R_ar**m|`` of one angle
+    chunk into ``out``, (rows, K), column k = q*B + r, ``s_a`` being
+    ``sets[a]`` of the chunk's rows, indices in range, or 0 for every row
+    of a table of one set, in the ``_chunk_buffers`` ``buffers``; a
+    one-factor split's by ``_element_chunk``, ``coef`` holding its
+    ``_element_table``.
+
+    numpy multiplies one-element arrays in another loop than longer ones,
+    which rounds a complex product differently, so a chunk of one angle and
+    one coarse column is evaluated as two copies of its angle."""
+    rows, width = out.shape
     runs, step = split.coarse.size, split.fine.size
-    coarse = spare[:rows * runs].reshape(rows, runs)
-    fine = spare[rows * runs:rows * (runs + step)].reshape(rows, step)
-    phases = z.reshape(-1).view(np.float64)
-    _cos_sin(cos_chunk, split.coarse, phases, coarse)
-    _cos_sin(cos_chunk, split.fine, phases, fine)
-    whole = width - width % step
-    np.multiply(coarse[:, :whole // step, None], fine[:, None, :],
-                out=z[:, :whole].reshape(rows, -1, step))
-    if whole < width:
-        np.multiply(coarse[:, whole // step:], fine[:, :width - whole],
-                    out=z[:, whole:])
+    if rows * runs == 1:
+        pair = np.empty((2, width))
+        _factor_chunk(np.repeat(cos_chunk, 2), split, coef,
+                      None if sets is None else np.repeat(sets, 2), pair,
+                      buffers)
+        out[:] = pair[:1]
+        return
+    if step == 1:
+        _element_chunk(cos_chunk, split.scale * split.coarse, coef[0], sets,
+                       out, buffers)
+        return
+    powers, gathered, product, arg = buffers
+    elements = coef[0].shape[0]
+    tables = []
+    for flat, spare, slopes, table in zip(
+            powers, gathered, (split.scale * split.coarse,
+                               split.scale * split.fine), coef):
+        factor = flat[:elements * rows * slopes.size].reshape(
+            elements, rows, slopes.size)
+        _factor_powers(cos_chunk, slopes, arg, factor)
+        if spare is not None:
+            table = np.take(table, sets, axis=1, mode="clip",  # in range
+                            out=spare[:elements * rows * table.shape[2]]
+                            .reshape(elements, rows, table.shape[2]))
+        factor *= table
+        tables.append(factor)
+    grid, part = (flat[:rows * runs * step].reshape(rows, runs, step)
+                  for flat in (product[0], product[-1]))
+    block = _gemm_block(split)
+    for m0 in range(0, elements, block):
+        np.matmul(tables[0][m0:m0 + block].transpose(1, 2, 0),
+                  tables[1][m0:m0 + block].transpose(1, 0, 2),
+                  out=part if m0 else grid)
+        if m0:
+            grid += part
+    np.abs(grid.reshape(rows, -1)[:, :width], out=out)
 
 
-def _horner_chunk(cos_chunk, split, coef, sets, out, z, acc, one_cell,
-                  spare):
-    """``|sum_m coef[m, s_a] * z**m| / M`` of one angle chunk into ``out``,
-    ``s_a`` being ``sets[a]`` of the chunk's rows, indices in range, or 0
-    for every row when ``sets`` is None, using the first ``cos_chunk.size``
-    rows of the buffers ``z`` and ``acc``, and ``one_cell`` for a chunk of
-    one cell.
-
-    With ``sets``, each element's coefficients of the rows' sets are
-    gathered into ``spare`` as its step comes. Without, a ``spare`` tile of
-    T rows takes copies of the shared row of each element, and the chunk
-    is added to as rows of T*K cells, whole tiles first, then any short
-    rest: the same IEEE additions as the broadcast add, which numpy runs in
-    a loop of K cells per row."""
-    rows = cos_chunk.size
-    z, acc = z[:rows], acc[:rows]
-    _fill_phasors(cos_chunk, split, z, acc)
-    if sets is None:
-        tile = spare
-
-        def term(m):
-            return coef[m, 0]
-    else:
-        tile, gathered = None, spare[:rows]
-
-        def term(m):
-            return np.take(coef[m], sets, axis=0, out=gathered, mode="clip")
-    acc[:] = term(-1)
-    # numpy rounds a one-cell in-place product unlike its vector loop
-    prod = acc if acc.size > 1 else one_cell
-    if tile is not None:
-        whole = rows - rows % len(tile)
-        prod_tiles = prod[:whole].reshape(-1, tile.size)
-        acc_tiles = acc[:whole].reshape(-1, tile.size)
-        tile_row = tile.reshape(1, -1)
-        rest = tile[:rows - whole]
-    for m in range(coef.shape[0] - 2, -1, -1):
-        np.multiply(acc, z, out=prod)
-        if tile is None:
-            np.add(prod, term(m), out=acc)
-        else:
-            tile[:] = term(m)
-            np.add(prod_tiles, tile_row, out=acc_tiles)
-            if rest.size:
-                np.add(prod[whole:], rest, out=acc[whole:])
-    np.abs(acc, out=out)
-    out /= coef.shape[0]
+def _element_chunk(cos_chunk, slopes, table, sets, out, buffers):
+    """``|sum_m c[m] * z**m|`` of one one-factor chunk into ``out``, (rows,
+    K), z = ``exp(j*cos_chunk[a]*slopes[k])`` and c the ``_element_table``
+    ``table`` of the row's set, with m = i*L + j: the fine powers z**j, j
+    from 0 to L, and the coarse (z**L)**i by ``_doubling``, copied row-major
+    so that each cell's vectors lie contiguous, then each cell's (I x L)
+    matrix times its fine powers and its coarse powers times that, two
+    stacked ``np.matmul``."""
+    rows, width = out.shape
+    blocks, block = table.shape[2:]
+    fine, coarse, fine_rows, coarse_rows, gathered, inner, total = (
+        flat[:math.prod(shape)].reshape(shape) for flat, shape in
+        zip(buffers, _element_shapes(rows, width, table)))
+    _factor_powers(cos_chunk, slopes, buffers[-1], fine)
+    if blocks > 1:
+        coarse[1] = fine[block]
+    _doubling(coarse)
+    np.copyto(fine_rows[..., 0], fine[:block].transpose(1, 2, 0))
+    np.copyto(coarse_rows[:, :, 0], coarse.transpose(1, 2, 0))
+    if gathered.size:
+        table = np.take(table, sets, axis=0, mode="clip",  # in range
+                        out=gathered)
+    np.matmul(table, fine_rows, out=inner)
+    np.matmul(coarse_rows, inner, out=total)
+    np.abs(total.reshape(rows, width), out=out)
 
 
 # ---------------------------------------------------------------------------

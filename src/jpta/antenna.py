@@ -297,11 +297,10 @@ def serving_gain_db(cfg: ArrayConfig, weight_sets, serving, cos_angles,
     if bad.size:
         raise ValueError("serving indices must lie in [0, %d), got %d"
                          % (len(weight_sets), bad[0]))
-    freqs = np.asarray(freqs, dtype=np.float64)
-    coef = _kernels.pattern_coefficients(
-        freqs, [w.phases_rad for w in weight_sets],
-        [w.delays_s for w in weight_sets])
     split = _kernels.phasor_split(
         2.0 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S, freqs)
+    coef = _kernels.pattern_coefficients(
+        split, [w.phases_rad for w in weight_sets],
+        [w.delays_s for w in weight_sets])
     return _kernels.pattern_corr(cos_angles, split, coef, serving,
                                  (CORRELATION_FLOOR, cfg.peak_gain_db))

@@ -6,7 +6,10 @@ uniform-array factor.
 Plain scalar loops, one cell, one ring or one CSV row at a time: slow, but
 simple enough to read as the definition the fast code is checked against.
 ``benchmarks/`` imports them too, to time the fast code against the loops it
-replaces.
+replaces. The long-double references (``*_longdouble``) take the same
+arithmetic at higher precision, and the ``*_bound`` helpers state the
+error the kernels may make against them, as derived in the kernels'
+docstrings.
 """
 
 import math
@@ -78,6 +81,43 @@ def pattern_corr_py(cos_angles, freqs, phases, delays, slope_scale):
                 im += math.sin(ph)
             out[a, k] = math.sqrt(re * re + im * im) / num_el
     return out
+
+
+def pattern_corr_longdouble(cos_angles, freqs, phases, delays,
+                            slope_scale):
+    """``pattern_corr_py`` of the same float64 inputs, the float64 2*pi
+    among them, every step taken in ``np.longdouble``, one element term at
+    a time over the whole grid: on a 63-bit mantissa its own error is
+    about 2**-11 of the float64 kernel's, so it stands for the exact
+    correlation."""
+    long = np.longdouble
+    freqs = np.asarray(freqs, dtype=np.float64).astype(long)
+    slope = long(slope_scale) * freqs * np.asarray(
+        cos_angles, dtype=np.float64).astype(long)[:, None]
+    re = np.zeros(slope.shape, dtype=long)
+    im = np.zeros(slope.shape, dtype=long)
+    for m, (phase, delay) in enumerate(zip(phases, delays)):
+        arg = slope * m - (long(phase) + long(TWO_PI) * freqs * long(delay))
+        re += np.cos(arg)
+        im += np.sin(arg)
+    return np.sqrt(re * re + im * im) / len(phases)
+
+
+def pattern_corr_bound(num_elements, coef_arg, slope, coef_residual=0.0,
+                       slope_residual=0.0, unit=2.0 ** -53,
+                       arg_unit=float(np.finfo(np.longdouble).eps) / 2.0):
+    """Largest error ``_kernels.pattern_corr`` may make against the exact
+    correlation, derived in its docstring: M elements, ``coef_arg`` the
+    largest coefficient argument ``|phi_m| + 2*pi*|f*tau_m|`` and ``slope``
+    the largest steering slope over the split's frequencies and offsets,
+    ``coef_residual`` = 2*pi*tau_max*D and ``slope_residual`` = scale*D for
+    the split's largest residual D = ``|f_q + g_r - f_k|`` (0 for
+    integer-Hz RB centers), in float64 of unit roundoff ``unit`` with
+    coefficient arguments taken at ``arg_unit``."""
+    return (10.0 * arg_unit * (coef_arg + TWO_PI) + coef_residual
+            + (num_elements - 1) * (2.0 * unit * slope + slope_residual / 2.0
+                                    + 6.0 * unit)
+            + 27.0 * unit)
 
 
 def delay_scan_py(slopes, freqs, taus, num_elements):

@@ -305,7 +305,12 @@ def test_criterion_6_designer_per_antenna_certificate():
 
 
 def test_criterion_7_swept_beam_properties():
+    # the predicted span: design_type2 sweeps sin(spread/2) of boresight
+    # over the whole bandwidth, of which the RB centers cover rho, so the
+    # pointing's sine spans rho * sin(spread/2) on each side
     axis_grid = np.linspace(0.02, math.pi - 0.02, 3001)
+    freqs = GRID.rb_center_freqs()
+    rho = (freqs[-1] - freqs[0]) / GRID.bandwidth_hz
     ok = True
     parts = []
     for spread_deg in (30.0, 60.0, 110.0):
@@ -317,15 +322,20 @@ def test_criterion_7_swept_beam_properties():
         diffs = np.diff(arg)
         monotone = bool(np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12))
         span_frac = float(arg.max() - arg.min()) / spec.spread_rad
+        predicted = 2.0 * math.asin(rho * math.sin(spec.spread_rad / 2.0)) \
+            / spec.spread_rad
         peaks = gains.max(axis=0)
         peak_var = float(peaks.max() - peaks.min())
         if not (monotone and span_frac >= 0.9 and peak_var < 1.0):
             ok = False
-        parts.append("%g deg: span %.1f%%, peak var %.3f dB, %s" %
-                     (spread_deg, 100.0 * span_frac, peak_var,
-                      "monotone" if monotone else "NOT monotone"))
-    detail = ("pointing vs frequency (need monotone, span >= 90%, "
-              "peak var < 1 dB): ") + "; ".join(parts)
+        parts.append("%g deg: span %.1f%% (predicted %.1f%%), peak var "
+                     "%.3f dB, %s" %
+                     (spread_deg, 100.0 * span_frac, 100.0 * predicted,
+                      peak_var, "monotone" if monotone else "NOT monotone"))
+    detail = ("pointing vs frequency (need monotone, span >= 90%%, "
+              "peak var < 1 dB; predicted span 2*asin(rho*sin(spread/2))"
+              "/spread, rho = %.4f the RB centers' share of the band): "
+              % rho) + "; ".join(parts)
     record_criterion(7, ok, detail)
     assert ok, detail
 

@@ -245,12 +245,12 @@ def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
                    # a null at boresight on every RB
                    (pair, PhaseTimeWeights(delays_s=np.zeros(2),
                                            phases_rad=[0.0, math.pi]))):
-        freqs = grid.rb_center_freqs()
+        split = _kernels.phasor_split(
+            2 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S,
+            grid.rb_center_freqs())
         corr = _kernels.pattern_corr(
-            np.cos(angles),
-            _kernels.phasor_split(
-                2 * math.pi * cfg.spacing_m / SPEED_OF_LIGHT_M_S, freqs),
-            _kernels.pattern_coefficients(freqs, [w.phases_rad],
+            np.cos(angles), split,
+            _kernels.pattern_coefficients(split, [w.phases_rad],
                                           [w.delays_s]))
         want = cfg.peak_gain_db + 20.0 * np.log10(
             np.maximum(corr, CORRELATION_FLOOR))
@@ -260,14 +260,15 @@ def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
 
 def test_zero_delay_pattern_map_takes_a_one_column_table(monkeypatch,
                                                         array16, grid264):
-    # a set without delays reaches the kernel with its one-column table,
-    # not one widened to the K RB columns, and its map keeps the bits of
-    # the kernel's result on the explicitly widened (M, 1, K) table
+    # a set without delays reaches the kernel with its one-column coarse
+    # table and a one-column fine table, not ones widened to the Q coarse
+    # and B fine columns, and its map keeps the bits of the kernel's
+    # result on the explicitly widened (M, 1, Q) and (M, 1, B) tables
     real = _kernels.pattern_corr
     widths = []
 
     def spy(cos_angles, split, coef, *args):
-        widths.append(coef.shape[2])
+        widths.append(tuple(table.shape[2] for table in coef))
         return real(cos_angles, split, coef, *args)
 
     monkeypatch.setattr(_kernels, "pattern_corr", spy)
@@ -280,11 +281,13 @@ def test_zero_delay_pattern_map_takes_a_one_column_table(monkeypatch,
               paa_codebook(array16, 16, sector)[5]):
         widths.clear()
         gains = pattern_map(array16, w, angles, grid264)
-        assert widths == [1]
-        widened = np.ascontiguousarray(np.broadcast_to(
-            _kernels.pattern_coefficients(freqs, [w.phases_rad],
-                                          [w.delays_s]),
-            (16, 1, freqs.size)))
+        assert widths == [(1, 1)]
+        widened = tuple(
+            np.ascontiguousarray(np.broadcast_to(table, (16, 1, f.size)))
+            for table, f in zip(_kernels.pattern_coefficients(
+                split, [w.phases_rad], [w.delays_s]),
+                (split.coarse, split.fine)))
+        assert [t.shape[2] for t in widened] == [12, 22]
         want = real(np.cos(angles), split, widened, None,
                     (CORRELATION_FLOOR, array16.peak_gain_db))
         assert np.array_equal(gains, want)
@@ -315,7 +318,7 @@ def _array_factor_error_bound(num_elements, coef_arg, slope, psi):
     magnitude 1/M: its coefficient argument rounds by 3u*coef_arg; the
     designer's rounding of its phase and delay, against m times element
     1's, by 4u*(m*(slope + 2*pi) + coef_arg + 2*pi); its phasor power by
-    m*(8u*slope + 6u). Horner's sums add 4u*M. The factor's psi rounds by
+    m*(8u*slope + 6u). The kernel's sums add 4u*M. The factor's psi rounds by
     4u*(slope + |phi_1| + 2*pi*f*|tau_1|) + 3u*|psi|, its reduction mod
     2*pi included, and moves the factor by at most (M - 1)/2 times that;
     the factor itself rounds by 8u, and the dB round trip of the gain by

@@ -23,6 +23,7 @@ from jpta import _kernels, cli
 from jpta.antenna import (
     CARRIER_RANGE_HZ,
     CORRELATION_FLOOR,
+    MAX_NUM_ELEMENTS,
     MAX_NUM_RBS,
     MAX_SPACING_M,
     SCS_RANGE_HZ,
@@ -33,6 +34,7 @@ from jpta.antenna import (
     pattern_map,
     serving_gain_db,
 )
+from jpta.codebook import MAX_DELAY_S
 from jpta.link import MAX_EESM_BETA
 from oracles import (
     delay_scan_py,
@@ -43,6 +45,8 @@ from oracles import (
     eesm_stage_py,
     highest_mcs_py,
     live_candidates_py,
+    pattern_corr_bound,
+    pattern_corr_longdouble,
     pattern_corr_py,
     rate_scan_py,
     snr_rows,
@@ -55,8 +59,9 @@ def _kernel_args(cos_angles, freqs, phases, delays, slope_scale, sets=None):
     """``pattern_corr``'s arguments for one weight set, (M,), shared by
     every angle, or for S sets, (S, M), angle a taking set ``sets[a]``."""
     phases, delays = np.atleast_2d(phases, delays)
-    return (cos_angles, _kernels.phasor_split(slope_scale, freqs),
-            _kernels.pattern_coefficients(freqs, phases, delays), sets)
+    split = _kernels.phasor_split(slope_scale, freqs)
+    return (cos_angles, split,
+            _kernels.pattern_coefficients(split, phases, delays), sets)
 
 
 def _corr(*args):
@@ -95,11 +100,28 @@ def test_pattern_corr_matches_oracle():
 
 
 def _phasors(cos_angles, split):
-    """The phasors of ``split``'s columns at ``cos_angles``, built as one
-    chunk of the pattern kernel builds them."""
-    z, acc = _kernels._chunk_buffers(cos_angles.size, split.width, None)[:2]
-    _kernels._fill_phasors(cos_angles, split, z, acc)
-    return z
+    """The phasor of each of ``split``'s columns at ``cos_angles`` as the
+    pattern kernel factors it: the column's coarse phasor times its fine
+    one, each built as a chunk builds its first power
+    (``_factor_powers``)."""
+    tables = []
+    for freqs in (split.coarse, split.fine):
+        powers = np.empty((2, cos_angles.size, freqs.size), dtype=complex)
+        _kernels._factor_powers(cos_angles, split.scale * freqs,
+                                np.empty(powers[1].size), powers)
+        tables.append(powers[1])
+    cells = tables[0][:, :, None] * tables[1][:, None, :]
+    return cells.reshape(cos_angles.size, -1)[:, :split.width]
+
+
+def _rb_grid_freqs(num_rbs, carrier, data):
+    """The RB centers of ``num_rbs`` RBs at an integer-Hz ``carrier`` and
+    a drawn integer-Hz subcarrier spacing that fits them below it."""
+    scs = data.draw(st.integers(
+        int(SCS_RANGE_HZ[0]),
+        min(int(SCS_RANGE_HZ[1]), carrier // (12 * num_rbs))))
+    return FrequencyGrid(carrier, 12.0 * num_rbs * scs, scs,
+                         num_rbs).rb_center_freqs()
 
 
 @settings(max_examples=150, deadline=None)
@@ -112,11 +134,7 @@ def test_split_phasors_stay_within_a_few_ulps_of_exp(num_rbs, carrier,
     # progression, split from four columns up; every phasor lies within a
     # few ulps of exp(j*c*s_k), scaled by the phase's magnitude, at the
     # ends and the middle of the cos range and at one drawn cos
-    scs = data.draw(st.integers(
-        int(SCS_RANGE_HZ[0]),
-        min(int(SCS_RANGE_HZ[1]), carrier // (12 * num_rbs))))
-    freqs = FrequencyGrid(carrier, 12.0 * num_rbs * scs, scs,
-                          num_rbs).rb_center_freqs()
+    freqs = _rb_grid_freqs(num_rbs, carrier, data)
     split = _kernels.phasor_split(
         2.0 * math.pi * spacing / SPEED_OF_LIGHT_M_S, freqs)
     fine = split.fine.size
@@ -130,27 +148,94 @@ def test_split_phasors_stay_within_a_few_ulps_of_exp(num_rbs, carrier,
                   * np.maximum(1.0, np.abs(phase)))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="np.longdouble is no wider than float64")
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, MAX_NUM_ELEMENTS), st.integers(1, MAX_NUM_RBS),
+       st.integers(int(CARRIER_RANGE_HZ[0]), int(CARRIER_RANGE_HZ[1])),
+       st.floats(1e-6, MAX_SPACING_M), st.integers(1, 3), st.data())
+def test_pattern_corr_within_its_bound_of_the_long_double_sum(
+        num_el, num_rbs, carrier, spacing, num_sets, data):
+    # over the accepted ranges of elements, RBs, carrier, spacing and
+    # delays (the delay line's 1 us cap), weight sets with and without
+    # delays and rows naming them: every drawn cell within the bound
+    # derived in pattern_corr's docstring of the long-double sum of the
+    # same inputs; the columns are integer-Hz RB centers, on which the
+    # split's frequencies add up exactly (D = 0)
+    freqs = _rb_grid_freqs(num_rbs, carrier, data)
+    scale = 2.0 * math.pi * spacing / SPEED_OF_LIGHT_M_S
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    phases = rng.uniform(0.0, 2.0 * math.pi, (num_sets, num_el))
+    delays = rng.uniform(0.0, data.draw(st.sampled_from(
+        [0.0, 157.5e-9, MAX_DELAY_S])), (num_sets, num_el))
+    cos_angles = np.concatenate(([1.0, -1.0], rng.uniform(-1.0, 1.0, 2)))
+    sets = rng.integers(0, num_sets, cos_angles.size)
+    split = _kernels.phasor_split(scale, freqs)
+    long = np.longdouble
+    assert np.array_equal(np.add.outer(split.coarse.astype(long),
+                                       split.fine.astype(long)).ravel()
+                          [:num_rbs], freqs.astype(long))
+    got = _kernels.pattern_corr(
+        cos_angles, split, _kernels.pattern_coefficients(split, phases,
+                                                         delays), sets)
+    cols = np.unique(rng.integers(0, num_rbs, 16))
+    largest = max(freqs.max(), split.fine.max())
+    for s in range(num_sets):
+        rows = sets == s
+        want = pattern_corr_longdouble(cos_angles[rows], freqs[cols],
+                                       phases[s], delays[s], scale)
+        bound = pattern_corr_bound(
+            num_el, np.max(phases[s]) + 2.0 * math.pi * largest
+            * np.max(delays[s]), scale * largest)
+        err = np.abs(got[np.ix_(rows, cols)] - want.astype(np.float64))
+        assert np.all(err <= bound), (err.max(), bound)
+
+
+def _doubled(first, count):
+    """``first**0`` to ``first**(count - 1)`` by repeated doubling, each
+    power h + k the product of powers k and h, as the pattern kernel takes
+    them (``_doubling``)."""
+    powers = [np.ones(first.shape, dtype=np.complex128), first]
+    while len(powers) < count:
+        h = len(powers) - 1
+        powers += [p * powers[h] for p in powers[1:h + 1]]
+    return powers[:count]
+
+
 def test_a_non_progression_axis_keeps_the_per_column_phasors():
     # random frequencies take the one-factor form: each column keeps its
-    # own slope, each phasor the bits of cos and sin of its own phase, and
-    # each correlation the bits of the Horner steps on the whole arrays
+    # own frequency and slope, each phasor the bits of cos and sin of its
+    # own phase, and each correlation the bits of the one-factor steps on
+    # the whole arrays: m = i*L + j, the fine powers z**j and the coarse
+    # (z**L)**i by doubling, each cell's (I x L) matrix of its column's
+    # coefficients, zero past M, times its fine powers, then its coarse
+    # powers times that
     rng = np.random.default_rng(31)
     for _ in range(8):
         ca, fr, ph, de, ss, num_el = _random_pattern_inputs(rng)
         split = _kernels.phasor_split(ss, fr)
         assert split.fine.tolist() == [0.0]
-        assert np.array_equal(split.coarse, ss * fr)
+        assert np.array_equal(split.coarse, fr) and split.scale == ss
         arg = ca[:, None] * (ss * fr)
         z = np.empty(arg.shape, dtype=np.complex128)
         np.cos(arg, out=z.real)
         np.sin(arg, out=z.imag)
         assert np.array_equal(_phasors(ca, split), z)
-        coef = _kernels.pattern_coefficients(fr, [ph], [de])
-        acc = np.broadcast_to(coef[-1], z.shape)
-        for m in range(num_el - 2, -1, -1):
-            acc = acc * z + coef[m]
-        assert np.array_equal(_kernels.pattern_corr(ca, split, coef),
-                              np.abs(acc) / num_el)
+        coarse, fine = _kernels.pattern_coefficients(split, [ph], [de])
+        assert coarse.shape == (num_el, 1, fr.size)
+        block = _kernels._root_width(num_el)
+        blocks = -(-num_el // block)
+        assert (blocks - 1) * block < num_el <= blocks * block
+        fine_powers = _doubled(z, block + 1)
+        coarse_powers = _doubled(fine_powers[block], blocks)
+        matrix = np.zeros((fr.size, blocks * block), dtype=np.complex128)
+        matrix[:, :num_el] = coarse[:, 0].T
+        inner = np.matmul(matrix.reshape(fr.size, blocks, block),
+                          np.stack(fine_powers[:block], -1)[..., None])
+        total = np.matmul(np.stack(coarse_powers, -1)[:, :, None, :], inner)
+        assert np.array_equal(
+            _kernels.pattern_corr(ca, split, (coarse, fine)),
+            np.abs(total[:, :, 0, 0]) / num_el)
 
 
 def test_delay_scan_matches_oracle():
@@ -248,6 +333,38 @@ def test_delay_scan_leaves_no_blas_thread_spinning(num_freqs):
         assert _cpu_s() - before < 0.03, num_el
 
 
+@pytest.mark.skipif(_kernels._usable_cpus() < 2,
+                    reason="BLAS runs one thread on one CPU")
+def test_pattern_corr_leaves_no_blas_thread_spinning():
+    # a 1024-RB row of 64 or more elements would take a 32 x M x 32
+    # product that OpenBLAS splits over worker threads, which then spin;
+    # in element blocks below PATTERN_GEMM_TERMS each stays on the calling
+    # thread, so the process is idle while it sleeps after the map, at 16
+    # elements and at 64, 256 and 1024, and after a one-column grid of
+    # 1024 elements whose 4096 rows name 64 sets, the one-factor form's
+    # largest (32 x 32) matrices
+    freqs = _wide_freqs(1024)
+    split = _kernels.phasor_split(SLOPE_SCALE, freqs)
+    assert split.coarse.size * split.fine.size * 64 \
+        >= _kernels.PATTERN_GEMM_TERMS
+    rng = np.random.default_rng(19)
+    cos_angles = np.cos(np.linspace(0.1, 3.0, 61))
+    one_column = _kernels.phasor_split(SLOPE_SCALE, freqs[:1])
+    calls = [(cos_angles, split, num_el, 1, None)
+             for num_el in (16, 64, 256, 1024)]
+    calls.append((np.repeat(np.cos(np.linspace(0.1, 3.0, 64)), 64),
+                  one_column, 1024, 64, np.arange(4096) % 64))
+    time.sleep(0.3)
+    for angles, columns, num_el, num_sets, sets in calls:
+        coef = _kernels.pattern_coefficients(
+            columns, rng.uniform(0.0, 2 * np.pi, (num_sets, num_el)),
+            rng.integers(0, 64, (num_sets, num_el)) * 2.5e-9)
+        _kernels.pattern_corr(angles, columns, coef, sets)
+        before = _cpu_s()
+        time.sleep(0.3)
+        assert _cpu_s() - before < 0.03, (num_el, columns.width)
+
+
 def _rb_freqs(num_rbs, every=1):
     return FrequencyGrid(28e9, 400e6, 120e3, num_rbs).rb_center_freqs()[::every]
 
@@ -279,14 +396,14 @@ def test_pattern_corr_chunks_match_one_unchunked_call(monkeypatch):
     phases = rng.uniform(0.0, 2 * np.pi, 16)
     delays = rng.integers(0, 64, 16) * 2.5e-9
     chunk = 5
+    cells = _kernels._cells_per_angle(16, _kernels.phasor_split(SLOPE_SCALE,
+                                                                freqs))
     cos_angles = np.cos(np.linspace(0.05, np.pi - 0.05, 2 * chunk + 1))
     for count in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         ca = cos_angles[:count]
-        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
-                            count * freqs.size)
+        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", count * cells)
         whole = _corr(ca, freqs, phases, delays, SLOPE_SCALE)
-        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
-                            chunk * freqs.size)
+        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", chunk * cells)
         chunked = _corr(ca, freqs, phases, delays, SLOPE_SCALE)
         assert np.array_equal(chunked, whole), count
 
@@ -295,33 +412,35 @@ def test_pattern_corr_chunks_match_one_unchunked_call(monkeypatch):
 def test_pattern_corr_per_angle_coefficient_rows_equal_one_angle_calls(
         monkeypatch, cpus):
     # each angle names one of S weight sets, whose coefficients each chunk
-    # gathers: full width from sets with delays, one column wide from sets
-    # without any; row a equals angle a's own call with its set's (M, 1, K)
-    # table bit for bit, on grids of several chunks, which the threads
-    # hand out and whose set indices each chunk slices, of one-cell chunks
-    # and of one cell, and at the serving-beam pick's shape, 16 sets of one
-    # column over 8 angles, in one chunk and in chunks of 6 cells
+    # gathers: coarse and fine tables from sets with delays, one column
+    # wide coarse tables and a shared fine one from sets without any; row a
+    # equals angle a's own call with its set's (M, 1, ·) tables bit for
+    # bit, on grids of several chunks, which the threads hand out and
+    # whose set indices each chunk slices, of one-cell chunks and of one
+    # cell, and at the serving-beam pick's shape, 16 sets of one column
+    # over 8 angles, in one chunk and in chunks of 6 cells
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(17)
     for num_sets, num_freqs, num_angles, chunk_rows in (
             (3, 24, 10, 3), (3, 24, 9, 9), (3, 1, 7, 1), (3, 1, 1, 1),
             (3, 264, 8, 124), (16, 1, 8, 8), (16, 1, 8, 6)):
-        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
-                            chunk_rows * num_freqs)
         freqs = _rb_freqs(num_freqs)
         split = _kernels.phasor_split(SLOPE_SCALE, freqs)
+        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
+                            chunk_rows * _kernels._cells_per_angle(16, split))
         cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
         phases = rng.uniform(0.0, 2 * np.pi, (num_sets, 16))
         serving = rng.integers(0, num_sets, num_angles)
         for delays in (rng.integers(0, 64, (num_sets, 16)) * 2.5e-9,
                        np.zeros((num_sets, 16))):
-            tables = _kernels.pattern_coefficients(freqs, phases, delays)
-            assert tables.shape[2] == (num_freqs if delays.any() else 1)
+            tables = _kernels.pattern_coefficients(split, phases, delays)
+            assert tables[0].shape[2] == (split.coarse.size if delays.any()
+                                          else 1)
             rows = _kernels.pattern_corr(cos_angles, split, tables, serving)
             assert rows.shape == (num_angles, num_freqs)
             for a, s in enumerate(serving.tolist()):
-                own = np.ascontiguousarray(np.broadcast_to(
-                    tables[:, s:s + 1], (16, 1, num_freqs)))
+                own = tuple(np.ascontiguousarray(t[:, s:s + 1])
+                            if t.shape[1] > 1 else t for t in tables)
                 want = _kernels.pattern_corr(cos_angles[a:a + 1], split, own)
                 assert np.array_equal(rows[a], want[0]), (num_freqs,
                                                           num_angles, a)
@@ -351,11 +470,11 @@ def _threaded_and_serial(monkeypatch, cpus, args):
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
     # 2, 3, 7 and 8 chunks, the last one partial, one-row and one-cell
-    # chunks, rows that name their weight sets, 264-column chunks of 112 rows
-    # (7 whole 16-row tiles), and one chunk, which starts no thread: every
-    # cell equals the one-thread run's, with one thread per CPU up to one
-    # per chunk, the calling thread included; a short switch interval makes
-    # the threads interleave their hand-outs
+    # chunks, rows that name their weight sets, 264-column chunks of 112
+    # rows, and one chunk, which starts no thread: every cell equals the
+    # one-thread run's, with one thread per CPU up to one per chunk, the
+    # calling thread included; a short switch interval makes the threads
+    # interleave their hand-outs
     rng = np.random.default_rng(13)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -364,8 +483,6 @@ def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
                 (1, 24, 10, 5), (1, 24, 11, 5), (2, 12, 33, 5),
                 (1, 24, 7, 1), (3, 1, 9, 1), (1, 1, 5, 1),
                 (1, 264, 800, 112), (1, 264, 8, 124)):
-            monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS",
-                                chunk_rows * num_freqs)
             freqs = _rb_freqs(num_freqs)
             args = _kernel_args(
                 np.cos(rng.uniform(0.0, np.pi, num_angles)), freqs,
@@ -373,6 +490,9 @@ def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
                 rng.integers(0, 64, (num_sets, 16)) * 2.5e-9, SLOPE_SCALE,
                 rng.integers(0, num_sets, num_angles) if num_sets > 1
                 else None)
+            monkeypatch.setattr(
+                _kernels, "PATTERN_CHUNK_CELLS",
+                chunk_rows * _kernels._cells_per_angle(16, args[1]))
             threaded, serial, count = _threaded_and_serial(monkeypatch,
                                                            cpus, args)
             chunks = -(-num_angles // chunk_rows)
@@ -386,7 +506,7 @@ def test_threaded_pattern_corr_equals_one_thread(monkeypatch, cpus):
 def test_pattern_corr_raises_a_worker_thread_error(monkeypatch):
     # a chunk that fails on another thread fails the call, once every
     # thread has ended
-    horner = _kernels._horner_chunk
+    factor_chunk = _kernels._factor_chunk
     failed = threading.Event()
 
     def chunk(cos_chunk, *args):
@@ -394,9 +514,9 @@ def test_pattern_corr_raises_a_worker_thread_error(monkeypatch):
             failed.set()
             raise FloatingPointError("chunk failed")
         failed.wait(5.0)  # the calling thread waits for a worker's chunk
-        horner(cos_chunk, *args)
+        factor_chunk(cos_chunk, *args)
 
-    monkeypatch.setattr(_kernels, "_horner_chunk", chunk)
+    monkeypatch.setattr(_kernels, "_factor_chunk", chunk)
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", 24)
     with pytest.raises(FloatingPointError, match="chunk failed"):
@@ -415,39 +535,69 @@ def _wide_freqs(num_freqs):
 @pytest.mark.parametrize("num_freqs", [1, 24, 263, 264, 1024])
 def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
                                                        num_freqs):
-    # at the kernel's own chunk size a shared (M, 1, K) table of K > 1
-    # columns is added from a tile of T rows, T*K just past
-    # PATTERN_TILE_RUN, with chunks of whole tiles: every row equals its
-    # one-angle call, whose one row is added by broadcast, bit for bit, at
-    # angle counts around a tile, a chunk and two chunks with a short last
-    # one; one column is added untiled, as a scalar. At 263 columns, which
-    # have no divisor from sqrt(K) to 2*sqrt(K), the phasors' last run of
-    # fine phasors is short
+    # (named for the tiled coefficient add of the Horner kernel this one
+    # replaced) at the kernel's own chunk size, every row of a shared
+    # table's map equals its one-angle call bit for bit, at angle counts
+    # around one, a chunk and two chunks with a short last one (up to 300
+    # angles at one column, a chunk of thousands), at 1 to 64 elements:
+    # whole stacked products against one-row ones, products in two element
+    # blocks (64 elements at 1024 columns), doubling trees over every power
+    # depth up to 63, and the one-factor products at one column, 5 elements
+    # there taking 3 blocks of 2, the last padded with a zero. At 263
+    # columns, which have no divisor from sqrt(K) to 2*sqrt(K), the last run
+    # of fine columns is short and its products past K are dropped
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(23 + num_freqs)
     freqs = _wide_freqs(num_freqs)
     split = _kernels.phasor_split(SLOPE_SCALE, freqs)
-    tile = _kernels._tile_rows(num_freqs)
-    chunk = _kernels.PATTERN_CHUNK_CELLS // num_freqs
-    if num_freqs > 1:
-        assert tile * num_freqs > _kernels.PATTERN_TILE_RUN
-        assert tile * num_freqs * 16 < 128 * 1024
-        chunk -= chunk % tile
-    counts = {1, tile - 1, tile, tile + 1, chunk - 1, chunk, chunk + 1,
-              2 * chunk + tile + 1}
-    if num_freqs == 1:
-        counts = {1, 2, 7, 300}
-    for num_el in (1, 2, 16, 64):
+    assert split.coarse.size * split.fine.size >= num_freqs
+    assert (split.coarse.size * split.fine.size > num_freqs) \
+        == (num_freqs == 263)
+    assert (_kernels._gemm_block(split) < 64) == (num_freqs == 1024)
+    assert _kernels._element_blocks(5) == (3, 2)
+    for num_el in (1, 2, 5, 16, 64):
         coef = _kernels.pattern_coefficients(
-            freqs, rng.uniform(0.0, 2 * np.pi, (1, num_el)),
+            split, rng.uniform(0.0, 2 * np.pi, (1, num_el)),
             rng.integers(0, 64, (1, num_el)) * 2.5e-9)
-        assert coef.shape == (num_el, 1, num_freqs)
-        for count in sorted(counts):
+        assert coef[0].shape == (num_el, 1, split.coarse.size)
+        chunk = _kernels.PATTERN_CHUNK_CELLS // _kernels._cells_per_angle(
+            num_el, split)
+        counts = {1, 2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3}
+        if num_freqs == 1:
+            counts = {1, 2, 7, 300}
+        for count in sorted(c for c in counts if c > 0):
             cos_angles = np.cos(rng.uniform(0.0, np.pi, count))
             rows = _kernels.pattern_corr(cos_angles, split, coef)
             for a in range(count):
                 want = _kernels.pattern_corr(cos_angles[a:a + 1], split, coef)
                 assert np.array_equal(rows[a], want[0]), (num_el, count, a)
+
+
+@pytest.mark.parametrize("num_freqs,short", [
+    (4, 0), (5, 1), (6, 0), (7, 1), (17, 3), (263, 9), (1021, 2)])
+def test_pattern_corr_short_last_run_matches_oracle_and_one_angle_rows(
+        num_freqs, short):
+    # a column count with no divisor from isqrt(K) to 2*isqrt(K), 5, 7, 17,
+    # 263 or 1021, takes a last run of fine columns ``short`` columns short,
+    # whose products past K are dropped; 4 and 6 split into whole runs.
+    # Every cell matches the plain loop, and every row its one-angle call
+    # bit for bit, with delays and without
+    freqs = _wide_freqs(num_freqs)
+    split = _kernels.phasor_split(SLOPE_SCALE, freqs)
+    assert split.fine.size > 1
+    assert split.coarse.size * split.fine.size - num_freqs == short
+    rng = np.random.default_rng(41 + num_freqs)
+    cos_angles = np.cos(np.linspace(0.1, np.pi - 0.1, 7))
+    phases = rng.uniform(0.0, 2 * np.pi, 16)
+    for delays in (rng.integers(0, 64, 16) * 2.5e-9, np.zeros(16)):
+        got = _corr(cos_angles, freqs, phases, delays, SLOPE_SCALE)
+        np.testing.assert_allclose(
+            got, pattern_corr_py(cos_angles, freqs, phases, delays,
+                                 SLOPE_SCALE), rtol=0, atol=1e-12)
+        for a in range(cos_angles.size):
+            assert np.array_equal(
+                got[a], _corr(cos_angles[a:a + 1], freqs, phases, delays,
+                              SLOPE_SCALE)[0]), a
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -469,13 +619,14 @@ def test_table_gain_db_equals_the_whole_map_db(monkeypatch, cpus):
         delays = rng.integers(0, 64, (sets, 16)) * 2.5e-9 * delayed
         split = _kernels.phasor_split(SLOPE_SCALE, freqs)
         coef = _kernels.pattern_coefficients(
-            freqs, rng.uniform(0.0, 2 * np.pi, (sets, 16)), delays)
+            split, rng.uniform(0.0, 2 * np.pi, (sets, 16)), delays)
         cos_angles = np.cos(rng.uniform(0.0, np.pi, num_angles))
         # a uniform weight set's null at the first column: -80 dB floor
         cos_angles[0] = 2 * np.pi / (16 * (SLOPE_SCALE * freqs[0]))
         rows = np.arange(num_angles) if per_angle else None
         if not per_angle:
-            coef[:, 0, :] = 1.0
+            for table in coef:
+                table[:, 0, :] = 1.0
         want = _kernels.pattern_corr(cos_angles, split, coef, rows)
         if not per_angle:
             assert want[0, 0] < CORRELATION_FLOOR
@@ -544,7 +695,9 @@ def test_pattern_corr_never_exceeds_one():
         assert np.all(corr <= 1.0 + 1e-12)
 
 
-def test_pattern_corr_single_element_runs_no_horner_step():
+def test_pattern_corr_single_element_takes_no_power_product():
+    # one element: the power tables hold only the zeroth power, 1, and each
+    # correlation is the magnitude of the element's coefficient
     rng = np.random.default_rng(10)
     cos_angles = np.cos(np.linspace(0.1, 3.0, 7))
     freqs = _rb_freqs(24)
@@ -558,16 +711,31 @@ def test_pattern_corr_single_element_runs_no_horner_step():
         rtol=0, atol=1e-15)
 
 
+def _exp_neg_j_long(arg):
+    """``exp(-j*arg)`` of a long-double array in long double."""
+    return np.cos(arg) - 1j * np.sin(arg)
+
+
 def test_zero_delay_coefficients_equal_the_per_column_table():
     # an element whose argument is the same at every frequency under its
-    # set (a zero delay) gets the same exponential in every column: a PAA
-    # beam (no delay), four of them in one pass, a set with some zero
-    # delays, and three sets in one pass, where a zero delay under each
-    # set's own phase is constant per set; every table equals the per-set,
-    # per-column one bit for bit, one column standing for all where no set
-    # has a delay
+    # set (a zero delay) gets the same exponential in every coarse column
+    # and a fine one of exactly 1: a PAA beam (no delay), four of them in
+    # one pass, a set with some zero delays, and three sets in one pass,
+    # where a zero delay under each set's own phase is constant per set.
+    # Where no set has a delay one coarse column stands for all, bit for
+    # bit, and the fine table is one shared column of ones. With delays,
+    # each coarse entry lies within 8u(1 + A/512) of exp(-j(phi + 2*pi*f_q*
+    # tau)), A its argument's size, each fine one of exp(-j*2*pi*g_r*tau),
+    # and their product at column q*B + r within 8u(2 + A/512) of that
+    # column's coefficient, exact values taken in long double where it has
+    # a 64-bit mantissa: about the 2**-64 rounding of the long-double
+    # arguments, against 1.8e-12 at 2.8e4 rad for a float64 argument
     rng = np.random.default_rng(13)
     freqs = _rb_freqs(264)
+    split = _kernels.phasor_split(SLOPE_SCALE, freqs)
+    runs, step = split.coarse.size, split.fine.size
+    assert (runs, step) == (12, 22)
+    unit = 2.0 ** -53
     mixed = np.where(rng.random(16) < 0.5, 0,
                      rng.integers(1, 64, 16)) * 2.5e-9
     sets_delays = np.where(rng.random((3, 16)) < 0.5, 0,
@@ -578,18 +746,35 @@ def test_zero_delay_coefficients_equal_the_per_column_table():
             (rng.uniform(0.0, 2 * np.pi, (4, 16)), np.zeros((4, 16))),
             (rng.uniform(0.0, 2 * np.pi, (1, 16)), mixed[None]),
             (rng.uniform(0.0, 2 * np.pi, (3, 16)), sets_delays)):
-        args = [p + _kernels.TWO_PI * freqs[:, None] * d
-                for p, d in zip(phases, delays)]
-        constant = sum(np.sum(np.all(a == a[:1], axis=0)) for a in args)
-        assert constant == np.sum(delays == 0) > 0
-        got = _kernels.pattern_coefficients(freqs, phases, delays)
-        want = np.stack([np.exp(-1j * a).T for a in args], axis=1)
-        assert got.flags.c_contiguous
-        # sets without any delay take a one-column table
-        width = 264 if delays.any() else 1
-        assert got.shape == (16, len(phases), width)
-        assert want.shape == (16, len(phases), 264)
-        assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes()
+        coarse, fine = _kernels.pattern_coefficients(split, phases, delays)
+        assert coarse.flags.c_contiguous and fine.flags.c_contiguous
+        if not delays.any():
+            want = np.stack([np.exp(-1j * np.broadcast_to(p[:, None], (
+                16, 264))) for p in phases], axis=1)
+            assert coarse.shape == (16, len(phases), 1)
+            assert np.broadcast_to(coarse, want.shape).tobytes() \
+                == want.tobytes()
+            assert fine.shape == (16, 1, 1) and np.all(fine == 1.0)
+            continue
+        assert coarse.shape == (16, len(phases), runs)
+        assert fine.shape == (16, len(phases), step)
+        still = delays.T == 0.0
+        assert np.all(coarse[still] == coarse[still][:, :1])
+        assert np.all(fine[still] == 1.0)
+        if np.finfo(np.longdouble).nmant < 63:
+            continue
+        long = np.longdouble
+        turn = long(_kernels.TWO_PI) * delays.T.astype(long)[:, :, None]
+        phase = phases.T.astype(long)[:, :, None]
+        args = [phase * (f is not split.fine) + turn * f.astype(long)
+                for f in (split.coarse, split.fine, freqs)]
+        # the long-double arguments' own rounding grows with their size
+        slack = [8 * unit * (n + float(np.abs(a).max()) / 512)
+                 for n, a in zip((1, 1, 2), args)]
+        product = (coarse[:, :, :, None] * fine[:, :, None, :]).reshape(
+            16, len(phases), 264)
+        for table, arg, bound in zip((coarse, fine, product), args, slack):
+            assert np.abs(table - _exp_neg_j_long(arg)).max() <= bound
 
 
 def _rate_inputs(rng, levels, distinct_betas):

@@ -262,14 +262,14 @@ def test_sweep_pattern_kernel_cells(monkeypatch):
 
 def test_paa_coefficient_tables_hold_each_beam_once(monkeypatch):
     # the carrier pick names a beam per (UE, beam) row and the gain rows a
-    # serving beam per UE; each call's coefficient table holds one
+    # serving beam per UE; each call's coarse coefficient table holds one
     # one-column row per beam of the codebook, (M, beams, 1), never one per
     # row
     calls = []
     real = _kernels.pattern_corr
 
     def spy(cos_angles, split, coef, sets=None, db=None):
-        calls.append((coef.shape, len(sets), cos_angles.size))
+        calls.append((coef[0].shape, len(sets), cos_angles.size))
         return real(cos_angles, split, coef, sets, db)
 
     monkeypatch.setattr(_kernels, "pattern_corr", spy)
