@@ -78,7 +78,7 @@ from oracles import (  # noqa: E402
     pattern_corr_longdouble,
     pattern_corr_py,
     rate_scan_py,
-    snr_rows,
+    snr_factors,
     write_pattern_rows_py,
 )
 
@@ -202,8 +202,8 @@ def _rate_args(users: int, rings: int):
 
 
 def _rate_scan_per_ring(link_db, gain_db, noise_db, *args):
-    rows = snr_rows(link_db, gain_db, noise_db)
-    return [rate_scan_py(row, *args) for user in rows for row in user]
+    link, rows = snr_factors(link_db, gain_db, noise_db)
+    return [rate_scan_py(g, row, *args) for row in rows for g in link]
 
 
 def _recorded_args(name, cfg, dep, lm, module=sysim):

@@ -34,13 +34,15 @@ Three loops dominate the toolkit's numerical run time:
   rate order built once per MCS ladder and share width. The interval also
   caps each candidate's rate, so the EESM runs in two stages: each pair's
   candidate of the largest cap first, then only the others whose cap
-  reaches that exact rate. Each evaluated candidate builds its own SNR row
-  in the EESM's chunk loop, read there in place, and one ``reduceat`` per
-  chunk, each row led by a zero, sums every row with the bits of its own
-  ``np.mean``. A candidate's MCS is decided with its linear effective SNR
-  (``_eesm_linear``), and a winner reports ``10 * log10`` of that very
-  value; an outage reports the EESM of its most concentrated allowed grant
-  from the same stage. On the
+  reaches that exact rate. The SNR rows are the products G*s of each
+  ring's link gain and each user's sorted gain/noise row, both built once
+  per scan; an evaluated candidate's EESM terms are ``exp((w - s[k]) *
+  (G/(n*beta)))``, ``w = s[n-1]`` its weakest, gathered in the EESM's
+  chunk loop, and one ``reduceat`` per chunk, each row led by a zero, sums
+  every row with the bits of its own ``np.mean``. A candidate's MCS is
+  decided with its linear effective SNR (``_eesm_linear``), and a winner
+  reports ``10 * log10`` of that very value; an outage reports the EESM of
+  its most concentrated allowed grant from the same stage. On the
   criterion-4 deployment at 160 rings the EESM runs for 0.6-1.0% of the
   (user, ring, RB count) candidates, at 1.3 times the terms of the winners
   alone.
@@ -605,17 +607,20 @@ def delay_scan(slopes, twiddles, num_elements):
 # a few hundred terms (about 1e-13 of either)
 _BOUND_REL = 1e-6
 
-# further relative slack on both bounds for evaluating them as a ring's link
-# gain times a per-user row and comparing them in link-gain space: that
-# factorisation rounds by about 1e-14 relative
+# further relative slack on both bounds for evaluating them in link-gain
+# space: the envelope's lower bound is ``s[n-1]/n`` times G where the EESM
+# stage's ``v_min`` is ``(G/n) * s[n-1]``, and its upper bound
+# ``cumsum(s)[n-1]/n**2`` times G where bounds on the rows themselves take
+# the cumulative sum of ``G * s``; each order rounds by a few ulps
 _FACTOR_REL = 1e-10
 
 # SNR and EESM terms per chunk of the rate scan, in which each candidate
-# builds its own SNR row: a chunk's temporaries stay near cache size, and
+# gathers its own terms: a chunk's temporaries stay near cache size, and
 # nothing but the per-candidate results grows with the rings. At 1 << 15
 # (256 KB arrays) a warm pass over a sweep's EESM calls faulted about 165
 # pages back in each time; at 1 << 14 it faults none and is no slower
 EESM_CHUNK_TERMS = 1 << 14
+
 
 # the base of ``pow10``'s chunks, as numpy runs ``np.power`` in its vector
 # loop for an array base only; 32 KB, as a resident 256 KB base cost every
@@ -634,18 +639,6 @@ def pow10(x, out=None):
         hi = lo + _TENS.size
         np.power(_TENS[:flat.size - lo], flat[lo:hi], out=dest[lo:hi])
     return out
-
-
-def snr_unsplit(link_db, gain_db, noise_db, out=None):
-    """Per-RB linear SNR with the whole transmit power on one RB,
-    ``10 ** (((link_db + gain_db) - noise_db) / 10)`` elementwise in that
-    order of operations: every SNR term of the rate search is computed this
-    way, so a term does not depend on which candidates are evaluated.
-    ``out`` may be either input array, to compute in place."""
-    snr = np.add(link_db, gain_db, out=out)
-    snr -= noise_db
-    snr /= 10.0
-    return pow10(snr, out=snr)
 
 
 def _eesm_linear(v_min, means, betas):
@@ -683,13 +676,15 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     Row u of ``gain_db_desc`` (shape ``(users, RBs)``) holds user u's per-RB
     gain in dB sorted descending, and ``link_db`` (shape ``(rings,)``) each
     ring's transmit power plus path gain in dB. Pair (u, r) sees the per-RB
-    linear SNR ``snr_unsplit(link_db[r], gain_db_desc[u], noise_db)`` with
-    the full power on one RB; splitting power over ``n`` RBs divides it by
-    ``n``. For every ``n`` in ``[min_rbs, RBs]`` the EESM effective SNR of
-    the best ``n`` RBs is computed per distinct EESM beta, the highest
-    feasible MCS is found, and candidates are ranked by throughput
-    ``se * n``, then higher MCS, then fewer RBs. ``thr_lin`` and ``se`` must
-    be strictly increasing, as ``McsTable`` ensures.
+    linear SNR ``G[r] * s[u]`` with the full power on one RB, the ring's
+    link gain ``G = 10**(link_db/10)`` times the user's gain over noise ``s
+    = 10**((gain_db_desc - noise_db)/10)``, both built once per call;
+    splitting power over ``n`` RBs divides it by ``n``. For every ``n`` in
+    ``[min_rbs, RBs]`` the EESM effective SNR of the best ``n`` RBs is
+    computed per distinct EESM beta, the highest feasible MCS is found, and
+    candidates are ranked by throughput ``se * n``, then higher MCS, then
+    fewer RBs. ``thr_lin`` and ``se`` must be strictly increasing, as
+    ``McsTable`` ensures.
 
     Candidates that cannot win are pruned before any exponential is taken,
     by the bounds of ``_envelope_candidates``, which also give each live
@@ -701,10 +696,10 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     exact rate below ``r1``, so it can neither win nor tie.
 
     Every pair is decided exactly as a one-user, one-ring call would decide
-    it: each SNR term comes from ``snr_unsplit`` of the same values, the
-    EESM means are the same 1-D ``np.mean`` reductions, and the winner's
-    effective SNR is ``10 * log10`` of the very value its MCS was decided
-    with.
+    it: each candidate's EESM takes only its own ring's ``G`` and its
+    user's row ``s`` (``_eesm_stage``), the EESM means are the same 1-D
+    ``np.mean`` reductions, and the winner's effective SNR is ``10 *
+    log10`` of the very value its MCS was decided with.
 
     Returns arrays ``(best_n, best_mcs, best_eff_db, best_se_n)`` of shape
     ``(users, rings)``. Where nothing is feasible, an outage, ``best_mcs``
@@ -718,10 +713,11 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
     best_mcs = np.full(ues * rings, -1, dtype=np.int64)
     best_eff = np.zeros(ues * rings)
     best_rate = np.zeros(ues * rings)
+    link = pow10(link_db / 10.0)
+    row = pow10((gain_db_desc - noise_db) / 10.0)
     if total >= min_rbs and best_n.size:
         live_u, live_r, live_n, live_i = _envelope_candidates(
-            link_db, gain_db_desc, noise_db, min_rbs, thr_lin, se,
-            unique_betas.max())
+            link, row, min_rbs, thr_lin, se, unique_betas.max())
         pair = live_u * rings + live_r
         bound = se[live_i] * live_n
         # exact decisions of the evaluated candidates, each MCS with its
@@ -732,8 +728,8 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
 
         def evaluate(c):
             mcs[c], eff[c] = _highest_feasible_mcs(
-                *_eesm_stage(link_db, gain_db_desc, noise_db, live_u[c],
-                             live_r[c], live_n[c], unique_betas),
+                *_eesm_stage(link, row, live_u[c], live_r[c], live_n[c],
+                             unique_betas),
                 thr_lin, unique_betas, beta_idx)
 
         # stage 1, each pair's largest bound, and stage 2, the rest whose
@@ -760,8 +756,7 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
         best_eff[cell] = 10.0 * np.log10(eff[c])
     out = np.flatnonzero(best_mcs < 0)
     beta0 = unique_betas[beta_idx[:1]]
-    v_min, means = _eesm_stage(link_db, gain_db_desc, noise_db, out // rings,
-                               out % rings,
+    v_min, means = _eesm_stage(link, row, out // rings, out % rings,
                                np.full(out.size, min(min_rbs, total)), beta0)
     best_eff[out] = eesm_snr_db(v_min, means[0], beta0)
     shape = (ues, rings)
@@ -769,19 +764,18 @@ def rate_scan_batch(link_db, gain_db_desc, noise_db, thr_lin, se,
             best_eff.reshape(shape), best_rate.reshape(shape))
 
 
-def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
-                         se, max_beta):
+def _envelope_candidates(link, row, min_rbs, thr_lin, se, max_beta):
     """Candidates ``(user, ring, n)`` that may still win or tie, with each
     one's upper-bound MCS ``i``, as four index arrays ordered by user, MCS
     and n; n runs over ``[min_rbs, RBs]``.
 
     For the split SNRs ``g`` of the best n RBs, every beta's effective SNR
     lies between ``min(g)`` (each shifted EESM term is at most 1) and
-    ``mean(g)`` (Jensen's inequality). For one user the SNR rows factor, up
-    to rounding, as ``G * s``: ``G = 10**(link_db/10)`` is the ring's link
-    gain and ``s`` the user's sorted per-RB gain/noise row. So both bounds
-    scale with G, ``G * a_n`` with ``a_n = s[n-1]/n`` and ``G * b_n`` with
-    ``b_n = cumsum(s)[n-1]/n**2``, and per (n, MCS i) they meet the
+    ``mean(g)`` (Jensen's inequality). For one user the SNR rows are ``G *
+    s``: ``link`` holds each ring's link gain G and row u of ``row`` user
+    u's sorted per-RB gain/noise s, as ``rate_scan_batch`` builds them. So
+    both bounds scale with G, ``G * a_n`` with ``a_n = s[n-1]/n`` and ``G *
+    b_n`` with ``b_n = cumsum(s)[n-1]/n**2``, and per (n, MCS i) they meet the
     threshold from one G on: ``reach`` for the lower bound, ``meet`` for the
     upper one.
 
@@ -802,18 +796,16 @@ def _envelope_candidates(link_db, gain_db_desc, noise_db, min_rbs, thr_lin,
     also by ``_BOUND_REL`` times the largest beta. That covers the rounding
     of the cumulative sum and of the effective SNR, whose error near equal
     SNRs is absolute in beta (the rounding of ``beta * log(mean)`` with
-    ``mean`` near 1). They are widened by ``_FACTOR_REL`` more for the
-    factorisation, so the live set holds every candidate that bounds on the
-    SNR rows themselves keep. Cost: O(users * RBs * MCS) plus the live
-    count, whatever the number of rings.
+    ``mean`` near 1). They are widened by ``_FACTOR_REL`` more for the order
+    of the products, so the live set holds every candidate that bounds on
+    the SNR rows ``G * s`` themselves keep. Cost: O(users * RBs * MCS) plus
+    the live count, whatever the number of rings.
     """
-    ues, total = gain_db_desc.shape
+    ues, total = row.shape
     levels = thr_lin.size
     counts = np.arange(min_rbs, total + 1)
-    link = pow10(link_db / 10.0)
     ring_order = np.argsort(link)
     link_sorted = link[ring_order]
-    row = snr_unsplit(0.0, gain_db_desc, noise_db)
     low = row[:, counts - 1] / counts
     low *= (1.0 - _BOUND_REL) * (1.0 - _FACTOR_REL)
     high = np.cumsum(row, axis=1)[:, counts - 1]
@@ -897,45 +889,76 @@ def _chunks(sizes):
     return zip([0] + cuts, cuts + [sizes.size]) if sizes.size else ()
 
 
-def _eesm_stage(link_db, gain_db_desc, noise_db, user, ring, live_n,
-                unique_betas):
+def _eesm_stage(link, row, user, ring, live_n, unique_betas):
     """Weakest split SNR ``v_min`` of each candidate ``(user, ring, n)``,
     shape ``(candidates,)``, and its shifted EESM mean ``mean(exp((v_min -
     v) / beta))`` over its best n RBs ``v`` split over n, for every beta,
-    shape ``(betas, candidates)``, in any candidate order.
+    shape ``(betas, candidates)``, in any candidate order. ``link`` holds
+    each ring's link gain G and ``row`` each user's sorted gain/noise s, as
+    ``rate_scan_batch`` builds them once per scan.
 
-    Each candidate builds its own SNR row, its user's best n gains by
-    ``snr_unsplit`` at its ring, inside the chunk loop of ``_chunks``: the
-    rows lie end to end, and the EESM reads them in place. One
-    ``np.add.reduceat`` per chunk sums every row. ``reduceat`` returns a
-    segment's first entry plus the pairwise sum of the rest, where
-    ``np.mean`` takes the pairwise sum of the whole row. So each row is led
-    by one slot that holds an exact 0.0 when the sum is taken: every EESM
-    term lies in [0, 1], ``0.0 + pairwise(row)`` is the pairwise sum
-    itself, and divided by n it is the bits of ``np.mean`` of that row.
+    The split SNRs are ``scale * s[k]`` with ``scale = G/n``, so with the
+    weakest ``w = s[n-1]`` a candidate's ``v_min`` is ``scale * w`` and its
+    terms are ``exp((w - s[k]) * (scale/beta))``: per term one gather of s,
+    one subtract, one product and one ``exp``, inside the chunk loop of
+    ``_chunks``, with nothing per term that depends on another candidate.
+    Each candidate's terms lie end to end, and one ``np.add.reduceat`` per
+    chunk sums them. ``reduceat`` returns a segment's first entry plus the
+    pairwise sum of the rest, where ``np.mean`` takes the pairwise sum of
+    the whole row. So each row is led by one slot that holds an exact 0.0
+    when the sum is taken: every EESM term lies in [0, 1], ``0.0 +
+    pairwise(row)`` is the pairwise sum itself, and divided by n it is the
+    bits of ``np.mean`` of that row.
+
+    Error against the exact values of the same float64 ``link_db``, ``gain_db``
+    and ``noise_db`` (``G* = 10**(link_db/10)``, ``s*``, ``v* = G* s*[n-1]/n``
+    and the mean of ``t*_k = exp(a*_k)``, ``a*_k = (s*[n-1] - s*[k]) G*/(n
+    beta) <= 0``), with u = 2**-53, ``pow10`` (the bits of ``np.power``) within
+    ``p`` ulp and ``np.exp`` within ``e`` ulp (relative 2p*u and 2e*u; measured
+    0.70 and 0.73 ulp). The exponent ``link_db/10`` rounds once and ``(gain_db
+    - noise_db)/10`` twice, and ``10**x`` turns an error ``dx`` into the
+    relative ``exp(ln(10)*|dx|) - 1``: G errs by relative ``eG <=
+    exp(ln(10)*|x_G|*u)*(1 + 2p*u) - 1``, and s[k] by ``es_k <=
+    exp(ln(10)*|x_k|*(2u + u*u))*(1 + 2p*u) - 1``. ``scale`` and ``v_min``
+    round once each, so ``|v_min - v*| <= v* * ((1 + eG)*(1 + es_w)*(1 + u)**2
+    - 1)``.
+
+    A term's exponent: ``w - s[k]`` carries the errors of both values,
+    ``es_w*w* + es_k*s*_k``, and rounds once; its factor ``scale/beta`` takes
+    G's error and two roundings, ``G/n`` and ``/beta``, and the product one
+    more. So ``|a_k - a*_k| <= da_k = (|a*_k| + c*(es_w*w* + es_k*s*_k))*(1 +
+    eG)*(1 + u)**4 - |a*_k|``, ``c = G*/(n beta)``: the part in ``es`` is
+    absolute in the exponent and grows with the SNR over beta, while the rest,
+    relative to ``a*_k``, is large only where ``t*_k = exp(a*_k)`` is small. As
+    ``exp`` is increasing and convex, ``|t_k - t*_k| <= dt_k = exp(a*_k +
+    da_k)*(1 + 2e*u) - t*_k``. The weakest RB's term is ``exp(0) = 1`` exactly,
+    so the sum ``S* = sum t*_k`` is at least 1. numpy's pairwise sum of the
+    computed terms, all non-negative, rounds ``D`` times along its deepest path
+    (``D`` from n: 8 interleaved partial sums up to 128 terms, then halving),
+    the zero slot adds nothing and the division by n rounds once: ``|mean -
+    S*/n| <= ((E + ((1 + u)**D - 1)*(S* + E))*(1 + u) + u*S*)/n`` with ``E =
+    sum dt_k`` (``tests/oracles.py::eesm_stage_bound``).
     """
     split = live_n.astype(np.float64)
-    v_min = np.empty(live_n.size)
+    scale = link[ring] / split
+    weakest = row[user, live_n - 1]
+    v_min = scale * weakest
+    factor = scale / unique_betas[:, None]
     means = np.empty((unique_betas.size, live_n.size))
     for lo, hi in _chunks(live_n + 1):
         n = live_n[lo:hi]
         seg = n + 1
         head = np.cumsum(seg) - seg
-        # indices of each candidate's slot and best n RBs in the gain rows,
-        # end to end; the slot reads the strongest RB, so its term is finite
-        where = np.repeat(user[lo:hi] * gain_db_desc.shape[1] - head - 1, seg)
+        # indices of each candidate's slot and best n RBs in the rows, end
+        # to end; the slot reads the strongest RB, so its term is finite
+        where = np.repeat(user[lo:hi] * row.shape[1] - head - 1, seg)
         where += np.arange(where.size)
         where[head] += 1
-        terms = np.take(gain_db_desc, where, mode="clip")  # in range
+        terms = np.take(row, where, mode="clip")  # in range
         del where
-        snr_unsplit(np.repeat(link_db[ring[lo:hi]], seg), terms, noise_db,
-                    out=terms)
-        # the weakest of the best n RBs after the split, then the shifted
-        # EESM terms, stable for large SNR
-        np.divide(terms[head + n], split[lo:hi], out=v_min[lo:hi])
-        terms /= np.repeat(split[lo:hi], seg)
-        np.subtract(np.repeat(v_min[lo:hi], seg), terms, out=terms)
-        terms = terms / unique_betas[:, None]
+        # the shifted EESM terms, exp of at most 0, stable for large SNR
+        np.subtract(np.repeat(weakest[lo:hi], seg), terms, out=terms)
+        terms = terms * np.repeat(factor[:, lo:hi], seg, axis=1)
         np.exp(terms, out=terms)
         terms[:, head] = 0.0
         np.add.reduceat(terms, head, axis=1, out=means[:, lo:hi])

@@ -280,8 +280,8 @@ def serving_gain_db(cfg: ArrayConfig, weight_sets, serving, cos_angles,
     """Gain in dB, shape (angles, freqs): row a is the gain of
     ``weight_sets[serving[a]]`` toward the axis angle of cosine
     ``cos_angles[a]``, bit for bit its one-angle ``pattern_map`` row at
-    ``freqs``. Each ``serving`` index must name a set: negative ones are
-    rejected too.
+    ``freqs``. ``serving`` must hold one index per angle, and each must
+    name a set: negative ones are rejected too.
 
     One ``_kernels.pattern_corr`` call: the coefficient tables of every set
     are built in one ``_kernels.pattern_coefficients`` pass, one column
@@ -293,6 +293,10 @@ def serving_gain_db(cfg: ArrayConfig, weight_sets, serving, cos_angles,
         if w.num_elements != cfg.num_elements:
             raise ValueError("weights length does not match cfg.num_elements")
     serving = np.asarray(serving)
+    if serving.shape != np.shape(cos_angles):
+        raise ValueError("serving must hold one index per angle, got shape "
+                         "%s for angles of shape %s"
+                         % (serving.shape, np.shape(cos_angles)))
     bad = serving[(serving < 0) | (serving >= len(weight_sets))]
     if bad.size:
         raise ValueError("serving indices must lie in [0, %d), got %d"

@@ -139,19 +139,12 @@ def delay_scan_py(slopes, freqs, taus, num_elements):
 
 
 def eesm_effective_snr_db_py(snr_db_values, beta):
-    """EESM of one RB set in dB, of per-RB SNRs in dB: their linear values
-    ``np.power(10, snr/10)`` through ``eesm_linear_db_py``."""
-    return eesm_linear_db_py(
-        np.power(10.0, np.asarray(snr_db_values, dtype=np.float64) / 10.0),
-        beta)
-
-
-def eesm_linear_db_py(snr_lin, beta):
-    """EESM of one RB set in dB, of linear per-RB SNRs:
-    ``-beta * ln(mean(exp(-snr/beta)))``, shifted by the minimum, with a
-    1-D ``np.mean`` and ``np.log`` and ``np.log10`` on top. An outage's
-    diagnostic effective SNR in ``select_rate_grid`` is this of its split
-    SNRs, bit for bit, since results.csv prints it."""
+    """EESM of one RB set in dB, of per-RB SNRs in dB:
+    ``-beta * ln(mean(exp(-snr/beta)))`` of their linear values
+    ``np.power(10, snr/10)``, shifted by the minimum, with a 1-D
+    ``np.mean`` and ``np.log`` and ``np.log10`` on top."""
+    snr_lin = np.power(10.0, np.asarray(snr_db_values, dtype=np.float64)
+                       / 10.0)
     v_min = snr_lin.min()
     eff = v_min - beta * np.log(np.mean(np.exp(-(snr_lin - v_min) / beta)))
     return 10.0 * np.log10(eff)
@@ -193,12 +186,50 @@ def snr_per_rb_db(lm, distance_m, beam_gain_db_per_rb, allocated_rbs,
             + gains[alloc] - noise_power_dbm_per_rb(lm, scs_hz))
 
 
-def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
-                 min_rbs):
+def snr_factors(link_db, gain_db_desc, noise_db):
+    """The rate kernel's two SNR factors: each ring's link gain ``G =
+    10**(link_db/10)``, shape ``(rings,)``, and each user's per-RB gain
+    over noise ``s = 10**((gain_db - noise_db)/10)``, the shape of
+    ``gain_db_desc``. Pair (u, r) sees the per-RB linear SNR ``G[r] *
+    s[u]`` with the whole transmit power on one RB."""
+    link = np.power(10.0, np.asarray(link_db, dtype=np.float64) / 10.0)
+    return link, np.power(10.0, (gain_db_desc - noise_db) / 10.0)
+
+
+def snr_rows(link_db, gain_db_desc, noise_db):
+    """Per-RB linear SNR of every (user, ring) pair with the whole transmit
+    power on one RB, shape ``(users, rings, RBs)``: the products ``G * s``
+    of ``snr_factors``."""
+    link, row = snr_factors(link_db, gain_db_desc, noise_db)
+    return link[None, :, None] * row[:, None, :]
+
+
+def split_eesm_py(link, row, n, beta):
+    """Weakest split SNR ``v_min`` and shifted EESM mean of the best ``n``
+    RBs of one ring, link gain ``link`` and sorted gain/noise ``row``, with
+    the power split over them, in the rate kernel's arithmetic: ``scale =
+    link/n``, ``w = row[n-1]``, ``v_min = scale * w`` and the 1-D
+    ``np.mean`` of ``exp((w - row[:n]) * (scale/beta))``."""
+    scale = link / n
+    w = row[n - 1]
+    return scale * w, np.mean(np.exp((w - row[:n]) * (scale / beta)))
+
+
+def split_eesm_db_py(link, row, n, beta):
+    """EESM in dB of the best ``n`` RBs of one ring with the power split
+    over them: ``10 * log10(v_min - beta * ln(mean))`` of
+    ``split_eesm_py``, with ``np.log`` and ``np.log10``. An outage's
+    diagnostic effective SNR in ``select_rate_grid`` is this, bit for bit,
+    since results.csv prints it."""
+    v_min, mean = split_eesm_py(link, row, n, beta)
+    return 10.0 * np.log10(v_min - beta * np.log(mean))
+
+
+def rate_scan_py(link, row, thr_lin, se, unique_betas, beta_idx, min_rbs):
     """Best feasible (RB count, MCS) of one ring by exhaustive scan.
 
-    ``snr_unsplit_desc`` is one ring's per-RB linear SNR with the whole
-    transmit power on one RB, sorted descending. Every allocation size n
+    ``link`` is the ring's link gain and ``row`` the user's per-RB gain
+    over noise sorted descending (``snr_factors``). Every allocation size n
     from ``min_rbs`` up is tried, with its highest feasible MCS
     (``highest_mcs_py``), and candidates are ranked by ``se * n``, then
     higher MCS, then fewer RBs.
@@ -206,16 +237,15 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
     Returns ``(best_n, best_mcs, best_eff_db, best_se_n)``, the effective
     SNR ``10 * log10`` of the linear one by ``np.log10``. When nothing is
     feasible it is ``(0, -1, eff, 0.0)``, ``eff`` the outage diagnostic:
-    ``eesm_linear_db_py`` at MCS 0's beta of the ``min(min_rbs, RBs)``
-    best split SNRs.
+    ``split_eesm_db_py`` at MCS 0's beta of the ``min(min_rbs, RBs)`` best
+    RBs.
     """
-    n = min(min_rbs, snr_unsplit_desc.shape[0])
-    best = (0, -1, eesm_linear_db_py(snr_unsplit_desc[:n] / n,
-                                     unique_betas[beta_idx[0]]), 0.0)
+    n = min(min_rbs, row.shape[0])
+    best = (0, -1, split_eesm_db_py(link, row, n, unique_betas[beta_idx[0]]),
+            0.0)
     best_rate = -1.0
-    for n in range(min_rbs, snr_unsplit_desc.shape[0] + 1):
-        i, eff = highest_mcs_py(snr_unsplit_desc, n, thr_lin, unique_betas,
-                                beta_idx)
+    for n in range(min_rbs, row.shape[0] + 1):
+        i, eff = highest_mcs_py(link, row, n, thr_lin, unique_betas, beta_idx)
         if i >= 0:
             rate = se[i] * n
             if rate > best_rate or (rate == best_rate and i > best[1]):
@@ -224,58 +254,138 @@ def rate_scan_py(snr_unsplit_desc, thr_lin, se, unique_betas, beta_idx,
     return best
 
 
-def highest_mcs_py(snr_unsplit_desc, n, thr_lin, unique_betas, beta_idx):
+def highest_mcs_py(link, row, n, thr_lin, unique_betas, beta_idx):
     """Highest MCS whose threshold the EESM effective SNR of the best ``n``
     RBs of one ring meets, with that effective SNR (linear): ``(-1, None)``
     when none is met.
 
-    The EESM mean is a 1-D ``np.mean`` of ``np.exp`` with ``np.log`` on
-    top, the arithmetic ``select_rate`` is defined by. A sequential
-    ``math.exp`` sum rounds differently and could flip a decision whose
-    threshold is met with equality.
+    The EESM mean is a 1-D ``np.mean`` of ``np.exp`` (``split_eesm_py``)
+    with ``np.log`` on top, the arithmetic ``select_rate`` is defined by. A
+    sequential ``math.exp`` sum rounds differently and could flip a
+    decision whose threshold is met with equality.
     """
-    values = snr_unsplit_desc[:n] / n
-    v_min = values[-1]
-    effs = [v_min - beta * np.log(np.mean(np.exp(-(values - v_min)
-                                                 / beta)))
-            for beta in unique_betas]
+    effs = []
+    for beta in unique_betas:
+        v_min, mean = split_eesm_py(link, row, n, beta)
+        effs.append(v_min - beta * np.log(mean))
     for i in range(thr_lin.shape[0] - 1, -1, -1):
         if effs[beta_idx[i]] >= thr_lin[i]:
             return i, effs[beta_idx[i]]
     return -1, None
 
 
-def snr_rows(link_db, gain_db_desc, noise_db):
-    """Per-RB linear SNR of every (user, ring) pair with the whole transmit
-    power on one RB, shape ``(users, rings, RBs)``:
-    ``10 ** (((link_db + gain_db) - noise_db) / 10)``, the values the rate
-    kernel's SNR terms take."""
-    snr = (np.asarray(link_db, dtype=np.float64)[None, :, None]
-           + gain_db_desc[:, None, :]) - noise_db
-    return np.power(10.0, snr / 10.0)
-
-
-def eesm_stage_py(link_db, gain_db_desc, noise_db, user, ring, live_n,
-                  unique_betas):
+def eesm_stage_py(link, row, user, ring, live_n, unique_betas):
     """``_kernels._eesm_stage`` one candidate ``(user, ring, n)`` at a time:
-    the weakest of its best n split SNRs ``v``, and per beta the shifted
-    EESM mean ``mean(exp((v_min - v) / beta))``, one 1-D ``np.mean`` (the
-    pairwise ``np.add.reduce`` divided by n) of its own terms."""
-    rows = snr_rows(link_db, gain_db_desc, noise_db)
+    ``split_eesm_py`` of its ring's link gain and its user's row, one 1-D
+    ``np.mean`` (the pairwise ``np.add.reduce`` divided by n) per beta."""
     v_min = np.empty(live_n.size)
     means = np.empty((unique_betas.size, live_n.size))
     for c, (u, r, n) in enumerate(zip(user.tolist(), ring.tolist(),
                                       live_n.tolist())):
-        values = rows[u, r, :n] / float(n)
-        v_min[c] = values[-1]
         for b, beta in enumerate(unique_betas.tolist()):
-            means[b, c] = np.mean(np.exp((values[-1] - values) / beta))
+            v_min[c], means[b, c] = split_eesm_py(link[r], row[u], n, beta)
     return v_min, means
 
 
-def live_candidates_py(snr_unsplit_desc, counts, thr_lin, se, max_beta, rel):
-    """Candidates of one user that EESM bounds taken on its SNR rows keep:
-    ``(n index, ring)`` index arrays, ordered by n, then ring.
+def _snr_factors_longdouble(link_db, gain_db_desc, noise_db):
+    """``snr_factors`` of the same float64 inputs in ``np.longdouble``."""
+    ld = np.longdouble
+    link = np.power(ld(10), np.asarray(link_db, dtype=np.float64).astype(ld)
+                    / 10)
+    gains = np.asarray(gain_db_desc, dtype=np.float64).astype(ld)
+    return link, np.power(ld(10), (gains - ld(noise_db)) / 10)
+
+
+def eesm_stage_longdouble(link_db, gain_db_desc, noise_db, user, ring,
+                          live_n, unique_betas):
+    """``_kernels._eesm_stage`` of the link gains and rows of the same
+    float64 ``link_db``, ``gain_db_desc`` and ``noise_db``, every step taken
+    in ``np.longdouble``, one candidate at a time: ``v_min = G*w/n`` and
+    per beta the 1-D ``np.mean`` of ``exp((w - s[:n]) * (G/(n*beta)))``.
+    On a 63-bit mantissa its own error is about 2**-11 of the float64
+    kernel's, so it stands for the exact values."""
+    ld = np.longdouble
+    link, row = _snr_factors_longdouble(link_db, gain_db_desc, noise_db)
+    v_min = np.empty(live_n.size, dtype=ld)
+    means = np.empty((unique_betas.size, live_n.size), dtype=ld)
+    for c, (u, r, n) in enumerate(zip(user.tolist(), ring.tolist(),
+                                      live_n.tolist())):
+        s = row[u, :n]
+        v_min[c] = link[r] * s[-1] / n
+        for b, beta in enumerate(unique_betas.tolist()):
+            means[b, c] = np.mean(np.exp((s[-1] - s)
+                                         * (link[r] / (n * ld(beta)))))
+    return v_min, means
+
+
+def _pairwise_roundings(n):
+    """Most roundings a term takes in numpy's pairwise sum of ``n`` terms:
+    below 8 terms one running sum, up to 128 eight interleaved running sums
+    joined in a tree of three levels and then the rest one by one, past 128
+    two halves, cut at a multiple of 8, and their sum."""
+    if n < 8:
+        return n
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_roundings(half), _pairwise_roundings(n - half))
+
+
+def eesm_stage_bound(link_db, gain_db_desc, noise_db, user, ring, live_n,
+                     unique_betas, unit=2.0 ** -53):
+    """Largest errors ``_kernels._eesm_stage`` may make against the exact
+    ``v_min`` and means of the same float64 ``link_db``, ``gain_db_desc``
+    and ``noise_db``, derived in its docstring, in a float type of unit
+    roundoff ``unit`` whose power and ``exp`` err by at most one ulp
+    (numpy's float64 ones: 0.70 and 0.73 ulp measured): arrays of the
+    shapes of ``v_min`` and ``means``. The long-double values of
+    ``eesm_stage_longdouble`` stand in for the exact ones. The sum rounds
+    at most once more than its deepest path of n or n - 1 terms, whichever
+    way the reduction starts."""
+    ld = np.longdouble
+    link, row = _snr_factors_longdouble(link_db, gain_db_desc, noise_db)
+    step = math.log1p(unit)
+    # one ulp, relative 2 * unit, of np.power and of np.exp
+    one_ulp = math.log1p(2.0 * unit)
+    ln10 = math.log(10.0)
+    # relative errors of G and of each s: the rounded exponent, then power
+    e_link = np.expm1(ln10 * np.abs(np.asarray(link_db, dtype=np.float64))
+                      / 10.0 * unit + one_ulp)
+    x_row = np.abs(np.asarray(gain_db_desc, dtype=np.float64).astype(ld)
+                   - ld(noise_db)) / 10
+    e_row = np.expm1(ln10 * x_row.astype(np.float64) * (2.0 * unit
+                                                        + unit * unit)
+                     + one_ulp)
+    v_bound = np.empty(live_n.size)
+    m_bound = np.empty((unique_betas.size, live_n.size))
+    for c, (u, r, n) in enumerate(zip(user.tolist(), ring.tolist(),
+                                      live_n.tolist())):
+        s, es = row[u, :n], e_row[u, :n]
+        grow = math.log1p(e_link[r]) + 4.0 * step
+        v_bound[c] = float(link[r] * s[-1] / n) * math.expm1(
+            math.log1p(e_link[r]) + math.log1p(es[-1]) + 2.0 * step)
+        # the exponent's error absolute in it, before the factor c
+        carried = es[-1] * float(s[-1]) + es * s.astype(np.float64)
+        depth = 1 + max(_pairwise_roundings(n), _pairwise_roundings(n - 1))
+        for b, beta in enumerate(unique_betas.tolist()):
+            factor = link[r] / (n * ld(beta))
+            a = ((s[-1] - s) * factor).astype(np.float64)
+            da = -a * math.expm1(grow) + float(factor) * carried * math.exp(
+                grow)
+            t = np.exp(a)
+            dt = np.where(da < 1.0, t * np.expm1(da + one_ulp),
+                          np.exp(a + da + one_ulp))
+            total, err = t.sum(), dt.sum()
+            m_bound[b, c] = ((err + math.expm1(depth * step) * (total + err))
+                             * (1.0 + unit) + unit * total) / n
+    return v_bound, m_bound
+
+
+def live_candidates_py(snr_rows_u, counts, thr_lin, se, max_beta, rel):
+    """Candidates of one user that EESM bounds taken on its SNR rows
+    ``snr_rows_u`` (shape ``(rings, RBs)``, the products ``G * s`` of
+    ``snr_rows``) keep: ``(n index, ring)`` index arrays, ordered by n,
+    then ring.
 
     Per (ring, n) cell, ``v_min = snr[n-1]/n <= eff <= mean`` with the mean
     from one cumulative sum. Each bound, widened by ``rel`` (and the upper
@@ -285,8 +395,8 @@ def live_candidates_py(snr_unsplit_desc, counts, thr_lin, se, max_beta, rel):
     The rate kernel's per-user envelope must keep every candidate this
     keeps.
     """
-    v_min = snr_unsplit_desc[:, counts - 1] / counts
-    mean = np.cumsum(snr_unsplit_desc, axis=1)[:, counts - 1]
+    v_min = snr_rows_u[:, counts - 1] / counts
+    mean = np.cumsum(snr_rows_u, axis=1)[:, counts - 1]
     mean /= counts * counts
     # rate of the highest MCS each bound meets, 0 where it meets none
     se0 = np.concatenate(([0.0], se))

@@ -39,9 +39,10 @@ from jpta.link import MAX_EESM_BETA
 from oracles import (
     delay_scan_py,
     eesm_effective_snr_db_py,
-    eesm_linear_db_py,
     eesm_snr_db_bound,
     eesm_snr_db_longdouble,
+    eesm_stage_bound,
+    eesm_stage_longdouble,
     eesm_stage_py,
     highest_mcs_py,
     live_candidates_py,
@@ -49,7 +50,10 @@ from oracles import (
     pattern_corr_longdouble,
     pattern_corr_py,
     rate_scan_py,
+    snr_factors,
     snr_rows,
+    split_eesm_db_py,
+    split_eesm_py,
 )
 
 SLOPE_SCALE = 2 * np.pi * 0.005353 / 299792458.0
@@ -809,10 +813,10 @@ def _assert_matches_oracle(link_db, gain_db, noise_db, thr_lin, se, betas):
     got = _kernels.rate_scan_batch(link_db, gain_db, noise_db, thr_lin, se,
                                    unique_betas, beta_idx, 4)
     assert all(a.shape == (gain_db.shape[0], link_db.size) for a in got)
-    rows = snr_rows(link_db, gain_db, noise_db)
-    for u, r in np.ndindex(rows.shape[:2]):
-        want = rate_scan_py(rows[u, r], thr_lin, se, unique_betas, beta_idx,
-                            4)
+    link, row = snr_factors(link_db, gain_db, noise_db)
+    for u, r in np.ndindex(gain_db.shape[0], link_db.size):
+        want = rate_scan_py(link[r], row[u], thr_lin, se, unique_betas,
+                            beta_idx, 4)
         assert tuple(a[u, r] for a in got) == want, "user %d, ring %d" % (u, r)
     return got
 
@@ -844,8 +848,9 @@ def _rows_where_the_logs_differ(rng, count, rbs, beta):
     rows = {True: [], False: []}
     while min(len(r) for r in rows.values()) < count // 2:
         block = np.sort(rng.uniform(-10.0, 30.0, (4000, rbs)), axis=1)[:, ::-1]
-        values = snr_rows(np.zeros(1), block, 0.0)[:, 0] / rbs
-        means = np.mean(np.exp(-(values - values[:, -1:]) / beta), axis=1)
+        row = snr_factors(np.zeros(1), block, 0.0)[1]
+        means = np.mean(np.exp((row[:, -1:] - row) * (1.0 / rbs / beta)),
+                        axis=1)
         logs = np.log(means)
         scalar = np.array([math.log(m) for m in means])
         for up in rows:
@@ -871,9 +876,10 @@ def test_rate_scan_batch_meets_exact_thresholds(rings, distinct_betas):
         link_db, swept = _sweep(rng, rings, rbs)
         r = int(rng.integers(rings))
         link_db[r] = 0.0
-        values = snr_rows(np.zeros(1), pinned[None, :], 0.0)[0, 0] / rbs
-        top = values[-1] - betas[1] * np.log(
-            np.mean(np.exp(-(values - values[-1]) / betas[1])))
+        v_min, mean = split_eesm_py(
+            1.0, snr_factors(np.zeros(1), pinned[None, :], 0.0)[1][0], rbs,
+            betas[1])
+        top = v_min - betas[1] * np.log(mean)
         thr_lin = np.array([top * 1e-3, top])
         got = _assert_matches_oracle(link_db, np.vstack((swept, pinned)),
                                      0.0, thr_lin, se, betas)
@@ -917,10 +923,11 @@ def _eesm_candidates(draw):
                                     max_size=3)))
     chunk = draw(st.one_of(st.sampled_from([1, 300, 1 << 15]),
                            st.integers(1, 4000)))
-    return (chunk, rng.uniform(-30.0, 0.0, rings),
-            np.sort(rng.uniform(-10.0, 50.0, (users, 1100)), axis=1)[:, ::-1],
-            0.0, rng.integers(0, users, live_n.size),
-            rng.integers(0, rings, live_n.size), live_n, betas)
+    return (chunk, *snr_factors(
+        rng.uniform(-30.0, 0.0, rings),
+        np.sort(rng.uniform(-10.0, 50.0, (users, 1100)), axis=1)[:, ::-1],
+        0.0), rng.integers(0, users, live_n.size),
+        rng.integers(0, rings, live_n.size), live_n, betas)
 
 
 def test_eesm_stage_means_equal_each_candidates_own_reduce(monkeypatch):
@@ -935,11 +942,12 @@ def test_eesm_stage_means_equal_each_candidates_own_reduce(monkeypatch):
 
     # every pairwise-sum edge three times over, at three betas, in chunks
     # that cut the runs of 128 RBs and longer
-    check(300, np.array([-3.0, -20.0]),
-          np.sort(np.random.default_rng(7).uniform(-10.0, 50.0, (2, 1100)),
-                  axis=1)[:, ::-1], 0.0,
-          np.arange(27) % 2, np.arange(27) % 3 % 2,
-          np.repeat(_PAIRWISE_EDGES, 3), np.array([0.7, 1.0, 2.9]))
+    check(300, *snr_factors(
+        np.array([-3.0, -20.0]),
+        np.sort(np.random.default_rng(7).uniform(-10.0, 50.0, (2, 1100)),
+                axis=1)[:, ::-1], 0.0),
+        np.arange(27) % 2, np.arange(27) % 3 % 2,
+        np.repeat(_PAIRWISE_EDGES, 3), np.array([0.7, 1.0, 2.9]))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(problem=_eesm_candidates())
@@ -947,6 +955,53 @@ def test_eesm_stage_means_equal_each_candidates_own_reduce(monkeypatch):
         check(*problem)
 
     check_drawn()
+
+
+@st.composite
+def _eesm_bound_problems(draw):
+    """``_eesm_stage``'s candidates as in ``_eesm_candidates``, on link and
+    gain dB across the accepted ranges: a noise floor of -134 to 27 dBm per
+    RB (1 kHz to 1 GHz subcarriers, noise figures to 100 dB), gain rows
+    peaking at -50 to 30 dB and 0 to 80 dB deep, some within 1 dB or 1e-9
+    dB, and 1-4 rings whose strongest SNR is -60 to 110 dB, so link dB of
+    about -300 to 190; 1-3 betas up to the cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    users, rings = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    runs = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(_PAIRWISE_EDGES), st.integers(1, 1100)),
+        st.integers(1, 4)), min_size=1, max_size=8))
+    live_n = np.repeat(*np.array(runs).T)
+    betas = np.unique(draw(st.lists(
+        st.one_of(st.floats(1e-3, MAX_EESM_BETA), st.just(MAX_EESM_BETA)),
+        min_size=1, max_size=3)))
+    noise_db = draw(st.floats(-134.0, 27.0))
+    peak_db = draw(st.floats(-50.0, 30.0))
+    depth = draw(st.one_of(st.floats(0.0, 80.0), st.floats(0.0, 1.0),
+                           st.floats(0.0, 1e-9)))
+    gain_db = np.sort(peak_db - depth * rng.uniform(0.0, 1.0, (users, 1100)),
+                      axis=1)[:, ::-1]
+    link_db = noise_db - peak_db + draw(st.floats(-60.0, 110.0)) \
+        - rng.uniform(0.0, 80.0, rings)
+    return (link_db, gain_db, noise_db, rng.integers(0, users, live_n.size),
+            rng.integers(0, rings, live_n.size), live_n, betas)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="needs a long double of 63 mantissa bits or more")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(problem=_eesm_bound_problems())
+def test_eesm_stage_within_its_bound_of_the_long_double_values(problem):
+    # the bound derived in _eesm_stage's docstring, plus the long-double
+    # oracle's own, holds for v_min and every mean from 1 to 1100 RBs
+    link_db, gain_db, noise_db, *candidates = problem
+    got = _kernels._eesm_stage(*snr_factors(link_db, gain_db, noise_db),
+                               *candidates)
+    want = eesm_stage_longdouble(*problem)
+    long_unit = float(np.finfo(np.longdouble).eps) / 2.0
+    for g, w, bound, own in zip(got, want, eesm_stage_bound(*problem),
+                                eesm_stage_bound(*problem, unit=long_unit)):
+        err = np.abs(g.astype(np.longdouble) - w)
+        assert np.all(err <= bound + own), float((err / (bound + own)).max())
 
 
 @st.composite
@@ -977,18 +1032,17 @@ def test_pow10_equals_power_with_a_scalar_base(x, in_place):
 
 def test_snr_terms_keep_the_gain_order():
     # the rate kernel sorts each user's gains once and takes every ring's
-    # SNR row in that order; that equals sorting each SNR row itself, bit for
-    # bit, because every step of snr_unsplit is monotone in the gain
+    # SNR row G * s in that order; that equals sorting each SNR row itself,
+    # bit for bit, because s and its product with G are monotone in the
+    # gain
     rng = np.random.default_rng(61)
     noise_db = -107.41637507904751
     link_db = 23.0 + np.sort(rng.uniform(-200.0, -60.0, 200))
     gain_db = rng.uniform(-52.0, 28.0, (20, 264))
     gain_db[:, :40] = np.round(gain_db[:, :40], 1)  # ties among the gains
     desc = np.sort(gain_db, axis=1)[:, ::-1]
-    got = _kernels.snr_unsplit(link_db[None, :, None], desc[:, None, :],
-                               noise_db)
-    want = -np.sort(-_kernels.snr_unsplit(
-        link_db[None, :, None], gain_db[:, None, :], noise_db), axis=2)
+    got = snr_rows(link_db, desc, noise_db)
+    want = -np.sort(-snr_rows(link_db, gain_db, noise_db), axis=2)
     assert np.array_equal(got, want)
 
 
@@ -1069,9 +1123,8 @@ def test_rate_scan_infeasible_returns_sentinel():
                                        np.array([1.0]), np.array([1.0]),
                                        np.ones(1), np.zeros(1, dtype=np.int64),
                                        4)
-        n = min(4, rbs)
-        eff = [eesm_linear_db_py(snr_rows(link_db, np.zeros((1, rbs)),
-                                          0.0)[0, r, :n] / n, 1.0)
+        link, row = snr_factors(link_db, np.zeros((1, rbs)), 0.0)
+        eff = [split_eesm_db_py(link[r], row[0], min(4, rbs), 1.0)
                for r in range(2)]
         assert [a.tolist() for a in out] == [[[0, 0]], [[-1, -1]], [eff],
                                              [[0.0, 0.0]]]
@@ -1154,14 +1207,15 @@ def _assert_envelope_holds_per_cell(link_db, gain_db, noise_db, thr_lin, se,
     drop once widened to twice their margin. Each candidate's
     upper-bound MCS is at least the MCS its exact EESM meets."""
     counts = np.arange(4, gain_db.shape[1] + 1)
+    link, row = snr_factors(link_db, gain_db, noise_db)
     *live, live_mcs = _kernels._envelope_candidates(
-        link_db, gain_db, noise_db, 4, thr_lin, se, betas.max())
+        link, row, 4, thr_lin, se, betas.max())
     got = list(zip(*(a.tolist() for a in live)))
     assert len(set(got)) == len(got)
     rows = snr_rows(link_db, gain_db, noise_db)
     unique_betas, beta_idx = np.unique(betas, return_inverse=True)
     for (u, r, n), i in zip(got, live_mcs.tolist()):
-        assert i >= highest_mcs_py(rows[u, r], n, thr_lin, unique_betas,
+        assert i >= highest_mcs_py(link[r], row[u], n, thr_lin, unique_betas,
                                    beta_idx)[0], (u, r, n)
     kept = {}
     for rel in (_kernels._BOUND_REL, 2.0 * _kernels._BOUND_REL):
@@ -1182,10 +1236,10 @@ def test_envelope_holds_per_cell_live_set(problem):
 
 def test_envelope_holds_cells_pinned_at_their_upper_bound():
     # A one-level ladder whose threshold is exactly one cell's widened upper
-    # bound, as the bounds on its SNR row compute it: those bounds keep the
-    # cell by equality, and the envelope, which evaluates the bound as link
-    # gain times the user's row, keeps it only through its factorisation
-    # slack
+    # bound, as the bounds on its SNR row G * s compute it: those bounds
+    # keep the cell by equality, and the envelope, which evaluates the bound
+    # as link gain times the user's row's bound, keeps it only through its
+    # _FACTOR_REL slack
     rng = np.random.default_rng(51)
     rel = _kernels._BOUND_REL
     for _ in range(60):
@@ -1210,8 +1264,8 @@ def test_envelope_lists_no_ring_past_every_interval():
     link_db = noise_db - 200.0 - np.sort(rng.uniform(0.0, 40.0, 20))
     gain_db = np.sort(rng.uniform(-10.0, 28.0, (3, 24)), axis=1)[:, ::-1]
     thr_lin, se, betas = _rate_inputs(rng, 8, True)
-    live = _kernels._envelope_candidates(link_db, gain_db, noise_db, 4,
-                                         thr_lin, se, betas.max())
+    live = _kernels._envelope_candidates(
+        *snr_factors(link_db, gain_db, noise_db), 4, thr_lin, se, betas.max())
     assert [a.size for a in live] == [0] * 4
     assert _assert_envelope_holds_per_cell(link_db, gain_db, noise_db,
                                            thr_lin, se, betas) == set()
@@ -1229,8 +1283,8 @@ def test_envelope_ring_on_an_interval_end():
     noise_db = -100.0
     gain_db = np.full((1, 4), noise_db)
     link_db = np.array([0.0])
-    assert np.array_equal(_kernels.snr_unsplit(link_db, gain_db, noise_db),
-                          np.ones((1, 4)))
+    assert np.array_equal(snr_rows(link_db, gain_db, noise_db),
+                          np.ones((1, 1, 4)))
     rel = _kernels._BOUND_REL
     # the envelope's widened upper bound of n = 4, and the threshold whose
     # widened value meets it exactly at link gain 1
@@ -1243,8 +1297,8 @@ def test_envelope_ring_on_an_interval_end():
     assert thr - rel == high
     thr_lin, se, betas = np.array([0.1, thr]), np.array([1.0, 2.0]), \
         np.ones(2)
-    live = _kernels._envelope_candidates(link_db, gain_db, noise_db, 4,
-                                         thr_lin, se, 1.0)
+    live = _kernels._envelope_candidates(
+        *snr_factors(link_db, gain_db, noise_db), 4, thr_lin, se, 1.0)
     assert [a.tolist() for a in live] == [[0], [0], [4], [1]]
     _assert_envelope_holds_per_cell(link_db, gain_db, noise_db, thr_lin, se,
                                     betas)
@@ -1265,11 +1319,9 @@ def _stage_sizes(monkeypatch):
         scans.append([])
         return rate_scan_batch(*args)
 
-    def spy(link_db, gain_db_desc, noise_db, user, ring, live_n,
-            unique_betas):
+    def spy(link, row, user, ring, live_n, unique_betas):
         scans[-1].append(live_n.tolist())
-        return eesm_stage(link_db, gain_db_desc, noise_db, user, ring, live_n,
-                          unique_betas)
+        return eesm_stage(link, row, user, ring, live_n, unique_betas)
 
     monkeypatch.setattr(_kernels, "rate_scan_batch", scan_spy)
     monkeypatch.setattr(_kernels, "_eesm_stage", spy)
@@ -1292,6 +1344,24 @@ def test_two_stage_rate_scan_equals_oracle(monkeypatch):
     assert sum(len(stages[1]) for stages in scans) > 0
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_user_problems())
+def test_batched_rate_scan_equals_one_user_one_ring_calls(problem):
+    # each candidate's EESM reads only its ring's link gain and its user's
+    # row, and scale = G/n and w = s[n-1] are its own, so every (user,
+    # ring) cell of a batched scan has the bits of the scan of that user
+    # alone at that ring alone, in all four columns
+    link_db, gain_db, noise_db, thr_lin, se, betas = problem
+    unique_betas, beta_idx = np.unique(betas, return_inverse=True)
+    args = (thr_lin, se, unique_betas, beta_idx, 4)
+    got = _kernels.rate_scan_batch(link_db, gain_db, noise_db, *args)
+    for u, r in np.ndindex(gain_db.shape[0], link_db.size):
+        one = _kernels.rate_scan_batch(link_db[r:r + 1], gain_db[u:u + 1],
+                                       noise_db, *args)
+        assert [a[u, r].tobytes() for a in got] == \
+            [a[0, 0].tobytes() for a in one], (u, r)
+
+
 def test_rate_scan_tie_found_in_stage_2_wins(monkeypatch):
     # Four equal strong RBs and four weak ones. Four RBs at MCS 1 and eight
     # at MCS 0 both carry se * n = 8 exactly. Eight RBs have the largest
@@ -1307,15 +1377,15 @@ def test_rate_scan_tie_found_in_stage_2_wins(monkeypatch):
     stages = scans[0]
     assert stages[0] == [8] and 4 in stages[1] and stages[2] == []
     # eight RBs alone meet MCS 0 only
-    row = snr_rows(np.zeros(1), gain_db, 0.0)[0, 0]
-    assert rate_scan_py(row, thr_lin, se, np.ones(1),
+    link, row = snr_factors(np.zeros(1), gain_db, 0.0)
+    assert rate_scan_py(link[0], row[0], thr_lin, se, np.ones(1),
                         np.zeros(2, dtype=np.int64), 8)[:2] == (8, 0)
 
 
 def _tight_bound_rows(rng, kind, rbs, beta):
-    """Gain rows (dB, seen at 0 dB link gain) on which a bound is as tight
-    as rounding allows, with the EESM effective SNR of the whole row, as
-    ``rate_scan_py`` computes it.
+    """Gain rows (dB, seen at 0 dB link gain, so G = 1 and the SNR row is
+    s) on which a bound is as tight as rounding allows, with the EESM
+    effective SNR of the whole row, as ``rate_scan_py`` computes it.
 
     ``flat``: equal SNRs, whose EESM is the lowest SNR exactly while the
     cumulative-sum mean rounds below it. ``faint``: SNRs near 1e-12 within
@@ -1328,10 +1398,9 @@ def _tight_bound_rows(rng, kind, rbs, beta):
         else:
             gain_db = np.sort(rng.uniform(-125.0, -115.0) + 10.0 * np.log10(
                 1.0 + rng.uniform(0.0, 1e-2, rbs)))[::-1]
-        row = snr_rows(np.zeros(1), gain_db[None, :], 0.0)[0, 0]
-        values = row / rbs
-        eff = values[-1] - beta * np.log(
-            np.mean(np.exp(-(values - values[-1]) / beta)))
+        row = snr_factors(np.zeros(1), gain_db[None, :], 0.0)[1][0]
+        v_min, mean = split_eesm_py(1.0, row, rbs, beta)
+        eff = v_min - beta * np.log(mean)
         mean = np.cumsum(row)[-1] / (rbs * rbs)
         if (kind == "flat" and eff > mean) \
                 or (kind == "faint" and eff > mean * (1.0 + 1e-5)):

@@ -25,7 +25,12 @@ from jpta.link import (
     select_rate,
     select_rate_grid,
 )
-from oracles import eesm_effective_snr_db_py, eesm_linear_db_py, snr_per_rb_db
+from oracles import (
+    eesm_effective_snr_db_py,
+    snr_factors,
+    snr_per_rb_db,
+    split_eesm_db_py,
+)
 
 SCS = 120e3
 FLAT28 = np.full(264, 28.0)
@@ -372,11 +377,12 @@ def test_select_rate_fewer_than_min_rbs_is_outage(link_default, mcs_default):
 def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
                                                     mcs_default):
     # select_rate_grid computes the outage diagnostic for all outage rings in
-    # one pass, by the rate scan's EESM stage; each must equal the one-row
-    # EESM oracle of the same linear split SNRs of the best min(4, width) RBs
-    # bit for bit, since results.csv prints it. The one- and three-RB shares
-    # are outages at every ring. The public eesm_effective_snr_db of the
-    # split's dB values keeps its own oracle's bits
+    # one pass, by the rate scan's EESM stage; each must equal the one-ring
+    # EESM oracle of the same link gain and gain/noise row over the best
+    # min(4, width) RBs bit for bit, since results.csv prints it. The one-
+    # and three-RB shares are outages at every ring. The public
+    # eesm_effective_snr_db of the split's dB values keeps its own oracle's
+    # bits
     rng = np.random.default_rng(17)
     gains = rng.uniform(-40.0, 28.0, 264)
     dists = np.geomspace(30.0, 1e5, 240)
@@ -395,12 +401,11 @@ def test_outage_diagnostic_snr_equals_per_ring_eesm(link_default,
             link_db = link_default.ue_tx_power_dbm \
                 + link_default.ue_beam_gain_db \
                 + path_gain_db(link_default, float(d))
-            unsplit = np.sort(10.0 ** ((link_db + gains[avail] - noise)
-                                       / 10.0))[::-1]
-            split = unsplit[:n] / n
-            assert eff_db == eesm_linear_db_py(split, float(betas[0])), \
-                (avail.size, d)
-            split_db = 10.0 * np.log10(split)
+            link, row = snr_factors(np.array([link_db]),
+                                    np.sort(gains[avail])[None, ::-1], noise)
+            assert eff_db == split_eesm_db_py(link[0], row[0], n,
+                                              float(betas[0])), (avail.size, d)
+            split_db = 10.0 * np.log10(row[0, :n] * (link[0] / n))
             for beta in (float(betas[0]), 2.5):
                 assert eesm_effective_snr_db(split_db, beta) \
                     == eesm_effective_snr_db_py(split_db, beta)

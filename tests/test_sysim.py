@@ -295,6 +295,20 @@ def test_serving_index_out_of_range_is_rejected(serving):
                                 np.zeros(len(serving)), [28e9])
 
 
+@pytest.mark.parametrize("num_beams", [1, 3])
+@pytest.mark.parametrize("serving", [[0, 0], [0, 0, 0, 0], [[0, 0, 0]]])
+def test_serving_of_another_length_than_the_angles_is_rejected(num_beams,
+                                                               serving):
+    # one index per angle: with several sets a short serving list would
+    # fail inside the kernel, and with one set it would not be read at all
+    cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    beams = paa_codebook(cfg, num_beams, SECTOR)
+    with pytest.raises(ValueError, match=r"^serving must hold one index per "
+                                         r"angle, got shape \(\d+(, \d+)?,?\) "
+                                         r"for angles of shape \(3,\)$"):
+        antenna.serving_gain_db(cfg, beams, serving, np.zeros(3), [28e9])
+
+
 # ---------------------------------------------------------------------------
 # scheme parity checks
 # ---------------------------------------------------------------------------
