@@ -5,7 +5,8 @@ Each kernel of ``jpta._kernels`` exists once, in numpy. The table times it
 against the plain-loop reference of ``tests/oracles.py`` on the same
 inputs: the pattern grid at 721 and 3001 angles x 264 RBs, and at 64 and
 256 elements on 91 angles, the delay scan with a new and with a kept
-twiddle table, and at 64 and 256 elements, and the rate scan of one user
+twiddle table, at the 3168 subcarriers of a per-subcarrier design on one
+CPU, and at 64 and 256 elements, and the rate scan of one user
 at 1 and at 160 rings and of 8 users at 160 rings (the oracle called once
 per user and ring). Kernels and the delay- and rate-scan oracles report
 the best of ``--repeats`` runs; the oracles that take seconds (pattern
@@ -183,6 +184,24 @@ def _delay_scan_kept_table(slopes, freqs, taus, num_elements):
     ``taus``."""
     return _kernels.delay_scan(
         slopes, codebook._delay_twiddles(_DELAY, _DELAY_GRID, False),
+        num_elements)
+
+
+def _delay_sc_args():
+    """The per-subcarrier designer's scan: random target slopes at
+    ``_DELAY_GRID``'s 3168 subcarriers, the ``_DELAY`` line's 64 taus, 16
+    elements."""
+    rng = np.random.default_rng(2)
+    freqs = _DELAY_GRID.subcarrier_freqs()
+    slopes = rng.uniform(-math.pi, math.pi, freqs.size)
+    return slopes, freqs, _DELAY.grid(), 16
+
+
+def _delay_scan_sc(slopes, freqs, taus, num_elements):
+    """The per-subcarrier scan with its kept twiddle table; its tiles keep
+    it on the calling thread, one CPU."""
+    return _kernels.delay_scan(
+        slopes, codebook._delay_twiddles(_DELAY, _DELAY_GRID, True),
         num_elements)
 
 
@@ -373,6 +392,8 @@ BENCHES = [
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",
      _delay_scan_kept_table, delay_scan_py, _delay_args, False),
+    ("delay_scan   (64 taus x 3168 subcarriers, 1 CPU)",
+     _delay_scan_sc, delay_scan_py, _delay_sc_args, True),
     ("delay_scan   (64 taus x 264 freqs, 64 el)", _delay_scan_kept_table,
      delay_scan_py, lambda: _delay_args(64), True),
     ("delay_scan   (64 taus x 264 freqs, 256 el)", _delay_scan_kept_table,

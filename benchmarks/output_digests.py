@@ -17,29 +17,45 @@ The outputs:
 * raw ``pattern_map`` arrays, whose CSV text rounds to six digits: the
   quick-start type-1 design over -90:90:0.25 degrees, and one
   ``paa_codebook`` beam and ``steer_weights`` at boresight, both without
-  delays, over the same 3001 axis angles.
+  delays, over the same 3001 axis angles;
+* the delays, phases and objective of every type-1 design of the
+  ``design_certify`` benchmark workload: its 48 pool targets at RB centers
+  and per subcarrier, and its 2- and 4-UE share designs, so that a change
+  to the designer shows which delay choices, if any, moved.
 
 An array's digest covers its dtype, shape and bytes. Run the tool against
 two source trees and compare the listings, for example a change against
 its parent checked out in ``../parent``::
 
-    PYTHONPATH=../parent/src python3 benchmarks/output_digests.py > old.txt
-    PYTHONPATH=src python3 benchmarks/output_digests.py > new.txt
+    PYTHONPATH=../parent/src python3 benchmarks/output_digests.py \
+        --arrays old.npz > old.txt
+    PYTHONPATH=src python3 benchmarks/output_digests.py \
+        --against old.npz > new.txt
     diff old.txt new.txt
+
+``--arrays`` also saves every array to an ``.npz`` file, and ``--against``
+reads one and, after the digests, prints each array that differs from it
+with its largest absolute change: a moved gain in dB, phase in rad,
+objective or effective SNR in dB.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from jpta import antenna, cli, codebook, config, link, sysim
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 ARRAY = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
 GRID = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
@@ -125,6 +141,31 @@ def pattern_maps():
            antenna.pattern_map(ARRAY, flat, axis_grid, GRID))
 
 
+def designs():
+    """``(name, array)`` of the delays, phases and objective of every
+    type-1 design of the ``design_certify`` workload: the pool targets,
+    drawn from its pool seed, at RB centers and per subcarrier, then the
+    2- and 4-UE share designs, as its tasks make them."""
+    spec = workloads.DesignCertify
+    rng = np.random.default_rng(spec.pool_seed)
+    cases = []
+    for k in range(spec.pool_size):
+        target = workloads._random_target(rng)
+        cases += [("pool%02d.rb" % k, target, False),
+                  ("pool%02d.sc" % k, target, True)]
+    for n, bores in spec.share_placements.items():
+        target = sysim.jpta_share_target(np.radians(bores),
+                                         workloads.GRID.num_rbs)[0]
+        cases.append(("ues%d" % n, target, False))
+    for name, target, per_subcarrier in cases:
+        weights, objective = codebook.design_type1(
+            workloads.ARRAY, target, workloads.GRID, workloads.DELAY,
+            per_subcarrier)
+        yield "design_certify.%s.delays_s" % name, weights.delays_s
+        yield "design_certify.%s.phases_rad" % name, weights.phases_rad
+        yield "design_certify.%s.objective" % name, np.array([objective])
+
+
 def digest(value) -> str:
     """SHA-256 of bytes, or of an array's dtype, shape and bytes."""
     if isinstance(value, bytes):
@@ -135,12 +176,32 @@ def digest(value) -> str:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--arrays", help="save every array to this .npz")
+    parser.add_argument("--against",
+                        help="print each array that differs from this .npz "
+                             "with its largest absolute change")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         for name, data in quickstart_files(Path(workdir)):
             print("%s  %s" % (digest(data), name))
-    for outputs in (sweep_columns(), pattern_maps()):
+    arrays = {}
+    for outputs in (sweep_columns(), pattern_maps(), designs()):
         for name, array in outputs:
             print("%s  %s" % (digest(array), name))
+            arrays[name] = array
+    if args.arrays:
+        np.savez(args.arrays, **arrays)
+    if args.against:
+        with np.load(args.against) as old:
+            for name, array in arrays.items():
+                if name not in old.files:
+                    print("new      %s" % name)
+                elif digest(old[name]) != digest(array):
+                    change = np.abs(array.astype(np.float64)
+                                    - old[name].astype(np.float64))
+                    print("moved    %s  largest change %.3g"
+                          % (name, np.nanmax(change)))
 
 
 if __name__ == "__main__":

@@ -11,19 +11,23 @@ Three loops dominate the toolkit's numerical run time:
   (``pattern_coefficients``) times phasor powers, all of a chunk's angles
   in one stacked ``np.matmul``; any other axis is one coarse column per
   frequency, whose element axis splits the same way into two stacked
-  products per cell. The coefficient tables (one pass over any number of
-  weight sets, their arguments reduced mod 2*pi in long double, one
-  column wide when no set has a delay) serve each row the set it names,
-  and a lone set's table every row, so one call serves a one-cell beam
-  gain, a pattern map, the serving-beam pick or every UE's gain row
-  toward its own angle from its own serving set. The thread that computes
-  a chunk also divides it by M and, for gains, takes its dB steps;
+  products per cell. The coarse coefficient tables and the fine delay
+  phases (one pass over any number of weight sets, their arguments
+  reduced mod 2*pi in long double, one column wide when no set has a
+  delay) serve each row the set it names, and a lone set's table every
+  row, so one call serves a one-cell beam gain, a pattern map, the
+  serving-beam pick or every UE's gain row toward its own angle from its
+  own serving set. Every phasor table is one ``np.cos`` and ``np.sin`` per
+  base and its powers by repeated doubling; the fine table is the powers
+  of one phasor per angle and element, which carries the fine
+  coefficient too. The thread that computes a chunk also takes its
+  magnitudes, or for gains its dB step on ``re**2 + im**2``;
 * the per-antenna delay-grid scan of the wideband beam designer
   (``delay_scan``), a complex matrix product of a twiddle table
   (``delay_twiddles``), of which the designer keeps the last two it used,
-  and a target table built from ``np.cos`` and ``np.sin``
-  (``phase_ramps``), taken in row blocks that keep it on the calling
-  thread;
+  and a target table of phasor powers, one ``np.cos`` and ``np.sin`` per
+  frequency (``phase_ramps``), taken in row blocks that keep it on the
+  calling thread;
 * the RB-count x MCS rate search with an EESM average inside
   (``rate_scan_batch``), batched over every (user, ring) pair of one share
   width. Exact bounds prune it first: every EESM effective SNR lies between
@@ -141,33 +145,39 @@ def _root_width(size):
 
 
 def pattern_coefficients(split, phases, delays):
-    """The coarse and the fine coefficient table of S weight sets,
-    ``phases`` and ``delays`` of shape (S, M), on the columns of the
+    """The coarse coefficient table and the fine delay phases of S weight
+    sets, ``phases`` and ``delays`` of shape (S, M), on the columns of the
     ``PhasorSplit`` ``split``: ``exp(-j(phi_sm + 2*pi*f_q*tau_sm))`` at the
-    Q coarse frequencies f_q, shape (M, S, Q), and ``exp(-j*2*pi*g_r*tau_sm)``
-    at the B fine offsets g_r, shape (M, S, B), their product at column k =
-    q*B + r being column k's coefficient. Q + B exponentials per element
-    and set instead of K, two ``np.exp`` for all sets.
+    Q coarse frequencies f_q, shape (M, S, Q), and the phase
+    ``2*pi*step*tau_sm`` of one fine step, shape (M, S), float64. Column
+    k = q*B + r's coefficient is the coarse one times ``exp(-j*r*delta)``,
+    delta the fine phase, which ``pattern_corr`` takes as a power: Q
+    exponentials per element and set instead of K, one ``np.exp`` for all
+    sets.
 
     Each argument is taken in ``np.longdouble`` and less its whole turns
-    of 2*pi there before it is rounded to float64 (``_exp_neg_j_turns``): a
+    of 2*pi there before it is rounded to float64 (``_reduced_turns``): a
     type-2 design's phases cancel most of its carrier delay phase, so its
     arguments reach 1.7e3-2.8e4 rad, where a float64 argument alone is off
-    by up to half an ulp, 1.8e-12 rad at 2.8e4, and each factor's rounding
-    would add its own. A phase in [0, 2*pi), as ``PhaseTimeWeights`` keeps
-    it, under a zero delay keeps its bits. Where every delay is zero the
-    coarse table is (M, S, 1), the phases alone standing for every column,
-    and the fine one (M, 1, 1) of ones."""
-    phases = np.asarray(phases, dtype=np.float64).T[:, :, None]
-    delays = np.asarray(delays, dtype=np.float64).T[:, :, None]
+    by up to half an ulp, 1.8e-12 rad at 2.8e4. A phase in [0, 2*pi), as
+    ``PhaseTimeWeights`` keeps it, under a zero delay keeps its bits. Where
+    every delay is zero, and on a one-factor split, whose one fine offset
+    is 0.0, the fine phases are (M, 1) zeros; where every delay is zero the
+    coarse table is (M, S, 1), the phases alone standing for every
+    column."""
+    phases = np.asarray(phases, dtype=np.float64).T
+    delays = np.asarray(delays, dtype=np.float64).T
     if not delays.any():
-        return (_exp_neg_j_turns(phases),
-                np.ones((phases.shape[0], 1, 1), dtype=np.complex128))
+        return (_exp_neg_j(_reduced_turns(phases[:, :, None])),
+                np.zeros((phases.shape[0], 1)))
     # 2*pi*tau_sm, the float64 2*pi exact in long double
     turn = np.longdouble(TWO_PI) * delays.astype(np.longdouble)
-    return (_exp_neg_j_turns(phases.astype(np.longdouble)
-                             + turn * split.coarse.astype(np.longdouble)),
-            _exp_neg_j_turns(turn * split.fine.astype(np.longdouble)))
+    coarse = _exp_neg_j(_reduced_turns(
+        phases.astype(np.longdouble)[:, :, None]
+        + turn[:, :, None] * split.coarse.astype(np.longdouble)))
+    if split.fine.size == 1:
+        return coarse, np.zeros((phases.shape[0], 1))
+    return coarse, _reduced_turns(turn * np.longdouble(split.fine[1]))
 
 
 # 2*pi to the precision of np.longdouble: a 64-bit mantissa where it is the
@@ -175,16 +185,16 @@ def pattern_coefficients(split, phases, delays):
 _TWO_PI_LONG = 8 * np.arctan(np.longdouble(1))
 
 
-def _exp_neg_j_turns(arg):
-    """``exp(-j*arg)``: ``arg`` less its whole turns of 2*pi, counted in
-    float64 and subtracted in long double, then rounded to float64. A turn
-    count off by one at a turn's edge leaves an argument just outside [0,
-    2*pi), which costs no accuracy; an array in [0, 2*pi) counts no turn
-    and is rounded as it is."""
+def _reduced_turns(arg):
+    """``arg`` less its whole turns of 2*pi, counted in float64 and
+    subtracted in long double, then rounded to float64. A turn count off by
+    one at a turn's edge leaves an argument just outside [0, 2*pi), which
+    costs no accuracy; an array in [0, 2*pi) counts no turn and is rounded
+    as it is."""
     turns = np.floor(arg.astype(np.float64) / TWO_PI)
     if turns.any():
         arg = arg - turns * _TWO_PI_LONG
-    return _exp_neg_j(arg.astype(np.float64))
+    return arg.astype(np.float64)
 
 
 def _exp_neg_j(arg):
@@ -199,79 +209,90 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     Entry (a, k) is ``|(1/M) sum_m c[m, s_a, k] exp(j*cos_a*slope_k*m)|``,
     ``slope_k`` being ``scale * f_k`` of column k of the ``PhasorSplit``
     ``split``, ``s_a`` the weight set of row a: ``sets[a]``, indices in
-    range, or 0 for every row of a table of one set, and ``c`` the product
-    of the coarse and the fine table of ``coef`` (``pattern_coefficients``)
-    at the column. With the steering slope ``2*pi*spacing*f_k/c`` and the
-    coefficients ``exp(-j(phi_m + 2*pi*f_k*tau_m))``, that is the magnitude
-    of the conjugated inner product between the unit-norm steering vector
-    and the unit-norm phase-time response. With ``db``, a pair ``(floor,
+    range, or 0 for every row of a table of one set, and ``c`` the
+    coefficient of ``coef`` (``pattern_coefficients``) at the column. With
+    the steering slope ``2*pi*spacing*f_k/c`` and the coefficients
+    ``exp(-j(phi_m + 2*pi*f_k*tau_m))``, that is the magnitude of the
+    conjugated inner product between the unit-norm steering vector and the
+    unit-norm phase-time response. With ``db``, a pair ``(floor,
     peak_db)``, each entry is instead the gain ``peak_db + 20 *
-    log10(max(corr, floor))``, those steps taken in that order in place.
+    log10(max(corr, floor))``, taken from the squared magnitude of the
+    row's sum (``_gain_db``).
 
-    Column k = q*B + r has the phasor ``P_aq * R_ar``, the coarse phasor
-    ``exp(j*cos_a*scale*f_q)`` times the fine one ``exp(j*cos_a*scale*g_r)``,
-    and the coefficient ``C[m, q] * D[m, r]``. So row a's map is one matrix
-    product: the (Q x M) table ``C[m, s_a, q] * P_aq**m`` times the (M x B)
-    table ``D[m, s_a, r] * R_ar**m``, which gives the (Q, B) grid of its K
+    Column k = q*B + r lies at ``f_q + r*step``, so its phasor is the
+    coarse ``P_aq = exp(j*cos_a*scale*f_q)`` times ``exp(j*cos_a*scale*
+    step)**r``, and its coefficient ``C[m, q] * exp(-j*delta_m)**r``, C the
+    coarse table and delta the fine phase ``2*pi*step*tau_m``. Term m's
+    fine part is then ``w_am**r``, ``w_am = exp(j*(cos_a*scale*step*m -
+    delta_m))``: one phasor per angle and element. So row a's map is one
+    matrix product: the (Q x M) table ``C[m, s_a, q] * P_aq**m`` times the
+    (M x B) table ``w_am**r``, which gives the (Q, B) grid of its K
     columns, those past K dropped when the last run is short. Each chunk of
-    angles builds its 2*sqrt(K) or so phasors per angle by ``_cos_sin``,
-    their powers 0 to M - 1 by repeated doubling (``_factor_powers``), the
-    tables by one product with each coefficient table, gathered once per
-    chunk from a table of several sets and shared from one of one set, and
-    then the products of every row in one stacked ``np.matmul``. A row of
-    more elements than keep its product under ``PATTERN_GEMM_TERMS``
+    angles builds its Q coarse phasors and M fine ones per angle by ``np.cos``
+    and ``np.sin``, their powers by repeated doubling (``_doubling``), 0 to
+    M - 1 and 0 to B - 1, the coarse table by one product with the coarse
+    coefficients, gathered once per chunk from a table of several sets, as
+    the fine phases are, and shared from one of one set, and then the
+    products of every row in one stacked ``np.matmul``. A row of more
+    elements than keep its product under ``PATTERN_GEMM_TERMS``
     multiply-adds takes it in element blocks that are summed, which
     OpenBLAS keeps on the calling thread.
 
-    A one-factor split (one fine offset, 0.0) has fine phasors and
-    coefficients of exactly 1, so cell (a, k) is the sum over m of
-    ``C[m, s_a, k] * z**m``, z its coarse phasor. The element axis splits
-    as the column axis does, m = i*L + j with L = ``_root_width(M)``: the
-    cell's (I x L) block matrix of coefficients (``_element_table``, laid
-    out once per call set-major with zeros past M, gathered once per chunk)
-    times its fine powers z**j, then the dot with its coarse powers
-    (z**L)**i, each a stacked ``np.matmul`` (``_element_chunk``). Every
-    cell's matrix and vectors lie contiguous, as a one-angle call's do:
-    BLAS sums a strided vector in another order than a contiguous one. A
-    row is computed by the same elementwise operations and the same BLAS
-    products whichever chunk and set carry it, so it equals its own
-    one-angle call with its set's tables bit for bit.
+    A one-factor split (one fine offset, 0.0) has no fine factor, so cell
+    (a, k) is the sum over m of ``C[m, s_a, k] * z**m``, z its coarse
+    phasor. The element axis splits as the column axis does, m = i*L + j
+    with L = ``_root_width(M)``: the cell's (I x L) block matrix of
+    coefficients (``_element_table``, laid out once per call set-major with
+    zeros past M, gathered once per chunk) times its fine powers z**j, then
+    the dot with its coarse powers (z**L)**i, each a stacked ``np.matmul``
+    (``_element_chunk``). Every cell's matrix and vectors lie contiguous,
+    as a one-angle call's do: BLAS sums a strided vector in another order
+    than a contiguous one. A row is computed by the same elementwise
+    operations and the same BLAS products whichever chunk and set carry it,
+    so it equals its own one-angle call with its set's tables bit for bit.
 
     Error against the exact correlation of the same float64 inputs (the
     float64 2*pi among them), to first order in u = 2**-53 and v, the unit
     roundoff of ``np.longdouble`` (2**-64 on x87, u where it is float64),
-    for cos and sin within one ulp: with A the largest ``|phi_m| +
-    2*pi*|f*tau_m|`` over the split's frequencies and offsets, s its
-    largest slope ``scale*|f|``, and D the largest ``|f_q + g_r - f_k|``,
-    0 for integer-Hz RB centers,
+    for cos and sin within one ulp and complex products within
+    sqrt(2)*gamma_2 (2.83u): with A the largest coarse argument ``|phi_m| +
+    2*pi*|f_q*tau_m|``, s the largest slope ``scale*|f|``, E =
+    2*pi*step*tau_max the largest fine phase, s1 = ``scale*step``, and D
+    the largest ``|f_q + r*step - f_k|``, 0 for integer-Hz RB centers,
 
-    * a coefficient's long-double argument rounds by 3v*A and its turns by
-      2v*(A + 2*pi) + 2*pi*v, its float64 argument by 2*pi*u, and cos and
-      sin by sqrt(2)*u: both tables 10v*(A + 2*pi) + (4*pi + 2*sqrt(2))*u,
-      and 2*pi*tau*D for the column's own frequency;
-    * a phasor's phase rounds by 2u*s per factor and is off by scale*D, so
-      power m by m*(4u*s + scale*D); its cos and sin and the m - 1
-      products of its tree, sqrt(2)*gamma_2 each, add about 4.25u*m per
-      factor;
-    * each term takes three complex products, 8.5u; M terms of magnitude 1
-      sum within sqrt(2)*(M - 1)*u*M; the magnitude and the division by M
-      add 3u.
+    * a coarse coefficient's long-double argument rounds by 3v*A and its
+      turns by 2v*(A + 2*pi), its float64 argument by 2*pi*u, and cos and
+      sin by sqrt(2)*u: 5v*(A + 2*pi) + (2*pi + sqrt(2))*u, and 2*pi*tau*D
+      for the column's own frequency;
+    * a coarse phasor's phase rounds by 2u*s and is off by scale*D, so power
+      m by m*(2u*s + scale*D); its cos and sin and the m - 1 products of its
+      tree add about 4.25u*m;
+    * a fine phasor's phase ``cos_a*(s1*m) - delta_m`` rounds by 3u*s1*m in
+      its product, by 5v*(E + 2*pi) + 2*pi*u in delta and by u*(s1*m +
+      2*pi) in the difference, and cos and sin by sqrt(2)*u: e_w = 4u*s1*m
+      + 5v*(E + 2*pi) + (4*pi + sqrt(2))*u; power r takes it r times, and
+      the r - 1 products of its tree 2.83u each;
+    * each term takes two complex products, one per table entry and one
+      in the row's product, 5.66u; the row's product sums M terms of
+      magnitude about 1 in real arithmetic, 2M real products per part,
+      within sqrt(2)*gamma_2M*M, and a one-factor cell its sums of L and of
+      I terms within sqrt(2)*gamma_2(M+1)*M; the magnitude and the
+      division by M add 3u.
 
-    Averaged over m, the power terms count (M - 1)/2 times:
-    ``|corr - exact| <= 10v*(A + 2*pi) + 2*pi*tau_max*D + (M - 1)*(2u*s
-    + scale*D/2 + 6u) + 27u`` (``tests/oracles.py::pattern_corr_bound``,
-    tested against ``pattern_corr_longdouble`` there). A one-factor cell
-    is within it too: its power m = i*L + j is a tree of m phasors of one
-    factor, m - 1 products, its term ``(C * z**j) * (z**L)**i`` takes two
-    complex products, and sums of L and then of I terms, L + I - 2 <= M - 1
-    additions deep, round by no more than one of M terms. With a float64
-    argument alone the first term would be about 10u*A, 3e-11 at the
-    2.8e4 rad of a 157.5 ns delay at 28 GHz.
+    Averaged over m, the terms in m count (M - 1)/2 times, and r is at most
+    B - 1: ``|corr - exact| <= 5v*(A + 2*pi) + 2*pi*tau_max*D + (M - 1)*(u*s
+    + scale*D/2 + 2.125u) + (B - 1)*(2u*s1*(M - 1) + 5v*(E + 2*pi) + (4*pi
+    + 3*sqrt(2))*u) + 2*sqrt(2)*(M + 1)*u + (2*pi + sqrt(2) + 11.5)*u``
+    (``tests/oracles.py::pattern_corr_bound``, tested against
+    ``pattern_corr_longdouble`` there). The fine chain's phase error grows
+    with r, as the coarse phasor's grows with m. With a float64 argument
+    alone the first term would be about 5u*A, 1.5e-11 at the 2.8e4 rad of
+    a 157.5 ns delay at 28 GHz.
 
     A grid of several chunks is split over one thread per usable CPU, up to
     one per chunk: numpy's ufuncs and ``np.matmul`` release the interpreter
     lock, each thread takes the next whole chunk when it is free and writes
-    only that chunk's rows, the division by M and the dB steps included, so
+    only that chunk's rows, their magnitudes or dB step included, so
     the result does not depend on the thread count. The threads are started
     and joined within the call; a one-chunk grid runs on the calling thread
     alone.
@@ -280,6 +301,12 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     out = np.empty((cos_angles.size, split.width), dtype=np.float64)
     elements = coef[0].shape[0]
     chunk = max(1, PATTERN_CHUNK_CELLS // _cells_per_angle(elements, split))
+    steps = None
+    if db is not None:
+        # _gain_db's offset and floored gain
+        floor, peak_db = db
+        steps = (peak_db - 20.0 * math.log10(elements),
+                 peak_db + 20.0 * math.log10(floor))
     if split.fine.size == 1:
         coef = (_element_table(coef[0]),)
     starts = range(0, cos_angles.size, chunk)
@@ -298,10 +325,9 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
                 block = out[a0:a0 + chunk]
                 _factor_chunk(cos_angles[a0:a0 + chunk], split, coef,
                               None if sets is None else sets[a0:a0 + chunk],
-                              block, buffers)
-                block /= elements
-                if db is not None:
-                    _gain_db(block, *db)
+                              block, buffers, steps)
+                if steps is None:
+                    block /= elements
         except Exception as exc:  # re-raised by the calling thread
             errors.append(exc)
 
@@ -334,25 +360,29 @@ def _cells_per_angle(elements, split):
 
 def _chunk_buffers(rows, split, coef):
     """Flat buffers for ``_factor_chunk`` on chunks of up to ``rows``
-    angles: per factor its power table and, for a coefficient table of
-    several sets, the gathered coefficients, then the product and the phase
-    arguments; for a one-factor split those of ``_element_chunk``."""
+    angles: per factor its power table and, from tables of several sets,
+    the gathered coarse coefficients and fine phases, then the product and
+    the phase arguments; for a one-factor split those of
+    ``_element_chunk``."""
     if split.fine.size == 1:
         return ([np.empty(math.prod(shape), dtype=np.complex128)
                  for shape in _element_shapes(rows, split.width, coef[0])]
                 + [np.empty(rows * split.width)])
-    elements = coef[0].shape[0]
+    coarse, fine = coef
+    elements = coarse.shape[0]
     widths = (split.coarse.size, split.fine.size)
     powers = [np.empty(elements * rows * w, dtype=np.complex128)
               for w in widths]
-    gathered = [np.empty(elements * rows * table.shape[2],
-                         dtype=np.complex128) if table.shape[1] > 1 else None
-                for table in coef]
+    gathered = ((np.empty(elements * rows * coarse.shape[2],
+                          dtype=np.complex128),
+                 np.empty(elements * rows)) if coarse.shape[1] > 1
+                else (None, None))
     # a second product adds each element block's past the first
     blocks = min(2, -(-elements // _gemm_block(split)))
     product = np.empty((blocks, rows * widths[0] * widths[1]),
                        dtype=np.complex128)
-    return powers, gathered, product, np.empty(rows * max(widths))
+    return (powers, gathered, product,
+            np.empty(rows * max(widths[0], elements)))
 
 
 def _gemm_block(split):
@@ -393,13 +423,37 @@ def _element_table(coarse):
     return table.reshape(sets, width, blocks, block)
 
 
-def _gain_db(corr, floor, peak_db):
-    """``peak_db + 20*log10(max(corr, floor))`` in place on ``corr``, one
-    IEEE operation per step."""
-    np.maximum(corr, floor, out=corr)
-    np.log10(corr, out=corr)
-    corr *= 20.0
-    corr += peak_db
+def _gain_db(sums, out, offset, floor_db):
+    """``max(offset + 10*log10(|g|**2), floor_db)`` of the complex sums g,
+    (rows, K), into ``out``: ``|g|**2 = re**2 + im**2``, squared in place
+    in the sums' own buffer, then one IEEE operation per step. With
+    ``offset = peak_db - 20*log10(M)`` and ``floor_db = peak_db +
+    20*log10(floor)`` that is ``peak_db + 20*log10(max(|g|/M, floor))``
+    without a square root and a division by M: a sum of 0, whose log is
+    -inf, and every cell that comes out below ``floor_db`` take
+    ``floor_db`` itself, the floored gain's bits.
+
+    Error against ``peak_db + 20*log10(max(c*, floor))`` of the exact
+    correlation c*, when ``|g|/M`` errs from c* by at most b (the bound of
+    ``pattern_corr``), with u = 2**-53 and ``log10`` within one ulp: the
+    three roundings of ``|g|**2``, all of non-negative terms, err by
+    relative 2u + u**2, which ``log10`` turns into (2u + u**2)/ln(10);
+    ``log10`` itself errs by 2u of its value L = ``log10(|g|**2)``, the
+    factor 10 by u of 10L, the offset by u*(|peak_db| + 80*log10(M)) and
+    the sum by u of the gain. Past the floor, b moves the gain by at most
+    ``20/ln(10) * b / max(c* - b, floor)``; below it both gains are
+    ``floor_db``. So ``|gain - exact| <= 10/ln(10)*(2u + u**2) + 3u*|10L|
+    + u*(|peak_db| + 80*log10(M) + |gain| + |10L|) + 20/ln(10) * b /
+    max(c* - b, floor)``, 10L taken at ``max(c*, floor)``
+    (``tests/oracles.py::gain_db_bound``)."""
+    parts = sums.view(np.float64)
+    np.square(parts, out=parts)
+    np.add(parts[:, 0::2], parts[:, 1::2], out=out)
+    with np.errstate(divide="ignore"):
+        np.log10(out, out=out)
+    out *= 10.0
+    out += offset
+    np.maximum(out, floor_db, out=out)
 
 
 def _usable_cpus() -> int:
@@ -412,9 +466,8 @@ def _usable_cpus() -> int:
 def _cos_sin(rows, cols, arg, out):
     """``exp(j*rows[a]*cols[k])`` into ``out``: ``np.cos`` and ``np.sin`` of
     the outer products, taken in the flat float buffer ``arg``, into its
-    real and imaginary parts. Every phasor table is built this way: a
-    pattern chunk's angles by its coarse and fine slopes, the delay scan's
-    slopes by the element indices."""
+    real and imaginary parts: a pattern chunk's coarse phasors, its angles
+    by its coarse slopes, and the delay scan's, its slopes by one."""
     arg = arg[:out.size].reshape(out.shape)
     np.multiply(rows[:, None], cols, out=arg)
     np.cos(arg, out=out.real)
@@ -446,66 +499,93 @@ def _doubling(powers):
         h = top
 
 
-def _factor_chunk(cos_chunk, split, coef, sets, out, buffers):
-    """``|sum_m C[m, s_a, q]*P_aq**m * D[m, s_a, r]*R_ar**m|`` of one angle
-    chunk into ``out``, (rows, K), column k = q*B + r, ``s_a`` being
-    ``sets[a]`` of the chunk's rows, indices in range, or 0 for every row
-    of a table of one set, in the ``_chunk_buffers`` ``buffers``; a
-    one-factor split's by ``_element_chunk``, ``coef`` holding its
-    ``_element_table``.
+def _factor_chunk(cos_chunk, split, coef, sets, out, buffers, steps=None):
+    """``|sum_m C[m, s_a, q]*P_aq**m * w_am**r|`` of one angle chunk into
+    ``out``, (rows, K), column k = q*B + r, ``s_a`` being ``sets[a]`` of
+    the chunk's rows, indices in range, or 0 for every row of a table of
+    one set, in the ``_chunk_buffers`` ``buffers``; a one-factor split's by
+    ``_element_chunk``, ``coef`` holding its ``_element_table``. With
+    ``steps``, ``(offset, floor_db)``, each entry is instead its gain
+    (``_gain_db``).
+
+    The fine factor ``w_am**r = exp(j*r*(cos_a*scale*step*m -
+    delta[m, s_a]))``, delta the fine phase of ``pattern_coefficients``, is
+    the fine coefficient times the fine phasor's power m: one phasor per
+    (angle, element) by ``np.cos`` and ``np.sin``, its powers 0 to B - 1
+    by ``_doubling``, laid out (B, rows, M) so that each row's (M x B)
+    table is one BLAS operand.
 
     numpy multiplies one-element arrays in another loop than longer ones,
     which rounds a complex product differently, so a chunk of one angle and
-    one coarse column is evaluated as two copies of its angle."""
+    one coarse column or one element is evaluated as two copies of its
+    angle."""
     rows, width = out.shape
     runs, step = split.coarse.size, split.fine.size
-    if rows * runs == 1:
+    if rows == 1 and (runs == 1 or step > 1 and coef[0].shape[0] == 1):
         pair = np.empty((2, width))
         _factor_chunk(np.repeat(cos_chunk, 2), split, coef,
                       None if sets is None else np.repeat(sets, 2), pair,
-                      buffers)
+                      buffers, steps)
         out[:] = pair[:1]
         return
     if step == 1:
-        _element_chunk(cos_chunk, split.scale * split.coarse, coef[0], sets,
-                       out, buffers)
+        _magnitudes(_element_chunk(cos_chunk, split.scale * split.coarse,
+                                   coef[0], sets, buffers, rows, width),
+                    out, steps)
         return
-    powers, gathered, product, arg = buffers
-    elements = coef[0].shape[0]
-    tables = []
-    for flat, spare, slopes, table in zip(
-            powers, gathered, (split.scale * split.coarse,
-                               split.scale * split.fine), coef):
-        factor = flat[:elements * rows * slopes.size].reshape(
-            elements, rows, slopes.size)
-        _factor_powers(cos_chunk, slopes, arg, factor)
-        if spare is not None:
-            table = np.take(table, sets, axis=1, mode="clip",  # in range
-                            out=spare[:elements * rows * table.shape[2]]
-                            .reshape(elements, rows, table.shape[2]))
-        factor *= table
-        tables.append(factor)
+    (coarse_flat, fine_flat), (coarse_spare, fine_spare), product, arg = \
+        buffers
+    table, delta = coef
+    elements = table.shape[0]
+    coarse = coarse_flat[:elements * rows * runs].reshape(elements, rows,
+                                                          runs)
+    _factor_powers(cos_chunk, split.scale * split.coarse, arg, coarse)
+    fine = fine_flat[:step * rows * elements].reshape(step, rows, elements)
+    phase = arg[:rows * elements].reshape(rows, elements)
+    np.multiply(cos_chunk[:, None],
+                split.scale * split.fine[1] * np.arange(elements), out=phase)
+    if coarse_spare is None:
+        phase -= delta[:, 0]
+    else:
+        table = np.take(table, sets, axis=1, mode="clip",  # in range
+                        out=coarse_spare[:elements * rows * table.shape[2]]
+                        .reshape(elements, rows, table.shape[2]))
+        phase -= np.take(delta, sets, axis=1, mode="clip",  # in range
+                         out=fine_spare[:elements * rows].reshape(
+                             elements, rows)).T
+    np.cos(phase, out=fine[1].real)
+    np.sin(phase, out=fine[1].imag)
+    _doubling(fine)
+    coarse *= table
     grid, part = (flat[:rows * runs * step].reshape(rows, runs, step)
                   for flat in (product[0], product[-1]))
     block = _gemm_block(split)
     for m0 in range(0, elements, block):
-        np.matmul(tables[0][m0:m0 + block].transpose(1, 2, 0),
-                  tables[1][m0:m0 + block].transpose(1, 0, 2),
+        np.matmul(coarse[m0:m0 + block].transpose(1, 2, 0),
+                  fine[:, :, m0:m0 + block].transpose(1, 2, 0),
                   out=part if m0 else grid)
         if m0:
             grid += part
-    np.abs(grid.reshape(rows, -1)[:, :width], out=out)
+    _magnitudes(grid.reshape(rows, -1)[:, :width], out, steps)
 
 
-def _element_chunk(cos_chunk, slopes, table, sets, out, buffers):
-    """``|sum_m c[m] * z**m|`` of one one-factor chunk into ``out``, (rows,
-    K), z = ``exp(j*cos_chunk[a]*slopes[k])`` and c the ``_element_table``
-    ``table`` of the row's set, with m = i*L + j: the fine powers z**j, j
-    from 0 to L, and the coarse (z**L)**i by ``_doubling``, copied row-major
-    so that each cell's vectors lie contiguous, then each cell's (I x L)
-    matrix times its fine powers and its coarse powers times that, two
-    stacked ``np.matmul``."""
-    rows, width = out.shape
+def _magnitudes(sums, out, steps):
+    """``|sums|`` into ``out``, or with ``steps`` their gains
+    (``_gain_db``)."""
+    if steps is None:
+        np.abs(sums, out=out)
+    else:
+        _gain_db(sums, out, *steps)
+
+
+def _element_chunk(cos_chunk, slopes, table, sets, buffers, rows, width):
+    """``sum_m c[m] * z**m`` of one one-factor chunk, (rows, K), a view
+    into ``buffers``, z = ``exp(j*cos_chunk[a]*slopes[k])`` and c the
+    ``_element_table`` ``table`` of the row's set, with m = i*L + j: the
+    fine powers z**j, j from 0 to L, and the coarse (z**L)**i by
+    ``_doubling``, copied row-major so that each cell's vectors lie
+    contiguous, then each cell's (I x L) matrix times its fine powers and
+    its coarse powers times that, two stacked ``np.matmul``."""
     blocks, block = table.shape[2:]
     fine, coarse, fine_rows, coarse_rows, gathered, inner, total = (
         flat[:math.prod(shape)].reshape(shape) for flat, shape in
@@ -521,7 +601,7 @@ def _element_chunk(cos_chunk, slopes, table, sets, out, buffers):
                         out=gathered)
     np.matmul(table, fine_rows, out=inner)
     np.matmul(coarse_rows, inner, out=total)
-    np.abs(total.reshape(rows, width), out=out)
+    return total.reshape(rows, width)
 
 
 # ---------------------------------------------------------------------------
@@ -562,15 +642,14 @@ def _tile_edges(size):
 
 def phase_ramps(slopes, num_elements):
     """Target table ``exp(j*m*slopes[k])``, shape (slopes, num_elements),
-    built as the pattern phasors are (``_cos_sin``). Those are the bits of
-    ``np.exp(1j * slopes[:, None] * m)`` for every slope but -0.0 (whose
-    imaginary parts come out -0.0 instead of +0.0), without its complex
-    temporary of the products."""
+    a column-major view: the phasors ``exp(j*slopes[k])`` by ``np.cos`` and
+    ``np.sin``, one pair per slope, and their powers m by ``_doubling``
+    (``_factor_powers``), element-major, as the pattern kernel takes its
+    phasor powers. ``delay_scan`` derives the error this adds."""
     slopes = np.asarray(slopes, dtype=np.float64)
-    target = np.empty((slopes.size, num_elements), dtype=np.complex128)
-    _cos_sin(slopes, np.arange(num_elements, dtype=np.float64),
-             np.empty(target.size), target)
-    return target
+    powers = np.empty((num_elements, slopes.size, 1), dtype=np.complex128)
+    _factor_powers(slopes, np.ones(1), np.empty(slopes.size), powers)
+    return powers[:, :, 0].T
 
 
 def delay_scan(slopes, twiddles, num_elements):
@@ -581,6 +660,29 @@ def delay_scan(slopes, twiddles, num_elements):
     ``slopes[k]`` is the per-element phase increment of the target steering
     vector at evaluation frequency ``f_k``. The best delay for antenna m
     maximizes ``|U[:, m]|`` and the matching phase is ``angle(U)``.
+
+    Error against the exact scores of the same float64 slopes,
+    frequencies and delays (the float64 2*pi among them), with u = 2**-53
+    and cos and sin within one ulp, K frequencies:
+
+    * a twiddle's argument ``(2*pi*tau_t)*f_k`` rounds twice, by (2u +
+      u**2)*2*pi*tau_t*|f_k|, and its cos and sin by sqrt(2)*u;
+    * a target entry, the m-th power of the phasor ``exp(j*slopes[k])``
+      (``phase_ramps``), takes the phasor's sqrt(2)*u m times and the m - 1
+      products of its doubling tree, sqrt(2)*gamma_2 each: relative
+      ``e_m = (1 + sqrt(2)*u)**m * (1 + sqrt(2)*gamma_2)**(m - 1) - 1``,
+      whatever the slope's size (a product ``m*slope`` taken in float64
+      would round by u*m*|slope|);
+    * the product of one row of twiddles by one column of the target is a
+      complex dot product in real arithmetic, 2K real products per part, so
+      it rounds within sqrt(2)*gamma_2K times the sum of the terms'
+      magnitudes, each at most (1 + sqrt(2)*u)*(1 + e_m).
+
+    So ``|U - exact| <= (2u + u**2)*2*pi*tau_t*sum_k |f_k| + K*sqrt(2)*u +
+    K*(1 + sqrt(2)*u)*e_m + sqrt(2)*gamma_2K*K*(1 + sqrt(2)*u)*(1 + e_m)``
+    (``tests/oracles.py::delay_scan_bound``, tested against
+    ``delay_scan_longdouble`` there): about 2*sqrt(2)*K**2*u, 1e-12 of
+    the largest score K at 3168 frequencies, past the twiddles' term.
     """
     target = phase_ramps(slopes, num_elements)
     taus = twiddles.shape[0]

@@ -193,11 +193,12 @@ def _eval_freqs(grid: FrequencyGrid, per_subcarrier: bool) -> np.ndarray:
 
 def _target_slopes(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
                    per_subcarrier: bool):
-    """Evaluation frequencies and per-element target phase slopes."""
+    """Evaluation frequencies and per-element target phase slopes: one
+    cosine per RB, repeated over the RB's evaluation frequencies."""
     freqs = _eval_freqs(grid, per_subcarrier)
-    angles = np.repeat(target.rb_angles(grid.num_rbs),
-                       freqs.size // grid.num_rbs)
-    slopes = 2.0 * math.pi * cfg.spacing_m * freqs * np.cos(angles) \
+    cosines = np.repeat(np.cos(target.rb_angles(grid.num_rbs)),
+                        freqs.size // grid.num_rbs)
+    slopes = 2.0 * math.pi * cfg.spacing_m * freqs * cosines \
         / SPEED_OF_LIGHT_M_S
     return freqs, slopes
 

@@ -103,21 +103,31 @@ def pattern_corr_longdouble(cos_angles, freqs, phases, delays,
     return np.sqrt(re * re + im * im) / len(phases)
 
 
-def pattern_corr_bound(num_elements, coef_arg, slope, coef_residual=0.0,
+def pattern_corr_bound(num_elements, coef_arg, slope, fine_width=1,
+                       fine_arg=0.0, fine_slope=0.0, coef_residual=0.0,
                        slope_residual=0.0, unit=2.0 ** -53,
                        arg_unit=float(np.finfo(np.longdouble).eps) / 2.0):
     """Largest error ``_kernels.pattern_corr`` may make against the exact
     correlation, derived in its docstring: M elements, ``coef_arg`` the
-    largest coefficient argument ``|phi_m| + 2*pi*|f*tau_m|`` and ``slope``
-    the largest steering slope over the split's frequencies and offsets,
-    ``coef_residual`` = 2*pi*tau_max*D and ``slope_residual`` = scale*D for
-    the split's largest residual D = ``|f_q + g_r - f_k|`` (0 for
-    integer-Hz RB centers), in float64 of unit roundoff ``unit`` with
-    coefficient arguments taken at ``arg_unit``."""
-    return (10.0 * arg_unit * (coef_arg + TWO_PI) + coef_residual
-            + (num_elements - 1) * (2.0 * unit * slope + slope_residual / 2.0
-                                    + 6.0 * unit)
-            + 27.0 * unit)
+    largest coarse coefficient argument ``|phi_m| + 2*pi*|f_q*tau_m|`` and
+    ``slope`` the largest steering slope ``scale*|f|`` over the split's
+    frequencies, a fine power chain of ``fine_width`` B powers, whose step
+    has the largest delay phase ``fine_arg`` = 2*pi*step*tau_max and the
+    slope ``fine_slope`` = scale*step, ``coef_residual`` = 2*pi*tau_max*D
+    and ``slope_residual`` = scale*D for the split's largest residual D =
+    ``|f_q + r*step - f_k|`` (0 for integer-Hz RB centers), in float64 of
+    unit roundoff ``unit`` with the arguments of the coarse coefficients and
+    the fine delay phases taken at ``arg_unit``."""
+    root2 = math.sqrt(2.0)
+    return (5.0 * arg_unit * (coef_arg + TWO_PI) + coef_residual
+            + (num_elements - 1) * (unit * slope + slope_residual / 2.0
+                                    + 2.125 * unit)
+            + (fine_width - 1) * (
+                2.0 * unit * fine_slope * (num_elements - 1)
+                + 5.0 * arg_unit * (fine_arg + TWO_PI)
+                + (2.0 * TWO_PI + 3.0 * root2) * unit)
+            + 2.0 * root2 * (num_elements + 1) * unit
+            + (TWO_PI + root2 + 11.5) * unit)
 
 
 def delay_scan_py(slopes, freqs, taus, num_elements):
@@ -136,6 +146,104 @@ def delay_scan_py(slopes, freqs, taus, num_elements):
                 im += math.sin(ph)
             out[t, m] = complex(re, im)
     return out
+
+
+def gain_db_bound(corr, corr_bound, peak_db, num_elements,
+                  floor=CORRELATION_FLOOR, unit=2.0 ** -53):
+    """Largest error of a gain of ``_kernels.pattern_corr`` with its dB
+    step against ``peak_db + 20*log10(max(corr, floor))`` of the exact
+    correlation ``corr``, when the kernel's correlation errs by at most
+    ``corr_bound``, derived in ``_kernels._gain_db``'s docstring: the
+    correlation's error through the floored log, and the rounding of
+    ``|g|**2``, of ``log10`` within one ulp, of the factor 10, of the
+    offset ``peak_db - 20*log10(M)`` and of its sum."""
+    ln10 = math.log(10.0)
+    kept = np.maximum(np.asarray(corr, dtype=np.float64), floor)
+    level = np.abs(20.0 * np.log10(num_elements * kept))
+    gain = np.abs(peak_db + 20.0 * np.log10(kept))
+    offset = abs(peak_db) + 80.0 * math.log10(num_elements)
+    step = (10.0 / ln10 * (2.0 + unit) * unit * (1.0 + 2.0 * unit)
+            + 3.0 * unit * level + unit * (offset + gain + level))
+    return step + 20.0 / ln10 * corr_bound / np.maximum(kept - corr_bound,
+                                                        floor)
+
+
+def db_step_bound(corr, peak_db, num_elements, unit=2.0 ** -53):
+    """How far a gain of ``_kernels.pattern_corr``'s dB step, taken on
+    ``|g|**2``, and ``peak_db + 20*log10(max(corr, floor))`` of the same
+    sum's correlation ``corr = |g|/M`` may lie apart: each lies within
+    ``gain_db_bound`` of the floored dB of ``|g|/M`` itself, the
+    correlation's magnitude and division by M rounding by 2u of it, and
+    the correlation's own ``log10`` within one ulp, its factor 20 and its
+    sum with the peak add 3u of ``20*log10(corr)`` and u of the gain."""
+    kept = np.maximum(corr, CORRELATION_FLOOR)
+    return (2.0 * gain_db_bound(corr, 2.1 * unit * kept, peak_db,
+                                num_elements, unit=unit)
+            + unit * (3.0 * np.abs(20.0 * np.log10(kept))
+                      + np.abs(peak_db + 20.0 * np.log10(kept))))
+
+
+def phase_ramps_longdouble(slopes, num_elements):
+    """``exp(j*m*slopes[k])``, shape (slopes, num_elements), in
+    ``np.longdouble``: m*slopes[k] is exact on a 63-bit mantissa, so only
+    the long-double cos and sin round."""
+    ld = np.longdouble
+    arg = np.asarray(slopes, dtype=np.float64).astype(ld)[:, None] \
+        * np.arange(num_elements).astype(ld)
+    return np.cos(arg) + 1j * np.sin(arg)
+
+
+def phase_ramps_bound(num_elements, unit=2.0 ** -53):
+    """Largest error of each column m of ``_kernels.phase_ramps`` against
+    the exact ``exp(j*m*slope)``, shape (num_elements,), derived in
+    ``_kernels.delay_scan``'s docstring: the phasor's cos and sin within one
+    ulp, sqrt(2)*u, taken m times, and the m - 1 complex products of the
+    doubling tree, sqrt(2)*gamma_2 each."""
+    m = np.arange(num_elements, dtype=np.float64)
+    phasor = math.log1p(math.sqrt(2.0) * unit)
+    product = math.log1p(math.sqrt(2.0) * 2.0 * unit / (1.0 - 2.0 * unit))
+    return np.expm1(m * phasor + np.maximum(m - 1.0, 0.0) * product)
+
+
+def delay_scan_longdouble(slopes, freqs, taus, cells):
+    """``U[t, m]`` of ``delay_scan_py`` at each ``(t, m)`` of ``cells``,
+    every step taken in ``np.longdouble`` on the same float64 inputs, the
+    float64 2*pi among them: ``exp(j*m*slope_k)`` of an exact argument
+    times ``exp(-j*2*pi*tau_t*f_k)``, summed over k. On a 63-bit mantissa
+    its own error is about 2**-11 of the float64 kernel's, so it stands
+    for the exact scores."""
+    ld = np.longdouble
+    slopes = np.asarray(slopes, dtype=np.float64).astype(ld)
+    freqs = np.asarray(freqs, dtype=np.float64).astype(ld)
+    out = np.empty(len(cells), dtype=np.clongdouble)
+    for c, (t, m) in enumerate(cells):
+        ramp = slopes * m
+        delay = ld(TWO_PI) * ld(taus[t]) * freqs
+        re = np.cos(ramp) * np.cos(delay) + np.sin(ramp) * np.sin(delay)
+        im = np.sin(ramp) * np.cos(delay) - np.cos(ramp) * np.sin(delay)
+        out[c] = np.sum(re) + 1j * np.sum(im)
+    return out
+
+
+def delay_scan_bound(freqs, taus, num_elements, unit=2.0 ** -53):
+    """Largest error of ``_kernels.delay_scan`` against the exact scores of
+    the same float64 slopes, ``freqs`` and ``taus``, shape (taus,
+    num_elements), derived in its docstring: each twiddle's argument
+    rounds twice and its cos and sin within one ulp, each target entry errs
+    by ``phase_ramps_bound``, and the K-term complex dot product in real
+    arithmetic rounds within sqrt(2)*gamma_2K of the sum of the terms'
+    magnitudes."""
+    freqs = np.abs(np.asarray(freqs, dtype=np.float64))
+    taus = np.asarray(taus, dtype=np.float64)
+    terms = freqs.size
+    root2 = math.sqrt(2.0)
+    # (1 + u)**2 - 1 of the argument's two roundings
+    twiddles = (2.0 + unit) * unit * TWO_PI * taus * freqs.sum() \
+        + terms * root2 * unit
+    ramps = phase_ramps_bound(num_elements, unit)
+    gamma = 2 * terms * unit / (1.0 - 2 * terms * unit)
+    return (twiddles[:, None] + terms * (1.0 + root2 * unit) * ramps
+            + root2 * gamma * terms * (1.0 + root2 * unit) * (1.0 + ramps))
 
 
 def eesm_effective_snr_db_py(snr_db_values, beta):

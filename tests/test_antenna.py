@@ -28,6 +28,7 @@ from jpta.codebook import (
 from oracles import (
     array_factor,
     beam_gain_db_py,
+    db_step_bound,
     jpta_response,
     steering_vector,
 )
@@ -233,8 +234,10 @@ def test_gain_never_exceeds_peak_and_is_floored(array16):
 
 
 def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
-    # the dB steps run in place on the kernel's output: every gain keeps
-    # the bits of peak + 20 * log10(max(corr, floor)), floored cells too
+    # the dB step runs on the kernel's sums: every gain lies within
+    # db_step_bound of peak + 20 * log10(max(corr, floor)) of the kernel's
+    # correlation, and a floored cell is that value, peak - 80 dB, bit for
+    # bit
     rng = np.random.default_rng(12)
     grid = FrequencyGrid(28e9, 400e6, 120e3, 24)
     angles = np.linspace(0.1, math.pi - 0.1, 181)  # boresight in the middle
@@ -254,21 +257,26 @@ def test_pattern_map_is_the_floored_db_of_the_kernel(array16):
                                           [w.delays_s]))
         want = cfg.peak_gain_db + 20.0 * np.log10(
             np.maximum(corr, CORRELATION_FLOOR))
-        assert np.array_equal(pattern_map(cfg, w, angles, grid), want)
-    assert (corr < CORRELATION_FLOOR).any()
+        gains = pattern_map(cfg, w, angles, grid)
+        assert np.all(np.abs(gains - want)
+                      <= db_step_bound(corr, cfg.peak_gain_db,
+                                       cfg.num_elements))
+        floored = corr < CORRELATION_FLOOR * (1.0 - 1e-9)
+        assert np.all(gains[floored] == cfg.peak_gain_db - 80.0)
+    assert floored.any()
 
 
 def test_zero_delay_pattern_map_takes_a_one_column_table(monkeypatch,
                                                         array16, grid264):
     # a set without delays reaches the kernel with its one-column coarse
-    # table and a one-column fine table, not ones widened to the Q coarse
-    # and B fine columns, and its map keeps the bits of the kernel's
-    # result on the explicitly widened (M, 1, Q) and (M, 1, B) tables
+    # table and one column of zero fine phases, not a coarse table widened
+    # to the Q coarse columns, and its map keeps the bits of the kernel's
+    # result on the explicitly widened (M, 1, Q) table
     real = _kernels.pattern_corr
     widths = []
 
     def spy(cos_angles, split, coef, *args):
-        widths.append(tuple(table.shape[2] for table in coef))
+        widths.append((coef[0].shape[2], coef[1].shape[1]))
         return real(cos_angles, split, coef, *args)
 
     monkeypatch.setattr(_kernels, "pattern_corr", spy)
@@ -282,13 +290,13 @@ def test_zero_delay_pattern_map_takes_a_one_column_table(monkeypatch,
         widths.clear()
         gains = pattern_map(array16, w, angles, grid264)
         assert widths == [(1, 1)]
-        widened = tuple(
-            np.ascontiguousarray(np.broadcast_to(table, (16, 1, f.size)))
-            for table, f in zip(_kernels.pattern_coefficients(
-                split, [w.phases_rad], [w.delays_s]),
-                (split.coarse, split.fine)))
-        assert [t.shape[2] for t in widened] == [12, 22]
-        want = real(np.cos(angles), split, widened, None,
+        coarse, fine = _kernels.pattern_coefficients(
+            split, [w.phases_rad], [w.delays_s])
+        assert fine.shape == (16, 1) and np.all(fine == 0.0)
+        widened = np.ascontiguousarray(np.broadcast_to(
+            coarse, (16, 1, split.coarse.size)))
+        assert widened.shape[2] == 12
+        want = real(np.cos(angles), split, (widened, fine), None,
                     (CORRELATION_FLOOR, array16.peak_gain_db))
         assert np.array_equal(gains, want)
 

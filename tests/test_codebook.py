@@ -264,6 +264,26 @@ def test_type1_scan_objective_equals_type1_objective(problem, data):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_type1_targets(264), spacing=st.floats(1e-6, 10.0),
+       per_subcarrier=st.booleans())
+def test_target_slopes_take_one_cosine_per_rb(problem, spacing,
+                                              per_subcarrier):
+    # the designer's target slopes take the cosine of each RB's angle once
+    # and repeat it over the RB's evaluation frequencies: the bits of the
+    # cosine of every frequency's own repeated angle
+    target, grid = problem
+    cfg = ArrayConfig(num_elements=16, spacing_m=spacing, carrier_hz=28e9)
+    freqs, slopes = codebook._target_slopes(cfg, target, grid,
+                                            per_subcarrier)
+    angles = np.repeat(target.rb_angles(grid.num_rbs),
+                       freqs.size // grid.num_rbs)
+    want = 2.0 * math.pi * spacing * freqs * np.cos(angles) \
+        / SPEED_OF_LIGHT_M_S
+    assert freqs.size == grid.num_rbs * (12 if per_subcarrier else 1)
+    assert np.array_equal(slopes.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(problem=_type1_targets(40), num_elements=st.integers(1, 16),
        fine_step_ns=st.floats(0.1, 5.0), ratio=st.integers(1, 8),
        coarse_steps=st.integers(0, 16), extra_steps=st.integers(0, 16),

@@ -37,18 +37,24 @@ from jpta.antenna import (
 from jpta.codebook import MAX_DELAY_S
 from jpta.link import MAX_EESM_BETA
 from oracles import (
+    delay_scan_bound,
+    delay_scan_longdouble,
     delay_scan_py,
+    db_step_bound,
     eesm_effective_snr_db_py,
     eesm_snr_db_bound,
     eesm_snr_db_longdouble,
     eesm_stage_bound,
     eesm_stage_longdouble,
     eesm_stage_py,
+    gain_db_bound,
     highest_mcs_py,
     live_candidates_py,
     pattern_corr_bound,
     pattern_corr_longdouble,
     pattern_corr_py,
+    phase_ramps_bound,
+    phase_ramps_longdouble,
     rate_scan_py,
     snr_factors,
     snr_rows,
@@ -164,8 +170,10 @@ def test_pattern_corr_within_its_bound_of_the_long_double_sum(
     # delays (the delay line's 1 us cap), weight sets with and without
     # delays and rows naming them: every drawn cell within the bound
     # derived in pattern_corr's docstring of the long-double sum of the
-    # same inputs; the columns are integer-Hz RB centers, on which the
-    # split's frequencies add up exactly (D = 0)
+    # same inputs, and its gain, at a drawn peak gain, within the bound
+    # derived in _gain_db's of the floored dB of that sum; the columns are
+    # integer-Hz RB centers, on which the split's frequencies add up
+    # exactly (D = 0)
     freqs = _rb_grid_freqs(num_rbs, carrier, data)
     scale = 2.0 * math.pi * spacing / SPEED_OF_LIGHT_M_S
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -179,20 +187,29 @@ def test_pattern_corr_within_its_bound_of_the_long_double_sum(
     assert np.array_equal(np.add.outer(split.coarse.astype(long),
                                        split.fine.astype(long)).ravel()
                           [:num_rbs], freqs.astype(long))
-    got = _kernels.pattern_corr(
-        cos_angles, split, _kernels.pattern_coefficients(split, phases,
-                                                         delays), sets)
+    coef = _kernels.pattern_coefficients(split, phases, delays)
+    got = _kernels.pattern_corr(cos_angles, split, coef, sets)
+    peak_db = data.draw(st.floats(-100.0, 100.0))
+    gains = _kernels.pattern_corr(cos_angles, split, coef, sets,
+                                  (CORRELATION_FLOOR, peak_db))
     cols = np.unique(rng.integers(0, num_rbs, 16))
-    largest = max(freqs.max(), split.fine.max())
+    step = split.fine[1] if split.fine.size > 1 else 0.0
     for s in range(num_sets):
         rows = sets == s
         want = pattern_corr_longdouble(cos_angles[rows], freqs[cols],
                                        phases[s], delays[s], scale)
         bound = pattern_corr_bound(
-            num_el, np.max(phases[s]) + 2.0 * math.pi * largest
-            * np.max(delays[s]), scale * largest)
+            num_el, np.max(phases[s]) + 2.0 * math.pi * split.coarse.max()
+            * np.max(delays[s]), scale * freqs.max(), split.fine.size,
+            2.0 * math.pi * step * np.max(delays[s]), scale * step)
         err = np.abs(got[np.ix_(rows, cols)] - want.astype(np.float64))
         assert np.all(err <= bound), (err.max(), bound)
+        exact_db = peak_db + 20 * np.log10(np.maximum(want,
+                                                      CORRELATION_FLOOR))
+        err_db = np.abs(gains[np.ix_(rows, cols)] - exact_db).astype(float)
+        bound_db = gain_db_bound(want.astype(np.float64), bound, peak_db,
+                                 num_el)
+        assert np.all(err_db <= bound_db), (err_db.max(), bound_db.min())
 
 
 def _doubled(first, count):
@@ -260,13 +277,14 @@ def test_delay_scan_matches_oracle():
 @pytest.mark.parametrize("num_freqs", [1, 12, 264, 3168])
 def test_delay_scan_equals_one_whole_product(num_freqs):
     # the scan's tiles give every score the bits of the whole
-    # twiddles @ target product, for 1 to 70 taus
+    # twiddles @ target product, the target its phase_ramps table, for 1
+    # to 70 taus
     rng = np.random.default_rng(15 + num_freqs)
     freqs = rng.uniform(27e9, 29e9, num_freqs)
     slopes = rng.uniform(-np.pi, np.pi, num_freqs)
     table = _kernels.delay_twiddles(np.arange(70) * 2.5e-9, freqs)
     for num_el in (1, 2, 5, 16, 17, 33, 64):
-        target = np.exp(1j * slopes[:, None] * np.arange(num_el)[None, :])
+        target = _kernels.phase_ramps(slopes, num_el)
         for taus in range(1, 71):
             twiddles = table[:taus]
             assert np.array_equal(
@@ -274,7 +292,7 @@ def test_delay_scan_equals_one_whole_product(num_freqs):
                 twiddles @ target), (num_el, taus)
     # up to the 1024-element cap, at the default delay line's 64 taus
     for num_el in (256, 1024):
-        target = np.exp(1j * slopes[:, None] * np.arange(num_el)[None, :])
+        target = _kernels.phase_ramps(slopes, num_el)
         assert np.array_equal(
             _kernels.delay_scan(slopes, table[:64], num_el),
             table[:64] @ target), num_el
@@ -285,7 +303,7 @@ def test_delay_scan_equals_one_whole_product(num_freqs):
     if num_freqs <= 264:
         sizes += (1023,)
     for num_el in sizes:
-        target = np.exp(1j * slopes[:, None] * np.arange(num_el)[None, :])
+        target = _kernels.phase_ramps(slopes, num_el)
         for taus in (1, 2, 17, 64, 65):
             twiddles = table[:taus]
             assert np.array_equal(
@@ -293,20 +311,66 @@ def test_delay_scan_equals_one_whole_product(num_freqs):
                 twiddles @ target), (num_el, taus)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="np.longdouble is no wider than float64")
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(slopes=hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(
-           -1e6, 1e6, allow_subnormal=True).filter(
-               lambda x: x != 0.0 or math.copysign(1.0, x) > 0.0)),
+           -1e6, 1e6, allow_subnormal=True)),
        num_el=st.sampled_from([1, 2, 15, 16, 17, 64, 257, 1024]))
 def test_phase_ramps_equal_the_complex_exponential(slopes, num_el):
-    # the delay scan's target table from np.cos and np.sin keeps every bit
-    # of np.exp of the imaginary products, zero and sign bits included,
-    # for slopes past any a 10 m, 1 THz array has; a slope of -0.0, which
-    # no target angle gives, would flip the sign of its zero sines
-    want = np.exp(1j * slopes[:, None] * np.arange(num_el, dtype=np.float64))
+    # the delay scan's target table, one cos and sin per slope and its
+    # powers by doubling, lies within the bound derived in delay_scan's
+    # docstring of the exact exp(j*m*slope), entry by entry, for slopes
+    # past any a 10 m, 1 THz array has; column 0 is exactly 1
     got = _kernels.phase_ramps(slopes, num_el)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got.shape == (slopes.size, num_el)
+    assert np.all(got[:, 0] == 1.0)
+    err = np.abs(got - phase_ramps_longdouble(slopes, num_el)).astype(float)
+    assert np.all(err <= phase_ramps_bound(num_el)), err.max(axis=0)
+
+
+@st.composite
+def _delay_scan_problems(draw):
+    """A designer's delay scan over the accepted ranges: 1 to 3168
+    evaluation frequencies (an integer-Hz carrier and spacing), 1 to 1024
+    elements at up to 10 m spacing toward any angle per frequency, and 1 to
+    64 delay taps of a drawn step up to the 1 us delay line."""
+    num_freqs = draw(st.integers(1, 12 * 264))
+    carrier = draw(st.integers(int(CARRIER_RANGE_HZ[0]),
+                               int(CARRIER_RANGE_HZ[1])))
+    scs = draw(st.integers(int(SCS_RANGE_HZ[0]),
+                           min(int(SCS_RANGE_HZ[1]),
+                               carrier // (num_freqs + 1))))
+    freqs = carrier + scs * (np.arange(num_freqs) - num_freqs // 2.0)
+    num_el = draw(st.integers(1, MAX_NUM_ELEMENTS))
+    num_taus = draw(st.integers(1, 64))
+    step = draw(st.floats(1e-12, MAX_DELAY_S / max(num_taus - 1, 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spacing = draw(st.floats(1e-6, MAX_SPACING_M))
+    slopes = 2.0 * math.pi * spacing * freqs * rng.uniform(
+        -1.0, 1.0, num_freqs) / SPEED_OF_LIGHT_M_S
+    cells = [(num_taus - 1, num_el - 1), (0, num_el - 1)] + [
+        (int(t), int(m)) for t, m in zip(rng.integers(0, num_taus, 8),
+                                         rng.integers(0, num_el, 8))]
+    return slopes, freqs, np.arange(num_taus) * step, num_el, cells
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="np.longdouble is no wider than float64")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_delay_scan_problems())
+def test_delay_scan_within_its_bound_of_the_long_double_sum(problem):
+    # every drawn score of the scan, phase_ramps target times
+    # delay_twiddles, lies within the bound derived in delay_scan's
+    # docstring of the long-double sum of the same inputs
+    slopes, freqs, taus, num_el, cells = problem
+    got = _kernels.delay_scan(slopes, _kernels.delay_twiddles(taus, freqs),
+                              num_el)
+    want = delay_scan_longdouble(slopes, freqs, taus, cells)
+    bound = delay_scan_bound(freqs, taus, num_el)
+    for (t, m), exact in zip(cells, want):
+        err = abs(got[t, m] - complex(exact))
+        assert err <= bound[t, m], (t, m, err, bound[t, m])
 
 
 def _cpu_s():
@@ -549,7 +613,11 @@ def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
     # depth up to 63, and the one-factor products at one column, 5 elements
     # there taking 3 blocks of 2, the last padded with a zero. At 263
     # columns, which have no divisor from sqrt(K) to 2*sqrt(K), the last run
-    # of fine columns is short and its products past K are dropped
+    # of fine columns is short and its products past K are dropped. The
+    # gains, the dB step each chunk's thread takes on its own sums, equal
+    # their one-angle calls too; one element takes a fine power chain of
+    # one column per row, which a one-angle chunk takes as two copies of
+    # its angle
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(23 + num_freqs)
     freqs = _wide_freqs(num_freqs)
@@ -571,10 +639,14 @@ def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
             counts = {1, 2, 7, 300}
         for count in sorted(c for c in counts if c > 0):
             cos_angles = np.cos(rng.uniform(0.0, np.pi, count))
-            rows = _kernels.pattern_corr(cos_angles, split, coef)
-            for a in range(count):
-                want = _kernels.pattern_corr(cos_angles[a:a + 1], split, coef)
-                assert np.array_equal(rows[a], want[0]), (num_el, count, a)
+            for db in (None, (CORRELATION_FLOOR, 28.0)):
+                rows = _kernels.pattern_corr(cos_angles, split, coef, None,
+                                             db)
+                for a in range(count):
+                    want = _kernels.pattern_corr(cos_angles[a:a + 1], split,
+                                                 coef, None, db)
+                    assert np.array_equal(rows[a], want[0]), (num_el, count,
+                                                              a, db)
 
 
 @pytest.mark.parametrize("num_freqs,short", [
@@ -606,13 +678,16 @@ def test_pattern_corr_short_last_run_matches_oracle_and_one_angle_rows(
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_table_gain_db_equals_the_whole_map_db(monkeypatch, cpus):
-    # the floor, log10, x20 and +peak that each chunk's thread takes in
-    # place (pattern_corr's db steps) give the bits of the same steps on
-    # the whole correlation map, at several chunks with a short last one,
-    # a set per angle, one-column tables, a floored null and a one-cell grid
-    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    # the dB step that each chunk's thread takes on its sums (|g|**2,
+    # log10, x10, + the offset, the floor) gives the bits of the same step
+    # on the whole map in one chunk on one thread, at several chunks with a
+    # short last one, a set per angle, one-column tables, a floored null
+    # and a one-cell grid; every gain lies within db_step_bound of the
+    # floored dB of the correlation map, and the null is exactly 80 dB
+    # below the peak
     rng = np.random.default_rng(29)
     cfg = ArrayConfig.half_wavelength(16, 28e9, 28.0)
+    db = (CORRELATION_FLOOR, cfg.peak_gain_db)
     for num_freqs, num_angles, per_angle, delayed in (
             (264, 300, False, True), (24, 2000, False, True),
             (1024, 61, False, True), (24, 40, True, True),
@@ -629,16 +704,52 @@ def test_table_gain_db_equals_the_whole_map_db(monkeypatch, cpus):
         cos_angles[0] = 2 * np.pi / (16 * (SLOPE_SCALE * freqs[0]))
         rows = np.arange(num_angles) if per_angle else None
         if not per_angle:
-            for table in coef:
-                table[:, 0, :] = 1.0
-        want = _kernels.pattern_corr(cos_angles, split, coef, rows)
+            coef[0][:, 0, :] = 1.0
+            coef[1][:, 0] = 0.0
+        corr = _kernels.pattern_corr(cos_angles, split, coef, rows)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_kernels, "PATTERN_CHUNK_CELLS", 1 << 40)
+        whole = _kernels.pattern_corr(cos_angles, split, coef, rows, db)
+        monkeypatch.undo()
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+        got = _kernels.pattern_corr(cos_angles, split, coef, rows, db)
+        assert np.array_equal(got, whole), (num_freqs, num_angles, per_angle)
         if not per_angle:
-            assert want[0, 0] < CORRELATION_FLOOR
-        np.maximum(want, CORRELATION_FLOOR, out=want)
-        want = 20.0 * np.log10(want) + cfg.peak_gain_db
-        got = _kernels.pattern_corr(cos_angles, split, coef, rows,
-                                    (CORRELATION_FLOOR, cfg.peak_gain_db))
-        assert np.array_equal(got, want), (num_freqs, num_angles, per_angle)
+            assert corr[0, 0] < CORRELATION_FLOOR
+            assert got[0, 0] == cfg.peak_gain_db - 80.0
+        want = cfg.peak_gain_db + 20.0 * np.log10(
+            np.maximum(corr, CORRELATION_FLOOR))
+        assert np.all(np.abs(got - want)
+                      <= db_step_bound(corr, cfg.peak_gain_db, 16))
+
+
+@pytest.mark.parametrize("num_el", [2, 16, 64])
+@pytest.mark.parametrize("peak_db", [28.0, -100.0, 3.7, 100.0])
+def test_floored_gain_is_exactly_80_db_below_the_peak(num_el, peak_db):
+    # a cell below the correlation floor gets the floored gain itself,
+    # peak + 20*log10(1e-4), which is peak - 80 bit for bit: the nulls of
+    # a uniform weight set, at any element count and peak gain; a sum of
+    # exactly 0 takes it too, with no divide-by-zero warning
+    freqs = _wide_freqs(24)
+    split = _kernels.phasor_split(SLOPE_SCALE, freqs)
+    coef = _kernels.pattern_coefficients(split, np.zeros((1, num_el)),
+                                         np.zeros((1, num_el)))
+    # the first null of the array factor at every column in turn
+    cos_angles = 2 * np.pi / (num_el * SLOPE_SCALE * freqs)
+    corr = _kernels.pattern_corr(cos_angles, split, coef)
+    gains = _kernels.pattern_corr(cos_angles, split, coef, None,
+                                  (CORRELATION_FLOOR, peak_db))
+    floored = corr < CORRELATION_FLOOR * (1.0 - 1e-9)
+    assert floored[np.arange(24), np.arange(24)].all()
+    assert np.all(gains[floored] == peak_db - 80.0)
+    assert peak_db - 80.0 == peak_db + 20.0 * np.log10(CORRELATION_FLOOR)
+    assert np.all(gains[~floored] >= peak_db - 80.0)
+    out = np.empty((1, 3))
+    with np.errstate(all="raise"):
+        _kernels._gain_db(np.zeros((1, 3), dtype=np.complex128), out,
+                          peak_db - 20.0 * math.log10(num_el),
+                          peak_db - 80.0)
+    assert np.all(out == peak_db - 80.0)
 
 
 def test_pattern_corr_raises_a_worker_thread_db_step_error(monkeypatch):
@@ -653,7 +764,7 @@ def test_pattern_corr_raises_a_worker_thread_db_step_error(monkeypatch):
 
     failed = threading.Event()
 
-    def gain_db(corr, floor, peak_db):
+    def gain_db(sums, out, offset, floor_db):
         if threading.current_thread() is not threading.main_thread():
             failed.set()
             raise FloatingPointError("dB step failed")
@@ -723,14 +834,15 @@ def _exp_neg_j_long(arg):
 def test_zero_delay_coefficients_equal_the_per_column_table():
     # an element whose argument is the same at every frequency under its
     # set (a zero delay) gets the same exponential in every coarse column
-    # and a fine one of exactly 1: a PAA beam (no delay), four of them in
-    # one pass, a set with some zero delays, and three sets in one pass,
-    # where a zero delay under each set's own phase is constant per set.
-    # Where no set has a delay one coarse column stands for all, bit for
-    # bit, and the fine table is one shared column of ones. With delays,
-    # each coarse entry lies within 8u(1 + A/512) of exp(-j(phi + 2*pi*f_q*
-    # tau)), A its argument's size, each fine one of exp(-j*2*pi*g_r*tau),
-    # and their product at column q*B + r within 8u(2 + A/512) of that
+    # and a fine delay phase of exactly 0: a PAA beam (no delay), four of
+    # them in one pass, a set with some zero delays, and three sets in one
+    # pass, where a zero delay under each set's own phase is constant per
+    # set. Where no set has a delay one coarse column stands for all, bit
+    # for bit, and the fine phases are one shared column of zeros. With
+    # delays, each coarse entry lies within 8u(1 + A/512) of exp(-j(phi +
+    # 2*pi*f_q*tau)), A its argument's size, exp(-j) of each fine phase
+    # within 8u(1 + A/512) of exp(-j*2*pi*step*tau), and the coarse entry
+    # times exp(-j*r*delta) at column q*B + r within 8u(B + A/512) of that
     # column's coefficient, exact values taken in long double where it has
     # a 64-bit mantissa: about the 2**-64 rounding of the long-double
     # arguments, against 1.8e-12 at 2.8e4 rad for a float64 argument
@@ -751,33 +863,38 @@ def test_zero_delay_coefficients_equal_the_per_column_table():
             (rng.uniform(0.0, 2 * np.pi, (1, 16)), mixed[None]),
             (rng.uniform(0.0, 2 * np.pi, (3, 16)), sets_delays)):
         coarse, fine = _kernels.pattern_coefficients(split, phases, delays)
-        assert coarse.flags.c_contiguous and fine.flags.c_contiguous
+        assert coarse.flags.c_contiguous and fine.dtype == np.float64
         if not delays.any():
             want = np.stack([np.exp(-1j * np.broadcast_to(p[:, None], (
                 16, 264))) for p in phases], axis=1)
             assert coarse.shape == (16, len(phases), 1)
             assert np.broadcast_to(coarse, want.shape).tobytes() \
                 == want.tobytes()
-            assert fine.shape == (16, 1, 1) and np.all(fine == 1.0)
+            assert fine.shape == (16, 1) and np.all(fine == 0.0)
             continue
         assert coarse.shape == (16, len(phases), runs)
-        assert fine.shape == (16, len(phases), step)
+        assert fine.shape == (16, len(phases))
         still = delays.T == 0.0
         assert np.all(coarse[still] == coarse[still][:, :1])
-        assert np.all(fine[still] == 1.0)
+        assert np.all(fine[still] == 0.0)
+        assert np.all((fine >= 0.0) & (fine < 2 * np.pi))
         if np.finfo(np.longdouble).nmant < 63:
             continue
         long = np.longdouble
         turn = long(_kernels.TWO_PI) * delays.T.astype(long)[:, :, None]
         phase = phases.T.astype(long)[:, :, None]
-        args = [phase * (f is not split.fine) + turn * f.astype(long)
-                for f in (split.coarse, split.fine, freqs)]
+        args = [phase + turn * split.coarse.astype(long),
+                turn[:, :, 0] * long(split.fine[1]),
+                phase + turn * freqs.astype(long)]
         # the long-double arguments' own rounding grows with their size
         slack = [8 * unit * (n + float(np.abs(a).max()) / 512)
-                 for n, a in zip((1, 1, 2), args)]
-        product = (coarse[:, :, :, None] * fine[:, :, None, :]).reshape(
-            16, len(phases), 264)
-        for table, arg, bound in zip((coarse, fine, product), args, slack):
+                 for n, a in zip((1, 1, step), args)]
+        r = np.arange(264) % step
+        product = coarse[:, :, np.arange(264) // step] * _exp_neg_j_long(
+            r * fine.astype(long)[:, :, None])
+        for table, arg, bound in zip(
+                (coarse, _exp_neg_j_long(fine.astype(long)), product), args,
+                slack):
             assert np.abs(table - _exp_neg_j_long(arg)).max() <= bound
 
 
