@@ -32,7 +32,13 @@ over the usable CPUs against the same call on one thread. Another times
 ``design_type2`` map of 3001 angles x 264 RBs at 16 elements that the
 ``design_certify`` workload builds three of, on one CPU, against the
 long-double sum of the same correlations (``pattern_corr_longdouble``,
-timed once).
+timed once), and one more the same beam designed and mapped at a
+subcarrier spacing of 119,999.7 Hz, whose RB centers miss an exact
+progression by about one ulp. Two rows time the PAA carrier pick of
+``sysim.run_paa`` on one CPU, one ``serving_gain_db`` call of one column
+and one (UE, beam) row each: 16 beams of 16 elements toward 8 UEs, and
+1024 beams of 256 elements toward 64 UEs, against one ``pattern_map``
+call per beam.
 
 One row times the rate scan's EESM stage (``_kernels._eesm_stage``) on
 the candidates of one ``throughput_sweep`` of the criterion-4 deployment
@@ -132,12 +138,12 @@ def _pattern_corr_one_thread(*args):
     return _on_one_cpu(_pattern_corr, *args)
 
 
-def _swept_map_args():
+def _swept_map_args(scs_hz=120e3):
     """Criterion 7's 110-degree swept beam and its certification grid:
-    ``design_type2`` of the 16-element array over 264 RBs, 3001 axis
-    angles."""
+    ``design_type2`` of the 16-element array over 264 RBs of ``scs_hz``,
+    3001 axis angles."""
     cfg = antenna.ArrayConfig.half_wavelength(16, 28e9)
-    grid = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
+    grid = antenna.FrequencyGrid(28e9, 400e6, scs_hz, 264)
     spec = codebook.RainbowSpec(center_rad=math.pi / 2.0,
                                 spread_rad=math.radians(110.0))
     return (cfg, codebook.design_type2(cfg, spec, grid),
@@ -155,6 +161,35 @@ def _swept_map_longdouble(cfg, weights, axis, grid):
         np.cos(axis), grid.rb_center_freqs(), weights.phases_rad,
         weights.delays_s,
         2.0 * math.pi * cfg.spacing_m / antenna.SPEED_OF_LIGHT_M_S)
+
+
+def _carrier_pick_args(num_el, num_beams, num_ues):
+    """The PAA carrier pick of ``num_ues`` UEs over -55..55 degrees from a
+    ``num_beams``-beam codebook of the ``num_el``-element array at 28 GHz,
+    as ``sysim.run_paa`` makes it: one (UE, beam) row each, one column."""
+    cfg = antenna.ArrayConfig.half_wavelength(num_el, 28e9)
+    sector = (antenna.axis_from_boresight_deg(60.0),
+              antenna.axis_from_boresight_deg(-60.0))
+    beams = codebook.paa_codebook(cfg, num_beams, sector)
+    axes = antenna.axis_from_boresight_rad(
+        np.radians(np.linspace(-55.0, 55.0, num_ues)))
+    return cfg, beams, axes
+
+
+def _carrier_pick_one_cpu(cfg, beams, axes):
+    """Every beam's gain toward every UE at the carrier, one
+    ``serving_gain_db`` call on one CPU."""
+    count = len(beams)
+    return _on_one_cpu(antenna.serving_gain_db, cfg, beams,
+                       np.arange(axes.size * count) % count,
+                       np.repeat(np.cos(axes), count), [cfg.carrier_hz])
+
+
+def _carrier_pick_per_beam(cfg, beams, axes):
+    """The same gains from one ``pattern_map`` call per beam."""
+    grid = antenna.FrequencyGrid(cfg.carrier_hz, 120e3 * 12, 120e3, 1)
+    return [_on_one_cpu(antenna.pattern_map, cfg, w, axes, grid)
+            for w in beams]
 
 
 # the delay scan's setting: the default 64-step delay line at the 264 RB
@@ -380,6 +415,15 @@ BENCHES = [
      lambda: _pattern_args(3001), False),
     ("pattern_map  (swept 3001 x 264, 1 CPU)",
      _swept_map_one_cpu, _swept_map_longdouble, _swept_map_args, True),
+    ("pattern_map  (swept, SCS 119,999.7 Hz, 1 CPU)",
+     _swept_map_one_cpu, _swept_map_longdouble,
+     lambda: _swept_map_args(119_999.7), True),
+    ("carrier pick (16 beams x 8 UEs, 16 el, 1 CPU)",
+     _carrier_pick_one_cpu, _carrier_pick_per_beam,
+     lambda: _carrier_pick_args(16, 16, 8), False),
+    ("carrier pick (1024 x 64 UEs, 256 el, 1 CPU)",
+     _carrier_pick_one_cpu, _carrier_pick_per_beam,
+     lambda: _carrier_pick_args(256, 1024, 64), True),
     ("pattern_corr (91 angles x 264 RBs, 64 el)", _pattern_corr,
      pattern_corr_py, lambda: _pattern_args(91, 64), True),
     ("pattern_corr (91 angles x 264 RBs, 256 el)", _pattern_corr,

@@ -13,7 +13,9 @@ The outputs:
   span (2, 3 and 4, the three sweeps of the ``sweep_dense`` benchmark
   workload), and with 5120 log rings over 300-3000 m at exponent 3;
 * the criterion-7 swept maps: ``pattern_map`` over 3001 axis angles of the
-  type-2 designs of 30, 60 and 110 degree spread about boresight;
+  type-2 designs of 30, 60 and 110 degree spread about boresight, and the
+  110-degree one designed and mapped at a subcarrier spacing of 119,999.7
+  Hz, whose RB centers are not integer Hz;
 * raw ``pattern_map`` arrays, whose CSV text rounds to six digits: the
   quick-start type-1 design over -90:90:0.25 degrees, and one
   ``paa_codebook`` beam and ``steer_weights`` at boresight, both without
@@ -68,6 +70,9 @@ SWEEPS = (("sweep_dense.beta2", 2.0, 8000.0, 120000.0, 160),
           ("sweep_dense.beta4", 4.0, 60.0, 500.0, 160),
           ("criterion4.5120_rings", 3.0, 300.0, 3000.0, 5120))
 SPREADS_DEG = (30.0, 60.0, 110.0)
+# the 264-RB grid at a subcarrier spacing whose RB centers are not integer
+# Hz
+OFF_GRID = antenna.FrequencyGrid(28e9, 400e6, 119_999.7, 264)
 QUICKSTART_CONFIG = ("deploy.ue_angles_deg = -30, -10, 10, 30\n"
                      "deploy.ring_min_m    = 30\n"
                      "deploy.ring_max_m    = 1500\n"
@@ -125,6 +130,9 @@ def pattern_maps():
         weights = codebook.design_type2(ARRAY, spec, GRID)
         yield ("criterion7.spread%g.gain_db" % spread,
                antenna.pattern_map(ARRAY, weights, axis_grid, GRID))
+    weights = codebook.design_type2(ARRAY, spec, OFF_GRID)
+    yield ("criterion7.spread%g.scs119999.7.gain_db" % spread,
+           antenna.pattern_map(ARRAY, weights, axis_grid, OFF_GRID))
     cfg = config.parse_config_text(QUICKSTART_CONFIG)
     array, grid = cfg.array_config(), cfg.frequency_grid()
     weights, _ = codebook.design_type1(array, cfg.type1_target(), grid,

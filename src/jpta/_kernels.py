@@ -9,12 +9,12 @@ Three loops dominate the toolkit's numerical run time:
   that factor into a coarse and a fine part, so each angle's map is one
   (Q x M) @ (M x B) complex matrix product of coefficient tables
   (``pattern_coefficients``) times phasor powers, all of a chunk's angles
-  in one stacked ``np.matmul``; any other axis is one coarse column per
-  frequency, whose element axis splits the same way into two stacked
-  products per cell. The coarse coefficient tables and the fine delay
-  phases (one pass over any number of weight sets, their arguments
-  reduced mod 2*pi in long double, one column wide when no set has a
-  delay) serve each row the set it names, and a lone set's table every
+  in one stacked ``np.matmul``; any other axis, and one of fewer than
+  four columns, takes the same product with B = 1, one coarse column per
+  frequency and a fine table of ones. The coarse coefficient tables and
+  the fine delay phases (one pass over any number of weight sets, their
+  arguments reduced mod 2*pi in long double, one column wide when no set
+  has a delay) serve each row the set it names, and a lone set's table every
   row, so one call serves a one-cell beam gain, a pattern map, the
   serving-beam pick or every UE's gain row toward its own angle from its
   own serving set. Every phasor table is one ``np.cos`` and ``np.sin`` per
@@ -102,8 +102,8 @@ class PhasorSplit(NamedTuple):
     table, with the steering slope per Hz ``scale``: column k = q*B + r of
     ``width`` lies at ``coarse[q] + fine[r]``, B being ``fine.size``, so
     both its phasor ``exp(j*cos_a*scale*f_k)`` and its coefficients factor
-    into a coarse and a fine part. A single fine offset, 0.0, is the
-    one-factor form: every column has its own coarse frequency."""
+    into a coarse and a fine part. With one fine offset, 0.0 (B = 1),
+    every column is its own coarse frequency."""
 
     coarse: np.ndarray
     fine: np.ndarray
@@ -111,27 +111,45 @@ class PhasorSplit(NamedTuple):
     scale: float
 
 
+# the largest residual, in ulps of the axis's largest frequency, of an axis
+# that ``phasor_split`` splits. An axis whose entries lie within E of an
+# exact progression g_k = g_0 + k*d has a step that misses d by (2E + U)/(K
+# - 1) plus a rounding of u*|step| (U = np.spacing(max|f|), u = 2**-53),
+# so a column's residual |f_qB + r*step - f_k| is at most 2E from the two
+# entries plus r times that, under 4E + 2U as r < K - 1; taken in float64,
+# r*step rounding by U/2 and its sum with f_qB by up to U, it reads 1.5U
+# more. A FrequencyGrid's RB center c - x_k*scs, x_k exact, rounds twice,
+# E <= U, so it reads at most 7.5U (at most 1.0U measured over 3000 drawn
+# grids of non-integer carriers and SCS)
+SPLIT_RESIDUAL_ULPS = 8
+
+
 def phasor_split(scale, freqs):
     """The K frequencies ``freqs`` and the slope per Hz ``scale`` as a
     ``PhasorSplit``.
 
-    When the frequencies form an exact arithmetic progression ``f_k = f_0 +
-    k*step``, as the RB centers of an integer-Hz carrier and subcarrier
-    spacing do, column k = q*B + r takes the coarse frequency ``f_qB``
-    (column qB's own) and the fine offset ``r*step``: B + ceil(K/B)
-    phasors and coefficients per angle and element instead of K. B is the
-    smallest divisor of K from isqrt(K) to 2*isqrt(K), else isqrt(K) with
-    a short last run, whose product columns past K are dropped. Any other
-    axis, and one of fewer than four columns, takes the one-factor form,
-    whose phasors have the bits of each column's own slope."""
+    Column k = q*B + r takes the coarse frequency ``f_qB`` (column qB's
+    own) and the fine offset ``r*step``, ``step = (f_{K-1} - f_0)/(K -
+    1)``: B + ceil(K/B) phasors and coefficients per angle and element
+    instead of K. B is the smallest divisor of K from isqrt(K) to
+    2*isqrt(K), else isqrt(K) with a short last run, whose product columns
+    past K are dropped. The split is taken when the largest residual D =
+    ``|f_qB + r*step - f_k|`` is at most ``SPLIT_RESIDUAL_ULPS`` ulps of
+    the largest frequency, as it is on every ``FrequencyGrid`` axis: 0 on
+    integer-Hz RB centers, about one ulp (3.8e-6 Hz at 28 GHz) on others.
+    An axis of fewer than four columns, or one further from a progression,
+    takes B = 1: one fine offset, 0.0, every column its own coarse
+    frequency."""
     freqs = np.asarray(freqs, dtype=np.float64)
     size = freqs.size
     fine = _root_width(size)
     if fine > 1:
-        step = freqs[1] - freqs[0]
-        if np.array_equal(freqs[0] + step * np.arange(size), freqs):
-            return PhasorSplit(freqs[::fine], step * np.arange(fine), size,
-                               scale)
+        step = (freqs[-1] - freqs[0]) / (size - 1)
+        coarse, offsets = freqs[::fine], step * np.arange(fine)
+        residual = np.add.outer(coarse, offsets).ravel()[:size] - freqs
+        if np.abs(residual).max() <= SPLIT_RESIDUAL_ULPS * np.spacing(
+                np.abs(freqs).max()):
+            return PhasorSplit(coarse, offsets, size, scale)
     return PhasorSplit(freqs, np.zeros(1), size, scale)
 
 
@@ -161,10 +179,9 @@ def pattern_coefficients(split, phases, delays):
     arguments reach 1.7e3-2.8e4 rad, where a float64 argument alone is off
     by up to half an ulp, 1.8e-12 rad at 2.8e4. A phase in [0, 2*pi), as
     ``PhaseTimeWeights`` keeps it, under a zero delay keeps its bits. Where
-    every delay is zero, and on a one-factor split, whose one fine offset
-    is 0.0, the fine phases are (M, 1) zeros; where every delay is zero the
-    coarse table is (M, S, 1), the phases alone standing for every
-    column."""
+    every delay is zero, and on a split of one fine offset, 0.0 (B = 1),
+    the fine phases are (M, 1) zeros; where every delay is zero the coarse
+    table is (M, S, 1), the phases alone standing for every column."""
     phases = np.asarray(phases, dtype=np.float64).T
     delays = np.asarray(delays, dtype=np.float64).T
     if not delays.any():
@@ -236,20 +253,12 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     products of every row in one stacked ``np.matmul``. A row of more
     elements than keep its product under ``PATTERN_GEMM_TERMS``
     multiply-adds takes it in element blocks that are summed, which
-    OpenBLAS keeps on the calling thread.
-
-    A one-factor split (one fine offset, 0.0) has no fine factor, so cell
-    (a, k) is the sum over m of ``C[m, s_a, k] * z**m``, z its coarse
-    phasor. The element axis splits as the column axis does, m = i*L + j
-    with L = ``_root_width(M)``: the cell's (I x L) block matrix of
-    coefficients (``_element_table``, laid out once per call set-major with
-    zeros past M, gathered once per chunk) times its fine powers z**j, then
-    the dot with its coarse powers (z**L)**i, each a stacked ``np.matmul``
-    (``_element_chunk``). Every cell's matrix and vectors lie contiguous,
-    as a one-angle call's do: BLAS sums a strided vector in another order
-    than a contiguous one. A row is computed by the same elementwise
-    operations and the same BLAS products whichever chunk and set carry it,
-    so it equals its own one-angle call with its set's tables bit for bit.
+    OpenBLAS keeps on the calling thread. A split of one fine offset, 0.0
+    (B = 1: fewer than four columns, or an axis off a progression), is the
+    same product with a fine table of ones, and no fine phasor is built. A
+    row is computed by the same elementwise operations and the same BLAS
+    products whichever chunk and set carry it, so it equals its own
+    one-angle call with its set's tables bit for bit.
 
     Error against the exact correlation of the same float64 inputs (the
     float64 2*pi among them), to first order in u = 2**-53 and v, the unit
@@ -258,7 +267,9 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     sqrt(2)*gamma_2 (2.83u): with A the largest coarse argument ``|phi_m| +
     2*pi*|f_q*tau_m|``, s the largest slope ``scale*|f|``, E =
     2*pi*step*tau_max the largest fine phase, s1 = ``scale*step``, and D
-    the largest ``|f_q + r*step - f_k|``, 0 for integer-Hz RB centers,
+    the largest ``|f_q + r*step - f_k|``, 0 for integer-Hz RB centers and
+    at most ``SPLIT_RESIDUAL_ULPS`` ulps of the largest frequency on any
+    split axis (``phasor_split``),
 
     * a coarse coefficient's long-double argument rounds by 3v*A and its
       turns by 2v*(A + 2*pi), its float64 argument by 2*pi*u, and cos and
@@ -275,19 +286,20 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
     * each term takes two complex products, one per table entry and one
       in the row's product, 5.66u; the row's product sums M terms of
       magnitude about 1 in real arithmetic, 2M real products per part,
-      within sqrt(2)*gamma_2M*M, and a one-factor cell its sums of L and of
-      I terms within sqrt(2)*gamma_2(M+1)*M; the magnitude and the
-      division by M add 3u.
+      within sqrt(2)*gamma_2M*M; the magnitude and the division by M add
+      3u.
 
     Averaged over m, the terms in m count (M - 1)/2 times, and r is at most
     B - 1: ``|corr - exact| <= 5v*(A + 2*pi) + 2*pi*tau_max*D + (M - 1)*(u*s
     + scale*D/2 + 2.125u) + (B - 1)*(2u*s1*(M - 1) + 5v*(E + 2*pi) + (4*pi
-    + 3*sqrt(2))*u) + 2*sqrt(2)*(M + 1)*u + (2*pi + sqrt(2) + 11.5)*u``
+    + 3*sqrt(2))*u) + 2*sqrt(2)*M*u + (2*pi + sqrt(2) + 11.5)*u``
     (``tests/oracles.py::pattern_corr_bound``, tested against
     ``pattern_corr_longdouble`` there). The fine chain's phase error grows
     with r, as the coarse phasor's grows with m. With a float64 argument
     alone the first term would be about 5u*A, 1.5e-11 at the 2.8e4 rad of
-    a 157.5 ns delay at 28 GHz.
+    a 157.5 ns delay at 28 GHz. D of one ulp at 28 GHz, 3.8e-6 Hz, adds
+    2*pi*tau_max*D = 3.8e-12 at 157.5 ns, which a non-integer carrier or
+    SCS pays for its split.
 
     A grid of several chunks is split over one thread per usable CPU, up to
     one per chunk: numpy's ufuncs and ``np.matmul`` release the interpreter
@@ -307,8 +319,6 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
         floor, peak_db = db
         steps = (peak_db - 20.0 * math.log10(elements),
                  peak_db + 20.0 * math.log10(floor))
-    if split.fine.size == 1:
-        coef = (_element_table(coef[0]),)
     starts = range(0, cos_angles.size, chunk)
     workers = max(1, min(_usable_cpus(), len(starts)))
     pending = iter(starts)
@@ -348,13 +358,8 @@ def pattern_corr(cos_angles, split, coef, sets=None, db=None):
 
 def _cells_per_angle(elements, split):
     """Complex cells that one angle of a chunk takes: its power tables,
-    M*(Q + B), and its product, Q*B; for a one-factor split, per column,
-    the gathered block matrix I*L, the L + 1 fine and I coarse powers and
-    their row-major copies of L and I, the I inner products and the sum."""
+    M*(Q + B), and its product, Q*B."""
     runs, step = split.coarse.size, split.fine.size
-    if step == 1:
-        blocks, block = _element_blocks(elements)
-        return runs * (blocks * block + 2 * block + 3 * blocks + 2)
     return elements * (runs + step) + runs * step
 
 
@@ -362,12 +367,7 @@ def _chunk_buffers(rows, split, coef):
     """Flat buffers for ``_factor_chunk`` on chunks of up to ``rows``
     angles: per factor its power table and, from tables of several sets,
     the gathered coarse coefficients and fine phases, then the product and
-    the phase arguments; for a one-factor split those of
-    ``_element_chunk``."""
-    if split.fine.size == 1:
-        return ([np.empty(math.prod(shape), dtype=np.complex128)
-                 for shape in _element_shapes(rows, split.width, coef[0])]
-                + [np.empty(rows * split.width)])
+    the phase arguments."""
     coarse, fine = coef
     elements = coarse.shape[0]
     widths = (split.coarse.size, split.fine.size)
@@ -390,37 +390,6 @@ def _gemm_block(split):
     (Q x m) @ (m x B) product below ``PATTERN_GEMM_TERMS`` terms."""
     return max(1, (PATTERN_GEMM_TERMS - 1)
                // (split.coarse.size * split.fine.size))
-
-
-def _element_blocks(elements):
-    """(I, L): a one-factor row's M elements as I blocks of L =
-    ``_root_width(M)``, the last block short when L does not divide M."""
-    block = _root_width(elements)
-    return -(-elements // block), block
-
-
-def _element_shapes(rows, width, table):
-    """Shapes of ``_element_chunk``'s complex buffers for ``rows`` angles
-    of ``width`` columns and the ``_element_table`` ``table``: the fine and
-    the coarse powers, then the same row-major, the gathered matrices
-    (none from a table of one set), the inner products and the sums."""
-    count, columns, blocks, block = table.shape
-    return ((block + 1, rows, width), (blocks, rows, width),
-            (rows, width, block, 1), (rows, width, 1, blocks),
-            (rows, columns, blocks, block) if count > 1 else (0,),
-            (rows, width, blocks, 1), (rows, width, 1, 1))
-
-
-def _element_table(coarse):
-    """A one-factor split's coarse table (M, S, K) set-major as (S, K, I,
-    L) (``_element_blocks``): each (set, column)'s M coefficients
-    contiguous, as one (I x L) matrix, zero past M. A zero coefficient
-    adds an exact zero to its sum."""
-    elements, sets, width = coarse.shape
-    blocks, block = _element_blocks(elements)
-    table = np.zeros((sets, width, blocks * block), dtype=np.complex128)
-    table[:, :, :elements] = coarse.transpose(1, 2, 0)
-    return table.reshape(sets, width, blocks, block)
 
 
 def _gain_db(sums, out, offset, floor_db):
@@ -503,17 +472,16 @@ def _factor_chunk(cos_chunk, split, coef, sets, out, buffers, steps=None):
     """``|sum_m C[m, s_a, q]*P_aq**m * w_am**r|`` of one angle chunk into
     ``out``, (rows, K), column k = q*B + r, ``s_a`` being ``sets[a]`` of
     the chunk's rows, indices in range, or 0 for every row of a table of
-    one set, in the ``_chunk_buffers`` ``buffers``; a one-factor split's by
-    ``_element_chunk``, ``coef`` holding its ``_element_table``. With
-    ``steps``, ``(offset, floor_db)``, each entry is instead its gain
-    (``_gain_db``).
+    one set, in the ``_chunk_buffers`` ``buffers``. With ``steps``,
+    ``(offset, floor_db)``, each entry is instead its gain (``_gain_db``).
 
     The fine factor ``w_am**r = exp(j*r*(cos_a*scale*step*m -
     delta[m, s_a]))``, delta the fine phase of ``pattern_coefficients``, is
     the fine coefficient times the fine phasor's power m: one phasor per
     (angle, element) by ``np.cos`` and ``np.sin``, its powers 0 to B - 1
     by ``_doubling``, laid out (B, rows, M) so that each row's (M x B)
-    table is one BLAS operand.
+    table is one BLAS operand. At B = 1 the table is its zeroth power, the
+    ones, and no phasor is built.
 
     numpy multiplies one-element arrays in another loop than longer ones,
     which rounds a complex product differently, so a chunk of one angle and
@@ -521,40 +489,38 @@ def _factor_chunk(cos_chunk, split, coef, sets, out, buffers, steps=None):
     angle."""
     rows, width = out.shape
     runs, step = split.coarse.size, split.fine.size
-    if rows == 1 and (runs == 1 or step > 1 and coef[0].shape[0] == 1):
+    table, delta = coef
+    elements = table.shape[0]
+    if rows == 1 and (runs == 1 or elements == 1):
         pair = np.empty((2, width))
         _factor_chunk(np.repeat(cos_chunk, 2), split, coef,
                       None if sets is None else np.repeat(sets, 2), pair,
                       buffers, steps)
         out[:] = pair[:1]
         return
-    if step == 1:
-        _magnitudes(_element_chunk(cos_chunk, split.scale * split.coarse,
-                                   coef[0], sets, buffers, rows, width),
-                    out, steps)
-        return
     (coarse_flat, fine_flat), (coarse_spare, fine_spare), product, arg = \
         buffers
-    table, delta = coef
-    elements = table.shape[0]
     coarse = coarse_flat[:elements * rows * runs].reshape(elements, rows,
                                                           runs)
     _factor_powers(cos_chunk, split.scale * split.coarse, arg, coarse)
-    fine = fine_flat[:step * rows * elements].reshape(step, rows, elements)
-    phase = arg[:rows * elements].reshape(rows, elements)
-    np.multiply(cos_chunk[:, None],
-                split.scale * split.fine[1] * np.arange(elements), out=phase)
-    if coarse_spare is None:
-        phase -= delta[:, 0]
-    else:
+    if coarse_spare is not None:
         table = np.take(table, sets, axis=1, mode="clip",  # in range
                         out=coarse_spare[:elements * rows * table.shape[2]]
                         .reshape(elements, rows, table.shape[2]))
-        phase -= np.take(delta, sets, axis=1, mode="clip",  # in range
-                         out=fine_spare[:elements * rows].reshape(
-                             elements, rows)).T
-    np.cos(phase, out=fine[1].real)
-    np.sin(phase, out=fine[1].imag)
+    fine = fine_flat[:step * rows * elements].reshape(step, rows, elements)
+    if step > 1:
+        phase = arg[:rows * elements].reshape(rows, elements)
+        np.multiply(cos_chunk[:, None],
+                    split.scale * split.fine[1] * np.arange(elements),
+                    out=phase)
+        if coarse_spare is None:
+            phase -= delta[:, 0]
+        else:
+            phase -= np.take(delta, sets, axis=1, mode="clip",  # in range
+                             out=fine_spare[:elements * rows].reshape(
+                                 elements, rows)).T
+        np.cos(phase, out=fine[1].real)
+        np.sin(phase, out=fine[1].imag)
     _doubling(fine)
     coarse *= table
     grid, part = (flat[:rows * runs * step].reshape(rows, runs, step)
@@ -576,32 +542,6 @@ def _magnitudes(sums, out, steps):
         np.abs(sums, out=out)
     else:
         _gain_db(sums, out, *steps)
-
-
-def _element_chunk(cos_chunk, slopes, table, sets, buffers, rows, width):
-    """``sum_m c[m] * z**m`` of one one-factor chunk, (rows, K), a view
-    into ``buffers``, z = ``exp(j*cos_chunk[a]*slopes[k])`` and c the
-    ``_element_table`` ``table`` of the row's set, with m = i*L + j: the
-    fine powers z**j, j from 0 to L, and the coarse (z**L)**i by
-    ``_doubling``, copied row-major so that each cell's vectors lie
-    contiguous, then each cell's (I x L) matrix times its fine powers and
-    its coarse powers times that, two stacked ``np.matmul``."""
-    blocks, block = table.shape[2:]
-    fine, coarse, fine_rows, coarse_rows, gathered, inner, total = (
-        flat[:math.prod(shape)].reshape(shape) for flat, shape in
-        zip(buffers, _element_shapes(rows, width, table)))
-    _factor_powers(cos_chunk, slopes, buffers[-1], fine)
-    if blocks > 1:
-        coarse[1] = fine[block]
-    _doubling(coarse)
-    np.copyto(fine_rows[..., 0], fine[:block].transpose(1, 2, 0))
-    np.copyto(coarse_rows[:, :, 0], coarse.transpose(1, 2, 0))
-    if gathered.size:
-        table = np.take(table, sets, axis=0, mode="clip",  # in range
-                        out=gathered)
-    np.matmul(table, fine_rows, out=inner)
-    np.matmul(coarse_rows, inner, out=total)
-    return total.reshape(rows, width)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,12 @@ def pattern_corr_bound(num_elements, coef_arg, slope, fine_width=1,
     has the largest delay phase ``fine_arg`` = 2*pi*step*tau_max and the
     slope ``fine_slope`` = scale*step, ``coef_residual`` = 2*pi*tau_max*D
     and ``slope_residual`` = scale*D for the split's largest residual D =
-    ``|f_q + r*step - f_k|`` (0 for integer-Hz RB centers), in float64 of
-    unit roundoff ``unit`` with the arguments of the coarse coefficients and
-    the fine delay phases taken at ``arg_unit``."""
+    ``|f_q + r*step - f_k|`` (0 for integer-Hz RB centers, at most
+    ``_kernels.SPLIT_RESIDUAL_ULPS`` ulps of the largest frequency on a
+    split axis), in float64 of unit roundoff ``unit`` with the arguments of
+    the coarse coefficients and the fine delay phases taken at
+    ``arg_unit``. A split of one fine offset (B = 1) takes ``fine_width``
+    1 and D = 0."""
     root2 = math.sqrt(2.0)
     return (5.0 * arg_unit * (coef_arg + TWO_PI) + coef_residual
             + (num_elements - 1) * (unit * slope + slope_residual / 2.0
@@ -126,7 +129,7 @@ def pattern_corr_bound(num_elements, coef_arg, slope, fine_width=1,
                 2.0 * unit * fine_slope * (num_elements - 1)
                 + 5.0 * arg_unit * (fine_arg + TWO_PI)
                 + (2.0 * TWO_PI + 3.0 * root2) * unit)
-            + 2.0 * root2 * (num_elements + 1) * unit
+            + 2.0 * root2 * num_elements * unit
             + (TWO_PI + root2 + 11.5) * unit)
 
 

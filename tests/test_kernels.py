@@ -134,6 +134,29 @@ def _rb_grid_freqs(num_rbs, carrier, data):
                          num_rbs).rb_center_freqs()
 
 
+def _any_rb_grid(num_rbs, data):
+    """A ``FrequencyGrid`` of ``num_rbs`` RBs at a drawn carrier and
+    subcarrier spacing, any floats in the accepted ranges, the spacing
+    fitting the RBs below the carrier."""
+    carrier = data.draw(st.floats(*CARRIER_RANGE_HZ))
+    scs = data.draw(st.floats(SCS_RANGE_HZ[0], min(
+        SCS_RANGE_HZ[1], carrier / (12 * num_rbs))))
+    return FrequencyGrid(carrier, 12.0 * num_rbs * scs, scs, num_rbs)
+
+
+def _split_residual(split, freqs):
+    """The largest residual D = ``|f_qB + r*step - f_k|`` of ``split``'s
+    columns against ``freqs``, taken in long double, plus one long-double
+    ulp of the largest frequency for its own rounding."""
+    long = np.longdouble
+    runs = np.arange(split.width)
+    step = split.fine[1] if split.fine.size > 1 else 0.0
+    where = (split.coarse.astype(long)[runs // split.fine.size]
+             + (runs % split.fine.size) * long(step))
+    residual = np.abs(where - freqs.astype(long)).max()
+    return float(residual + np.spacing(long(np.abs(freqs).max())))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, MAX_NUM_RBS),
        st.integers(int(CARRIER_RANGE_HZ[0]), int(CARRIER_RANGE_HZ[1])),
@@ -163,18 +186,24 @@ def test_split_phasors_stay_within_a_few_ulps_of_exp(num_rbs, carrier,
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, MAX_NUM_ELEMENTS), st.integers(1, MAX_NUM_RBS),
        st.integers(int(CARRIER_RANGE_HZ[0]), int(CARRIER_RANGE_HZ[1])),
-       st.floats(1e-6, MAX_SPACING_M), st.integers(1, 3), st.data())
+       st.booleans(), st.floats(1e-6, MAX_SPACING_M), st.integers(1, 3),
+       st.data())
 def test_pattern_corr_within_its_bound_of_the_long_double_sum(
-        num_el, num_rbs, carrier, spacing, num_sets, data):
+        num_el, num_rbs, carrier, integer_hz, spacing, num_sets, data):
     # over the accepted ranges of elements, RBs, carrier, spacing and
     # delays (the delay line's 1 us cap), weight sets with and without
     # delays and rows naming them: every drawn cell within the bound
     # derived in pattern_corr's docstring of the long-double sum of the
     # same inputs, and its gain, at a drawn peak gain, within the bound
-    # derived in _gain_db's of the floored dB of that sum; the columns are
-    # integer-Hz RB centers, on which the split's frequencies add up
-    # exactly (D = 0)
-    freqs = _rb_grid_freqs(num_rbs, carrier, data)
+    # derived in _gain_db's of the floored dB of that sum. The columns are
+    # the RB centers of an integer-Hz carrier and subcarrier spacing, on
+    # which the split's frequencies add up exactly (D = 0), or of any
+    # accepted floats, on which they miss by the residual D > 0 that the
+    # bound's coef_residual 2*pi*tau_max*D and slope_residual scale*D take
+    if integer_hz:
+        freqs = _rb_grid_freqs(num_rbs, carrier, data)
+    else:
+        freqs = _any_rb_grid(num_rbs, data).rb_center_freqs()
     scale = 2.0 * math.pi * spacing / SPEED_OF_LIGHT_M_S
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     phases = rng.uniform(0.0, 2.0 * math.pi, (num_sets, num_el))
@@ -183,10 +212,14 @@ def test_pattern_corr_within_its_bound_of_the_long_double_sum(
     cos_angles = np.concatenate(([1.0, -1.0], rng.uniform(-1.0, 1.0, 2)))
     sets = rng.integers(0, num_sets, cos_angles.size)
     split = _kernels.phasor_split(scale, freqs)
-    long = np.longdouble
-    assert np.array_equal(np.add.outer(split.coarse.astype(long),
-                                       split.fine.astype(long)).ravel()
-                          [:num_rbs], freqs.astype(long))
+    if integer_hz:
+        long = np.longdouble
+        assert np.array_equal(np.add.outer(split.coarse.astype(long),
+                                           split.fine.astype(long)).ravel()
+                              [:num_rbs], freqs.astype(long))
+        residual = 0.0
+    else:
+        residual = _split_residual(split, freqs)
     coef = _kernels.pattern_coefficients(split, phases, delays)
     got = _kernels.pattern_corr(cos_angles, split, coef, sets)
     peak_db = data.draw(st.floats(-100.0, 100.0))
@@ -201,7 +234,8 @@ def test_pattern_corr_within_its_bound_of_the_long_double_sum(
         bound = pattern_corr_bound(
             num_el, np.max(phases[s]) + 2.0 * math.pi * split.coarse.max()
             * np.max(delays[s]), scale * freqs.max(), split.fine.size,
-            2.0 * math.pi * step * np.max(delays[s]), scale * step)
+            2.0 * math.pi * step * np.max(delays[s]), scale * step,
+            2.0 * math.pi * np.max(delays[s]) * residual, scale * residual)
         err = np.abs(got[np.ix_(rows, cols)] - want.astype(np.float64))
         assert np.all(err <= bound), (err.max(), bound)
         exact_db = peak_db + 20 * np.log10(np.maximum(want,
@@ -212,25 +246,42 @@ def test_pattern_corr_within_its_bound_of_the_long_double_sum(
         assert np.all(err_db <= bound_db), (err_db.max(), bound_db.min())
 
 
-def _doubled(first, count):
-    """``first**0`` to ``first**(count - 1)`` by repeated doubling, each
-    power h + k the product of powers k and h, as the pattern kernel takes
-    them (``_doubling``)."""
-    powers = [np.ones(first.shape, dtype=np.complex128), first]
-    while len(powers) < count:
-        h = len(powers) - 1
-        powers += [p * powers[h] for p in powers[1:h + 1]]
-    return powers[:count]
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, MAX_NUM_RBS),
+       st.integers(int(CARRIER_RANGE_HZ[0]), int(CARRIER_RANGE_HZ[1])),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_every_rb_axis_splits_and_random_axes_do_not(num_rbs, carrier, seed,
+                                                     data):
+    # the RB centers of any accepted carrier and subcarrier spacing split
+    # (B > 1), their residual D within the 4E + 2U derived at
+    # SPLIT_RESIDUAL_ULPS for entries within E <= U of a progression, U
+    # one ulp of the largest frequency; an integer-Hz axis keeps the coarse
+    # and fine tables of its exact progression, f_qB and (f_1 - f_0)*r, bit
+    # for bit; random axes, as the other pattern tests draw them, take B =
+    # 1
+    freqs = _any_rb_grid(num_rbs, data).rb_center_freqs()
+    split = _kernels.phasor_split(SLOPE_SCALE, freqs)
+    assert split.fine.size > 1
+    ulp = np.spacing(freqs.max())
+    assert _split_residual(split, freqs) <= 6.01 * ulp
+    freqs = _rb_grid_freqs(num_rbs, carrier, data)
+    split = _kernels.phasor_split(SLOPE_SCALE, freqs)
+    fine = _kernels._root_width(num_rbs)
+    assert np.array_equal(split.coarse, freqs[::fine])
+    assert np.array_equal(split.fine, (freqs[1] - freqs[0]) * np.arange(fine))
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(27e9, 29e9, num_rbs)
+    assert _kernels.phasor_split(SLOPE_SCALE, freqs).fine.tolist() == [0.0]
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="np.longdouble is no wider than float64")
 def test_a_non_progression_axis_keeps_the_per_column_phasors():
-    # random frequencies take the one-factor form: each column keeps its
-    # own frequency and slope, each phasor the bits of cos and sin of its
-    # own phase, and each correlation the bits of the one-factor steps on
-    # the whole arrays: m = i*L + j, the fine powers z**j and the coarse
-    # (z**L)**i by doubling, each cell's (I x L) matrix of its column's
-    # coefficients, zero past M, times its fine powers, then its coarse
-    # powers times that
+    # random frequencies take one fine offset, 0.0 (B = 1): each column
+    # keeps its own frequency and slope, each phasor the bits of cos and
+    # sin of its own phase, and each correlation lies within the bound
+    # derived in pattern_corr's docstring, at B = 1 and D = 0, of the
+    # long-double sum of the same inputs
     rng = np.random.default_rng(31)
     for _ in range(8):
         ca, fr, ph, de, ss, num_el = _random_pattern_inputs(rng)
@@ -244,19 +295,12 @@ def test_a_non_progression_axis_keeps_the_per_column_phasors():
         assert np.array_equal(_phasors(ca, split), z)
         coarse, fine = _kernels.pattern_coefficients(split, [ph], [de])
         assert coarse.shape == (num_el, 1, fr.size)
-        block = _kernels._root_width(num_el)
-        blocks = -(-num_el // block)
-        assert (blocks - 1) * block < num_el <= blocks * block
-        fine_powers = _doubled(z, block + 1)
-        coarse_powers = _doubled(fine_powers[block], blocks)
-        matrix = np.zeros((fr.size, blocks * block), dtype=np.complex128)
-        matrix[:, :num_el] = coarse[:, 0].T
-        inner = np.matmul(matrix.reshape(fr.size, blocks, block),
-                          np.stack(fine_powers[:block], -1)[..., None])
-        total = np.matmul(np.stack(coarse_powers, -1)[:, :, None, :], inner)
-        assert np.array_equal(
-            _kernels.pattern_corr(ca, split, (coarse, fine)),
-            np.abs(total[:, :, 0, 0]) / num_el)
+        bound = pattern_corr_bound(
+            num_el, ph.max() + 2.0 * math.pi * fr.max() * de.max(),
+            ss * fr.max())
+        err = np.abs(_kernels.pattern_corr(ca, split, (coarse, fine))
+                     - pattern_corr_longdouble(ca, fr, ph, de, ss))
+        assert np.all(err <= bound), (err.max(), bound)
 
 
 def test_delay_scan_matches_oracle():
@@ -408,9 +452,9 @@ def test_pattern_corr_leaves_no_blas_thread_spinning():
     # product that OpenBLAS splits over worker threads, which then spin;
     # in element blocks below PATTERN_GEMM_TERMS each stays on the calling
     # thread, so the process is idle while it sleeps after the map, at 16
-    # elements and at 64, 256 and 1024, and after a one-column grid of
-    # 1024 elements whose 4096 rows name 64 sets, the one-factor form's
-    # largest (32 x 32) matrices
+    # elements and at 64, 256 and 1024, and after a one-column grid (B =
+    # 1) of 1024 elements whose 4096 rows name 64 sets, each row one (1 x
+    # 1024) @ (1024 x 1) product
     freqs = _wide_freqs(1024)
     split = _kernels.phasor_split(SLOPE_SCALE, freqs)
     assert split.coarse.size * split.fine.size * 64 \
@@ -610,13 +654,13 @@ def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
     # angles at one column, a chunk of thousands), at 1 to 64 elements:
     # whole stacked products against one-row ones, products in two element
     # blocks (64 elements at 1024 columns), doubling trees over every power
-    # depth up to 63, and the one-factor products at one column, 5 elements
-    # there taking 3 blocks of 2, the last padded with a zero. At 263
-    # columns, which have no divisor from sqrt(K) to 2*sqrt(K), the last run
-    # of fine columns is short and its products past K are dropped. The
-    # gains, the dB step each chunk's thread takes on its own sums, equal
-    # their one-angle calls too; one element takes a fine power chain of
-    # one column per row, which a one-angle chunk takes as two copies of
+    # depth up to 63, and at one column the same products with B = 1, a
+    # fine table of ones and no fine phasor. At 263 columns, which have no
+    # divisor from sqrt(K) to 2*sqrt(K), the last run of fine columns is
+    # short and its products past K are dropped. The gains, the dB step
+    # each chunk's thread takes on its own sums, equal their one-angle
+    # calls too; a one-angle chunk of one element or of one coarse column,
+    # whose tables would be one-element arrays, is taken as two copies of
     # its angle
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(23 + num_freqs)
@@ -626,7 +670,6 @@ def test_pattern_corr_tiled_rows_equal_one_angle_calls(monkeypatch, cpus,
     assert (split.coarse.size * split.fine.size > num_freqs) \
         == (num_freqs == 263)
     assert (_kernels._gemm_block(split) < 64) == (num_freqs == 1024)
-    assert _kernels._element_blocks(5) == (3, 2)
     for num_el in (1, 2, 5, 16, 64):
         coef = _kernels.pattern_coefficients(
             split, rng.uniform(0.0, 2 * np.pi, (1, num_el)),
