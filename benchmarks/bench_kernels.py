@@ -22,9 +22,13 @@ One row times a sweep's gain stage, recorded from
 ``sysim.throughput_sweep`` of the criterion-4 deployment: the PAA and JPTA
 gain rows of 8 UEs over 264 RBs, each scheme's rows from one
 ``antenna.serving_gain_db`` call over the UE angles, each row naming its
-serving set, against one ``pattern_map`` call per UE. Another times one
-``throughput_sweep`` of that deployment at one ring, the set-up cost every
-sweep pays whatever its ring count, against the same sweep at 160 rings.
+serving set, against one ``pattern_map`` call per UE. Three time one
+``throughput_sweep`` of that deployment, its two stages apart. Cold, with
+the tables that keep its ring-free stage (codebook, design, gain rows and
+the rate scan's envelope intervals) cleared before each call, at one ring
+against 160 rings: what a sweep of a new geometry pays. Warm, on the kept
+stage, at one ring and at 160 rings, each against the same sweep cold:
+the link stage alone, what each further sweep of that geometry pays.
 
 One row times the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread. Another times
@@ -80,6 +84,7 @@ from jpta.config import RunConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
+    clear_tables,
     delay_scan_py,
     eesm_stage_py,
     pattern_corr_longdouble,
@@ -264,7 +269,7 @@ def _recorded_args(name, cfg, dep, lm, module=sysim):
     """The arguments of every call of ``module.<name>``, PAA's before
     JPTA's, in one ``throughput_sweep`` of ``dep`` under the config
     ``cfg``'s array, grid, MCS table, delay line and PAA codebook, recorded
-    as the sweep makes them."""
+    as a cold sweep, one that keeps no stage yet, makes them."""
     calls = []
     real = getattr(module, name)
 
@@ -272,6 +277,7 @@ def _recorded_args(name, cfg, dep, lm, module=sysim):
         calls.append(args)
         return real(*args)
 
+    clear_tables()
     setattr(module, name, record)
     try:
         mcs = cfg.mcs_table()
@@ -360,12 +366,17 @@ def _one_ring_sweep_args():
     return _sweep_args(1), _sweep_args(160)
 
 
-def _sweep_one_ring(one_ring, many_rings):
-    return sysim.throughput_sweep(*one_ring)
-
-
-def _sweep_many_rings(one_ring, many_rings):
-    return sysim.throughput_sweep(*many_rings)
+def _sweep(rings, cold):
+    """``throughput_sweep`` at one ring or at 160 rings. Cold, the tables
+    that keep its ring-free stage are cleared first, so it builds that
+    stage; warm, it runs on the stage that every sweep of the criterion-4
+    deployment shares, the link stage alone."""
+    def sweep(one_ring, many_rings):
+        if cold:
+            clear_tables()
+        return sysim.throughput_sweep(*(one_ring if rings == 1
+                                        else many_rings))
+    return sweep
 
 
 def _sweep_rate_grids(paa_args, jpta_args):
@@ -430,8 +441,12 @@ BENCHES = [
      pattern_corr_py, lambda: _pattern_args(91, 256), True),
     ("gain rows    (8 UEs x 264 RBs, vs per-UE maps)", _gain_rows,
      _gain_rows_per_ue, _gain_rows_args, False),
-    ("throughput_sweep (8 UEs, 1 ring vs 160 rings)", _sweep_one_ring,
-     _sweep_many_rings, _one_ring_sweep_args, False),
+    ("throughput_sweep (8 UEs, 1 ring, cold vs 160 cold)", _sweep(1, True),
+     _sweep(160, True), _one_ring_sweep_args, False),
+    ("throughput_sweep (8 UEs, 1 ring, warm vs cold)", _sweep(1, False),
+     _sweep(1, True), _one_ring_sweep_args, False),
+    ("throughput_sweep (8 UEs, 160 rings, warm vs cold)", _sweep(160, False),
+     _sweep(160, True), _one_ring_sweep_args, False),
     ("delay_scan   (64 taus x 264 freqs, new table)", _delay_scan_new_table,
      delay_scan_py, _delay_args, False),
     ("delay_scan   (64 taus x 264 freqs, kept table)",

@@ -25,6 +25,13 @@ The outputs:
   and per subcarrier, and its 2- and 4-UE share designs, so that a change
   to the designer shows which delay choices, if any, moved.
 
+Each sweep runs twice: cold, after every table the package keeps is
+cleared, and then warm, on the ring-free stage (codebook, design, gain rows
+and rate-scan envelope) the cold run kept. The listing is the cold run's;
+if any warm output differs from its cold one, the tool names it on stderr
+and exits 1. The quick start runs cold and then warm as a whole, so its
+``coverage`` runs on the stage its ``simulate`` kept, as in one process.
+
 An array's digest covers its dtype, shape and bytes. Run the tool against
 two source trees and compare the listings, for example a change against
 its parent checked out in ``../parent``::
@@ -56,8 +63,11 @@ import numpy as np
 
 from jpta import antenna, cli, codebook, config, link, sysim
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 import workloads  # noqa: E402
+from oracles import KEPT_TABLES, clear_tables  # noqa: E402
 
 ARRAY = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
 GRID = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
@@ -81,6 +91,7 @@ QUICKSTART_CONFIG = ("deploy.ue_angles_deg = -30, -10, 10, 30\n"
 
 def quickstart_files(workdir: Path):
     """``(name, bytes)`` of each quick-start file written in ``workdir``."""
+    workdir.mkdir()
     cfg = workdir / "run.cfg"
     cfg.write_text(QUICKSTART_CONFIG)
     commands = {
@@ -106,18 +117,32 @@ def quickstart_files(workdir: Path):
         yield "quickstart." + name, (workdir / name).read_bytes()
 
 
-def sweep_columns():
-    """``(name, array)`` of every ``RateGrid`` column of ``SWEEPS``."""
+def sweep_columns(mismatched):
+    """``(name, array)`` of every ``RateGrid`` column of ``SWEEPS``, each
+    sweep run cold and then warm; appends to ``mismatched`` the name of
+    each column, or of the sweep's JPTA weights, that the warm run
+    changed."""
     mcs = link.McsTable.default()
     for name, exponent, lo, hi, rings in SWEEPS:
         dep = sysim.Deployment(np.radians(UE_ANGLES_DEG),
                                sysim.log_ring_grid(lo, hi, rings))
         lm = link.LinkModel(carrier_hz=28e9, path_loss_exponent=exponent)
-        res = sysim.throughput_sweep(dep, ARRAY, GRID, lm, mcs,
-                                     codebook.DelayConstraint(), 16, SECTOR)
+        args = (dep, ARRAY, GRID, lm, mcs, codebook.DelayConstraint(), 16,
+                SECTOR)
+        clear_tables(KEPT_TABLES)
+        res = sysim.throughput_sweep(*args)
+        warm = sysim.throughput_sweep(*args)
+        for field in ("delays_s", "phases_rad"):
+            if digest(getattr(res.jpta_weights, field)) \
+                    != digest(getattr(warm.jpta_weights, field)):
+                mismatched.append("%s.jpta_weights.%s" % (name, field))
         for scheme, rates in res.rates.items():
-            for field, column in zip(link.RateGrid._fields, rates):
-                yield "%s.%s.%s" % (name, scheme, field), column
+            for field, column, again in zip(link.RateGrid._fields, rates,
+                                            warm.rates[scheme]):
+                column_name = "%s.%s.%s" % (name, scheme, field)
+                if digest(column) != digest(again):
+                    mismatched.append(column_name)
+                yield column_name, column
 
 
 def pattern_maps():
@@ -190,11 +215,17 @@ def main() -> None:
                         help="print each array that differs from this .npz "
                              "with its largest absolute change")
     args = parser.parse_args()
+    mismatched = []
     with tempfile.TemporaryDirectory() as workdir:
-        for name, data in quickstart_files(Path(workdir)):
-            print("%s  %s" % (digest(data), name))
+        clear_tables(KEPT_TABLES)
+        cold = list(quickstart_files(Path(workdir) / "cold"))
+        warm = dict(quickstart_files(Path(workdir) / "warm"))
+    for name, data in cold:
+        print("%s  %s" % (digest(data), name))
+        if warm[name] != data:
+            mismatched.append(name)
     arrays = {}
-    for outputs in (sweep_columns(), pattern_maps(), designs()):
+    for outputs in (sweep_columns(mismatched), pattern_maps(), designs()):
         for name, array in outputs:
             print("%s  %s" % (digest(array), name))
             arrays[name] = array
@@ -210,6 +241,8 @@ def main() -> None:
                                     - old[name].astype(np.float64))
                     print("moved    %s  largest change %.3g"
                           % (name, np.nanmax(change)))
+    if mismatched:
+        sys.exit("warm runs differ from cold ones: " + ", ".join(mismatched))
 
 
 if __name__ == "__main__":

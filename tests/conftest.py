@@ -6,6 +6,8 @@ a 400 MHz grid of 264 resource blocks at 120 kHz subcarrier spacing, the
 default uplink budget (23 dBm UE, 0 dB UE gain, 5 dB noise figure, path-loss
 exponent 3), the built-in MCS ladder with a 2 dB margin, and a 2.5 ns
 delay-line step capped at 157.5 ns.
+
+Every test starts with the tables of a sweep's ring-free stage empty.
 """
 
 import pytest
@@ -13,8 +15,16 @@ import pytest
 from jpta.antenna import ArrayConfig, FrequencyGrid
 from jpta.codebook import DelayConstraint
 from jpta.link import LinkModel, McsTable
+from oracles import clear_tables
 
 _ACCEPTANCE = {}
+
+
+@pytest.fixture(autouse=True)
+def cold_ring_free_stage():
+    """Each test starts with no sweep stage kept, so a spy on the stage's
+    calls counts the same calls in any test order."""
+    clear_tables()
 
 
 @pytest.fixture(scope="session")

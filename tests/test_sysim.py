@@ -22,6 +22,7 @@ from jpta.codebook import (
     design_type2,
     paa_codebook,
 )
+from jpta.config import RunConfig
 from jpta.link import LinkModel, McsTable, RateGrid
 from jpta.sysim import (
     RESULTS_CSV_HEADER,
@@ -41,6 +42,7 @@ from jpta.sysim import (
     write_results_csv,
     write_summary_csv,
 )
+from oracles import KEPT_TABLES, RING_FREE_TABLES, clear_tables
 
 SECTOR = (axis_from_boresight_deg(60.0), axis_from_boresight_deg(-60.0))
 
@@ -534,3 +536,182 @@ def test_run_jpta_returns_weights_on_delay_grid():
     steps = weights.delays_s / 2.5e-9
     np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
     assert weights.delays_s.max() == pytest.approx(2.5e-9, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the kept ring-free stage
+# ---------------------------------------------------------------------------
+
+def _config_sweep_args(config):
+    """``throughput_sweep``'s arguments from a ``RunConfig``."""
+    mcs = config.mcs_table()
+    return (config.deployment(), config.array_config(),
+            config.frequency_grid(), config.link_model(), mcs,
+            config.delay_constraint(), config.paa_num_beams,
+            config.paa_sector_rad(), config.eesm_betas(mcs))
+
+
+def _sweep_args(angles_deg, rings, exponent=3.0):
+    """``throughput_sweep``'s arguments on the reference array and grid."""
+    return (Deployment(np.radians(angles_deg), rings),
+            ArrayConfig.half_wavelength(16, 28e9, 28.0),
+            FrequencyGrid(28e9, 400e6, 120e3, 264),
+            LinkModel(carrier_hz=28e9, path_loss_exponent=exponent),
+            McsTable.default(), DelayConstraint(), 16, SECTOR, None)
+
+
+def _result_bits(res):
+    """dtype, shape and bytes of every ``RateGrid`` column of both schemes
+    and of the JPTA weights."""
+    arrays = [c for s in (SCHEME_PAA, SCHEME_JPTA) for c in res.rates[s]]
+    arrays += [res.jpta_weights.delays_s, res.jpta_weights.phases_rad]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _built(run):
+    """Names of the kept tables that ``run()`` adds an entry to."""
+    before = [t.cache_info().misses for t in RING_FREE_TABLES]
+    run()
+    return {t.__name__ for t, n in zip(RING_FREE_TABLES, before)
+            if t.cache_info().misses > n}
+
+
+CRITERION4_ANGLES = np.linspace(-55.0, 55.0, 8)
+CRITERION4_SPANS = {2.0: (8000.0, 120000.0), 3.0: (300.0, 3000.0),
+                    4.0: (60.0, 500.0)}
+
+
+def test_warm_sweeps_equal_cold_ones_bit_for_bit(monkeypatch):
+    # criterion 4's deployment at each exponent, a one-ring probe of it and
+    # the quick start, each swept after every kept table is cleared and
+    # then again warm: the warm sweep builds nothing and gives the same
+    # bits in every column and in the weights
+    cases = [_sweep_args(CRITERION4_ANGLES, log_ring_grid(lo, hi, 320), b)
+             for b, (lo, hi) in CRITERION4_SPANS.items()]
+    cases += [_sweep_args(CRITERION4_ANGLES, [1000.0]),
+              _config_sweep_args(RunConfig())]
+    for args in cases:
+        clear_tables(KEPT_TABLES)
+        cold = _result_bits(throughput_sweep(*args))
+        results = []
+        assert _built(lambda: results.append(throughput_sweep(*args))) \
+            == set()
+        assert _result_bits(results[0]) == cold
+    # once one sweep has built criterion 4's stage, a sweep of the same
+    # geometry at any exponent or ring set designs nothing and computes no
+    # gain row
+    throughput_sweep(*cases[0])
+    calls = []
+    monkeypatch.setattr(sysim, "design_type1", calls.append)
+    monkeypatch.setattr(sysim, "serving_gain_db", calls.append)
+    monkeypatch.setattr(sysim, "paa_codebook", calls.append)
+    for args in cases[:4]:
+        throughput_sweep(*args)
+    assert calls == []
+
+
+# (change, the kept tables it must add an entry to)
+STAGE_CHANGES = {
+    "one UE angle": {"_paa_rows", "_jpta_stage", "_envelope_intervals"},
+    "array": {"_paa_beams", "_paa_rows", "_jpta_stage",
+              "_envelope_intervals"},
+    "grid": {"_paa_rows", "_jpta_stage", "_envelope_intervals"},
+    "beam count": {"_paa_beams", "_paa_rows", "_envelope_intervals"},
+    "sector": {"_paa_beams", "_paa_rows", "_envelope_intervals"},
+    "delay constraint": {"_jpta_stage", "_envelope_intervals"},
+    "noise figure": {"_envelope_intervals"},
+    "MCS ladder": {"_envelope_intervals"},
+    "EESM betas": {"_envelope_intervals"},
+}
+
+
+def _changed(args, change):
+    """``_sweep_args`` with one input the ring-free stage reads changed."""
+    (dep, cfg, grid, lm, mcs, constraint, beams, sector, betas) = args
+    if change == "one UE angle":
+        angles = dep.ue_angles_rad.copy()
+        angles[1] += 1e-3
+        dep = Deployment(angles, dep.ring_distances_m)
+    elif change == "array":
+        cfg = ArrayConfig.half_wavelength(16, 28e9, 27.0)
+    elif change == "grid":
+        grid = FrequencyGrid(28e9, 400e6, 120e3, 240)
+    elif change == "beam count":
+        beams = 12
+    elif change == "sector":
+        sector = (axis_from_boresight_deg(50.0),
+                  axis_from_boresight_deg(-50.0))
+    elif change == "delay constraint":
+        constraint = DelayConstraint(5e-9, 157.5e-9)
+    elif change == "noise figure":
+        lm = LinkModel(carrier_hz=28e9, bs_noise_figure_db=7.0)
+    elif change == "MCS ladder":
+        mcs = McsTable.default(margin_db=3.0)
+    else:
+        betas = np.full(len(mcs), 2.0)
+    return dep, cfg, grid, lm, mcs, constraint, beams, sector, betas
+
+
+@pytest.mark.parametrize("change", list(STAGE_CHANGES))
+def test_a_changed_input_builds_a_new_stage_entry(change):
+    # on a warm stage, a sweep with one input changed builds the tables
+    # that read it, and only those, and gives the answer of a cold sweep
+    base = _sweep_args([-50.0, -20.0, 0.0, 25.0], np.geomspace(30.0, 3000.0,
+                                                               12))
+    args = _changed(base, change)
+    throughput_sweep(*base)
+    results = []
+    assert _built(lambda: results.append(throughput_sweep(*args))) \
+        == STAGE_CHANGES[change]
+    # the base geometry is still kept
+    assert _built(lambda: throughput_sweep(*base)) == set()
+    clear_tables(KEPT_TABLES)
+    assert _result_bits(results[0]) == _result_bits(throughput_sweep(*args))
+
+
+def test_kept_stage_is_read_only_and_results_are_the_callers(monkeypatch):
+    # every array a sweep keeps raises on write, and what a sweep returns
+    # is the caller's own: writing into its weights or columns, or
+    # rebinding its weights' arrays, changes no later sweep
+    kept = []
+    select = sysim.select_rate_grid
+    intervals = _kernels._envelope_intervals
+
+    def record_rows(lm, dists, rows, rbs, *rest):
+        kept.append(rows)
+        return select(lm, dists, rows, rbs, *rest)
+
+    def record_intervals(*args):
+        tables = intervals(*args)
+        kept.extend(tables)
+        return tables
+
+    args = _sweep_args([-30.0, -10.0, 10.0, 30.0], [30.0, 300.0, 3000.0])
+    first = _result_bits(throughput_sweep(*args))
+    monkeypatch.setattr(sysim, "select_rate_grid", record_rows)
+    monkeypatch.setattr(_kernels, "_envelope_intervals", record_intervals)
+    res = throughput_sweep(*args)
+    monkeypatch.undo()
+    shares, weights, _ = sysim._jpta_stage(args[1], args[2], args[5],
+                                           args[0].ue_angles_rad.tobytes())
+    beams = sysim._paa_beams(args[1], 16, SECTOR)
+    kept += [*shares, weights.delays_s, weights.phases_rad,
+             *(a for w in beams for a in (w.delays_s, w.phases_rad))]
+    assert len(kept) == 2 + 2 * 3 + 4 + 2 + 2 * 16
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
+    res.jpta_weights.delays_s[:] = 0.0
+    res.jpta_weights.phases_rad += 1.0
+    for rates in res.rates.values():
+        for column in rates:
+            column[...] = 1
+    res.jpta_weights.delays_s = np.ones(16)
+    assert _result_bits(throughput_sweep(*args)) == first
+    # every input check still runs on a warm stage
+    with pytest.raises(ValueError, match="^eesm_betas: must be positive"):
+        throughput_sweep(*args[:8], np.full(15, -1.0))
+    with pytest.raises(ValueError, match="JPTA share of 3 RBs"):
+        run_jpta(Deployment(np.radians(np.linspace(-50.0, 50.0, 8)), [30.0]),
+                 args[1], FrequencyGrid(28e9, 400e6, 120e3, 24), args[3],
+                 args[4], args[5])
