@@ -23,12 +23,13 @@ One row times a sweep's gain stage, recorded from
 gain rows of 8 UEs over 264 RBs, each scheme's rows from one
 ``antenna.serving_gain_db`` call over the UE angles, each row naming its
 serving set, against one ``pattern_map`` call per UE. Three time one
-``throughput_sweep`` of that deployment, its two stages apart. Cold, with
-the tables that keep its ring-free stage (codebook, design, gain rows and
-the rate scan's envelope intervals) cleared before each call, at one ring
-against 160 rings: what a sweep of a new geometry pays. Warm, on the kept
-stage, at one ring and at 160 rings, each against the same sweep cold:
-the link stage alone, what each further sweep of that geometry pays.
+``throughput_sweep`` of that deployment, its two stages apart. Cold, each
+call sweeps a new geometry, the UE angles moved by a further 1e-12 rad, so
+it builds the ring-free stage (codebook, design, gain rows and the rate
+scan's envelope intervals) as a sweep of a new deployment does, at one
+ring against 160 rings. Warm, on the kept stage, at one ring and at 160
+rings, each against the same sweep cold: the link stage alone, what each
+further sweep of that geometry pays.
 
 One row times the kernels' thread use: the 3001-angle pattern grid split
 over the usable CPUs against the same call on one thread. Another times
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import math
 import resource
 import sys
@@ -84,7 +86,6 @@ from jpta.config import RunConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
-    clear_tables,
     delay_scan_py,
     eesm_stage_py,
     pattern_corr_longdouble,
@@ -277,7 +278,7 @@ def _recorded_args(name, cfg, dep, lm, module=sysim):
         calls.append(args)
         return real(*args)
 
-    clear_tables()
+    _kernels.clear_kept_tables()
     setattr(module, name, record)
     try:
         mcs = cfg.mcs_table()
@@ -366,16 +367,24 @@ def _one_ring_sweep_args():
     return _sweep_args(1), _sweep_args(160)
 
 
+# how far each cold sweep moves the UE angles, in units of 1e-12 rad: one
+# count for every cold row, so that no two cold calls, a one-ring sweep and
+# a 160-ring one say, share a ring-free stage
+_COLD_MOVES = itertools.count(1)
+
+
 def _sweep(rings, cold):
-    """``throughput_sweep`` at one ring or at 160 rings. Cold, the tables
-    that keep its ring-free stage are cleared first, so it builds that
-    stage; warm, it runs on the stage that every sweep of the criterion-4
-    deployment shares, the link stage alone."""
+    """``throughput_sweep`` at one ring or at 160 rings. Cold, each call
+    moves the UE angles by a further 1e-12 rad, a new geometry whose
+    ring-free stage no table keeps, so it builds that stage; warm, it runs
+    on the stage that every sweep of the criterion-4 deployment shares, the
+    link stage alone."""
     def sweep(one_ring, many_rings):
+        dep, *rest = one_ring if rings == 1 else many_rings
         if cold:
-            clear_tables()
-        return sysim.throughput_sweep(*(one_ring if rings == 1
-                                        else many_rings))
+            dep = sysim.Deployment(dep.ue_angles_rad + 1e-12 * next(_COLD_MOVES),
+                                   dep.ring_distances_m)
+        return sysim.throughput_sweep(dep, *rest)
     return sweep
 
 

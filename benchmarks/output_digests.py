@@ -61,13 +61,10 @@ from pathlib import Path
 
 import numpy as np
 
-from jpta import antenna, cli, codebook, config, link, sysim
+from jpta import _kernels, antenna, cli, codebook, config, link, sysim
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
-from oracles import KEPT_TABLES, clear_tables  # noqa: E402
 
 ARRAY = antenna.ArrayConfig.half_wavelength(16, 28e9, 28.0)
 GRID = antenna.FrequencyGrid(28e9, 400e6, 120e3, 264)
@@ -129,7 +126,7 @@ def sweep_columns(mismatched):
         lm = link.LinkModel(carrier_hz=28e9, path_loss_exponent=exponent)
         args = (dep, ARRAY, GRID, lm, mcs, codebook.DelayConstraint(), 16,
                 SECTOR)
-        clear_tables(KEPT_TABLES)
+        _kernels.clear_kept_tables()
         res = sysim.throughput_sweep(*args)
         warm = sysim.throughput_sweep(*args)
         for field in ("delays_s", "phases_rad"):
@@ -217,7 +214,7 @@ def main() -> None:
     args = parser.parse_args()
     mismatched = []
     with tempfile.TemporaryDirectory() as workdir:
-        clear_tables(KEPT_TABLES)
+        _kernels.clear_kept_tables()
         cold = list(quickstart_files(Path(workdir) / "cold"))
         warm = dict(quickstart_files(Path(workdir) / "warm"))
     for name, data in cold:

@@ -96,6 +96,30 @@ def backend() -> str:
     return "numpy"
 
 
+# every table the package keeps, in the order they were defined
+_KEPT_TABLES = []
+
+
+def kept_table(maxsize):
+    """Decorator: the function's results kept in a ``functools.lru_cache``
+    of ``maxsize`` entries, one per value of its arguments, and the table
+    listed so that ``clear_kept_tables`` reaches it. Every table keyed this
+    way is keyed by the value of each input it reads, and its arrays are
+    read-only."""
+    def keep(build):
+        table = functools.lru_cache(maxsize=maxsize)(build)
+        _KEPT_TABLES.append(table)
+        return table
+    return keep
+
+
+def clear_kept_tables() -> None:
+    """Empty every table the package keeps, so the next call of each
+    builds its table again, as the first call in a process does."""
+    for table in _KEPT_TABLES:
+        table.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # pattern correlation: |<steering(angle, f), response(f)>| on a grid
 # ---------------------------------------------------------------------------
@@ -815,63 +839,59 @@ def _envelope_candidates(link, row, min_rbs, thr_lin, se, max_beta):
     and n; n runs over ``[min_rbs, RBs]``.
 
     The link stage of the envelope: ``_envelope_intervals`` keeps, per
-    (user, MCS i, n), the interval of link gain G on which the candidate
-    may win, and the rings whose G, in ``link``, falls in each interval
-    are found by one binary search over the sorted rings. The intervals
-    read only ``row``, the ladder, the minimum grant and the largest beta,
-    so a scan of the same rows at other rings builds none of them.
+    (user, MCS i, n), the interval ``[meet, end)`` of link gain G on which
+    the candidate may win, and the rings whose G, in ``link``, falls in each
+    interval are found by one binary search over the sorted rings. The
+    intervals read only ``row``, the ladder, the minimum grant and the
+    largest beta, so a scan of the same rows at other rings builds none of
+    them, and a scan of new rows builds them and goes on exactly as if they
+    had been built in place.
     """
-    index, meet, end = _envelope_intervals(
+    meet, end = _envelope_intervals(
         np.asarray(row, dtype=np.float64).tobytes(), row.shape, min_rbs,
         np.asarray(thr_lin, dtype=np.float64).tobytes(),
         np.asarray(se, dtype=np.float64).tobytes(), float(max_beta))
     ring_order = np.argsort(link)
     link_sorted = link[ring_order]
-    # an interval that starts past the last ring or ends at or before the
-    # first holds none; the binary searches place the others
-    held = np.flatnonzero((meet <= link_sorted[-1]) & (end > link_sorted[0]))
-    lo = np.searchsorted(link_sorted, meet[held], side="left")
-    size = np.searchsorted(link_sorted, end[held], side="left")
+    # an interval that is empty, starts past the last ring or ends at or
+    # before the first holds none; the binary searches place the others
+    live = np.flatnonzero((end > meet) & (meet <= link_sorted[-1])
+                          & (end > link_sorted[0]))
+    user, n_idx = np.divmod(live, end[0].size)
+    mcs, n_idx = np.divmod(n_idx, end.shape[2])
+    lo = np.searchsorted(link_sorted, meet[user, mcs, n_idx], side="left")
+    size = np.searchsorted(link_sorted, end[user, mcs, n_idx], side="left")
     size -= lo
-    # each held interval's (user, i, n) from its index in (user, i, n)
-    # order, over ``width`` RB counts per MCS and ``block`` per user
-    width = row.shape[1] + 1 - min_rbs
-    block = np.size(thr_lin) * width
-    index = index[held]
-    user = index // block
-    index -= user * block
-    mcs = index // width
-    n = index - mcs * width + min_rbs
     # the rings of each (user, i, n) interval, end to end
     where = np.repeat(lo - (np.cumsum(size) - size), size)
     where += np.arange(where.size)
-    return (np.repeat(user, size), ring_order[where], np.repeat(n, size),
-            np.repeat(mcs, size))
+    return (np.repeat(user, size), ring_order[where],
+            np.repeat(n_idx + min_rbs, size), np.repeat(mcs, size))
 
 
 # keyed by the value of every input the intervals read: the bytes and shape
 # of the users' gain/noise rows, of the thresholds and of the spectral
 # efficiencies, the minimum grant and the largest beta. A sweep needs one
-# entry per scheme and share width; the non-empty intervals take 24 bytes
-# each, 0.26 MB for both schemes of 8 users over 264 RBs and 7.8 MB for 64
-# users over 1024
-@functools.lru_cache(maxsize=4)
+# entry per scheme and share width. Each entry holds both bounds of every
+# (user, MCS, n), 16 bytes each: 0.56 MB for both schemes of 8 users over
+# 264 RBs and 15.7 MB for 64 users over 1024
+@kept_table(maxsize=4)
 def _envelope_intervals(row_bytes, shape, min_rbs, thr_bytes, se_bytes,
                         max_beta):
     """The ring-free stage of ``_envelope_candidates``: read-only arrays
-    ``(index, meet, end)`` of every non-empty interval ``[meet, end)`` of
-    link gain G on which candidate n at upper-bound MCS i may win or tie,
-    in (user, MCS, n) order, ``index`` its place in that order over every
-    (user, MCS i, n).
+    ``(meet, end)`` of shape (users, MCS, n), the interval ``[meet, end)``
+    of link gain G on which candidate n at upper-bound MCS i may win or
+    tie, empty where ``end <= meet``.
 
     For the split SNRs ``g`` of the best n RBs, every beta's effective SNR
     lies between ``min(g)`` (each shifted EESM term is at most 1) and
     ``mean(g)`` (Jensen's inequality). For one user the SNR rows are ``G *
-    s``: row u of the rows user u's sorted per-RB gain/noise s, as
-    ``rate_scan_batch`` builds it. So both bounds scale with G, ``G * a_n``
-    with ``a_n = s[n-1]/n`` and ``G * b_n`` with ``b_n = cumsum(s)[n-1]/n**2``,
-    and per (n, MCS i) they meet the threshold from one G on: ``reach`` for
-    the lower bound, ``meet`` for the upper one.
+    s``, each ring's link gain G times row u of the rows, user u's sorted
+    per-RB gain/noise s, as ``rate_scan_batch`` builds them. So both bounds
+    scale with G, ``G * a_n`` with ``a_n = s[n-1]/n`` and ``G * b_n`` with
+    ``b_n = cumsum(s)[n-1]/n**2``, and per (n, MCS i) they meet the
+    threshold from one G on: ``reach`` for the lower bound, ``meet`` for the
+    upper one.
 
     A ring surely reaches the rate of every (n, i) whose ``reach`` it
     passes, so its sure rate is a step function of G; it first exceeds
@@ -922,20 +942,15 @@ def _envelope_intervals(row_bytes, shape, min_rbs, thr_bytes, se_bytes,
     meet = reach.reshape(end.shape)  # in the running minimum's place
     np.divide(need[:, None], high[:, None, :], out=meet)
     np.minimum(end[:, :-1], meet[:, 1:], out=end[:, :-1])
-    live = np.flatnonzero(end > meet)
-    # meet[u, i, n] lies at index + u + 1 of lowest, whose rows lead with
-    # one slot more
-    tables = (live, np.take(lowest, live + live // end[0].size + 1),
-              np.take(end, live))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    meet.flags.writeable = False
+    end.flags.writeable = False
+    return meet, end
 
 
 # keyed by the bytes of the ladder's spectral efficiencies, the minimum
 # grant and the share width: a sweep's schemes need two, and the order of
 # a 264-RB share takes 94 KB
-@functools.lru_cache(maxsize=8)
+@kept_table(maxsize=8)
 def _rate_order(se_bytes, min_rbs, total):
     """The rates ``se_i * n`` of every (MCS i, n), n in ``[min_rbs,
     total]``, from the highest down: read-only arrays of each one's n index

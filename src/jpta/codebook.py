@@ -16,7 +16,6 @@ grid) is provided for the benchmark scheme.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
@@ -206,7 +205,7 @@ def _target_slopes(cfg: ArrayConfig, target: Type1Target, grid: FrequencyGrid,
 # keyed by the frozen constraint and grid and the mode: the last two tables
 # used stay resident, so designs alternating between the two modes build
 # each once; the per-subcarrier table of a 264-RB grid takes 3.2 MB
-@functools.lru_cache(maxsize=2)
+@_kernels.kept_table(maxsize=2)
 def _delay_twiddles(constraint: DelayConstraint, grid: FrequencyGrid,
                     per_subcarrier: bool) -> np.ndarray:
     """Read-only ``_kernels.delay_twiddles`` table of the delay grid at the

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import copy
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .antenna import (
     ArrayConfig,
     FrequencyGrid,
@@ -146,14 +146,19 @@ def require_min_jpta_share(num_ues: int, num_rbs: int) -> None:
 # they read a ring, kept by the value of every input it reads, so that a
 # sweep of the same UEs, array, grid, codebook and delay line at other rings
 # or another path-loss exponent builds none of it. Every kept array is
-# read-only. The rate scan keeps its own ring-free stage, keyed by the gain
-# rows (``link.select_rate_grid``). One geometry of 8 UEs over 264 RBs
-# keeps about 50 KB here, of 64 UEs over 1024 RBs about 1.1 MB.
+# read-only, and each table is a ``_kernels.kept_table``, which
+# ``_kernels.clear_kept_tables`` empties with the rest. The rate scan keeps
+# its own ring-free stage, keyed by the gain rows (``link.select_rate_grid``).
+# One geometry of 8 UEs over 264 RBs keeps about 50 KB here, of 64 UEs over
+# 1024 RBs about 1.1 MB.
 
 class _Inputs:
-    """A kept table's inputs as one ``functools.lru_cache`` argument:
+    """A kept table's inputs as one argument of its ``functools.lru_cache``:
     hashed and compared by ``key``, the value of every input the table
-    reads, while a miss builds the table from the objects in ``args``."""
+    reads, while a miss builds the table from the objects in ``args``, which
+    it then drops. Rebuilding the beams from the key's bytes instead would
+    validate each one again: 0.17 ms a miss for 16 beams, longer than
+    ``paa_codebook`` takes to design them."""
 
     __slots__ = ("key", "args")
 
@@ -172,7 +177,7 @@ def _read_only(*arrays):
         array.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=8)
+@_kernels.kept_table(maxsize=8)
 def _paa_beams(cfg: ArrayConfig, num_beams: int, sector: tuple) -> tuple:
     """``paa_codebook``, its weights read-only."""
     beams = tuple(paa_codebook(cfg, num_beams, sector))
@@ -181,11 +186,12 @@ def _paa_beams(cfg: ArrayConfig, num_beams: int, sector: tuple) -> tuple:
     return beams
 
 
-@functools.lru_cache(maxsize=8)
+@_kernels.kept_table(maxsize=8)
 def _paa_rows(inputs: _Inputs) -> np.ndarray:
     """Each UE's gain row over the RB centers from its serving beam, read
     only; ``inputs.args`` is ``(cfg, grid, beams, ue_angles_rad)``."""
     cfg, grid, beams, angles = inputs.args
+    inputs.args = ()  # the kept key holds the values, not the objects
     cos_ues = np.cos(axis_from_boresight_rad(angles))
     # every beam toward every UE at the carrier, one (UE, beam) row each
     count = len(beams)
@@ -199,7 +205,7 @@ def _paa_rows(inputs: _Inputs) -> np.ndarray:
     return rows
 
 
-@functools.lru_cache(maxsize=8)
+@_kernels.kept_table(maxsize=8)
 def _jpta_stage(cfg: ArrayConfig, grid: FrequencyGrid,
                 constraint: DelayConstraint, angles_bytes: bytes) -> tuple:
     """``(shares, weights, gain_rows)`` of the UEs at the boresight angles
@@ -339,6 +345,77 @@ def coverage_distance(distances_m, mean_bps, threshold_bps: float) -> CoverageRe
     frac = (v0 - threshold_bps) / (v0 - v1)
     return CoverageResult(distance_m=float(d0 + frac * (d1 - d0)),
                           censored=False)
+
+
+# distances that each refining sweep of ``coverage_edge`` probes per
+# scheme: a bracket shrinks 65-fold a sweep, so about 9 sweeps take a
+# bracket of one ring step to a few ulps
+EDGE_PROBES = 64
+
+
+def coverage_edge(dep: Deployment, cfg: ArrayConfig, grid: FrequencyGrid,
+                  lm: LinkModel, mcs_table: McsTable,
+                  constraint: DelayConstraint, num_paa_beams: int,
+                  paa_sector_rad, threshold_bps: float,
+                  eesm_betas=None) -> dict:
+    """Each scheme's coverage, ``{scheme: CoverageResult}``, refined from
+    the rings to the distance at which its mean throughput falls below
+    ``threshold_bps``.
+
+    The first sweep runs over the deployment's rings. Where a scheme meets
+    the threshold at a ring but not at the next, its edge lies between
+    them. Each further sweep probes ``EDGE_PROBES`` log-spaced distances
+    inside each such bracket and keeps the farthest probe that meets the
+    threshold and the nearest farther one that misses it. It stops when no
+    float lies strictly inside a bracket's probes, a few ulps apart. The
+    edge is the bracket's near end, the farthest distance found to meet
+    the threshold. Bisection is valid because a UE's throughput never
+    rises with distance, so neither does the mean. A scheme that meets the
+    threshold at no ring, or at the last, keeps ``coverage_distance``'s
+    result.
+
+    Every sweep probes the same UEs, so all but the first run on the
+    ring-free stage that the first one kept and pay for the link stage
+    alone.
+    """
+    args = (cfg, grid, lm, mcs_table, constraint, num_paa_beams,
+            paa_sector_rad, eesm_betas)
+    res = throughput_sweep(dep, *args)
+    edges, brackets = {}, {}
+    for scheme in (SCHEME_PAA, SCHEME_JPTA):
+        mean = res.mean_throughput_bps(scheme)
+        edges[scheme] = coverage_distance(dep.ring_distances_m, mean,
+                                          threshold_bps)
+        meets = np.flatnonzero(mean >= threshold_bps)
+        if meets.size and meets[-1] + 1 < mean.size:
+            brackets[scheme] = tuple(
+                dep.ring_distances_m[meets[-1]:meets[-1] + 2].tolist())
+    while True:
+        probes = {}
+        for scheme, (near, far) in brackets.items():
+            inside = np.geomspace(near, far, EDGE_PROBES + 2)[1:-1]
+            inside = np.unique(inside[(inside > near) & (inside < far)])
+            if inside.size:
+                probes[scheme] = inside
+        if not probes:
+            break
+        # both schemes' probes in one sweep; brackets may overlap
+        rings = np.unique(np.concatenate(list(probes.values())))
+        res = throughput_sweep(Deployment(dep.ue_angles_rad, rings), *args)
+        for scheme, inside in probes.items():
+            meets = (res.mean_throughput_bps(scheme)
+                     [np.searchsorted(rings, inside)] >= threshold_bps)
+            near, far = brackets[scheme]
+            hit = np.flatnonzero(meets)
+            if hit.size:
+                near = float(inside[hit[-1]])
+            miss = np.flatnonzero(~meets & (inside > near))
+            if miss.size:
+                far = float(inside[miss[0]])
+            brackets[scheme] = (near, far)
+    for scheme, (near, _) in brackets.items():
+        edges[scheme] = CoverageResult(distance_m=near, censored=False)
+    return edges
 
 
 def _fmt(value) -> str:

@@ -7,24 +7,24 @@ default uplink budget (23 dBm UE, 0 dB UE gain, 5 dB noise figure, path-loss
 exponent 3), the built-in MCS ladder with a 2 dB margin, and a 2.5 ns
 delay-line step capped at 157.5 ns.
 
-Every test starts with the tables of a sweep's ring-free stage empty.
+Every test starts with every table the package keeps empty.
 """
 
 import pytest
 
+from jpta import _kernels
 from jpta.antenna import ArrayConfig, FrequencyGrid
 from jpta.codebook import DelayConstraint
 from jpta.link import LinkModel, McsTable
-from oracles import clear_tables
 
 _ACCEPTANCE = {}
 
 
 @pytest.fixture(autouse=True)
-def cold_ring_free_stage():
-    """Each test starts with no sweep stage kept, so a spy on the stage's
+def no_kept_tables():
+    """Each test starts with no table kept, so a spy on a kept stage's
     calls counts the same calls in any test order."""
-    clear_tables()
+    _kernels.clear_kept_tables()
 
 
 @pytest.fixture(scope="session")

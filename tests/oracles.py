@@ -1,8 +1,7 @@
 """Brute-force references for the vectorized kernels in ``jpta._kernels``,
 for the beam gain and its two vectors, for the link budget's per-RB SNR
-and for the pattern CSV writer of ``jpta.cli``, the closed-form
-uniform-array factor, and the tables the package keeps, so that a run can
-start cold.
+and for the pattern CSV writer of ``jpta.cli``, and the closed-form
+uniform-array factor.
 
 Plain scalar loops, one cell, one ring or one CSV row at a time: slow, but
 simple enough to read as the definition the fast code is checked against.
@@ -17,24 +16,10 @@ import math
 
 import numpy as np
 
-from jpta import _kernels, codebook, sysim
 from jpta.antenna import CORRELATION_FLOOR, SPEED_OF_LIGHT_M_S
 from jpta.link import noise_power_dbm_per_rb, path_gain_db
 
 TWO_PI = 2.0 * math.pi
-
-# the tables, each a functools.lru_cache, in which a sweep keeps its
-# ring-free stage, and with them every table the package keeps
-RING_FREE_TABLES = (sysim._paa_beams, sysim._paa_rows, sysim._jpta_stage,
-                    _kernels._envelope_intervals)
-KEPT_TABLES = RING_FREE_TABLES + (_kernels._rate_order,
-                                  codebook._delay_twiddles)
-
-
-def clear_tables(tables=RING_FREE_TABLES):
-    """Empty each table, so the next sweep builds its stage cold."""
-    for table in tables:
-        table.cache_clear()
 
 
 def steering_vector(cfg, angle_rad, freq_hz):

@@ -33,6 +33,7 @@ from jpta.sysim import (
     Deployment,
     ScenarioResult,
     coverage_distance,
+    coverage_edge,
     jpta_share_target,
     log_ring_grid,
     require_min_jpta_share,
@@ -42,7 +43,6 @@ from jpta.sysim import (
     write_results_csv,
     write_summary_csv,
 )
-from oracles import KEPT_TABLES, RING_FREE_TABLES, clear_tables
 
 SECTOR = (axis_from_boresight_deg(60.0), axis_from_boresight_deg(-60.0))
 
@@ -570,9 +570,10 @@ def _result_bits(res):
 
 def _built(run):
     """Names of the kept tables that ``run()`` adds an entry to."""
-    before = [t.cache_info().misses for t in RING_FREE_TABLES]
+    tables = _kernels._KEPT_TABLES
+    before = [t.cache_info().misses for t in tables]
     run()
-    return {t.__name__ for t, n in zip(RING_FREE_TABLES, before)
+    return {t.__name__ for t, n in zip(tables, before)
             if t.cache_info().misses > n}
 
 
@@ -591,7 +592,7 @@ def test_warm_sweeps_equal_cold_ones_bit_for_bit(monkeypatch):
     cases += [_sweep_args(CRITERION4_ANGLES, [1000.0]),
               _config_sweep_args(RunConfig())]
     for args in cases:
-        clear_tables(KEPT_TABLES)
+        _kernels.clear_kept_tables()
         cold = _result_bits(throughput_sweep(*args))
         results = []
         assert _built(lambda: results.append(throughput_sweep(*args))) \
@@ -615,10 +616,12 @@ STAGE_CHANGES = {
     "one UE angle": {"_paa_rows", "_jpta_stage", "_envelope_intervals"},
     "array": {"_paa_beams", "_paa_rows", "_jpta_stage",
               "_envelope_intervals"},
-    "grid": {"_paa_rows", "_jpta_stage", "_envelope_intervals"},
+    "grid": {"_paa_rows", "_jpta_stage", "_envelope_intervals",
+             "_rate_order", "_delay_twiddles"},
     "beam count": {"_paa_beams", "_paa_rows", "_envelope_intervals"},
     "sector": {"_paa_beams", "_paa_rows", "_envelope_intervals"},
-    "delay constraint": {"_jpta_stage", "_envelope_intervals"},
+    "delay constraint": {"_jpta_stage", "_envelope_intervals",
+                         "_delay_twiddles"},
     "noise figure": {"_envelope_intervals"},
     "MCS ladder": {"_envelope_intervals"},
     "EESM betas": {"_envelope_intervals"},
@@ -665,7 +668,7 @@ def test_a_changed_input_builds_a_new_stage_entry(change):
         == STAGE_CHANGES[change]
     # the base geometry is still kept
     assert _built(lambda: throughput_sweep(*base)) == set()
-    clear_tables(KEPT_TABLES)
+    _kernels.clear_kept_tables()
     assert _result_bits(results[0]) == _result_bits(throughput_sweep(*args))
 
 
@@ -697,7 +700,7 @@ def test_kept_stage_is_read_only_and_results_are_the_callers(monkeypatch):
     beams = sysim._paa_beams(args[1], 16, SECTOR)
     kept += [*shares, weights.delays_s, weights.phases_rad,
              *(a for w in beams for a in (w.delays_s, w.phases_rad))]
-    assert len(kept) == 2 + 2 * 3 + 4 + 2 + 2 * 16
+    assert len(kept) == 2 + 2 * 2 + 4 + 2 + 2 * 16
     for array in kept:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
@@ -715,3 +718,78 @@ def test_kept_stage_is_read_only_and_results_are_the_callers(monkeypatch):
         run_jpta(Deployment(np.radians(np.linspace(-50.0, 50.0, 8)), [30.0]),
                  args[1], FrequencyGrid(28e9, 400e6, 120e3, 24), args[3],
                  args[4], args[5])
+
+
+# ---------------------------------------------------------------------------
+# the coverage edge, probed on one kept stage
+# ---------------------------------------------------------------------------
+
+# the exact JPTA:PAA coverage ratios of criterion 4's deployment at 1 Mbit/s,
+# to six digits; the interpolation over 320 rings reads 1.7104 at beta = 3
+EXACT_RATIOS = {2.0: 2.217180, 3.0: 1.700333, 4.0: 1.489020}
+
+
+@pytest.mark.parametrize("exponent", sorted(EXACT_RATIOS))
+def test_coverage_edge_finds_the_exact_criterion4_ratio(exponent,
+                                                       monkeypatch):
+    # from 40 rings, each scheme's edge is bracketed to a few ulps: the
+    # edge meets the threshold, the next probe it kept does not, and the
+    # ratio of the edges is criterion 4's exact one. Only the first of the
+    # sweeps builds the ring-free stage
+    lo, hi = CRITERION4_SPANS[exponent]
+    args = _sweep_args(CRITERION4_ANGLES, log_ring_grid(lo, hi, 40),
+                       exponent)
+    sweeps = []
+    real = sysim.throughput_sweep
+
+    def counted(dep, *rest):
+        sweeps.append(dep.ring_distances_m)
+        return real(dep, *rest)
+
+    throughput_sweep(*args)
+    built = {t.__name__: t.cache_info().misses
+             for t in _kernels._KEPT_TABLES}
+    _kernels.clear_kept_tables()
+    monkeypatch.setattr(sysim, "throughput_sweep", counted)
+    edges = coverage_edge(*args[:8], 1e6, args[8])
+    monkeypatch.undo()
+    assert {t.__name__: t.cache_info().misses
+            for t in _kernels._KEPT_TABLES} == built
+    assert 2 < len(sweeps) <= 12
+    ring = {s: coverage_distance(args[0].ring_distances_m,
+                                 throughput_sweep(*args)
+                                 .mean_throughput_bps(s), 1e6)
+            for s in (SCHEME_PAA, SCHEME_JPTA)}
+    for scheme, edge in edges.items():
+        assert not edge.censored
+        # the edge lies in the ring bracket that the interpolation reads
+        rings = args[0].ring_distances_m
+        k = np.searchsorted(rings, ring[scheme].distance_m)
+        assert rings[k - 1] <= edge.distance_m < rings[k]
+        # the nearest probe past the edge misses the threshold
+        past = min(d for probes in sweeps for d in probes.tolist()
+                   if d > edge.distance_m)
+        assert past <= edge.distance_m * (1.0 + 1e-14)
+        probe = throughput_sweep(Deployment(args[0].ue_angles_rad,
+                                            [edge.distance_m, past]),
+                                 *args[1:])
+        mean = probe.mean_throughput_bps(scheme)
+        assert mean[0] >= 1e6 > mean[1]
+    ratio = edges[SCHEME_JPTA].distance_m / edges[SCHEME_PAA].distance_m
+    assert round(ratio, 6) == EXACT_RATIOS[exponent]
+
+
+def test_coverage_edge_keeps_an_unbracketed_ring_result():
+    # a threshold met at no ring and one met at the last give
+    # coverage_distance's result
+    args = _sweep_args([-30.0, 30.0], [30.0, 60.0, 120.0])
+    res = throughput_sweep(*args)
+    for threshold in (1e15, 1.0):
+        edges = coverage_edge(*args[:8], threshold, args[8])
+        assert edges == {s: coverage_distance(args[0].ring_distances_m,
+                                              res.mean_throughput_bps(s),
+                                              threshold)
+                         for s in (SCHEME_PAA, SCHEME_JPTA)}
+    assert edges[SCHEME_PAA].censored
+    assert coverage_edge(*args[:8], 1e15, args[8])[SCHEME_PAA] \
+        == CoverageResult(distance_m=None, censored=False)
